@@ -359,8 +359,11 @@ fn main() {
     report.write();
 
     println!("\nReading: the solo audit pins the router's fast-path cost at zero");
-    println!("counted accesses. Amortized rows cluster (the cell already absorbs");
-    println!("cheap contention); the forced sweep is where lanes matter — relaxed");
+    println!("counted accesses. Amortized sweep: a relaxed op that stays in its home");
+    println!("lane writes no shared line, so threads that truly run in parallel keep");
+    println!("solo speed per lane while a single cell's TOP line bounces between");
+    println!("them; strict mode's latch and elastic mode's in-flight sensor are");
+    println!("shared writes per op, and their rows show it. Forced sweep: relaxed");
     println!("sharding overlaps lock tenures that a single cell must serialize,");
     println!("while strict mode pays the order latch and stays at the floor. The");
     println!("elastic variant should converge on the relaxed/8 row once the gate");

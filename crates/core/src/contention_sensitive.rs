@@ -41,6 +41,7 @@ use cso_memory::combining::{CachePadded, PubRecord, RecordState, NO_HELPER};
 use cso_memory::fail_point;
 use cso_memory::liveness::{Liveness, RecoveryPolicy};
 use cso_memory::reg::RegBool;
+use cso_memory::Stripes;
 use cso_metrics::{Counter, Gauge, Registry, Timer};
 use cso_trace::{probe, probe_if, Event};
 
@@ -542,19 +543,17 @@ pub struct ContentionSensitive<O: Abortable, L> {
     config: CsConfig,
     /// One publication record per process (combining slow path).
     records: PubList<O>,
-    /// The EWMA abort-rate gate in front of the fast path.
-    gate: AdaptiveGate,
-    // Path statistics: plain (uncounted) atomics — metrics, not part
-    // of the algorithm's shared-memory footprint.
-    fast: AtomicU64,
-    eliminated: AtomicU64,
-    locked: AtomicU64,
-    poisoned: AtomicU64,
-    timeouts: AtomicU64,
-    record_poisoned: AtomicU64,
-    // Combining statistics.
-    batches: AtomicU64,
-    combined: AtomicU64,
+    /// The EWMA abort-rate gate in front of the fast path. Padded:
+    /// with [`CsConfig::adaptive_gate`] on, every fast-path outcome
+    /// stores into it, and the line holding the read-mostly `config`,
+    /// `contention` and `metrics` must stay clean.
+    gate: CachePadded<AdaptiveGate>,
+    /// Path, fault and combining statistics, indexed by the constants
+    /// below: single-writer stripes — metrics, not part of the
+    /// algorithm's shared-memory footprint, and on lines of their own.
+    stats: Stripes<8>,
+    /// Largest combining tenure so far. A maximum, not a sum, so not a
+    /// stripe; only written under the lock.
     max_batch: AtomicU64,
     /// Live registry handles, if [`ContentionSensitive::attach_metrics`]
     /// was called. The `OnceLock` probe is a plain (uncounted) atomic
@@ -563,6 +562,15 @@ pub struct ContentionSensitive<O: Abortable, L> {
     /// Crash-recovery state, if [`CsConfig::recovery`] is set.
     recovery: Option<RecoveryInner>,
 }
+
+const FAST: usize = 0;
+const ELIMINATED: usize = 1;
+const LOCKED: usize = 2;
+const POISONED: usize = 3;
+const TIMEOUTS: usize = 4;
+const RECORD_POISONED: usize = 5;
+const BATCHES: usize = 6;
+const COMBINED: usize = 7;
 
 /// RAII custody of the slow path's shared state (lines 07–12).
 ///
@@ -592,13 +600,13 @@ impl<O: Abortable, L: RawLock> Drop for SlowGuard<'_, O, L> {
         // Count first: once the lock is released, observers must
         // already see this operation in the statistics.
         if self.completed {
-            cs.locked.fetch_add(1, Ordering::Relaxed);
+            cs.stats.inc(LOCKED);
             if let Some(m) = cs.metrics.get() {
                 m.locked.inc();
             }
             probe!(Event::LockedComplete);
         } else if std::thread::panicking() {
-            cs.poisoned.fetch_add(1, Ordering::Relaxed);
+            cs.stats.inc(POISONED);
             if let Some(m) = cs.metrics.get() {
                 m.poisoned.inc();
             }
@@ -684,13 +692,13 @@ impl<O: Abortable, L: RawLock> Drop for CombinerGuard<'_, O, L> {
     fn drop(&mut self) {
         let cs = self.cs;
         if self.completed {
-            cs.locked.fetch_add(1, Ordering::Relaxed);
+            cs.stats.inc(LOCKED);
             if let Some(m) = cs.metrics.get() {
                 m.locked.inc();
             }
             probe!(Event::LockedComplete);
         } else if std::thread::panicking() {
-            cs.poisoned.fetch_add(1, Ordering::Relaxed);
+            cs.stats.inc(POISONED);
             if let Some(m) = cs.metrics.get() {
                 m.poisoned.inc();
             }
@@ -714,14 +722,9 @@ impl<O: Abortable, L: RawLock> Drop for CombinerGuard<'_, O, L> {
 
 impl<O: Abortable, L> std::fmt::Debug for ContentionSensitive<O, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = PathStats {
-            fast: self.fast.load(Ordering::Relaxed),
-            eliminated: self.eliminated.load(Ordering::Relaxed),
-            locked: self.locked.load(Ordering::Relaxed),
-        };
         f.debug_struct("ContentionSensitive")
             .field("config", &self.config)
-            .field("stats", &stats)
+            .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }
@@ -763,15 +766,8 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             lock,
             config,
             records: (0..n).map(|_| CachePadded::new(PubRecord::new())).collect(),
-            gate: AdaptiveGate::new(),
-            fast: AtomicU64::new(0),
-            eliminated: AtomicU64::new(0),
-            locked: AtomicU64::new(0),
-            poisoned: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            record_poisoned: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            combined: AtomicU64::new(0),
+            gate: CachePadded::new(AdaptiveGate::new()),
+            stats: Stripes::new(),
             max_batch: AtomicU64::new(0),
             metrics: OnceLock::new(),
             recovery,
@@ -996,7 +992,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             self.lock.inner().try_lock_until(deadline)
         };
         if !acquired {
-            self.timeouts.fetch_add(1, Ordering::Relaxed);
+            self.stats.inc(TIMEOUTS);
             if let Some(m) = self.metrics.get() {
                 m.timeouts.inc();
             }
@@ -1035,7 +1031,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                 Err(_) => {
                     if !spinner.spin_deadline(deadline) {
                         drop(guard);
-                        self.timeouts.fetch_add(1, Ordering::Relaxed);
+                        self.stats.inc(TIMEOUTS);
                         if let Some(m) = self.metrics.get() {
                             m.timeouts.inc();
                         }
@@ -1146,7 +1142,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                 if self.config.adaptive_gate {
                     self.gate.record(false);
                 }
-                self.fast.fetch_add(1, Ordering::Relaxed);
+                self.stats.inc(FAST);
                 if let Some(m) = m {
                     m.fast.inc();
                     if let Some(t0) = t0 {
@@ -1208,7 +1204,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                         if self.config.adaptive_gate {
                             self.gate.record(false);
                         }
-                        self.fast.fetch_add(1, Ordering::Relaxed);
+                        self.stats.inc(FAST);
                         if let Some(m) = self.metrics.get() {
                             m.fast.inc();
                             if self.config.adaptive_gate {
@@ -1242,7 +1238,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             };
             probe!(Event::ElimAttempt);
             if let Some(res) = self.inner.try_eliminate(op, polls) {
-                self.eliminated.fetch_add(1, Ordering::Relaxed);
+                self.stats.inc(ELIMINATED);
                 if let Some(m) = self.metrics.get() {
                     m.eliminated.inc();
                 }
@@ -1288,7 +1284,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                     let res = rec.take_response();
                     // An under-lock completion, attributed to this
                     // (invoking) process — the combiner only executed.
-                    self.locked.fetch_add(1, Ordering::Relaxed);
+                    self.stats.inc(LOCKED);
                     if let Some(m) = self.metrics.get() {
                         m.combined.inc();
                     }
@@ -1304,7 +1300,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                     // The combiner unwound before applying us: the
                     // operation took no effect. Reclaim and repost.
                     rec.reclaim_poisoned();
-                    self.record_poisoned.fetch_add(1, Ordering::Relaxed);
+                    self.stats.inc(RECORD_POISONED);
                     if let Some(m) = self.metrics.get() {
                         m.record_poisoned.inc();
                     }
@@ -1418,8 +1414,8 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             }
         };
         let served = self.serve_pending(&mut guard);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.combined.fetch_add(served, Ordering::Relaxed);
+        self.stats.inc(BATCHES);
+        self.stats.add(COMBINED, served);
         let prev_max = self.max_batch.fetch_max(served + 1, Ordering::Relaxed);
         if let Some(m) = self.metrics.get() {
             m.batches.inc();
@@ -1513,9 +1509,9 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// Snapshot of how many operations used each path.
     pub fn stats(&self) -> PathStats {
         PathStats {
-            fast: self.fast.load(Ordering::Relaxed),
-            eliminated: self.eliminated.load(Ordering::Relaxed),
-            locked: self.locked.load(Ordering::Relaxed),
+            fast: self.stats.get(FAST),
+            eliminated: self.stats.get(ELIMINATED),
+            locked: self.stats.get(LOCKED),
         }
     }
 
@@ -1523,9 +1519,9 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// and deadline expiries). See the module docs for the fault model.
     pub fn fault_stats(&self) -> FaultStats {
         FaultStats {
-            poisoned: self.poisoned.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            record_poisoned: self.record_poisoned.load(Ordering::Relaxed),
+            poisoned: self.stats.get(POISONED),
+            timeouts: self.stats.get(TIMEOUTS),
+            record_poisoned: self.stats.get(RECORD_POISONED),
         }
     }
 
@@ -1533,8 +1529,8 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// unless [`CsConfig::combining`] is on).
     pub fn combining_stats(&self) -> CombiningStats {
         CombiningStats {
-            batches: self.batches.load(Ordering::Relaxed),
-            combined: self.combined.load(Ordering::Relaxed),
+            batches: self.stats.get(BATCHES),
+            combined: self.stats.get(COMBINED),
             max_batch: self.max_batch.load(Ordering::Relaxed),
         }
     }
@@ -1593,16 +1589,19 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         self.recovery.as_ref().map(|r| &r.live)
     }
 
-    /// Resets the path and fault statistics to zero.
+    /// Restarts the path, fault and combining statistics from zero.
+    ///
+    /// A baseline snapshot, not a store: the counters are
+    /// single-writer stripes other threads may be updating, so the
+    /// reset records the current sums and every accessor
+    /// ([`ContentionSensitive::stats`], `fault_stats`,
+    /// `combining_stats`, `telemetry`) reports the difference. A
+    /// completion racing the reset is counted on one side of it or the
+    /// other, never lost — so a mid-run reset leaves the families
+    /// reconcilable: completions since the reset still equal
+    /// `telemetry().invocations()` at the next quiescent point.
     pub fn reset_stats(&self) {
-        self.fast.store(0, Ordering::Relaxed);
-        self.eliminated.store(0, Ordering::Relaxed);
-        self.locked.store(0, Ordering::Relaxed);
-        self.poisoned.store(0, Ordering::Relaxed);
-        self.timeouts.store(0, Ordering::Relaxed);
-        self.record_poisoned.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
-        self.combined.store(0, Ordering::Relaxed);
+        self.stats.reset();
         self.max_batch.store(0, Ordering::Relaxed);
     }
 
@@ -1985,6 +1984,79 @@ mod tests {
         cs.apply(0, &Bump(1));
         cs.reset_stats();
         assert_eq!(cs.stats().total(), 0);
+        cs.apply(0, &Bump(1));
+        assert_eq!(cs.stats().total(), 1, "counting restarts at the baseline");
+    }
+
+    #[test]
+    fn telemetry_reconciles_after_a_reset_that_races_completions() {
+        use std::sync::atomic::AtomicU64;
+        const THREADS: usize = 4;
+        const OPS: u64 = 50_000;
+        let cs = make(0, CsConfig::PAPER);
+        // Invocations begun / finished, published around each apply so
+        // the resetter can bracket what its reset may have cut off.
+        let begun = AtomicU64::new(0);
+        let finished = AtomicU64::new(0);
+        let (before, after) = std::thread::scope(|s| {
+            for proc in 0..THREADS {
+                let (cs, begun, finished) = (&cs, &begun, &finished);
+                s.spawn(move || {
+                    for _ in 0..OPS {
+                        begun.fetch_add(1, Ordering::SeqCst);
+                        cs.apply(proc, &Bump(1));
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+            while finished.load(Ordering::SeqCst) < OPS {
+                std::hint::spin_loop();
+            }
+            let before = finished.load(Ordering::SeqCst);
+            cs.reset_stats();
+            (before, begun.load(Ordering::SeqCst))
+        });
+        let all = THREADS as u64 * OPS;
+        let t = cs.telemetry();
+        assert_eq!(t.faults, FaultStats::default());
+        // Every invocation begun after the reset returned is counted;
+        // none that finished before it began is.
+        assert!(
+            (all - after..=all - before).contains(&t.invocations()),
+            "{} invocations kept, expected {}..={}",
+            t.invocations(),
+            all - after,
+            all - before
+        );
+        assert_eq!(
+            cs.inner().applied.load(Ordering::SeqCst),
+            all,
+            "the reset touches statistics only"
+        );
+    }
+
+    #[test]
+    fn statistics_share_no_line_with_the_read_mostly_words() {
+        fn lines<T>(field: &T) -> std::ops::RangeInclusive<usize> {
+            let start = field as *const T as usize;
+            start / 128..=(start + std::mem::size_of::<T>() - 1) / 128
+        }
+        fn disjoint(
+            a: &std::ops::RangeInclusive<usize>,
+            b: &std::ops::RangeInclusive<usize>,
+        ) -> bool {
+            a.end() < b.start() || b.end() < a.start()
+        }
+        let cs = make(0, CsConfig::PAPER);
+        // The words every fast-path operation reads…
+        let read_mostly = [lines(&cs.contention), lines(&cs.config), lines(&cs.metrics)];
+        // …and the ones operations write without holding the lock.
+        for hot in [lines(&cs.stats), lines(&cs.gate)] {
+            for cold in &read_mostly {
+                assert!(disjoint(&hot, cold), "{hot:?} overlaps {cold:?}");
+            }
+        }
+        assert!(disjoint(&lines(&cs.stats), &lines(&cs.gate)));
     }
 
     #[test]

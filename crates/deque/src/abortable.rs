@@ -1,13 +1,13 @@
 //! The HLM deque as an abortable object (single-attempt operations).
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use cso_core::{Abortable, Aborted, BatchCounters, BatchStats};
 use cso_memory::bits::Bits32;
 use cso_memory::fail_point;
 use cso_memory::packed::{DequeState, DequeWord};
 use cso_memory::reg::Reg64;
+use cso_memory::Stripes;
 use cso_trace::{probe, Event};
 
 use crate::outcome::{DequeOp, DequePopOutcome, DequePushOutcome, DequeResponse, End};
@@ -46,11 +46,14 @@ use crate::outcome::{DequeOp, DequePopOutcome, DequePushOutcome, DequeResponse, 
 #[derive(Debug)]
 pub struct AbortableDeque<V> {
     slots: Box<[Reg64]>,
-    attempts: AtomicU64,
-    aborts: AtomicU64,
+    /// Diagnostics, indexed by `ATTEMPTS` / `ABORTS`.
+    stats: Stripes<2>,
     batch: BatchCounters,
     _values: PhantomData<V>,
 }
+
+const ATTEMPTS: usize = 0;
+const ABORTS: usize = 1;
 
 impl<V: Bits32> AbortableDeque<V> {
     /// Creates an empty deque over a `capacity + 2`-slot arena.
@@ -89,8 +92,7 @@ impl<V: Bits32> AbortableDeque<V> {
             .collect();
         AbortableDeque {
             slots,
-            attempts: AtomicU64::new(0),
-            aborts: AtomicU64::new(0),
+            stats: Stripes::new(),
             batch: BatchCounters::new(),
             _values: PhantomData,
         }
@@ -164,9 +166,9 @@ impl<V: Bits32> AbortableDeque<V> {
     /// Returns [`Aborted`] (⊥, no effect) when a concurrent operation
     /// interfered. Never aborts solo.
     pub fn try_push(&self, end: End, value: V) -> Result<DequePushOutcome, Aborted> {
-        self.attempts.fetch_add(1, Ordering::Relaxed);
+        self.stats.inc(ATTEMPTS);
         fail_point!("deque::push", {
-            self.aborts.fetch_add(1, Ordering::Relaxed);
+            self.stats.inc(ABORTS);
             return Err(Aborted);
         });
         let result = match end {
@@ -174,7 +176,7 @@ impl<V: Bits32> AbortableDeque<V> {
             End::Left => self.try_push_left(value),
         };
         if result.is_err() {
-            self.aborts.fetch_add(1, Ordering::Relaxed);
+            self.stats.inc(ABORTS);
             probe!(Event::CasFail(match end {
                 End::Right => "deque::right",
                 End::Left => "deque::left",
@@ -190,9 +192,9 @@ impl<V: Bits32> AbortableDeque<V> {
     /// Returns [`Aborted`] (⊥, no effect) when a concurrent operation
     /// interfered. Never aborts solo.
     pub fn try_pop(&self, end: End) -> Result<DequePopOutcome<V>, Aborted> {
-        self.attempts.fetch_add(1, Ordering::Relaxed);
+        self.stats.inc(ATTEMPTS);
         fail_point!("deque::pop", {
-            self.aborts.fetch_add(1, Ordering::Relaxed);
+            self.stats.inc(ABORTS);
             return Err(Aborted);
         });
         let result = match end {
@@ -200,7 +202,7 @@ impl<V: Bits32> AbortableDeque<V> {
             End::Left => self.try_pop_left(),
         };
         if result.is_err() {
-            self.aborts.fetch_add(1, Ordering::Relaxed);
+            self.stats.inc(ABORTS);
             probe!(Event::CasFail(match end {
                 End::Right => "deque::right",
                 End::Left => "deque::left",
@@ -310,10 +312,8 @@ impl<V: Bits32> AbortableDeque<V> {
     /// Attempt/abort counters.
     #[must_use]
     pub fn abort_counts(&self) -> (u64, u64) {
-        (
-            self.attempts.load(Ordering::Relaxed),
-            self.aborts.load(Ordering::Relaxed),
-        )
+        let [attempts, aborts] = self.stats.snapshot();
+        (attempts, aborts)
     }
 
     /// Combining-batch totals observed through the

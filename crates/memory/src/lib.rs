@@ -12,6 +12,10 @@
 //!   (`TOP = ⟨index, value, seqnb⟩`, `STACK[x] = ⟨val, sn⟩`), packed
 //!   into a single `u64` so they can be CAS-ed atomically;
 //! * [`counting`] — the per-thread shared-access counters;
+//! * [`stripes`] — single-writer per-thread statistics stripes, the
+//!   one striped-counter implementation behind every per-operation
+//!   statistic in the workspace (path stats, abort stats, router
+//!   stats, `cso-metrics` counters);
 //! * [`registry`] — process identities `0..n` (the paper's `p_1..p_n`),
 //!   needed by the `FLAG`/`TURN` starvation-freedom mechanism;
 //! * [`backoff`] — spin/backoff helpers and deadlines used by retry
@@ -64,6 +68,7 @@ pub mod reg;
 pub mod registry;
 pub mod runtime;
 pub mod slab;
+pub mod stripes;
 
 /// Declares a named fault-injection site (see [`chaos`]).
 ///
@@ -111,3 +116,4 @@ pub use packed::{DequeState, DequeWord, HeadWord, SlotWord, TailWord, TopWord};
 pub use reg::{Reg64, RegBool, RegUsize};
 pub use registry::{ProcRegistry, ProcToken, RegistryFull};
 pub use slab::Slab;
+pub use stripes::Stripes;

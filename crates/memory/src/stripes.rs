@@ -1,0 +1,392 @@
+//! Single-writer statistics stripes: counters whose updates cost no
+//! locked instruction and no cache-line transfer.
+//!
+//! "Uncounted" is not "free". A diagnostic `AtomicU64::fetch_add` is
+//! invisible to the paper's access model, but on real hardware it is a
+//! locked read-modify-write, and on a line several threads write it is
+//! a coherence miss per operation — the very cost the contention-free
+//! fast path exists to avoid. A [`Stripes`] block removes both:
+//!
+//! * the block is [`STRIPES`] cache-line-padded **stripes**, each an
+//!   array of `N` counters (one line per stripe for `N ≤ 16`);
+//! * every thread that touches any block leases one process-wide
+//!   **stripe id** from a free list at its first update and returns it
+//!   when the thread exits, so short-lived threads reuse stripes;
+//! * a stripe has one writer at a time — its leaseholder — so an update
+//!   is a `Relaxed` load and a `Relaxed` store of a line only that
+//!   thread writes: no `lock` prefix, no line ping-pong;
+//! * when more threads are alive than there are stripes, the surplus
+//!   share one fixed **overflow stripe** and update it with
+//!   `fetch_add` — still exact, merely no cheaper than a plain counter;
+//! * readers sum the stripes (the per-writer-cell layout of
+//!   Write-and-f-array, PAPERS.md: updates are every operation, reads
+//!   are rare, so the reader pays).
+//!
+//! # Exactness
+//!
+//! A read is the sum of `Relaxed` loads, so it is *exact at
+//! quiescence* — whenever the reader is ordered after the writers by
+//! anything (a join, a barrier, a lock) — and otherwise lags by at most
+//! the updates in flight. Each counter is monotone between resets.
+//!
+//! # Reset is a baseline, not a store
+//!
+//! [`Stripes::reset`] cannot zero the cells: a store into a stripe
+//! another thread is updating with load + store would be overwritten
+//! (or would overwrite the update). It records the current sums as a
+//! **baseline** instead; reads return `sum − baseline`. An update that
+//! races a reset lands on one side of it or the other and is never
+//! lost.
+
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::combining::CachePadded;
+
+/// Single-writer stripes per block; also the number of threads that
+/// can update concurrently without sharing the overflow stripe. 16
+/// covers the workspace's bench range without aliasing and costs
+/// 18 × 128 B per block of up to 16 counters.
+pub const STRIPES: usize = 16;
+
+/// Index of the shared overflow stripe.
+const OVERFLOW: usize = STRIPES;
+
+/// "This thread has not asked for a stripe yet."
+const UNASSIGNED: usize = usize::MAX;
+
+/// The free list: bit `i` set ⇔ stripe id `i` is unleased.
+static FREE: AtomicU64 = AtomicU64::new((1 << STRIPES) - 1);
+
+thread_local! {
+    /// This thread's stripe id, read on every update. No destructor,
+    /// so it stays readable while the thread's other locals are torn
+    /// down.
+    static STRIPE: Cell<usize> = const { Cell::new(UNASSIGNED) };
+    /// The lease behind `STRIPE`; its destructor returns the id.
+    static LEASE: Lease = Lease::acquire();
+}
+
+/// One thread's hold on a stripe id (or on none: `OVERFLOW`).
+struct Lease(usize);
+
+impl Lease {
+    fn acquire() -> Lease {
+        let mut free = FREE.load(Ordering::Relaxed);
+        while free != 0 {
+            let id = free.trailing_zeros() as usize;
+            // Acquire pairs with the Release in `drop`: the previous
+            // leaseholder's last stores into stripe `id` happen before
+            // our first load of it, so taking over loses nothing.
+            match FREE.compare_exchange_weak(
+                free,
+                free & !(1 << id),
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Lease(id),
+                Err(now) => free = now,
+            }
+        }
+        Lease(OVERFLOW)
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        // Updates made by later thread-local destructors must not
+        // write a stripe that is about to belong to someone else.
+        STRIPE.with(|s| s.set(OVERFLOW));
+        if self.0 != OVERFLOW {
+            FREE.fetch_or(1 << self.0, Ordering::Release);
+        }
+    }
+}
+
+/// The calling thread's stripe id, leasing one at first use.
+#[inline]
+fn stripe() -> usize {
+    let id = STRIPE.with(Cell::get);
+    if id == UNASSIGNED {
+        assign()
+    } else {
+        id
+    }
+}
+
+#[cold]
+fn assign() -> usize {
+    // `try_with` fails only while the thread is being torn down.
+    let id = LEASE.try_with(|lease| lease.0).unwrap_or(OVERFLOW);
+    STRIPE.with(|s| s.set(id));
+    id
+}
+
+/// A block of `N` statistics counters, striped per thread. See the
+/// module docs for the update, read and reset contracts.
+///
+/// The block is 128-byte aligned and a whole number of lines long, so
+/// embedding it in an object also keeps the object's other fields off
+/// the lines its statistics dirty.
+///
+/// ```
+/// use cso_memory::stripes::Stripes;
+///
+/// const HITS: usize = 0;
+/// const MISSES: usize = 1;
+/// let stats: Stripes<2> = Stripes::new();
+/// stats.inc(HITS);
+/// stats.add(MISSES, 3);
+/// assert_eq!(stats.snapshot(), [1, 3]);
+/// stats.reset();
+/// stats.inc(HITS);
+/// assert_eq!(stats.get(HITS), 1);
+/// ```
+pub struct Stripes<const N: usize> {
+    /// `STRIPES` single-writer stripes, then the overflow stripe.
+    cells: [CachePadded<[AtomicU64; N]>; STRIPES + 1],
+    /// Per-counter sums as of the last [`Stripes::reset`].
+    baseline: CachePadded<[AtomicU64; N]>,
+}
+
+fn zeroed<const N: usize>() -> CachePadded<[AtomicU64; N]> {
+    CachePadded::new(std::array::from_fn(|_| AtomicU64::new(0)))
+}
+
+impl<const N: usize> Stripes<N> {
+    /// A block with every counter at zero.
+    #[must_use]
+    pub fn new() -> Stripes<N> {
+        Stripes {
+            cells: std::array::from_fn(|_| zeroed()),
+            baseline: zeroed(),
+        }
+    }
+
+    /// Adds `n` to counter `field`. Wait-free; on a leased stripe one
+    /// plain load and one plain store of a line this thread owns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `field >= N`.
+    #[inline]
+    pub fn add(&self, field: usize, n: u64) {
+        let id = stripe();
+        let cell = &self.cells[id][field];
+        if id == OVERFLOW {
+            cell.fetch_add(n, Ordering::Relaxed);
+        } else {
+            cell.store(
+                cell.load(Ordering::Relaxed).wrapping_add(n),
+                Ordering::Relaxed,
+            );
+        }
+    }
+
+    /// Adds one to counter `field`.
+    #[inline]
+    pub fn inc(&self, field: usize) {
+        self.add(field, 1);
+    }
+
+    /// Counter `field` summed over every stripe, baseline included.
+    fn raw(&self, field: usize) -> u64 {
+        self.cells
+            .iter()
+            .map(|stripe| stripe[field].load(Ordering::Relaxed))
+            .fold(0, u64::wrapping_add)
+    }
+
+    /// The value of counter `field` since the last reset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `field >= N`.
+    #[must_use]
+    pub fn get(&self, field: usize) -> u64 {
+        // Baseline first, and Acquire against `reset`'s Release: the
+        // stripe loads the baseline was summed from happen before the
+        // ones below, so the sum cannot read older than the baseline.
+        let baseline = self.baseline[field].load(Ordering::Acquire);
+        self.raw(field).wrapping_sub(baseline)
+    }
+
+    /// Every counter's value since the last reset, read back to back.
+    #[must_use]
+    pub fn snapshot(&self) -> [u64; N] {
+        std::array::from_fn(|field| self.get(field))
+    }
+
+    /// Restarts every counter from zero by recording the current sums
+    /// as the baseline. Safe against concurrent writers: an update
+    /// racing the reset is counted either before or after it, never
+    /// dropped.
+    pub fn reset(&self) {
+        for field in 0..N {
+            self.baseline[field].store(self.raw(field), Ordering::Release);
+        }
+    }
+}
+
+impl<const N: usize> Default for Stripes<N> {
+    fn default() -> Stripes<N> {
+        Stripes::new()
+    }
+}
+
+impl<const N: usize> std::fmt::Debug for Stripes<N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Stripes").field(&self.snapshot()).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{Barrier, Mutex};
+
+    /// Stripe ids are process-wide, so tests that assert *which*
+    /// stripe a thread lands on must not overlap any test that holds
+    /// leases: every test that spawns threads takes this lock.
+    static IDS: Mutex<()> = Mutex::new(());
+
+    fn ids() -> std::sync::MutexGuard<'static, ()> {
+        IDS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    impl<const N: usize> Stripes<N> {
+        fn overflowed(&self, field: usize) -> u64 {
+            self.cells[OVERFLOW][field].load(Ordering::Relaxed)
+        }
+    }
+
+    #[test]
+    fn eight_threads_sum_exactly() {
+        let _ids = ids();
+        let stats: Stripes<3> = Stripes::new();
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let stats = &stats;
+                s.spawn(move || {
+                    for _ in 0..100_000 {
+                        stats.inc(0);
+                        stats.add(2, t);
+                    }
+                });
+            }
+        });
+        assert_eq!(stats.snapshot(), [800_000, 0, 100_000 * 28]);
+    }
+
+    #[test]
+    fn short_lived_threads_reuse_stripes() {
+        let _ids = ids();
+        let stats: Stripes<1> = Stripes::new();
+        for _ in 0..200 {
+            std::thread::scope(|s| {
+                s.spawn(|| stats.inc(0));
+            });
+        }
+        assert_eq!(stats.get(0), 200);
+        assert_eq!(stats.overflowed(0), 0, "200 exits must return 200 leases");
+    }
+
+    #[test]
+    fn more_threads_than_stripes_stay_exact_through_the_overflow_stripe() {
+        let _ids = ids();
+        const THREADS: usize = STRIPES + 8;
+        let stats: Stripes<1> = Stripes::new();
+        // Everyone bumps once before anyone exits, so all THREADS
+        // leases are outstanding at once.
+        let all_leased = Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    stats.inc(0);
+                    all_leased.wait();
+                    for _ in 0..10_000 {
+                        stats.inc(0);
+                    }
+                });
+            }
+        });
+        assert_eq!(stats.get(0), THREADS as u64 * 10_001);
+        assert!(
+            stats.overflowed(0) >= 8 * 10_001,
+            "the surplus threads share the overflow stripe"
+        );
+    }
+
+    #[test]
+    fn reset_racing_writers_loses_no_later_bump() {
+        const WRITERS: usize = 4;
+        const BUMPS: usize = 200_000;
+        let _ids = ids();
+        let stats: Stripes<1> = Stripes::new();
+        // Per writer: bumps begun / bumps finished, published around
+        // each `inc` so the resetter can bracket its reset.
+        let begun: [AtomicUsize; WRITERS] = std::array::from_fn(|_| AtomicUsize::new(0));
+        let finished: [AtomicUsize; WRITERS] = std::array::from_fn(|_| AtomicUsize::new(0));
+        let total = |side: &[AtomicUsize; WRITERS]| -> u64 {
+            side.iter()
+                .map(|c| c.load(Ordering::SeqCst) as u64)
+                .sum::<u64>()
+        };
+        let start = Barrier::new(WRITERS + 1);
+        let (before, after) = std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (stats, begun, finished, start) = (&stats, &begun, &finished, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 1..=BUMPS {
+                        begun[w].store(i, Ordering::SeqCst);
+                        stats.inc(0);
+                        finished[w].store(i, Ordering::SeqCst);
+                    }
+                });
+            }
+            start.wait();
+            while total(&finished) < (WRITERS * BUMPS / 4) as u64 {
+                std::hint::spin_loop();
+            }
+            let before = total(&finished);
+            stats.reset();
+            (before, total(&begun))
+        });
+        // Bumps finished before the reset began may be behind the
+        // baseline; bumps begun after it returned must not be.
+        let all = (WRITERS * BUMPS) as u64;
+        let kept = stats.get(0);
+        assert!(
+            kept >= all - after,
+            "lost a later bump: kept {kept} < {all} - {after}"
+        );
+        assert!(
+            kept <= all - before,
+            "resurrected an earlier bump: kept {kept} > {all} - {before}"
+        );
+        // And a quiescent reset is exact.
+        stats.reset();
+        assert_eq!(stats.get(0), 0);
+        stats.add(0, 7);
+        assert_eq!(stats.get(0), 7);
+    }
+
+    #[test]
+    fn no_two_stripes_share_a_line() {
+        let stats: Stripes<4> = Stripes::new();
+        assert_eq!(std::mem::align_of::<Stripes<4>>(), 128);
+        assert_eq!(std::mem::size_of::<Stripes<4>>() % 128, 0);
+        let mut starts: Vec<usize> = stats
+            .cells
+            .iter()
+            .chain(std::iter::once(&stats.baseline))
+            .map(|stripe| stripe.as_ptr() as usize)
+            .collect();
+        starts.sort_unstable();
+        assert_eq!(starts.len(), STRIPES + 2);
+        assert!(starts.iter().all(|start| start % 128 == 0));
+        assert!(starts.windows(2).all(|pair| pair[1] - pair[0] >= 128));
+    }
+}

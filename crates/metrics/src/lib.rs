@@ -4,11 +4,11 @@
 //! auditor) answers "what happened during that run"; this crate
 //! answers "what is the object doing *right now*". It provides:
 //!
-//! * a [`Registry`] of wait-free, per-thread-sharded [`Counter`]s,
+//! * a [`Registry`] of wait-free, per-thread-striped [`Counter`]s,
 //!   [`Gauge`]s and [`LogHistogram`]-backed [`Timer`]s
 //!   ([`registry`]) — cheap enough to leave attached to a production
-//!   object (one relaxed `fetch_add` on a cache-padded shard per
-//!   increment, no locks on the hot path);
+//!   object (a plain load and store of the thread's own cache-padded
+//!   stripe per increment, no locked instruction on the hot path);
 //! * exporters: Prometheus text exposition ([`prom`]) and JSON
 //!   ([`json`]), both hand-rolled because the workspace builds
 //!   `--offline` with zero external dependencies;

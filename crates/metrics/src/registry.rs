@@ -1,13 +1,15 @@
 //! The metric primitives and the registry that aggregates them.
 //!
-//! # Sharding
+//! # Striping
 //!
-//! A [`Counter`] keeps [`SHARDS`] cache-padded `AtomicU64`s; each
-//! thread is assigned a home shard (round-robin at first use, cached
-//! in a thread-local) and increments only that shard with one relaxed
-//! `fetch_add` — wait-free, and free of the cross-core cache-line
-//! ping-pong a single shared counter would cost under contention.
-//! Reading a counter sums the shards.
+//! A [`Counter`] is one [`Stripes`] block of a single counter: each
+//! thread leases a stripe for its lifetime and increments it with a
+//! plain load and store of a line nobody else writes — wait-free, no
+//! locked instruction, and free of the cross-core cache-line ping-pong
+//! a single shared counter would cost under contention. Reading a
+//! counter sums the stripes. The striping itself (stripe leases, the
+//! overflow stripe for surplus threads) lives in
+//! [`cso_memory::stripes`], the workspace's one implementation of it.
 //!
 //! # `snapshot()` consistency model
 //!
@@ -15,7 +17,7 @@
 //! global lock-out of writers, so it is a *per-metric-consistent*
 //! view, not a cross-metric atomic cut:
 //!
-//! * each counter value is the sum of its shards as they were read —
+//! * each counter value is the sum of its stripes as they were read —
 //!   monotone between snapshots, but an increment racing the snapshot
 //!   may appear in one counter and not yet in a logically-related one
 //!   (e.g. `ops_fast_total` may momentarily lag `ops_total`);
@@ -27,57 +29,33 @@
 //! makes the same trade); rates and ratios computed across metrics are
 //! accurate to within the in-flight operations at scrape time.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cso_memory::CachePadded;
+use cso_memory::Stripes;
 use cso_trace::{HistSnapshot, LogHistogram};
 
-/// Shards per counter. Threads hash onto shards round-robin; 16 covers
-/// the workspace's bench range (`CSO_MAX_THREADS` ≤ 16) without
-/// aliasing, and costs 16 × 128 B = 2 KiB per counter.
-pub const SHARDS: usize = 16;
-
-/// This thread's home shard, assigned round-robin at first use.
-fn home_shard() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    SHARD.with(|s| {
-        let mut idx = s.get();
-        if idx == usize::MAX {
-            idx = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            s.set(idx);
-        }
-        idx
-    })
-}
-
-/// A monotone event counter, sharded per thread. Cloning is shallow
+/// A monotone event counter, striped per thread. Cloning is shallow
 /// (an `Arc` bump): every clone observes the same value.
 #[derive(Clone)]
 pub struct Counter {
-    shards: Arc<[CachePadded<AtomicU64>]>,
+    stripes: Arc<Stripes<1>>,
 }
 
 impl Counter {
     fn new() -> Counter {
         Counter {
-            shards: (0..SHARDS)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
+            stripes: Arc::new(Stripes::new()),
         }
     }
 
-    /// Adds `n`. Wait-free: one relaxed `fetch_add` on the calling
-    /// thread's home shard.
+    /// Adds `n`. Wait-free: a plain load and store of the calling
+    /// thread's own stripe.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.shards[home_shard()].fetch_add(n, Ordering::Relaxed);
+        self.stripes.add(0, n);
     }
 
     /// Adds one.
@@ -86,13 +64,10 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current total (sum over shards; monotone between reads).
+    /// The current total (sum over stripes; monotone between reads).
     #[must_use]
     pub fn value(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .fold(0u64, u64::wrapping_add)
+        self.stripes.get(0)
     }
 }
 

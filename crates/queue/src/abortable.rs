@@ -29,13 +29,13 @@
 //! "non-interfering operations" example, realized.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use cso_core::{Abortable, Aborted, BatchCounters, BatchStats};
 use cso_memory::bits::Bits32;
 use cso_memory::fail_point;
 use cso_memory::packed::{HeadWord, SlotWord, TailWord};
 use cso_memory::reg::Reg64;
+use cso_memory::Stripes;
 use cso_trace::{probe, probe_if, Event};
 
 use crate::outcome::{DequeueOutcome, EnqueueOutcome, QueueOp, QueueResponse};
@@ -88,13 +88,16 @@ pub struct AbortableQueue<V> {
     head: Reg64,
     tail: Reg64,
     ring: Box<[Reg64]>,
-    enq_attempts: AtomicU64,
-    enq_aborts: AtomicU64,
-    deq_attempts: AtomicU64,
-    deq_aborts: AtomicU64,
+    /// Diagnostics, indexed by the constants below.
+    stats: Stripes<4>,
     batch: BatchCounters,
     _values: PhantomData<V>,
 }
+
+const ENQ_ATTEMPTS: usize = 0;
+const ENQ_ABORTS: usize = 1;
+const DEQ_ATTEMPTS: usize = 2;
+const DEQ_ABORTS: usize = 3;
 
 const BOTTOM: u32 = 0;
 
@@ -134,10 +137,7 @@ impl<V: Bits32> AbortableQueue<V> {
                 .pack(),
             ),
             ring,
-            enq_attempts: AtomicU64::new(0),
-            enq_aborts: AtomicU64::new(0),
-            deq_attempts: AtomicU64::new(0),
-            deq_aborts: AtomicU64::new(0),
+            stats: Stripes::new(),
             batch: BatchCounters::new(),
             _values: PhantomData,
         }
@@ -196,9 +196,9 @@ impl<V: Bits32> AbortableQueue<V> {
     /// (dequeues never abort an enqueue); the queue is unchanged in
     /// that case. Never aborts solo.
     pub fn weak_enqueue(&self, value: V) -> Result<EnqueueOutcome, Aborted> {
-        self.enq_attempts.fetch_add(1, Ordering::Relaxed);
+        self.stats.inc(ENQ_ATTEMPTS);
         fail_point!("queue::enqueue", {
-            self.enq_aborts.fetch_add(1, Ordering::Relaxed);
+            self.stats.inc(ENQ_ABORTS);
             return Err(Aborted);
         });
         // 1. Read the enqueue authority.
@@ -217,7 +217,7 @@ impl<V: Bits32> AbortableQueue<V> {
             if revalidated == tail {
                 return Ok(EnqueueOutcome::Full);
             }
-            self.enq_aborts.fetch_add(1, Ordering::Relaxed);
+            self.stats.inc(ENQ_ABORTS);
             return Err(Aborted);
         }
         // 5. Sequence number for the slot our element will occupy.
@@ -233,7 +233,7 @@ impl<V: Bits32> AbortableQueue<V> {
         if self.tail.cas(tail.pack(), new_tail.pack()) {
             Ok(EnqueueOutcome::Enqueued)
         } else {
-            self.enq_aborts.fetch_add(1, Ordering::Relaxed);
+            self.stats.inc(ENQ_ABORTS);
             probe!(Event::CasFail("queue::tail"));
             Err(Aborted)
         }
@@ -247,9 +247,9 @@ impl<V: Bits32> AbortableQueue<V> {
     /// (enqueues never abort a dequeue); the queue is unchanged in
     /// that case. Never aborts solo.
     pub fn weak_dequeue(&self) -> Result<DequeueOutcome<V>, Aborted> {
-        self.deq_attempts.fetch_add(1, Ordering::Relaxed);
+        self.stats.inc(DEQ_ATTEMPTS);
         fail_point!("queue::dequeue", {
-            self.deq_aborts.fetch_add(1, Ordering::Relaxed);
+            self.stats.inc(DEQ_ABORTS);
             return Err(Aborted);
         });
         // 1. Read the dequeue authority.
@@ -266,7 +266,7 @@ impl<V: Bits32> AbortableQueue<V> {
             if revalidated == head {
                 return Ok(DequeueOutcome::Empty);
             }
-            self.deq_aborts.fetch_add(1, Ordering::Relaxed);
+            self.stats.inc(DEQ_ABORTS);
             return Err(Aborted);
         }
         // 5. Read our element's slot. It is final: if it is the newest
@@ -281,7 +281,7 @@ impl<V: Bits32> AbortableQueue<V> {
         if self.head.cas(head.pack(), new_head.pack()) {
             Ok(DequeueOutcome::Dequeued(V::from_bits(slot.value)))
         } else {
-            self.deq_aborts.fetch_add(1, Ordering::Relaxed);
+            self.stats.inc(DEQ_ABORTS);
             probe!(Event::CasFail("queue::head"));
             Err(Aborted)
         }
@@ -289,20 +289,23 @@ impl<V: Bits32> AbortableQueue<V> {
 
     /// Snapshot of the attempt/abort counters (experiment E6).
     pub fn abort_stats(&self) -> QueueAbortStats {
+        let [enq_attempts, enq_aborts, deq_attempts, deq_aborts] = self.stats.snapshot();
         QueueAbortStats {
-            enq_attempts: self.enq_attempts.load(Ordering::Relaxed),
-            enq_aborts: self.enq_aborts.load(Ordering::Relaxed),
-            deq_attempts: self.deq_attempts.load(Ordering::Relaxed),
-            deq_aborts: self.deq_aborts.load(Ordering::Relaxed),
+            enq_attempts,
+            enq_aborts,
+            deq_attempts,
+            deq_aborts,
         }
     }
 
-    /// Resets the attempt/abort counters.
+    /// Restarts the attempt/abort counters from zero. A baseline
+    /// snapshot, not a store: the counters are single-writer stripes
+    /// other threads may be updating, so the reset records the current
+    /// sums and [`AbortableQueue::abort_stats`] reports the difference.
+    /// An attempt racing the reset is counted on one side of it or the
+    /// other, never lost.
     pub fn reset_abort_stats(&self) {
-        self.enq_attempts.store(0, Ordering::Relaxed);
-        self.enq_aborts.store(0, Ordering::Relaxed);
-        self.deq_attempts.store(0, Ordering::Relaxed);
-        self.deq_aborts.store(0, Ordering::Relaxed);
+        self.stats.reset();
     }
 
     /// Combining-batch totals observed through the

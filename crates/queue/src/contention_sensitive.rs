@@ -178,7 +178,9 @@ impl<V: Bits32, L: RawLock> CsQueue<V, L> {
         self.inner.stats()
     }
 
-    /// Resets the path statistics.
+    /// Restarts the path statistics from zero — a baseline snapshot,
+    /// safe against concurrent operations (see
+    /// [`ContentionSensitive::reset_stats`]).
     pub fn reset_path_stats(&self) {
         self.inner.reset_stats()
     }

@@ -1,12 +1,29 @@
-//! The f-array-style per-lane occupancy aggregate.
+//! The per-lane occupancy aggregate.
 //!
-//! "Write-and-f-array" (PAPERS.md) shows how to keep an O(1)-readable
-//! aggregate view over a set of base cells by pairing each update with
-//! a small bounded propagation. This is the sharded router's version
-//! of that idea, specialized to what routing needs: per-lane occupancy
-//! counters, a maintained total, and a nonempty bitmask — all plain
+//! What routing needs to know about the lanes without touching them:
+//! per-lane occupancy counters and a nonempty bitmask — all plain
 //! (`std::sync::atomic`, *uncounted*) operations, so consulting the
 //! aggregate never spends any of the paper's counted access budget.
+//!
+//! ## Cost contract: updates touch only the lane's own line
+//!
+//! Uncounted is not free: a shared word written on every operation
+//! costs a cache-line transfer per operation, which is what sharding
+//! exists to avoid. So the layout follows the per-writer-cell design of
+//! "Write-and-f-array" (PAPERS.md), with the roles the router's traffic
+//! dictates — updates are every operation, `len()` is rare:
+//!
+//! * [`record_push`](LaneAggregate::record_push) /
+//!   [`record_pop`](LaneAggregate::record_pop) write **only the lane's
+//!   own cache-padded `occ` cell**, plus the shared `nonempty` mask
+//!   when (and only when) the lane crosses empty ↔ nonempty. Threads
+//!   working different lanes share no written line.
+//! * [`len`](LaneAggregate::len) **sums the ≤ 64 `occ` cells** — it is
+//!   O(lanes), and there is no maintained total for updates to fight
+//!   over. The sum is racy but convergent: exact at quiescence,
+//!   otherwise off by at most the operations in flight.
+//! * [`take_dirty`](LaneAggregate::take_dirty), polled before every
+//!   routed operation, is a read unless a heal is owed.
 //!
 //! The aggregate is a **routing hint, not a correctness mechanism**:
 //! every decision it guides is re-validated by the lane operation
@@ -25,20 +42,19 @@ use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, Ordering};
 
 use cso_memory::CachePadded;
 
-/// Per-lane occupancy counters + nonempty mask + maintained total.
+/// Per-lane occupancy counters + nonempty mask.
 ///
 /// All reads and writes are uncounted; lanes are capped at 64 so the
-/// mask fits one `AtomicU64`.
+/// mask fits one `AtomicU64`. See the module docs for which lines an
+/// update may write.
 #[derive(Debug)]
 pub struct LaneAggregate {
     /// Per-lane element counts (cache-padded: each lane's operations
     /// update their own line). `isize` because transient interleavings
     /// of the unfenced updates may briefly undershoot zero.
     occ: Vec<CachePadded<AtomicIsize>>,
-    /// Maintained sum of all lanes — the f-array "write-and-snapshot"
-    /// read: total size in O(1).
-    total: CachePadded<AtomicIsize>,
-    /// Bit `i` set ⇒ lane `i` is believed nonempty.
+    /// Bit `i` set ⇒ lane `i` is believed nonempty. Read by every pop,
+    /// written only on an empty ↔ nonempty transition.
     nonempty: AtomicU64,
     /// Per-lane capacity the router enforces (`looks_full`).
     lane_cap: usize,
@@ -60,7 +76,6 @@ impl LaneAggregate {
             occ: (0..lanes)
                 .map(|_| CachePadded::new(AtomicIsize::new(0)))
                 .collect(),
-            total: CachePadded::new(AtomicIsize::new(0)),
             nonempty: AtomicU64::new(0),
             lane_cap,
             dirty: AtomicBool::new(false),
@@ -82,7 +97,6 @@ impl LaneAggregate {
     /// Records a successful push/enqueue into `lane`.
     pub fn record_push(&self, lane: usize) {
         let prev = self.occ[lane].fetch_add(1, Ordering::AcqRel);
-        self.total.fetch_add(1, Ordering::AcqRel);
         if prev <= 0 {
             self.nonempty.fetch_or(1 << lane, Ordering::AcqRel);
         }
@@ -91,7 +105,6 @@ impl LaneAggregate {
     /// Records a successful pop/dequeue out of `lane`.
     pub fn record_pop(&self, lane: usize) {
         let prev = self.occ[lane].fetch_sub(1, Ordering::AcqRel);
-        self.total.fetch_sub(1, Ordering::AcqRel);
         if prev <= 1 {
             self.nonempty.fetch_and(!(1 << lane), Ordering::AcqRel);
             // A push may have raced between our decrement and the
@@ -120,10 +133,17 @@ impl LaneAggregate {
         self.occ[lane].load(Ordering::Acquire).max(0) as usize
     }
 
-    /// The believed total size across lanes — one O(1) load.
+    /// The believed total size across lanes: the sum of the per-lane
+    /// cells, O(lanes). Racy but convergent — exact at quiescence,
+    /// otherwise off by at most the operations in flight (clamped at
+    /// 0). Meant for occasional reads, not for a per-operation path.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.total.load(Ordering::Acquire).max(0) as usize
+        self.occ
+            .iter()
+            .map(|cell| cell.load(Ordering::Acquire))
+            .sum::<isize>()
+            .max(0) as usize
     }
 
     /// Whether the structure is believed empty (O(1)).
@@ -139,13 +159,11 @@ impl LaneAggregate {
     }
 
     /// Overwrites lane `lane`'s count with ground truth `actual`
-    /// (read from the lane itself), adjusting the total by the same
-    /// delta and fixing the mask bit. Used by the heal path after a
-    /// crash and by `refresh_occupancy()` audits.
+    /// (read from the lane itself) and fixes the mask bit. Used by the
+    /// heal path after a crash and by `refresh_occupancy()` audits.
     pub fn resync(&self, lane: usize, actual: usize) {
         let actual = actual as isize;
-        let old = self.occ[lane].swap(actual, Ordering::AcqRel);
-        self.total.fetch_add(actual - old, Ordering::AcqRel);
+        self.occ[lane].store(actual, Ordering::Release);
         if actual > 0 {
             self.nonempty.fetch_or(1 << lane, Ordering::AcqRel);
         } else {
@@ -159,9 +177,13 @@ impl LaneAggregate {
         self.dirty.store(true, Ordering::Release);
     }
 
-    /// Consumes the dirty flag; `true` means a heal is owed.
+    /// Consumes the dirty flag; `true` means a heal is owed, and each
+    /// `mark_dirty` is consumed by exactly one caller. Tests before it
+    /// swaps: the router polls this before every operation, and an
+    /// unconditional swap would make the flag's line a per-operation
+    /// shared write.
     pub fn take_dirty(&self) -> bool {
-        self.dirty.swap(false, Ordering::AcqRel)
+        self.dirty.load(Ordering::Acquire) && self.dirty.swap(false, Ordering::AcqRel)
     }
 
     /// Whether a heal is currently owed.
@@ -211,6 +233,33 @@ mod tests {
         agg.resync(0, 0);
         assert!(agg.is_empty());
         assert_eq!(agg.len(), 0);
+    }
+
+    #[test]
+    fn one_mark_dirty_is_taken_exactly_once() {
+        let agg = LaneAggregate::new(2, 8);
+        assert!(!agg.take_dirty(), "a clean flag is only read");
+        for _ in 0..100 {
+            agg.mark_dirty();
+            let start = std::sync::Barrier::new(4);
+            let takers = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..4)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            agg.take_dirty()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap())
+                    .filter(|&took| took)
+                    .count()
+            });
+            assert_eq!(takers, 1, "one heal owed, one heal taken");
+            assert!(!agg.is_dirty());
+        }
     }
 
     #[test]

@@ -37,11 +37,14 @@
 //!   out to the configured maximum. Pops always steal from *all*
 //!   lanes, so a merge can never strand values in a deactivated lane.
 //!
-//! Routing decisions read an f-array-style [`LaneAggregate`]: per-lane
-//! occupancy counters plus a nonempty bitmask, maintained with plain
-//! (uncounted) atomics next to each lane operation, giving the router
-//! an O(1) view of total size and which lanes are worth probing —
-//! no speculative lane probes, no counted accesses.
+//! Routing decisions read a [`LaneAggregate`]: per-lane occupancy
+//! cells (one padded line per lane, written only by operations on that
+//! lane) plus a nonempty bitmask (written only when a lane crosses
+//! empty ↔ nonempty), all plain uncounted atomics, giving the router
+//! an O(1) view of which lanes are worth probing — no speculative lane
+//! probes, no counted accesses, and no shared line written by an
+//! operation that stays in its home lane. `len()` sums the cells:
+//! O(lanes), racy but convergent.
 //!
 //! [`AdaptiveGate`]: cso_core::AdaptiveGate
 //!

@@ -131,8 +131,10 @@ impl<V: QueueValue> ShardedCsQueue<V> {
         self.router.capacity()
     }
 
-    /// Believed element count — one O(1) uncounted read (exact at
-    /// quiescence; lags by at most the in-flight operations).
+    /// Believed element count — uncounted, O(lanes) in relaxed mode
+    /// (the sum of the per-lane occupancy cells; strict mode reads the
+    /// journal's count). Racy but convergent: exact at quiescence, off
+    /// by at most the in-flight operations otherwise.
     #[must_use]
     pub fn len(&self) -> usize {
         self.router.len()
@@ -181,7 +183,7 @@ impl<V: QueueValue> ShardedCsQueue<V> {
         self.router.stats()
     }
 
-    /// The occupancy aggregate (per-lane counts, total, mask).
+    /// The occupancy aggregate (per-lane counts, mask).
     #[must_use]
     pub fn aggregate(&self) -> &LaneAggregate {
         self.router.aggregate()

@@ -8,6 +8,16 @@
 //! routed operation spends exactly the lane's own counted budget:
 //! Theorem 1's six accesses for a solo stack op, seven for the queue.
 //!
+//! Uncounted is not free, so the router also keeps a *cost* contract:
+//! in relaxed mode with elasticity off, an operation that stays in its
+//! home lane **writes only lines its own thread owns** — the lane cell
+//! itself, the lane's padded occupancy cell, and the thread's stripe
+//! of the statistics block. The dirty flag is tested, not swapped; the
+//! size is summed by readers, not maintained by writers; the registry
+//! gauges are polled at scrape time, not pushed per operation. Strict
+//! mode's latch and journal and elastic mode's overlap sensor are
+//! shared writes by design and sit outside that contract.
+//!
 //! ## Probe protocol (relaxed mode)
 //!
 //! *Push:* probe the home lane `proc mod active`, then the rest of
@@ -37,10 +47,10 @@
 //! operation never returned, so it linearizes late). Killed
 //! operations can therefore neither leak nor double-count occupancy.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use cso_metrics::{Counter, Gauge, Registry};
+use cso_memory::Stripes;
+use cso_metrics::{Counter, Registry};
 
 use crate::aggregate::LaneAggregate;
 use crate::config::{ShardConfig, ShardMode};
@@ -82,34 +92,31 @@ pub struct RouterStats {
     pub active_lanes: usize,
 }
 
-/// Metric handles, attached once via `attach_metrics`.
+/// Event-counter handles, attached once via `attach_metrics` (the
+/// router's gauges are polled closures and need no handle).
 #[derive(Debug)]
 struct ShardMetrics {
     steals: Counter,
     spills: Counter,
     heals: Counter,
-    active: Gauge,
-    size: Gauge,
-    splits: Gauge,
-    merges: Gauge,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    pushes: AtomicU64,
-    pops: AtomicU64,
-    steals: AtomicU64,
-    spills: AtomicU64,
-    heals: AtomicU64,
-}
+const PUSHES: usize = 0;
+const POPS: usize = 1;
+const STEALS: usize = 2;
+const SPILLS: usize = 3;
+const HEALS: usize = 4;
 
 /// The shared router core.
 pub(crate) struct Router<T: ShardLane> {
     lanes: Vec<T>,
-    agg: LaneAggregate,
+    /// `Arc` (as is `elastic`) so the registry's polled gauges can
+    /// read it at scrape time.
+    agg: Arc<LaneAggregate>,
     order: Option<StrictOrder>,
-    elastic: Elastic,
-    counters: Counters,
+    elastic: Arc<Elastic>,
+    /// Router statistics, indexed by the constants above.
+    counters: Stripes<5>,
     metrics: OnceLock<ShardMetrics>,
     mode: ShardMode,
     capacity: usize,
@@ -164,16 +171,16 @@ impl<T: ShardLane> Router<T> {
             ShardMode::Relaxed { .. } => None,
         };
         Router {
-            agg: LaneAggregate::new(lanes.len(), lane_cap),
-            elastic: Elastic::new(
+            agg: Arc::new(LaneAggregate::new(lanes.len(), lane_cap)),
+            elastic: Arc::new(Elastic::new(
                 lanes.len(),
                 cfg.elastic,
                 cfg.eval_period,
                 cfg.cooldown_evals,
-            ),
+            )),
             lanes,
             order,
-            counters: Counters::default(),
+            counters: Stripes::new(),
             metrics: OnceLock::new(),
             mode: cfg.mode,
             capacity,
@@ -193,9 +200,8 @@ impl<T: ShardLane> Router<T> {
         };
         self.elastic.record(contended);
         if pushed {
-            self.counters.pushes.fetch_add(1, Ordering::Relaxed);
+            self.counters.inc(PUSHES);
         }
-        self.publish_metrics();
         pushed
     }
 
@@ -211,9 +217,8 @@ impl<T: ShardLane> Router<T> {
         };
         self.elastic.record(contended);
         if popped.is_some() {
-            self.counters.pops.fetch_add(1, Ordering::Relaxed);
+            self.counters.inc(POPS);
         }
-        self.publish_metrics();
         popped
     }
 
@@ -398,14 +403,14 @@ impl<T: ShardLane> Router<T> {
     }
 
     fn steal(&self) {
-        self.counters.steals.fetch_add(1, Ordering::Relaxed);
+        self.counters.inc(STEALS);
         if let Some(m) = self.metrics.get() {
             m.steals.inc();
         }
     }
 
     fn spill(&self) {
-        self.counters.spills.fetch_add(1, Ordering::Relaxed);
+        self.counters.inc(SPILLS);
         if let Some(m) = self.metrics.get() {
             m.spills.inc();
         }
@@ -445,22 +450,21 @@ impl<T: ShardLane> Router<T> {
                 self.agg.resync(lane, cell.lane_len());
             }
         }
-        self.counters.heals.fetch_add(1, Ordering::Relaxed);
+        self.counters.inc(HEALS);
         if let Some(m) = self.metrics.get() {
             m.heals.inc();
         }
     }
 
-    fn publish_metrics(&self) {
-        if let Some(m) = self.metrics.get() {
-            m.active.set(self.elastic.active() as f64);
-            m.size.set(self.agg.len() as f64);
-            m.splits.set(self.elastic.splits() as f64);
-            m.merges.set(self.elastic.merges() as f64);
-        }
-    }
-
+    /// First attach wins, as for the lanes. The event counters mirror
+    /// into the registry from attach time on; the gauges are polled —
+    /// evaluated when the registry is scraped — so an attached router
+    /// pays nothing per operation for them, and `size` in particular
+    /// never turns the O(lanes) `len()` into a per-operation scan.
     pub(crate) fn attach_metrics(&self, registry: &Registry, prefix: &str) {
+        if self.metrics.get().is_some() {
+            return;
+        }
         for (i, lane) in self.lanes.iter().enumerate() {
             lane.lane_attach_metrics(registry, &format!("{prefix}_lane{i}"));
         }
@@ -468,25 +472,28 @@ impl<T: ShardLane> Router<T> {
             steals: registry.counter(&format!("{prefix}_router_steals_total")),
             spills: registry.counter(&format!("{prefix}_router_spills_total")),
             heals: registry.counter(&format!("{prefix}_router_heals_total")),
-            active: registry.gauge(&format!("{prefix}_router_active_lanes")),
-            size: registry.gauge(&format!("{prefix}_router_size")),
-            splits: registry.gauge(&format!("{prefix}_router_splits")),
-            merges: registry.gauge(&format!("{prefix}_router_merges")),
         });
-        // Event counters mirror into the registry from attach time
-        // on (same first-attach-wins convention as the lanes).
-        self.publish_metrics();
+        let agg = Arc::clone(&self.agg);
+        registry.gauge_fn(&format!("{prefix}_router_size"), move || agg.len() as f64);
+        let poll = |name: &str, read: fn(&Elastic) -> f64| {
+            let elastic = Arc::clone(&self.elastic);
+            registry.gauge_fn(&format!("{prefix}_router_{name}"), move || read(&elastic));
+        };
+        poll("active_lanes", |e| e.active() as f64);
+        poll("splits", |e| e.splits() as f64);
+        poll("merges", |e| e.merges() as f64);
     }
 
     pub(crate) fn stats(&self) -> RouterStats {
+        let [pushes, pops, steals, spills, heals] = self.counters.snapshot();
         RouterStats {
-            pushes: self.counters.pushes.load(Ordering::Relaxed),
-            pops: self.counters.pops.load(Ordering::Relaxed),
-            steals: self.counters.steals.load(Ordering::Relaxed),
-            spills: self.counters.spills.load(Ordering::Relaxed),
+            pushes,
+            pops,
+            steals,
+            spills,
             splits: self.elastic.splits(),
             merges: self.elastic.merges(),
-            heals: self.counters.heals.load(Ordering::Relaxed),
+            heals,
             active_lanes: self.elastic.active(),
         }
     }
@@ -532,7 +539,7 @@ impl<T: ShardLane> Router<T> {
 impl<T: ShardLane> Router<T> {
     /// Racy but convergent view used by `len()`: strict mode prefers
     /// the journal's resident count (exact at quiescence), relaxed
-    /// mode the aggregate total.
+    /// mode the aggregate's O(lanes) sum.
     pub(crate) fn len(&self) -> usize {
         match self.order {
             Some(ref order) => order.len_hint(),

@@ -121,8 +121,10 @@ impl<V: StackValue> ShardedCsStack<V> {
         self.router.capacity()
     }
 
-    /// Believed element count — one O(1) uncounted read (exact at
-    /// quiescence; lags by at most the in-flight operations).
+    /// Believed element count — uncounted, O(lanes) in relaxed mode
+    /// (the sum of the per-lane occupancy cells; strict mode reads the
+    /// journal's count). Racy but convergent: exact at quiescence, off
+    /// by at most the in-flight operations otherwise.
     #[must_use]
     pub fn len(&self) -> usize {
         self.router.len()
@@ -174,7 +176,7 @@ impl<V: StackValue> ShardedCsStack<V> {
         self.router.stats()
     }
 
-    /// The occupancy aggregate (per-lane counts, total, mask).
+    /// The occupancy aggregate (per-lane counts, mask).
     #[must_use]
     pub fn aggregate(&self) -> &LaneAggregate {
         self.router.aggregate()
@@ -378,13 +380,21 @@ mod tests {
                     });
                 }
             });
-            // Drain and account for every value exactly once.
+            // Quiescent: the striped router counters and the summed
+            // occupancy cells are exact.
             let mut seen: Vec<u32> = popped.into_inner().unwrap();
+            let stats = stack.router_stats();
+            assert_eq!(stats.pushes, 800, "pushes under {config:?}");
+            assert_eq!(stats.pops, seen.len() as u64, "pops under {config:?}");
+            assert_eq!(stack.len(), 800 - seen.len(), "len under {config:?}");
+            assert_eq!(stack.aggregate().len(), stack.len());
+            // Drain and account for every value exactly once.
             for proc in 0..8 {
                 while let PopOutcome::Popped(v) = stack.pop(proc) {
                     seen.push(v);
                 }
             }
+            assert_eq!(stack.router_stats().pops, 800);
             seen.sort_unstable();
             let mut expect: Vec<u32> = (0..8)
                 .flat_map(|p| (0..100).map(move |i| p * 1000 + i))
@@ -425,5 +435,13 @@ mod tests {
         assert!(names.iter().any(|n| n.starts_with("shard_stack_lane0_")));
         assert!(names.iter().any(|n| n.starts_with("shard_stack_lane1_")));
         assert!(names.contains(&"shard_stack_router_steals_total"));
+        // The gauges are polled: a scrape sees the state as of the
+        // scrape, with nothing published per operation.
+        assert_eq!(stack.push(0, 2), PushOutcome::Pushed);
+        let snapshot = registry.snapshot();
+        let gauge = |name: &str| snapshot.gauges.iter().find(|g| g.0 == name).map(|g| g.1);
+        assert_eq!(gauge("shard_stack_router_size"), Some(1.0));
+        assert_eq!(gauge("shard_stack_router_active_lanes"), Some(2.0));
+        assert_eq!(gauge("shard_stack_router_splits"), Some(0.0));
     }
 }

@@ -5,7 +5,6 @@
 //! ref \[22\]). Line numbers in the code comments refer to the figure.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use cso_core::{Abortable, Aborted, BatchCounters, BatchStats};
 use cso_memory::combining::{CachePadded, NO_HELPER};
@@ -13,14 +12,15 @@ use cso_memory::exchange::Exchanger;
 use cso_memory::fail_point;
 use cso_memory::packed::{SlotWord, TopWord};
 use cso_memory::reg::Reg64;
+use cso_memory::Stripes;
 use cso_trace::{probe, probe_if, Event};
 
 use crate::outcome::{PopOutcome, PushOutcome, StackOp, StackResponse};
 use crate::value::StackValue;
 
-/// Abort/attempt counters for experiment E2 (kept in plain atomics —
-/// they are diagnostics, not part of the algorithm's shared-memory
-/// footprint).
+/// Abort/attempt counters for experiment E2 (kept in per-thread
+/// [`Stripes`] — they are diagnostics, not part of the algorithm's
+/// shared-memory footprint, and cost no locked instruction).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AbortStats {
     /// `weak_push` invocations.
@@ -94,14 +94,17 @@ pub struct AbortableStack<V> {
     /// ([`Abortable::try_eliminate`]): inverse push/pop pairs exchange
     /// values here without touching `TOP` at all.
     exchanger: Exchanger<u32>,
-    // Diagnostics (not shared-memory accesses).
-    push_attempts: AtomicU64,
-    push_aborts: AtomicU64,
-    pop_attempts: AtomicU64,
-    pop_aborts: AtomicU64,
+    /// Diagnostics (not shared-memory accesses), indexed by the
+    /// constants below.
+    stats: Stripes<4>,
     batch: BatchCounters,
     _values: PhantomData<V>,
 }
+
+const PUSH_ATTEMPTS: usize = 0;
+const PUSH_ABORTS: usize = 1;
+const POP_ATTEMPTS: usize = 2;
+const POP_ABORTS: usize = 3;
 
 /// The dummy value stored below the stack bottom (never observed by
 /// users: popping at index 0 returns `Empty` before reading it).
@@ -147,10 +150,7 @@ impl<V: StackValue> AbortableStack<V> {
             top: CachePadded::new(top),
             slots,
             exchanger: Exchanger::new(ELIM_SLOTS),
-            push_attempts: AtomicU64::new(0),
-            push_aborts: AtomicU64::new(0),
-            pop_attempts: AtomicU64::new(0),
-            pop_aborts: AtomicU64::new(0),
+            stats: Stripes::new(),
             batch: BatchCounters::new(),
             _values: PhantomData,
         }
@@ -212,9 +212,9 @@ impl<V: StackValue> AbortableStack<V> {
     /// between lines 01 and 06; the stack is unchanged in that case.
     /// Never aborts in a contention-free execution.
     pub fn weak_push(&self, value: V) -> Result<PushOutcome, Aborted> {
-        self.push_attempts.fetch_add(1, Ordering::Relaxed);
+        self.stats.inc(PUSH_ATTEMPTS);
         fail_point!("stack::push", {
-            self.push_aborts.fetch_add(1, Ordering::Relaxed);
+            self.stats.inc(PUSH_ABORTS);
             return Err(Aborted);
         });
         // Line 01: (index, value, seqnb) ← TOP.
@@ -241,7 +241,7 @@ impl<V: StackValue> AbortableStack<V> {
         if self.top.cas_validated(observed.pack(), newtop.pack()) {
             Ok(PushOutcome::Pushed)
         } else {
-            self.push_aborts.fetch_add(1, Ordering::Relaxed);
+            self.stats.inc(PUSH_ABORTS);
             probe!(Event::CasFail("stack::top"));
             Err(Aborted)
         }
@@ -255,9 +255,9 @@ impl<V: StackValue> AbortableStack<V> {
     /// between lines 08 and 13; the stack is unchanged in that case.
     /// Never aborts in a contention-free execution.
     pub fn weak_pop(&self) -> Result<PopOutcome<V>, Aborted> {
-        self.pop_attempts.fetch_add(1, Ordering::Relaxed);
+        self.stats.inc(POP_ATTEMPTS);
         fail_point!("stack::pop", {
-            self.pop_aborts.fetch_add(1, Ordering::Relaxed);
+            self.stats.inc(POP_ABORTS);
             return Err(Aborted);
         });
         // Line 08: (index, value, seqnb) ← TOP.
@@ -283,7 +283,7 @@ impl<V: StackValue> AbortableStack<V> {
         if self.top.cas_validated(observed.pack(), newtop.pack()) {
             Ok(PopOutcome::Popped(V::from_bits(observed.value)))
         } else {
-            self.pop_aborts.fetch_add(1, Ordering::Relaxed);
+            self.stats.inc(POP_ABORTS);
             probe!(Event::CasFail("stack::top"));
             Err(Aborted)
         }
@@ -291,20 +291,23 @@ impl<V: StackValue> AbortableStack<V> {
 
     /// Snapshot of the attempt/abort counters (experiment E2).
     pub fn abort_stats(&self) -> AbortStats {
+        let [push_attempts, push_aborts, pop_attempts, pop_aborts] = self.stats.snapshot();
         AbortStats {
-            push_attempts: self.push_attempts.load(Ordering::Relaxed),
-            push_aborts: self.push_aborts.load(Ordering::Relaxed),
-            pop_attempts: self.pop_attempts.load(Ordering::Relaxed),
-            pop_aborts: self.pop_aborts.load(Ordering::Relaxed),
+            push_attempts,
+            push_aborts,
+            pop_attempts,
+            pop_aborts,
         }
     }
 
-    /// Resets the attempt/abort counters.
+    /// Restarts the attempt/abort counters from zero. A baseline
+    /// snapshot, not a store: the counters are single-writer stripes
+    /// other threads may be updating, so the reset records the current
+    /// sums and [`AbortableStack::abort_stats`] reports the difference.
+    /// An attempt racing the reset is counted on one side of it or the
+    /// other, never lost.
     pub fn reset_abort_stats(&self) {
-        self.push_attempts.store(0, Ordering::Relaxed);
-        self.push_aborts.store(0, Ordering::Relaxed);
-        self.pop_attempts.store(0, Ordering::Relaxed);
-        self.pop_aborts.store(0, Ordering::Relaxed);
+        self.stats.reset();
     }
 
     /// Combining-batch totals observed through the
@@ -500,6 +503,12 @@ mod tests {
         assert_eq!(stats.push_aborts + stats.pop_aborts, 0);
         stack.reset_abort_stats();
         assert_eq!(stack.abort_stats(), AbortStats::default());
+        stack.weak_push(2).unwrap();
+        assert_eq!(
+            stack.abort_stats().push_attempts,
+            1,
+            "counts from the reset on"
+        );
     }
 
     #[test]
@@ -526,6 +535,12 @@ mod tests {
         // helping writes never false-share with the decisive C&S.
         let slot0 = std::ptr::from_ref::<Reg64>(&stack.slots[0]) as usize;
         assert!(slot0.abs_diff(top_addr) >= 128);
+        // Nor do the statistics stripes: a whole number of lines, none
+        // of them TOP's.
+        let stats = std::ptr::from_ref(&stack.stats) as usize;
+        let stats_end = stats + std::mem::size_of_val(&stack.stats);
+        assert_eq!((stats % 128, stats_end % 128), (0, 0));
+        assert!(top_addr + 128 <= stats || stats_end <= top_addr);
     }
 
     #[test]

@@ -185,7 +185,9 @@ impl<V: StackValue, L: RawLock> CsStack<V, L> {
         self.inner.inner().eliminated_pairs()
     }
 
-    /// Resets the path statistics.
+    /// Restarts the path statistics from zero — a baseline snapshot,
+    /// safe against concurrent operations (see
+    /// [`ContentionSensitive::reset_stats`]).
     pub fn reset_path_stats(&self) {
         self.inner.reset_stats()
     }
