@@ -65,9 +65,10 @@ fn main() {
         .metric("ops_per_sec", Json::Arr(json_rows))
         .write();
 
-    println!("\nExpected shape: at 1 thread the lock-free family (cs, nb, treiber)");
-    println!("clusters together and beats the lock(...) rows; under contention the");
-    println!("cs-stack must stay within the lock-free cluster (its lock engages only");
-    println!("when operations actually interfere).");
+    println!("\nReading guide: solo, the one-swap lock(tas) leads and cs-stack trails");
+    println!("nb-stack by its CONTENTION read; with more threads than cores cs-stack");
+    println!("is the row that returns to its solo neighbourhood, while the bare retry");
+    println!("loop (nb-stack), the TAS lock and the FIFO ticket lock do not. Unpinned");
+    println!("2-thread cells are bimodal on a 2-vCPU guest (EXPERIMENTS.md, E3).");
     cso_bench::tracing::emit("e3_throughput");
 }

@@ -2037,26 +2037,21 @@ mod tests {
 
     #[test]
     fn statistics_share_no_line_with_the_read_mostly_words() {
-        fn lines<T>(field: &T) -> std::ops::RangeInclusive<usize> {
-            let start = field as *const T as usize;
-            start / 128..=(start + std::mem::size_of::<T>() - 1) / 128
-        }
-        fn disjoint(
-            a: &std::ops::RangeInclusive<usize>,
-            b: &std::ops::RangeInclusive<usize>,
-        ) -> bool {
-            a.end() < b.start() || b.end() < a.start()
-        }
+        use cso_memory::layout::{disjoint, lines_of};
         let cs = make(0, CsConfig::PAPER);
         // The words every fast-path operation reads…
-        let read_mostly = [lines(&cs.contention), lines(&cs.config), lines(&cs.metrics)];
+        let read_mostly = [
+            lines_of(&cs.contention),
+            lines_of(&cs.config),
+            lines_of(&cs.metrics),
+        ];
         // …and the ones operations write without holding the lock.
-        for hot in [lines(&cs.stats), lines(&cs.gate)] {
+        for hot in [lines_of(&cs.stats), lines_of(&cs.gate)] {
             for cold in &read_mostly {
                 assert!(disjoint(&hot, cold), "{hot:?} overlaps {cold:?}");
             }
         }
-        assert!(disjoint(&lines(&cs.stats), &lines(&cs.gate)));
+        assert!(disjoint(&lines_of(&cs.stats), &lines_of(&cs.gate)));
     }
 
     #[test]

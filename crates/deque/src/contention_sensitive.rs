@@ -253,13 +253,21 @@ mod tests {
                         loop {
                             match deque.push(t as usize, my_end, v) {
                                 DequePushOutcome::Pushed => break,
-                                DequePushOutcome::Full => {
-                                    if let DequePopOutcome::Popped(v) =
-                                        deque.pop(t as usize, my_end)
-                                    {
-                                        got.push(v);
+                                DequePushOutcome::Full => match deque.pop(t as usize, my_end) {
+                                    DequePopOutcome::Popped(v) => got.push(v),
+                                    // Empty yet full: the linear block
+                                    // drifted against our wall (a thread
+                                    // left alone drifts one cell per
+                                    // iteration). Only the other end has
+                                    // room.
+                                    DequePopOutcome::Empty => {
+                                        if deque.push(t as usize, my_end.opposite(), v)
+                                            == DequePushOutcome::Pushed
+                                        {
+                                            break;
+                                        }
                                     }
-                                }
+                                },
                             }
                         }
                         if let DequePopOutcome::Popped(v) = deque.pop(t as usize, my_end.opposite())

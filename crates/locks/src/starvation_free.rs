@@ -39,7 +39,9 @@
 //! ([`StarvationFree::is_poisoned`]) rather than mask a correlated
 //! failure forever.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+#[cfg(feature = "trace")]
+use std::sync::atomic::AtomicU32;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use cso_memory::backoff::{Deadline, Spinner};
@@ -48,7 +50,9 @@ use cso_memory::fail_point;
 use cso_memory::liveness::{Liveness, RecoveryPolicy};
 use cso_memory::reg::{RegBool, RegUsize};
 use cso_metrics::{Counter, Registry};
-use cso_trace::{probe, probe_if, Event, NO_TID};
+use cso_trace::{probe, Event};
+#[cfg(feature = "trace")]
+use cso_trace::{probe_if, NO_TID};
 
 use crate::raw::{ProcLock, RawLock};
 
@@ -153,7 +157,12 @@ struct SfMetrics {
 /// ```
 #[derive(Debug)]
 pub struct StarvationFree<L> {
-    inner: L,
+    /// The line-06/12 lock, on lines of its own whatever `L` is: a
+    /// waiter's doomed RMWs on the lock word take its line exclusive,
+    /// and the holder must not miss on that line on its way to
+    /// `FLAG[i]`, `FLAG[TURN]` and the unlock (DESIGN.md, "Layout
+    /// contract").
+    inner: CachePadded<L>,
     /// `FLAG[i]`: process `i` is competing for the lock. Each entry
     /// sits on its own cache line: `FLAG[i]` is written only by
     /// process `i` but spun on by every line-05 waiter, so packed
@@ -161,9 +170,9 @@ pub struct StarvationFree<L> {
     /// path of unrelated waiters (false sharing).
     flag: Vec<CachePadded<RegBool>>,
     /// Identity currently given priority; advances round-robin.
-    /// Padded away from the `flag` vector and the inner lock word for
-    /// the same reason — every waiter re-reads `TURN` in its spin
-    /// loop.
+    /// Padded away from the `flag` vector header and the inner lock
+    /// word for the same reason — every waiter re-reads `TURN` in its
+    /// spin loop.
     turn: CachePadded<RegUsize>,
     /// Optional registry handles (see [`StarvationFree::attach_metrics`]).
     metrics: OnceLock<SfMetrics>,
@@ -175,14 +184,18 @@ pub struct StarvationFree<L> {
     /// [`Event::HandoffFrom`]. A plain (uncounted) atomic: causal
     /// stamps must not perturb the paper's counted budgets. Padded —
     /// every release writes it while waiters hammer the inner word.
+    /// Trace builds only: without probes there is no thread id to
+    /// leave and nobody to read it.
+    #[cfg(feature = "trace")]
     prev_tid: CachePadded<AtomicU32>,
     /// Trace-thread id of the current holder's OS thread (uncounted).
     /// Read by a successor after winning the custody CAS to emit
     /// [`Event::CustodyFrom`] against the corpse's thread.
+    #[cfg(feature = "trace")]
     holder_tid: CachePadded<AtomicU32>,
 }
 
-impl<L: RawLock> StarvationFree<L> {
+impl<L> StarvationFree<L> {
     /// Wraps the deadlock-free lock `inner` for `n` processes.
     ///
     /// # Panics
@@ -192,18 +205,32 @@ impl<L: RawLock> StarvationFree<L> {
     pub fn new(inner: L, n: usize) -> StarvationFree<L> {
         assert!(n > 0, "the booster needs at least one process");
         StarvationFree {
-            inner,
+            inner: CachePadded::new(inner),
             flag: (0..n)
                 .map(|_| CachePadded::new(RegBool::new(false)))
                 .collect(),
             turn: CachePadded::new(RegUsize::new(0)),
             metrics: OnceLock::new(),
             recovery: OnceLock::new(),
+            #[cfg(feature = "trace")]
             prev_tid: CachePadded::new(AtomicU32::new(NO_TID)),
+            #[cfg(feature = "trace")]
             holder_tid: CachePadded::new(AtomicU32::new(NO_TID)),
         }
     }
 
+    /// Returns the wrapped lock.
+    pub fn into_inner(self) -> L {
+        self.inner.into_inner()
+    }
+
+    /// Access to the wrapped lock (for instrumentation).
+    pub fn inner(&self) -> &L {
+        &self.inner
+    }
+}
+
+impl<L: RawLock> StarvationFree<L> {
     /// Registers this lock's fairness metrics into `registry` under
     /// `<prefix>_lock_acquires_total`,
     /// `<prefix>_turn_advances_total` and
@@ -223,16 +250,6 @@ impl<L: RawLock> StarvationFree<L> {
         if let Some(m) = self.metrics.get() {
             m.acquires.inc();
         }
-    }
-
-    /// Returns the wrapped lock.
-    pub fn into_inner(self) -> L {
-        self.inner
-    }
-
-    /// Access to the wrapped lock (for instrumentation).
-    pub fn inner(&self) -> &L {
-        &self.inner
     }
 
     /// Attempts to acquire without waiting: succeeds only if `proc`
@@ -368,15 +385,17 @@ impl<L: RawLock> StarvationFree<L> {
     }
 
     /// Records `proc` as the inner-lock holder (recovery custody, when
-    /// enabled) and stamps the causal handoff cells. The boosted entry
-    /// points do this themselves; call it only when taking the inner
-    /// lock *directly* via [`StarvationFree::inner`] (the combining
-    /// path), and pair with [`StarvationFree::raw_unlock`].
+    /// enabled) and, in `trace` builds, stamps the causal handoff
+    /// cells. The boosted entry points do this themselves; call it
+    /// only when taking the inner lock *directly* via
+    /// [`StarvationFree::inner`] (the combining path), and pair with
+    /// [`StarvationFree::raw_unlock`].
     #[inline]
     pub fn note_holder(&self, proc: usize) {
         if let Some(rec) = self.recovery.get() {
             rec.holder.store(proc, Ordering::Release);
         }
+        #[cfg(feature = "trace")]
         self.stamp_acquire();
     }
 
@@ -386,6 +405,7 @@ impl<L: RawLock> StarvationFree<L> {
     /// plus the emission keep the helped-by edge exactly-once per
     /// handoff. Relaxed suffices — the stamp was published by the
     /// releaser's inner-lock Release and we hold the lock's Acquire.
+    #[cfg(feature = "trace")]
     #[inline]
     fn stamp_acquire(&self) {
         let prev = self.prev_tid.swap(NO_TID, Ordering::Relaxed);
@@ -396,6 +416,7 @@ impl<L: RawLock> StarvationFree<L> {
     /// Causal stamp at every release: leave our thread id for the next
     /// acquirer. Must run *before* the inner lock's Release store so
     /// the stamp is published with it.
+    #[cfg(feature = "trace")]
     #[inline]
     fn stamp_release(&self) {
         self.prev_tid.store(probe::thread_id(), Ordering::Relaxed);
@@ -428,6 +449,7 @@ impl<L: RawLock> StarvationFree<L> {
     /// Returns whether the inner lock was actually released.
     pub fn raw_unlock(&self, proc: usize) -> bool {
         if self.surrender_custody(proc) {
+            #[cfg(feature = "trace")]
             self.stamp_release();
             self.inner.unlock();
             true
@@ -575,9 +597,12 @@ impl<L: RawLock> StarvationFree<L> {
             // Causal edge: custody of the still-locked inner word came
             // from the corpse's thread. Read its acquire stamp before
             // overwriting with our own.
-            let corpse_tid = self.holder_tid.load(Ordering::Relaxed);
-            probe_if!(corpse_tid != NO_TID, Event::CustodyFrom(corpse_tid));
-            self.holder_tid.store(probe::thread_id(), Ordering::Relaxed);
+            #[cfg(feature = "trace")]
+            {
+                let corpse_tid = self.holder_tid.load(Ordering::Relaxed);
+                probe_if!(corpse_tid != NO_TID, Event::CustodyFrom(corpse_tid));
+                self.holder_tid.store(probe::thread_id(), Ordering::Relaxed);
+            }
             // The corpse is no longer competing: clear its FLAG and
             // re-arm TURN past it (the §4.4 recovery writes).
             self.flag[h].write(false);
@@ -726,6 +751,7 @@ impl<L: RawLock> ProcLock for StarvationFree<L> {
             }
         }
         // Line 12.
+        #[cfg(feature = "trace")]
         self.stamp_release();
         self.inner.unlock();
     }
@@ -735,7 +761,8 @@ impl<L: RawLock> ProcLock for StarvationFree<L> {
 mod tests {
     use super::*;
     use crate::testutil::stress_proc;
-    use crate::{TasLock, TtasLock};
+    use crate::{ClhLock, McsLock, TasLock, TicketLock, TtasLock};
+    use cso_memory::layout::{disjoint, lines_of};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -804,25 +831,34 @@ mod tests {
         assert_eq!(victim_done.load(Ordering::SeqCst), 200);
     }
 
+    /// DESIGN.md "Layout contract": every word the slow path writes
+    /// (inner lock, each `FLAG[i]`, `TURN`) shares a line with no other
+    /// such word nor with the words every caller reads on the way.
+    fn slow_path_words_own_their_lines<L>(inner: L) {
+        let lock = StarvationFree::new(inner, 3);
+        let mut written = vec![lines_of(&lock.inner), lines_of(&lock.turn)];
+        written.extend(lock.flag.iter().map(lines_of));
+        #[cfg(feature = "trace")]
+        written.extend([lines_of(&lock.prev_tid), lines_of(&lock.holder_tid)]);
+        let read_mostly = [
+            lines_of(&lock.flag),
+            lines_of(&lock.metrics),
+            lines_of(&lock.recovery),
+        ];
+        for (i, word) in written.iter().enumerate() {
+            for other in written[i + 1..].iter().chain(&read_mostly) {
+                assert!(disjoint(word, other), "{word:?} overlaps {other:?}");
+            }
+        }
+    }
+
     #[test]
     fn flag_and_turn_live_on_distinct_cache_lines() {
-        // Compile-time: the padding wrapper really is line-sized.
-        const _: () = assert!(std::mem::align_of::<CachePadded<RegBool>>() >= 128);
-        const _: () = assert!(std::mem::size_of::<CachePadded<RegBool>>() >= 128);
-        const _: () = assert!(std::mem::align_of::<CachePadded<RegUsize>>() >= 128);
-
-        // Runtime: adjacent FLAG entries are at least a line apart,
-        // and TURN shares a line with none of them.
-        let lock = StarvationFree::new(TasLock::new(), 3);
-        let addr = |i: usize| std::ptr::from_ref::<CachePadded<RegBool>>(&lock.flag[i]) as usize;
-        for i in 0..2 {
-            assert!(addr(i + 1).abs_diff(addr(i)) >= 128);
-            assert_eq!(addr(i) % 128, 0);
-        }
-        let turn = std::ptr::from_ref::<CachePadded<RegUsize>>(&lock.turn) as usize;
-        for i in 0..3 {
-            assert!(turn.abs_diff(addr(i)) >= 128);
-        }
+        slow_path_words_own_their_lines(TasLock::new());
+        slow_path_words_own_their_lines(TtasLock::new());
+        slow_path_words_own_their_lines(TicketLock::new());
+        slow_path_words_own_their_lines(ClhLock::new(3));
+        slow_path_words_own_their_lines(McsLock::new(3));
     }
 
     #[test]
@@ -848,9 +884,8 @@ mod tests {
         assert_eq!(acquires.value(), 7);
     }
 
-    /// Causal-edge stamps only materialize with the `trace` feature
-    /// (thread ids come from the probe rings); the cells themselves
-    /// exist in every build.
+    /// Causal-edge stamps — cells, writes and edges — exist only with
+    /// the `trace` feature (thread ids come from the probe rings).
     #[cfg(feature = "trace")]
     mod causal {
         use super::*;

@@ -16,6 +16,8 @@
 //!   one striped-counter implementation behind every per-operation
 //!   statistic in the workspace (path stats, abort stats, router
 //!   stats, `cso-metrics` counters);
+//! * [`layout`] — `lines_of`/`disjoint`, the two helpers every
+//!   cache-line placement test in the workspace is written with;
 //! * [`registry`] — process identities `0..n` (the paper's `p_1..p_n`),
 //!   needed by the `FLAG`/`TURN` starvation-freedom mechanism;
 //! * [`backoff`] — spin/backoff helpers and deadlines used by retry
@@ -62,6 +64,7 @@ pub mod combining;
 pub mod counting;
 pub mod epoch;
 pub mod exchange;
+pub mod layout;
 pub mod liveness;
 pub mod packed;
 pub mod reg;

@@ -375,18 +375,20 @@ mod tests {
 
     #[test]
     fn no_two_stripes_share_a_line() {
+        use crate::layout::{disjoint, lines_of};
         let stats: Stripes<4> = Stripes::new();
-        assert_eq!(std::mem::align_of::<Stripes<4>>(), 128);
-        assert_eq!(std::mem::size_of::<Stripes<4>>() % 128, 0);
-        let mut starts: Vec<usize> = stats
+        let stripes: Vec<_> = stats
             .cells
             .iter()
             .chain(std::iter::once(&stats.baseline))
-            .map(|stripe| stripe.as_ptr() as usize)
+            .map(lines_of)
             .collect();
-        starts.sort_unstable();
-        assert_eq!(starts.len(), STRIPES + 2);
-        assert!(starts.iter().all(|start| start % 128 == 0));
-        assert!(starts.windows(2).all(|pair| pair[1] - pair[0] >= 128));
+        assert_eq!(stripes.len(), STRIPES + 2);
+        for (i, stripe) in stripes.iter().enumerate() {
+            assert!(stripes[i + 1..].iter().all(|other| disjoint(stripe, other)));
+        }
+        // And the block ends where its last line does, so a neighbour
+        // field of the embedding object starts on a fresh one.
+        assert_eq!(lines_of(&stats).count(), STRIPES + 2);
     }
 }

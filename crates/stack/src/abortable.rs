@@ -525,22 +525,15 @@ mod tests {
 
     #[test]
     fn top_register_is_cache_padded() {
-        // Compile-time: the wrapper pads to at least 128 bytes.
-        const _: () = assert!(std::mem::align_of::<CachePadded<Reg64>>() >= 128);
-        const _: () = assert!(std::mem::size_of::<CachePadded<Reg64>>() >= 128);
+        use cso_memory::layout::{disjoint, lines_of};
         let stack: AbortableStack<u32> = AbortableStack::new(4);
-        let top_addr = std::ptr::from_ref::<Reg64>(&stack.top) as usize;
-        assert_eq!(top_addr % 128, 0, "TOP must start its own cache line");
+        let top = lines_of(&stack.top);
+        assert_eq!(top.clone().count(), 1, "TOP fills exactly one line");
         // The helped slots live outside TOP's padded line, so lazy
-        // helping writes never false-share with the decisive C&S.
-        let slot0 = std::ptr::from_ref::<Reg64>(&stack.slots[0]) as usize;
-        assert!(slot0.abs_diff(top_addr) >= 128);
-        // Nor do the statistics stripes: a whole number of lines, none
-        // of them TOP's.
-        let stats = std::ptr::from_ref(&stack.stats) as usize;
-        let stats_end = stats + std::mem::size_of_val(&stack.stats);
-        assert_eq!((stats % 128, stats_end % 128), (0, 0));
-        assert!(top_addr + 128 <= stats || stats_end <= top_addr);
+        // helping writes never false-share with the decisive C&S…
+        assert!(disjoint(&top, &lines_of(&stack.slots[..])));
+        // …nor do the statistics stripes.
+        assert!(disjoint(&top, &lines_of(&stack.stats)));
     }
 
     #[test]

@@ -25,9 +25,20 @@ const STRONG_BUDGET: u64 = 6;
 /// Figure 1's cost for a solo weak operation.
 const WEAK_COST: u64 = 5;
 
+/// Chaos plans are process-global and an armed `cs::fast` plan is
+/// consumed by whichever thread passes that site next, so every test
+/// that sends a strong operation through it holds this guard: the
+/// arming tests must not lose their veto to a neighbour, and the
+/// exact-six tests must not be handed one.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    M.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// The access-counting substrate this whole file leans on must be the
 /// zero-cost passthrough in a default build — the `model` runtime is
 /// opt-in and would invalidate the bit-exact totals below.
+#[cfg(not(feature = "model"))]
 #[test]
 fn default_build_runs_the_std_runtime() {
     assert_eq!(cso_memory::runtime::active_name(), "std");
@@ -35,6 +46,7 @@ fn default_build_runs_the_std_runtime() {
 
 #[test]
 fn contention_free_strong_ops_stay_within_six_accesses() {
+    let _serial = serial();
     let cs: CsStack<u32> = CsStack::new(1024, 4);
     // First op on a fresh object may take a boundary path; warm up.
     cs.push(0, 0);
@@ -89,6 +101,7 @@ fn weak_ops_cost_exactly_five_accesses() {
 /// in uncounted memory.
 #[test]
 fn combining_config_keeps_theorem_one_exact() {
+    let _serial = serial();
     let cs: CsStack<u32> = CsStack::with_config(1024, TasLock::new(), 4, CsConfig::COMBINING);
     cs.push(0, 0);
     cs.pop(0);
@@ -116,6 +129,7 @@ fn combining_config_keeps_theorem_one_exact() {
 /// (backoff state, exchanger slots) lives in uncounted memory.
 #[test]
 fn ladder_config_keeps_theorem_one_exact() {
+    let _serial = serial();
     let cs: CsStack<u32> = CsStack::with_config(1024, TasLock::new(), 4, CsConfig::LADDER);
     cs.push(0, 0);
     cs.pop(0);
@@ -143,6 +157,7 @@ fn ladder_config_keeps_theorem_one_exact() {
 #[test]
 fn ladder_rescued_ops_stay_within_one_extra_weak_attempt() {
     use cso_memory::chaos::{self, Fault, Plan};
+    let _serial = serial();
 
     let cs: CsStack<u32> = CsStack::with_config(1024, TasLock::new(), 4, CsConfig::LADDER);
     cs.push(0, 0);
@@ -170,6 +185,7 @@ fn ladder_rescued_ops_stay_within_one_extra_weak_attempt() {
 /// it; after which the fast path is *exactly* six accesses again.
 #[test]
 fn engaged_gate_diverts_then_recovery_restores_the_six_access_fast_path() {
+    let _serial = serial();
     let cs: CsStack<u32> = CsStack::with_config(1024, TasLock::new(), 4, CsConfig::COMBINING);
     cs.push(0, 0);
     cs.pop(0);
@@ -228,6 +244,7 @@ fn engaged_gate_diverts_then_recovery_restores_the_six_access_fast_path() {
 #[test]
 fn concurrent_fast_path_completions_stay_within_six_accesses() {
     use std::sync::Arc;
+    let _serial = serial();
 
     const THREADS: usize = 4;
     const OPS: u32 = 20_000;
@@ -263,6 +280,7 @@ fn concurrent_fast_path_completions_stay_within_six_accesses() {
 #[test]
 fn locked_path_stays_within_documented_bound() {
     use cso_memory::chaos::{self, Fault, Plan};
+    let _serial = serial();
 
     let locked_budget = cso_core::LOCKED_SOLO_ACCESS_BOUND + WEAK_COST;
     let cs: CsStack<u32> = CsStack::new(1024, 4);
