@@ -42,7 +42,7 @@ use cso_memory::fail_point;
 use cso_memory::liveness::{Liveness, RecoveryPolicy};
 use cso_memory::reg::RegBool;
 use cso_memory::Stripes;
-use cso_metrics::{Counter, Gauge, Registry, Timer};
+use cso_metrics::{Registry, Timer};
 use cso_trace::{probe, probe_if, Event};
 
 use crate::abortable::Abortable;
@@ -224,48 +224,11 @@ impl Default for CsConfig {
 /// The publication list: one cache-padded record per process.
 type PubList<O> = Box<[CachePadded<PubRecord<<O as Abortable>::Op, <O as Abortable>::Response>>]>;
 
-/// Live registry handles mirroring the internal statistics, installed
-/// (at most once) by [`ContentionSensitive::attach_metrics`].
-///
-/// Unlike the internal counters — where combining handoffs land in
-/// `locked` — the completion counters here are **disjoint by path**
-/// (`fast + eliminated + locked + combined` = completions), so a
-/// scrape shows the path mix directly. The internal
-/// `PathStats::locked` equals `locked + combined` of this family.
+/// The latency histograms of an attached object, installed (at most
+/// once) by [`ContentionSensitive::attach_metrics`] — the only metrics
+/// that need a handle, because a sample needs a clock reading on the
+/// operation's own path. Every *count* lives in the [`StatsBlock`].
 struct CsMetrics {
-    /// Fast-path completions (lines 01–03), including the ladder's
-    /// contention-managed retries — every lock-free weak-op success.
-    fast: Counter,
-    /// Fast-path weak-operation aborts (fast path proper and ladder
-    /// retries; each one escalated one rung).
-    fast_aborts: Counter,
-    /// Completions via elimination rendezvous (the ladder's middle
-    /// rung — no main-state access, no lock).
-    eliminated: Counter,
-    /// Own-tenure slow-path completions (`SlowGuard` / combiner's own
-    /// operation).
-    locked: Counter,
-    /// Completions delivered by *another* process's combining tenure.
-    combined: Counter,
-    /// Survived under-lock panics.
-    poisoned: Counter,
-    /// Deadline expiries of `try_apply_for` / `try_apply_until`.
-    timeouts: Counter,
-    /// Poisoned publication-record handoffs (retried, not finished).
-    record_poisoned: Counter,
-    /// Publication records retired (tombstoned) because their owner
-    /// was suspected dead.
-    reclaimed: Counter,
-    /// Combining lock tenures.
-    batches: Counter,
-    /// Requests served on behalf of other processes.
-    served: Counter,
-    /// Largest single combining tenure observed (own op + served).
-    max_batch: Gauge,
-    /// 1.0 while the adaptive gate diverts the fast path, else 0.0.
-    gate_engaged: Gauge,
-    /// The gate's current abort EWMA.
-    gate_abort_ewma: Gauge,
     /// Fast-path completion latency.
     fast_ns: Timer,
     /// Slow-path completion latency (lock wait included).
@@ -275,14 +238,68 @@ struct CsMetrics {
     recover_ns: Timer,
 }
 
-impl CsMetrics {
-    /// Publishes the gate's current state into the two gauges.
-    fn publish_gate(&self, gate: &AdaptiveGate) {
-        self.gate_abort_ewma.set(gate.abort_ewma());
-        self.gate_engaged
-            .set(if gate.engaged() { 1.0 } else { 0.0 });
-    }
+/// Everything the object counts about itself: **one block per object,
+/// each fact counted once**. Operations write it; the accessors (since
+/// the last [`ContentionSensitive::reset_stats`]) and an attached
+/// registry (lifetime totals, so an exported counter never goes
+/// backwards) are its readers. Metrics, not part of the algorithm's
+/// shared-memory footprint: all plain (uncounted) atomics. Behind an
+/// `Arc` so the registry's polled readers can hold it, which also
+/// keeps every per-operation store off the object itself.
+struct StatsBlock {
+    /// Single-writer stripes indexed by the constants below.
+    cells: Stripes<11>,
+    /// The EWMA abort-rate gate in front of the fast path. With
+    /// [`CsConfig::adaptive_gate`] on, every fast-path outcome stores
+    /// into it, so it has lines of its own.
+    gate: CachePadded<AdaptiveGate>,
+    /// Largest combining tenure so far. A maximum, not a sum, so not a
+    /// stripe; only written under the lock.
+    max_batch: AtomicU64,
 }
+
+// The cells, each with its one writer.
+/// Lock-free weak-op successes, ladder retries included (invoker).
+const FAST: usize = 0;
+/// Aborts of those same attempts; each escalated a rung (invoker).
+const FAST_ABORTS: usize = 1;
+/// Completions by elimination rendezvous (invoker).
+const ELIMINATED: usize = 2;
+/// Own-tenure slow-path completions (the lock holder, before release).
+const LOCKED: usize = 3;
+/// Completions delivered by another process's combining tenure (the
+/// invoker, when it collects the response).
+const HANDED_OFF: usize = 4;
+/// Slow-path tenures that unwound under the lock (the unwinding holder).
+const POISONED: usize = 5;
+/// Deadline expiries of the bounded entry points (invoker).
+const TIMEOUTS: usize = 6;
+/// Poisoned publication-record handoffs, retried (the record's owner).
+const RECORD_POISONED: usize = 7;
+/// Combining lock tenures (combiner).
+const BATCHES: usize = 8;
+/// Requests applied for other processes (combiner, once per tenure).
+const SERVED: usize = 9;
+/// Records tombstoned for suspected-dead owners (combiner).
+const RECLAIMED: usize = 10;
+
+/// The exported counters: series suffix and the cell it reads. Disjoint
+/// by path — `ops_fast + ops_eliminated + ops_locked + ops_combined` =
+/// completions — so a scrape shows the path mix directly, where
+/// [`PathStats::locked`] is the sum of the last two.
+const COUNTER_SERIES: [(&str, usize); 11] = [
+    ("ops_fast_total", FAST),
+    ("fast_aborts_total", FAST_ABORTS),
+    ("ops_eliminated_total", ELIMINATED),
+    ("ops_locked_total", LOCKED),
+    ("ops_combined_total", HANDED_OFF),
+    ("slow_poisoned_total", POISONED),
+    ("timeouts_total", TIMEOUTS),
+    ("record_poisoned_total", RECORD_POISONED),
+    ("combine_batches_total", BATCHES),
+    ("combine_served_total", SERVED),
+    ("records_reclaimed_total", RECLAIMED),
+];
 
 /// How many operations completed on each path (diagnostics for
 /// experiment E4: "fraction of ops that took the lock").
@@ -296,7 +313,8 @@ pub struct PathStats {
     /// ladder's middle rung, touching neither the object's main state
     /// nor the lock.
     pub eliminated: u64,
-    /// Operations that completed under the lock (lines 04–13).
+    /// Operations that completed under the lock (lines 04–13), in the
+    /// invoker's own tenure or handed off by a combiner.
     pub locked: u64,
 }
 
@@ -373,8 +391,8 @@ pub const LOCKED_SOLO_ACCESS_BOUND: u64 = 13;
 /// ```
 ///
 /// where `locked` includes the operations a combiner executed on the
-/// invoker's behalf (attributed to the invoker; the *live-metrics*
-/// family splits them out as `combined` instead), and
+/// invoker's behalf (attributed to the invoker; the exported series
+/// split them out as `ops_combined_total` — same cells, two sums), and
 /// [`FaultStats::record_poisoned`] is deliberately absent — poisoned
 /// handoffs are retried inside a still-running invocation, not
 /// finished ones. [`Telemetry::invocations`] computes exactly this
@@ -482,8 +500,6 @@ struct RecoveryInner {
     /// The per-process failure detector, shared with the lock.
     live: Arc<Liveness>,
     policy: RecoveryPolicy,
-    /// Publication records tombstoned on behalf of suspected corpses.
-    reclaimed: AtomicU64,
     /// High-water degradation rung (see [`RecoveryStats::degraded`]).
     degraded: AtomicU32,
 }
@@ -543,19 +559,10 @@ pub struct ContentionSensitive<O: Abortable, L> {
     config: CsConfig,
     /// One publication record per process (combining slow path).
     records: PubList<O>,
-    /// The EWMA abort-rate gate in front of the fast path. Padded:
-    /// with [`CsConfig::adaptive_gate`] on, every fast-path outcome
-    /// stores into it, and the line holding the read-mostly `config`,
-    /// `contention` and `metrics` must stay clean.
-    gate: CachePadded<AdaptiveGate>,
-    /// Path, fault and combining statistics, indexed by the constants
-    /// below: single-writer stripes — metrics, not part of the
-    /// algorithm's shared-memory footprint, and on lines of their own.
-    stats: Stripes<8>,
-    /// Largest combining tenure so far. A maximum, not a sum, so not a
-    /// stripe; only written under the lock.
-    max_batch: AtomicU64,
-    /// Live registry handles, if [`ContentionSensitive::attach_metrics`]
+    /// The statistics block and the gate (see [`StatsBlock`]): a
+    /// pointer on the read-mostly line, the written lines elsewhere.
+    stats: Arc<StatsBlock>,
+    /// The latency timers, if [`ContentionSensitive::attach_metrics`]
     /// was called. The `OnceLock` probe is a plain (uncounted) atomic
     /// load, so unattached objects keep Theorem 1's access budget.
     metrics: OnceLock<CsMetrics>,
@@ -563,16 +570,8 @@ pub struct ContentionSensitive<O: Abortable, L> {
     recovery: Option<RecoveryInner>,
 }
 
-const FAST: usize = 0;
-const ELIMINATED: usize = 1;
-const LOCKED: usize = 2;
-const POISONED: usize = 3;
-const TIMEOUTS: usize = 4;
-const RECORD_POISONED: usize = 5;
-const BATCHES: usize = 6;
-const COMBINED: usize = 7;
-
-/// RAII custody of the slow path's shared state (lines 07–12).
+/// RAII custody of the slow path's shared state (lines 07–12), for a
+/// plain tenure and a combining one alike.
 ///
 /// Constructed immediately after the lock is acquired; its drop —
 /// which also runs during a panic unwind — performs lines 09–12 in
@@ -582,7 +581,7 @@ const COMBINED: usize = 7;
 /// fault) unwinding under the lock cannot strand `CONTENTION` or the
 /// lock, which is exactly the §5 wedge this subsystem defends against.
 ///
-/// The path counters live here too, *before* the release, so no
+/// The path counters are bumped here too, *before* the release, so no
 /// window exists in which the lock is free but the operation is
 /// missing from [`PathStats`] (the old post-unlock `fetch_add` race).
 struct SlowGuard<'a, O: Abortable, L: RawLock> {
@@ -592,6 +591,12 @@ struct SlowGuard<'a, O: Abortable, L: RawLock> {
     /// false on unwind (counts `poisoned`) and on an under-lock
     /// timeout (the caller counts `timeouts`).
     completed: bool,
+    /// A combining tenure: it holds the *inner* (deadlock-free) lock
+    /// directly rather than the `FLAG`/`TURN`-boosted one — combining
+    /// provides its own fairness (every tenure serves all pending
+    /// records), so the round-robin booster would only add handoff
+    /// latency — and releases it the same way.
+    raw: bool,
 }
 
 impl<O: Abortable, L: RawLock> Drop for SlowGuard<'_, O, L> {
@@ -600,16 +605,10 @@ impl<O: Abortable, L: RawLock> Drop for SlowGuard<'_, O, L> {
         // Count first: once the lock is released, observers must
         // already see this operation in the statistics.
         if self.completed {
-            cs.stats.inc(LOCKED);
-            if let Some(m) = cs.metrics.get() {
-                m.locked.inc();
-            }
+            cs.stats.cells.inc(LOCKED);
             probe!(Event::LockedComplete);
         } else if std::thread::panicking() {
-            cs.stats.inc(POISONED);
-            if let Some(m) = cs.metrics.get() {
-                m.poisoned.inc();
-            }
+            cs.stats.cells.inc(POISONED);
             probe!(Event::SlowPoisoned);
         }
         // Line 09. `write_lazy` skips the store when the register
@@ -620,12 +619,19 @@ impl<O: Abortable, L: RawLock> Drop for SlowGuard<'_, O, L> {
             probe!(Event::ContentionClear);
         }
         probe!(Event::LockRelease(self.proc as u32));
-        // Lines 10–12 (fair) or line 12 alone (unfair ablation).
-        // Recovery implies the booster: the recovering acquisition
-        // went through FLAG/TURN, so the release must too.
-        if cs.config.fair || cs.recovery.is_some() {
+        if self.raw {
+            // Custody-fenced release: a combiner that was falsely
+            // suspected and succeeded mid-tenure must not release the
+            // inner lock out from under its successor. Without
+            // recovery this is exactly `inner().unlock()`.
+            cs.lock.raw_unlock(self.proc);
+        } else if cs.config.fair || cs.recovery.is_some() {
+            // Lines 10–12. Recovery implies the booster: the
+            // recovering acquisition went through FLAG/TURN, so the
+            // release must too.
             cs.lock.unlock(self.proc);
         } else {
+            // Line 12 alone (unfair ablation).
             cs.lock.inner().unlock();
         }
     }
@@ -662,61 +668,29 @@ thread_local! {
     static CAS_CM: RefCell<CasBackoff> = RefCell::new(CasBackoff::from_entropy());
 }
 
-/// RAII custody of a **combining** lock tenure — the flat-combining
-/// counterpart of [`SlowGuard`].
-///
-/// Between claiming a publication record and completing it, the record
-/// index sits in `claimed[applied..]`. If the tenure unwinds (an
+/// The records one combining sweep has claimed and not yet completed:
+/// the indices in `claimed[applied..]`. If the tenure unwinds (an
 /// injected fault or a panicking weak operation), the drop poisons
-/// exactly those in-flight records **before** releasing the lock, so
-/// each owner observes a terminal state, reclaims, and retries —
-/// records that were merely posted (never claimed) are untouched and
-/// simply wait for the next combiner. Then `CONTENTION` is restored
-/// and the inner lock released, as in [`SlowGuard`].
-///
-/// The combining path takes the *inner* (deadlock-free) lock directly
-/// rather than the `FLAG`/`TURN`-boosted one: combining provides its
-/// own fairness (every tenure serves all pending records), so the
-/// round-robin booster would only add handoff latency.
-struct CombinerGuard<'a, O: Abortable, L: RawLock> {
-    cs: &'a ContentionSensitive<O, L>,
-    proc: usize,
+/// exactly those — **before** the tenure's [`SlowGuard`], which
+/// outlives this, releases the lock — so each owner observes a
+/// terminal state, reclaims, and retries; records that were merely
+/// posted (never claimed) are untouched and simply wait for the next
+/// combiner.
+struct Claims<'a, O: Abortable> {
+    records: &'a PubList<O>,
     /// Indices of records claimed in the current sweep.
     claimed: Vec<usize>,
     /// How many of `claimed` have been completed.
     applied: usize,
-    completed: bool,
 }
 
-impl<O: Abortable, L: RawLock> Drop for CombinerGuard<'_, O, L> {
+impl<O: Abortable> Drop for Claims<'_, O> {
     fn drop(&mut self) {
-        let cs = self.cs;
-        if self.completed {
-            cs.stats.inc(LOCKED);
-            if let Some(m) = cs.metrics.get() {
-                m.locked.inc();
-            }
-            probe!(Event::LockedComplete);
-        } else if std::thread::panicking() {
-            cs.stats.inc(POISONED);
-            if let Some(m) = cs.metrics.get() {
-                m.poisoned.inc();
-            }
-            probe!(Event::SlowPoisoned);
-            // Poison only the in-flight claims; their owners retry.
+        if std::thread::panicking() {
             for &i in &self.claimed[self.applied..] {
-                cs.records[i].poison();
+                self.records[i].poison();
             }
         }
-        if cs.config.contention_flag && cs.contention.write_lazy(false) {
-            probe!(Event::ContentionClear);
-        }
-        probe!(Event::LockRelease(self.proc as u32));
-        // Custody-fenced release: a combiner that was falsely
-        // suspected and succeeded mid-tenure must not release the
-        // inner lock out from under its successor. Without recovery
-        // this is exactly `inner().unlock()`.
-        cs.lock.raw_unlock(self.proc);
     }
 }
 
@@ -724,7 +698,7 @@ impl<O: Abortable, L> std::fmt::Debug for ContentionSensitive<O, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ContentionSensitive")
             .field("config", &self.config)
-            .field("stats", &self.stats)
+            .field("stats", &self.stats.cells)
             .finish_non_exhaustive()
     }
 }
@@ -756,7 +730,6 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             RecoveryInner {
                 live,
                 policy,
-                reclaimed: AtomicU64::new(0),
                 degraded: AtomicU32::new(0),
             }
         });
@@ -766,9 +739,11 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             lock,
             config,
             records: (0..n).map(|_| CachePadded::new(PubRecord::new())).collect(),
-            gate: CachePadded::new(AdaptiveGate::new()),
-            stats: Stripes::new(),
-            max_batch: AtomicU64::new(0),
+            stats: Arc::new(StatsBlock {
+                cells: Stripes::new(),
+                gate: CachePadded::new(AdaptiveGate::new()),
+                max_batch: AtomicU64::new(0),
+            }),
             metrics: OnceLock::new(),
             recovery,
         }
@@ -779,43 +754,46 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// [`StarvationFree`] lock's counters in under the same prefix,
     /// and registers the global probe-ring drop gauge.
     ///
+    /// Counters and gauges are *polled*: the registry reads this
+    /// object's own statistics block when it is scraped — counters as
+    /// totals since construction, whatever
+    /// [`ContentionSensitive::reset_stats`] did; gauges live — so
+    /// attaching adds no store to any path. It adds two `Instant`
+    /// readings per operation for the latency histograms, behind the
+    /// one *uncounted* atomic load (the `OnceLock` probe) every
+    /// operation pays either way: the step-budget tests still measure
+    /// Theorem 1's bound unchanged.
+    ///
     /// The first call wins; later calls (including against a different
-    /// registry) are no-ops — the handles live for the object's
-    /// lifetime. Observability is strictly additive: unattached, every
-    /// metric site costs one *uncounted* atomic load (the `OnceLock`
-    /// probe), so the step-budget tests still measure Theorem 1's
-    /// bound unchanged. Attached, operations additionally bump
-    /// wait-free sharded counters and take two `Instant` readings to
-    /// feed the per-path latency histograms.
+    /// registry) are no-ops — the timers record into one registry.
     pub fn attach_metrics(&self, registry: &Registry, prefix: &str) {
-        if self.metrics.get().is_some() {
-            // Already attached: do not register names into (another)
-            // registry that will never receive increments. A racing
-            // first attach is still resolved by the `OnceLock` below.
+        // Only the winner registers anything: a later attach must not
+        // leave names in a registry that will never see a sample.
+        let mut first = false;
+        self.metrics.get_or_init(|| {
+            first = true;
+            CsMetrics {
+                fast_ns: registry.timer(&format!("{prefix}_fast_ns")),
+                locked_ns: registry.timer(&format!("{prefix}_locked_ns")),
+                recover_ns: registry.timer(&format!("{prefix}_recover_ns")),
+            }
+        });
+        if !first {
             return;
         }
-        let _ = self.metrics.set(CsMetrics {
-            fast: registry.counter(&format!("{prefix}_ops_fast_total")),
-            fast_aborts: registry.counter(&format!("{prefix}_fast_aborts_total")),
-            eliminated: registry.counter(&format!("{prefix}_ops_eliminated_total")),
-            locked: registry.counter(&format!("{prefix}_ops_locked_total")),
-            combined: registry.counter(&format!("{prefix}_ops_combined_total")),
-            poisoned: registry.counter(&format!("{prefix}_slow_poisoned_total")),
-            timeouts: registry.counter(&format!("{prefix}_timeouts_total")),
-            record_poisoned: registry.counter(&format!("{prefix}_record_poisoned_total")),
-            reclaimed: registry.counter(&format!("{prefix}_records_reclaimed_total")),
-            batches: registry.counter(&format!("{prefix}_combine_batches_total")),
-            served: registry.counter(&format!("{prefix}_combine_served_total")),
-            max_batch: registry.gauge(&format!("{prefix}_combine_max_batch")),
-            gate_engaged: registry.gauge(&format!("{prefix}_gate_engaged")),
-            gate_abort_ewma: registry.gauge(&format!("{prefix}_gate_abort_ewma")),
-            fast_ns: registry.timer(&format!("{prefix}_fast_ns")),
-            locked_ns: registry.timer(&format!("{prefix}_locked_ns")),
-            recover_ns: registry.timer(&format!("{prefix}_recover_ns")),
-        });
-        if let Some(m) = self.metrics.get() {
-            m.publish_gate(&self.gate);
+        for (name, cell) in COUNTER_SERIES {
+            let stats = Arc::clone(&self.stats);
+            registry.counter_fn(&format!("{prefix}_{name}"), move || stats.cells.total(cell));
         }
+        let gauge = |name: &str, read: fn(&StatsBlock) -> f64| {
+            let stats = Arc::clone(&self.stats);
+            registry.gauge_fn(&format!("{prefix}_{name}"), move || read(&stats));
+        };
+        gauge("combine_max_batch", |s| {
+            s.max_batch.load(Ordering::Relaxed) as f64
+        });
+        gauge("gate_engaged", |s| f64::from(u8::from(s.gate.engaged())));
+        gauge("gate_abort_ewma", |s| s.gate.abort_ewma());
         self.lock.attach_metrics(registry, prefix);
         registry.register_probe_drop_gauge();
     }
@@ -824,7 +802,8 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     pub const PROGRESS: ProgressCondition = ProgressCondition::StarvationFree;
 
     /// Applies `op` on behalf of process `proc`; never returns ⊥
-    /// (Theorem 1 / Lemma 1).
+    /// (Theorem 1 / Lemma 1). The [`Deadline::NEVER`] instance of
+    /// [`ContentionSensitive::try_apply_until`].
     ///
     /// # Panics
     ///
@@ -834,73 +813,11 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// [`ContentionSensitive::try_apply_for`] for a non-panicking
     /// report of that state).
     pub fn apply(&self, proc: usize, op: &O::Op) -> O::Response {
-        assert!(proc < self.lock.n(), "process id out of range");
-        // Lines 01–03: the lock-free shortcut.
-        if let Some(res) = self.fast_path(op) {
-            return res;
+        match self.try_apply_until(proc, op, Deadline::NEVER) {
+            Ok(res) => res,
+            // NEVER cannot time out; Unrecoverable is the only failure.
+            Err(e) => panic!("{e}"),
         }
-        // Rungs 2–3 of the escalation ladder (no-op unless enabled).
-        if let Some(res) = self.ladder(op) {
-            return res;
-        }
-
-        // The slow-path timer covers the lock wait too — that is the
-        // latency an operation diverted off the fast path actually
-        // pays. `Instant` is only read when metrics are attached.
-        let slow_t0 = self.metrics.get().map(|_| Instant::now());
-
-        // The combining slow path replaces lines 04–13 wholesale
-        // (until repeated successions degrade it back to plain
-        // locking).
-        if self.combining_enabled() {
-            let res = self.apply_combining(proc, op);
-            if let (Some(m), Some(t0)) = (self.metrics.get(), slow_t0) {
-                m.locked_ns.record(t0.elapsed());
-            }
-            return res;
-        }
-
-        // Lines 04–06: acquire the (boosted) lock.
-        fail_point!("cs::lock-wait");
-        if let Err(e) = self.lock_slow(proc) {
-            panic!("{e}");
-        }
-        probe!(Event::LockAcquire(proc as u32));
-        let mut guard = SlowGuard {
-            cs: self,
-            proc,
-            completed: false,
-        };
-
-        // Line 07. The previous holder lowered the register before
-        // releasing, so the lazy store is always a real toggle here —
-        // the read-before-write only saves the redundant-store case
-        // (repeated raises within one combining storm).
-        if self.config.contention_flag && self.contention.write_lazy(true) {
-            probe!(Event::ContentionRaise);
-        }
-        fail_point!("cs::locked");
-
-        // Line 08: bounded in practice by Lemma 2 — only the fast-path
-        // operations already in flight can make us abort, and future
-        // invocations see CONTENTION and queue behind the lock. The
-        // spinner only yields the CPU so those in-flight operations can
-        // finish on oversubscribed machines; it adds no shared accesses.
-        let mut spinner = Spinner::new();
-        let res = loop {
-            match self.inner.try_apply(op) {
-                Ok(res) => break res,
-                Err(_) => spinner.spin(),
-            }
-        };
-
-        // Lines 09–13 run in the guard's drop (also on unwind).
-        guard.completed = true;
-        drop(guard);
-        if let (Some(m), Some(t0)) = (self.metrics.get(), slow_t0) {
-            m.locked_ns.record(t0.elapsed());
-        }
-        res
     }
 
     /// Deadline-bounded [`ContentionSensitive::apply`]: gives up — with
@@ -936,7 +853,11 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     }
 
     /// [`ContentionSensitive::try_apply_for`] with an absolute
-    /// [`Deadline`] (shared across several calls when composing).
+    /// [`Deadline`] (shared across several calls when composing) —
+    /// Figure 3 itself: every entry point is an instance of this one.
+    /// A bounded deadline always takes the plain slow path; the
+    /// combining one (a posted record cannot be abandoned mid-claim) is
+    /// taken only when the wait is unbounded.
     ///
     /// # Errors
     ///
@@ -954,56 +875,55 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         deadline: Deadline,
     ) -> Result<O::Response, CsError> {
         assert!(proc < self.lock.n(), "process id out of range");
-        // Lines 01–03: the shortcut costs no waiting, deadline or not.
+        // Lines 01–03: the lock-free shortcut costs no waiting,
+        // deadline or not.
         if let Some(res) = self.fast_path(op) {
             return Ok(res);
         }
-        // Rungs 2–3: bounded (backoff windows and park polls are
-        // finite), so one pass through the ladder respects any
-        // reasonable deadline; skip it entirely once expired.
+        // Rungs 2–3 of the escalation ladder (no-op unless enabled):
+        // bounded (backoff windows and park polls are finite), so one
+        // pass respects any reasonable deadline; skip it once expired.
         if !deadline.expired() {
             if let Some(res) = self.ladder(op) {
                 return Ok(res);
             }
         }
-
-        let slow_t0 = self.metrics.get().map(|_| Instant::now());
-
-        // Lines 04–06, bounded.
-        fail_point!("cs::lock-wait");
-        let acquired = if let Some(rcv) = &self.recovery {
-            rcv.live.announce(proc);
-            let before = self.successions();
-            let t0 = self.metrics.get().map(|_| Instant::now());
-            match self.lock.lock_recovering_until(proc, deadline) {
-                RecoveringLock::Acquired => {
-                    self.note_recovered(before, t0);
-                    true
-                }
-                RecoveringLock::TimedOut => false,
-                RecoveringLock::Poisoned => {
-                    self.note_degraded();
-                    return Err(CsError::Unrecoverable);
-                }
-            }
-        } else if self.config.fair {
-            self.lock.lock_until(proc, deadline)
+        // The slow-path timer covers the lock wait too — that is the
+        // latency an operation diverted off the fast path actually
+        // pays. `Instant` is only read when metrics are attached.
+        let timed = self.metrics.get().map(|m| (m, Instant::now()));
+        let res = if deadline == Deadline::NEVER && self.combining_enabled() {
+            // Replaces lines 04–13 wholesale (until repeated
+            // successions degrade it back to plain locking).
+            self.apply_combining(proc, op)
         } else {
-            self.lock.inner().try_lock_until(deadline)
+            self.apply_locked(proc, op, deadline)?
         };
-        if !acquired {
-            self.stats.inc(TIMEOUTS);
-            if let Some(m) = self.metrics.get() {
-                m.timeouts.inc();
-            }
-            probe!(Event::SlowTimeout);
-            return Err(TimedOut.into());
+        if let Some((m, t0)) = timed {
+            m.locked_ns.record(t0.elapsed());
+        }
+        Ok(res)
+    }
+
+    /// Lines 04–13, the plain slow path, every wait bounded by
+    /// `deadline`.
+    fn apply_locked(
+        &self,
+        proc: usize,
+        op: &O::Op,
+        deadline: Deadline,
+    ) -> Result<O::Response, CsError> {
+        // Lines 04–06: acquire the (boosted) lock.
+        fail_point!("cs::lock-wait");
+        if !self.acquire(proc, deadline)? {
+            return Err(self.timed_out());
         }
         probe!(Event::LockAcquire(proc as u32));
         let mut guard = SlowGuard {
             cs: self,
             proc,
             completed: false,
+            raw: false,
         };
 
         // Line 07. The previous holder lowered the register before
@@ -1015,32 +935,32 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         }
         fail_point!("cs::locked");
 
-        // Line 08, bounded. Giving up mid-loop is safe: every failed
-        // try_apply had no effect, and the guard restores lines 09–12.
+        // Line 08: bounded in practice by Lemma 2 — only the fast-path
+        // operations already in flight can make us abort, and future
+        // invocations see CONTENTION and queue behind the lock. The
+        // spinner only yields the CPU so those in-flight operations can
+        // finish on oversubscribed machines; it adds no shared accesses.
+        // Giving up mid-loop is safe: every failed try_apply had no
+        // effect, and the guard restores lines 09–12.
         let mut spinner = Spinner::new();
         loop {
-            match self.inner.try_apply(op) {
-                Ok(res) => {
-                    guard.completed = true;
-                    drop(guard);
-                    if let (Some(m), Some(t0)) = (self.metrics.get(), slow_t0) {
-                        m.locked_ns.record(t0.elapsed());
-                    }
-                    return Ok(res);
-                }
-                Err(_) => {
-                    if !spinner.spin_deadline(deadline) {
-                        drop(guard);
-                        self.stats.inc(TIMEOUTS);
-                        if let Some(m) = self.metrics.get() {
-                            m.timeouts.inc();
-                        }
-                        probe!(Event::SlowTimeout);
-                        return Err(TimedOut.into());
-                    }
-                }
+            if let Ok(res) = self.inner.try_apply(op) {
+                // Lines 09–13 run in the guard's drop (also on unwind).
+                guard.completed = true;
+                return Ok(res);
+            }
+            if !spinner.spin_deadline(deadline) {
+                drop(guard);
+                return Err(self.timed_out());
             }
         }
+    }
+
+    /// Counts one deadline expiry and returns its error.
+    fn timed_out(&self) -> CsError {
+        self.stats.cells.inc(TIMEOUTS);
+        probe!(Event::SlowTimeout);
+        TimedOut.into()
     }
 
     /// Whether new arrivals should take the combining slow path: the
@@ -1055,49 +975,46 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                 .map_or(true, |r| r.degraded.load(Ordering::Relaxed) == 0)
     }
 
-    /// Lines 04–06 for the plain (non-combining) slow path: the
-    /// boosted lock, via the crash-recovering acquisition when
-    /// [`CsConfig::recovery`] is set.
+    /// Lines 04–06 for the plain (non-combining) slow path, bounded by
+    /// `deadline`: the boosted lock (the inner lock alone in the unfair
+    /// ablation), via the crash-recovering acquisition when
+    /// [`CsConfig::recovery`] is set. `Ok(false)` is a timeout.
     ///
     /// # Errors
     ///
     /// Returns [`Unrecoverable`] once the succession budget is
     /// exhausted (nothing is held; the operation had no effect).
-    fn lock_slow(&self, proc: usize) -> Result<(), Unrecoverable> {
+    fn acquire(&self, proc: usize, deadline: Deadline) -> Result<bool, Unrecoverable> {
         let Some(rcv) = &self.recovery else {
-            if self.config.fair {
-                self.lock.lock(proc);
+            return Ok(if self.config.fair {
+                self.lock.lock_until(proc, deadline)
             } else {
-                self.lock.inner().lock();
-            }
-            return Ok(());
+                self.lock.inner().try_lock_until(deadline)
+            });
         };
         rcv.live.announce(proc);
         let before = self.successions();
-        let t0 = self.metrics.get().map(|_| Instant::now());
-        if !self.lock.lock_recovering(proc) {
-            self.note_degraded();
-            return Err(Unrecoverable);
+        let timed = self.metrics.get().map(|m| (m, Instant::now()));
+        match self.lock.lock_recovering_until(proc, deadline) {
+            RecoveringLock::Acquired => {
+                // Time-to-recover: it went through a succession.
+                if let Some((m, t0)) = timed.filter(|_| self.successions() > before) {
+                    m.recover_ns.record(t0.elapsed());
+                }
+                self.note_degraded();
+                Ok(true)
+            }
+            RecoveringLock::TimedOut => Ok(false),
+            RecoveringLock::Poisoned => {
+                self.note_degraded();
+                Err(Unrecoverable)
+            }
         }
-        self.note_recovered(before, t0);
-        Ok(())
     }
 
     /// Completed lock successions so far (0 when recovery is off).
     fn successions(&self) -> u64 {
         self.lock.recovery_stats().map_or(0, |s| s.successions)
-    }
-
-    /// After a recovering acquisition: if it went through a
-    /// succession, record the time-to-recover, and refresh the
-    /// degradation rung either way.
-    fn note_recovered(&self, successions_before: u64, t0: Option<Instant>) {
-        if self.successions() > successions_before {
-            if let (Some(m), Some(t0)) = (self.metrics.get(), t0) {
-                m.recover_ns.record(t0.elapsed());
-            }
-        }
-        self.note_degraded();
     }
 
     /// Folds the lock's recovery state into the degradation high-water
@@ -1130,45 +1047,38 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         if self.config.contention_flag && self.contention.read() {
             return None;
         }
-        if self.config.adaptive_gate && self.gate.should_divert() {
+        if self.config.adaptive_gate && self.stats.gate.should_divert() {
             return None;
         }
         fail_point!("cs::fast", return None);
-        probe!(Event::FastAttempt);
-        let m = self.metrics.get();
-        let t0 = m.map(|_| Instant::now());
-        match self.inner.try_apply(op) {
-            Ok(res) => {
-                if self.config.adaptive_gate {
-                    self.gate.record(false);
-                }
-                self.stats.inc(FAST);
-                if let Some(m) = m {
-                    m.fast.inc();
-                    if let Some(t0) = t0 {
-                        m.fast_ns.record(t0.elapsed());
-                    }
-                    if self.config.adaptive_gate {
-                        m.publish_gate(&self.gate);
-                    }
-                }
-                probe!(Event::FastSuccess);
-                Some(res)
-            }
-            Err(_) => {
-                if self.config.adaptive_gate {
-                    self.gate.record(true);
-                }
-                if let Some(m) = m {
-                    m.fast_aborts.inc();
-                    if self.config.adaptive_gate {
-                        m.publish_gate(&self.gate);
-                    }
-                }
-                probe!(Event::FastAbort);
-                None
-            }
+        let timed = self.metrics.get().map(|m| (m, Instant::now()));
+        let res = self.weak_attempt(op)?;
+        if let Some((m, t0)) = timed {
+            m.fast_ns.record(t0.elapsed());
         }
+        Some(res)
+    }
+
+    /// One lock-free weak attempt — line 02, and each of the ladder's
+    /// retries — with its bookkeeping: the gate's sample, the `fast` or
+    /// `fast_aborts` cell, the probe pair. Two call sites, so `#[inline]`
+    /// alone leaves it out of line: a call, and the response returned
+    /// through memory, on the path Theorem 1 is about.
+    #[inline(always)]
+    fn weak_attempt(&self, op: &O::Op) -> Option<O::Response> {
+        probe!(Event::FastAttempt);
+        let res = self.inner.try_apply(op).ok();
+        if self.config.adaptive_gate {
+            self.stats.gate.record(res.is_none());
+        }
+        if res.is_some() {
+            self.stats.cells.inc(FAST);
+            probe!(Event::FastSuccess);
+        } else {
+            self.stats.cells.inc(FAST_ABORTS);
+            probe!(Event::FastAbort);
+        }
+        res
     }
 
     /// Rungs 2–3 of the escalation ladder, between the bare fast path
@@ -1197,33 +1107,13 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                     break;
                 }
                 CAS_CM.with(|cm| cm.borrow_mut().wait());
-                probe!(Event::FastAttempt);
-                match self.inner.try_apply(op) {
-                    Ok(res) => {
-                        CAS_CM.with(|cm| cm.borrow_mut().on_success());
-                        if self.config.adaptive_gate {
-                            self.gate.record(false);
-                        }
-                        self.stats.inc(FAST);
-                        if let Some(m) = self.metrics.get() {
-                            m.fast.inc();
-                            if self.config.adaptive_gate {
-                                m.publish_gate(&self.gate);
-                            }
-                        }
-                        probe!(Event::FastSuccess);
-                        return Some(res);
-                    }
-                    Err(_) => {
-                        CAS_CM.with(|cm| cm.borrow_mut().on_failure());
-                        if self.config.adaptive_gate {
-                            self.gate.record(true);
-                        }
-                        if let Some(m) = self.metrics.get() {
-                            m.fast_aborts.inc();
-                        }
-                        probe!(Event::FastAbort);
-                    }
+                let res = self.weak_attempt(op);
+                CAS_CM.with(|cm| match res {
+                    Some(_) => cm.borrow_mut().on_success(),
+                    None => cm.borrow_mut().on_failure(),
+                });
+                if res.is_some() {
+                    return res;
                 }
             }
         }
@@ -1231,17 +1121,14 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             if self.config.contention_flag && self.contention.peek() {
                 return None;
             }
-            let polls = if self.gate.engaged() {
+            let polls = if self.stats.gate.engaged() {
                 ELIM_POLLS_LONG
             } else {
                 ELIM_POLLS_SHORT
             };
             probe!(Event::ElimAttempt);
             if let Some(res) = self.inner.try_eliminate(op, polls) {
-                self.stats.inc(ELIMINATED);
-                if let Some(m) = self.metrics.get() {
-                    m.eliminated.inc();
-                }
+                self.stats.cells.inc(ELIMINATED);
                 probe!(Event::EliminatedComplete);
                 return Some(res);
             }
@@ -1265,12 +1152,15 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         let rec: &PubRecord<O::Op, O::Response> = &self.records[proc];
         #[cfg(feature = "trace")]
         let posted_at = std::time::Instant::now();
-        // SAFETY: this frame does not return until the record reaches
-        // a terminal state it consumes (retract under the lock, take
-        // after Done, reclaim after Poisoned/Tombstone), so `op` stays
-        // valid for any claimer.
-        unsafe { rec.post(op) };
-        probe!(Event::RecordPost);
+        let post = || {
+            // SAFETY: this frame does not return until the record
+            // reaches a terminal state it consumes (retract under the
+            // lock, take after Done, reclaim after Poisoned/Tombstone),
+            // so `op` stays valid for any claimer.
+            unsafe { rec.post(op) };
+            probe!(Event::RecordPost);
+        };
+        post();
         fail_point!("cs::post");
         let mut spinner = Spinner::new();
         loop {
@@ -1284,10 +1174,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                     let res = rec.take_response();
                     // An under-lock completion, attributed to this
                     // (invoking) process — the combiner only executed.
-                    self.stats.inc(LOCKED);
-                    if let Some(m) = self.metrics.get() {
-                        m.combined.inc();
-                    }
+                    self.stats.cells.inc(HANDED_OFF);
                     #[cfg(feature = "trace")]
                     probe!(Event::RecordHandoff(
                         u32::try_from(posted_at.elapsed().as_nanos()).unwrap_or(u32::MAX)
@@ -1300,14 +1187,9 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                     // The combiner unwound before applying us: the
                     // operation took no effect. Reclaim and repost.
                     rec.reclaim_poisoned();
-                    self.stats.inc(RECORD_POISONED);
-                    if let Some(m) = self.metrics.get() {
-                        m.record_poisoned.inc();
-                    }
+                    self.stats.cells.inc(RECORD_POISONED);
                     probe!(Event::RecordPoisoned);
-                    // SAFETY: as for the initial post above.
-                    unsafe { rec.post(op) };
-                    probe!(Event::RecordPost);
+                    post();
                 }
                 RecordState::Tombstone => {
                     // A combiner suspected us dead and retired the
@@ -1319,52 +1201,50 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                     if let Some(rcv) = &self.recovery {
                         rcv.live.announce(proc);
                     }
-                    // SAFETY: as for the initial post above.
-                    unsafe { rec.post(op) };
-                    probe!(Event::RecordPost);
+                    post();
                 }
                 _ => {
-                    if self.lock.inner().try_lock() {
-                        self.lock.note_holder(proc);
-                        probe!(Event::LockAcquire(proc as u32));
-                        if rec.try_retract() {
-                            return self.combine(proc, op);
-                        }
-                        // The previous holder moved our record to a
-                        // terminal state just before we acquired;
-                        // release and collect it on the next poll.
-                        probe!(Event::LockRelease(proc as u32));
-                        self.lock.raw_unlock(proc);
-                    } else if let Some(rcv) = &self.recovery {
-                        rcv.live.beat(proc);
-                        // The lock is held: maybe by a live combiner
-                        // about to serve us, maybe by a corpse. Try to
-                        // seize custody of a suspected-dead holder's
-                        // tenure (no-op before the grace period).
-                        if self.lock.try_succeed_raw(proc) == Succession::Acquired {
-                            self.note_degraded();
-                            probe!(Event::LockAcquire(proc as u32));
-                            // The corpse's in-flight claims will never
-                            // complete; poison them so their (live)
-                            // owners reclaim and repost. Our own
-                            // record may be among them, in which case
-                            // the retract below fails and the Poisoned
-                            // arm of this loop reposts it.
-                            self.poison_orphan_claims();
-                            if rec.try_retract() {
-                                return self.combine(proc, op);
-                            }
-                            probe!(Event::LockRelease(proc as u32));
-                            self.lock.raw_unlock(proc);
-                        } else {
-                            spinner.spin();
-                        }
-                    } else {
+                    if !self.try_acquire_raw(proc) {
                         spinner.spin();
+                        continue;
                     }
+                    if rec.try_retract() {
+                        return self.combine(proc, op);
+                    }
+                    // Our record reached a terminal state just before
+                    // we acquired (or was among the orphan claims we
+                    // poisoned); release and collect it on the next
+                    // poll.
+                    probe!(Event::LockRelease(proc as u32));
+                    self.lock.raw_unlock(proc);
                 }
             }
         }
+    }
+
+    /// One acquisition attempt of the combining path: the inner lock
+    /// directly or — with recovery, when it is held, maybe by a live
+    /// combiner about to serve us, maybe by a corpse — custody seized
+    /// from a suspected-dead holder (a no-op before the grace period).
+    /// The corpse's in-flight claims will never complete; they are
+    /// poisoned so their (live) owners reclaim and repost.
+    fn try_acquire_raw(&self, proc: usize) -> bool {
+        if self.lock.inner().try_lock() {
+            self.lock.note_holder(proc);
+            probe!(Event::LockAcquire(proc as u32));
+            return true;
+        }
+        let Some(rcv) = &self.recovery else {
+            return false;
+        };
+        rcv.live.beat(proc);
+        if self.lock.try_succeed_raw(proc) != Succession::Acquired {
+            return false;
+        }
+        self.note_degraded();
+        probe!(Event::LockAcquire(proc as u32));
+        self.poison_orphan_claims();
+        true
     }
 
     /// Called with the inner lock freshly *seized* from a suspected-
@@ -1391,14 +1271,13 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// The combiner's lock tenure: apply our own operation, then serve
     /// every pending publication record. Called with the inner lock
     /// held and our own record retracted; the guard releases the lock
-    /// (and poisons in-flight claims) even on unwind.
+    /// even on unwind.
     fn combine(&self, proc: usize, op: &O::Op) -> O::Response {
-        let mut guard = CombinerGuard {
+        let mut guard = SlowGuard {
             cs: self,
             proc,
-            claimed: Vec::new(),
-            applied: 0,
             completed: false,
+            raw: true,
         };
         // Line 07: divert fast-path arrivals while we batch.
         if self.config.contention_flag && self.contention.write_lazy(true) {
@@ -1413,17 +1292,12 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                 Err(_) => spinner.spin(),
             }
         };
-        let served = self.serve_pending(&mut guard);
-        self.stats.inc(BATCHES);
-        self.stats.add(COMBINED, served);
-        let prev_max = self.max_batch.fetch_max(served + 1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.batches.inc();
-            m.served.add(served);
-            // Racing tenures may publish out of order; the gauge is a
-            // best-effort view of the monotonic internal counter.
-            m.max_batch.set(prev_max.max(served + 1) as f64);
-        }
+        let served = self.serve_pending(proc);
+        self.stats.cells.inc(BATCHES);
+        self.stats.cells.add(SERVED, served);
+        self.stats
+            .max_batch
+            .fetch_max(served + 1, Ordering::Relaxed);
         probe!(Event::CombineBatch(
             u32::try_from(served + 1).unwrap_or(u32::MAX)
         ));
@@ -1436,8 +1310,13 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// request, for up to [`COMBINE_ROUNDS`] rounds (bounding the
     /// tenure keeps the combiner itself from being starved by a steady
     /// request stream). Returns the number of requests served.
-    fn serve_pending(&self, guard: &mut CombinerGuard<'_, O, L>) -> u64 {
+    fn serve_pending(&self, proc: usize) -> u64 {
         let mut ops: Vec<*const O::Op> = Vec::new();
+        let mut claims = Claims::<O> {
+            records: &self.records,
+            claimed: Vec::new(),
+            applied: 0,
+        };
         let mut served = 0u64;
         // This tenure's trace-thread id, stamped into every record we
         // complete so the owner can attribute its completion to us
@@ -1446,10 +1325,10 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         for _ in 0..COMBINE_ROUNDS {
             // Claim phase: collect everything posted so far.
             ops.clear();
-            guard.claimed.clear();
-            guard.applied = 0;
+            claims.claimed.clear();
+            claims.applied = 0;
             for (i, rec) in self.records.iter().enumerate() {
-                if i == guard.proc {
+                if i == proc {
                     continue;
                 }
                 if let Some(rcv) = &self.recovery {
@@ -1464,17 +1343,14 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                         && rcv.live.suspect(i, rcv.policy.grace)
                         && rec.try_tombstone_posted()
                     {
-                        rcv.reclaimed.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = self.metrics.get() {
-                            m.reclaimed.inc();
-                        }
+                        self.stats.cells.inc(RECLAIMED);
                         probe!(Event::SuspectRaised(i as u32));
                         probe!(Event::RecordReclaimed(i as u32));
                         continue;
                     }
                 }
                 if let Some(ptr) = rec.try_claim() {
-                    guard.claimed.push(i);
+                    claims.claimed.push(i);
                     ops.push(ptr);
                 }
             }
@@ -1496,9 +1372,9 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                         Err(_) => spinner.spin(),
                     }
                 };
-                self.records[guard.claimed[k]].stamp_helper(combiner_tid);
-                self.records[guard.claimed[k]].complete(res);
-                guard.applied = k + 1;
+                self.records[claims.claimed[k]].stamp_helper(combiner_tid);
+                self.records[claims.claimed[k]].complete(res);
+                claims.applied = k + 1;
             }
             self.inner.batch_end(ops.len());
             served += ops.len() as u64;
@@ -1509,9 +1385,9 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// Snapshot of how many operations used each path.
     pub fn stats(&self) -> PathStats {
         PathStats {
-            fast: self.stats.get(FAST),
-            eliminated: self.stats.get(ELIMINATED),
-            locked: self.stats.get(LOCKED),
+            fast: self.stats.cells.get(FAST),
+            eliminated: self.stats.cells.get(ELIMINATED),
+            locked: self.stats.cells.get(LOCKED) + self.stats.cells.get(HANDED_OFF),
         }
     }
 
@@ -1519,9 +1395,9 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// and deadline expiries). See the module docs for the fault model.
     pub fn fault_stats(&self) -> FaultStats {
         FaultStats {
-            poisoned: self.stats.get(POISONED),
-            timeouts: self.stats.get(TIMEOUTS),
-            record_poisoned: self.stats.get(RECORD_POISONED),
+            poisoned: self.stats.cells.get(POISONED),
+            timeouts: self.stats.cells.get(TIMEOUTS),
+            record_poisoned: self.stats.cells.get(RECORD_POISONED),
         }
     }
 
@@ -1529,9 +1405,9 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// unless [`CsConfig::combining`] is on).
     pub fn combining_stats(&self) -> CombiningStats {
         CombiningStats {
-            batches: self.stats.get(BATCHES),
-            combined: self.stats.get(COMBINED),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
+            batches: self.stats.cells.get(BATCHES),
+            combined: self.stats.cells.get(SERVED),
+            max_batch: self.stats.max_batch.load(Ordering::Relaxed),
         }
     }
 
@@ -1540,7 +1416,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// [`AdaptiveGate::force_engage`]). It only routes operations when
     /// [`CsConfig::adaptive_gate`] is on.
     pub fn gate(&self) -> &AdaptiveGate {
-        &self.gate
+        &self.stats.gate
     }
 
     /// One coherent snapshot of [`PathStats`] and [`FaultStats`]
@@ -1572,7 +1448,8 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         self.note_degraded();
         let sf = self.lock.recovery_stats()?;
         Some(RecoveryStats {
-            reclaimed: rcv.reclaimed.load(Ordering::Relaxed),
+            // Recovery progress is not a restartable statistic.
+            reclaimed: self.stats.cells.total(RECLAIMED),
             successions: sf.successions,
             fenced_unlocks: sf.fenced_unlocks,
             degraded: rcv.degraded.load(Ordering::Relaxed),
@@ -1601,8 +1478,8 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// reconcilable: completions since the reset still equal
     /// `telemetry().invocations()` at the next quiescent point.
     pub fn reset_stats(&self) {
-        self.stats.reset();
-        self.max_batch.store(0, Ordering::Relaxed);
+        self.stats.cells.reset();
+        self.stats.max_batch.store(0, Ordering::Relaxed);
     }
 
     /// The number of processes this instance serves.
@@ -2039,19 +1916,33 @@ mod tests {
     fn statistics_share_no_line_with_the_read_mostly_words() {
         use cso_memory::layout::{disjoint, lines_of};
         let cs = make(0, CsConfig::PAPER);
-        // The words every fast-path operation reads…
-        let read_mostly = [
+        let block: &StatsBlock = &cs.stats;
+        // Every word operations write without holding the lock is in
+        // the block, the block is a whole number of lines, and within
+        // it the stripes, the gate and `max_batch` share none…
+        assert_eq!(std::ptr::from_ref(block) as usize % 128, 0);
+        assert_eq!(std::mem::size_of::<StatsBlock>() % 128, 0);
+        let written = [
+            lines_of(&block.cells),
+            lines_of(&block.gate),
+            lines_of(&block.max_batch),
+        ];
+        for (i, hot) in written.iter().enumerate() {
+            assert!(written[i + 1..].iter().all(|other| disjoint(hot, other)));
+        }
+        // …so no statistics store lands on a line of the object, which
+        // keeps only the pointer. The words every fast-path operation
+        // reads — that pointer among them — share no line with the
+        // lock either, whose words the slow path writes.
+        assert!(disjoint(&lines_of(block), &lines_of(&cs)));
+        for read_mostly in [
             lines_of(&cs.contention),
             lines_of(&cs.config),
+            lines_of(&cs.stats),
             lines_of(&cs.metrics),
-        ];
-        // …and the ones operations write without holding the lock.
-        for hot in [lines_of(&cs.stats), lines_of(&cs.gate)] {
-            for cold in &read_mostly {
-                assert!(disjoint(&hot, cold), "{hot:?} overlaps {cold:?}");
-            }
+        ] {
+            assert!(disjoint(&read_mostly, &lines_of(&cs.lock)));
         }
-        assert!(disjoint(&lines_of(&cs.stats), &lines_of(&cs.gate)));
     }
 
     #[test]
@@ -2197,11 +2088,19 @@ mod tests {
         assert!(cs.gate().stats().diverted > 0);
     }
 
-    fn counter_value(snap: &cso_metrics::Snapshot, name: &str) -> Option<u64> {
-        snap.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
+    #[test]
+    fn attached_gate_gauges_read_the_live_gate() {
+        let reg = Registry::new();
+        let cs = make(0, CsConfig::COMBINING);
+        cs.attach_metrics(&reg, "g");
+        let scraped = || reg.snapshot().gauge("g_gate_engaged");
+        assert_eq!(scraped(), Some(0.0));
+        // No operation runs between the two scrapes, so nothing could
+        // have pushed the value: the scrape must read the gate itself.
+        cs.gate().force_engage();
+        assert_eq!(scraped(), Some(1.0));
+        cs.gate().reset();
+        assert_eq!(scraped(), Some(0.0));
     }
 
     #[test]
@@ -2215,13 +2114,13 @@ mod tests {
             .try_apply_for(1, &Bump(1), Duration::from_millis(50))
             .is_ok()); // fast again (the single abort is spent)
         let snap = reg.snapshot();
-        assert_eq!(counter_value(&snap, "t_ops_fast_total"), Some(2));
-        assert_eq!(counter_value(&snap, "t_ops_locked_total"), Some(1));
-        assert_eq!(counter_value(&snap, "t_ops_combined_total"), Some(0));
-        assert_eq!(counter_value(&snap, "t_fast_aborts_total"), Some(1));
-        assert_eq!(counter_value(&snap, "t_timeouts_total"), Some(0));
+        assert_eq!(snap.counter("t_ops_fast_total"), Some(2));
+        assert_eq!(snap.counter("t_ops_locked_total"), Some(1));
+        assert_eq!(snap.counter("t_ops_combined_total"), Some(0));
+        assert_eq!(snap.counter("t_fast_aborts_total"), Some(1));
+        assert_eq!(snap.counter("t_timeouts_total"), Some(0));
         // The lock's own counters registered under the same prefix.
-        assert_eq!(counter_value(&snap, "t_lock_acquires_total"), Some(1));
+        assert_eq!(snap.counter("t_lock_acquires_total"), Some(1));
         // Per-path latency histograms saw each completion.
         let timer = |name: &str| {
             snap.timers
@@ -2241,13 +2140,10 @@ mod tests {
         cs.attach_metrics(&first, "a");
         cs.attach_metrics(&second, "b");
         cs.apply(0, &Bump(1));
-        assert_eq!(
-            counter_value(&first.snapshot(), "a_ops_fast_total"),
-            Some(1)
-        );
+        assert_eq!(first.snapshot().counter("a_ops_fast_total"), Some(1));
         // The second attach was a full no-op: no "b_*" names were even
         // registered, let alone incremented.
-        assert_eq!(counter_value(&second.snapshot(), "b_ops_fast_total"), None);
+        assert_eq!(second.snapshot().counter("b_ops_fast_total"), None);
     }
 
     #[test]
@@ -2259,10 +2155,10 @@ mod tests {
         let snap = reg.snapshot();
         // A solo combiner completes its own op under the lock: locked,
         // not combined; one batch, nothing served.
-        assert_eq!(counter_value(&snap, "c_ops_locked_total"), Some(1));
-        assert_eq!(counter_value(&snap, "c_ops_combined_total"), Some(0));
-        assert_eq!(counter_value(&snap, "c_combine_batches_total"), Some(1));
-        assert_eq!(counter_value(&snap, "c_combine_served_total"), Some(0));
+        assert_eq!(snap.counter("c_ops_locked_total"), Some(1));
+        assert_eq!(snap.counter("c_ops_combined_total"), Some(0));
+        assert_eq!(snap.counter("c_combine_batches_total"), Some(1));
+        assert_eq!(snap.counter("c_combine_served_total"), Some(0));
     }
 
     #[test]
@@ -2412,9 +2308,9 @@ mod tests {
         cs.apply(0, &Bump(1)); // fast abort → eliminated
         cs.apply(0, &Bump(1)); // fast (the scripted abort is spent)
         let snap = reg.snapshot();
-        assert_eq!(counter_value(&snap, "e_ops_eliminated_total"), Some(1));
-        assert_eq!(counter_value(&snap, "e_ops_fast_total"), Some(1));
-        assert_eq!(counter_value(&snap, "e_ops_locked_total"), Some(0));
+        assert_eq!(snap.counter("e_ops_eliminated_total"), Some(1));
+        assert_eq!(snap.counter("e_ops_fast_total"), Some(1));
+        assert_eq!(snap.counter("e_ops_locked_total"), Some(0));
     }
 
     #[test]

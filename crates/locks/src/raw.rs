@@ -35,7 +35,10 @@ pub trait RawLock: Send + Sync {
     /// Attempts to acquire the lock until `deadline` expires; returns
     /// whether the acquisition succeeded. The default implementation
     /// polls [`RawLock::try_lock`] through a [`Spinner`], so it never
-    /// sleeps past the deadline even over a blocking inner lock.
+    /// sleeps past the deadline even over a blocking inner lock. With
+    /// [`Deadline::NEVER`] there is nothing to poll for: the wait is
+    /// [`RawLock::lock`] itself, so a queue lock (CLH, MCS, ticket)
+    /// enqueues and keeps its FIFO order.
     ///
     /// ```
     /// use cso_locks::{RawLock, TasLock};
@@ -50,6 +53,10 @@ pub trait RawLock: Send + Sync {
     /// lock.unlock();
     /// ```
     fn try_lock_until(&self, deadline: Deadline) -> bool {
+        if deadline == Deadline::NEVER {
+            self.lock();
+            return true;
+        }
         let mut spinner = Spinner::new();
         loop {
             if self.try_lock() {

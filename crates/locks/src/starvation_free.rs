@@ -49,7 +49,8 @@ use cso_memory::combining::CachePadded;
 use cso_memory::fail_point;
 use cso_memory::liveness::{Liveness, RecoveryPolicy};
 use cso_memory::reg::{RegBool, RegUsize};
-use cso_metrics::{Counter, Registry};
+use cso_memory::Stripes;
+use cso_metrics::Registry;
 use cso_trace::{probe, Event};
 #[cfg(feature = "trace")]
 use cso_trace::{probe_if, NO_TID};
@@ -73,8 +74,6 @@ struct RecoveryState {
     /// Succession critical section: `recoverer + 1`, `0` = free. The
     /// lease itself is breakable (a recoverer can die too).
     recovering: AtomicUsize,
-    /// Completed successions (monotone; feeds the degradation ladder).
-    successions: AtomicU64,
     /// Unlocks by a displaced holder that were fenced off.
     fenced_unlocks: AtomicU64,
     /// Set once the succession budget is exhausted: the lock is
@@ -126,18 +125,23 @@ pub struct SfRecoveryStats {
     pub holder: Option<usize>,
 }
 
-/// Registry handles for an attached [`StarvationFree`] lock. All
-/// counters are plain (uncounted) atomics, so attaching metrics never
-/// changes the paper's counted-access budgets.
+/// What the lock counts about itself, always on and each fact once.
+/// Plain (uncounted) atomics, so the paper's counted-access budgets
+/// are unchanged; behind an `Arc` so an attached registry can read
+/// the block at scrape time.
 #[derive(Debug)]
-struct SfMetrics {
-    /// Successful acquisitions through the booster (any entry point).
-    acquires: Counter,
-    /// Line-11 `TURN` advances (the round-robin fairness handoffs).
-    turn_advances: Counter,
-    /// Completed lock successions (custody seized from a dead holder).
-    successions: Counter,
+struct SfCounts {
+    /// [`ACQUIRES`] and [`TURN_ADVANCES`], on single-writer stripes.
+    cells: Stripes<2>,
+    /// Completed successions (monotone; checked against the budget
+    /// and fed to the degradation ladder).
+    successions: AtomicU64,
 }
+
+/// Successful acquisitions through the booster (any entry point).
+const ACQUIRES: usize = 0;
+/// Line-11 `TURN` advances (the round-robin fairness handoffs).
+const TURN_ADVANCES: usize = 1;
 
 /// Boosts any deadlock-free [`RawLock`] into a starvation-free
 /// [`ProcLock`] using the paper's `FLAG`/`TURN` round-robin mechanism.
@@ -174,8 +178,8 @@ pub struct StarvationFree<L> {
     /// word for the same reason — every waiter re-reads `TURN` in its
     /// spin loop.
     turn: CachePadded<RegUsize>,
-    /// Optional registry handles (see [`StarvationFree::attach_metrics`]).
-    metrics: OnceLock<SfMetrics>,
+    /// The lock's own counters (see [`StarvationFree::attach_metrics`]).
+    counts: Arc<SfCounts>,
     /// Optional crash-recovery state (see
     /// [`StarvationFree::enable_recovery`]).
     recovery: OnceLock<RecoveryState>,
@@ -210,7 +214,10 @@ impl<L> StarvationFree<L> {
                 .map(|_| CachePadded::new(RegBool::new(false)))
                 .collect(),
             turn: CachePadded::new(RegUsize::new(0)),
-            metrics: OnceLock::new(),
+            counts: Arc::new(SfCounts {
+                cells: Stripes::new(),
+                successions: AtomicU64::new(0),
+            }),
             recovery: OnceLock::new(),
             #[cfg(feature = "trace")]
             prev_tid: CachePadded::new(AtomicU32::new(NO_TID)),
@@ -234,22 +241,28 @@ impl<L: RawLock> StarvationFree<L> {
     /// Registers this lock's fairness metrics into `registry` under
     /// `<prefix>_lock_acquires_total`,
     /// `<prefix>_turn_advances_total` and
-    /// `<prefix>_lock_successions_total`. Idempotent (the first
-    /// attachment wins); hot paths pay one uncounted atomic load when
-    /// unattached.
+    /// `<prefix>_lock_successions_total`: polled counters that read the
+    /// lock's own cells when the registry is scraped (totals since the
+    /// lock was built). Nothing changes on the lock's paths, and every
+    /// registry or prefix it is attached to reads the same cells — no
+    /// first-attach-wins, no series that stays at zero.
     pub fn attach_metrics(&self, registry: &Registry, prefix: &str) {
-        let _ = self.metrics.set(SfMetrics {
-            acquires: registry.counter(&format!("{prefix}_lock_acquires_total")),
-            turn_advances: registry.counter(&format!("{prefix}_turn_advances_total")),
-            successions: registry.counter(&format!("{prefix}_lock_successions_total")),
+        let poll = |name: &str, read: fn(&SfCounts) -> u64| {
+            let counts = Arc::clone(&self.counts);
+            registry.counter_fn(&format!("{prefix}_{name}"), move || read(&counts));
+        };
+        poll("lock_acquires_total", |c| c.cells.total(ACQUIRES));
+        poll("turn_advances_total", |c| c.cells.total(TURN_ADVANCES));
+        poll("lock_successions_total", |c| {
+            c.successions.load(Ordering::Acquire)
         });
     }
 
+    /// Bookkeeping of a boosted acquisition: custody, then the count.
     #[inline]
-    fn count_acquire(&self) {
-        if let Some(m) = self.metrics.get() {
-            m.acquires.inc();
-        }
+    fn acquired(&self, proc: usize) {
+        self.note_holder(proc);
+        self.counts.cells.inc(ACQUIRES);
     }
 
     /// Attempts to acquire without waiting: succeeds only if `proc`
@@ -264,8 +277,7 @@ impl<L: RawLock> StarvationFree<L> {
         self.flag[proc].write(true);
         let t = self.turn.read();
         if (t == proc || !self.flag[t].read()) && self.inner.try_lock() {
-            self.note_holder(proc);
-            self.count_acquire();
+            self.acquired(proc);
             true
         } else {
             self.flag[proc].write(false);
@@ -302,8 +314,7 @@ impl<L: RawLock> StarvationFree<L> {
                 // abortable — try_lock, so a held inner lock counts
                 // against the budget instead of blocking forever.
                 if self.inner.try_lock() {
-                    self.note_holder(proc);
-                    self.count_acquire();
+                    self.acquired(proc);
                     return true;
                 }
             }
@@ -315,15 +326,17 @@ impl<L: RawLock> StarvationFree<L> {
         false
     }
 
-    /// Deadline-bounded acquisition: like [`ProcLock::lock`], but gives
-    /// up — lowering `FLAG[proc]` so nobody waits on a ghost — once
-    /// `deadline` expires, whether the wait was on the line-05
-    /// predicate or on the inner lock. Returns whether the lock was
-    /// acquired (release with [`ProcLock::unlock`]).
+    /// Lines 04–06, deadline-bounded: gives up — lowering `FLAG[proc]`
+    /// so nobody waits on a ghost — once `deadline` expires, whether
+    /// the wait was on the line-05 predicate or on the inner lock.
+    /// Returns whether the lock was acquired (release with
+    /// [`ProcLock::unlock`]). [`ProcLock::lock`] is the
+    /// [`Deadline::NEVER`] instance, which always returns `true`.
     ///
     /// The inner lock is taken through [`RawLock::try_lock_until`], so
     /// even a *wedged* inner lock (e.g. a crashed holder, the §5
-    /// failure scenario) cannot block past the deadline.
+    /// failure scenario) cannot block past the deadline — and an
+    /// unbounded wait is the inner lock's own `lock()`.
     ///
     /// # Panics
     ///
@@ -334,7 +347,8 @@ impl<L: RawLock> StarvationFree<L> {
         self.flag[proc].write(true);
         probe!(Event::FlagRaise(proc as u32));
         fail_point!("sfree::wait");
-        // Line 05, deadline-bounded.
+        // Line 05: wait until we have priority or the priority holder
+        // is not competing.
         let mut spinner = Spinner::new();
         loop {
             let t = self.turn.read();
@@ -346,10 +360,9 @@ impl<L: RawLock> StarvationFree<L> {
                 return false;
             }
         }
-        // Line 06, deadline-bounded.
+        // Line 06: go through the (merely deadlock-free) inner lock.
         if self.inner.try_lock_until(deadline) {
-            self.note_holder(proc);
-            self.count_acquire();
+            self.acquired(proc);
             true
         } else {
             self.flag[proc].write(false);
@@ -378,7 +391,6 @@ impl<L: RawLock> StarvationFree<L> {
             policy,
             holder: AtomicUsize::new(NO_HOLDER),
             recovering: AtomicUsize::new(0),
-            successions: AtomicU64::new(0),
             fenced_unlocks: AtomicU64::new(0),
             failed: AtomicBool::new(false),
         });
@@ -472,7 +484,7 @@ impl<L: RawLock> StarvationFree<L> {
     #[must_use]
     pub fn recovery_stats(&self) -> Option<SfRecoveryStats> {
         self.recovery.get().map(|r| SfRecoveryStats {
-            successions: r.successions.load(Ordering::Acquire),
+            successions: self.counts.successions.load(Ordering::Acquire),
             fenced_unlocks: r.fenced_unlocks.load(Ordering::Acquire),
             failed: r.failed.load(Ordering::Acquire),
             holder: match r.holder.load(Ordering::Acquire) {
@@ -496,9 +508,7 @@ impl<L: RawLock> StarvationFree<L> {
             let next = (t + 1) % self.flag.len();
             self.turn.write(next);
             probe!(Event::TurnAdvance(next as u32));
-            if let Some(m) = self.metrics.get() {
-                m.turn_advances.inc();
-            }
+            self.counts.cells.inc(TURN_ADVANCES);
         }
     }
 
@@ -549,8 +559,7 @@ impl<L: RawLock> StarvationFree<L> {
                 return Succession::Acquired;
             }
         } else if self.inner.try_lock() {
-            self.note_holder(proc);
-            self.count_acquire();
+            self.acquired(proc);
             return Succession::Acquired;
         }
         // Identify the corpse.
@@ -581,7 +590,8 @@ impl<L: RawLock> StarvationFree<L> {
             }
             // Budget: fail fast instead of masking a correlated
             // failure forever.
-            if rec.successions.load(Ordering::Acquire) >= u64::from(rec.policy.max_successions) {
+            let spent = self.counts.successions.load(Ordering::Acquire);
+            if spent >= u64::from(rec.policy.max_successions) {
                 rec.failed.store(true, Ordering::Release);
                 break 'seize Succession::Exhausted;
             }
@@ -593,7 +603,7 @@ impl<L: RawLock> StarvationFree<L> {
             {
                 break 'seize Succession::NoSuspect;
             }
-            rec.successions.fetch_add(1, Ordering::AcqRel);
+            self.counts.successions.fetch_add(1, Ordering::AcqRel);
             // Causal edge: custody of the still-locked inner word came
             // from the corpse's thread. Read its acquire stamp before
             // overwriting with our own.
@@ -620,10 +630,8 @@ impl<L: RawLock> StarvationFree<L> {
                 probe!(Event::FlagRaise(proc as u32));
             }
             probe!(Event::LockSucceeded(proc as u32));
-            if let Some(m) = self.metrics.get() {
-                m.successions.inc();
-                m.acquires.inc();
-            }
+            // The seizure is an acquisition too.
+            self.counts.cells.inc(ACQUIRES);
             Succession::Acquired
         };
         rec.recovering.store(0, Ordering::Release);
@@ -704,25 +712,8 @@ impl<L: RawLock> ProcLock for StarvationFree<L> {
     }
 
     fn lock(&self, proc: usize) {
-        assert!(proc < self.flag.len(), "process id out of range");
-        // Line 04: announce the competition.
-        self.flag[proc].write(true);
-        probe!(Event::FlagRaise(proc as u32));
-        fail_point!("sfree::wait");
-        // Line 05: wait until we have priority or the priority holder
-        // is not competing.
-        let mut spinner = Spinner::new();
-        loop {
-            let t = self.turn.read();
-            if t == proc || !self.flag[t].read() {
-                break;
-            }
-            spinner.spin();
-        }
-        // Line 06: go through the (merely deadlock-free) inner lock.
-        self.inner.lock();
-        self.note_holder(proc);
-        self.count_acquire();
+        let acquired = self.lock_until(proc, Deadline::NEVER);
+        debug_assert!(acquired, "an unbounded wait cannot time out");
     }
 
     fn unlock(&self, proc: usize) {
@@ -746,9 +737,7 @@ impl<L: RawLock> ProcLock for StarvationFree<L> {
             let next = (t + 1) % self.flag.len();
             self.turn.write(next);
             probe!(Event::TurnAdvance(next as u32));
-            if let Some(m) = self.metrics.get() {
-                m.turn_advances.inc();
-            }
+            self.counts.cells.inc(TURN_ADVANCES);
         }
         // Line 12.
         #[cfg(feature = "trace")]
@@ -842,7 +831,7 @@ mod tests {
         written.extend([lines_of(&lock.prev_tid), lines_of(&lock.holder_tid)]);
         let read_mostly = [
             lines_of(&lock.flag),
-            lines_of(&lock.metrics),
+            lines_of(&lock.counts),
             lines_of(&lock.recovery),
         ];
         for (i, word) in written.iter().enumerate() {
@@ -872,16 +861,21 @@ mod tests {
         }
         assert!(lock.try_lock(1));
         lock.unlock(1);
-        let acquires = registry.counter("sf_lock_acquires_total");
-        let advances = registry.counter("sf_turn_advances_total");
-        assert_eq!(acquires.value(), 6);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("sf_lock_acquires_total"), Some(6));
         // Every solo unlock found FLAG[TURN] low and advanced TURN.
-        assert_eq!(advances.value(), 6);
-        // A second attachment is a no-op, not a double count.
-        lock.attach_metrics(&registry, "other");
+        assert_eq!(snap.counter("sf_turn_advances_total"), Some(6));
+        // A second attachment is a second reader of the same cells:
+        // not a double count, and not a series stuck at zero.
+        let other = cso_metrics::Registry::new();
+        lock.attach_metrics(&other, "other");
         lock.lock(0);
         lock.unlock(0);
-        assert_eq!(acquires.value(), 7);
+        let (snap, other) = (registry.snapshot(), other.snapshot());
+        assert_eq!(snap.counter("sf_lock_acquires_total"), Some(7));
+        assert_eq!(other.counter("other_lock_acquires_total"), Some(7));
+        assert_eq!(other.counter("other_turn_advances_total"), Some(7));
+        assert_eq!(other.counter("other_lock_successions_total"), Some(0));
     }
 
     /// Causal-edge stamps — cells, writes and edges — exist only with
@@ -1198,9 +1192,10 @@ mod tests {
         live.mark_dead(0);
         assert_eq!(lock.try_succeed(1), Succession::Acquired);
         lock.unlock(1);
-        assert_eq!(registry.counter("sfr_lock_successions_total").value(), 1);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("sfr_lock_successions_total"), Some(1));
         // The seizure is an acquisition too.
-        assert_eq!(registry.counter("sfr_lock_acquires_total").value(), 2);
+        assert_eq!(snap.counter("sfr_lock_acquires_total"), Some(2));
     }
 
     #[test]

@@ -52,8 +52,11 @@ impl Deadline {
         Deadline { at: Some(instant) }
     }
 
-    /// Whether the deadline has passed.
+    /// Whether the deadline has passed. Inlined so that a
+    /// [`Deadline::NEVER`] known at the call site folds to `false`: the
+    /// unbounded entry points are instances of the bounded ones.
     #[must_use]
+    #[inline]
     pub fn expired(&self) -> bool {
         match self.at {
             Some(at) => Instant::now() >= at,
@@ -296,6 +299,7 @@ impl Spinner {
     /// }
     /// assert!(deadline.expired());
     /// ```
+    #[inline]
     pub fn spin_deadline(&mut self, deadline: Deadline) -> bool {
         if deadline.expired() {
             return false;

@@ -34,9 +34,9 @@
 //! [`Stripes::reset`] cannot zero the cells: a store into a stripe
 //! another thread is updating with load + store would be overwritten
 //! (or would overwrite the update). It records the current sums as a
-//! **baseline** instead; reads return `sum − baseline`. An update that
-//! races a reset lands on one side of it or the other and is never
-//! lost.
+//! **baseline** instead; [`Stripes::get`] returns `sum − baseline` and
+//! [`Stripes::total`] the sum itself. An update that races a reset
+//! lands on one side of it or the other and is never lost.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,6 +141,7 @@ fn assign() -> usize {
 /// stats.reset();
 /// stats.inc(HITS);
 /// assert_eq!(stats.get(HITS), 1);
+/// assert_eq!(stats.total(HITS), 2);
 /// ```
 pub struct Stripes<const N: usize> {
     /// `STRIPES` single-writer stripes, then the overflow stripe.
@@ -189,8 +190,16 @@ impl<const N: usize> Stripes<N> {
         self.add(field, 1);
     }
 
-    /// Counter `field` summed over every stripe, baseline included.
-    fn raw(&self, field: usize) -> u64 {
+    /// Counter `field` since construction: the sum over every stripe,
+    /// whatever [`Stripes::reset`] did in between. This is the read for
+    /// an exported counter, which must never go backwards;
+    /// [`Stripes::get`] is the read for an accessor a caller restarts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `field >= N`.
+    #[must_use]
+    pub fn total(&self, field: usize) -> u64 {
         self.cells
             .iter()
             .map(|stripe| stripe[field].load(Ordering::Relaxed))
@@ -208,7 +217,7 @@ impl<const N: usize> Stripes<N> {
         // stripe loads the baseline was summed from happen before the
         // ones below, so the sum cannot read older than the baseline.
         let baseline = self.baseline[field].load(Ordering::Acquire);
-        self.raw(field).wrapping_sub(baseline)
+        self.total(field).wrapping_sub(baseline)
     }
 
     /// Every counter's value since the last reset, read back to back.
@@ -223,7 +232,7 @@ impl<const N: usize> Stripes<N> {
     /// dropped.
     pub fn reset(&self) {
         for field in 0..N {
-            self.baseline[field].store(self.raw(field), Ordering::Release);
+            self.baseline[field].store(self.total(field), Ordering::Release);
         }
     }
 }

@@ -8,7 +8,9 @@
 //!   [`Gauge`]s and [`LogHistogram`]-backed [`Timer`]s
 //!   ([`registry`]) — cheap enough to leave attached to a production
 //!   object (a plain load and store of the thread's own cache-padded
-//!   stripe per increment, no locked instruction on the hot path);
+//!   stripe per increment, no locked instruction on the hot path),
+//!   and of *polled* counters and gauges that read, at scrape time,
+//!   what an object already counts in its own cells;
 //! * exporters: Prometheus text exposition ([`prom`]) and JSON
 //!   ([`json`]), both hand-rolled because the workspace builds
 //!   `--offline` with zero external dependencies;
@@ -20,10 +22,12 @@
 //! (`ContentionSensitive`, `StarvationFree`, and the `CsStack` /
 //! `CsQueue` / `CsDeque` wrappers): once attached, a live object
 //! exposes its fast/locked/combining path mix, abort rate, EWMA gate
-//! state, and per-path latency quantiles. Attachment is optional and
-//! `&self`; an object with no registry attached pays one uncounted
-//! atomic load per operation, so the paper's Theorem 1 step budgets
-//! (six *counted* shared accesses contention-free) are unchanged.
+//! state, and per-path latency quantiles. The counts are the object's
+//! own (the registry is one more reader of them), so attaching adds
+//! only the timers' clock readings. Attachment is optional and
+//! `&self`; attached or not, an object pays one uncounted atomic load
+//! per operation for it, so the paper's Theorem 1 step budgets (six
+//! *counted* shared accesses contention-free) are unchanged.
 //!
 //! [`LogHistogram`]: cso_trace::LogHistogram
 

@@ -23,15 +23,14 @@
 //!   (e.g. `ops_fast_total` may momentarily lag `ops_total`);
 //! * timer quantiles summarize *some recent prefix* of samples (see
 //!   `LogHistogram::snapshot`);
-//! * polled gauges run their closures at snapshot time.
+//! * polled counters and gauges run their closures at snapshot time.
 //!
 //! This is the standard contract of scrape-based metrics (Prometheus
 //! makes the same trade); rates and ratios computed across metrics are
 //! accurate to within the in-flight operations at scrape time.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use cso_memory::Stripes;
@@ -157,15 +156,29 @@ impl std::fmt::Debug for Timer {
     }
 }
 
-/// A polled gauge: evaluated at snapshot time.
-type PolledFn = Box<dyn Fn() -> f64 + Send + Sync>;
+/// A polled reader: evaluated at snapshot time, outside the registry's
+/// locks (so a reader may itself take a lock that a registering thread
+/// holds).
+type Polled<V> = Arc<dyn Fn() -> V + Send + Sync>;
+
+/// Where a series' value comes from: a handle its owner pushes into,
+/// or a reader the registry polls.
+#[derive(Clone)]
+enum Source<H, V> {
+    Handle(H),
+    Polled(Polled<V>),
+}
+
+/// One kind of series, by name. A name has one source: a handle and a
+/// polled reader under one name would export one of them and silently
+/// drop the other, so [`handle`] and [`poll`] refuse.
+type Table<H, V> = Mutex<Vec<(String, Source<H, V>)>>;
 
 #[derive(Default)]
 struct Inner {
-    counters: Mutex<Vec<(String, Counter)>>,
-    gauges: Mutex<Vec<(String, Gauge)>>,
-    polled: Mutex<Vec<(String, PolledFn)>>,
-    timers: Mutex<Vec<(String, Timer)>>,
+    counters: Table<Counter, u64>,
+    gauges: Table<Gauge, f64>,
+    timers: Table<Timer, HistSnapshot>,
 }
 
 /// A named collection of metrics. Cloning is shallow; all clones feed
@@ -186,15 +199,49 @@ fn valid_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
-fn register<T: Clone>(table: &Mutex<Vec<(String, T)>>, name: &str, make: impl FnOnce() -> T) -> T {
+fn locked<T>(table: &Mutex<T>) -> MutexGuard<'_, T> {
+    table.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Registers (or retrieves) the handle named `name`.
+fn handle<H: Clone, V>(table: &Table<H, V>, name: &str, make: impl FnOnce() -> H) -> H {
     assert!(valid_name(name), "invalid metric name {name:?}");
-    let mut table = table.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some((_, existing)) = table.iter().find(|(n, _)| n == name) {
-        return existing.clone();
+    let mut table = locked(table);
+    match table.iter().find(|(n, _)| n == name) {
+        Some((_, Source::Handle(existing))) => existing.clone(),
+        Some(_) => panic!("metric {name:?} is already a polled reader"),
+        None => {
+            let made = make();
+            table.push((name.to_owned(), Source::Handle(made.clone())));
+            made
+        }
     }
-    let made = make();
-    table.push((name.to_owned(), made.clone()));
-    made
+}
+
+/// Registers the polled reader named `name`, replacing an earlier one.
+fn poll<H, V>(table: &Table<H, V>, name: &str, read: Polled<V>) {
+    assert!(valid_name(name), "invalid metric name {name:?}");
+    let mut table = locked(table);
+    match table.iter_mut().find(|(n, _)| n == name) {
+        Some((_, Source::Handle(_))) => panic!("metric {name:?} is already a handle"),
+        Some((_, slot)) => *slot = Source::Polled(read),
+        None => table.push((name.to_owned(), Source::Polled(read))),
+    }
+}
+
+/// Every series of one kind, sorted by name; handles are read through
+/// `get`. The table is copied out first (clones are `Arc` bumps).
+fn read_all<H: Clone, V: Clone>(table: &Table<H, V>, get: impl Fn(&H) -> V) -> Vec<(String, V)> {
+    let sources = locked(table).clone();
+    let mut all: Vec<(String, V)> = sources
+        .into_iter()
+        .map(|(name, source)| match source {
+            Source::Handle(h) => (name, get(&h)),
+            Source::Polled(read) => (name, read()),
+        })
+        .collect();
+    all.sort_by(|a, b| a.0.cmp(&b.0));
+    all
 }
 
 impl Registry {
@@ -213,38 +260,47 @@ impl Registry {
     /// # Panics
     ///
     /// If `name` is not a valid Prometheus metric name
-    /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`).
+    /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`), or is already a polled counter
+    /// ([`Registry::counter_fn`]).
     pub fn counter(&self, name: &str) -> Counter {
-        register(&self.inner.counters, name, Counter::new)
+        handle(&self.inner.counters, name, Counter::new)
     }
 
     /// Registers (or retrieves) the gauge named `name`. See
     /// [`Registry::counter`] for naming and idempotence.
     pub fn gauge(&self, name: &str) -> Gauge {
-        register(&self.inner.gauges, name, Gauge::new)
+        handle(&self.inner.gauges, name, Gauge::new)
     }
 
     /// Registers (or retrieves) the timer named `name`. See
     /// [`Registry::counter`] for naming and idempotence.
     pub fn timer(&self, name: &str) -> Timer {
-        register(&self.inner.timers, name, Timer::new)
+        handle(&self.inner.timers, name, Timer::new)
     }
 
-    /// Registers a *polled* gauge: `f` runs at every snapshot and its
-    /// return value is reported under `name`. Re-registering a name
-    /// replaces the closure.
+    /// Registers a *polled* counter: `f` runs at every snapshot and its
+    /// return value is reported under `name`, as a counter — how an
+    /// object that already counts a fact in its own cells exports it
+    /// without a second count. `f` must be monotone (a lifetime total).
+    /// Re-registering a name replaces the closure.
     ///
     /// # Panics
     ///
-    /// If `name` is invalid (see [`Registry::counter`]).
+    /// If `name` is invalid (see [`Registry::counter`]) or already has
+    /// a [`Registry::counter`] handle.
+    pub fn counter_fn(&self, name: &str, f: impl Fn() -> u64 + Send + Sync + 'static) {
+        poll(&self.inner.counters, name, Arc::new(f));
+    }
+
+    /// Registers a *polled* gauge: the twin of [`Registry::counter_fn`]
+    /// for an instantaneous value.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is invalid (see [`Registry::counter`]) or already has
+    /// a [`Registry::gauge`] handle.
     pub fn gauge_fn(&self, name: &str, f: impl Fn() -> f64 + Send + Sync + 'static) {
-        assert!(valid_name(name), "invalid metric name {name:?}");
-        let mut polled = self.inner.polled.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(slot) = polled.iter_mut().find(|(n, _)| n == name) {
-            slot.1 = Box::new(f);
-        } else {
-            polled.push((name.to_owned(), Box::new(f)));
-        }
+        poll(&self.inner.gauges, name, Arc::new(f));
     }
 
     /// Registers the build-identity and uptime series:
@@ -300,43 +356,10 @@ impl Registry {
     /// name. See the module docs for the consistency model.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        let counters: BTreeMap<String, u64> = self
-            .inner
-            .counters
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(n, c)| (n.clone(), c.value()))
-            .collect();
-        let mut gauges: BTreeMap<String, f64> = self
-            .inner
-            .gauges
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(n, g)| (n.clone(), g.get()))
-            .collect();
-        for (name, f) in self
-            .inner
-            .polled
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-        {
-            gauges.insert(name.clone(), f());
-        }
-        let timers: BTreeMap<String, HistSnapshot> = self
-            .inner
-            .timers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(n, t)| (n.clone(), t.snapshot()))
-            .collect();
         Snapshot {
-            counters: counters.into_iter().collect(),
-            gauges: gauges.into_iter().collect(),
-            timers: timers.into_iter().collect(),
+            counters: read_all(&self.inner.counters, Counter::value),
+            gauges: read_all(&self.inner.gauges, Gauge::get),
+            timers: read_all(&self.inner.timers, Timer::snapshot),
         }
     }
 }
@@ -358,12 +381,26 @@ impl std::fmt::Debug for Registry {
 /// lists are sorted by metric name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    /// `(name, total)` per counter.
+    /// `(name, total)` per counter, polled counters included.
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` per gauge, polled gauges included.
     pub gauges: Vec<(String, f64)>,
     /// `(name, summary)` per timer.
     pub timers: Vec<(String, HistSnapshot)>,
+}
+
+impl Snapshot {
+    /// The counter named `name`, if one is registered.
+    #[must_use]
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters.iter().find(|c| c.0 == name).map(|c| c.1)
+    }
+
+    /// The gauge named `name`, if one is registered.
+    #[must_use]
+    pub fn gauge(&self, name: &str) -> Option<f64> {
+        self.gauges.iter().find(|g| g.0 == name).map(|g| g.1)
+    }
 }
 
 #[cfg(test)]
@@ -412,15 +449,37 @@ mod tests {
     }
 
     #[test]
-    fn gauges_and_polled_gauges_snapshot() {
+    fn gauges_and_polled_series_snapshot() {
         let reg = Registry::new();
         reg.gauge("ewma").set(0.25);
         reg.gauge_fn("polled", || 42.0);
+        reg.counter_fn("polled_total", || 1);
+        reg.counter_fn("polled_total", || 7);
         let snap = reg.snapshot();
         assert_eq!(
             snap.gauges,
             vec![("ewma".to_owned(), 0.25), ("polled".to_owned(), 42.0)]
         );
+        // The later reader replaced the earlier; the page says counter.
+        assert_eq!(snap.counters, vec![("polled_total".to_owned(), 7)]);
+        assert!(crate::prom::render_prometheus(&snap).contains("# TYPE polled_total counter"));
+    }
+
+    #[test]
+    #[should_panic(expected = "already a polled reader")]
+    fn a_handle_under_a_polled_name_is_refused() {
+        let reg = Registry::new();
+        reg.counter_fn("x_total", || 1);
+        // Would otherwise be a second `x_total` that reads 0 forever.
+        let _ = reg.counter("x_total");
+    }
+
+    #[test]
+    #[should_panic(expected = "already a handle")]
+    fn a_polled_reader_under_a_handle_name_is_refused() {
+        let reg = Registry::new();
+        let _ = reg.gauge("depth");
+        reg.gauge_fn("depth", || 1.0);
     }
 
     #[test]

@@ -353,9 +353,9 @@ impl LiveAggregator {
     /// published:
     ///
     /// * `cso_harvest_ingested_total` / `cso_harvest_batches_total` /
-    ///   `cso_harvest_lost_total` — polled at scrape time, so the
-    ///   conservation identity *ingested + lost + drop gauge = emitted*
-    ///   is checkable from `/metrics` alone;
+    ///   `cso_harvest_lost_total` — counters, polled at scrape time, so
+    ///   the conservation identity *ingested + lost + drop gauge =
+    ///   emitted* is checkable from `/metrics` alone;
     /// * `cso_trace_ring_dropped` — the live probe drop gauge;
     /// * `cso_harvest_truncated_events_thread_<t>` — one gauge per
     ///   thread whose ring ever truncated, registered lazily when the
@@ -371,8 +371,8 @@ impl LiveAggregator {
             ("cso_harvest_lost_total", |s: &AggState| s.lost),
         ] {
             let agg = Arc::clone(self);
-            registry.gauge_fn(name, move || {
-                read(&agg.inner.lock().unwrap_or_else(|e| e.into_inner())) as f64
+            registry.counter_fn(name, move || {
+                read(&agg.inner.lock().unwrap_or_else(|e| e.into_inner()))
             });
         }
         registry.register_probe_drop_gauge();
@@ -840,31 +840,23 @@ mod tests {
             truncated: vec![(0, 5)],
         });
         let snap = reg.snapshot();
-        let get = |name: &str| {
-            snap.gauges
-                .iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("missing gauge {name}"))
-                .1
-        };
-        assert_eq!(get("cso_harvest_ingested_total"), 2.0);
-        assert_eq!(get("cso_harvest_batches_total"), 1.0);
-        assert_eq!(get("cso_harvest_lost_total"), 5.0);
-        assert_eq!(get("cso_harvest_truncated_events_thread_0"), 5.0);
-        assert!(get("cso_trace_ring_dropped") >= 0.0);
+        assert_eq!(snap.counter("cso_harvest_ingested_total"), Some(2));
+        assert_eq!(snap.counter("cso_harvest_batches_total"), Some(1));
+        assert_eq!(snap.counter("cso_harvest_lost_total"), Some(5));
+        assert_eq!(
+            snap.gauge("cso_harvest_truncated_events_thread_0"),
+            Some(5.0)
+        );
+        assert!(snap.gauge("cso_trace_ring_dropped") >= Some(0.0));
         assert_eq!(agg.snapshot().truncated_threads, vec![(0, 5)]);
 
         // Late binding backfills truncations already harvested.
         let late = Registry::new();
         agg.register_metrics(&late);
-        let snap = late.snapshot();
-        let truncated = snap
-            .gauges
-            .iter()
-            .find(|(n, _)| n == "cso_harvest_truncated_events_thread_0")
-            .expect("backfilled gauge")
-            .1;
-        assert_eq!(truncated, 5.0);
+        let backfilled = late
+            .snapshot()
+            .gauge("cso_harvest_truncated_events_thread_0");
+        assert_eq!(backfilled, Some(5.0));
     }
 
     #[test]

@@ -47,10 +47,11 @@
 //! operation never returned, so it linearizes late). Killed
 //! operations can therefore neither leak nor double-count occupancy.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use cso_memory::Stripes;
-use cso_metrics::{Counter, Registry};
+use cso_metrics::Registry;
 
 use crate::aggregate::LaneAggregate;
 use crate::config::{ShardConfig, ShardMode};
@@ -92,15 +93,6 @@ pub struct RouterStats {
     pub active_lanes: usize,
 }
 
-/// Event-counter handles, attached once via `attach_metrics` (the
-/// router's gauges are polled closures and need no handle).
-#[derive(Debug)]
-struct ShardMetrics {
-    steals: Counter,
-    spills: Counter,
-    heals: Counter,
-}
-
 const PUSHES: usize = 0;
 const POPS: usize = 1;
 const STEALS: usize = 2;
@@ -110,14 +102,16 @@ const HEALS: usize = 4;
 /// The shared router core.
 pub(crate) struct Router<T: ShardLane> {
     lanes: Vec<T>,
-    /// `Arc` (as is `elastic`) so the registry's polled gauges can
-    /// read it at scrape time.
+    /// `Arc` (as are `elastic` and `counters`) so the registry's
+    /// polled series can read it at scrape time.
     agg: Arc<LaneAggregate>,
     order: Option<StrictOrder>,
     elastic: Arc<Elastic>,
-    /// Router statistics, indexed by the constants above.
-    counters: Stripes<5>,
-    metrics: OnceLock<ShardMetrics>,
+    /// Router statistics, indexed by the constants above: the one
+    /// count of each fact, read by `stats()` and by the registry.
+    counters: Arc<Stripes<5>>,
+    /// Set by the first `attach_metrics`; later calls are no-ops.
+    attached: AtomicBool,
     mode: ShardMode,
     capacity: usize,
     n: usize,
@@ -180,8 +174,8 @@ impl<T: ShardLane> Router<T> {
             )),
             lanes,
             order,
-            counters: Stripes::new(),
-            metrics: OnceLock::new(),
+            counters: Arc::new(Stripes::new()),
+            attached: AtomicBool::new(false),
             mode: cfg.mode,
             capacity,
             n,
@@ -255,7 +249,7 @@ impl<T: ShardLane> Router<T> {
                 guard.push_lane(lane);
                 self.agg.record_push(lane);
                 if lane != home {
-                    self.spill();
+                    self.counters.inc(SPILLS);
                 }
                 return true;
             }
@@ -277,7 +271,7 @@ impl<T: ShardLane> Router<T> {
                 self.agg.record_pop(lane);
                 let active = self.elastic.active();
                 if lane != proc % active {
-                    self.steal();
+                    self.counters.inc(STEALS);
                 }
                 Some(v)
             }
@@ -343,7 +337,7 @@ impl<T: ShardLane> Router<T> {
         if ok {
             self.agg.record_push(lane);
             if lane != home {
-                self.spill();
+                self.counters.inc(SPILLS);
             }
         }
         ok
@@ -396,24 +390,10 @@ impl<T: ShardLane> Router<T> {
         if value.is_some() {
             self.agg.record_pop(lane);
             if lane != home {
-                self.steal();
+                self.counters.inc(STEALS);
             }
         }
         value
-    }
-
-    fn steal(&self) {
-        self.counters.inc(STEALS);
-        if let Some(m) = self.metrics.get() {
-            m.steals.inc();
-        }
-    }
-
-    fn spill(&self) {
-        self.counters.inc(SPILLS);
-        if let Some(m) = self.metrics.get() {
-            m.spills.inc();
-        }
     }
 
     /// Heals the aggregate (and in strict mode the journal) if a
@@ -451,28 +431,26 @@ impl<T: ShardLane> Router<T> {
             }
         }
         self.counters.inc(HEALS);
-        if let Some(m) = self.metrics.get() {
-            m.heals.inc();
-        }
     }
 
-    /// First attach wins, as for the lanes. The event counters mirror
-    /// into the registry from attach time on; the gauges are polled —
+    /// First attach wins, as for the lanes. Every series is polled —
     /// evaluated when the registry is scraped — so an attached router
-    /// pays nothing per operation for them, and `size` in particular
-    /// never turns the O(lanes) `len()` into a per-operation scan.
+    /// pays nothing per operation: the event counters are lifetime
+    /// sums of the router's own cells, and `size` in particular never
+    /// turns the O(lanes) `len()` into a per-operation scan.
     pub(crate) fn attach_metrics(&self, registry: &Registry, prefix: &str) {
-        if self.metrics.get().is_some() {
+        if self.attached.swap(true, Ordering::Relaxed) {
             return;
         }
         for (i, lane) in self.lanes.iter().enumerate() {
             lane.lane_attach_metrics(registry, &format!("{prefix}_lane{i}"));
         }
-        let _ = self.metrics.set(ShardMetrics {
-            steals: registry.counter(&format!("{prefix}_router_steals_total")),
-            spills: registry.counter(&format!("{prefix}_router_spills_total")),
-            heals: registry.counter(&format!("{prefix}_router_heals_total")),
-        });
+        for (name, cell) in [("steals", STEALS), ("spills", SPILLS), ("heals", HEALS)] {
+            let counters = Arc::clone(&self.counters);
+            registry.counter_fn(&format!("{prefix}_router_{name}_total"), move || {
+                counters.total(cell)
+            });
+        }
         let agg = Arc::clone(&self.agg);
         registry.gauge_fn(&format!("{prefix}_router_size"), move || agg.len() as f64);
         let poll = |name: &str, read: fn(&Elastic) -> f64| {

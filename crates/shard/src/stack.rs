@@ -439,9 +439,8 @@ mod tests {
         // scrape, with nothing published per operation.
         assert_eq!(stack.push(0, 2), PushOutcome::Pushed);
         let snapshot = registry.snapshot();
-        let gauge = |name: &str| snapshot.gauges.iter().find(|g| g.0 == name).map(|g| g.1);
-        assert_eq!(gauge("shard_stack_router_size"), Some(1.0));
-        assert_eq!(gauge("shard_stack_router_active_lanes"), Some(2.0));
-        assert_eq!(gauge("shard_stack_router_splits"), Some(0.0));
+        assert_eq!(snapshot.gauge("shard_stack_router_size"), Some(1.0));
+        assert_eq!(snapshot.gauge("shard_stack_router_active_lanes"), Some(2.0));
+        assert_eq!(snapshot.gauge("shard_stack_router_splits"), Some(0.0));
     }
 }

@@ -690,16 +690,14 @@ mod tests {
             .build();
         dog.tick();
         let snap = registry.snapshot();
-        let gauge = |name: &str| snap.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
-        assert_eq!(gauge("cso_watch_flip"), Some(0.0));
-        assert_eq!(gauge("cso_watch_health"), Some(0.0));
+        assert_eq!(snap.gauge("cso_watch_flip"), Some(0.0));
+        assert_eq!(snap.gauge("cso_watch_health"), Some(0.0));
 
         breach.store(1, Ordering::Relaxed);
         dog.tick();
         let snap = registry.snapshot();
-        let gauge = |name: &str| snap.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
-        assert_eq!(gauge("cso_watch_flip"), Some(1.0));
-        assert_eq!(gauge("cso_watch_health"), Some(1.0));
+        assert_eq!(snap.gauge("cso_watch_flip"), Some(1.0));
+        assert_eq!(snap.gauge("cso_watch_health"), Some(1.0));
 
         let alerts = dog.alerts_json();
         assert_eq!(

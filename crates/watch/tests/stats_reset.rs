@@ -9,12 +9,18 @@
 //! bursts of a concurrent workload while the watchdog keeps ticking:
 //! the books must balance on both sides of the reset, and
 //! `telemetry()` must account for exactly the second burst.
+//!
+//! An attached registry reads the same cells as *lifetime* sums: no
+//! reset, racing the workers or not, may make a scraped `_total` go
+//! backwards, and at the end the exported path counters account for
+//! every completion since construction.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use cso_core::ContentionSensitive;
 use cso_locks::TasLock;
+use cso_metrics::Registry;
 use cso_stack::{AbortableStack, PopOutcome, PushOutcome, StackOp};
 use cso_watch::{Invariant, Watchdog};
 
@@ -23,6 +29,14 @@ type Stack = ContentionSensitive<AbortableStack<u32>, TasLock>;
 const THREADS: usize = 4;
 const OPS: u64 = 20_000;
 
+/// Counters (`*_total`, sorted by name) never go backwards between
+/// two scrapes.
+fn assert_monotone(earlier: &[(String, u64)], later: &[(String, u64)]) {
+    for ((name, before), (_, after)) in earlier.iter().zip(later) {
+        assert!(after >= before, "{name}: {before} -> {after}");
+    }
+}
+
 #[test]
 fn conservation_and_telemetry_reconcile_across_a_mid_run_reset() {
     let stack: Arc<Stack> = Arc::new(ContentionSensitive::new(
@@ -30,6 +44,8 @@ fn conservation_and_telemetry_reconcile_across_a_mid_run_reset() {
         TasLock::new(),
         THREADS,
     ));
+    let registry = Registry::new();
+    stack.attach_metrics(&registry, "reset");
     // The size the stack had when the statistics were last reset.
     let base = Arc::new(AtomicI64::new(0));
 
@@ -63,6 +79,7 @@ fn conservation_and_telemetry_reconcile_across_a_mid_run_reset() {
     // behind, so no answer is Full or Empty and every attempt that did
     // not abort is a success.
     let phase = Barrier::new(THREADS + 1);
+    let mut scraped = registry.snapshot();
     std::thread::scope(|scope| {
         for proc in 0..THREADS {
             let (stack, phase) = (&stack, &phase);
@@ -83,10 +100,19 @@ fn conservation_and_telemetry_reconcile_across_a_mid_run_reset() {
         }
         for burst in 0..2 {
             phase.wait();
+            // A path-statistics reset racing the first burst's workers,
+            // who cannot leave the burst before this thread reaches
+            // the barrier below (it feeds no invariant, so the
+            // watchdog's books hold).
+            if burst == 0 {
+                stack.reset_stats();
+            }
             // Sample while the burst runs, then once it has quiesced.
             for _ in 0..50 {
                 dog.tick();
             }
+            let racing = registry.snapshot();
+            assert_monotone(&scraped.counters, &racing.counters);
             phase.wait();
             for _ in 0..5 {
                 dog.tick();
@@ -101,6 +127,8 @@ fn conservation_and_telemetry_reconcile_across_a_mid_run_reset() {
                 stack.reset_stats();
                 base.store(stack.inner().len() as i64, Ordering::SeqCst);
             }
+            scraped = registry.snapshot();
+            assert_monotone(&racing.counters, &scraped.counters);
         }
     });
     assert_eq!(dog.transitions(), 0, "a reset is not a leak");
@@ -114,4 +142,13 @@ fn conservation_and_telemetry_reconcile_across_a_mid_run_reset() {
     let telemetry = stack.telemetry();
     assert_eq!(telemetry.invocations(), THREADS as u64 * OPS);
     assert_eq!(telemetry.paths, stack.stats());
+
+    // The registry's view is since construction: both bursts, less the
+    // 100 pops each worker skipped in the first.
+    let completions: u64 = ["fast", "eliminated", "locked", "combined"]
+        .iter()
+        .map(|path| scraped.counter(&format!("reset_ops_{path}_total")))
+        .map(|total| total.expect("series"))
+        .sum();
+    assert_eq!(completions, THREADS as u64 * (2 * OPS - 100));
 }

@@ -132,8 +132,8 @@ fn eliminated_path_surfaces_agree() {
         "path stats vs exchanger pair counter"
     );
     assert_eq!(
-        registry.counter("e13_ops_eliminated_total").value(),
-        paths.eliminated,
+        registry.snapshot().counter("e13_ops_eliminated_total"),
+        Some(paths.eliminated),
         "metrics registry vs path stats"
     );
     // Paths partition completions: every op finished on exactly one.
