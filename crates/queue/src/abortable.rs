@@ -149,12 +149,46 @@ impl<V: Bits32> AbortableQueue<V> {
         self.ring.len()
     }
 
-    /// Racy size snapshot (two shared accesses).
+    /// Racy size snapshot: the size at the instant `TAIL` was read,
+    /// so never more than [`AbortableQueue::capacity`] (three shared
+    /// accesses when no dequeue races the read).
     #[must_use]
     pub fn len(&self) -> usize {
-        let tail = TailWord::unpack(self.tail.read());
-        let head = HeadWord::unpack(self.head.read());
-        usize::from(tail.count.wrapping_sub(head.count))
+        self.snapshot_len(Reg64::read)
+    }
+
+    /// [`AbortableQueue::len`] through **uncounted**
+    /// [`Reg64::peek`]s: the same consistent snapshot at none of the
+    /// access budget. For callers that only steer by it (the shard
+    /// router's probe order) and re-validate with a real operation.
+    #[inline]
+    #[must_use]
+    pub fn peek_len(&self) -> usize {
+        self.snapshot_len(Reg64::peek)
+    }
+
+    /// `HEAD`, `TAIL`, `HEAD` again: when the two `HEAD` reads agree,
+    /// `HEAD` held that count while `TAIL` was loaded, and the
+    /// difference is the true size at that instant. A `TAIL` paired
+    /// with a `HEAD` of another instant is not a size at all: dequeues
+    /// that pass it make the 16-bit difference wrap. Retries are
+    /// bounded, so a stream of dequeues cannot starve a reader; giving
+    /// up pairs `TAIL` with the `HEAD` read *before* it, which can
+    /// only overestimate, and the clamp bounds that.
+    #[inline]
+    fn snapshot_len(&self, load: impl Fn(&Reg64) -> u64) -> usize {
+        const RETRIES: usize = 8;
+        let mut head = HeadWord::unpack(load(&self.head));
+        let mut tail = TailWord::unpack(load(&self.tail));
+        for _ in 0..RETRIES {
+            let again = HeadWord::unpack(load(&self.head));
+            if again == head {
+                break;
+            }
+            head = again;
+            tail = TailWord::unpack(load(&self.tail));
+        }
+        usize::from(tail.count.wrapping_sub(head.count)).min(self.capacity())
     }
 
     /// Racy emptiness snapshot.

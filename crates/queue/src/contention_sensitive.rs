@@ -155,10 +155,19 @@ impl<V: Bits32, L: RawLock> CsQueue<V, L> {
         self.inner.inner().capacity()
     }
 
-    /// Racy size snapshot (two shared accesses).
+    /// Racy size snapshot, never more than the capacity (see
+    /// [`AbortableQueue::len`]).
     #[must_use]
     pub fn len(&self) -> usize {
         self.inner.inner().len()
+    }
+
+    /// Racy size snapshot through uncounted peeks (see
+    /// [`AbortableQueue::peek_len`]).
+    #[inline]
+    #[must_use]
+    pub fn peek_len(&self) -> usize {
+        self.inner.inner().peek_len()
     }
 
     /// Racy emptiness snapshot.
@@ -327,6 +336,43 @@ mod tests {
         }
         assert_eq!(all.len(), (THREADS * PER_THREAD) as usize);
         assert_eq!(all.iter().collect::<HashSet<_>>().len(), all.len());
+    }
+
+    /// `len()` pairs `TAIL` with a `HEAD` of the same instant: a reader
+    /// racing two workers never sees more than the capacity. (A `TAIL`
+    /// read before a stale `HEAD` wraps the 16-bit difference once
+    /// dequeues pass it; `tests/model_explore.rs` finds that schedule
+    /// deterministically, this is the wall-clock version.)
+    #[test]
+    fn len_never_exceeds_capacity_under_a_race() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const CAPACITY: usize = 64;
+        const PER_WORKER: u32 = 200_000;
+        let queue: CsQueue<u32> = CsQueue::new(CAPACITY, 2);
+        let running = AtomicUsize::new(2);
+        std::thread::scope(|s| {
+            for proc in 0..2 {
+                let (queue, running) = (&queue, &running);
+                s.spawn(move || {
+                    for i in 0..PER_WORKER {
+                        let _ = queue.enqueue(proc, i);
+                        if i % 3 != 0 {
+                            let _ = queue.dequeue(proc);
+                        } else if i % 96 == 0 {
+                            while queue.dequeue(proc).is_dequeued() {}
+                        }
+                    }
+                    running.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            s.spawn(|| {
+                while running.load(Ordering::SeqCst) > 0 {
+                    for len in [queue.len(), queue.peek_len()] {
+                        assert!(len <= CAPACITY, "len() read {len} of {CAPACITY}");
+                    }
+                }
+            });
+        });
     }
 
     #[test]

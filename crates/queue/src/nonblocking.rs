@@ -74,7 +74,8 @@ impl<V: Bits32, M: ContentionManager> NonBlockingQueue<V, M> {
         self.inner.inner().capacity()
     }
 
-    /// Racy size snapshot (two shared accesses).
+    /// Racy size snapshot, never more than the capacity (see
+    /// [`AbortableQueue::len`]).
     #[must_use]
     pub fn len(&self) -> usize {
         self.inner.inner().len()

@@ -73,6 +73,7 @@ impl Elastic {
     }
 
     /// The active lane prefix length.
+    #[inline]
     pub(crate) fn active(&self) -> usize {
         if self.enabled {
             self.active.load(Ordering::Acquire).clamp(1, self.max_lanes)
@@ -84,6 +85,7 @@ impl Elastic {
     /// Marks an operation as entering; returns `true` when another
     /// operation is already in flight (a "contended" sample). No-op
     /// (always solo) when elasticity is disabled.
+    #[inline]
     pub(crate) fn enter(&self) -> bool {
         if !self.enabled {
             return false;
@@ -92,6 +94,7 @@ impl Elastic {
     }
 
     /// Marks the operation as leaving (paired with [`Elastic::enter`]).
+    #[inline]
     pub(crate) fn exit(&self) {
         if self.enabled {
             self.inflight.fetch_sub(1, Ordering::AcqRel);
@@ -100,11 +103,16 @@ impl Elastic {
 
     /// Feeds the overlap sample to the gate and, every `eval_period`
     /// operations, re-evaluates the lane count: engaged gate ⇒ double
-    /// the active prefix; disengaged gate ⇒ halve it.
+    /// the active prefix; disengaged gate ⇒ halve it. The `enabled`
+    /// test is all a fixed-lane router inlines of this.
+    #[inline]
     pub(crate) fn record(&self, contended: bool) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.sample(contended);
         }
+    }
+
+    fn sample(&self, contended: bool) {
         self.gate.record(contended);
         let tick = self.ops.fetch_add(1, Ordering::AcqRel) + 1;
         if tick % self.eval_period != 0 {

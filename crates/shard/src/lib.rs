@@ -14,8 +14,8 @@
 //!
 //! * **Thread-affine lanes with bounded work-stealing.** Process `p`
 //!   routes to lane `p mod active`; a pop that finds its home lane
-//!   empty steals from the other lanes (guided by the occupancy
-//!   aggregate below), and a push that finds its home lane full spills
+//!   empty steals from the other lanes (steered by the lanes' own
+//!   counts, below), and a push that finds its home lane full spills
 //!   the same way. Every router step is an *uncounted* access — the
 //!   per-lane solo budget stays at Theorem 1's exact six (stack) /
 //!   seven (queue) counted shared-memory accesses.
@@ -37,14 +37,16 @@
 //!   out to the configured maximum. Pops always steal from *all*
 //!   lanes, so a merge can never strand values in a deactivated lane.
 //!
-//! Routing decisions read a [`LaneAggregate`]: per-lane occupancy
-//! cells (one padded line per lane, written only by operations on that
-//! lane) plus a nonempty bitmask (written only when a lane crosses
-//! empty ↔ nonempty), all plain uncounted atomics, giving the router
-//! an O(1) view of which lanes are worth probing — no speculative lane
-//! probes, no counted accesses, and no shared line written by an
-//! operation that stays in its home lane. `len()` sums the cells:
-//! O(lanes), racy but convergent.
+//! **The lanes are the aggregate.** A lane's element count already
+//! sits in its own registers — the `index` field of a stack's `TOP`, a
+//! queue's `TAIL − HEAD` — so the router keeps no copy: it steers by
+//! an *uncounted* peek of the lane it is about to operate on (skip a
+//! lane that reads full on a push, empty on a pop), and the lane
+//! operation itself re-validates. A relaxed, fixed-lane operation that
+//! stays in its home lane therefore executes no locked instruction and
+//! writes no line but the lane's and its own statistics stripe, there
+//! is nothing derived for a crash to leave stale, and `len()` /
+//! `is_empty()` sum the peeks: O(lanes), racy, exact at quiescence.
 //!
 //! [`AdaptiveGate`]: cso_core::AdaptiveGate
 //!
@@ -65,7 +67,6 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod config;
 mod elastic;
 mod order;
@@ -73,7 +74,6 @@ mod queue;
 mod router;
 mod stack;
 
-pub use aggregate::LaneAggregate;
 pub use config::{ShardConfig, ShardMode};
 pub use queue::ShardedCsQueue;
 pub use router::RouterStats;

@@ -20,13 +20,15 @@
 //!
 //! Crash behaviour: the latch guard releases on unwind, so a killed
 //! operation cannot wedge the order section. A kill between the lane
-//! operation and the journal update leaves the journal one entry
-//! behind its lanes; the owner marks the aggregate dirty and the next
-//! operation heals under the latch by appending the orphaned lane
-//! entries — legal because the killed operation never returned, so it
-//! may linearize at any later point (see `tests/shard_chaos.rs`).
+//! operation and the journal update leaves the journal one entry off
+//! its lanes — the one piece of derived state a sharded structure
+//! still has. The guard sees the unwind as it drops and sets the
+//! journal's `dirty` flag; the next holder reconciles under the latch
+//! by appending the orphaned lane entries — legal because the killed
+//! operation never returned, so it may linearize at any later point
+//! (see `tests/shard_chaos.rs`).
 
-use std::sync::atomic::{AtomicU16, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, AtomicUsize, Ordering};
 
 use cso_memory::backoff::Spinner;
 
@@ -43,6 +45,9 @@ pub(crate) struct StrictOrder {
     head: AtomicUsize,
     /// Resident element count.
     len: AtomicUsize,
+    /// Set when a holder unwound out of the section (crash/panic): the
+    /// journal may be off its lanes and the next holder reconciles.
+    dirty: AtomicBool,
     /// True = consume oldest (queue); false = consume newest (stack).
     fifo: bool,
 }
@@ -55,6 +60,7 @@ impl StrictOrder {
             entries: (0..capacity).map(|_| AtomicU16::new(0)).collect(),
             head: AtomicUsize::new(0),
             len: AtomicUsize::new(0),
+            dirty: AtomicBool::new(false),
             fifo,
         }
     }
@@ -69,17 +75,13 @@ impl StrictOrder {
         }
         OrderGuard { order: self }
     }
-
-    /// Racy read of the resident count (exact at quiescence).
-    pub(crate) fn len_hint(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
 }
 
 /// Exclusive access to the journal; releasing happens on drop.
 ///
-/// All journal loads/stores inside the guard use `Relaxed`: the
-/// latch's acquire/release pair orders them across owners.
+/// All journal loads/stores inside the guard (the `dirty` flag
+/// included) use `Relaxed`: the latch's acquire/release pair orders
+/// them across owners.
 pub(crate) struct OrderGuard<'a> {
     order: &'a StrictOrder,
 }
@@ -122,6 +124,22 @@ impl OrderGuard<'_> {
         };
         self.order.len.store(len - 1, Ordering::Relaxed);
         Some(lane as usize)
+    }
+
+    /// Flags the journal as possibly off its lanes.
+    pub(crate) fn mark_dirty(&self) {
+        self.order.dirty.store(true, Ordering::Relaxed);
+    }
+
+    /// Consumes the flag; `true` means a reconciliation is owed. A
+    /// load and a rare store, not a `swap`: under the latch there is
+    /// no race to lose, and every strict operation passes here.
+    pub(crate) fn take_dirty(&self) -> bool {
+        let dirty = self.order.dirty.load(Ordering::Relaxed);
+        if dirty {
+            self.order.dirty.store(false, Ordering::Relaxed);
+        }
+        dirty
     }
 
     /// How many journal entries currently name `lane`.
@@ -176,6 +194,11 @@ impl OrderGuard<'_> {
 
 impl Drop for OrderGuard<'_> {
     fn drop(&mut self) {
+        // Unwinding out of the section is a killed operation: it may
+        // have changed a lane and not the journal, or the reverse.
+        if std::thread::panicking() {
+            self.mark_dirty();
+        }
         self.order.serving.fetch_add(1, Ordering::Release);
     }
 }
@@ -252,6 +275,9 @@ mod tests {
                 });
             }
         });
-        assert_eq!(order.len_hint(), 0);
+        let g = order.acquire();
+        assert_eq!(g.len(), 0);
+        assert!(g.take_dirty(), "the kill must have flagged the journal");
+        assert!(!g.take_dirty(), "one kill, one reconciliation owed");
     }
 }

@@ -4,7 +4,6 @@ use cso_locks::TasLock;
 use cso_metrics::Registry;
 use cso_queue::{CsQueue, DequeueOutcome, EnqueueOutcome, QueueValue};
 
-use crate::aggregate::LaneAggregate;
 use crate::config::{ShardConfig, ShardMode};
 use crate::router::{Router, RouterStats, ShardLane};
 
@@ -19,8 +18,9 @@ impl<V: QueueValue> ShardLane for CsQueue<V, TasLock> {
         self.dequeue(proc).into_option()
     }
 
-    fn lane_len(&self) -> usize {
-        self.len()
+    #[inline]
+    fn lane_peek_len(&self) -> usize {
+        self.peek_len()
     }
 
     fn lane_attach_metrics(&self, registry: &Registry, prefix: &str) {
@@ -33,7 +33,7 @@ impl<V: QueueValue> ShardLane for CsQueue<V, TasLock> {
 /// Each lane is a full [`CsQueue`] — non-interfering enqueue/dequeue
 /// pairs, the escalation ladder, combining, and recovery all work
 /// unchanged per lane, and each lane keeps the exact seven-access solo
-/// budget (the router adds only uncounted bookkeeping). See the crate
+/// budget (the router adds only uncounted peeks). See the crate
 /// docs for the ordering modes and the elasticity protocol.
 ///
 /// ```
@@ -131,19 +131,27 @@ impl<V: QueueValue> ShardedCsQueue<V> {
         self.router.capacity()
     }
 
-    /// Believed element count — uncounted, O(lanes) in relaxed mode
-    /// (the sum of the per-lane occupancy cells; strict mode reads the
-    /// journal's count). Racy but convergent: exact at quiescence, off
-    /// by at most the in-flight operations otherwise.
+    /// Element count: the sum of the lanes' own counts, each read with
+    /// an uncounted peek — O(lanes), and there is no other record of
+    /// it. Racy (each lane's count is exact at its own instant), exact
+    /// at quiescence.
     #[must_use]
     pub fn len(&self) -> usize {
         self.router.len()
     }
 
-    /// Whether the queue is believed empty (same freshness as `len`).
+    /// Whether every lane reads empty — O(lanes), same freshness as
+    /// [`len`](Self::len).
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Lane `lane`'s element count as the lane's own registers hold
+    /// it (an uncounted peek — what the router steers by).
+    #[must_use]
+    pub fn occupancy(&self, lane: usize) -> usize {
+        self.router.lanes()[lane].lane_peek_len()
     }
 
     /// Number of processes the structure was built for.
@@ -183,12 +191,6 @@ impl<V: QueueValue> ShardedCsQueue<V> {
         self.router.stats()
     }
 
-    /// The occupancy aggregate (per-lane counts, mask).
-    #[must_use]
-    pub fn aggregate(&self) -> &LaneAggregate {
-        self.router.aggregate()
-    }
-
     /// Direct access to lane `i` (telemetry: `path_stats()`,
     /// `combining_stats()`, … of the underlying cell).
     #[must_use]
@@ -208,9 +210,10 @@ impl<V: QueueValue> ShardedCsQueue<V> {
         self.router.elastic().enabled()
     }
 
-    /// Re-derives the occupancy aggregate (and, in strict mode, the
-    /// order journal) from lane ground truth. Called automatically
-    /// after a detected crash; exposed for audits and tests.
+    /// Strict mode: reconciles the order journal with the lanes (done
+    /// automatically by the operation after a detected crash; exposed
+    /// for audits and tests). Relaxed mode keeps no derived state, so
+    /// there is nothing to refresh and this does nothing.
     pub fn refresh_occupancy(&self) {
         self.router.heal();
     }
@@ -403,7 +406,7 @@ mod tests {
         // full below lane_cap) and drains it back first: no steals, no
         // spills, exact FIFO — relaxation costs nothing when unused.
         let queue: ShardedCsQueue<u32> = ShardedCsQueue::new(64, 2, ShardConfig::relaxed(2, 8));
-        let lane_cap = queue.aggregate().lane_cap();
+        let lane_cap = queue.lane(0).capacity();
         for v in 0..lane_cap as u32 {
             assert_eq!(queue.enqueue(0, v), EnqueueOutcome::Enqueued);
         }
@@ -418,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn refresh_occupancy_rederives_the_aggregate() {
+    fn refresh_occupancy_reconciles_the_strict_journal() {
         let queue: ShardedCsQueue<u32> = ShardedCsQueue::new(16, 2, ShardConfig::strict(2));
         for v in 0..6 {
             assert_eq!(queue.enqueue(v as usize % 2, v), EnqueueOutcome::Enqueued);
@@ -431,5 +434,52 @@ mod tests {
             assert_eq!(queue.dequeue(0), DequeueOutcome::Dequeued(expect));
         }
         assert!(queue.router_stats().heals >= 1);
+    }
+
+    /// The queue's twin of the stack's steal/spill test: the probe
+    /// order is steered by `TAIL − HEAD` of each lane, peeked, so the
+    /// operation lands on the one qualifying foreign lane in one real
+    /// probe at the solo seven counted accesses.
+    #[test]
+    fn steal_and_spill_land_in_one_probe_on_uncounted_peeks() {
+        // 4 lanes × lane_cap 2 (k = 6).
+        let queue: ShardedCsQueue<u32> = ShardedCsQueue::new(8, 4, ShardConfig::relaxed(4, 6));
+        let attempts = |lane: usize| {
+            let s = queue.lane(lane).abort_stats();
+            s.enq_attempts + s.deq_attempts
+        };
+        // Only lane 2 holds anything.
+        assert_eq!(queue.enqueue(2, 7), EnqueueOutcome::Enqueued);
+        assert_eq!(queue.enqueue(2, 8), EnqueueOutcome::Enqueued);
+        let before: Vec<u64> = (0..4).map(attempts).collect();
+
+        // Dequeue from proc 0: home lane 0 and lane 1 peek empty.
+        let scope = CountScope::start();
+        assert_eq!(queue.dequeue(0), DequeueOutcome::Dequeued(7));
+        assert_eq!(scope.take().total(), 7, "a steal is one lane operation");
+        assert_eq!(queue.router_stats().steals, 1);
+        assert_eq!(
+            (0..4).map(attempts).collect::<Vec<_>>(),
+            vec![before[0], before[1], before[2] + 1, before[3]]
+        );
+
+        // Fill lanes 0, 1 and 3; lane 2 holds one of its two.
+        for proc in [0, 0, 1, 1, 3, 3] {
+            assert_eq!(queue.enqueue(proc, 1), EnqueueOutcome::Enqueued);
+        }
+        assert_eq!(queue.router_stats().spills, 0);
+        assert_eq!((0..4).map(|l| queue.occupancy(l)).sum::<usize>(), 7);
+        let before: Vec<u64> = (0..4).map(attempts).collect();
+
+        // Enqueue from proc 3: home lane 3, then lanes 0 and 1, peek full.
+        let scope = CountScope::start();
+        assert_eq!(queue.enqueue(3, 9), EnqueueOutcome::Enqueued);
+        assert_eq!(scope.take().total(), 7, "a spill is one lane operation");
+        assert_eq!(queue.router_stats().spills, 1);
+        assert_eq!(queue.occupancy(2), 2);
+        assert_eq!(
+            (0..4).map(attempts).collect::<Vec<_>>(),
+            vec![before[0], before[1], before[2] + 1, before[3]]
+        );
     }
 }

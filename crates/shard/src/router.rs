@@ -1,51 +1,54 @@
-//! The lane router: affinity, bounded stealing, heal, telemetry.
+//! The lane router: affinity, bounded stealing, telemetry.
 //!
 //! Generic over the lane type (a `CsStack` or `CsQueue`); the public
 //! wrappers in [`crate::stack`] / [`crate::queue`] are thin facades
-//! over [`Router`]. Everything the router itself touches — the
-//! aggregate, the elastic controller, the strict-order journal, the
-//! statistics counters — is **uncounted** (`std::sync::atomic`), so a
-//! routed operation spends exactly the lane's own counted budget:
-//! Theorem 1's six accesses for a solo stack op, seven for the queue.
+//! over [`Router`]. The router keeps **no record of occupancy of its
+//! own**: a lane's size is the `index` field of its `TOP` register (the
+//! queue's `TAIL − HEAD`), and the router reads it there, through the
+//! lane's *uncounted* [`peek_len`](ShardLane::lane_peek_len). So a
+//! routed operation spends exactly the lane's own counted budget —
+//! Theorem 1's six accesses for a solo stack op, seven for the queue —
+//! and there is no copy of the number to maintain, drift or heal.
 //!
 //! Uncounted is not free, so the router also keeps a *cost* contract:
 //! in relaxed mode with elasticity off, an operation that stays in its
-//! home lane **writes only lines its own thread owns** — the lane cell
-//! itself, the lane's padded occupancy cell, and the thread's stripe
-//! of the statistics block. The dirty flag is tested, not swapped; the
-//! size is summed by readers, not maintained by writers; the registry
-//! gauges are polled at scrape time, not pushed per operation. Strict
+//! home lane executes **no locked instruction and no shared load of
+//! the router's own**. It peeks the line of the lane it is about to
+//! C&S, runs the lane operation, and bumps its own stripe of the
+//! statistics block; the size is summed by readers, not maintained by
+//! writers, and the registry gauges are polled at scrape time. Strict
 //! mode's latch and journal and elastic mode's overlap sensor are
 //! shared writes by design and sit outside that contract.
 //!
 //! ## Probe protocol (relaxed mode)
 //!
 //! *Push:* probe the home lane `proc mod active`, then the rest of
-//! the active prefix, then the inactive tail — skipping lanes the
-//! aggregate believes full. If every lane *looked* full without a
-//! single real probe, answer `Full` (the aggregate lags the truth by
-//! at most the in-flight operations, so this adds ≤ n − 1 slack). If
-//! some lanes were really probed and all answered full, force-probe
-//! the skipped ones before answering — so a non-racing `Full` means
-//! every lane individually answered full.
+//! the active prefix, then the inactive tail — skipping lanes whose
+//! peek reads full. If every lane *peeked* full without a single real
+//! probe, answer `Full`: each peek was that lane's true size at an
+//! instant inside this operation, so only operations in flight with
+//! it can have made room (≤ n − 1 slack). If some lanes were really
+//! probed and all answered full, force-probe the skipped ones before
+//! answering — so a non-racing `Full` means every lane individually
+//! answered full.
 //!
-//! *Pop:* symmetric, with the nonempty mask: mask-guided probes
-//! starting at the home lane (over **all** lanes, so merged-away
-//! lanes drain), then a force-probe round only if the mask showed a
-//! candidate that lost a race.
+//! *Pop:* symmetric, skipping lanes whose peek reads empty: probes
+//! start at the home lane and cover **all** lanes (so merged-away
+//! lanes drain), then a force-probe round only if a lane that peeked
+//! nonempty lost a race.
 //!
 //! ## Crash consistency (the E14 kill sites)
 //!
-//! The aggregate is updated *after* the lane operation returns, by
-//! the same thread. A kill before the lane applies the op leaves
-//! nothing to record — no leak. A kill after the apply but before the
-//! update (the `sfree::unlock` boundary) leaves the aggregate one
-//! behind; the unwind guard marks it dirty and the next operation
-//! (or an explicit `refresh_occupancy()`) re-derives every lane's
-//! count from the lane itself — in strict mode under the latch, also
-//! re-appending the orphaned journal entries (legal: the killed
-//! operation never returned, so it linearizes late). Killed
-//! operations can therefore neither leak nor double-count occupancy.
+//! Relaxed mode has nothing to heal: a killed lane operation either
+//! applied or did not, and either way the lane's register says so.
+//! Strict mode keeps one derived structure, the order journal, and a
+//! kill between the lane operation and the journal update leaves it
+//! one entry off. The latch guard notices the unwind and flags the
+//! journal; the next strict operation (or an explicit
+//! `refresh_occupancy()`) reconciles it with the lanes under the
+//! latch, re-appending orphaned entries (legal: the killed operation
+//! never returned, so it linearizes late). Killed operations can
+//! therefore neither leak nor double-count.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -53,21 +56,21 @@ use std::sync::Arc;
 use cso_memory::Stripes;
 use cso_metrics::Registry;
 
-use crate::aggregate::LaneAggregate;
 use crate::config::{ShardConfig, ShardMode};
 use crate::elastic::Elastic;
-use crate::order::StrictOrder;
+use crate::order::{OrderGuard, StrictOrder};
 
 /// What a lane must provide to be routable. Implemented for
 /// `CsStack` / `CsQueue` by the public wrappers.
-pub(crate) trait ShardLane: Send + Sync {
+pub(crate) trait ShardLane: Send + Sync + 'static {
     type Value: Copy;
     /// Apply a push/enqueue; `true` = accepted, `false` = full.
     fn lane_push(&self, proc: usize, value: Self::Value) -> bool;
     /// Apply a pop/dequeue; `None` = empty.
     fn lane_pop(&self, proc: usize) -> Option<Self::Value>;
-    /// Ground-truth element count (heal path only).
-    fn lane_len(&self) -> usize;
+    /// The lane's element count as its own registers hold it, read
+    /// with **uncounted** peeks: exact at the instant of the read.
+    fn lane_peek_len(&self) -> usize;
     /// Attach the lane's own metrics under `prefix`.
     fn lane_attach_metrics(&self, registry: &Registry, prefix: &str);
 }
@@ -87,7 +90,8 @@ pub struct RouterStats {
     pub splits: u64,
     /// Elastic contractions (active prefix halved).
     pub merges: u64,
-    /// Aggregate re-derivations after a crash/unwind.
+    /// Strict-mode journal reconciliations (after a crash/unwind, or
+    /// on request); relaxed mode has nothing to heal.
     pub heals: u64,
     /// Current active lane prefix length.
     pub active_lanes: usize,
@@ -101,10 +105,9 @@ const HEALS: usize = 4;
 
 /// The shared router core.
 pub(crate) struct Router<T: ShardLane> {
-    lanes: Vec<T>,
     /// `Arc` (as are `elastic` and `counters`) so the registry's
     /// polled series can read it at scrape time.
-    agg: Arc<LaneAggregate>,
+    lanes: Arc<[T]>,
     order: Option<StrictOrder>,
     elastic: Arc<Elastic>,
     /// Router statistics, indexed by the constants above: the one
@@ -114,22 +117,9 @@ pub(crate) struct Router<T: ShardLane> {
     attached: AtomicBool,
     mode: ShardMode,
     capacity: usize,
+    /// What a relaxed push compares a lane's peek against.
+    lane_cap: usize,
     n: usize,
-}
-
-/// Marks the aggregate dirty if the wrapped lane call unwinds
-/// (crash/panic between the lane apply and the aggregate update).
-struct DirtyOnUnwind<'a> {
-    agg: &'a LaneAggregate,
-    armed: bool,
-}
-
-impl Drop for DirtyOnUnwind<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.agg.mark_dirty();
-        }
-    }
 }
 
 /// Decrements the in-flight overlap counter even on unwind.
@@ -138,16 +128,35 @@ struct ExitOnDrop<'a> {
 }
 
 impl Drop for ExitOnDrop<'_> {
+    #[inline]
     fn drop(&mut self) {
         self.elastic.exit();
     }
 }
 
+/// The lane probe order: the active prefix starting at the home lane
+/// (`home < active`), then the inactive tail (so merged-away lanes
+/// still drain / absorb spill).
+#[inline]
+fn probe_lane(home: usize, active: usize, i: usize) -> usize {
+    if i >= active {
+        i
+    } else if home + i >= active {
+        home + i - active
+    } else {
+        home + i
+    }
+}
+
+/// The sum of the lanes' own counts: O(lanes), uncounted.
+fn peek_sum<T: ShardLane>(lanes: &[T]) -> usize {
+    lanes.iter().map(T::lane_peek_len).sum()
+}
+
 impl<T: ShardLane> Router<T> {
     /// `lanes` are the constructed cells; `capacity` is the global
     /// bound (strict mode enforces it via the journal; relaxed mode
-    /// via the per-lane caps baked into the cells and the aggregate's
-    /// `lane_cap`).
+    /// via the per-lane caps baked into the cells, `lane_cap` each).
     pub(crate) fn new(
         lanes: Vec<T>,
         cfg: &ShardConfig,
@@ -165,25 +174,24 @@ impl<T: ShardLane> Router<T> {
             ShardMode::Relaxed { .. } => None,
         };
         Router {
-            agg: Arc::new(LaneAggregate::new(lanes.len(), lane_cap)),
             elastic: Arc::new(Elastic::new(
                 lanes.len(),
                 cfg.elastic,
                 cfg.eval_period,
                 cfg.cooldown_evals,
             )),
-            lanes,
+            lanes: lanes.into(),
             order,
             counters: Arc::new(Stripes::new()),
             attached: AtomicBool::new(false),
             mode: cfg.mode,
             capacity,
+            lane_cap,
             n,
         }
     }
 
     pub(crate) fn push(&self, proc: usize, value: T::Value) -> bool {
-        self.maybe_heal();
         let contended = self.elastic.enter();
         let _exit = ExitOnDrop {
             elastic: &self.elastic,
@@ -200,7 +208,6 @@ impl<T: ShardLane> Router<T> {
     }
 
     pub(crate) fn pop(&self, proc: usize) -> Option<T::Value> {
-        self.maybe_heal();
         let contended = self.elastic.enter();
         let _exit = ExitOnDrop {
             elastic: &self.elastic,
@@ -216,19 +223,11 @@ impl<T: ShardLane> Router<T> {
         popped
     }
 
-    /// The lane probe order: the active prefix starting at the home
-    /// lane, then the inactive tail (so merged-away lanes still
-    /// drain / absorb spill).
-    fn probe_lane(&self, home: usize, active: usize, i: usize) -> usize {
-        if i < active {
-            (home + i) % active
-        } else {
-            i
-        }
-    }
-
     fn push_strict(&self, order: &StrictOrder, proc: usize, value: T::Value) -> bool {
         let guard = order.acquire();
+        if guard.take_dirty() {
+            self.reconcile(&guard);
+        }
         if guard.len() >= self.capacity {
             return false;
         }
@@ -238,16 +237,11 @@ impl<T: ShardLane> Router<T> {
         // lane capacity ≥ the global capacity, so the home lane has
         // room; probe the rest anyway for defence in depth.
         for i in 0..self.lanes.len() {
-            let lane = self.probe_lane(home, active, i);
-            let mut dirty = DirtyOnUnwind {
-                agg: &self.agg,
-                armed: true,
-            };
-            let ok = self.lanes[lane].lane_push(proc, value);
-            dirty.armed = false;
-            if ok {
+            let lane = probe_lane(home, active, i);
+            // A kill in here unwinds through `guard`, which flags the
+            // journal for the next holder.
+            if self.lanes[lane].lane_push(proc, value) {
                 guard.push_lane(lane);
-                self.agg.record_push(lane);
                 if lane != home {
                     self.counters.inc(SPILLS);
                 }
@@ -259,31 +253,19 @@ impl<T: ShardLane> Router<T> {
 
     fn pop_strict(&self, order: &StrictOrder, proc: usize) -> Option<T::Value> {
         let guard = order.acquire();
-        let lane = guard.pop_lane()?;
-        let mut dirty = DirtyOnUnwind {
-            agg: &self.agg,
-            armed: true,
-        };
-        let value = self.lanes[lane].lane_pop(proc);
-        dirty.armed = false;
-        match value {
-            Some(v) => {
-                self.agg.record_pop(lane);
-                let active = self.elastic.active();
-                if lane != proc % active {
-                    self.counters.inc(STEALS);
-                }
-                Some(v)
-            }
-            None => {
-                // Journal said the lane held the answer but the lane
-                // disagrees: only reachable after an unhealed crash.
-                // Re-derive everything rather than guessing.
-                drop(guard);
-                self.agg.mark_dirty();
-                None
-            }
+        if guard.take_dirty() {
+            self.reconcile(&guard);
         }
+        let lane = guard.pop_lane()?;
+        let value = self.lanes[lane].lane_pop(proc);
+        if value.is_none() {
+            // Journal said the lane held the answer but the lane
+            // disagrees: re-derive everything rather than guessing.
+            guard.mark_dirty();
+        } else if lane != proc % self.elastic.active() {
+            self.counters.inc(STEALS);
+        }
+        value
     }
 
     fn push_relaxed(&self, proc: usize, value: T::Value) -> bool {
@@ -292,10 +274,10 @@ impl<T: ShardLane> Router<T> {
         let home = proc % active;
         let mut probed = 0u64;
         let mut skipped_any = false;
-        // Round 1: aggregate-guided real probes.
+        // Round 1: real probes of the lanes that peek below capacity.
         for i in 0..total {
-            let lane = self.probe_lane(home, active, i);
-            if self.agg.looks_full(lane) {
+            let lane = probe_lane(home, active, i);
+            if self.lanes[lane].lane_peek_len() >= self.lane_cap {
                 skipped_any = true;
                 continue;
             }
@@ -309,14 +291,15 @@ impl<T: ShardLane> Router<T> {
             return false;
         }
         if probed == 0 {
-            // Every lane *looked* full: trust the aggregate (slack
-            // bounded by in-flight ops, ≤ n − 1).
+            // Every lane *peeked* full, each at an instant inside this
+            // operation: trust them (slack ≤ n − 1, the operations in
+            // flight with this one).
             return false;
         }
-        // Round 2: the hint skipped lanes but a probe lost a race —
+        // Round 2: the peeks skipped lanes but a probe lost a race —
         // force-probe the skipped ones before answering Full.
         for i in 0..total {
-            let lane = self.probe_lane(home, active, i);
+            let lane = probe_lane(home, active, i);
             if probed & (1 << lane) != 0 {
                 continue;
             }
@@ -327,18 +310,11 @@ impl<T: ShardLane> Router<T> {
         false
     }
 
+    #[inline]
     fn try_push_lane(&self, lane: usize, home: usize, proc: usize, value: T::Value) -> bool {
-        let mut dirty = DirtyOnUnwind {
-            agg: &self.agg,
-            armed: true,
-        };
         let ok = self.lanes[lane].lane_push(proc, value);
-        dirty.armed = false;
-        if ok {
-            self.agg.record_push(lane);
-            if lane != home {
-                self.counters.inc(SPILLS);
-            }
+        if ok && lane != home {
+            self.counters.inc(SPILLS);
         }
         ok
     }
@@ -348,28 +324,27 @@ impl<T: ShardLane> Router<T> {
         let active = self.elastic.active();
         let home = proc % active;
         let mut probed = 0u64;
-        let mut saw_candidate = false;
-        // Round 1: mask-guided real probes, home lane first.
+        // Round 1: real probes of the lanes that peek nonempty, home
+        // lane first.
         for i in 0..total {
-            let lane = self.probe_lane(home, active, i);
-            if !self.agg.looks_nonempty(lane) {
+            let lane = probe_lane(home, active, i);
+            if self.lanes[lane].lane_peek_len() == 0 {
                 continue;
             }
-            saw_candidate = true;
             probed |= 1 << lane;
             if let Some(v) = self.try_pop_lane(lane, home, proc) {
                 return Some(v);
             }
         }
-        if !saw_candidate {
-            // The mask showed nothing anywhere: trust it (slack
-            // bounded by in-flight ops, ≤ n − 1).
+        if probed == 0 {
+            // Every lane peeked empty, each at an instant inside this
+            // operation: trust them (slack ≤ n − 1).
             return None;
         }
         // Round 2: a candidate lost a race — force-probe every lane
         // before answering Empty.
         for i in 0..total {
-            let lane = self.probe_lane(home, active, i);
+            let lane = probe_lane(home, active, i);
             if probed & (1 << lane) != 0 {
                 continue;
             }
@@ -380,54 +355,40 @@ impl<T: ShardLane> Router<T> {
         None
     }
 
+    #[inline]
     fn try_pop_lane(&self, lane: usize, home: usize, proc: usize) -> Option<T::Value> {
-        let mut dirty = DirtyOnUnwind {
-            agg: &self.agg,
-            armed: true,
-        };
         let value = self.lanes[lane].lane_pop(proc);
-        dirty.armed = false;
-        if value.is_some() {
-            self.agg.record_pop(lane);
-            if lane != home {
-                self.counters.inc(STEALS);
-            }
+        if value.is_some() && lane != home {
+            self.counters.inc(STEALS);
         }
         value
     }
 
-    /// Heals the aggregate (and in strict mode the journal) if a
-    /// crashed operation left them behind.
-    fn maybe_heal(&self) {
-        if self.agg.take_dirty() {
-            self.heal();
-        }
-    }
-
-    /// Re-derives the aggregate from lane ground truth. Strict mode
-    /// runs under the latch and also reconciles the journal: lanes
-    /// holding more elements than the journal records gained them from
-    /// killed (never-returned) operations, which may legally linearize
-    /// now — their entries are appended; the reverse direction drops
-    /// stale entries.
+    /// Strict mode: reconciles the order journal with the lanes, under
+    /// the latch. Relaxed mode keeps nothing derived, so there is
+    /// nothing to do.
     pub(crate) fn heal(&self) {
         if let Some(ref order) = self.order {
             let guard = order.acquire();
-            for (lane, cell) in self.lanes.iter().enumerate() {
-                let actual = cell.lane_len();
-                let journaled = guard.count_lane(lane);
-                if actual > journaled {
-                    for _ in 0..(actual - journaled) {
-                        guard.push_lane(lane);
-                    }
-                } else if journaled > actual {
-                    guard.remove_lane_entries(lane, journaled - actual);
+            let _ = guard.take_dirty();
+            self.reconcile(&guard);
+        }
+    }
+
+    /// Lanes holding more elements than the journal records gained
+    /// them from killed (never-returned) operations, which may legally
+    /// linearize now — their entries are appended; the reverse
+    /// direction drops stale entries.
+    fn reconcile(&self, guard: &OrderGuard<'_>) {
+        for (lane, cell) in self.lanes.iter().enumerate() {
+            let actual = cell.lane_peek_len();
+            let journaled = guard.count_lane(lane);
+            if actual > journaled {
+                for _ in 0..(actual - journaled) {
+                    guard.push_lane(lane);
                 }
-                self.agg.resync(lane, actual);
-            }
-        } else {
-            for (lane, cell) in self.lanes.iter().enumerate() {
-                self.agg.resync(lane, cell.lane_len());
+            } else if journaled > actual {
+                guard.remove_lane_entries(lane, journaled - actual);
             }
         }
         self.counters.inc(HEALS);
@@ -451,8 +412,10 @@ impl<T: ShardLane> Router<T> {
                 counters.total(cell)
             });
         }
-        let agg = Arc::clone(&self.agg);
-        registry.gauge_fn(&format!("{prefix}_router_size"), move || agg.len() as f64);
+        let lanes = Arc::clone(&self.lanes);
+        registry.gauge_fn(&format!("{prefix}_router_size"), move || {
+            peek_sum(&lanes) as f64
+        });
         let poll = |name: &str, read: fn(&Elastic) -> f64| {
             let elastic = Arc::clone(&self.elastic);
             registry.gauge_fn(&format!("{prefix}_router_{name}"), move || read(&elastic));
@@ -480,10 +443,6 @@ impl<T: ShardLane> Router<T> {
         &self.lanes
     }
 
-    pub(crate) fn aggregate(&self) -> &LaneAggregate {
-        &self.agg
-    }
-
     pub(crate) fn elastic(&self) -> &Elastic {
         &self.elastic
     }
@@ -508,20 +467,15 @@ impl<T: ShardLane> Router<T> {
         match self.mode {
             ShardMode::Strict => 0,
             ShardMode::Relaxed { .. } => {
-                ((self.lanes.len() - 1) * self.agg.lane_cap()).max(self.n.saturating_sub(1))
+                ((self.lanes.len() - 1) * self.lane_cap).max(self.n.saturating_sub(1))
             }
         }
     }
-}
 
-impl<T: ShardLane> Router<T> {
-    /// Racy but convergent view used by `len()`: strict mode prefers
-    /// the journal's resident count (exact at quiescence), relaxed
-    /// mode the aggregate's O(lanes) sum.
+    /// The sum of the lanes' own counts, in either mode: O(lanes),
+    /// racy (each peek is exact at its own instant), exact at
+    /// quiescence.
     pub(crate) fn len(&self) -> usize {
-        match self.order {
-            Some(ref order) => order.len_hint(),
-            None => self.agg.len(),
-        }
+        peek_sum(&self.lanes)
     }
 }

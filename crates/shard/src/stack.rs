@@ -4,7 +4,6 @@ use cso_locks::TasLock;
 use cso_metrics::Registry;
 use cso_stack::{CsStack, PopOutcome, PushOutcome, StackValue};
 
-use crate::aggregate::LaneAggregate;
 use crate::config::{ShardConfig, ShardMode};
 use crate::router::{Router, RouterStats, ShardLane};
 
@@ -19,8 +18,9 @@ impl<V: StackValue> ShardLane for CsStack<V, TasLock> {
         self.pop(proc).into_option()
     }
 
-    fn lane_len(&self) -> usize {
-        self.len()
+    #[inline]
+    fn lane_peek_len(&self) -> usize {
+        self.peek_len()
     }
 
     fn lane_attach_metrics(&self, registry: &Registry, prefix: &str) {
@@ -33,7 +33,7 @@ impl<V: StackValue> ShardLane for CsStack<V, TasLock> {
 /// Each lane is a full [`CsStack`] — the escalation ladder, combining
 /// slow path, and recovery machinery all work unchanged per lane, and
 /// each lane keeps Theorem 1's exact six-access solo budget (the
-/// router adds only uncounted bookkeeping). See the crate docs for
+/// router adds only uncounted peeks). See the crate docs for
 /// the ordering modes and the elasticity protocol.
 ///
 /// ```
@@ -121,19 +121,27 @@ impl<V: StackValue> ShardedCsStack<V> {
         self.router.capacity()
     }
 
-    /// Believed element count — uncounted, O(lanes) in relaxed mode
-    /// (the sum of the per-lane occupancy cells; strict mode reads the
-    /// journal's count). Racy but convergent: exact at quiescence, off
-    /// by at most the in-flight operations otherwise.
+    /// Element count: the sum of the lanes' own counts, each read with
+    /// an uncounted peek — O(lanes), and there is no other record of
+    /// it. Racy (each lane's count is exact at its own instant), exact
+    /// at quiescence.
     #[must_use]
     pub fn len(&self) -> usize {
         self.router.len()
     }
 
-    /// Whether the stack is believed empty (same freshness as `len`).
+    /// Whether every lane reads empty — O(lanes), same freshness as
+    /// [`len`](Self::len).
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Lane `lane`'s element count as the lane's own registers hold
+    /// it (an uncounted peek — what the router steers by).
+    #[must_use]
+    pub fn occupancy(&self, lane: usize) -> usize {
+        self.router.lanes()[lane].lane_peek_len()
     }
 
     /// Number of processes the structure was built for.
@@ -176,12 +184,6 @@ impl<V: StackValue> ShardedCsStack<V> {
         self.router.stats()
     }
 
-    /// The occupancy aggregate (per-lane counts, mask).
-    #[must_use]
-    pub fn aggregate(&self) -> &LaneAggregate {
-        self.router.aggregate()
-    }
-
     /// Direct access to lane `i` (telemetry: `path_stats()`,
     /// `combining_stats()`, … of the underlying cell).
     #[must_use]
@@ -201,9 +203,10 @@ impl<V: StackValue> ShardedCsStack<V> {
         self.router.elastic().enabled()
     }
 
-    /// Re-derives the occupancy aggregate (and, in strict mode, the
-    /// order journal) from lane ground truth. Called automatically
-    /// after a detected crash; exposed for audits and tests.
+    /// Strict mode: reconciles the order journal with the lanes (done
+    /// automatically by the operation after a detected crash; exposed
+    /// for audits and tests). Relaxed mode keeps no derived state, so
+    /// there is nothing to refresh and this does nothing.
     pub fn refresh_occupancy(&self) {
         self.router.heal();
     }
@@ -381,13 +384,18 @@ mod tests {
                 }
             });
             // Quiescent: the striped router counters and the summed
-            // occupancy cells are exact.
+            // lane counts are exact.
             let mut seen: Vec<u32> = popped.into_inner().unwrap();
             let stats = stack.router_stats();
             assert_eq!(stats.pushes, 800, "pushes under {config:?}");
             assert_eq!(stats.pops, seen.len() as u64, "pops under {config:?}");
             assert_eq!(stack.len(), 800 - seen.len(), "len under {config:?}");
-            assert_eq!(stack.aggregate().len(), stack.len());
+            assert_eq!(
+                stack.len(),
+                (0..stack.lanes())
+                    .map(|i| stack.lane(i).len())
+                    .sum::<usize>()
+            );
             // Drain and account for every value exactly once.
             for proc in 0..8 {
                 while let PopOutcome::Popped(v) = stack.pop(proc) {
@@ -406,21 +414,71 @@ mod tests {
     }
 
     #[test]
-    fn refresh_occupancy_rederives_the_aggregate() {
-        let stack: ShardedCsStack<u32> = ShardedCsStack::new(16, 2, ShardConfig::relaxed(2, 4));
+    fn refresh_occupancy_reconciles_the_strict_journal() {
+        let stack: ShardedCsStack<u32> = ShardedCsStack::new(16, 2, ShardConfig::strict(2));
         for v in 0..6 {
             assert_eq!(stack.push(v as usize % 2, v), PushOutcome::Pushed);
         }
         let before = stack.len();
         stack.refresh_occupancy();
         assert_eq!(stack.len(), before, "heal must agree with live counts");
-        assert_eq!(
-            (0..stack.lanes())
-                .map(|i| stack.lane(i).len())
-                .sum::<usize>(),
-            before
-        );
         assert!(stack.router_stats().heals >= 1);
+        // Strict heal preserves the exact LIFO order too.
+        for expect in (0..6).rev() {
+            assert_eq!(stack.pop(0), PopOutcome::Popped(expect));
+        }
+        // Relaxed mode keeps nothing derived: nothing to refresh.
+        let relaxed: ShardedCsStack<u32> = ShardedCsStack::new(16, 2, ShardConfig::relaxed(2, 4));
+        relaxed.refresh_occupancy();
+        assert_eq!(relaxed.router_stats().heals, 0);
+    }
+
+    /// The probe order is steered by the lanes' own counts: with the
+    /// home lane empty (pop) or full (push) and one foreign lane
+    /// qualifying, the operation lands there in one real probe — the
+    /// skipped lanes see no attempt — and the peeks that steered it
+    /// cost none of the six counted accesses.
+    #[test]
+    fn steal_and_spill_land_in_one_probe_on_uncounted_peeks() {
+        // 4 lanes × lane_cap 2 (k = 6).
+        let stack: ShardedCsStack<u32> = ShardedCsStack::new(8, 4, ShardConfig::relaxed(4, 6));
+        let attempts = |lane: usize| {
+            let s = stack.lane(lane).abort_stats();
+            s.push_attempts + s.pop_attempts
+        };
+        // Only lane 2 holds anything.
+        assert_eq!(stack.push(2, 7), PushOutcome::Pushed);
+        assert_eq!(stack.push(2, 8), PushOutcome::Pushed);
+        let before: Vec<u64> = (0..4).map(attempts).collect();
+
+        // Pop from proc 0: home lane 0 and lane 1 peek empty.
+        let scope = CountScope::start();
+        assert_eq!(stack.pop(0), PopOutcome::Popped(8));
+        assert_eq!(scope.take().total(), 6, "a steal is one lane operation");
+        assert_eq!(stack.router_stats().steals, 1);
+        assert_eq!(
+            (0..4).map(attempts).collect::<Vec<_>>(),
+            vec![before[0], before[1], before[2] + 1, before[3]]
+        );
+
+        // Fill lanes 0, 1 and 3; lane 2 holds one of its two.
+        for proc in [0, 0, 1, 1, 3, 3] {
+            assert_eq!(stack.push(proc, 1), PushOutcome::Pushed);
+        }
+        assert_eq!(stack.router_stats().spills, 0);
+        assert_eq!((0..4).map(|l| stack.occupancy(l)).sum::<usize>(), 7);
+        let before: Vec<u64> = (0..4).map(attempts).collect();
+
+        // Push from proc 3: home lane 3, then lanes 0 and 1, peek full.
+        let scope = CountScope::start();
+        assert_eq!(stack.push(3, 9), PushOutcome::Pushed);
+        assert_eq!(scope.take().total(), 6, "a spill is one lane operation");
+        assert_eq!(stack.router_stats().spills, 1);
+        assert_eq!(stack.occupancy(2), 2);
+        assert_eq!(
+            (0..4).map(attempts).collect::<Vec<_>>(),
+            vec![before[0], before[1], before[2] + 1, before[3]]
+        );
     }
 
     #[test]

@@ -177,6 +177,17 @@ impl<V: StackValue> AbortableStack<V> {
         self.len() == 0
     }
 
+    /// [`AbortableStack::len`] through an **uncounted**
+    /// [`Reg64::peek`]: the size at the instant of the load, at none
+    /// of the paper's access budget. For callers that only steer by
+    /// it (the shard router's probe order) and re-validate with a real
+    /// operation.
+    #[inline]
+    #[must_use]
+    pub fn peek_len(&self) -> usize {
+        usize::from(TopWord::unpack(self.top.peek()).index)
+    }
+
     /// `help(index, value, seqnb)` — lines 15–16: finish the pending
     /// lazy write of the previous successful operation.
     ///

@@ -163,6 +163,14 @@ impl<V: StackValue, L: RawLock> CsStack<V, L> {
         self.inner.inner().is_empty()
     }
 
+    /// Racy size snapshot through an uncounted peek (see
+    /// [`AbortableStack::peek_len`]).
+    #[inline]
+    #[must_use]
+    pub fn peek_len(&self) -> usize {
+        self.inner.inner().peek_len()
+    }
+
     /// The number of processes this stack serves.
     #[must_use]
     pub fn n(&self) -> usize {

@@ -349,6 +349,36 @@ fn exhaustive_queue_enqueue_dequeue_linearizes() {
     assert!(report.schedules > 1, "{report}");
 }
 
+/// `len()` is a size the queue really had: in every interleaving of a
+/// reader with an enqueue and two dequeues, both the counted `len()`
+/// and the uncounted `peek_len()` stay within the capacity. (Pairing
+/// `TAIL` with a `HEAD` read after it does not: the schedule "read
+/// TAIL = 1; enqueue, dequeue, dequeue; read HEAD = 2" makes the
+/// 16-bit difference wrap to 65 535.)
+#[test]
+fn exhaustive_queue_len_is_a_consistent_snapshot() {
+    let _serial = serial();
+    let report = Explorer::exhaustive().explore(|| {
+        let queue: Arc<CsQueue<u32>> = Arc::new(CsQueue::new(2, 2));
+        assert_eq!(queue.enqueue(0, 1), EnqueueOutcome::Enqueued);
+        let child = {
+            let queue = Arc::clone(&queue);
+            spawn(move || {
+                assert_eq!(queue.enqueue(1, 2), EnqueueOutcome::Enqueued);
+                assert_eq!(queue.dequeue(1), DequeueOutcome::Dequeued(1));
+                assert_eq!(queue.dequeue(1), DequeueOutcome::Dequeued(2));
+            })
+        };
+        let (len, peeked) = (queue.len(), queue.peek_len());
+        assert!(len <= 2 && peeked <= 2, "len() {len}, peek_len() {peeked}");
+        child.join();
+        assert_eq!(queue.len(), 0);
+    });
+    report.assert_ok();
+    assert!(report.exhausted, "{report}");
+    assert!(report.schedules > 1, "{report}");
+}
+
 /// Responses for the deque scenario, checker-side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DequeResp {

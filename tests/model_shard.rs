@@ -6,12 +6,15 @@
 //! ```
 //!
 //! Each body runs once per explored schedule, from the top, with fresh
-//! state (CONTRIBUTING.md, "Writing a model test"). The router's own
-//! bookkeeping — aggregate, elastic controller, strict-order latch —
-//! is uncounted, but every *lane* operation's counted accesses are
-//! scheduling decisions, and the latch/elastic code paths run between
-//! them, so the explorer drives stealing, spilling, and split/merge
-//! through every interleaving of the real lanes.
+//! state (CONTRIBUTING.md, "Writing a model test"). Every counted
+//! access of a *lane* operation is a scheduling decision, and so is
+//! every hint the relaxed router reads: it steers by uncounted peeks
+//! of the lanes' own registers, and a peek is a schedule point under
+//! `model`. So the explorer interleaves other threads between a peek
+//! and the probe it chose — a stale "nonempty", a stale "full" — as
+//! well as through stealing, spilling, and split/merge. (The elastic
+//! controller and the strict-order latch are plain `std` atomics and
+//! run between those points.)
 //!
 //! The elastic cadence in these bodies is operation-count driven (no
 //! wall-clock anywhere in the controller), so the split/merge history
@@ -87,7 +90,7 @@ fn solo_sharded_ops_keep_the_cell_budgets_under_model() {
 /// Exhaustive 2-thread × 2-lane **strict** exploration: the ticket
 /// latch serializes ordering decisions across lanes, so every
 /// interleaving must satisfy the *unrelaxed* stack spec, conserve
-/// values, and leave the aggregate agreeing with the lanes.
+/// values, and leave `len()` agreeing with the lanes.
 #[test]
 fn exhaustive_strict_two_lane_stack_linearizes() {
     let report = Explorer::exhaustive().explore(|| {
@@ -138,10 +141,10 @@ fn exhaustive_strict_two_lane_stack_linearizes() {
         assert_eq!(got.len(), 2, "conservation: {got:?}");
         assert_eq!(distinct, BTreeSet::from([1, 2]), "conservation: {got:?}");
 
-        // At quiescence the aggregate must agree with lane ground
-        // truth exactly.
+        // At quiescence `len()` must agree with lane ground truth
+        // exactly.
         let lane_sum: usize = (0..stack.lanes()).map(|i| stack.lane(i).len()).sum();
-        assert_eq!(stack.aggregate().len(), lane_sum);
+        assert_eq!(stack.len(), lane_sum);
         assert_eq!(lane_sum, 0);
 
         let history = recorder.finish();
@@ -160,7 +163,7 @@ fn exhaustive_strict_two_lane_stack_linearizes() {
 /// active prefix flips between 1 and 2 *during* the ops, stealing
 /// races the merges, and in every schedule the structure must conserve
 /// values, keep a sane lane count, satisfy the k-spec at its
-/// advertised bound, and leave the aggregate equal to the lane sums.
+/// advertised bound, and leave `len()` equal to the lane sums.
 #[test]
 fn exhaustive_elastic_split_merge_with_stealing() {
     let report = Explorer::exhaustive().explore(|| {
@@ -224,7 +227,7 @@ fn exhaustive_elastic_split_merge_with_stealing() {
         assert_eq!(distinct, BTreeSet::from([1, 2]), "conservation: {got:?}");
 
         let lane_sum: usize = (0..stack.lanes()).map(|i| stack.lane(i).len()).sum();
-        assert_eq!(stack.aggregate().len(), lane_sum, "aggregate drifted");
+        assert_eq!(stack.len(), lane_sum, "len() off the lanes");
         assert_eq!(lane_sum, 0, "values left stranded in a merged-away lane");
 
         let history = recorder.finish();
@@ -346,9 +349,9 @@ fn random_sweep_three_thread_elastic_shard_holds() {
             child.join();
         }
 
-        // Quiescent audit: aggregate == lane ground truth.
+        // Quiescent audit: len() == lane ground truth.
         let lane_sum: usize = (0..stack.lanes()).map(|i| stack.lane(i).len()).sum();
-        assert_eq!(stack.aggregate().len(), lane_sum, "aggregate drifted");
+        assert_eq!(stack.len(), lane_sum, "len() off the lanes");
 
         let history = recorder.finish();
         assert!(

@@ -1,6 +1,5 @@
 //! Chaos stress for the sharded router: spurious aborts, panic kills,
-//! and hard-stalled lock holders, audited against the per-lane
-//! occupancy aggregate.
+//! and hard-stalled lock holders, audited against the lanes.
 //!
 //! These tests require the `chaos` feature:
 //!
@@ -8,15 +7,17 @@
 //! cargo test --features chaos --test shard_chaos
 //! ```
 //!
-//! The E14 kill-site audit, shard edition: the router updates the
-//! aggregate *after* a lane operation returns, so a kill before the
-//! lane applies leaves nothing to record, and a kill after the apply
-//! but before the update marks the aggregate dirty (unwind guard) for
-//! the next operation to heal. Every test here closes with the same
-//! invariant: **a killed operation may neither leak nor double-count
-//! lane occupancy** — after `refresh_occupancy()`, the aggregate
-//! equals the sum of lane ground truths and the drained values equal
-//! the successfully pushed ones exactly.
+//! The E14 kill-site audit, shard edition. In relaxed mode the router
+//! keeps no record of occupancy beside the lanes' own registers, so a
+//! kill leaves nothing to heal: `len()` is the lane sum before, during
+//! and after, with no `refresh_occupancy()` in between. Strict mode
+//! keeps the order journal, which a kill between the lane operation
+//! and the journal update leaves one entry off; the latch guard flags
+//! it on the unwind and the next operation reconciles it. Every test
+//! here closes with the same invariant: **a killed operation may
+//! neither leak nor double-count** — `len()` equals the sum of lane
+//! ground truths and the drained values equal the successfully pushed
+//! ones exactly.
 //!
 //! The chaos fail-point registry is process-global, so tests serialize
 //! behind one mutex (same pattern as `tests/chaos_stress.rs`).
@@ -37,17 +38,17 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Sum of lane ground truths — what the aggregate must agree with at
-/// quiescence.
+/// Sum of lane ground truths (counted reads) — what `len()` must
+/// agree with at quiescence.
 fn lane_sum(stack: &ShardedCsStack<u32>) -> usize {
     (0..stack.lanes()).map(|i| stack.lane(i).len()).sum()
 }
 
 /// Spurious-abort storm over a mixed 3-thread workload in both modes:
 /// aborted attempts retry down the ladder, but completed operations
-/// must conserve values and the aggregate must track the lanes.
+/// must conserve values and `len()` must track the lanes.
 #[test]
-fn abort_storm_conserves_values_and_aggregate() {
+fn abort_storm_conserves_values_and_occupancy() {
     let _serial = serial();
     for config in [ShardConfig::strict(2), ShardConfig::relaxed(2, 4)] {
         for round in 0..40usize {
@@ -80,13 +81,8 @@ fn abort_storm_conserves_values_and_aggregate() {
                 }
             });
 
-            // Aggregate audit at quiescence.
-            stack.refresh_occupancy();
-            assert_eq!(
-                stack.aggregate().len(),
-                lane_sum(&stack),
-                "aggregate drifted"
-            );
+            // Occupancy audit at quiescence: nothing to refresh first.
+            assert_eq!(stack.len(), lane_sum(&stack), "len() off the lanes");
 
             // Conservation: popped ∪ residue == successfully pushed.
             let mut seen = popped.into_inner().unwrap();
@@ -104,11 +100,12 @@ fn abort_storm_conserves_values_and_aggregate() {
 }
 
 /// A panic kill inside a **relaxed-mode** lane operation (fast path
-/// vetoed, victim dies under the lane lock): the unwind guard marks
-/// the aggregate dirty, the next operation heals it, and the victim's
-/// value neither leaks in nor double-counts.
+/// vetoed, victim dies under the lane lock) leaves nothing to heal:
+/// the lanes are the only record of occupancy, so `len()` is exact the
+/// moment the unwind ends and the victim's value neither leaks in nor
+/// double-counts.
 #[test]
-fn panic_kill_in_relaxed_lane_heals_the_aggregate() {
+fn panic_kill_in_relaxed_lane_leaves_nothing_to_heal() {
     let _serial = serial();
     chaos::reset();
     let stack: ShardedCsStack<u32> = ShardedCsStack::new(32, 3, ShardConfig::relaxed(2, 16));
@@ -121,17 +118,13 @@ fn panic_kill_in_relaxed_lane_heals_the_aggregate() {
     chaos::arm_plan("cs::locked", Plan::once(Fault::Panic));
     let killed = catch_unwind(AssertUnwindSafe(|| stack.push(1, 999)));
     assert!(killed.is_err(), "the injected panic must surface");
-    assert!(
-        stack.aggregate().is_dirty(),
-        "a kill mid-lane must flag the aggregate"
-    );
+    assert_eq!(stack.len(), len_before, "999 must not be counted");
+    assert_eq!(stack.len(), lane_sum(&stack));
 
-    // The next routed operation heals before doing anything else.
     assert_eq!(stack.push(2, 11), PushOutcome::Pushed);
-    assert!(!stack.aggregate().is_dirty(), "heal must consume the flag");
-    assert!(stack.router_stats().heals >= 1);
-    assert_eq!(stack.len(), len_before + 1, "999 must not be counted");
-    assert_eq!(stack.aggregate().len(), lane_sum(&stack));
+    assert_eq!(stack.len(), len_before + 1);
+    assert_eq!(stack.len(), lane_sum(&stack));
+    assert_eq!(stack.router_stats().heals, 0, "relaxed mode never heals");
 
     // Conservation: the victim's value never surfaces.
     let mut drained = Vec::new();
@@ -158,9 +151,9 @@ fn panic_kill_in_relaxed_lane_heals_the_aggregate() {
 }
 
 /// A panic kill inside a **strict-mode** lane operation: the order
-/// latch releases on unwind (no wedge), the journal stays consistent
-/// with the lanes after the heal, and the surviving values drain in
-/// exact LIFO order.
+/// latch releases on unwind (no wedge) and flags the journal as it
+/// goes, the next holder reconciles it with the lanes, and the
+/// surviving values drain in exact LIFO order.
 #[test]
 fn panic_kill_in_strict_mode_releases_the_latch_and_keeps_order() {
     let _serial = serial();
@@ -176,13 +169,26 @@ fn panic_kill_in_strict_mode_releases_the_latch_and_keeps_order() {
     assert!(killed.is_err(), "the injected panic must surface");
 
     // The latch must have been released by the guard's unwind drop:
-    // every operation below would wedge otherwise.
+    // every operation below would wedge otherwise. The first of them
+    // finds the journal flagged and reconciles it.
+    assert_eq!(stack.router_stats().heals, 0);
+    assert_eq!(stack.push(2, 7), PushOutcome::Pushed);
+    assert_eq!(
+        stack.router_stats().heals,
+        1,
+        "the kill flagged the journal"
+    );
+    assert_eq!(stack.len(), lane_sum(&stack));
+    assert_eq!(stack.len(), 7, "999 must not be journaled");
     stack.refresh_occupancy();
-    assert_eq!(stack.aggregate().len(), lane_sum(&stack));
-    assert_eq!(stack.len(), 6, "999 must not be journaled");
+    assert_eq!(
+        stack.router_stats().heals,
+        2,
+        "an audit reconciles on request"
+    );
 
     // Exact LIFO across the kill.
-    for expect in (1..=6).rev() {
+    for expect in (1..=7).rev() {
         assert_eq!(stack.pop(2), PopOutcome::Popped(expect));
     }
     assert_eq!(stack.pop(0), PopOutcome::Empty);
@@ -192,12 +198,12 @@ fn panic_kill_in_strict_mode_releases_the_latch_and_keeps_order() {
 /// The E14 endgame at shard level: a victim hard-stalled forever while
 /// holding one lane's slow-path lock. With a [`RecoveryPolicy`] on the
 /// lanes, survivors routed to that lane suspect the corpse, seize the
-/// lock by succession, and complete; conservation and the aggregate
-/// stay exact. (Relaxed mode: strict mode's order latch has no
+/// lock by succession, and complete; conservation and `len()` stay
+/// exact. (Relaxed mode: strict mode's order latch has no
 /// succession protocol, so its crash story covers unwinding kills
 /// only — see DESIGN.md.)
 #[test]
-fn stalled_lane_lock_holder_is_succeeded_and_aggregate_stays_exact() {
+fn stalled_lane_lock_holder_is_succeeded_and_occupancy_stays_exact() {
     let _serial = serial();
     chaos::reset();
     const PER_THREAD: u32 = 50;
@@ -257,10 +263,9 @@ fn stalled_lane_lock_holder_is_succeeded_and_aggregate_stays_exact() {
         .sum();
     assert!(successions >= 1, "the corpse's lane lock was never seized");
 
-    // Kill-site audit: the stalled op applied nothing and recorded
-    // nothing — no leak, no double-count.
-    stack.refresh_occupancy();
-    assert_eq!(stack.aggregate().len(), lane_sum(&stack));
+    // Kill-site audit: the stalled op applied nothing — no leak, no
+    // double-count.
+    assert_eq!(stack.len(), lane_sum(&stack));
     assert_eq!(lane_sum(&stack), 3 * PER_THREAD as usize);
 
     let mut drained = Vec::new();
