@@ -397,13 +397,14 @@ impl CasBackoff {
     /// (free at level 0), yielding once first at high levels. Call
     /// *before* retrying the CAS.
     pub fn wait(&mut self) {
-        // Model sessions hint unconditionally — the manager's level is
-        // per-thread state that survives across explored schedules, so
-        // a level-dependent yield would make replays of the same
-        // schedule prefix diverge.
-        if Active::spin_hint() {
-            return;
-        }
+        // A pacing delay awaits nothing, so to a model session it is
+        // an ordinary yield point — the caller may be scheduled
+        // straight on or overtaken — and not a spin hint, which would
+        // park it until every other thread pauses. Unconditional: the
+        // level is per-thread state that survives across explored
+        // schedules, so a level-dependent yield point would make
+        // replays of the same schedule prefix diverge.
+        Active::before_peek();
         if self.level == 0 {
             return;
         }

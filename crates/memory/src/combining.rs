@@ -63,10 +63,17 @@
 //! Statuses live in plain (uncounted) atomics: the publication list is
 //! an engineering substrate, not part of the paper's shared-memory
 //! footprint, so it must not perturb the step-count experiments the
-//! [`crate::reg`] registers feed.
+//! [`crate::reg`] registers feed. Uncounted is not unscheduled: every
+//! access to a record's `status` or `helper` word goes through an
+//! accessor that first calls the runtime's peek hook, so under the
+//! `model` feature the handoff races (claim vs retract, poison vs
+//! poll) are interleaved by the explorer like any register access.
+//! Under the default runtime the hook is an empty inline function.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, Ordering};
+
+use crate::runtime::{Active, Runtime};
 
 const EMPTY: u32 = 0;
 const POSTED: u32 = 1;
@@ -164,6 +171,20 @@ unsafe impl<Op: Sync, Resp: Send> Send for PubRecord<Op, Resp> {}
 unsafe impl<Op: Sync, Resp: Send> Sync for PubRecord<Op, Resp> {}
 
 impl<Op, Resp> PubRecord<Op, Resp> {
+    /// The status word, behind the runtime's schedule point.
+    #[inline(always)]
+    fn status(&self) -> &AtomicU32 {
+        Active::before_peek();
+        &self.status
+    }
+
+    /// The helper stamp, behind the runtime's schedule point.
+    #[inline(always)]
+    fn helper_word(&self) -> &AtomicU32 {
+        Active::before_peek();
+        &self.helper
+    }
+
     /// Creates an empty record.
     #[must_use]
     pub fn new() -> PubRecord<Op, Resp> {
@@ -179,7 +200,7 @@ impl<Op, Resp> PubRecord<Op, Resp> {
     /// licenses [`PubRecord::take_response`]).
     #[must_use]
     pub fn state(&self) -> RecordState {
-        match self.status.load(Ordering::Acquire) {
+        match self.status().load(Ordering::Acquire) {
             EMPTY => RecordState::Empty,
             POSTED => RecordState::Posted,
             CLAIMED => RecordState::Claimed,
@@ -205,21 +226,21 @@ impl<Op, Resp> PubRecord<Op, Resp> {
     /// Panics if the record is not `EMPTY` (a protocol violation).
     pub unsafe fn post(&self, op: *const Op) {
         assert_eq!(
-            self.status.load(Ordering::Relaxed),
+            self.status().load(Ordering::Relaxed),
             EMPTY,
             "post on a non-empty publication record"
         );
         // SAFETY: EMPTY means no claimer can touch the cell, and the
         // caller guarantees owner-exclusivity.
         unsafe { *self.op.get() = op };
-        self.status.store(POSTED, Ordering::Release);
+        self.status().store(POSTED, Ordering::Release);
     }
 
     /// Attempts to withdraw an unclaimed request (owner side):
     /// `POSTED → EMPTY`. Returns `false` if a combiner got there first
     /// — the owner must then wait for a terminal state.
     pub fn try_retract(&self) -> bool {
-        self.status
+        self.status()
             .compare_exchange(POSTED, EMPTY, Ordering::AcqRel, Ordering::Relaxed)
             .is_ok()
     }
@@ -230,7 +251,7 @@ impl<Op, Resp> PubRecord<Op, Resp> {
     /// resolved by [`PubRecord::complete`] or [`PubRecord::poison`].
     #[must_use]
     pub fn try_claim(&self) -> Option<*const Op> {
-        self.status
+        self.status()
             .compare_exchange(POSTED, CLAIMED, Ordering::AcqRel, Ordering::Relaxed)
             .ok()?;
         // SAFETY: the successful CAS acquired the POSTED publication,
@@ -245,7 +266,7 @@ impl<Op, Resp> PubRecord<Op, Resp> {
     /// together with the response. A plain (uncounted) store — causal
     /// attribution must not perturb the step audit.
     pub fn stamp_helper(&self, tid: u32) {
-        self.helper.store(tid, Ordering::Relaxed);
+        self.helper_word().store(tid, Ordering::Relaxed);
     }
 
     /// The identity stamped by the combiner that last completed this
@@ -254,7 +275,7 @@ impl<Op, Resp> PubRecord<Op, Resp> {
     /// [`PubRecord::state`] makes the claimer's stamp visible.
     #[must_use]
     pub fn helper(&self) -> u32 {
-        self.helper.load(Ordering::Relaxed)
+        self.helper_word().load(Ordering::Relaxed)
     }
 
     /// Delivers the response (combiner side): `CLAIMED → DONE`.
@@ -264,13 +285,13 @@ impl<Op, Resp> PubRecord<Op, Resp> {
     /// Panics if the record is not `CLAIMED` (a protocol violation).
     pub fn complete(&self, resp: Resp) {
         assert_eq!(
-            self.status.load(Ordering::Relaxed),
+            self.status().load(Ordering::Relaxed),
             CLAIMED,
             "complete on an unclaimed publication record"
         );
         // SAFETY: CLAIMED grants the claimer exclusive cell access.
         unsafe { *self.resp.get() = Some(resp) };
-        self.status.store(DONE, Ordering::Release);
+        self.status().store(DONE, Ordering::Release);
     }
 
     /// Abandons a claim without applying it (combiner side, unwind
@@ -281,11 +302,11 @@ impl<Op, Resp> PubRecord<Op, Resp> {
     /// Panics if the record is not `CLAIMED` (a protocol violation).
     pub fn poison(&self) {
         assert_eq!(
-            self.status.load(Ordering::Relaxed),
+            self.status().load(Ordering::Relaxed),
             CLAIMED,
             "poison on an unclaimed publication record"
         );
-        self.status.store(POISONED, Ordering::Release);
+        self.status().store(POISONED, Ordering::Release);
     }
 
     /// Takes the delivered response (owner side): `DONE → EMPTY`.
@@ -298,13 +319,13 @@ impl<Op, Resp> PubRecord<Op, Resp> {
     #[must_use]
     pub fn take_response(&self) -> Resp {
         assert_eq!(
-            self.status.load(Ordering::Acquire),
+            self.status().load(Ordering::Acquire),
             DONE,
             "take_response before completion"
         );
         // SAFETY: DONE returns exclusive cell access to the owner.
         let resp = unsafe { (*self.resp.get()).take() };
-        self.status.store(EMPTY, Ordering::Release);
+        self.status().store(EMPTY, Ordering::Release);
         resp.expect("DONE record carries a response")
     }
 
@@ -316,11 +337,11 @@ impl<Op, Resp> PubRecord<Op, Resp> {
     /// Panics if the record is not `POISONED` (a protocol violation).
     pub fn reclaim_poisoned(&self) {
         assert_eq!(
-            self.status.load(Ordering::Acquire),
+            self.status().load(Ordering::Acquire),
             POISONED,
             "reclaim on an unpoisoned publication record"
         );
-        self.status.store(EMPTY, Ordering::Release);
+        self.status().store(EMPTY, Ordering::Release);
     }
 
     /// Retires a pending request **without applying it** (combiner
@@ -336,7 +357,7 @@ impl<Op, Resp> PubRecord<Op, Resp> {
     /// (and eventually applied exactly once) or tombstoned (applied
     /// zero times), never both.
     pub fn try_tombstone_posted(&self) -> bool {
-        self.status
+        self.status()
             .compare_exchange(POSTED, TOMBSTONE, Ordering::AcqRel, Ordering::Relaxed)
             .is_ok()
     }
@@ -350,11 +371,11 @@ impl<Op, Resp> PubRecord<Op, Resp> {
     /// Panics if the record is not `TOMBSTONE` (a protocol violation).
     pub fn reclaim_tombstone(&self) {
         assert_eq!(
-            self.status.load(Ordering::Acquire),
+            self.status().load(Ordering::Acquire),
             TOMBSTONE,
             "reclaim on an untombstoned publication record"
         );
-        self.status.store(EMPTY, Ordering::Release);
+        self.status().store(EMPTY, Ordering::Release);
     }
 }
 

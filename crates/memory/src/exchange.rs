@@ -46,7 +46,12 @@
 //!
 //! These atomics are *uncounted* (plain `std::sync::atomic`): the
 //! exchanger is an engineering substrate like the combining layer, not
-//! part of the paper's counted-register algorithms.
+//! part of the paper's counted-register algorithms. They are still
+//! schedule points: every access to a slot's state word or stamps goes
+//! through an accessor that first calls the runtime's peek hook, so
+//! under the `model` feature the explorer interleaves the claim race,
+//! the retract-vs-take race and the stamp handoff. Under the default
+//! runtime the hook is an empty inline function.
 
 use std::cell::{RefCell, UnsafeCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,6 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::backoff::XorShift64;
 use crate::combining::{CachePadded, NO_HELPER};
 use crate::fail_point;
+use crate::runtime::{Active, Runtime};
 
 // Slot states (low 32 bits of the packed word; high 32 bits = tag).
 const EMPTY: u32 = 0;
@@ -117,6 +123,27 @@ impl<T> ExchangeSlot<T> {
             item: UnsafeCell::new(None),
         }
     }
+
+    /// The state word, behind the runtime's schedule point.
+    #[inline(always)]
+    fn state(&self) -> &AtomicU64 {
+        Active::before_peek();
+        &self.state
+    }
+
+    /// The offeror's stamp, behind the runtime's schedule point.
+    #[inline(always)]
+    fn offeror_stamp(&self) -> &AtomicU64 {
+        Active::before_peek();
+        &self.offeror_stamp
+    }
+
+    /// The taker's stamp, behind the runtime's schedule point.
+    #[inline(always)]
+    fn taker_stamp(&self) -> &AtomicU64 {
+        Active::before_peek();
+        &self.taker_stamp
+    }
 }
 
 thread_local! {
@@ -130,7 +157,6 @@ thread_local! {
 /// body runs many times on one OS thread), which would make replays
 /// of the same schedule prefix diverge.
 fn random_below(bound: u64) -> u64 {
-    use crate::runtime::{Active, Runtime};
     if let Some(seed) = Active::entropy_seed() {
         return XorShift64::new(seed).next_below(bound);
     }
@@ -157,7 +183,7 @@ impl<T> Drop for ParkGuard<'_, T> {
         }
         if self
             .slot
-            .state
+            .state()
             .compare_exchange(
                 pack(self.tag, WAITING),
                 pack(self.tag, RETRACT),
@@ -170,7 +196,7 @@ impl<T> Drop for ParkGuard<'_, T> {
             // drops with the unwinding offeror, exactly once.
             drop(unsafe { (*self.slot.item.get()).take() });
             self.slot
-                .state
+                .state()
                 .store(pack(self.tag.wrapping_add(1), EMPTY), Ordering::Release);
         }
         // Else a taker committed (BUSY or already recycled): the item
@@ -234,11 +260,11 @@ impl<T: Send> Exchanger<T> {
     pub fn offer_stamped(&self, value: T, polls: u32, me: u32) -> Result<u32, T> {
         fail_point!("exchange::claim", return Err(value));
         let slot = self.random_slot();
-        let word = slot.state.load(Ordering::Acquire);
+        let word = slot.state().load(Ordering::Acquire);
         let (tag, state) = unpack(word);
         if state != EMPTY
             || slot
-                .state
+                .state()
                 .compare_exchange(
                     word,
                     pack(tag, CLAIMED),
@@ -253,27 +279,23 @@ impl<T: Send> Exchanger<T> {
         // WAITING release store below publishes both).
         // SAFETY: exclusive window (CLAIMED).
         unsafe { *slot.item.get() = Some(value) };
-        slot.offeror_stamp.store(pack(tag, me), Ordering::Relaxed);
+        slot.offeror_stamp().store(pack(tag, me), Ordering::Relaxed);
         let mut guard = ParkGuard {
             slot,
             tag,
             armed: true,
         };
-        slot.state.store(pack(tag, WAITING), Ordering::Release);
+        slot.state().store(pack(tag, WAITING), Ordering::Release);
 
         for i in 0..polls {
-            let (now_tag, now_state) = unpack(slot.state.load(Ordering::Acquire));
+            let (now_tag, now_state) = unpack(slot.state().load(Ordering::Acquire));
             if now_tag != tag || now_state == BUSY {
                 // A taker moved us to BUSY (and possibly already
                 // recycled the slot): the item is theirs.
                 guard.armed = false;
                 return Ok(taker_stamp_of(slot, tag));
             }
-            let absorbed = {
-                use crate::runtime::{Active, Runtime};
-                Active::spin_hint()
-            };
-            if absorbed {
+            if Active::spin_hint() {
                 // A model session absorbed the wait and will run the
                 // prospective taker before us.
             } else if i % 64 == 63 {
@@ -293,7 +315,7 @@ impl<T: Send> Exchanger<T> {
         fail_point!("exchange::retract");
         guard.armed = false;
         if slot
-            .state
+            .state()
             .compare_exchange(
                 pack(tag, WAITING),
                 pack(tag, RETRACT),
@@ -304,7 +326,7 @@ impl<T: Send> Exchanger<T> {
         {
             // SAFETY: exclusive window (RETRACT).
             let value = unsafe { (*slot.item.get()).take() }.expect("parked item present");
-            slot.state
+            slot.state()
                 .store(pack(tag.wrapping_add(1), EMPTY), Ordering::Release);
             Err(value)
         } else {
@@ -343,14 +365,14 @@ impl<T: Send> Exchanger<T> {
         let start = random_below(self.slots.len() as u64) as usize;
         for i in 0..self.slots.len() {
             let slot = &*self.slots[(start + i) % self.slots.len()];
-            let word = slot.state.load(Ordering::Acquire);
+            let word = slot.state().load(Ordering::Acquire);
             let (tag, state) = unpack(word);
             if state != WAITING || !admit() {
                 continue;
             }
             fail_point!("exchange::claim", continue);
             if slot
-                .state
+                .state()
                 .compare_exchange(word, pack(tag, BUSY), Ordering::AcqRel, Ordering::Acquire)
                 .is_err()
             {
@@ -361,10 +383,10 @@ impl<T: Send> Exchanger<T> {
             // Read the offeror's stamp (published by its WAITING
             // store) and leave ours before the recycling store makes
             // the slot claimable again — both inside the BUSY window.
-            let (stamp_tag, partner) = unpack(slot.offeror_stamp.load(Ordering::Relaxed));
+            let (stamp_tag, partner) = unpack(slot.offeror_stamp().load(Ordering::Relaxed));
             let partner = if stamp_tag == tag { partner } else { NO_HELPER };
-            slot.taker_stamp.store(pack(tag, me), Ordering::Release);
-            slot.state
+            slot.taker_stamp().store(pack(tag, me), Ordering::Release);
+            slot.state()
                 .store(pack(tag.wrapping_add(1), EMPTY), Ordering::Release);
             self.exchanged.fetch_add(1, Ordering::Relaxed);
             return Some((value, partner));
@@ -378,7 +400,7 @@ impl<T: Send> Exchanger<T> {
     pub fn is_idle(&self) -> bool {
         self.slots
             .iter()
-            .all(|slot| unpack(slot.state.load(Ordering::Acquire)).1 == EMPTY)
+            .all(|slot| unpack(slot.state().load(Ordering::Acquire)).1 == EMPTY)
     }
 
     fn random_slot(&self) -> &ExchangeSlot<T> {
@@ -394,11 +416,13 @@ impl<T: Send> Exchanger<T> {
 /// what ties the stamp to *this* rendezvous.
 fn taker_stamp_of<T>(slot: &ExchangeSlot<T>, tag: u32) -> u32 {
     for _ in 0..STAMP_POLLS {
-        let (stamp_tag, tid) = unpack(slot.taker_stamp.load(Ordering::Acquire));
+        let (stamp_tag, tid) = unpack(slot.taker_stamp().load(Ordering::Acquire));
         if stamp_tag == tag {
             return tid;
         }
-        std::hint::spin_loop();
+        if !Active::spin_hint() {
+            std::hint::spin_loop();
+        }
     }
     NO_HELPER
 }

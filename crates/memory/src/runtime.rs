@@ -43,7 +43,9 @@ pub trait Runtime {
     /// Uncounted accesses are free in the paper's cost model but still
     /// touch shared memory, so the model runtime schedules them too —
     /// otherwise racy peek-based code would be invisible to the
-    /// explorer.
+    /// explorer. A pacing delay that awaits nothing
+    /// ([`crate::backoff::CasBackoff::wait`]) calls it too: "others
+    /// may run now" is a plain schedule point, not a spin hint.
     fn before_peek();
 
     /// Called by spin loops ([`crate::backoff::Spinner`] and friends)

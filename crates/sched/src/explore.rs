@@ -45,11 +45,17 @@ pub enum Mode {
     /// A single execution forced through a previously printed failure
     /// trace (see [`Violation::trace`]).
     Replay { trace: String },
+    /// A single execution under the fair scheduler: strict rotation,
+    /// every runnable thread takes one step per round. Deterministic
+    /// (rerun it to reproduce a failure); the mode for bounded
+    /// completion checks — Lemmas 2–3 say no operation needs more than
+    /// a bounded number of its own steps here.
+    RoundRobin,
 }
 
 /// Exploration configuration. Build via [`Explorer::exhaustive`],
-/// [`Explorer::random`], or [`Explorer::replay`], then adjust with the
-/// `with_*` methods.
+/// [`Explorer::random`], [`Explorer::replay`], or
+/// [`Explorer::round_robin`], then adjust with the `with_*` methods.
 #[derive(Debug, Clone)]
 pub struct Explorer {
     mode: Mode,
@@ -69,46 +75,45 @@ pub struct Explorer {
 }
 
 impl Explorer {
+    /// A configuration with no preemption bound and no schedule cap.
+    fn new(mode: Mode, max_steps: usize, seed: u64) -> Explorer {
+        Explorer {
+            mode,
+            max_steps,
+            preemption_bound: None,
+            max_schedules: None,
+            seed,
+        }
+    }
+
     /// DFS-exhaustive exploration with the default bounds
     /// (`max_steps = 2_000`, `preemption_bound = Some(2)`).
     #[must_use]
     pub fn exhaustive() -> Explorer {
-        Explorer {
-            mode: Mode::Exhaustive,
-            max_steps: 2_000,
-            preemption_bound: Some(2),
-            max_schedules: None,
-            seed: 0,
-        }
+        Explorer::new(Mode::Exhaustive, 2_000, 0).with_preemption_bound(Some(2))
     }
 
     /// Seeded-random sweep of `schedules` executions.
     #[must_use]
     pub fn random(base_seed: u64, schedules: usize) -> Explorer {
-        Explorer {
-            mode: Mode::Random {
-                base_seed,
-                schedules,
-            },
-            max_steps: 20_000,
-            preemption_bound: None,
-            max_schedules: None,
-            seed: base_seed,
-        }
+        let mode = Mode::Random {
+            base_seed,
+            schedules,
+        };
+        Explorer::new(mode, 20_000, base_seed)
     }
 
     /// Replays one execution from a printed failure trace.
     #[must_use]
     pub fn replay(trace: &str) -> Explorer {
-        Explorer {
-            mode: Mode::Replay {
-                trace: trace.to_string(),
-            },
-            max_steps: 100_000,
-            preemption_bound: None,
-            max_schedules: None,
-            seed: 0,
-        }
+        let trace = trace.to_string();
+        Explorer::new(Mode::Replay { trace }, 100_000, 0)
+    }
+
+    /// One execution under the fair (strict-rotation) scheduler.
+    #[must_use]
+    pub fn round_robin() -> Explorer {
+        Explorer::new(Mode::RoundRobin, 20_000, 0)
     }
 
     /// Sets the per-execution step budget.
@@ -168,30 +173,18 @@ impl Explorer {
             schedules: 0,
             pruned: 0,
             exhausted: false,
+            max_steps: self.max_steps,
             violation: None,
         };
         match &self.mode {
             Mode::Exhaustive => {
                 let mut path = Path::new();
                 loop {
-                    let outcome = session::run_once(limits, Chooser::Dfs(path), self.seed, &body);
-                    report.schedules += 1;
-                    match outcome.stop {
-                        Some(Stop::Violation) | Some(Stop::Deadlock) => {
-                            report.violation = Some(Violation {
-                                message: outcome
-                                    .violation
-                                    .unwrap_or_else(|| "violation with no message".into()),
-                                trace: path::format_trace(&outcome.trace),
-                                seed: self.seed,
-                                schedule: report.schedules - 1,
-                            });
-                            return report;
-                        }
-                        Some(Stop::Pruned) => report.pruned += 1,
-                        None => {}
+                    let chooser = report.run(limits, Chooser::Dfs(path), self.seed, &body);
+                    if report.violation.is_some() {
+                        return report;
                     }
-                    path = match outcome.chooser {
+                    path = match chooser {
                         Chooser::Dfs(p) => p,
                         _ => unreachable!("exhaustive run returned a non-DFS chooser"),
                     };
@@ -199,10 +192,11 @@ impl Explorer {
                         report.exhausted = true;
                         return report;
                     }
-                    if let Some(max) = self.max_schedules {
-                        if report.schedules >= max {
-                            return report;
-                        }
+                    if self
+                        .max_schedules
+                        .is_some_and(|max| report.schedules >= max)
+                    {
+                        return report;
                     }
                 }
             }
@@ -212,55 +206,24 @@ impl Explorer {
             } => {
                 for i in 0..*schedules {
                     let seed = rng::mix(base_seed ^ (i as u64).wrapping_mul(0x2545_F491_4F6C_DD1D));
-                    let outcome = session::run_once(
-                        limits,
-                        Chooser::Random(SplitMix64::new(seed)),
-                        seed,
-                        &body,
-                    );
-                    report.schedules += 1;
-                    match outcome.stop {
-                        Some(Stop::Violation) | Some(Stop::Deadlock) => {
-                            report.violation = Some(Violation {
-                                message: outcome
-                                    .violation
-                                    .unwrap_or_else(|| "violation with no message".into()),
-                                trace: path::format_trace(&outcome.trace),
-                                seed,
-                                schedule: i,
-                            });
-                            return report;
-                        }
-                        Some(Stop::Pruned) => report.pruned += 1,
-                        None => {}
+                    report.run(limits, Chooser::Random(SplitMix64::new(seed)), seed, &body);
+                    if report.violation.is_some() {
+                        return report;
                     }
                 }
-                report.exhausted = false;
             }
             Mode::Replay { trace } => {
                 let decisions: Vec<Decision> = path::parse_trace(trace)
                     .unwrap_or_else(|e| panic!("cso-sched: bad replay trace: {e}"));
-                let outcome = session::run_once(
+                report.run(
                     limits,
                     Chooser::Replay { decisions, pos: 0 },
                     self.seed,
                     &body,
                 );
-                report.schedules = 1;
-                match outcome.stop {
-                    Some(Stop::Violation) | Some(Stop::Deadlock) => {
-                        report.violation = Some(Violation {
-                            message: outcome
-                                .violation
-                                .unwrap_or_else(|| "violation with no message".into()),
-                            trace: path::format_trace(&outcome.trace),
-                            seed: self.seed,
-                            schedule: 0,
-                        });
-                    }
-                    Some(Stop::Pruned) => report.pruned = 1,
-                    None => {}
-                }
+            }
+            Mode::RoundRobin => {
+                report.run(limits, Chooser::RoundRobin, self.seed, &body);
             }
         }
         report
@@ -300,15 +263,49 @@ pub struct Report {
     /// Executions cut short by the step budget.
     pub pruned: usize,
     /// Whether the DFS ran the schedule space dry (always `false` for
-    /// random sweeps and replays).
+    /// random sweeps, replays and fair runs).
     pub exhausted: bool,
+    /// The per-execution step budget the run was cut at.
+    pub max_steps: usize,
     /// The first violation, if one was found.
     pub violation: Option<Violation>,
 }
 
 impl Report {
+    /// Runs one execution and books its outcome; hands the chooser
+    /// back for the next one.
+    fn run(
+        &mut self,
+        limits: Limits,
+        chooser: Chooser,
+        seed: u64,
+        body: &(dyn Fn() + Sync),
+    ) -> Chooser {
+        let outcome = session::run_once(limits, chooser, seed, body);
+        match outcome.stop {
+            Some(Stop::Violation) | Some(Stop::Deadlock) => {
+                self.violation = Some(Violation {
+                    message: outcome
+                        .violation
+                        .unwrap_or_else(|| "violation with no message".into()),
+                    trace: path::format_trace(&outcome.trace),
+                    seed,
+                    schedule: self.schedules,
+                });
+            }
+            Some(Stop::Pruned) => self.pruned += 1,
+            None => {}
+        }
+        self.schedules += 1;
+        outcome.chooser
+    }
+
     /// Panics with the full violation (message + replay trace) if the
-    /// exploration found one.
+    /// exploration found one — and if any execution was pruned: one
+    /// cut at the step budget unwinds *before* its oracles run, so a
+    /// body that livelocks under the model would otherwise pass. A
+    /// body that expects a blocked thread reads [`Report::pruned`]
+    /// itself.
     pub fn assert_ok(&self) {
         if let Some(v) = &self.violation {
             panic!(
@@ -316,6 +313,14 @@ impl Report {
                 self.schedules
             );
         }
+        assert!(
+            self.pruned == 0,
+            "model exploration pruned {} of {} schedule(s) at the step budget of {} \
+             before their oracles ran",
+            self.pruned,
+            self.schedules,
+            self.max_steps
+        );
     }
 
     /// Panics unless the exploration found a violation — used by

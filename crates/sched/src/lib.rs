@@ -2,7 +2,10 @@
 //!
 //! A loom-style controlled scheduler that drives *real* threads
 //! running *production* code through exhaustively enumerated (or
-//! seeded-random, or replayed) interleavings. It is the engine behind
+//! seeded-random, replayed, or fair round-robin) interleavings. It is
+//! the workspace's one model checker: the paper's proofs (§4.3, §4.4,
+//! §5) are checked by `tests/model_*.rs` bodies over the shipped
+//! types, not over transcriptions of them. It is the engine behind
 //! the `model` feature of `cso-memory`: when that feature is on, every
 //! counted register access in `cso_memory::reg` calls [`yield_access`]
 //! and every spin-wait calls [`yield_spin`], turning each shared-memory
@@ -34,6 +37,27 @@
 //! - **Replay.** A violation prints a dot-separated branch trace;
 //!   [`Explorer::replay`] forces a new run through it, reproducing the
 //!   failure deterministically.
+//! - **Crash prefixes.** A thread started with [`spawn_crashing`] is
+//!   frozen for good after `k` yield points — the asynchronous model's
+//!   crash. `k` is a decision like any other: enumerated by the DFS,
+//!   drawn by a random sweep, printed in the trace (`k<n>`), replayed.
+//!   [`JoinHandle::try_join`] tells the body whether the thread
+//!   finished or froze.
+//! - **Fair runs.** [`Explorer::round_robin`] is one execution under
+//!   strict rotation (every runnable thread steps once per round): the
+//!   scheduler under which Lemmas 2–3 promise bounded completion.
+//! - **Pruning is a failure.** An execution that exceeds its step
+//!   budget is cut *before* its oracles run; [`Report::assert_ok`]
+//!   fails on it. A body that expects a blocked thread (a crashed lock
+//!   holder's successor, §5) reads [`Report::pruned`] instead.
+//!
+//! ## How deep to explore
+//!
+//! The host sustains 2–9k schedules/s. Two threads racing one
+//! operation each exhaust with **no** preemption bound; two operations
+//! per thread, or three threads, exceed 400k schedules unbounded and
+//! run at bound 3–4 plus a seeded random sweep. The measured budget
+//! table is in DESIGN.md ("The deterministic-interleaving runtime").
 //!
 //! ## Determinism contract
 //!
@@ -53,7 +77,9 @@ mod session;
 pub use explore::{Explorer, Mode, Report, Violation};
 pub use path::{format_trace, parse_trace, Decision};
 pub use rng::SplitMix64;
-pub use session::{active, chaos_draw, entropy_seed, spawn, yield_access, yield_spin, JoinHandle};
+pub use session::{
+    active, chaos_draw, entropy_seed, spawn, spawn_crashing, yield_access, yield_spin, JoinHandle,
+};
 
 #[cfg(test)]
 mod tests {
@@ -215,6 +241,155 @@ mod tests {
         assert!(!yield_spin());
         assert_eq!(chaos_draw(2), None);
         assert_eq!(entropy_seed(), None);
+    }
+
+    /// A body that livelocks under the model is cut at the step budget
+    /// *before* its oracle runs; that must not read as a pass.
+    #[test]
+    fn a_pruned_execution_fails_assert_ok() {
+        let report = Explorer::exhaustive().with_max_steps(50).explore(|| {
+            let never = AtomicBool::new(false);
+            while !never.load(Ordering::SeqCst) {
+                yield_spin();
+            }
+            unreachable!("the oracle a pruned execution never reaches");
+        });
+        assert!(report.violation.is_none(), "{report}");
+        assert_eq!((report.pruned, report.max_steps), (1, 50), "{report}");
+        let failure = std::panic::catch_unwind(|| report.assert_ok())
+            .expect_err("assert_ok must reject a pruned execution");
+        let message = failure.downcast_ref::<String>().expect("formatted panic");
+        assert!(
+            message.contains("pruned 1 of 1") && message.contains("step budget of 50"),
+            "got: {message}"
+        );
+    }
+
+    /// The victim takes three steps; an exhaustive run freezes it
+    /// after every prefix 0..=4 and the body is told which happened.
+    #[test]
+    fn crash_prefixes_freeze_the_thread_at_every_step() {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let report = {
+            let seen = Arc::clone(&seen);
+            Explorer::exhaustive().explore(move || {
+                let x = Arc::new(AtomicU64::new(0));
+                let victim = {
+                    let x = Arc::clone(&x);
+                    spawn_crashing(4, move || {
+                        for _ in 0..3 {
+                            yield_access();
+                            x.fetch_add(1, Ordering::SeqCst);
+                        }
+                    })
+                };
+                let finished = victim.try_join().is_some();
+                seen.lock()
+                    .unwrap()
+                    .push((x.load(Ordering::SeqCst), finished));
+            })
+        };
+        report.assert_ok();
+        assert!(report.exhausted);
+        assert_eq!(
+            *seen.lock().unwrap(),
+            vec![(0, false), (1, false), (2, false), (3, true), (3, true)]
+        );
+    }
+
+    /// A crashed thread keeps what it holds: the survivor that needs
+    /// it spins to the step budget, which the report counts — and the
+    /// crash is in the trace, so a failing prefix replays.
+    #[test]
+    fn a_frozen_holder_blocks_its_waiter_and_replays() {
+        let body = || {
+            let held = Arc::new(AtomicBool::new(false));
+            let victim = {
+                let held = Arc::clone(&held);
+                spawn_crashing(2, move || {
+                    yield_access();
+                    held.store(true, Ordering::SeqCst);
+                    yield_access();
+                    held.store(false, Ordering::SeqCst);
+                })
+            };
+            let _ = victim.try_join();
+            while held.load(Ordering::SeqCst) {
+                yield_spin();
+            }
+        };
+        let report = Explorer::exhaustive().with_max_steps(100).explore(body);
+        assert!(report.violation.is_none() && report.exhausted, "{report}");
+        assert_eq!(
+            (report.schedules, report.pruned),
+            (3, 1),
+            "only the prefix that stops between the two stores blocks: {report}"
+        );
+
+        let oracle = || {
+            let victim = spawn_crashing(3, || {
+                yield_access();
+                yield_access();
+            });
+            assert!(victim.try_join().is_some(), "victim crashed");
+        };
+        let found = Explorer::exhaustive().explore(oracle);
+        let v = found.assert_violation();
+        assert_eq!(v.trace, "k0");
+        let again = Explorer::replay("k1").explore(oracle);
+        assert!(again.assert_violation().message.contains("victim crashed"));
+        Explorer::replay("k2").explore(oracle).assert_ok();
+        // A fair run takes `max_prefix` itself: 3 outlasts the victim.
+        Explorer::round_robin().explore(oracle).assert_ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "joined a crashed model thread")]
+    fn plain_join_rejects_a_crashed_thread() {
+        Explorer::replay("k0")
+            .explore(|| spawn_crashing(1, yield_access).join())
+            .assert_ok();
+    }
+
+    /// The fair scheduler is strict rotation — one step per runnable
+    /// thread per round, spinners included — and deterministic.
+    #[test]
+    fn round_robin_rotates_strictly() {
+        let run = || {
+            let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let report = {
+                let log = Arc::clone(&log);
+                Explorer::round_robin().explore(move || {
+                    let go = Arc::new(AtomicBool::new(false));
+                    let children: Vec<_> = (1..3usize)
+                        .map(|id| {
+                            let (log, go) = (Arc::clone(&log), Arc::clone(&go));
+                            spawn(move || {
+                                while !go.load(Ordering::SeqCst) {
+                                    log.lock().unwrap().push(id);
+                                    yield_spin();
+                                }
+                            })
+                        })
+                        .collect();
+                    for _ in 0..3 {
+                        log.lock().unwrap().push(0);
+                        yield_access();
+                    }
+                    go.store(true, Ordering::SeqCst);
+                    for child in children {
+                        child.join();
+                    }
+                })
+            };
+            report.assert_ok();
+            assert_eq!((report.schedules, report.exhausted), (1, false));
+            let log = log.lock().unwrap().clone();
+            log
+        };
+        let log = run();
+        assert_eq!(log, vec![0, 1, 2, 0, 1, 2, 0, 1, 2], "strict rotation");
+        assert_eq!(log, run(), "a fair run is deterministic");
     }
 
     #[test]

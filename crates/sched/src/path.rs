@@ -3,7 +3,9 @@
 //! One *execution* of the body under the model runtime is a sequence
 //! of **decisions**: at every scheduling point with more than one
 //! runnable candidate, one thread is chosen; at every armed chaos fail
-//! point with a probabilistic plan, a fire/skip draw is taken. A
+//! point with a probabilistic plan, a fire/skip draw is taken; and at
+//! every [`crate::spawn_crashing`], the number of yield points the
+//! new thread passes before it is frozen for good. A
 //! [`Path`] records those decisions as [`Branch`]es (in the style of
 //! loom's `rt::path` — see SNIPPETS.md Snippet 3): re-running the body
 //! with the same path prefix deterministically replays the same
@@ -25,11 +27,13 @@ pub enum Decision {
     Sched(usize),
     /// An armed chaos fail point drew fire (`true`) or skip (`false`).
     Chaos(bool),
+    /// A crashing thread was spawned to freeze after `k` yield points.
+    Crash(usize),
 }
 
 /// Renders decisions as the compact dot-separated trace format
-/// (`"1.0.c1.0"`): scheduling choices as decimal thread ids, chaos
-/// draws as `c1`/`c0`.
+/// (`"k3.1.0.c1.0"`): scheduling choices as decimal thread ids, chaos
+/// draws as `c1`/`c0`, crash prefixes as `k<n>`.
 #[must_use]
 pub fn format_trace(decisions: &[Decision]) -> String {
     let parts: Vec<String> = decisions
@@ -37,6 +41,7 @@ pub fn format_trace(decisions: &[Decision]) -> String {
         .map(|d| match d {
             Decision::Sched(t) => t.to_string(),
             Decision::Chaos(fired) => format!("c{}", u8::from(*fired)),
+            Decision::Crash(k) => format!("k{k}"),
         })
         .collect();
     parts.join(".")
@@ -61,6 +66,11 @@ pub fn parse_trace(trace: &str) -> Result<Vec<Decision>, String> {
                     "1" => Ok(Decision::Chaos(true)),
                     other => Err(format!("bad chaos decision `c{other}` (want c0/c1)")),
                 }
+            } else if let Some(prefix) = part.strip_prefix('k') {
+                prefix
+                    .parse::<usize>()
+                    .map(Decision::Crash)
+                    .map_err(|_| format!("bad crash prefix `{part}` in trace"))
             } else {
                 part.parse::<usize>()
                     .map(Decision::Sched)
@@ -82,6 +92,17 @@ enum Branch {
     /// probabilistic fail point; the exhaustive axis stays the
     /// schedule. Recorded so prefix replay reproduces it bit-for-bit.
     Chaos { fired: bool },
+    /// A crash prefix: the thread freezes after `k` of at most `max`
+    /// yield points. Backtracked over like a scheduling choice, so an
+    /// exhaustive run freezes the thread at every prefix `0..=max`.
+    Crash { max: usize, k: usize },
+}
+
+fn diverged(at: usize, expected: &str, found: &Branch) -> ! {
+    panic!(
+        "model: schedule diverged from recorded path at decision {at}: \
+         expected {expected}, found {found:?} — the body is not schedule-deterministic"
+    )
 }
 
 /// The DFS path: a replayable prefix plus a frontier.
@@ -131,10 +152,7 @@ impl Path {
                     );
                     recorded[*idx]
                 }
-                Branch::Chaos { .. } => panic!(
-                    "model: schedule diverged from recorded path at decision {at}: \
-                     expected a scheduling point, found a chaos draw"
-                ),
+                other => diverged(at, "a scheduling point", other),
             }
         } else {
             self.pos += 1;
@@ -155,10 +173,7 @@ impl Path {
             self.pos += 1;
             match &self.branches[at] {
                 Branch::Chaos { fired } => *fired,
-                Branch::Sched { .. } => panic!(
-                    "model: schedule diverged from recorded path at decision {at}: \
-                     expected a chaos draw, found a scheduling point"
-                ),
+                other => diverged(at, "a chaos draw", other),
             }
         } else {
             let fired = rng::mix(seed ^ (self.pos as u64).wrapping_mul(0xA076_1D64_78BD_642F))
@@ -167,6 +182,27 @@ impl Path {
             self.pos += 1;
             self.branches.push(Branch::Chaos { fired });
             fired
+        }
+    }
+
+    /// Chooses after how many yield points (`0..=max`) a crashing
+    /// thread freezes: `0` on first visit, then every longer prefix
+    /// in turn as [`Path::advance`] backtracks over the branch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a replayed prefix diverges (see
+    /// [`Path::choose_sched`]).
+    pub fn choose_crash(&mut self, max: usize) -> usize {
+        let at = self.pos;
+        self.pos += 1;
+        match self.branches.get(at) {
+            Some(Branch::Crash { max: recorded, k }) if *recorded == max => *k,
+            Some(other) => diverged(at, "a crash prefix", other),
+            None => {
+                self.branches.push(Branch::Crash { max, k: 0 });
+                0
+            }
         }
     }
 
@@ -180,6 +216,11 @@ impl Path {
                 None => return false,
                 Some(Branch::Sched { cands, idx }) if *idx + 1 < cands.len() => {
                     *idx += 1;
+                    self.pos = 0;
+                    return true;
+                }
+                Some(Branch::Crash { max, k }) if *k < *max => {
+                    *k += 1;
                     self.pos = 0;
                     return true;
                 }
@@ -243,12 +284,31 @@ mod tests {
             Decision::Chaos(true),
             Decision::Sched(0),
             Decision::Chaos(false),
+            Decision::Crash(12),
         ];
         let text = format_trace(&decisions);
-        assert_eq!(text, "1.c1.0.c0");
+        assert_eq!(text, "1.c1.0.c0.k12");
         assert_eq!(parse_trace(&text).unwrap(), decisions);
         assert!(parse_trace("1.x.0").is_err());
+        assert!(parse_trace("kx").is_err());
         assert_eq!(parse_trace("  ").unwrap(), Vec::new());
+    }
+
+    #[test]
+    fn crash_prefixes_are_enumerated_innermost_first() {
+        // One crash branch (0..=2) above one 2-way scheduling branch:
+        // 3 × 2 executions, the deeper branch varying fastest.
+        let mut path = Path::new();
+        let mut seen = Vec::new();
+        loop {
+            let k = path.choose_crash(2);
+            let t = path.choose_sched(&[0, 1]);
+            seen.push((k, t));
+            if !path.advance() {
+                break;
+            }
+        }
+        assert_eq!(seen, vec![(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]);
     }
 
     #[test]

@@ -22,6 +22,18 @@
 //! anything changed) are pruned, which is sound for safety oracles
 //! because a failed re-check of an unchanged register has no effect.
 //!
+//! # Crashes
+//!
+//! A thread started with [`spawn_crashing`] is *frozen* once it has
+//! passed its crash prefix — `k` yield points, `k` a recorded decision
+//! the DFS enumerates like a scheduling choice: it keeps whatever it
+//! holds and is never scheduled again, which is the asynchronous
+//! model's crash (§5 of the paper). Joining it reports the freeze
+//! instead of a value. Frozen threads count as neither runnable nor
+//! deadlocked; when only finished and frozen threads remain the
+//! execution is over and they unwind like the threads of a stopped
+//! session.
+//!
 //! # Stopping
 //!
 //! A violation (any panic in the body or a spawned thread), a pruned
@@ -68,6 +80,8 @@ enum Run {
     Ready,
     /// Waiting for thread `.0` to finish (inside `JoinHandle::join`).
     Blocked(usize),
+    /// Crashed: past its crash prefix, never scheduled again.
+    Frozen,
     /// Finished (or never started because the session stopped).
     Finished,
 }
@@ -81,14 +95,18 @@ struct Th {
     /// Entropy requests served to this thread (see
     /// [`Session::entropy_seed`]).
     entropy_ctr: u64,
+    /// Yield points left before the thread is frozen (`None`: it
+    /// never crashes).
+    crash_in: Option<usize>,
 }
 
 impl Th {
-    fn ready() -> Th {
+    fn ready(crash_in: Option<usize>) -> Th {
         Th {
             run: Run::Ready,
             yielded: false,
             entropy_ctr: 0,
+            crash_in,
         }
     }
 }
@@ -105,6 +123,9 @@ pub(crate) enum Chooser {
         decisions: Vec<Decision>,
         pos: usize,
     },
+    /// Strict rotation over the runnable threads: the fair scheduler
+    /// (every live thread takes one step per round, spinners too).
+    RoundRobin,
     /// Placeholder after the explorer takes the chooser back.
     #[default]
     Taken,
@@ -127,6 +148,9 @@ pub(crate) struct State {
     preemptions: usize,
     children_alive: usize,
     status: Option<Stop>,
+    /// Set once only finished and frozen threads remain: the
+    /// execution is complete and the frozen ones may unwind.
+    done: bool,
     violation: Option<String>,
     chooser: Chooser,
     /// Branch decisions taken this execution, for trace printing.
@@ -135,6 +159,23 @@ pub(crate) struct State {
     /// Per-execution seed: chaos draws, random scheduling, and model
     /// entropy derive from it.
     seed: u64,
+}
+
+impl State {
+    /// Whether threads should unwind instead of scheduling: the
+    /// session stopped, or the execution is complete.
+    fn stopping(&self) -> bool {
+        self.status.is_some() || self.done
+    }
+
+    /// Makes every thread joined on `gone` runnable again.
+    fn release_joiners(&mut self, gone: usize) {
+        for t in &mut self.threads {
+            if t.run == Run::Blocked(gone) {
+                t.run = Run::Ready;
+            }
+        }
+    }
 }
 
 /// One exploration execution's shared scheduler state.
@@ -158,9 +199,11 @@ fn set_current(v: Option<(Arc<Session>, usize)>) {
 
 /// Unwind out of a stopped session — unless the thread is already
 /// panicking (teardown drops), in which case scheduling is a no-op.
+/// `resume_unwind` skips the panic hook: every execution with a
+/// frozen or pruned thread ends this way, and none of them is news.
 fn bail() {
     if !thread::panicking() {
-        panic::panic_any(ModelAbort);
+        panic::resume_unwind(Box::new(ModelAbort));
     }
 }
 
@@ -168,12 +211,13 @@ impl Session {
     pub(crate) fn new(limits: Limits, chooser: Chooser, seed: u64) -> Session {
         Session {
             mx: Mutex::new(State {
-                threads: vec![Th::ready()],
+                threads: vec![Th::ready(None)],
                 active: 0,
                 steps: 0,
                 preemptions: 0,
                 children_alive: 0,
                 status: None,
+                done: false,
                 violation: None,
                 chooser,
                 trace: Vec::new(),
@@ -196,10 +240,11 @@ impl Session {
             .filter(|&i| st.threads[i].run == Run::Ready)
             .collect();
         if enabled.is_empty() {
-            if st.threads.iter().any(|t| t.run != Run::Finished) {
+            if st.threads.iter().any(|t| matches!(t.run, Run::Blocked(_))) {
                 return Err(Stop::Deadlock);
             }
             st.active = NO_ACTIVE;
+            st.done = true;
             self.cv.notify_all();
             return Ok(());
         }
@@ -208,8 +253,9 @@ impl Session {
             .copied()
             .filter(|&i| !st.threads[i].yielded)
             .collect();
-        if fresh.is_empty() {
-            // Every runnable thread is parked in a voluntary spin-wait.
+        if fresh.is_empty() || matches!(st.chooser, Chooser::RoundRobin) {
+            // Every runnable thread is parked in a voluntary spin-wait
+            // (or the session is a fair run, which rotates always).
             // Branching here would square the schedule space with each
             // poll pair, and charging the switch as a preemption pins a
             // busy-waiter until the step limit; neither models anything
@@ -258,7 +304,7 @@ impl Session {
                     cands[0]
                 }
             }
-            Chooser::Taken => cands[0],
+            Chooser::RoundRobin | Chooser::Taken => cands[0],
         };
         if branching {
             st.trace.push(Decision::Sched(chosen));
@@ -292,42 +338,83 @@ impl Session {
         self.cv.notify_all();
     }
 
+    /// Hands the grant on from `me` and parks until it comes back;
+    /// unwinds if the session stops first.
+    fn pass_grant(&self, mut st: MutexGuard<'_, State>, me: usize) {
+        st.steps += 1;
+        let stop = if st.steps > st.limits.max_steps {
+            Err(Stop::Pruned)
+        } else {
+            self.decide(&mut st, me)
+        };
+        if let Err(stop) = stop {
+            self.stop_with(&mut st, stop);
+        }
+        while st.active != me && !st.stopping() {
+            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+        if st.stopping() {
+            drop(st);
+            bail();
+        }
+    }
+
     /// The scheduling point: pause, let the scheduler pick, resume
     /// when granted. `spin` marks the caller as busy-waiting.
     pub(crate) fn yield_point(self: &Arc<Session>, me: usize, spin: bool) {
         let mut st = self.lock();
-        if st.status.is_some() {
+        if st.stopping() {
             drop(st);
             return bail();
         }
         debug_assert_eq!(st.active, me, "yield point from a non-granted thread");
-        if spin {
-            st.threads[me].yielded = true;
-        }
-        st.steps += 1;
-        if st.steps > st.limits.max_steps {
-            self.stop_with(&mut st, Stop::Pruned);
-            drop(st);
-            return bail();
-        }
-        if let Err(stop) = self.decide(&mut st, me) {
-            self.stop_with(&mut st, stop);
-            drop(st);
-            return bail();
-        }
-        while st.active != me {
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-            if st.status.is_some() {
+        match &mut st.threads[me].crash_in {
+            Some(0) => {
+                // The crash: keep everything held, never run again.
+                st.threads[me].run = Run::Frozen;
+                st.release_joiners(me);
+                if let Err(stop) = self.decide(&mut st, me) {
+                    self.stop_with(&mut st, stop);
+                }
+                while !st.stopping() {
+                    st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                }
                 drop(st);
                 return bail();
             }
+            Some(left) => *left -= 1,
+            None => {}
         }
+        if spin {
+            st.threads[me].yielded = true;
+        }
+        self.pass_grant(st, me);
     }
 
-    /// Registers a new model thread; returns its id.
-    fn register(&self) -> usize {
+    /// Registers a new model thread; returns its id. With
+    /// `max_prefix`, the thread crashes: the chooser decides after how
+    /// many yield points (`0..=max_prefix`) it is frozen.
+    fn register(&self, max_prefix: Option<usize>) -> usize {
         let mut st = self.lock();
-        st.threads.push(Th::ready());
+        let crash_in = max_prefix.map(|max| {
+            let k = match &mut st.chooser {
+                Chooser::Dfs(path) => path.choose_crash(max),
+                Chooser::Random(rng) => rng.next_below(max as u64 + 1) as usize,
+                Chooser::Replay { decisions, pos } => {
+                    let d = decisions.get(*pos).copied();
+                    *pos += 1;
+                    match d {
+                        Some(Decision::Crash(k)) => k.min(max),
+                        _ => 0,
+                    }
+                }
+                // A fair run decides nothing: the caller's prefix it is.
+                Chooser::RoundRobin | Chooser::Taken => max,
+            };
+            st.trace.push(Decision::Crash(k));
+            k
+        });
+        st.threads.push(Th::ready(crash_in));
         st.children_alive += 1;
         st.threads.len() - 1
     }
@@ -340,12 +427,8 @@ impl Session {
         if is_child {
             st.children_alive -= 1;
         }
-        for t in &mut st.threads {
-            if t.run == Run::Blocked(me) {
-                t.run = Run::Ready;
-            }
-        }
-        if st.status.is_none() {
+        st.release_joiners(me);
+        if !st.stopping() {
             if let Err(stop) = self.decide(&mut st, me) {
                 self.stop_with(&mut st, stop);
             }
@@ -353,35 +436,21 @@ impl Session {
         self.cv.notify_all();
     }
 
-    /// Blocks `me` until `child` finishes (scheduler-aware join).
-    pub(crate) fn join_wait(self: &Arc<Session>, me: usize, child: usize) {
+    /// Blocks `me` until `child` finishes or is frozen
+    /// (scheduler-aware join); returns whether it finished.
+    pub(crate) fn join_wait(self: &Arc<Session>, me: usize, child: usize) -> bool {
         let mut st = self.lock();
-        if st.status.is_some() {
+        if st.stopping() {
             drop(st);
-            return bail();
+            bail();
+            return true;
         }
-        if st.threads[child].run == Run::Finished {
-            return;
+        if !matches!(st.threads[child].run, Run::Finished | Run::Frozen) {
+            st.threads[me].run = Run::Blocked(child);
+            self.pass_grant(st, me);
+            st = self.lock();
         }
-        st.threads[me].run = Run::Blocked(child);
-        st.steps += 1;
-        if st.steps > st.limits.max_steps {
-            self.stop_with(&mut st, Stop::Pruned);
-            drop(st);
-            return bail();
-        }
-        if let Err(stop) = self.decide(&mut st, me) {
-            self.stop_with(&mut st, stop);
-            drop(st);
-            return bail();
-        }
-        while st.active != me {
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-            if st.status.is_some() {
-                drop(st);
-                return bail();
-            }
-        }
+        st.threads[child].run == Run::Finished
     }
 
     /// Records the first real violation and flips the session to
@@ -422,7 +491,7 @@ impl Session {
                     _ => false,
                 }
             }
-            Chooser::Taken => false,
+            Chooser::RoundRobin | Chooser::Taken => false,
         };
         st.trace.push(Decision::Chaos(fired));
         fired
@@ -453,7 +522,7 @@ impl Session {
         }
         let mut st = self.lock();
         st.threads[0].run = Run::Finished;
-        if st.status.is_none() {
+        if !st.stopping() {
             if let Err(stop) = self.decide(&mut st, 0) {
                 self.stop_with(&mut st, stop);
             }
@@ -517,21 +586,35 @@ impl<T> JoinHandle<T> {
     ///
     /// # Panics
     ///
+    /// Panics if the thread was frozen by its crash prefix (use
+    /// [`JoinHandle::try_join`] for a [`spawn_crashing`] thread).
     /// Unwinds with the session's abort sentinel if the session
     /// stopped (violation elsewhere, prune, deadlock); the explorer
     /// catches it.
     pub fn join(self) -> T {
+        self.try_join().expect("joined a crashed model thread")
+    }
+
+    /// Waits — under scheduler control — until the thread finishes or
+    /// is frozen by its crash prefix: `Some(value)` if it finished,
+    /// `None` if it crashed (it stays frozen, holding whatever it
+    /// held, until the execution ends).
+    ///
+    /// # Panics
+    ///
+    /// Unwinds with the session's abort sentinel if the session
+    /// stopped; the explorer catches it.
+    pub fn try_join(self) -> Option<T> {
         let (sess, me) = current().expect("join outside a model session");
         debug_assert!(Arc::ptr_eq(&sess, &self.sess), "join across sessions");
-        sess.join_wait(me, self.tid);
+        if !sess.join_wait(me, self.tid) {
+            return None;
+        }
         // The child already finished its model work; the OS join is
         // immediate and never carries a panic (the wrapper catches).
         self.os.join().expect("model thread wrapper never panics");
-        self.result
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .expect("model thread finished without a value")
+        let value = self.result.lock().unwrap_or_else(|e| e.into_inner()).take();
+        Some(value.expect("model thread finished without a value"))
     }
 }
 
@@ -550,8 +633,38 @@ where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
 {
+    spawn_with(None, f)
+}
+
+/// Spawns a model thread that **crashes**: after `k` yield points it
+/// is frozen for good — never scheduled again, still holding whatever
+/// it held — where `k` in `0..=max_prefix` is a decision of the
+/// schedule. An exhaustive exploration freezes the thread at every
+/// prefix in turn, a random sweep draws one per execution, and a
+/// failure trace records it (`k<n>`) so the crash replays; a fair run
+/// ([`crate::Explorer::round_robin`]) makes no decisions and freezes it
+/// after exactly `max_prefix`. A thread that returns before its `k`-th
+/// yield point simply finishes; tell the two apart with
+/// [`JoinHandle::try_join`].
+///
+/// # Panics
+///
+/// Panics if the calling thread is not inside a model session.
+pub fn spawn_crashing<T, F>(max_prefix: usize, f: F) -> JoinHandle<T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    spawn_with(Some(max_prefix), f)
+}
+
+fn spawn_with<T, F>(max_prefix: Option<usize>, f: F) -> JoinHandle<T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
     let (sess, _parent) = current().expect("cso-sched: spawn outside a model session");
-    let tid = sess.register();
+    let tid = sess.register(max_prefix);
     let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
     let os = {
         let sess = Arc::clone(&sess);
@@ -563,7 +676,7 @@ where
                 {
                     let mut st = sess.lock();
                     loop {
-                        if st.status.is_some() {
+                        if st.stopping() {
                             // Session stopped before we ever ran.
                             drop(st);
                             sess.finish_thread(tid, true);

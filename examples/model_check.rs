@@ -1,114 +1,117 @@
 //! Driving the model checker by hand.
 //!
-//! Exhaustively explores every interleaving of three processes racing
-//! on the Figure 1 stack, prints the schedule-space statistics, and
-//! checks each terminal execution; then samples the full Figure 3
-//! machine (with its CONTENTION register, FLAG/TURN booster and TAS
-//! lock) under random and fair schedulers.
+//! `cso-sched` runs the *shipped* types under a controlled scheduler:
+//! with the `model` feature every counted register access is a yield
+//! point, and the explorer decides which thread takes the next one.
+//! This example explores every bounded-preemption interleaving of
+//! three threads racing on the Figure 1 stack, sweeps random schedules
+//! of the Figure 3 stack, runs it once under the fair scheduler, and
+//! freezes a pusher after every prefix of its operation.
 //!
-//! Run with: `cargo run --release --example model_check`
+//! The per-execution work — one script per model thread, a recorded
+//! history with every ⊥ erased, a drain inside that history, the
+//! Wing–Gong check — is the test suites' own harness,
+//! `tests/model_support`, used here as they use it.
+//!
+//! Run with: `cargo run --release --features model --example model_check`
+
+#[path = "../tests/model_support/mod.rs"]
+mod model_support;
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
-use cso::explore::algos::cs_stack::{cs_stack_layout, strong_stack_factory};
-use cso::explore::algos::stack::{stack_layout, weak_stack_factory};
-use cso::explore::explorer::{explore_exhaustive, explore_random, ExploreConfig};
-use cso::explore::fair::run_fair;
-use cso::explore::invariants::check_stack_terminal;
-use cso::lincheck::specs::stack::{SpecStackOp, SpecStackResp};
+use cso::sched::{spawn_crashing, Explorer};
+use cso::stack::{AbortableStack, CsStack, PopOutcome, SeqStack, StackOp};
+
+use model_support::{aborts, scripted_body, strong_stack, weak};
+use StackOp::{Pop, Push};
 
 fn main() {
     // ------------------------------------------------------------
-    // Part 1: exhaustive DFS over Figure 1 (weak ops are loop-free).
+    // Part 1: exhaustive DFS over Figure 1 — three threads, at most
+    // three preemptions (unbounded, this space exceeds 400k).
     // ------------------------------------------------------------
-    let layout = stack_layout(4);
-    let scripts = vec![
-        vec![SpecStackOp::Push(1)],
-        vec![SpecStackOp::Push(2)],
-        vec![SpecStackOp::Pop],
-    ];
-    let mut abort_histogram: BTreeMap<usize, usize> = BTreeMap::new();
-    let stats = explore_exhaustive(
-        &layout.initial_mem_with(&[7]),
-        &scripts,
-        weak_stack_factory(layout),
-        &ExploreConfig::default(),
-        |terminal| {
-            *abort_histogram.entry(terminal.aborted).or_insert(0) += 1;
-            check_stack_terminal(4, &[7], &layout, terminal);
-        },
-    );
-    println!("Figure 1, 3 processes (push, push, pop on [7]):");
-    println!(
-        "  explored {} complete schedules exhaustively",
-        stats.executions
-    );
-    for (aborts, count) in &abort_histogram {
+    let scripts = [vec![Push(1)], vec![Push(2)], vec![Pop]];
+    let abort_histogram = Mutex::new(BTreeMap::<usize, usize>::new());
+    let report = Explorer::exhaustive()
+        .with_preemption_bound(Some(3))
+        .explore(|| {
+            let stack = weak(AbortableStack::new(4));
+            let notes = scripted_body(stack, SeqStack::new(4), &[7], &scripts);
+            *abort_histogram
+                .lock()
+                .unwrap()
+                .entry(aborts(&notes))
+                .or_insert(0) += 1;
+        });
+    report.assert_ok();
+    println!("Figure 1, 3 threads (push, push, pop on [7]): {report}");
+    for (aborts, count) in abort_histogram.lock().unwrap().iter() {
         println!("  {count:>7} schedules with {aborts} aborted (⊥) operation(s)");
     }
-    println!("  every schedule: linearizable, aborts effect-free, memory consistent");
 
     // ------------------------------------------------------------
-    // Part 2: Figure 3 under random schedules (its wait loops make
-    // the full tree infinite).
+    // Part 2: Figure 3 under seeded-random schedules.
     // ------------------------------------------------------------
-    let layout3 = cs_stack_layout(8, 3);
-    let scripts3 = vec![
-        vec![SpecStackOp::Push(10), SpecStackOp::Pop],
-        vec![SpecStackOp::Push(20)],
-        vec![SpecStackOp::Pop, SpecStackOp::Push(30)],
-    ];
-    let config = ExploreConfig {
-        max_steps_per_op: 10_000,
-        max_executions: usize::MAX,
-    };
-    let mut fast_ops = 0u64;
-    let mut slow_ops = 0u64;
-    let samples = 2_000;
-    let stats = explore_random(
-        &layout3.initial_mem(),
-        &scripts3,
-        strong_stack_factory(layout3),
-        &config,
-        samples,
-        42,
-        |terminal| {
-            assert_eq!(terminal.aborted, 0, "strong ops never return ⊥");
-            check_stack_terminal(8, &[], &layout3.stack, terminal);
-            for op in &terminal.op_steps {
-                if op.steps == 6 {
-                    fast_ops += 1;
-                } else {
-                    slow_ops += 1;
-                }
-            }
-        },
-    );
-    println!("\nFigure 3, 3 processes, {samples} random schedules:");
+    let scripts3 = [vec![Push(10), Pop], vec![Push(20)], vec![Pop, Push(30)]];
+    let (fast, contended) = (AtomicU64::new(0), AtomicU64::new(0));
+    let report = Explorer::random(42, 2_000).explore(|| {
+        let stack = strong_stack(&Arc::new(CsStack::new(8, 3)));
+        for note in scripted_body(stack, SeqStack::new(8), &[], &scripts3) {
+            assert!(!note.aborted(), "strong operations never return ⊥");
+            let tally = if note.accesses == 6 {
+                &fast
+            } else {
+                &contended
+            };
+            tally.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+    report.assert_ok();
+    println!("\nFigure 3, 3 threads, random schedules: {report}");
     println!(
-        "  {} executions completed (0 exceeded the step budget)",
-        stats.executions
+        "  {} ops in exactly 6 accesses, {} contended (retried or via the lock)",
+        fast.into_inner(),
+        contended.into_inner()
     );
-    println!("  {fast_ops} ops on the 6-access fast path, {slow_ops} via the lock");
-    println!("  every sampled schedule: linearizable, never ⊥, lock & flags released");
 
     // ------------------------------------------------------------
-    // Part 3: the bounded starvation check (Lemmas 2–3 shadow).
+    // Part 3: the bounded starvation check (Lemmas 2–3): one run under
+    // strict rotation, every thread stepping once per round.
     // ------------------------------------------------------------
-    let report = run_fair::<_, _, SpecStackResp>(
-        &layout3.initial_mem(),
-        &scripts3,
-        strong_stack_factory(layout3),
-        5_000,
-    );
-    let terminal = report
-        .terminal
-        .expect("no op may starve under fair scheduling");
-    println!("\nFair (round-robin) run of the same Figure 3 scripts:");
+    let worst = AtomicU64::new(0);
+    let report = Explorer::round_robin().explore(|| {
+        let stack = strong_stack(&Arc::new(CsStack::new(8, 3)));
+        let notes = scripted_body(stack, SeqStack::new(8), &[], &scripts3);
+        let most = notes.iter().map(|n| n.accesses).max().unwrap_or(0);
+        worst.store(most, Ordering::Relaxed);
+    });
+    report.assert_ok();
+    println!("\nFair (round-robin) run of the same scripts: {report}");
     println!(
-        "  all {} operations completed; worst per-op step count: {}",
-        terminal.op_steps.len(),
-        report.max_op_steps
+        "  all operations completed; worst per-op access count: {}",
+        worst.into_inner()
     );
+
+    // ------------------------------------------------------------
+    // Part 4: §5, with the scheduler's own API — freeze a pusher after
+    // each prefix of its operation; a pop completes regardless (the
+    // crash prefix is a decision of the schedule: `k<n>` in a trace).
+    // ------------------------------------------------------------
+    let report = Explorer::exhaustive().explore(|| {
+        let stack = Arc::new(AbortableStack::<u32>::new(4));
+        stack.weak_push(7).expect("solo prefill");
+        let victim = {
+            let stack = Arc::clone(&stack);
+            spawn_crashing(7, move || stack.weak_push(9))
+        };
+        let _finished_or_frozen = victim.try_join();
+        let got = stack.weak_pop().expect("a solo pop returned ⊥");
+        assert!(matches!(got, PopOutcome::Popped(7 | 9)), "{got:?}");
+    });
+    report.assert_ok();
+    println!("\nCrash at every prefix of a weak push (0..=7): {report}");
     println!("model check OK");
 }

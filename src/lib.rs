@@ -41,7 +41,7 @@
 //! | [`queue`] | the same construction for a bounded FIFO queue + Michael–Scott, lock baselines |
 //! | [`deque`] | the HLM obstruction-free deque (paper ref \[8\]) and its boosts — one object per rung of the hierarchy |
 //! | [`lincheck`] | history recording + Wing–Gong linearizability checker |
-//! | [`explore`] | step-machine model checker (exhaustive & randomized schedules) |
+//! | `sched` (feature `model`) | the model checker: a controlled scheduler that drives these very types through exhaustive, seeded-random, fair and crash-prefixed schedules (`tests/model_*.rs`) |
 //! | [`metrics`] | live metrics registry (sharded counters, gauges, log-histogram timers), Prometheus/JSON exporters, scrape endpoint |
 //! | [`trace`] | feature-gated probe rings, latency histograms, step auditor, Chrome trace export |
 //! | [`profile`] | continuous profiling: background ring harvester, online span aggregator, causal (what-if) profiler, live `/profile` + `/spans.json` + `/flamegraph` + `/causal.json` routes |
@@ -54,7 +54,6 @@ pub mod paper;
 
 pub use cso_core as core;
 pub use cso_deque as deque;
-pub use cso_explore as explore;
 pub use cso_lincheck as lincheck;
 pub use cso_locks as locks;
 pub use cso_memory as memory;
@@ -62,9 +61,10 @@ pub use cso_metrics as metrics;
 pub use cso_profile as profile;
 pub use cso_queue as queue;
 /// The deterministic-interleaving runtime (only with the `model`
-/// feature): drives the production structures through exhaustive,
-/// seeded-random, or replayed schedules. See `tests/model_explore.rs`
-/// and the CONTRIBUTING.md model-test guide.
+/// feature) — the workspace's one model checker: drives the
+/// production structures through exhaustive, seeded-random, replayed,
+/// fair (round-robin) and crash-prefixed schedules. See
+/// `tests/model_*.rs` and the CONTRIBUTING.md model-test guide.
 #[cfg(feature = "model")]
 pub use cso_sched as sched;
 pub use cso_shard as shard;

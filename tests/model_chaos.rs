@@ -9,8 +9,8 @@
 //! from the printed trace. These tests pin that contract.
 //!
 //! Requires `--features model,chaos`. The chaos registry is process-
-//! global, so this file serializes its tests behind a mutex (same
-//! idiom as `tests/chaos_stress.rs`).
+//! global, so this file serializes its tests behind
+//! `model_support::serial`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -19,11 +19,8 @@ use cso::memory::chaos::{self, Fault, Plan};
 use cso::sched::{spawn, Explorer};
 use cso::stack::{AbortableStack, PopOutcome, PushOutcome};
 
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
+mod model_support;
+use model_support::serial;
 
 /// One exploration of a two-thread abortable-stack body with a
 /// probabilistic spurious-abort plan armed on the push fast path.

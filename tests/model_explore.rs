@@ -1,65 +1,196 @@
-//! Exhaustive schedule exploration of the *production* structures.
-//!
-//! These tests require the `model` feature:
+//! V1 and V3 on the shipped strong objects: schedule exploration of
+//! `CsStack`, `CsQueue` and `CsDeque` — Figure 3 over Figure 1, the
+//! queue and the HLM deque — with the paper's configuration, the
+//! escalation ladder and the combining slow path.
 //!
 //! ```text
-//! cargo test --features model --test model_explore
+//! cargo test --features model,chaos --test model_explore -- --nocapture
 //! ```
 //!
 //! Each body runs once per explored schedule, from the top, with fresh
-//! state; every counted register access inside the production
-//! `CsStack`/`CsQueue`/`CsDeque` code is a scheduling decision, so the
-//! depth-first explorer enumerates *every* interleaving of the real
-//! fast path, escalation ladder, and combining slow path (up to the
-//! preemption bound). Oracles are the same ones the stress tests use —
-//! the Wing–Gong linearizability checker over owner-pinned recorded
-//! histories, value conservation, and the `StepAuditor` access
-//! budgets — but here a failure is deterministic: the panic message
-//! carries a replay trace (see CONTRIBUTING.md, "Writing a model
-//! test").
+//! state; every counted register access inside the production code —
+//! and every access to a publication record's or exchanger slot's
+//! protocol word — is a scheduling decision. Each execution is held
+//! to the oracles of `model_support`: the recorded history, extended
+//! by a sequential drain, linearizes against the sequential reference
+//! (Lemma 1, Theorem 1's safety half); no strong operation returns ⊥;
+//! and at quiescence the slow path is still passable by every process
+//! (the lock was released, no `FLAG` left raised). Under the fair
+//! scheduler (`Explorer::round_robin`) every operation completes
+//! within a bounded number of its own accesses — Lemmas 2–3 in their
+//! bounded form.
 //!
-//! The `chaos` feature rides along (hence `--features model,chaos`):
-//! as in `step_budget.rs`, an armed fail point is the only
-//! deterministic way to veto the fast path of a real stack, and the
-//! ladder test below uses one to force operations down every rung.
-//! The fail-point registry is process-global, so every test in this
-//! file serializes behind one mutex.
+//! Depth follows DESIGN.md's budget table; each body prints its mode
+//! and `Report`. A failure is deterministic: the panic message carries
+//! a replay trace (CONTRIBUTING.md, "Writing a model test").
+//!
+//! The `chaos` feature rides along: an armed fail point is the only
+//! deterministic way to veto the fast path of a real object, which the
+//! ladder body and the quiescence check use. The fail-point registry
+//! is process-global, so every test in this file serializes behind one
+//! mutex.
 
-use std::collections::BTreeSet;
+mod model_support;
+
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use cso::core::CsConfig;
-use cso::deque::{CsDeque, DequeOp, DequePopOutcome, DequePushOutcome, End, SeqDeque};
-use cso::lincheck::checker::check_linearizable;
-use cso::lincheck::recorder::Recorder;
-use cso::lincheck::spec::SeqSpec;
-use cso::lincheck::specs::queue::{QueueSpec, SpecQueueOp, SpecQueueResp};
-use cso::lincheck::specs::stack::{SpecStackOp, SpecStackResp, StackSpec};
+use cso::deque::{CsDeque, DequeOp, DequePushOutcome, DequeResponse, End, SeqDeque};
 use cso::locks::TasLock;
 use cso::memory::chaos::{self, Fault, Plan};
 use cso::memory::runtime;
-use cso::queue::{CsQueue, DequeueOutcome, EnqueueOutcome};
+use cso::queue::{CsQueue, DequeueOutcome, EnqueueOutcome, QueueOp, QueueResponse, SeqQueue};
 use cso::sched::{spawn, Explorer};
-use cso::stack::{CsStack, PopOutcome, PushOutcome};
-use cso::trace::audit::StepAuditor;
+use cso::stack::{CsStack, PopOutcome, SeqStack, StackOp, StackResponse};
 
-/// Theorem 1: a contention-free strong operation costs at most six
-/// shared accesses.
-const STRONG_BUDGET: u64 = 6;
+use model_support::{
+    aborts, assert_exhausted, assert_swept, bounded, bounded_then_swept, scripted_body, serial,
+    strong_stack, Apply, Note,
+};
 
-/// Sanity ceiling for *contended* operations under 2-thread bounded-
-/// preemption schedules: contended ops legitimately exceed the solo
-/// budget (they retry and fall through to the lock), but no schedule
-/// in the explored space should let one ramble past this.
+use DequeOp::{Pop as DPop, Push as DPush};
+use End::{Left, Right};
+use QueueOp::{Dequeue, Enqueue};
+use StackOp::{Pop, Push};
+
+/// Theorem 1: a contention-free strong operation costs exactly six
+/// shared accesses on the stack, seven on the queue (the extra
+/// `CONTENTION`-style read of the opposite end).
+const STACK_SOLO: u64 = 6;
+const QUEUE_SOLO: u64 = 7;
+
+/// Sanity ceiling for *contended* operations: they legitimately exceed
+/// the solo budget (they retry and fall through to the lock), but no
+/// explored schedule should let one ramble past this.
 const CONTENDED_CEILING: u64 = 160;
 
-/// The chaos fail-point registry is process-global; any armed site
-/// would leak into a concurrently running test.
-static SERIAL: Mutex<()> = Mutex::new(());
+/// Own accesses an operation may need under the fair scheduler with
+/// up to four processes (measured: 22 / 34 / 45 at n = 2 / 3 / 4).
+const FAIR_BOUND: u64 = 160;
 
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+const SWEEP: usize = 1_000;
+
+fn queue_apply(queue: &Arc<CsQueue<u32>>) -> Apply<SeqQueue<u32>> {
+    let queue = Arc::clone(queue);
+    Arc::new(move |proc, op| {
+        Some(match *op {
+            Enqueue(v) => QueueResponse::Enqueue(queue.enqueue(proc, v)),
+            Dequeue => QueueResponse::Dequeue(queue.dequeue(proc)),
+        })
+    })
+}
+
+fn deque_apply(deque: &Arc<CsDeque<u32>>) -> Apply<SeqDeque<u32>> {
+    let deque = Arc::clone(deque);
+    Arc::new(move |proc, op| {
+        Some(match *op {
+            DPush(end, v) => DequeResponse::Push(deque.push(proc, end, v)),
+            DPop(end) => DequeResponse::Pop(deque.pop(proc, end)),
+        })
+    })
+}
+
+/// What the strong bodies add to the shared oracles: never ⊥, and no
+/// operation past the contended ceiling.
+fn assert_strong<Resp: std::fmt::Debug>(notes: &[Note<Resp>]) {
+    assert_eq!(aborts(notes), 0, "a strong operation returned ⊥");
+    let worst = notes.iter().map(|n| n.accesses).max().unwrap_or(0);
+    assert!(
+        worst <= CONTENDED_CEILING,
+        "an operation spent {worst} accesses (ceiling {CONTENDED_CEILING})"
+    );
+}
+
+/// At quiescence the slow path must be passable by every process:
+/// `n + 1` rounds (so `TURN` visits everyone) of one operation each
+/// whose fast path a fail point vetoes. A lock left held, or a `FLAG`
+/// left raised under `TURN`, blocks one of them — which the explorer
+/// reports as a pruned execution. `op` must not change the (drained)
+/// object; returns how many operations were sent through.
+fn assert_slow_path_passable(n: usize, site: &'static str, op: impl Fn(usize)) -> u64 {
+    for _round in 0..=n {
+        for proc in 0..n {
+            chaos::arm_plan(site, Plan::once(Fault::SpuriousAbort));
+            op(proc);
+        }
+    }
+    ((n + 1) * n) as u64
+}
+
+/// One execution over a fresh `CsStack`: the scripts, the oracles, and
+/// the quiescence check. Returns the notes and the stack's path mix
+/// over the scripted operations.
+fn stack_body(
+    capacity: usize,
+    config: CsConfig,
+    prefill: &[u32],
+    scripts: &[Vec<StackOp<u32>>],
+) -> (Vec<Note<StackResponse<u32>>>, cso::core::PathStats) {
+    let n = scripts.len();
+    let stack = Arc::new(CsStack::with_config(capacity, TasLock::new(), n, config));
+    let notes = scripted_body(
+        strong_stack(&stack),
+        SeqStack::new(capacity),
+        prefill,
+        scripts,
+    );
+    assert_strong(&notes);
+    let mix = stack.path_stats();
+    let sent = assert_slow_path_passable(n, "stack::pop", |proc| {
+        assert_eq!(stack.pop(proc), PopOutcome::Empty);
+    });
+    let after = stack.path_stats();
+    assert_eq!(
+        after.locked - mix.locked,
+        sent,
+        "vetoed operations complete under the lock"
+    );
+    (notes, mix)
+}
+
+fn queue_body(
+    capacity: usize,
+    prefill: &[u32],
+    scripts: &[Vec<QueueOp<u32>>],
+) -> Vec<Note<QueueResponse<u32>>> {
+    let n = scripts.len();
+    let queue = Arc::new(CsQueue::with_config(
+        capacity,
+        TasLock::new(),
+        n,
+        CsConfig::PAPER,
+    ));
+    let notes = scripted_body(
+        queue_apply(&queue),
+        SeqQueue::new(capacity),
+        prefill,
+        scripts,
+    );
+    assert_strong(&notes);
+    assert_slow_path_passable(n, "queue::dequeue", |proc| {
+        assert_eq!(queue.dequeue(proc), DequeueOutcome::Empty);
+    });
+    assert_eq!(queue.len(), 0);
+    notes
+}
+
+fn deque_body(capacity: usize, scripts: &[Vec<DequeOp<u32>>]) -> Vec<Note<DequeResponse<u32>>> {
+    let n = scripts.len();
+    let deque = Arc::new(CsDeque::with_config(
+        capacity,
+        TasLock::new(),
+        n,
+        CsConfig::PAPER,
+    ));
+    let notes = scripted_body(deque_apply(&deque), SeqDeque::new(capacity), &[], scripts);
+    assert_strong(&notes);
+    // The probe to Full ran the data block into the left wall; a
+    // vetoed left push answers Full without changing it.
+    assert_slow_path_passable(n, "deque::push", |proc| {
+        assert_eq!(deque.push(proc, Left, 0), DequePushOutcome::Full);
+    });
+    notes
 }
 
 #[test]
@@ -67,106 +198,94 @@ fn model_runtime_is_active() {
     assert_eq!(runtime::active_name(), "model");
 }
 
-/// Theorem 1 driven through the model runtime: with no second thread
-/// every scheduling decision is forced, the single schedule is the
-/// solo execution, and the strict auditor enforces the six-access
-/// budget on the real `CsStack` — proving the model runtime did not
-/// perturb the counted-access accounting.
+/// Theorem 1 through the model runtime: with no second thread every
+/// scheduling decision is forced, the single schedule is the solo
+/// execution, and it costs exactly six (stack) and seven (queue)
+/// accesses — the model runtime did not perturb the accounting.
 #[test]
-fn solo_stack_ops_stay_in_budget_under_model() {
+fn solo_strong_ops_cost_exactly_six_and_seven() {
     let _serial = serial();
-    let report = Explorer::exhaustive().explore(|| {
-        let stack: CsStack<u32> = CsStack::new(4, 2);
-        let auditor = StepAuditor::strict(STRONG_BUDGET);
-        assert!(matches!(
-            auditor.audit(|| stack.push(0, 7)),
-            PushOutcome::Pushed
-        ));
-        assert!(matches!(
-            auditor.audit(|| stack.pop(0)),
-            PopOutcome::Popped(7)
-        ));
-        assert!(auditor.report().clean());
+    let report = bounded(3).explore(|| {
+        let (notes, mix) = stack_body(4, CsConfig::PAPER, &[], &[vec![Push(7), Pop]]);
+        assert!(notes.iter().all(|n| n.accesses == STACK_SOLO), "{notes:?}");
+        assert_eq!((mix.fast, mix.locked), (2 + 1, 0), "solo never locks");
+        let notes = queue_body(4, &[], &[vec![Enqueue(7), Dequeue]]);
+        assert!(notes.iter().all(|n| n.accesses == QUEUE_SOLO), "{notes:?}");
     });
-    report.assert_ok();
-    assert!(report.exhausted);
+    assert_exhausted("solo_strong_ops_cost_exactly_six_and_seven", &report);
     assert_eq!(report.schedules, 1, "a solo body has exactly one schedule");
 }
 
-/// Lincheck stack scenario (push/pop), exhaustively: two threads each
-/// push a distinct value and pop once against the paper's Figure 3
-/// configuration. Every interleaving must linearize and conserve
-/// values.
+/// Two threads each push a distinct value and pop once against the
+/// paper's Figure 3 configuration.
 #[test]
-fn exhaustive_stack_push_pop_linearizes() {
+fn stack_two_ops_per_thread() {
     let _serial = serial();
-    let report = Explorer::exhaustive().explore(|| {
-        let stack: Arc<CsStack<u32>> =
-            Arc::new(CsStack::with_config(2, TasLock::new(), 2, CsConfig::PAPER));
-        let recorder: Recorder<SpecStackOp, SpecStackResp> = Recorder::new();
-        let child = {
-            let stack = Arc::clone(&stack);
-            let recorder = recorder.clone();
-            spawn(move || {
-                let mut got = Vec::new();
-                let handle = recorder.begin(1, SpecStackOp::Push(2));
-                match stack.push(1, 2) {
-                    PushOutcome::Pushed => handle.finish(SpecStackResp::Pushed),
-                    PushOutcome::Full => handle.finish(SpecStackResp::Full),
-                }
-                let handle = recorder.begin(1, SpecStackOp::Pop);
-                match stack.pop(1) {
-                    PopOutcome::Popped(v) => {
-                        got.push(v);
-                        handle.finish(SpecStackResp::Popped(v));
-                    }
-                    PopOutcome::Empty => handle.finish(SpecStackResp::Empty),
-                }
-                got
-            })
-        };
-        let mut got = Vec::new();
-        let handle = recorder.begin(0, SpecStackOp::Push(1));
-        match stack.push(0, 1) {
-            PushOutcome::Pushed => handle.finish(SpecStackResp::Pushed),
-            PushOutcome::Full => handle.finish(SpecStackResp::Full),
-        }
-        let handle = recorder.begin(0, SpecStackOp::Pop);
-        match stack.pop(0) {
-            PopOutcome::Popped(v) => {
-                got.push(v);
-                handle.finish(SpecStackResp::Popped(v));
-            }
-            PopOutcome::Empty => handle.finish(SpecStackResp::Empty),
-        }
-        got.extend(child.join());
-
-        // Conservation: drain the residue; popped ∪ residue must be
-        // exactly {1, 2}.
-        while let PopOutcome::Popped(v) = stack.pop(0) {
-            got.push(v);
-        }
-        let distinct: BTreeSet<u32> = got.iter().copied().collect();
-        assert_eq!(got.len(), 2, "conservation: {got:?}");
-        assert_eq!(distinct, BTreeSet::from([1, 2]), "conservation: {got:?}");
-
-        let history = recorder.finish();
-        assert!(
-            check_linearizable(&StackSpec::new(2), &history).is_linearizable(),
-            "non-linearizable history:\n{history}"
-        );
-    });
-    report.assert_ok();
-    assert!(report.exhausted, "{report}");
-    assert!(report.schedules > 1, "two threads must branch: {report}");
+    let scripts = [vec![Push(1), Pop], vec![Push(2), Pop]];
+    let locked = AtomicU64::new(0);
+    let body = || {
+        let (_, mix) = stack_body(2, CsConfig::PAPER, &[], &scripts);
+        locked.fetch_add(mix.locked, Ordering::Relaxed);
+    };
+    let report = bounded_then_swept("stack_two_ops_per_thread", 3, (0xC5, SWEEP), body);
+    assert!(report.schedules > 1_000, "{report}");
+    assert!(locked.into_inner() > 0, "no schedule ever took the lock");
 }
 
-/// The tentpole acceptance scenario: the production `CsStack` with the
-/// **full escalation ladder and the combining slow path** (fast path →
-/// CAS contention management → elimination → flat combining), driven
-/// through every 2-thread interleaving. Linearizability, conservation,
-/// and the step auditor must stay green in all of them, and the
-/// exploration must visit the slow path at least once overall.
+/// Three pushers: `CONTENTION` really diverts — somewhere in the
+/// space operations complete on the fast path and under the lock.
+#[test]
+fn stack_three_threads_exercise_both_paths() {
+    let _serial = serial();
+    let scripts = [vec![Push(1)], vec![Push(2)], vec![Push(3)]];
+    let (fast, locked) = (AtomicU64::new(0), AtomicU64::new(0));
+    let body = || {
+        let (_, mix) = stack_body(8, CsConfig::PAPER, &[], &scripts);
+        fast.fetch_add(mix.fast, Ordering::Relaxed);
+        locked.fetch_add(mix.locked, Ordering::Relaxed);
+    };
+    bounded_then_swept(
+        "stack_three_threads_exercise_both_paths",
+        3,
+        (7, SWEEP),
+        body,
+    );
+    assert!(
+        fast.into_inner() > 0,
+        "some operations stay on the fast path"
+    );
+    assert!(locked.into_inner() > 0, "some operations fall to the lock");
+}
+
+/// Three threads × two operations: too wide for the DFS, so a sweep —
+/// over the paper's configuration and over the combining slow path.
+#[test]
+fn stack_three_threads_two_ops_sweep() {
+    let _serial = serial();
+    let scripts = [
+        vec![Push(1), Pop],
+        vec![Push(2), Push(3)],
+        vec![Pop, Push(4)],
+    ];
+    for (name, config) in [
+        ("paper", CsConfig::PAPER),
+        ("combining", CsConfig::COMBINING),
+    ] {
+        let report = Explorer::random(0xC50, SWEEP).explore(|| {
+            stack_body(8, config, &[], &scripts);
+        });
+        assert_swept(
+            &format!("stack_three_threads_two_ops_sweep ({name})"),
+            &report,
+            SWEEP,
+        );
+    }
+}
+
+/// The production `CsStack` with the **full escalation ladder and the
+/// combining slow path** (fast path → CAS contention management →
+/// elimination → flat combining), through every 2-thread interleaving
+/// at bound 2, then a sweep.
 ///
 /// Rung 2 absorbs `CM_RETRIES` = 3 paced retries, and with only two
 /// ops per thread the other thread can cause at most two CAS failures
@@ -176,177 +295,112 @@ fn exhaustive_stack_push_pop_linearizes() {
 /// every schedule at least one push exhausts its retries, parks in
 /// elimination, and falls through to the combining lock, while pops
 /// and later pushes still travel the fast path.
+///
+/// Rung 2's pacing (`CasBackoff::wait`) awaits nothing, so it is a
+/// plain yield point, and the exchanger's slot words and the
+/// publication records' status words behind it are yield points too:
+/// 211 schedules. The `> 100` below separates that from either going
+/// missing — 91 with those words inside atomic blocks, 7 with the
+/// pacing a spin hint (both threads hint within three accesses of
+/// starting and alternate deterministically from there). Bound 2, not
+/// the table's 3: a 512-poll elimination park makes a schedule cost
+/// ≈ 10 ms, and bound 3 is 1,485 schedules in 17 s.
 #[test]
 fn exhaustive_ladder_combining_stack() {
     let _serial = serial();
-    let slow_completions = Arc::new(AtomicU64::new(0));
-    let worst_cost = Arc::new(AtomicU64::new(0));
-    let report = {
-        let slow_completions = Arc::clone(&slow_completions);
-        let worst_cost = Arc::clone(&worst_cost);
-        // The 512-poll elimination parks cost a model step per poll;
-        // give each schedule room for a few of them.
-        Explorer::exhaustive()
-            .with_max_steps(20_000)
-            .explore(move || {
-                chaos::reset();
-                chaos::arm_plan(
-                    "stack::push",
-                    Plan {
-                        fault: Fault::SpuriousAbort,
-                        after: 0,
-                        one_in: 1,
-                        max_fires: 8,
-                    },
-                );
-                let config = CsConfig::LADDER.with_combining().with_adaptive_gate();
-                let stack: Arc<CsStack<u32>> =
-                    Arc::new(CsStack::with_config(2, TasLock::new(), 2, config));
-                let recorder: Recorder<SpecStackOp, SpecStackResp> = Recorder::new();
-                let auditor = Arc::new(StepAuditor::recording(STRONG_BUDGET));
-                let child = {
-                    let stack = Arc::clone(&stack);
-                    let recorder = recorder.clone();
-                    let auditor = Arc::clone(&auditor);
-                    spawn(move || {
-                        let mut got = Vec::new();
-                        let handle = recorder.begin(1, SpecStackOp::Push(2));
-                        match auditor.audit(|| stack.push(1, 2)) {
-                            PushOutcome::Pushed => handle.finish(SpecStackResp::Pushed),
-                            PushOutcome::Full => handle.finish(SpecStackResp::Full),
-                        }
-                        let handle = recorder.begin(1, SpecStackOp::Pop);
-                        match auditor.audit(|| stack.pop(1)) {
-                            PopOutcome::Popped(v) => {
-                                got.push(v);
-                                handle.finish(SpecStackResp::Popped(v));
-                            }
-                            PopOutcome::Empty => handle.finish(SpecStackResp::Empty),
-                        }
-                        got
-                    })
-                };
-                let mut got = Vec::new();
-                let handle = recorder.begin(0, SpecStackOp::Push(1));
-                match auditor.audit(|| stack.push(0, 1)) {
-                    PushOutcome::Pushed => handle.finish(SpecStackResp::Pushed),
-                    PushOutcome::Full => handle.finish(SpecStackResp::Full),
-                }
-                let handle = recorder.begin(0, SpecStackOp::Pop);
-                match auditor.audit(|| stack.pop(0)) {
-                    PopOutcome::Popped(v) => {
-                        got.push(v);
-                        handle.finish(SpecStackResp::Popped(v));
-                    }
-                    PopOutcome::Empty => handle.finish(SpecStackResp::Empty),
-                }
-                got.extend(child.join());
-                while let PopOutcome::Popped(v) = stack.pop(0) {
-                    got.push(v);
-                }
-                let distinct: BTreeSet<u32> = got.iter().copied().collect();
-                assert_eq!(got.len(), 2, "conservation: {got:?}");
-                assert_eq!(distinct, BTreeSet::from([1, 2]), "conservation: {got:?}");
-
-                let audit = auditor.report();
-                assert_eq!(audit.checked, 4, "every op audited");
-                assert!(
-                    audit.worst <= CONTENDED_CEILING,
-                    "an operation spent {} accesses (ceiling {CONTENDED_CEILING})",
-                    audit.worst
-                );
-                worst_cost.fetch_max(audit.worst, Ordering::Relaxed);
-
-                let stats = stack.path_stats();
-                slow_completions.fetch_add(stats.eliminated + stats.locked, Ordering::Relaxed);
-
-                let history = recorder.finish();
-                assert!(
-                    check_linearizable(&StackSpec::new(2), &history).is_linearizable(),
-                    "non-linearizable history:\n{history}"
-                );
-                chaos::reset();
-            })
+    let config = CsConfig::LADDER.with_combining().with_adaptive_gate();
+    let slow_completions = AtomicU64::new(0);
+    let worst_cost = AtomicU64::new(0);
+    let body = || {
+        chaos::reset();
+        chaos::arm_plan(
+            "stack::push",
+            Plan {
+                fault: Fault::SpuriousAbort,
+                after: 0,
+                one_in: 1,
+                max_fires: 8,
+            },
+        );
+        let stack = Arc::new(CsStack::with_config(2, TasLock::new(), 2, config));
+        let scripts = [vec![Push(1), Pop], vec![Push(2), Pop]];
+        let notes = scripted_body(strong_stack(&stack), SeqStack::new(2), &[], &scripts);
+        assert_strong(&notes);
+        let worst = notes.iter().map(|n| n.accesses).max().unwrap_or(0);
+        worst_cost.fetch_max(worst, Ordering::Relaxed);
+        let mix = stack.path_stats();
+        slow_completions.fetch_add(mix.eliminated + mix.locked, Ordering::Relaxed);
+        chaos::reset();
     };
-    report.assert_ok();
-    assert!(report.exhausted, "{report}");
-    assert!(report.schedules > 1, "{report}");
+    // The elimination parks cost model steps per poll; give each
+    // schedule room for a few of them.
+    let report = bounded(2).with_max_steps(20_000).explore(body);
+    assert_exhausted("exhaustive_ladder_combining_stack (bound 2)", &report);
+    assert!(
+        report.schedules > 100,
+        "the ladder's pacing and protocol words are schedule points \
+         (7 schedules without the first, 91 without the second): {report}"
+    );
+    let report = Explorer::random(0x1ADD, SWEEP / 4).explore(body);
+    assert_swept(
+        "exhaustive_ladder_combining_stack (random)",
+        &report,
+        SWEEP / 4,
+    );
     // The exploration must have pushed operations off the fast path
     // somewhere — otherwise it never exercised the ladder/combining
     // machinery it claims to verify.
     assert!(
-        slow_completions.load(Ordering::Relaxed) > 0,
-        "no schedule ever escalated off the fast path ({report})"
+        slow_completions.into_inner() > 0,
+        "no schedule ever escalated off the fast path"
     );
     // Contended schedules must exist (worst observed above the solo
     // budget proves real interference was explored).
     assert!(
-        worst_cost.load(Ordering::Relaxed) > STRONG_BUDGET,
+        worst_cost.into_inner() > STACK_SOLO,
         "no schedule ever contended"
     );
-    chaos::reset();
 }
 
-/// Lincheck queue scenario (enqueue/dequeue), exhaustively.
+/// An empty trace replays as "always the first candidate" (and a
+/// short one falls back to it where it runs out) — a valid schedule
+/// for any body, and exactly one. (The failing-trace direction is
+/// covered by the mutation self-tests.)
 #[test]
-fn exhaustive_queue_enqueue_dequeue_linearizes() {
+fn replay_mode_runs_a_recorded_trace() {
     let _serial = serial();
-    let report = Explorer::exhaustive().explore(|| {
-        let queue: Arc<CsQueue<u32>> =
-            Arc::new(CsQueue::with_config(2, TasLock::new(), 2, CsConfig::PAPER));
-        let recorder: Recorder<SpecQueueOp, SpecQueueResp> = Recorder::new();
-        let child = {
-            let queue = Arc::clone(&queue);
-            let recorder = recorder.clone();
-            spawn(move || {
-                let mut got = Vec::new();
-                let handle = recorder.begin(1, SpecQueueOp::Enqueue(2));
-                match queue.enqueue(1, 2) {
-                    EnqueueOutcome::Enqueued => handle.finish(SpecQueueResp::Enqueued),
-                    EnqueueOutcome::Full => handle.finish(SpecQueueResp::Full),
-                }
-                let handle = recorder.begin(1, SpecQueueOp::Dequeue);
-                match queue.dequeue(1) {
-                    DequeueOutcome::Dequeued(v) => {
-                        got.push(v);
-                        handle.finish(SpecQueueResp::Dequeued(v));
-                    }
-                    DequeueOutcome::Empty => handle.finish(SpecQueueResp::Empty),
-                }
-                got
-            })
-        };
-        let mut got = Vec::new();
-        let handle = recorder.begin(0, SpecQueueOp::Enqueue(1));
-        match queue.enqueue(0, 1) {
-            EnqueueOutcome::Enqueued => handle.finish(SpecQueueResp::Enqueued),
-            EnqueueOutcome::Full => handle.finish(SpecQueueResp::Full),
-        }
-        let handle = recorder.begin(0, SpecQueueOp::Dequeue);
-        match queue.dequeue(0) {
-            DequeueOutcome::Dequeued(v) => {
-                got.push(v);
-                handle.finish(SpecQueueResp::Dequeued(v));
-            }
-            DequeueOutcome::Empty => handle.finish(SpecQueueResp::Empty),
-        }
-        got.extend(child.join());
-        while let DequeueOutcome::Dequeued(v) = queue.dequeue(0) {
-            got.push(v);
-        }
-        let distinct: BTreeSet<u32> = got.iter().copied().collect();
-        assert_eq!(got.len(), 2, "conservation: {got:?}");
-        assert_eq!(distinct, BTreeSet::from([1, 2]), "conservation: {got:?}");
+    let scripts = [vec![Push(1)], vec![Push(2)]];
+    for trace in ["", "1"] {
+        let report = Explorer::replay(trace).explore(|| {
+            stack_body(2, CsConfig::PAPER, &[], &scripts);
+        });
+        report.assert_ok();
+        assert_eq!(report.schedules, 1, "trace {trace:?}: {report}");
+    }
+}
 
-        let history = recorder.finish();
-        assert!(
-            check_linearizable(&QueueSpec::new(2), &history).is_linearizable(),
-            "non-linearizable history:\n{history}"
-        );
+#[test]
+fn queue_two_ops_per_thread() {
+    let _serial = serial();
+    let scripts = [vec![Enqueue(1), Dequeue], vec![Enqueue(2), Dequeue]];
+    let report = bounded_then_swept("queue_two_ops_per_thread", 3, (0xC5, SWEEP), || {
+        queue_body(2, &[], &scripts);
     });
-    report.assert_ok();
-    assert!(report.exhausted, "{report}");
-    assert!(report.schedules > 1, "{report}");
+    assert!(report.schedules > 1_000, "{report}");
+}
+
+#[test]
+fn queue_three_threads_two_ops_sweep() {
+    let _serial = serial();
+    let scripts = [
+        vec![Enqueue(1), Dequeue],
+        vec![Enqueue(2), Enqueue(3)],
+        vec![Dequeue, Enqueue(4)],
+    ];
+    let report = Explorer::random(0xC5, SWEEP).explore(|| {
+        queue_body(8, &[9], &scripts);
+    });
+    assert_swept("queue_three_threads_two_ops_sweep", &report, SWEEP);
 }
 
 /// `len()` is a size the queue really had: in every interleaving of a
@@ -358,7 +412,7 @@ fn exhaustive_queue_enqueue_dequeue_linearizes() {
 #[test]
 fn exhaustive_queue_len_is_a_consistent_snapshot() {
     let _serial = serial();
-    let report = Explorer::exhaustive().explore(|| {
+    let report = bounded(3).explore(|| {
         let queue: Arc<CsQueue<u32>> = Arc::new(CsQueue::new(2, 2));
         assert_eq!(queue.enqueue(0, 1), EnqueueOutcome::Enqueued);
         let child = {
@@ -374,199 +428,65 @@ fn exhaustive_queue_len_is_a_consistent_snapshot() {
         child.join();
         assert_eq!(queue.len(), 0);
     });
-    report.assert_ok();
-    assert!(report.exhausted, "{report}");
+    assert_exhausted("exhaustive_queue_len_is_a_consistent_snapshot", &report);
     assert!(report.schedules > 1, "{report}");
 }
 
-/// Responses for the deque scenario, checker-side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DequeResp {
-    Pushed,
-    Full,
-    Popped(u32),
-    Empty,
-}
-
-/// The linear-HLM deque sequential specification, as in
-/// `tests/deque_lincheck.rs`, over the reference `SeqDeque`.
-struct DequeSpec {
-    capacity: usize,
-}
-
-impl SeqSpec for DequeSpec {
-    type State = SeqDeque<u32>;
-    type Op = DequeOp<u32>;
-    type Resp = DequeResp;
-
-    fn initial(&self) -> SeqDeque<u32> {
-        SeqDeque::new(self.capacity)
-    }
-
-    fn apply(&self, state: &SeqDeque<u32>, op: &DequeOp<u32>) -> (SeqDeque<u32>, DequeResp) {
-        let mut next = state.clone();
-        let resp = match op {
-            DequeOp::Push(end, v) => match next.push(*end, *v) {
-                DequePushOutcome::Pushed => DequeResp::Pushed,
-                DequePushOutcome::Full => DequeResp::Full,
-            },
-            DequeOp::Pop(end) => match next.pop(*end) {
-                DequePopOutcome::Popped(v) => DequeResp::Popped(v),
-                DequePopOutcome::Empty => DequeResp::Empty,
-            },
-        };
-        (next, resp)
-    }
-}
-
-/// Lincheck deque scenario (mixed ends), exhaustively: one thread
-/// pushes left and pops right, the other pushes right and pops left —
-/// the two-sided interleavings the HLM deque's per-side words make
-/// interesting.
+/// Mixed ends: one thread pushes left and pops right, the other
+/// pushes right and pops left — the two-sided interleavings the HLM
+/// deque's per-side words make interesting.
 #[test]
-fn exhaustive_deque_mixed_ends_linearizes() {
+fn deque_two_ops_per_thread() {
     let _serial = serial();
-    let report = Explorer::exhaustive().explore(|| {
-        let deque: Arc<CsDeque<u32>> =
-            Arc::new(CsDeque::with_config(4, TasLock::new(), 2, CsConfig::PAPER));
-        let recorder: Recorder<DequeOp<u32>, DequeResp> = Recorder::new();
-        let child = {
-            let deque = Arc::clone(&deque);
-            let recorder = recorder.clone();
-            spawn(move || {
-                let mut got = Vec::new();
-                recorder.invoke(1, DequeOp::Push(End::Right, 2));
-                let resp = match deque.push(1, End::Right, 2) {
-                    DequePushOutcome::Pushed => DequeResp::Pushed,
-                    DequePushOutcome::Full => DequeResp::Full,
-                };
-                recorder.ret(1, resp);
-                recorder.invoke(1, DequeOp::Pop(End::Left));
-                let resp = match deque.pop(1, End::Left) {
-                    DequePopOutcome::Popped(v) => {
-                        got.push(v);
-                        DequeResp::Popped(v)
-                    }
-                    DequePopOutcome::Empty => DequeResp::Empty,
-                };
-                recorder.ret(1, resp);
-                got
-            })
-        };
-        let mut got = Vec::new();
-        recorder.invoke(0, DequeOp::Push(End::Left, 1));
-        let resp = match deque.push(0, End::Left, 1) {
-            DequePushOutcome::Pushed => DequeResp::Pushed,
-            DequePushOutcome::Full => DequeResp::Full,
-        };
-        recorder.ret(0, resp);
-        recorder.invoke(0, DequeOp::Pop(End::Right));
-        let resp = match deque.pop(0, End::Right) {
-            DequePopOutcome::Popped(v) => {
-                got.push(v);
-                DequeResp::Popped(v)
-            }
-            DequePopOutcome::Empty => DequeResp::Empty,
-        };
-        recorder.ret(0, resp);
-        got.extend(child.join());
-
-        // Conservation: drain both ends; everything pushed comes back
-        // exactly once.
-        while let DequePopOutcome::Popped(v) = deque.pop(0, End::Left) {
-            got.push(v);
-        }
-        let distinct: BTreeSet<u32> = got.iter().copied().collect();
-        assert_eq!(got.len(), 2, "conservation: {got:?}");
-        assert_eq!(distinct, BTreeSet::from([1, 2]), "conservation: {got:?}");
-
-        let history = recorder.finish();
-        assert!(
-            check_linearizable(&DequeSpec { capacity: 4 }, &history).is_linearizable(),
-            "deque history not linearizable"
-        );
+    let scripts = [
+        vec![DPush(Left, 1), DPop(Right)],
+        vec![DPush(Right, 2), DPop(Left)],
+    ];
+    let report = bounded_then_swept("deque_two_ops_per_thread", 3, (0xD0, SWEEP), || {
+        deque_body(4, &scripts);
     });
-    report.assert_ok();
-    assert!(report.exhausted, "{report}");
-    assert!(report.schedules > 1, "{report}");
+    assert!(report.schedules > 1_000, "{report}");
 }
 
-/// A seeded-random sweep beyond the exhaustive envelope: three threads
-/// (too wide for DFS in CI time) against the combining configuration.
-/// Any failure prints the schedule seed and replay trace.
+/// Figure 3 over the deque, three threads: every strong operation
+/// terminates (the obstruction-free → starvation-free leap),
+/// linearizably.
 #[test]
-fn random_sweep_three_thread_stack_holds() {
+fn deque_three_threads_sweep() {
     let _serial = serial();
-    let report = Explorer::random(0xC50_5EED, 200).explore(|| {
-        let stack: Arc<CsStack<u32>> = Arc::new(CsStack::with_config(
-            4,
-            TasLock::new(),
-            3,
-            CsConfig::COMBINING,
-        ));
-        let recorder: Recorder<SpecStackOp, SpecStackResp> = Recorder::new();
-        let children: Vec<_> = (1..3usize)
-            .map(|proc| {
-                let stack = Arc::clone(&stack);
-                let recorder = recorder.clone();
-                spawn(move || {
-                    let v = proc as u32;
-                    let handle = recorder.begin(proc, SpecStackOp::Push(v));
-                    match stack.push(proc, v) {
-                        PushOutcome::Pushed => handle.finish(SpecStackResp::Pushed),
-                        PushOutcome::Full => handle.finish(SpecStackResp::Full),
-                    }
-                    let handle = recorder.begin(proc, SpecStackOp::Pop);
-                    match stack.pop(proc) {
-                        PopOutcome::Popped(v) => handle.finish(SpecStackResp::Popped(v)),
-                        PopOutcome::Empty => handle.finish(SpecStackResp::Empty),
-                    }
-                })
-            })
-            .collect();
-        let handle = recorder.begin(0, SpecStackOp::Push(0));
-        match stack.push(0, 0) {
-            PushOutcome::Pushed => handle.finish(SpecStackResp::Pushed),
-            PushOutcome::Full => handle.finish(SpecStackResp::Full),
-        }
-        for child in children {
-            child.join();
-        }
-        let history = recorder.finish();
-        assert!(
-            check_linearizable(&StackSpec::new(4), &history).is_linearizable(),
-            "non-linearizable history:\n{history}"
-        );
+    let scripts = [
+        vec![DPush(Left, 1), DPop(Right)],
+        vec![DPush(Right, 2)],
+        vec![DPop(Left), DPush(Right, 3)],
+    ];
+    let report = Explorer::random(0xD0, SWEEP).explore(|| {
+        deque_body(2, &scripts);
     });
-    report.assert_ok();
-    assert_eq!(report.schedules, 200, "{report}");
+    assert_swept("deque_three_threads_sweep", &report, SWEEP);
 }
 
-/// A printed trace replays deterministically: force a trivial body
-/// through an explicit trace and confirm the explorer accepts it.
-/// (The failing-trace direction is covered by the mutation self-test.)
+/// V3 — Lemmas 2–3, bounded form: with every process pushing and
+/// popping through Figure 3 at once under the fair scheduler, every
+/// operation completes, none returns ⊥, and none needs more than
+/// `FAIR_BOUND` of its own accesses.
 #[test]
-fn replay_mode_runs_a_recorded_trace() {
+fn all_strong_ops_complete_under_fair_scheduling() {
     let _serial = serial();
-    let body = || {
-        let stack: Arc<CsStack<u32>> = Arc::new(CsStack::new(2, 2));
-        let child = {
-            let stack = Arc::clone(&stack);
-            spawn(move || {
-                let _ = stack.push(1, 2);
-            })
-        };
-        let _ = stack.push(0, 1);
-        child.join();
-        let mut popped = Vec::new();
-        while let PopOutcome::Popped(v) = stack.pop(0) {
-            popped.push(v);
-        }
-        assert_eq!(popped.len(), 2);
-    };
-    // Empty trace = "always pick the first candidate": a valid
-    // deterministic schedule for any body.
-    let report = Explorer::replay("").explore(body);
-    report.assert_ok();
-    assert_eq!(report.schedules, 1);
+    for n in [2usize, 3, 4] {
+        let scripts: Vec<_> = (0..n).map(|i| vec![Push(i as u32), Pop]).collect();
+        let worst = AtomicU64::new(0);
+        let report = Explorer::round_robin().explore(|| {
+            let (notes, _) = stack_body(16, CsConfig::PAPER, &[], &scripts);
+            assert_eq!(notes.len(), 2 * n);
+            let most = notes.iter().map(|n| n.accesses).max().unwrap_or(0);
+            worst.store(most, Ordering::Relaxed);
+        });
+        let worst = worst.into_inner();
+        println!(
+            "all_strong_ops_complete_under_fair_scheduling (n = {n}): {report}; \
+             worst op {worst} accesses"
+        );
+        report.assert_ok();
+        assert!(worst <= FAIR_BOUND, "n={n}: an operation needed {worst}");
+    }
 }

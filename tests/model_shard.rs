@@ -21,25 +21,103 @@
 //! is a deterministic function of the schedule — exactly what replay
 //! needs.
 
-use std::collections::BTreeSet;
+mod model_support;
+
 use std::sync::Arc;
 
-use cso::lincheck::checker::{check_linearizable, check_relaxed_linearizable};
+use cso::lincheck::checker::check_relaxed_linearizable;
 use cso::lincheck::recorder::Recorder;
-use cso::lincheck::specs::queue::{QueueSpec, SpecQueueOp, SpecQueueResp};
 use cso::lincheck::specs::relaxed::KStackSpec;
-use cso::lincheck::specs::stack::{SpecStackOp, SpecStackResp, StackSpec};
+use cso::lincheck::specs::stack::{SpecStackOp, SpecStackResp};
 use cso::memory::runtime;
-use cso::queue::{DequeueOutcome, EnqueueOutcome};
-use cso::sched::{spawn, Explorer};
+use cso::queue::{QueueOp, QueueResponse, SeqQueue};
+use cso::sched::Explorer;
 use cso::shard::{ShardConfig, ShardedCsQueue, ShardedCsStack};
-use cso::stack::{PopOutcome, PushOutcome};
-use cso::trace::audit::StepAuditor;
+use cso::stack::{PopOutcome, PushOutcome, SeqStack, StackOp, StackResponse};
+
+use model_support::{
+    assert_exhausted, assert_swept, run_scripts, scripted_body, settle, Apply, ApplyFn,
+};
 
 /// Theorem 1 per lane: six accesses for a solo stack op, seven for
 /// the queue (the extra `CONTENTION` read of the opposite end).
 const STACK_BUDGET: u64 = 6;
 const QUEUE_BUDGET: u64 = 7;
+
+fn stack_apply(stack: &Arc<ShardedCsStack<u32>>) -> Apply<SeqStack<u32>> {
+    let stack = Arc::clone(stack);
+    Arc::new(move |proc, op| {
+        Some(match *op {
+            StackOp::Push(v) => StackResponse::Push(stack.push(proc, v)),
+            StackOp::Pop => StackResponse::Pop(stack.pop(proc)),
+        })
+    })
+}
+
+fn queue_apply(queue: &Arc<ShardedCsQueue<u32>>) -> Apply<SeqQueue<u32>> {
+    let queue = Arc::clone(queue);
+    Arc::new(move |proc, op| {
+        Some(match *op {
+            QueueOp::Enqueue(v) => QueueResponse::Enqueue(queue.enqueue(proc, v)),
+            QueueOp::Dequeue => QueueResponse::Dequeue(queue.dequeue(proc)),
+        })
+    })
+}
+
+/// The same stack in the relaxed checker's vocabulary.
+fn spec_apply(stack: &Arc<ShardedCsStack<u32>>) -> Arc<ApplyFn<SpecStackOp, SpecStackResp>> {
+    let stack = Arc::clone(stack);
+    Arc::new(move |proc, op| {
+        Some(match *op {
+            SpecStackOp::Push(v) => match stack.push(proc, v) {
+                PushOutcome::Pushed => SpecStackResp::Pushed,
+                PushOutcome::Full => SpecStackResp::Full,
+            },
+            SpecStackOp::Pop => match stack.pop(proc) {
+                PopOutcome::Popped(v) => SpecStackResp::Popped(v),
+                PopOutcome::Empty => SpecStackResp::Empty,
+            },
+        })
+    })
+}
+
+/// At quiescence `len()` must agree with lane ground truth exactly.
+fn assert_len_is_the_lane_sum(stack: &ShardedCsStack<u32>) -> usize {
+    let lane_sum: usize = (0..stack.lanes()).map(|i| stack.lane(i).len()).sum();
+    assert_eq!(stack.len(), lane_sum, "len() off the lanes");
+    lane_sum
+}
+
+/// One execution of an elastic relaxed stack: the scripts, a drain
+/// inside the history if `drain`, the quiescent audit, and the k-spec
+/// at the advertised bound.
+fn relaxed_body(stack: ShardedCsStack<u32>, scripts: &[Vec<SpecStackOp>], drain: bool) {
+    let stack = Arc::new(stack);
+    let spec = KStackSpec::new(stack.capacity(), stack.relaxation_bound());
+    let recorder = Recorder::new();
+    let apply = spec_apply(&stack);
+    run_scripts(&recorder, scripts.to_vec(), Arc::clone(&apply));
+    // No lost lane: the active prefix stays in 1..=lanes, and
+    // deactivated lanes still drain (pops probe all lanes).
+    let active = stack.active_lanes();
+    assert!(active >= 1 && active <= stack.lanes(), "active {active}");
+    if drain {
+        settle(&recorder, &*apply, SpecStackOp::Pop, &SpecStackResp::Empty);
+        assert_eq!(
+            assert_len_is_the_lane_sum(&stack),
+            0,
+            "values left stranded in a merged-away lane"
+        );
+    } else {
+        assert_len_is_the_lane_sum(&stack);
+    }
+    let history = recorder.finish();
+    assert!(
+        check_relaxed_linearizable(&spec, &history).is_linearizable(),
+        "history exceeded k={}:\n{history}",
+        spec.k()
+    );
+}
 
 #[test]
 fn model_runtime_is_active() {
@@ -58,103 +136,45 @@ fn solo_sharded_ops_keep_the_cell_budgets_under_model() {
         ShardConfig::relaxed(2, 4).with_elastic(),
     ] {
         let report = Explorer::exhaustive().explore(move || {
-            let stack: ShardedCsStack<u32> = ShardedCsStack::new(8, 2, config);
-            let auditor = StepAuditor::strict(STACK_BUDGET);
-            assert!(matches!(
-                auditor.audit(|| stack.push(0, 7)),
-                PushOutcome::Pushed
-            ));
-            assert!(matches!(
-                auditor.audit(|| stack.pop(0)),
-                PopOutcome::Popped(7)
-            ));
-            assert!(auditor.report().clean());
-
-            let queue: ShardedCsQueue<u32> = ShardedCsQueue::new(8, 2, config);
-            let auditor = StepAuditor::strict(QUEUE_BUDGET);
-            assert!(matches!(
-                auditor.audit(|| queue.enqueue(0, 9)),
-                EnqueueOutcome::Enqueued
-            ));
-            assert!(matches!(
-                auditor.audit(|| queue.dequeue(0)),
-                DequeueOutcome::Dequeued(9)
-            ));
-            assert!(auditor.report().clean());
+            let stack = Arc::new(ShardedCsStack::new(8, 2, config));
+            let script = [vec![StackOp::Push(7), StackOp::Pop]];
+            let notes = scripted_body(stack_apply(&stack), SeqStack::new(8), &[], &script);
+            assert!(
+                notes.iter().all(|n| n.accesses == STACK_BUDGET),
+                "{notes:?}"
+            );
+            let queue = Arc::new(ShardedCsQueue::new(8, 2, config));
+            let script = [vec![QueueOp::Enqueue(9), QueueOp::Dequeue]];
+            let notes = scripted_body(queue_apply(&queue), SeqQueue::new(8), &[], &script);
+            assert!(
+                notes.iter().all(|n| n.accesses == QUEUE_BUDGET),
+                "{notes:?}"
+            );
         });
-        report.assert_ok();
+        assert_exhausted(
+            "solo_sharded_ops_keep_the_cell_budgets_under_model",
+            &report,
+        );
         assert_eq!(report.schedules, 1, "a solo body has exactly one schedule");
     }
 }
 
 /// Exhaustive 2-thread × 2-lane **strict** exploration: the ticket
 /// latch serializes ordering decisions across lanes, so every
-/// interleaving must satisfy the *unrelaxed* stack spec, conserve
-/// values, and leave `len()` agreeing with the lanes.
+/// interleaving must satisfy the *unrelaxed* stack spec — drain
+/// included — and leave `len()` agreeing with the lanes.
 #[test]
 fn exhaustive_strict_two_lane_stack_linearizes() {
     let report = Explorer::exhaustive().explore(|| {
-        let stack: Arc<ShardedCsStack<u32>> =
-            Arc::new(ShardedCsStack::new(2, 2, ShardConfig::strict(2)));
-        let recorder: Recorder<SpecStackOp, SpecStackResp> = Recorder::new();
-        let child = {
-            let stack = Arc::clone(&stack);
-            let recorder = recorder.clone();
-            spawn(move || {
-                let mut got = Vec::new();
-                let handle = recorder.begin(1, SpecStackOp::Push(2));
-                match stack.push(1, 2) {
-                    PushOutcome::Pushed => handle.finish(SpecStackResp::Pushed),
-                    PushOutcome::Full => handle.finish(SpecStackResp::Full),
-                }
-                let handle = recorder.begin(1, SpecStackOp::Pop);
-                match stack.pop(1) {
-                    PopOutcome::Popped(v) => {
-                        got.push(v);
-                        handle.finish(SpecStackResp::Popped(v));
-                    }
-                    PopOutcome::Empty => handle.finish(SpecStackResp::Empty),
-                }
-                got
-            })
-        };
-        let mut got = Vec::new();
-        let handle = recorder.begin(0, SpecStackOp::Push(1));
-        match stack.push(0, 1) {
-            PushOutcome::Pushed => handle.finish(SpecStackResp::Pushed),
-            PushOutcome::Full => handle.finish(SpecStackResp::Full),
-        }
-        let handle = recorder.begin(0, SpecStackOp::Pop);
-        match stack.pop(0) {
-            PopOutcome::Popped(v) => {
-                got.push(v);
-                handle.finish(SpecStackResp::Popped(v));
-            }
-            PopOutcome::Empty => handle.finish(SpecStackResp::Empty),
-        }
-        got.extend(child.join());
-
-        while let PopOutcome::Popped(v) = stack.pop(0) {
-            got.push(v);
-        }
-        let distinct: BTreeSet<u32> = got.iter().copied().collect();
-        assert_eq!(got.len(), 2, "conservation: {got:?}");
-        assert_eq!(distinct, BTreeSet::from([1, 2]), "conservation: {got:?}");
-
-        // At quiescence `len()` must agree with lane ground truth
-        // exactly.
-        let lane_sum: usize = (0..stack.lanes()).map(|i| stack.lane(i).len()).sum();
-        assert_eq!(stack.len(), lane_sum);
-        assert_eq!(lane_sum, 0);
-
-        let history = recorder.finish();
-        assert!(
-            check_linearizable(&StackSpec::new(2), &history).is_linearizable(),
-            "non-linearizable history:\n{history}"
-        );
+        let stack = Arc::new(ShardedCsStack::new(2, 2, ShardConfig::strict(2)));
+        let scripts = [
+            vec![StackOp::Push(1), StackOp::Pop],
+            vec![StackOp::Push(2), StackOp::Pop],
+        ];
+        scripted_body(stack_apply(&stack), SeqStack::new(2), &[], &scripts);
+        assert_eq!(assert_len_is_the_lane_sum(&stack), 0);
     });
-    report.assert_ok();
-    assert!(report.exhausted, "{report}");
+    assert_exhausted("exhaustive_strict_two_lane_stack_linearizes", &report);
     assert!(report.schedules > 1, "two threads must branch: {report}");
 }
 
@@ -162,83 +182,23 @@ fn exhaustive_strict_two_lane_stack_linearizes() {
 /// the most aggressive cadence (evaluate every op, no cooldown): the
 /// active prefix flips between 1 and 2 *during* the ops, stealing
 /// races the merges, and in every schedule the structure must conserve
-/// values, keep a sane lane count, satisfy the k-spec at its
-/// advertised bound, and leave `len()` equal to the lane sums.
+/// values (the drain is part of the history), keep a sane lane count,
+/// satisfy the k-spec at its advertised bound, and leave `len()` equal
+/// to the lane sums.
 #[test]
 fn exhaustive_elastic_split_merge_with_stealing() {
+    use SpecStackOp::{Pop, Push};
     let report = Explorer::exhaustive().explore(|| {
-        let stack: Arc<ShardedCsStack<u32>> = Arc::new(ShardedCsStack::new(
-            4,
-            2,
-            ShardConfig::relaxed(2, 2)
-                .with_elastic()
-                .with_elastic_cadence(1, 0),
-        ));
-        let bound = stack.relaxation_bound();
-        let capacity = stack.capacity();
-        let recorder: Recorder<SpecStackOp, SpecStackResp> = Recorder::new();
-        let child = {
-            let stack = Arc::clone(&stack);
-            let recorder = recorder.clone();
-            spawn(move || {
-                let mut got = Vec::new();
-                let handle = recorder.begin(1, SpecStackOp::Push(2));
-                match stack.push(1, 2) {
-                    PushOutcome::Pushed => handle.finish(SpecStackResp::Pushed),
-                    PushOutcome::Full => handle.finish(SpecStackResp::Full),
-                }
-                let handle = recorder.begin(1, SpecStackOp::Pop);
-                match stack.pop(1) {
-                    PopOutcome::Popped(v) => {
-                        got.push(v);
-                        handle.finish(SpecStackResp::Popped(v));
-                    }
-                    PopOutcome::Empty => handle.finish(SpecStackResp::Empty),
-                }
-                got
-            })
-        };
-        let mut got = Vec::new();
-        let handle = recorder.begin(0, SpecStackOp::Push(1));
-        match stack.push(0, 1) {
-            PushOutcome::Pushed => handle.finish(SpecStackResp::Pushed),
-            PushOutcome::Full => handle.finish(SpecStackResp::Full),
-        }
-        let handle = recorder.begin(0, SpecStackOp::Pop);
-        match stack.pop(0) {
-            PopOutcome::Popped(v) => {
-                got.push(v);
-                handle.finish(SpecStackResp::Popped(v));
-            }
-            PopOutcome::Empty => handle.finish(SpecStackResp::Empty),
-        }
-        got.extend(child.join());
-
-        // No lost lane: the active prefix stays in 1..=lanes, and
-        // deactivated lanes still drain (pops probe all lanes).
-        let active = stack.active_lanes();
-        assert!(active >= 1 && active <= stack.lanes(), "active {active}");
-
-        while let PopOutcome::Popped(v) = stack.pop(0) {
-            got.push(v);
-        }
-        let distinct: BTreeSet<u32> = got.iter().copied().collect();
-        assert_eq!(got.len(), 2, "conservation: {got:?}");
-        assert_eq!(distinct, BTreeSet::from([1, 2]), "conservation: {got:?}");
-
-        let lane_sum: usize = (0..stack.lanes()).map(|i| stack.lane(i).len()).sum();
-        assert_eq!(stack.len(), lane_sum, "len() off the lanes");
-        assert_eq!(lane_sum, 0, "values left stranded in a merged-away lane");
-
-        let history = recorder.finish();
-        assert!(
-            check_relaxed_linearizable(&KStackSpec::new(capacity, bound), &history)
-                .is_linearizable(),
-            "history exceeded k={bound}:\n{history}"
+        let config = ShardConfig::relaxed(2, 2)
+            .with_elastic()
+            .with_elastic_cadence(1, 0);
+        relaxed_body(
+            ShardedCsStack::new(4, 2, config),
+            &[vec![Push(1), Pop], vec![Push(2), Pop]],
+            true,
         );
     });
-    report.assert_ok();
-    assert!(report.exhausted, "{report}");
+    assert_exhausted("exhaustive_elastic_split_merge_with_stealing", &report);
     assert!(report.schedules > 1, "{report}");
 }
 
@@ -247,60 +207,14 @@ fn exhaustive_elastic_split_merge_with_stealing() {
 #[test]
 fn exhaustive_strict_two_lane_queue_linearizes() {
     let report = Explorer::exhaustive().explore(|| {
-        let queue: Arc<ShardedCsQueue<u32>> =
-            Arc::new(ShardedCsQueue::new(2, 2, ShardConfig::strict(2)));
-        let recorder: Recorder<SpecQueueOp, SpecQueueResp> = Recorder::new();
-        let child = {
-            let queue = Arc::clone(&queue);
-            let recorder = recorder.clone();
-            spawn(move || {
-                let mut got = Vec::new();
-                let handle = recorder.begin(1, SpecQueueOp::Enqueue(2));
-                match queue.enqueue(1, 2) {
-                    EnqueueOutcome::Enqueued => handle.finish(SpecQueueResp::Enqueued),
-                    EnqueueOutcome::Full => handle.finish(SpecQueueResp::Full),
-                }
-                let handle = recorder.begin(1, SpecQueueOp::Dequeue);
-                match queue.dequeue(1) {
-                    DequeueOutcome::Dequeued(v) => {
-                        got.push(v);
-                        handle.finish(SpecQueueResp::Dequeued(v));
-                    }
-                    DequeueOutcome::Empty => handle.finish(SpecQueueResp::Empty),
-                }
-                got
-            })
-        };
-        let mut got = Vec::new();
-        let handle = recorder.begin(0, SpecQueueOp::Enqueue(1));
-        match queue.enqueue(0, 1) {
-            EnqueueOutcome::Enqueued => handle.finish(SpecQueueResp::Enqueued),
-            EnqueueOutcome::Full => handle.finish(SpecQueueResp::Full),
-        }
-        let handle = recorder.begin(0, SpecQueueOp::Dequeue);
-        match queue.dequeue(0) {
-            DequeueOutcome::Dequeued(v) => {
-                got.push(v);
-                handle.finish(SpecQueueResp::Dequeued(v));
-            }
-            DequeueOutcome::Empty => handle.finish(SpecQueueResp::Empty),
-        }
-        got.extend(child.join());
-        while let DequeueOutcome::Dequeued(v) = queue.dequeue(0) {
-            got.push(v);
-        }
-        let distinct: BTreeSet<u32> = got.iter().copied().collect();
-        assert_eq!(got.len(), 2, "conservation: {got:?}");
-        assert_eq!(distinct, BTreeSet::from([1, 2]), "conservation: {got:?}");
-
-        let history = recorder.finish();
-        assert!(
-            check_linearizable(&QueueSpec::new(2), &history).is_linearizable(),
-            "non-linearizable history:\n{history}"
-        );
+        let queue = Arc::new(ShardedCsQueue::new(2, 2, ShardConfig::strict(2)));
+        let scripts = [
+            vec![QueueOp::Enqueue(1), QueueOp::Dequeue],
+            vec![QueueOp::Enqueue(2), QueueOp::Dequeue],
+        ];
+        scripted_body(queue_apply(&queue), SeqQueue::new(2), &[], &scripts);
     });
-    report.assert_ok();
-    assert!(report.exhausted, "{report}");
+    assert_exhausted("exhaustive_strict_two_lane_queue_linearizes", &report);
     assert!(report.schedules > 1, "{report}");
 }
 
@@ -310,56 +224,20 @@ fn exhaustive_strict_two_lane_queue_linearizes() {
 /// schedule seed and a replay trace.
 #[test]
 fn random_sweep_three_thread_elastic_shard_holds() {
+    use SpecStackOp::{Pop, Push};
     let report = Explorer::random(0x0005_AA4D_5EED, 150).explore(|| {
-        let stack: Arc<ShardedCsStack<u32>> = Arc::new(ShardedCsStack::new(
-            6,
-            3,
-            ShardConfig::relaxed(2, 2)
-                .with_elastic()
-                .with_elastic_cadence(2, 0),
-        ));
-        let bound = stack.relaxation_bound();
-        let capacity = stack.capacity();
-        let recorder: Recorder<SpecStackOp, SpecStackResp> = Recorder::new();
-        let children: Vec<_> = (1..3usize)
-            .map(|proc| {
-                let stack = Arc::clone(&stack);
-                let recorder = recorder.clone();
-                spawn(move || {
-                    let v = proc as u32;
-                    let handle = recorder.begin(proc, SpecStackOp::Push(v));
-                    match stack.push(proc, v) {
-                        PushOutcome::Pushed => handle.finish(SpecStackResp::Pushed),
-                        PushOutcome::Full => handle.finish(SpecStackResp::Full),
-                    }
-                    let handle = recorder.begin(proc, SpecStackOp::Pop);
-                    match stack.pop(proc) {
-                        PopOutcome::Popped(v) => handle.finish(SpecStackResp::Popped(v)),
-                        PopOutcome::Empty => handle.finish(SpecStackResp::Empty),
-                    }
-                })
-            })
-            .collect();
-        let handle = recorder.begin(0, SpecStackOp::Push(0));
-        match stack.push(0, 0) {
-            PushOutcome::Pushed => handle.finish(SpecStackResp::Pushed),
-            PushOutcome::Full => handle.finish(SpecStackResp::Full),
-        }
-        for child in children {
-            child.join();
-        }
-
-        // Quiescent audit: len() == lane ground truth.
-        let lane_sum: usize = (0..stack.lanes()).map(|i| stack.lane(i).len()).sum();
-        assert_eq!(stack.len(), lane_sum, "len() off the lanes");
-
-        let history = recorder.finish();
-        assert!(
-            check_relaxed_linearizable(&KStackSpec::new(capacity, bound), &history)
-                .is_linearizable(),
-            "history exceeded k={bound}:\n{history}"
+        let config = ShardConfig::relaxed(2, 2)
+            .with_elastic()
+            .with_elastic_cadence(2, 0);
+        relaxed_body(
+            ShardedCsStack::new(6, 3, config),
+            &[vec![Push(0)], vec![Push(1), Pop], vec![Push(2), Pop]],
+            false,
         );
     });
-    report.assert_ok();
-    assert_eq!(report.schedules, 150, "{report}");
+    assert_swept(
+        "random_sweep_three_thread_elastic_shard_holds",
+        &report,
+        150,
+    );
 }
