@@ -24,11 +24,7 @@
 //!   (convoys) and combining tenures whose batch failed to amortise
 //!   the hold (combiner stalls);
 //! * [`collapse`] — critical-path statistics and collapsed-stack
-//!   (flamegraph) output;
-//! * [`bench`] — validation and aggregation of the `BENCH_*.json`
-//!   reports the bench binaries emit;
-//! * [`regress`] — per-metric noise-band comparison of two bench
-//!   reports (the CI perf gate's engine).
+//!   (flamegraph) output.
 //!
 //! The `cso-analyze` binary fronts all of it; `cso-analyze check` is
 //! the CI entry point (nonzero exit on a bypass violation or span
@@ -36,11 +32,9 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod bypass;
 pub mod causal;
 pub mod collapse;
 pub mod convoy;
 pub mod log;
-pub mod regress;
 pub mod spans;

@@ -8,22 +8,16 @@
 //! cso-analyze causal  <events.tsv>                       cross-thread helped-by graph
 //! cso-analyze check   <events.tsv> [--procs N] [--bound K] [--min-coverage F]
 //!                     [--min-attribution F]
-//! cso-analyze bench-summary  <results-dir>               fold BENCH_*.json into BENCH_summary.json
-//! cso-analyze bench-validate <file-or-dir>...            schema-check BENCH_*.json reports
-//! cso-analyze regress --baseline <base.json> <current.json> [--tolerance F] [--warn-only]
 //! ```
 //!
 //! Exit status: 0 clean, 1 an analysis found a violation (bypass
-//! bound exceeded, span coverage below threshold, schema invalid,
-//! perf regression outside the noise band), 2 usage / IO / parse
-//! errors.
+//! bound exceeded, span coverage below threshold), 2 usage / IO /
+//! parse errors.
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use cso_analyze::spans::SpanReport;
-use cso_analyze::{bench, bypass, causal, collapse, convoy, log::EventLog, regress, spans};
-use cso_metrics::Json;
+use cso_analyze::{bypass, causal, collapse, convoy, log::EventLog, spans};
 
 /// Minimum fraction of observed operations that must reconstruct into
 /// well-formed spans for `check` to pass.
@@ -41,14 +35,7 @@ fn usage() -> ExitCode {
          \x20 causal   <events.tsv>                     cross-thread helped-by graph\n\
          \x20 check    <events.tsv> [--procs N] [--bound K] [--min-coverage F]\n\
          \x20          [--min-attribution F]            spans + bypass + causal attribution;\n\
-         \x20                                           nonzero exit on failure\n\
-         \n\
-         bench-report commands:\n\
-         \x20 bench-summary  <results-dir>              write <dir>/BENCH_summary.json\n\
-         \x20 bench-validate <file-or-dir>...           validate BENCH_*.json against the schema\n\
-         \x20 regress --baseline <base.json> <current.json> [--tolerance F] [--warn-only]\n\
-         \x20                                           compare two reports (or summaries) with\n\
-         \x20                                           per-metric noise bands; exit 1 on regression"
+         \x20                                           nonzero exit on failure"
     );
     ExitCode::from(2)
 }
@@ -320,147 +307,6 @@ fn cmd_check(mut args: Vec<String>) -> Result<ExitCode, String> {
     }
 }
 
-fn load_report(path: &Path) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    Json::parse(&text).map_err(|e| format!("{}: {e:?}", path.display()))
-}
-
-fn cmd_bench_summary(args: Vec<String>) -> Result<ExitCode, String> {
-    let [dir] = &args[..] else {
-        return Err("bench-summary takes exactly one results directory".to_owned());
-    };
-    let dir = PathBuf::from(dir);
-    let files = bench::report_files(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    if files.is_empty() {
-        return Err(format!("{}: no BENCH_*.json reports", dir.display()));
-    }
-    let mut parsed = Vec::new();
-    for path in &files {
-        let report = load_report(path)?;
-        bench::validate(&report).map_err(|e| format!("{}: {e}", path.display()))?;
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_owned();
-        parsed.push((name, report));
-    }
-    let out = dir.join("BENCH_summary.json");
-    std::fs::write(&out, bench::summarize(&parsed).render_pretty())
-        .map_err(|e| format!("{}: {e}", out.display()))?;
-    println!("wrote {} ({} experiments)", out.display(), parsed.len());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_bench_validate(args: Vec<String>) -> Result<ExitCode, String> {
-    if args.is_empty() {
-        return Err("bench-validate needs at least one file or directory".to_owned());
-    }
-    let mut files: Vec<PathBuf> = Vec::new();
-    for arg in &args {
-        let path = PathBuf::from(arg);
-        if path.is_dir() {
-            files.extend(bench::report_files(&path).map_err(|e| format!("{arg}: {e}"))?);
-        } else {
-            files.push(path);
-        }
-    }
-    if files.is_empty() {
-        return Err("no BENCH_*.json reports found".to_owned());
-    }
-    let mut bad = 0usize;
-    for path in &files {
-        match load_report(path)
-            .and_then(|r| bench::validate(&r).map_err(|e| format!("{}: {e}", path.display())))
-        {
-            Ok(()) => println!("ok: {}", path.display()),
-            Err(e) => {
-                eprintln!("INVALID: {e}");
-                bad += 1;
-            }
-        }
-    }
-    Ok(if bad == 0 {
-        println!("{} report(s) valid", files.len());
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("{bad} of {} report(s) invalid", files.len());
-        ExitCode::FAILURE
-    })
-}
-
-fn cmd_regress(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let baseline = take_flag(&mut args, "--baseline")?
-        .ok_or_else(|| "regress needs --baseline <base.json>".to_owned())?;
-    let tolerance =
-        parse_flag::<f64>(&mut args, "--tolerance")?.unwrap_or(regress::DEFAULT_TOLERANCE);
-    if !(0.0..1.0).contains(&tolerance) {
-        return Err(format!("--tolerance must be in [0, 1), got {tolerance}"));
-    }
-    let warn_only = match args.iter().position(|a| a == "--warn-only") {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    };
-    let [current] = &args[..] else {
-        return Err("regress takes exactly one current report".to_owned());
-    };
-    let base = load_report(Path::new(&baseline))?;
-    let cur = load_report(Path::new(current))?;
-    let report = regress::compare(&base, &cur, tolerance);
-
-    println!(
-        "compared {} metric(s) against {} (noise band ±{:.0}%)",
-        report.deltas.len(),
-        baseline,
-        tolerance * 100.0
-    );
-    for delta in &report.deltas {
-        let verdict = if delta.regressed {
-            "REGRESSION"
-        } else if delta.direction == regress::Direction::Informational {
-            "info"
-        } else {
-            "ok"
-        };
-        println!(
-            "  {verdict:>10}: {} {} -> {} ({:+.1}%)",
-            delta.path,
-            delta.baseline,
-            delta.current,
-            delta.change * 100.0
-        );
-    }
-    for skipped in &report.skipped {
-        println!("  skipped: {skipped}");
-    }
-    let regressions = report.regressions().count();
-    if report.deltas.is_empty() {
-        // A gate that compared nothing must not pass vacuously: the
-        // baseline does not cover this run (wrong experiment name,
-        // incompatible shapes, stale summary format).
-        eprintln!("FAIL: no shared numeric metric between baseline and current report");
-        return Ok(if warn_only {
-            eprintln!("WARNING: continuing anyway (--warn-only)");
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        });
-    }
-    if regressions == 0 {
-        println!("regress OK: every shared metric within the noise band");
-        Ok(ExitCode::SUCCESS)
-    } else if warn_only {
-        eprintln!("WARNING: {regressions} metric(s) outside the noise band (--warn-only)");
-        Ok(ExitCode::SUCCESS)
-    } else {
-        eprintln!("FAIL: {regressions} metric(s) regressed beyond the noise band");
-        Ok(ExitCode::FAILURE)
-    }
-}
-
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -474,9 +320,6 @@ fn main() -> ExitCode {
         "collapse" => cmd_collapse(args),
         "causal" => cmd_causal(args),
         "check" => cmd_check(args),
-        "bench-summary" => cmd_bench_summary(args),
-        "bench-validate" => cmd_bench_validate(args),
-        "regress" => cmd_regress(args),
         _ => {
             eprintln!("unknown command: {command}");
             return usage();

@@ -1,9 +1,8 @@
-//! Uniform adapters over every stack/queue implementation, so the
+//! Uniform adapters over every stack implementation, so the
 //! experiment binaries can sweep a whole suite with one driver.
 
 use cso_core::CsConfig;
 use cso_locks::{OsLock, TasLock, TicketLock};
-use cso_queue::{CsQueue, EnqueueOutcome, LockQueue, MsQueue, NonBlockingQueue};
 use cso_stack::{
     CsStack, EliminationStack, LockStack, NonBlockingStack, PushOutcome, TreiberStack,
 };
@@ -19,12 +18,6 @@ pub trait BenchStack: Send + Sync {
 
     /// Pops on behalf of process `proc`.
     fn pop(&self, proc: usize) -> Option<u32>;
-
-    /// Fraction of operations that took a lock path, if the
-    /// implementation distinguishes paths.
-    fn locked_fraction(&self) -> Option<f64> {
-        None
-    }
 }
 
 /// The contention-sensitive stack (Figure 3), paper configuration.
@@ -41,10 +34,6 @@ impl BenchStack for CsAdapter {
 
     fn pop(&self, proc: usize) -> Option<u32> {
         self.0.pop(proc).into_option()
-    }
-
-    fn locked_fraction(&self) -> Option<f64> {
-        Some(self.0.path_stats().locked_fraction())
     }
 }
 
@@ -116,10 +105,6 @@ impl BenchStack for LockTasAdapter {
     fn pop(&self, _proc: usize) -> Option<u32> {
         self.0.pop().into_option()
     }
-
-    fn locked_fraction(&self) -> Option<f64> {
-        Some(1.0)
-    }
 }
 
 /// Everything under one ticket lock.
@@ -136,10 +121,6 @@ impl BenchStack for LockTicketAdapter {
 
     fn pop(&self, _proc: usize) -> Option<u32> {
         self.0.pop().into_option()
-    }
-
-    fn locked_fraction(&self) -> Option<f64> {
-        Some(1.0)
     }
 }
 
@@ -158,13 +139,9 @@ impl BenchStack for LockOsAdapter {
     fn pop(&self, _proc: usize) -> Option<u32> {
         self.0.pop().into_option()
     }
-
-    fn locked_fraction(&self) -> Option<f64> {
-        Some(1.0)
-    }
 }
 
-/// A `CsStack` with an explicit ablation config (experiment E8).
+/// A `CsStack` with an explicit config (E5's `cs/unfair` row).
 pub struct CsConfigAdapter {
     label: &'static str,
     stack: CsStack<u32>,
@@ -198,10 +175,6 @@ impl BenchStack for CsConfigAdapter {
     fn pop(&self, proc: usize) -> Option<u32> {
         self.stack.pop(proc).into_option()
     }
-
-    fn locked_fraction(&self) -> Option<f64> {
-        Some(self.stack.path_stats().locked_fraction())
-    }
 }
 
 /// The standard stack suite swept by E3/E5: the paper's two lock-free
@@ -223,98 +196,6 @@ pub fn stack_suite(capacity: usize, n: usize) -> Vec<Box<dyn BenchStack>> {
     ]
 }
 
-/// A queue under benchmark.
-pub trait BenchQueue: Send + Sync {
-    /// Implementation name shown in tables.
-    fn name(&self) -> &'static str;
-
-    /// Enqueues on behalf of process `proc`.
-    fn enqueue(&self, proc: usize, value: u32) -> bool;
-
-    /// Dequeues on behalf of process `proc`.
-    fn dequeue(&self, proc: usize) -> Option<u32>;
-}
-
-/// The contention-sensitive queue.
-pub struct CsQueueAdapter(pub CsQueue<u32>);
-
-impl BenchQueue for CsQueueAdapter {
-    fn name(&self) -> &'static str {
-        "cs-queue"
-    }
-
-    fn enqueue(&self, proc: usize, value: u32) -> bool {
-        self.0.enqueue(proc, value) == EnqueueOutcome::Enqueued
-    }
-
-    fn dequeue(&self, proc: usize) -> Option<u32> {
-        self.0.dequeue(proc).into_option()
-    }
-}
-
-/// The non-blocking queue.
-pub struct NbQueueAdapter(pub NonBlockingQueue<u32>);
-
-impl BenchQueue for NbQueueAdapter {
-    fn name(&self) -> &'static str {
-        "nb-queue"
-    }
-
-    fn enqueue(&self, _proc: usize, value: u32) -> bool {
-        self.0.enqueue(value) == EnqueueOutcome::Enqueued
-    }
-
-    fn dequeue(&self, _proc: usize) -> Option<u32> {
-        self.0.dequeue().into_option()
-    }
-}
-
-/// Michael–Scott queue.
-pub struct MsQueueAdapter(pub MsQueue<u32>);
-
-impl BenchQueue for MsQueueAdapter {
-    fn name(&self) -> &'static str {
-        "ms-queue"
-    }
-
-    fn enqueue(&self, _proc: usize, value: u32) -> bool {
-        self.0.enqueue(value);
-        true
-    }
-
-    fn dequeue(&self, _proc: usize) -> Option<u32> {
-        self.0.dequeue()
-    }
-}
-
-/// Everything under one TAS lock.
-pub struct LockQueueAdapter(pub LockQueue<u32, TasLock>);
-
-impl BenchQueue for LockQueueAdapter {
-    fn name(&self) -> &'static str {
-        "lock-queue(tas)"
-    }
-
-    fn enqueue(&self, _proc: usize, value: u32) -> bool {
-        self.0.enqueue(value) == EnqueueOutcome::Enqueued
-    }
-
-    fn dequeue(&self, _proc: usize) -> Option<u32> {
-        self.0.dequeue().into_option()
-    }
-}
-
-/// The standard queue suite swept by E6.
-#[must_use]
-pub fn queue_suite(capacity: usize, n: usize) -> Vec<Box<dyn BenchQueue>> {
-    vec![
-        Box::new(CsQueueAdapter(CsQueue::new(capacity, n))),
-        Box::new(NbQueueAdapter(NonBlockingQueue::new(capacity))),
-        Box::new(MsQueueAdapter(MsQueue::new())),
-        Box::new(LockQueueAdapter(LockQueue::new(capacity))),
-    ]
-}
-
 /// Pre-fills a stack with `count` values from process 0.
 pub fn prefill_stack(stack: &dyn BenchStack, count: usize) {
     for v in 0..count as u32 {
@@ -322,17 +203,6 @@ pub fn prefill_stack(stack: &dyn BenchStack, count: usize) {
             stack.push(0, v),
             "prefill exceeded capacity of {}",
             stack.name()
-        );
-    }
-}
-
-/// Pre-fills a queue with `count` values from process 0.
-pub fn prefill_queue(queue: &dyn BenchQueue, count: usize) {
-    for v in 0..count as u32 {
-        assert!(
-            queue.enqueue(0, v),
-            "prefill exceeded capacity of {}",
-            queue.name()
         );
     }
 }
@@ -367,33 +237,6 @@ pub fn drive_stack(
     })
 }
 
-/// The queue twin of [`drive_stack`].
-pub fn drive_queue(
-    queue: &dyn BenchQueue,
-    threads: usize,
-    duration: std::time::Duration,
-    mix: crate::workload::OpMix,
-    think_iters: u32,
-) -> crate::measure::RunResult {
-    use std::sync::atomic::Ordering;
-    crate::measure::timed_run(threads, duration, |thread, stop| {
-        let mut rng = crate::workload::thread_rng(thread, 0xF00D);
-        let mut ops = 0u64;
-        let mut value = thread as u32;
-        while !stop.load(Ordering::Relaxed) {
-            if mix.next_is_push(&mut rng) {
-                queue.enqueue(thread, value);
-                value = value.wrapping_add(threads as u32);
-            } else {
-                queue.dequeue(thread);
-            }
-            ops += 1;
-            crate::workload::think(think_iters);
-        }
-        ops
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,33 +251,11 @@ mod tests {
     }
 
     #[test]
-    fn queue_suite_round_trips() {
-        for queue in queue_suite(64, 4) {
-            assert!(queue.enqueue(0, 7), "{}", queue.name());
-            assert!(queue.enqueue(0, 8), "{}", queue.name());
-            assert_eq!(queue.dequeue(1), Some(7), "FIFO: {}", queue.name());
-            assert_eq!(queue.dequeue(1), Some(8), "{}", queue.name());
-        }
-    }
-
-    #[test]
-    fn lock_fractions_are_sensible() {
-        let suite = stack_suite(64, 2);
-        for stack in &suite {
-            stack.push(0, 1);
-            stack.pop(0);
-            if let Some(fraction) = stack.locked_fraction() {
-                assert!((0.0..=1.0).contains(&fraction), "{}", stack.name());
-            }
-        }
-    }
-
-    #[test]
     fn ablation_adapter_works() {
-        let adapter = CsConfigAdapter::new("cs/no-flag", 16, 2, CsConfig::NO_FLAG);
+        let adapter = CsConfigAdapter::new("cs/unfair", 16, 2, CsConfig::UNFAIR);
         assert!(adapter.push(0, 3));
         assert_eq!(adapter.pop(1), Some(3));
-        assert_eq!(adapter.name(), "cs/no-flag");
+        assert_eq!(adapter.name(), "cs/unfair");
     }
 
     #[test]
@@ -443,14 +264,6 @@ mod tests {
         prefill_stack(&adapter, 10);
         let mut drained = 0;
         while adapter.pop(0).is_some() {
-            drained += 1;
-        }
-        assert_eq!(drained, 10);
-
-        let q = CsQueueAdapter(CsQueue::new(64, 2));
-        prefill_queue(&q, 10);
-        let mut drained = 0;
-        while q.dequeue(0).is_some() {
             drained += 1;
         }
         assert_eq!(drained, 10);
@@ -468,21 +281,6 @@ mod tests {
             0,
         );
         assert_eq!(result.per_thread.len(), 3);
-        assert!(result.total_ops() > 0);
-    }
-
-    #[test]
-    fn drive_queue_reports_ops_for_every_thread() {
-        let q = CsQueueAdapter(CsQueue::new(1024, 2));
-        prefill_queue(&q, 100);
-        let result = drive_queue(
-            &q,
-            2,
-            std::time::Duration::from_millis(30),
-            crate::workload::OpMix::BALANCED,
-            4,
-        );
-        assert_eq!(result.per_thread.len(), 2);
         assert!(result.total_ops() > 0);
     }
 }

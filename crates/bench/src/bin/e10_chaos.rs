@@ -20,7 +20,6 @@ use std::time::Duration;
 
 use cso_bench::adapters::{drive_stack, prefill_stack, CsAdapter};
 use cso_bench::cell_duration;
-use cso_bench::jsonreport::BenchReport;
 use cso_bench::report::{fmt_pct, fmt_rate, Table};
 use cso_bench::tracing::{drive_stack_timed, poisoning_causes, PathHists};
 use cso_bench::workload::OpMix;
@@ -226,13 +225,6 @@ fn main() {
     stall_and_deadline(&mut table);
 
     table.print();
-
-    BenchReport::new("e10_chaos")
-        .config("bench_ms", cell_duration().as_millis() as u64)
-        .config("threads", THREADS as u64)
-        .config("mix", "50/50")
-        .table("scenarios", &table)
-        .write();
 
     latency_cell();
 

@@ -27,7 +27,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use cso_bench::jsonreport::BenchReport;
 use cso_bench::report::Table;
 use cso_core::{CsConfig, RecoveryPolicy};
 use cso_locks::TasLock;
@@ -363,15 +362,7 @@ fn main() {
 
     table.print();
 
-    BenchReport::new("e14_recovery")
-        .config("threads", THREADS as u64)
-        .config("grace_ms", GRACE.as_millis() as u64)
-        .config("backoff_ms", POLICY.backoff.as_millis() as u64)
-        .config("max_successions", u64::from(POLICY.max_successions))
-        .config("burst_per_survivor", u64::from(BURST))
-        .metric("max_recover_ms", max_ttr)
-        .table("scenarios", &table)
-        .write();
+    println!("\nmax time-to-recover: {max_ttr:.2} ms");
 
     println!("\nReading the table:");
     println!("- `ttr ms` is the first survivor operation's latency after the kill — it includes");

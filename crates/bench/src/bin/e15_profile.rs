@@ -13,7 +13,7 @@
 //!    draining on a 2 ms cadence: the drop gauge must read 0 and the
 //!    aggregator must ingest **exactly** the emitted-event delta — the
 //!    stream is complete, not merely mostly-complete. The live span
-//!    aggregate is printed and embedded in the report.
+//!    aggregate is printed.
 //! 3. **Causal ranking** — a forced-slow workload
 //!    ([`CsConfig::without_fast_path`]) makes the §4.4 lock the known
 //!    throughput bound. The causal scanner virtually speeds up each
@@ -23,7 +23,6 @@
 //!    the top two ranks, and each must strictly outrank `cas-retry`
 //!    and `combining` (which the workload barely exercises).
 //!
-//! Writes `results/BENCH_e15_profile.json` in the shared report shape.
 //! Requires `--features trace` (the probe rings are the subject under
 //! test).
 
@@ -31,10 +30,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cso_bench::jsonreport::BenchReport;
 use cso_core::CsConfig;
 use cso_locks::TasLock;
-use cso_metrics::Json;
 use cso_profile::causal::{scan, CausalConfig};
 use cso_profile::{Harvester, LiveAggregator};
 use cso_stack::CsStack;
@@ -217,31 +214,6 @@ fn main() {
         }
     }
     probe::clear();
-
-    BenchReport::new("e15_profile")
-        .config("threads", THREADS as u64)
-        .config("ring_capacity", RING_CAPACITY)
-        .config("overflow_factor", OVERFLOW_FACTOR)
-        .config("harvest_cadence_ms", 2u64)
-        .config("causal_delay_ns", u64::from(config.delay_ns))
-        .config("causal_window_ms", config.window.as_millis() as u64)
-        .config("causal_rounds", u64::from(config.rounds))
-        .metric(
-            "losslessness",
-            Json::obj()
-                .field("unharvested_drops", unharvested_drops)
-                .field("emitted", emitted)
-                .field("ingested", agg.ingested())
-                .field("lost", snap.lost)
-                .field("dropped", harvested_drops)
-                .field(
-                    "overflow_factor_seen",
-                    emitted as f64 / (THREADS as f64 * RING_CAPACITY as f64),
-                ),
-        )
-        .metric("live_aggregate", snap.to_json())
-        .metric("causal", report.to_json())
-        .write();
 
     println!("\nReading: phase 1 shows the rings genuinely lose history without a");
     println!("consumer; phase 2 shows the background harvester turns the same volume");

@@ -21,7 +21,6 @@
 //!    watchdog runs; it must flip `/health` to `DEGRADED` within a
 //!    bounded window, and repairing the books must clear it again.
 //!
-//! Writes `results/BENCH_e16_watch.json` in the shared report shape.
 //! Runs with or without `--features trace` — the aggregator-fed
 //! checks see real probe data only under trace, the closure-fed ones
 //! either way.
@@ -32,7 +31,6 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cso_bench::jsonreport::BenchReport;
 use cso_bench::measure::timed_run;
 use cso_bench::workload::{thread_rng, OpMix};
 use cso_core::CsConfig;
@@ -237,7 +235,7 @@ fn main() {
         .and_then(Json::as_f64)
         .expect("attribution");
     assert!(
-        (0.0..=1.0).contains(&attribution),
+        (0.99..=1.0).contains(&attribution),
         "attribution {attribution}"
     );
 
@@ -304,37 +302,9 @@ fn main() {
         repaired.elapsed().as_millis()
     );
 
-    let alerts_doc = dog.alerts_json();
-    let health_doc = dog.health_json();
     dog.stop();
     server.shutdown();
     let _ = harvester.stop();
-
-    BenchReport::new("e16_watch")
-        .config("threads", THREADS as u64)
-        .config("window_ms", WINDOW.as_millis() as u64)
-        .config("noise_floor", NOISE_FLOOR)
-        .config("cadence_ms", 25u64)
-        .config("debounce_ticks", 2u64)
-        .config("trace", cfg!(feature = "trace"))
-        .metric(
-            "overhead",
-            Json::obj()
-                .field("disarmed_ops", disarmed_ops)
-                .field("armed_ops", armed_ops)
-                .field("ratio", ratio),
-        )
-        .metric(
-            "detection",
-            Json::obj()
-                .field("planted_leak", LEAK)
-                .field("detect_ms", detect_ms)
-                .field("transitions", 2u64),
-        )
-        .metric("causal_attribution", attribution)
-        .metric("health", health_doc)
-        .metric("alerts", alerts_doc)
-        .write();
 
     println!("\nReading: arming the full watchdog (five invariants, an SLO engine,");
     println!("gauges, and the HTTP surface) costs throughput within scheduler noise —");

@@ -9,9 +9,7 @@
 //! Every count is *measured* through `cso_memory::counting`, averaged
 //! over many operations so a single stray access cannot hide.
 
-use cso_bench::jsonreport::BenchReport;
 use cso_bench::report::Table;
-use cso_core::CsConfig;
 use cso_locks::{LamportFastLock, ProcLock, RawLock, TasLock, TicketLock};
 use cso_memory::counting::CountScope;
 use cso_queue::{AbortableQueue, CsQueue};
@@ -85,23 +83,6 @@ fn main() {
         cs.path_stats().locked,
         0,
         "Theorem 1: no lock in contention-free runs"
-    );
-
-    // --- Ablation: without the CONTENTION register it is 5. ---
-    let no_flag: CsStack<u32> = CsStack::with_config(1024, TasLock::new(), 4, CsConfig::NO_FLAG);
-    let mut toggle = false;
-    measure(
-        "strong ops, no CONTENTION flag",
-        "5 (ablation)",
-        &mut table,
-        || {
-            if toggle {
-                no_flag.pop(0);
-            } else {
-                no_flag.push(0, 1);
-            }
-            toggle = !toggle;
-        },
     );
 
     // --- The queue analogue: 6 weak / 7 strong. ---
@@ -189,11 +170,6 @@ fn main() {
     }
 
     table.print();
-
-    BenchReport::new("e1_access_counts")
-        .config("ops_per_cell", OPS)
-        .table("rows", &table)
-        .write();
 
     println!("\nNote: the paper's §1.2 announces \"seven\" accesses for the stack while");
     println!("Theorem 1 proves six; the measured six matches the theorem. The seven");

@@ -8,7 +8,6 @@
 
 use std::sync::atomic::Ordering;
 
-use cso_bench::jsonreport::BenchReport;
 use cso_bench::measure::timed_run;
 use cso_bench::report::{fmt_pct, fmt_rate, Table};
 use cso_bench::workload::{thread_rng, OpMix};
@@ -73,12 +72,6 @@ fn main() {
     println!("That ⊥ appears *only* with an interleaved peer is checked per access, on");
     println!("every schedule of bounded instances, by `tests/model_weak.rs`; the pinned");
     println!("two-thread rate is the yardstick's `stack.abort_share`.");
-
-    BenchReport::new("e2_abort_rate")
-        .config("bench_ms", cell_duration().as_millis() as u64)
-        .config("mix", "50/50")
-        .table("wall_clock", &table)
-        .write();
 
     println!("Expected shape: 0% solo, non-zero once threads really overlap — ⊥ is the");
     println!("price of contention, and only of contention.");

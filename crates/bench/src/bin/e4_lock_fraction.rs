@@ -6,7 +6,6 @@
 //! interference: zero when solo, shrinking as think time grows.
 
 use cso_bench::adapters::{drive_stack, prefill_stack, CsAdapter};
-use cso_bench::jsonreport::BenchReport;
 use cso_bench::report::{fmt_pct, fmt_rate, Table};
 use cso_bench::workload::OpMix;
 use cso_bench::{cell_duration, thread_counts};
@@ -53,12 +52,6 @@ fn main() {
     println!("That the lock engages *only* under interference is checked per access by");
     println!("`tests/model_explore.rs`; the pinned two-thread fraction is the yardstick's");
     println!("`core.locked_share`.");
-
-    BenchReport::new("e4_lock_fraction")
-        .config("bench_ms", cell_duration().as_millis() as u64)
-        .config("mix", "50/50")
-        .table("wall_clock", &table)
-        .write();
 
     println!("\nContention-sensitivity, quantified: the lock engages exactly as often");
     println!("as operations actually interfere.");

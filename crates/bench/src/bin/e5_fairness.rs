@@ -7,7 +7,6 @@
 //! starve individual threads.
 
 use cso_bench::adapters::{drive_stack, prefill_stack, stack_suite, CsConfigAdapter};
-use cso_bench::jsonreport::BenchReport;
 use cso_bench::report::{fmt_rate, Table};
 use cso_bench::workload::OpMix;
 use cso_bench::{cell_duration, thread_counts};
@@ -40,19 +39,12 @@ fn main() {
     for stack in stack_suite(8192, threads) {
         run(stack.as_ref());
     }
-    // The E8-style unfair ablation, for contrast: same algorithm, no
+    // The unfair ablation, for contrast: same algorithm, no
     // FLAG/TURN booster.
     let unfair = CsConfigAdapter::new("cs/unfair", 8192, threads, CsConfig::UNFAIR);
     run(&unfair);
 
     table.print();
-
-    BenchReport::new("e5_fairness")
-        .config("bench_ms", cell_duration().as_millis() as u64)
-        .config("threads", threads as u64)
-        .config("mix", "50/50")
-        .table("rows", &table)
-        .write();
 
     println!("\nExpected shape: cs-stack and lock(ticket) (both starvation-free) hold");
     println!("the tightest max/min; nb-stack, lock(tas) and cs/unfair may starve a");

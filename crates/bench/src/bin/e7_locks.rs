@@ -9,7 +9,6 @@
 
 use std::sync::atomic::Ordering;
 
-use cso_bench::jsonreport::BenchReport;
 use cso_bench::measure::{timed_run, RunResult};
 use cso_bench::report::{fmt_rate, Table};
 use cso_bench::{cell_duration, thread_counts};
@@ -94,12 +93,6 @@ fn main() {
     );
 
     table.print();
-
-    BenchReport::new("e7_locks")
-        .config("bench_ms", cell_duration().as_millis() as u64)
-        .config("threads", threads as u64)
-        .table("rows", &table)
-        .write();
 
     println!("\nExpected shape: the §4.4 booster trades some raw rate for fairness —");
     println!("its max/min must be far tighter than bare tas; queue locks (ticket,");

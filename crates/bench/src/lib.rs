@@ -1,10 +1,14 @@
-//! Benchmark harness for the `cso` workspace.
+//! Experiment binaries for the `cso` workspace.
 //!
 //! The paper has no measured evaluation — its claims are analytic
 //! (step counts, progress conditions) plus a performance argument
 //! (contention-sensitivity beats always-locking when contention is
-//! rare). `DESIGN.md` turns those into experiments E1–E8; this crate
-//! provides the shared machinery and one binary per experiment:
+//! rare). What this repository *times* is timed by the yardstick
+//! (`benchmark/`); this crate keeps the experiments it has no home
+//! for — exact counts, functional phases that `assert!` and exit
+//! non-zero, and the baseline tables whose objects are not yardstick
+//! targets yet. Binaries only print: `results/<bin>.txt` is a
+//! redirected stdout.
 //!
 //! | Binary | Experiment |
 //! |---|---|
@@ -13,26 +17,25 @@
 //! | `e3_throughput` | stack throughput across implementations |
 //! | `e4_lock_fraction` | fraction of operations taking the lock path |
 //! | `e5_fairness` | per-thread fairness / starvation |
-//! | `e6_queue` | queue family + non-interference |
 //! | `e7_locks` | lock substrate comparison + §4.4 booster |
-//! | `e8_ablation` | Figure 3 mechanism ablations |
-//! | `e9_latency` | per-operation latency tails |
 //! | `e10_chaos` | graceful degradation under injected faults |
+//! | `e14_recovery` | kill-at-every-site crash recovery |
+//! | `e15_profile` | harvester losslessness + causal ranking |
+//! | `e16_watch` | watchdog overhead guard + live health surface |
+//! | `metrics_smoke` | registry scraped over real HTTP |
 //!
-//! With `--features trace` every binary also collects the probe event
-//! stream and exports it (see [`tracing`]).
+//! With `--features trace` E1–E14 also collect the probe event
+//! stream and export it (see [`tracing`]).
 //!
 //! Environment knobs: `CSO_BENCH_MS` (milliseconds per measured cell,
-//! default 300), `CSO_MAX_THREADS` (default 8), `CSO_TRACE_OUT`
-//! (Chrome trace output path).
+//! default 300), `CSO_MAX_THREADS` (default 8), `CSO_TRACE_OUT` and
+//! `CSO_TRACE_EVENTS` (Chrome trace / event log output paths).
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
 pub mod adapters;
-pub mod jsonreport;
 pub mod measure;
-pub mod microbench;
 pub mod report;
 pub mod tracing;
 pub mod workload;

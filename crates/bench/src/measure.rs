@@ -63,7 +63,10 @@ impl RunResult {
 /// Runs `body(thread_index, &stop)` on `threads` threads for
 /// `duration`, after a common barrier. Each body returns the number of
 /// operations it completed; bodies must poll `stop` and return
-/// promptly once it is set.
+/// promptly once it is set. A cell that fits the host (`threads` ≤
+/// `available_parallelism()`) pins worker *i* to the *i*-th allowed
+/// CPU, as the yardstick does: unpinned, two workers on a 2-vCPU guest
+/// may be time-sliced on one vCPU and read solo speed.
 ///
 /// ```
 /// use cso_bench::measure::timed_run;
@@ -89,6 +92,7 @@ where
     let mut per_thread = vec![0u64; threads];
     let mut elapsed = Duration::ZERO;
     let cpu_before = process_cpu_time();
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
@@ -97,6 +101,10 @@ where
             let stop = &stop;
             let barrier = &barrier;
             handles.push(scope.spawn(move || {
+                #[cfg(target_os = "linux")]
+                if threads <= cores {
+                    pin_to_allowed_cpu(thread);
+                }
                 barrier.wait();
                 body(thread, stop)
             }));
@@ -120,10 +128,7 @@ where
     // clock the floor is below the measurement (workers never exceed
     // full utilization) and this is a no-op.
     if let (Some(before), Some(after)) = (cpu_before, process_cpu_time()) {
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1) as u32;
-        let floor = after.saturating_sub(before) / cores;
+        let floor = after.saturating_sub(before) / cores as u32;
         if floor > elapsed {
             elapsed = floor;
         }
@@ -132,6 +137,32 @@ where
     RunResult {
         per_thread,
         elapsed,
+    }
+}
+
+/// Pins the calling thread to the `index`-th CPU it may run on; a
+/// thread the kernel will not pin stays where it was.
+#[cfg(target_os = "linux")]
+fn pin_to_allowed_cpu(index: usize) {
+    /// `cpu_set_t`: 1024 CPUs, one bit each.
+    type CpuSet = [u64; 16];
+    extern "C" {
+        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
+        fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut CpuSet) -> i32;
+    }
+    let size = std::mem::size_of::<CpuSet>();
+    let mut set: CpuSet = [0; 16];
+    // SAFETY: `set` is a valid, writable cpu_set_t of the size passed;
+    // pid 0 names the calling thread.
+    if unsafe { sched_getaffinity(0, size, &mut set) } != 0 {
+        return;
+    }
+    let mut allowed = (0..1024).filter(|cpu| set[cpu / 64] & (1 << (cpu % 64)) != 0);
+    if let Some(cpu) = allowed.nth(index) {
+        set = [0; 16];
+        set[cpu / 64] = 1 << (cpu % 64);
+        // SAFETY: as above, and the kernel only reads `set`.
+        unsafe { sched_setaffinity(0, size, &set) };
     }
 }
 
@@ -155,79 +186,9 @@ pub fn process_cpu_time() -> Option<Duration> {
     Some(Duration::from_millis((utime + stime) * 10))
 }
 
-/// Percentile summary of sampled operation latencies (nanoseconds).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencySummary {
-    /// Median.
-    pub p50: u64,
-    /// 90th percentile.
-    pub p90: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// 99.9th percentile.
-    pub p999: u64,
-    /// Worst observed.
-    pub max: u64,
-    /// Number of samples.
-    pub samples: usize,
-}
-
-/// Samples the latency of `op`, one invocation per sample, after
-/// `warmup` unmeasured invocations.
-///
-/// Timer granularity on most systems is tens of nanoseconds — single
-/// operations of a few nanoseconds are better measured with Criterion
-/// (`cargo bench`); this sampler is for tail behaviour (p99/p999),
-/// where preemption and slow paths dominate.
-///
-/// ```
-/// use cso_bench::measure::sample_latency;
-/// let summary = sample_latency(|| { std::hint::black_box(1 + 1); }, 1_000, 100);
-/// assert_eq!(summary.samples, 1_000);
-/// assert!(summary.p50 <= summary.p99 && summary.p99 <= summary.max);
-/// ```
-pub fn sample_latency(mut op: impl FnMut(), samples: usize, warmup: usize) -> LatencySummary {
-    assert!(samples > 0, "need at least one sample");
-    for _ in 0..warmup {
-        op();
-    }
-    let mut laps: Vec<u64> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = Instant::now();
-        op();
-        laps.push(start.elapsed().as_nanos() as u64);
-    }
-    laps.sort_unstable();
-    let at = |q: f64| laps[((laps.len() - 1) as f64 * q) as usize];
-    LatencySummary {
-        p50: at(0.50),
-        p90: at(0.90),
-        p99: at(0.99),
-        p999: at(0.999),
-        max: *laps.last().expect("non-empty"),
-        samples,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn latency_percentiles_are_ordered() {
-        let summary = sample_latency(std::thread::yield_now, 500, 10);
-        assert_eq!(summary.samples, 500);
-        assert!(summary.p50 <= summary.p90);
-        assert!(summary.p90 <= summary.p99);
-        assert!(summary.p99 <= summary.p999);
-        assert!(summary.p999 <= summary.max);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn zero_samples_panics() {
-        let _ = sample_latency(|| {}, 0, 0);
-    }
 
     #[test]
     fn all_threads_report() {
@@ -243,6 +204,23 @@ mod tests {
         assert!(result.total_ops() > 0);
         assert!(result.ops_per_sec() > 0.0);
         assert!(result.min_ops() <= result.max_ops());
+    }
+
+    #[test]
+    fn a_cell_that_fits_the_host_pins_its_worker_and_not_its_caller() {
+        // `None` off Linux, where nothing is pinned and nothing is checked.
+        let allowed = || {
+            let text = std::fs::read_to_string("/proc/thread-self/status").ok()?;
+            let line = text.lines().find(|l| l.starts_with("Cpus_allowed_list"))?;
+            Some(line.to_owned())
+        };
+        let before = allowed();
+        timed_run(1, Duration::from_millis(5), |_thread, _stop| {
+            // One CPU: neither a range nor a list.
+            assert!(!allowed().is_some_and(|l| l.contains(['-', ','])));
+            1
+        });
+        assert_eq!(allowed(), before);
     }
 
     #[test]

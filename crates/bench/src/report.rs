@@ -71,17 +71,6 @@ impl Table {
     pub fn print(&self) {
         print!("{}", self.render());
     }
-
-    /// The column headers (for JSON re-serialization of the rows).
-    #[must_use]
-    pub fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
-    /// Iterates the data rows in insertion order.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &Vec<String>> {
-        self.rows.iter()
-    }
 }
 
 /// Formats a rate with engineering suffixes (`1.23M ops/s` style

@@ -51,14 +51,9 @@ use crate::gate::AdaptiveGate;
 use crate::progress::ProgressCondition;
 
 /// Which of Figure 3's mechanisms are enabled — the paper
-/// configuration plus the ablations of experiment E8.
+/// configuration plus its ablation and the upgrades layered on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CsConfig {
-    /// Lines 01/07/09: guard the fast path with the `CONTENTION`
-    /// register. Disabling it makes every invocation attempt the weak
-    /// operation first, even while a lock holder is working — abort
-    /// storms under contention.
-    pub contention_flag: bool,
     /// Lines 04–05/10–11: the `FLAG`/`TURN` starvation-freedom
     /// booster. Disabling it takes the deadlock-free lock directly:
     /// progress degrades from starvation-free to non-blocking.
@@ -66,7 +61,7 @@ pub struct CsConfig {
     /// Lines 01–03: attempt the lock-free fast path at all. Disabling
     /// it forces every invocation onto the slow path — the
     /// always-locking strawman the paper argues against, kept as a
-    /// configuration so experiments (E12) can put the *slow paths*
+    /// configuration so experiments (E14, E15) can put the *slow paths*
     /// under contention deliberately.
     pub fast_path: bool,
     /// Replace the one-at-a-time slow path with **flat combining**:
@@ -109,7 +104,6 @@ pub struct CsConfig {
 impl CsConfig {
     /// The configuration of the paper's Figure 3 (everything on).
     pub const PAPER: CsConfig = CsConfig {
-        contention_flag: true,
         fair: true,
         fast_path: true,
         combining: false,
@@ -118,20 +112,8 @@ impl CsConfig {
         elimination: false,
         recovery: None,
     };
-    /// Ablation (i): no `CONTENTION` guard.
-    pub const NO_FLAG: CsConfig = CsConfig {
-        contention_flag: false,
-        fair: true,
-        fast_path: true,
-        combining: false,
-        adaptive_gate: false,
-        cas_backoff: false,
-        elimination: false,
-        recovery: None,
-    };
-    /// Ablation (ii): no `FLAG`/`TURN` fairness.
+    /// The paper's own ablation: no `FLAG`/`TURN` fairness.
     pub const UNFAIR: CsConfig = CsConfig {
-        contention_flag: true,
         fair: false,
         fast_path: true,
         combining: false,
@@ -143,7 +125,6 @@ impl CsConfig {
     /// The combining upgrade: Figure 3's fast path, a flat-combining
     /// slow path, and the adaptive gate in front of the lock.
     pub const COMBINING: CsConfig = CsConfig {
-        contention_flag: true,
         fair: true,
         fast_path: true,
         combining: true,
@@ -152,12 +133,11 @@ impl CsConfig {
         elimination: false,
         recovery: None,
     };
-    /// The full escalation ladder (experiment E13): bare fast path,
+    /// The full escalation ladder: bare fast path,
     /// then CAS contention management, then elimination, then the
     /// lock. The paper's exact fast path and slow path bracket the two
     /// new middle rungs.
     pub const LADDER: CsConfig = CsConfig {
-        contention_flag: true,
         fair: true,
         fast_path: true,
         combining: false,
@@ -454,8 +434,7 @@ pub struct CombiningStats {
 
 impl CombiningStats {
     /// Mean operations retired per lock tenure (≥ 1.0 once any batch
-    /// ran; 0.0 when idle). This is the number that explains the E12
-    /// speedup: a plain lock retires exactly 1.0 per tenure.
+    /// ran; 0.0 when idle); a plain lock retires exactly 1.0 per tenure.
     #[must_use]
     pub fn avg_batch(&self) -> f64 {
         if self.batches == 0 {
@@ -615,7 +594,7 @@ impl<O: Abortable, L: RawLock> Drop for SlowGuard<'_, O, L> {
         // already reads `false` (it never does on this path — the
         // holder raised it at line 07 — so the solo budget is the
         // same); the probe fires only for real transitions.
-        if cs.config.contention_flag && cs.contention.write_lazy(false) {
+        if cs.contention.write_lazy(false) {
             probe!(Event::ContentionClear);
         }
         probe!(Event::LockRelease(self.proc as u32));
@@ -716,7 +695,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     }
 
     /// Like [`ContentionSensitive::new`] with an explicit mechanism
-    /// selection (see [`CsConfig`]; used by the E8 ablations).
+    /// selection (see [`CsConfig`]).
     ///
     /// # Panics
     ///
@@ -930,7 +909,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         // releasing, so the lazy store is always a real toggle here —
         // the read-before-write only saves the redundant-store case
         // (repeated raises within one combining storm).
-        if self.config.contention_flag && self.contention.write_lazy(true) {
+        if self.contention.write_lazy(true) {
             probe!(Event::ContentionRaise);
         }
         fail_point!("cs::locked");
@@ -1044,7 +1023,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         if !self.config.fast_path {
             return None;
         }
-        if self.config.contention_flag && self.contention.read() {
+        if self.contention.read() {
             return None;
         }
         if self.config.adaptive_gate && self.stats.gate.should_divert() {
@@ -1103,7 +1082,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     fn ladder(&self, op: &O::Op) -> Option<O::Response> {
         if self.config.cas_backoff {
             for _ in 0..CM_RETRIES {
-                if self.config.contention_flag && self.contention.peek() {
+                if self.contention.peek() {
                     break;
                 }
                 CAS_CM.with(|cm| cm.borrow_mut().wait());
@@ -1118,7 +1097,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             }
         }
         if self.config.elimination {
-            if self.config.contention_flag && self.contention.peek() {
+            if self.contention.peek() {
                 return None;
             }
             let polls = if self.stats.gate.engaged() {
@@ -1280,7 +1259,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             raw: true,
         };
         // Line 07: divert fast-path arrivals while we batch.
-        if self.config.contention_flag && self.contention.write_lazy(true) {
+        if self.contention.write_lazy(true) {
             probe!(Event::ContentionRaise);
         }
         fail_point!("cs::locked");
@@ -1562,17 +1541,6 @@ mod tests {
         let scope = CountScope::start();
         cs.apply(0, &Bump(1));
         assert_eq!(scope.take().total(), 1);
-    }
-
-    #[test]
-    fn ablation_no_flag_still_correct() {
-        let cs = make(3, CsConfig::NO_FLAG);
-        assert_eq!(cs.apply(0, &Bump(4)), 4);
-        // Without the CONTENTION register the solo fast path costs 0
-        // extra accesses.
-        let scope = CountScope::start();
-        cs.apply(0, &Bump(1));
-        assert_eq!(scope.take().total(), 0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ const ENTER: u32 = SCALE / 2;
 /// …and disengage only once it has decayed below one sixteenth.
 const EXIT: u32 = SCALE / 16;
 
-/// Cumulative gate activity, for diagnostics and the E12 report.
+/// Cumulative gate activity, for diagnostics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GateStats {
     /// Times the gate transitioned disengaged → engaged.

@@ -4,7 +4,7 @@
 //! at the contention-manager literature (Fich et al. \[4\], Taubenfeld
 //! \[25\], Guerraoui et al. \[5\]) for how obstruction-free or non-blocking
 //! algorithms are boosted in practice. The policies here are the
-//! standard spectrum; the benchmark harness compares them (E8).
+//! standard spectrum.
 
 use std::cell::RefCell;
 

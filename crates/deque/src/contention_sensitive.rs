@@ -62,9 +62,8 @@ impl<V: Bits32, L: RawLock> CsDeque<V, L> {
         CsDeque::with_config(capacity, lock, n, CsConfig::PAPER)
     }
 
-    /// Creates a deque with an explicit mechanism selection (the E8
-    /// ablations; [`CsConfig::COMBINING`] adds the flat-combining slow
-    /// path).
+    /// Creates a deque with an explicit mechanism selection
+    /// ([`CsConfig::COMBINING`] adds the flat-combining slow path).
     ///
     /// # Panics
     ///

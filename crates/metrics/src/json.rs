@@ -1,10 +1,10 @@
 //! A minimal JSON value: build, render, parse.
 //!
 //! The workspace is deliberately dependency-free (it builds
-//! `--offline`), so the JSON spoken by the exporters, the bench
-//! report writer and the `cso-analyze` validators lives here —
-//! one small, shared implementation instead of three hand-rolled
-//! string formatters.
+//! `--offline`), so the JSON spoken by the exporters and the
+//! `/health`, `/spans.json` and `/causal.json` routes lives here —
+//! one small, shared implementation instead of hand-rolled string
+//! formatters.
 
 use std::fmt::Write as _;
 

@@ -40,7 +40,7 @@ use cso_trace::{probe, probe_if, Event};
 
 use crate::outcome::{DequeueOutcome, EnqueueOutcome, QueueOp, QueueResponse};
 
-/// Abort/attempt counters (diagnostics for experiment E6).
+/// Abort/attempt counters (diagnostics).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueAbortStats {
     /// `weak_enqueue` invocations.
@@ -321,7 +321,7 @@ impl<V: Bits32> AbortableQueue<V> {
         }
     }
 
-    /// Snapshot of the attempt/abort counters (experiment E6).
+    /// Snapshot of the attempt/abort counters.
     pub fn abort_stats(&self) -> QueueAbortStats {
         let [enq_attempts, enq_aborts, deq_attempts, deq_aborts] = self.stats.snapshot();
         QueueAbortStats {

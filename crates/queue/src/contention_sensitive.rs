@@ -25,8 +25,7 @@ use crate::outcome::{DequeueOutcome, EnqueueOutcome, QueueOp};
 ///
 /// Because the weak enqueue and dequeue never abort each other, the
 /// pairs the paper calls *non-interfering* (§1.1) almost always stay
-/// on the fast path even when both ends are busy — experiment E6
-/// measures exactly that.
+/// on the fast path even when both ends are busy.
 ///
 /// ```
 /// use cso_queue::{CsQueue, EnqueueOutcome, DequeueOutcome};
@@ -67,8 +66,7 @@ impl<V: Bits32, L: RawLock> CsQueue<V, L> {
         CsQueue::with_config(capacity, lock, n, CsConfig::PAPER)
     }
 
-    /// Creates a queue with an explicit mechanism selection (the E8
-    /// ablations).
+    /// Creates a queue with an explicit mechanism selection.
     ///
     /// # Panics
     ///
@@ -182,7 +180,7 @@ impl<V: Bits32, L: RawLock> CsQueue<V, L> {
         self.inner.n()
     }
 
-    /// Fast-path vs lock-path completion counts (experiment E6).
+    /// Fast-path vs lock-path completion counts.
     pub fn path_stats(&self) -> PathStats {
         self.inner.stats()
     }
@@ -377,7 +375,7 @@ mod tests {
 
     #[test]
     fn ablation_configs_remain_correct() {
-        for config in [CsConfig::PAPER, CsConfig::NO_FLAG, CsConfig::UNFAIR] {
+        for config in [CsConfig::PAPER, CsConfig::UNFAIR] {
             let queue: CsQueue<u32> = CsQueue::with_config(8, TasLock::new(), 2, config);
             assert_eq!(queue.enqueue(0, 1), EnqueueOutcome::Enqueued);
             assert_eq!(queue.dequeue(1), DequeueOutcome::Dequeued(1));

@@ -22,7 +22,7 @@
 //! numbers), and a `HEAD` register carries the monotone dequeue
 //! counter. Because enqueue CASes only `TAIL` and dequeue CASes only
 //! `HEAD`, **an enqueue never aborts a dequeue and vice versa** — the
-//! paper's non-interference, made measurable (experiment E6).
+//! paper's non-interference, checked on every schedule (`model_weak`).
 //!
 //! # Quickstart
 //!

@@ -9,7 +9,7 @@ pub enum ShardMode {
     /// Exact LIFO/FIFO. A ticket latch serializes lane selection and
     /// an order journal records which lane holds each position, so the
     /// structure linearizes against the unrelaxed sequential spec.
-    /// Scaling is limited by the order section (E17's "stealing tax").
+    /// Scaling is limited by the order section (the "stealing tax").
     Strict,
     /// Out-of-order by at most a checked bound. Lane capacity is
     /// derived from `k` so that at most `(lanes − 1) × lane_cap ≤ k`

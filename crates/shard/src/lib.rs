@@ -22,8 +22,8 @@
 //! * **Two ordering modes** ([`ShardMode`]). `Strict` keeps exact
 //!   LIFO/FIFO semantics via an order journal — a ticket latch
 //!   serializes lane selection, so the structure is linearizable
-//!   against the *unrelaxed* sequential spec (the "stealing tax" E17
-//!   quantifies). `Relaxed { k }` drops the global order section and
+//!   against the *unrelaxed* sequential spec (the "stealing tax" the
+//!   ledger prices). `Relaxed { k }` drops the global order section and
 //!   enforces an explicit out-of-order bound instead: per-lane
 //!   capacity is derived from `k` so that a popped element can never
 //!   be more than [`relaxation_bound`](ShardedCsStack::relaxation_bound)

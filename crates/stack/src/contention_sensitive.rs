@@ -69,8 +69,8 @@ impl<V: StackValue, L: RawLock> CsStack<V, L> {
         CsStack::with_config(capacity, lock, n, CsConfig::PAPER)
     }
 
-    /// Creates a stack with an explicit mechanism selection (the E8
-    /// ablations; [`CsConfig::PAPER`] is Figure 3 verbatim).
+    /// Creates a stack with an explicit mechanism selection
+    /// ([`CsConfig::PAPER`] is Figure 3 verbatim).
     ///
     /// # Panics
     ///
@@ -179,7 +179,7 @@ impl<V: StackValue, L: RawLock> CsStack<V, L> {
 
     /// How many operations completed on each path — fast, eliminated
     /// (the escalation ladder's rendezvous rung), or under the lock
-    /// (experiments E4 and E13).
+    /// (experiment E4).
     pub fn path_stats(&self) -> PathStats {
         self.inner.stats()
     }
@@ -399,7 +399,7 @@ mod tests {
 
     #[test]
     fn ablation_configs_remain_correct() {
-        for config in [CsConfig::PAPER, CsConfig::NO_FLAG, CsConfig::UNFAIR] {
+        for config in [CsConfig::PAPER, CsConfig::UNFAIR] {
             let stack: CsStack<u32> = CsStack::with_config(16, TasLock::new(), 2, config);
             assert_eq!(stack.push(0, 1), PushOutcome::Pushed);
             assert_eq!(stack.pop(1), PopOutcome::Popped(1));

@@ -99,16 +99,32 @@ fn elimination_heavy_histories_linearize_and_rendezvous() {
 
 /// The `Path::Eliminated` accounting surfaces agree with each other:
 /// the per-object path statistics, the exchanger's pair counter, and
-/// the attached `cso-metrics` registry all describe the same run.
-/// (The trace/analyzer surface is checked end-to-end by the traced
-/// E13 run in CI: `cso-analyze` reconstructs the eliminated spans
-/// with full coverage.)
+/// the attached `cso-metrics` registry all describe the same run —
+/// under the elimination-only ablation, where rendezvous is certain,
+/// and under the `LADDER` preset, the shipped order of the same rungs.
+/// With `trace` on, the probe stream of those live runs (and of the
+/// tests beside this one) is the fourth surface: every operation in
+/// it replays into a well-formed span, eliminated ones included.
 #[test]
 fn eliminated_path_surfaces_agree() {
+    let elimination_only = CsConfig::PAPER.without_fast_path().with_elimination();
+    for config in [elimination_only, CsConfig::LADDER] {
+        surfaces_agree(config);
+    }
+    if cfg!(feature = "trace") {
+        let spans = cso::profile::LiveAggregator::new();
+        spans.ingest(&cso::trace::probe::harvest());
+        let snap = spans.snapshot();
+        assert_eq!(snap.malformed, 0, "span coverage below 1.0: {snap:?}");
+        let mut paths = snap.per_path.iter();
+        assert!(paths.any(|(path, hist)| *path == "eliminated" && hist.count > 0));
+    }
+}
+
+fn surfaces_agree(config: CsConfig) {
     let registry = cso::metrics::Registry::new();
-    let config = CsConfig::PAPER.without_fast_path().with_elimination();
     let stack: CsStack<u32> = CsStack::with_config(64, TasLock::new(), THREADS, config);
-    stack.attach_metrics(&registry, "e13");
+    stack.attach_metrics(&registry, "stack");
 
     std::thread::scope(|s| {
         for proc in 0..THREADS {
@@ -132,7 +148,7 @@ fn eliminated_path_surfaces_agree() {
         "path stats vs exchanger pair counter"
     );
     assert_eq!(
-        registry.snapshot().counter("e13_ops_eliminated_total"),
+        registry.snapshot().counter("stack_ops_eliminated_total"),
         Some(paths.eliminated),
         "metrics registry vs path stats"
     );

@@ -262,6 +262,10 @@ fn stalled_lane_lock_holder_is_succeeded_and_occupancy_stays_exact() {
         })
         .sum();
     assert!(successions >= 1, "the corpse's lane lock was never seized");
+    // Lane 1 waited for nobody: its tenures overlapped the corpse's,
+    // which one cell would have serialised behind it.
+    let bystander = stack.lane(1).recovery_stats().expect("recovery enabled");
+    assert_eq!(bystander.successions, 0);
 
     // Kill-site audit: the stalled op applied nothing — no leak, no
     // double-count.

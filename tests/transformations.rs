@@ -65,7 +65,7 @@ fn figure2_with_every_contention_manager() {
 #[test]
 fn figure3_ablations_over_the_stack_under_concurrency() {
     use std::sync::Arc;
-    for config in [CsConfig::PAPER, CsConfig::NO_FLAG, CsConfig::UNFAIR] {
+    for config in [CsConfig::PAPER, CsConfig::UNFAIR] {
         let cs = Arc::new(ContentionSensitive::with_config(
             AbortableStack::<u32>::new(4096),
             TasLock::new(),
