@@ -164,30 +164,33 @@ impl<const N: usize> Stripes<N> {
         }
     }
 
-    /// Adds `n` to counter `field`. Wait-free; on a leased stripe one
-    /// plain load and one plain store of a line this thread owns.
+    /// Adds `n` to counter `field` and returns the new count in the
+    /// calling thread's stripe, which the store already has in hand:
+    /// this thread's updates on top of the stripe's earlier
+    /// leaseholders' (on the overflow stripe, of everyone sharing it).
+    /// Wait-free; on a leased stripe one plain load and one plain store
+    /// of a line this thread owns.
     ///
     /// # Panics
     ///
     /// Panics if `field >= N`.
     #[inline]
-    pub fn add(&self, field: usize, n: u64) {
+    pub fn add(&self, field: usize, n: u64) -> u64 {
         let id = stripe();
         let cell = &self.cells[id][field];
         if id == OVERFLOW {
-            cell.fetch_add(n, Ordering::Relaxed);
+            cell.fetch_add(n, Ordering::Relaxed).wrapping_add(n)
         } else {
-            cell.store(
-                cell.load(Ordering::Relaxed).wrapping_add(n),
-                Ordering::Relaxed,
-            );
+            let count = cell.load(Ordering::Relaxed).wrapping_add(n);
+            cell.store(count, Ordering::Relaxed);
+            count
         }
     }
 
-    /// Adds one to counter `field`.
+    /// Adds one to counter `field`; see [`Stripes::add`].
     #[inline]
-    pub fn inc(&self, field: usize) {
-        self.add(field, 1);
+    pub fn inc(&self, field: usize) -> u64 {
+        self.add(field, 1)
     }
 
     /// Counter `field` since construction: the sum over every stripe,
@@ -204,6 +207,21 @@ impl<const N: usize> Stripes<N> {
             .iter()
             .map(|stripe| stripe[field].load(Ordering::Relaxed))
             .fold(0, u64::wrapping_add)
+    }
+
+    /// Counter `field` as each stripe holds it — [`Stripes::total`]
+    /// before the fold, the overflow stripe last. A stripe has one
+    /// writer at a time, so two reads that differ in `k` places saw
+    /// `k` writers in between (all the overflow threads counting as
+    /// one): who is updating, learnt from cells the updates already
+    /// write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `field >= N`.
+    #[must_use]
+    pub fn per_stripe(&self, field: usize) -> [u64; STRIPES + 1] {
+        std::array::from_fn(|id| self.cells[id][field].load(Ordering::Relaxed))
     }
 
     /// The value of counter `field` since the last reset.
@@ -325,6 +343,58 @@ mod tests {
             stats.overflowed(0) >= 8 * 10_001,
             "the surplus threads share the overflow stripe"
         );
+    }
+
+    #[test]
+    fn per_stripe_read_counts_the_writers() {
+        const K: u64 = 1_000;
+        let _ids = ids();
+        let stats: Stripes<2> = Stripes::new();
+        let advanced = |then: &[u64; STRIPES + 1]| {
+            let now = stats.per_stripe(0);
+            now.iter()
+                .zip(then)
+                .filter(|(now, then)| now != then)
+                .count()
+        };
+        // `threads` writers, all holding their leases at once, each
+        // bumping field 0 K times.
+        let bump = |threads: usize| {
+            let all_leased = Barrier::new(threads);
+            std::thread::scope(|s| {
+                for _ in 0..threads {
+                    s.spawn(|| {
+                        let before = stats.add(0, 0);
+                        all_leased.wait();
+                        let after = (0..K).map(|_| stats.inc(0)).last();
+                        // What `inc` returns is the stripe's count:
+                        // this thread's K on top of what was there
+                        // (more, on the shared overflow stripe).
+                        assert!(after >= Some(before + K));
+                    });
+                }
+            });
+        };
+
+        let start = stats.per_stripe(0);
+        bump(2);
+        assert_eq!(advanced(&start), 2, "two writers, two stripes");
+        assert_eq!(stats.per_stripe(0).iter().sum::<u64>(), 2 * K);
+        assert_eq!(stats.per_stripe(1), [0; STRIPES + 1]);
+        assert_eq!((stats.total(0), stats.get(0)), (2 * K, 2 * K));
+
+        // A reset moves the baseline, not the cells.
+        let then = stats.per_stripe(0);
+        stats.reset();
+        assert_eq!(stats.per_stripe(0), then);
+        assert_eq!((stats.total(0), stats.get(0)), (2 * K, 0));
+
+        // More writers than stripes: the surplus share the overflow
+        // stripe and read as one writer between them.
+        bump(STRIPES + 2);
+        assert!(advanced(&then) <= STRIPES + 1);
+        assert!(stats.overflowed(0) >= 2 * K);
+        assert_eq!(stats.get(0), (STRIPES as u64 + 2) * K);
     }
 
     #[test]

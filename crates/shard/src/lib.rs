@@ -19,36 +19,39 @@
 //!   the same way. Every router step is an *uncounted* access — the
 //!   per-lane solo budget stays at Theorem 1's exact six (stack) /
 //!   seven (queue) counted shared-memory accesses.
-//! * **Two ordering modes** ([`ShardMode`]). `Strict` keeps exact
-//!   LIFO/FIFO semantics via an order journal — a ticket latch
-//!   serializes lane selection, so the structure is linearizable
-//!   against the *unrelaxed* sequential spec (the "stealing tax" the
-//!   ledger prices). `Relaxed { k }` drops the global order section and
-//!   enforces an explicit out-of-order bound instead: per-lane
-//!   capacity is derived from `k` so that a popped element can never
-//!   be more than [`relaxation_bound`](ShardedCsStack::relaxation_bound)
-//!   positions away from the strict answer (see DESIGN.md "Sharding &
-//!   elasticity" for the bound's proof sketch).
-//! * **Elastic lane count.** When enabled, an [`AdaptiveGate`]
-//!   (the same EWMA gate that drives the combining slow path) watches
-//!   an in-flight-overlap contention signal and doubles/halves the
-//!   active lane prefix: a solo thread contracts to one cell — solo
+//! * **An explicit out-of-order bound.** N lanes are N orders, so the
+//!   structure is *k-relaxed*: per-lane capacity is derived from
+//!   [`ShardConfig::k`] so that a popped element can never be more than
+//!   [`relaxation_bound`](ShardedCsStack::relaxation_bound) positions
+//!   away from the strict answer (see DESIGN.md "Sharding &
+//!   elasticity" for the bound's proof sketch). **Exact order is one
+//!   cell**: [`ShardConfig::strict`] builds a single full-capacity
+//!   lane, whose order, linearizability, starvation-freedom and crash
+//!   story are the cell's own (Theorem 1) — no lock in front of it when
+//!   nobody interferes, which is the paper's point.
+//! * **Elastic lane count.** When enabled, the active lane prefix
+//!   doubles while the threads seen using the structure outnumber the
+//!   active lanes and collide in them, and halves when there is a lane
+//!   to spare per thread: a solo thread contracts to one cell — solo
 //!   cost identical to an unsharded cell — and rising contention fans
-//!   out to the configured maximum. Pops always steal from *all*
-//!   lanes, so a merge can never strand values in a deactivated lane.
+//!   out to the configured maximum. The sensor *reads* cells the
+//!   operations already write (each thread's statistics stripe, each
+//!   lane's abort/locked counts) once per `eval_period` operations of
+//!   one thread; an operation reports nothing to it. Pops always steal
+//!   from *all* lanes, so a merge can never strand values in a
+//!   deactivated lane.
 //!
 //! **The lanes are the aggregate.** A lane's element count already
 //! sits in its own registers — the `index` field of a stack's `TOP`, a
 //! queue's `TAIL − HEAD` — so the router keeps no copy: it steers by
 //! an *uncounted* peek of the lane it is about to operate on (skip a
 //! lane that reads full on a push, empty on a pop), and the lane
-//! operation itself re-validates. A relaxed, fixed-lane operation that
-//! stays in its home lane therefore executes no locked instruction and
-//! writes no line but the lane's and its own statistics stripe, there
-//! is nothing derived for a crash to leave stale, and `len()` /
-//! `is_empty()` sum the peeks: O(lanes), racy, exact at quiescence.
-//!
-//! [`AdaptiveGate`]: cso_core::AdaptiveGate
+//! operation itself re-validates. An operation that stays in its home
+//! lane therefore executes no locked instruction and writes no line
+//! but the lane's and its own statistics stripe — in every
+//! configuration — there is nothing derived for a crash to leave
+//! stale, and `len()` / `is_empty()` sum the peeks: O(lanes), racy,
+//! exact at quiescence.
 //!
 //! # Quick start
 //!
@@ -69,12 +72,11 @@
 
 pub mod config;
 mod elastic;
-mod order;
 mod queue;
 mod router;
 mod stack;
 
-pub use config::{ShardConfig, ShardMode};
+pub use config::ShardConfig;
 pub use queue::ShardedCsQueue;
 pub use router::RouterStats;
 pub use stack::ShardedCsStack;

@@ -4,7 +4,7 @@ use cso_locks::TasLock;
 use cso_metrics::Registry;
 use cso_queue::{CsQueue, DequeueOutcome, EnqueueOutcome, QueueValue};
 
-use crate::config::{ShardConfig, ShardMode};
+use crate::config::ShardConfig;
 use crate::router::{Router, RouterStats, ShardLane};
 
 impl<V: QueueValue> ShardLane for CsQueue<V, TasLock> {
@@ -23,9 +23,20 @@ impl<V: QueueValue> ShardLane for CsQueue<V, TasLock> {
         self.peek_len()
     }
 
+    fn lane_collisions(&self) -> u64 {
+        let aborts = self.abort_stats();
+        aborts.enq_aborts + aborts.deq_aborts + self.path_stats().locked
+    }
+
     fn lane_attach_metrics(&self, registry: &Registry, prefix: &str) {
         self.attach_metrics(registry, prefix);
     }
+}
+
+/// `CsQueue` lanes need power-of-two capacities: the largest one not
+/// above `raw` (`raw ≥ 1`), so a bound derived from `raw` still holds.
+pub(crate) fn power_of_two_floor(raw: usize) -> usize {
+    1 << raw.ilog2()
 }
 
 /// N independent Figure-3 queue cells behind the sharding router.
@@ -34,7 +45,7 @@ impl<V: QueueValue> ShardLane for CsQueue<V, TasLock> {
 /// pairs, the escalation ladder, combining, and recovery all work
 /// unchanged per lane, and each lane keeps the exact seven-access solo
 /// budget (the router adds only uncounted peeks). See the crate
-/// docs for the ordering modes and the elasticity protocol.
+/// docs for the relaxation bound and the elasticity protocol.
 ///
 /// ```
 /// use cso_shard::{ShardConfig, ShardedCsQueue};
@@ -43,7 +54,8 @@ impl<V: QueueValue> ShardLane for CsQueue<V, TasLock> {
 /// let queue: ShardedCsQueue<u32> = ShardedCsQueue::new(16, 4, ShardConfig::strict(2));
 /// assert_eq!(queue.enqueue(0, 1), EnqueueOutcome::Enqueued);
 /// assert_eq!(queue.enqueue(1, 2), EnqueueOutcome::Enqueued);
-/// // Strict mode: exact FIFO across lanes.
+/// // Exact FIFO is one cell, whoever asks.
+/// assert_eq!((queue.lanes(), queue.relaxation_bound()), (1, 0));
 /// assert_eq!(queue.dequeue(2), DequeueOutcome::Dequeued(1));
 /// assert_eq!(queue.dequeue(3), DequeueOutcome::Dequeued(2));
 /// assert_eq!(queue.dequeue(0), DequeueOutcome::Empty);
@@ -57,54 +69,22 @@ impl<V: QueueValue> ShardedCsQueue<V> {
     /// `0..n`, laid out per `config`.
     ///
     /// `CsQueue` lanes need power-of-two capacities (≤ 2¹⁵), so the
-    /// per-lane capacity is rounded: strict mode rounds the requested
-    /// capacity *up* to a power of two per lane (the order journal
-    /// still enforces the exact requested global bound, so
-    /// `capacity()` reports what was asked for); relaxed mode rounds
-    /// the derived `min(ceil(capacity / lanes), k / (lanes − 1))`
-    /// *down* (never below 1) so the relaxation bound stays valid, and
-    /// `capacity()` reports the effective `lanes × lane_cap`.
+    /// derived `min(ceil(capacity / lanes), k / (lanes − 1))` — one
+    /// lane (`ShardConfig::strict`) has no second term — is rounded
+    /// *down* (never below 1), which keeps the relaxation bound valid,
+    /// and `capacity()` reports the effective `lanes × lane_cap`.
     ///
     /// # Panics
     ///
-    /// Panics if `config.lanes` is outside `1..=64`, if a relaxed
-    /// config has `k < lanes − 1`, or if a rounded lane capacity
-    /// violates `CsQueue`'s own limits.
+    /// Panics if `config.lanes` is outside `1..=64`, if `k < lanes −
+    /// 1`, or if a rounded lane capacity violates `CsQueue`'s own
+    /// limits.
     #[must_use]
     pub fn new(capacity: usize, n: usize, config: ShardConfig) -> ShardedCsQueue<V> {
-        assert!((1..=64).contains(&config.lanes), "lanes must be in 1..=64");
-        let (lane_cap, effective) = match config.mode {
-            ShardMode::Strict => (capacity.next_power_of_two(), capacity),
-            ShardMode::Relaxed { k } => {
-                assert!(
-                    config.lanes == 1 || k >= config.lanes - 1,
-                    "relaxed mode needs k >= lanes - 1 (got k={k}, lanes={})",
-                    config.lanes
-                );
-                let per_lane = capacity.div_ceil(config.lanes).max(1);
-                let from_k = if config.lanes > 1 {
-                    k / (config.lanes - 1)
-                } else {
-                    usize::MAX
-                };
-                let raw = per_lane.min(from_k);
-                // Round down to a power of two (floor at 1) so the
-                // k-derived bound is never exceeded.
-                let lane_cap = if raw.is_power_of_two() {
-                    raw
-                } else {
-                    (raw.next_power_of_two()) / 2
-                }
-                .max(1);
-                (lane_cap, lane_cap * config.lanes)
-            }
-        };
-        let lanes: Vec<CsQueue<V, TasLock>> = (0..config.lanes)
-            .map(|_| CsQueue::with_config(lane_cap, TasLock::new(), n, config.cs))
-            .collect();
-        ShardedCsQueue {
-            router: Router::new(lanes, &config, n, effective, lane_cap, true),
-        }
+        let router = Router::new(&config, n, capacity, power_of_two_floor, |lane_cap| {
+            CsQueue::with_config(lane_cap, TasLock::new(), n, config.cs)
+        });
+        ShardedCsQueue { router }
     }
 
     /// Enqueues `value` on behalf of process `proc`.
@@ -124,8 +104,7 @@ impl<V: QueueValue> ShardedCsQueue<V> {
         }
     }
 
-    /// Total capacity (strict: as requested; relaxed: `lanes ×
-    /// lane_cap`, see [`ShardedCsQueue::new`]).
+    /// Total capacity: `lanes × lane_cap`, see [`ShardedCsQueue::new`].
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.router.capacity()
@@ -172,14 +151,8 @@ impl<V: QueueValue> ShardedCsQueue<V> {
         self.router.elastic().active()
     }
 
-    /// The ordering mode.
-    #[must_use]
-    pub fn mode(&self) -> ShardMode {
-        self.router.mode()
-    }
-
-    /// The checked out-of-order bound: 0 in strict mode; in relaxed
-    /// mode `max((lanes − 1) × lane_cap, n − 1)`.
+    /// The checked out-of-order bound: `max((lanes − 1) × lane_cap,
+    /// n − 1)`, and 0 with one lane.
     #[must_use]
     pub fn relaxation_bound(&self) -> usize {
         self.router.relaxation_bound()
@@ -198,24 +171,10 @@ impl<V: QueueValue> ShardedCsQueue<V> {
         &self.router.lanes()[i]
     }
 
-    /// The EWMA gate driving elastic split/merge decisions.
-    #[must_use]
-    pub fn gate(&self) -> &cso_core::AdaptiveGate {
-        self.router.elastic().gate()
-    }
-
     /// Whether elastic lane scaling is enabled.
     #[must_use]
     pub fn elastic_enabled(&self) -> bool {
         self.router.elastic().enabled()
-    }
-
-    /// Strict mode: reconciles the order journal with the lanes (done
-    /// automatically by the operation after a detected crash; exposed
-    /// for audits and tests). Relaxed mode keeps no derived state, so
-    /// there is nothing to refresh and this does nothing.
-    pub fn refresh_occupancy(&self) {
-        self.router.heal();
     }
 
     /// Registers per-lane metrics under `{prefix}_lane{i}` plus the
@@ -230,7 +189,7 @@ impl<V: QueueValue> std::fmt::Debug for ShardedCsQueue<V> {
         f.debug_struct("ShardedCsQueue")
             .field("lanes", &self.lanes())
             .field("active", &self.active_lanes())
-            .field("mode", &self.mode())
+            .field("bound", &self.relaxation_bound())
             .field("len", &self.len())
             .field("capacity", &self.capacity())
             .finish()
@@ -243,8 +202,9 @@ mod tests {
     use cso_memory::CountScope;
 
     #[test]
-    fn strict_mode_is_exact_fifo_across_lanes() {
+    fn strict_mode_is_exact_fifo_whoever_asks() {
         let queue: ShardedCsQueue<u32> = ShardedCsQueue::new(32, 4, ShardConfig::strict(4));
+        assert_eq!((queue.lanes(), queue.active_lanes()), (1, 1));
         for (proc, v) in [(0, 10), (1, 11), (2, 12), (3, 13), (0, 14)] {
             assert_eq!(queue.enqueue(proc, v), EnqueueOutcome::Enqueued);
         }
@@ -257,14 +217,19 @@ mod tests {
 
     #[test]
     fn strict_full_is_the_requested_capacity() {
-        // Lanes round up to capacity 4, but the journal enforces 3.
-        let queue: ShardedCsQueue<u32> = ShardedCsQueue::new(3, 2, ShardConfig::strict(2));
-        assert_eq!(queue.capacity(), 3);
-        for v in 0..3 {
-            assert_eq!(queue.enqueue(0, v), EnqueueOutcome::Enqueued);
+        // `capacity()` is the one rule: what the (power-of-two) lane
+        // holds, which is what was requested when that is a power of
+        // two and the next one down otherwise.
+        for (requested, effective) in [(4, 4), (3, 2)] {
+            let queue: ShardedCsQueue<u32> =
+                ShardedCsQueue::new(requested, 2, ShardConfig::strict(2));
+            assert_eq!(queue.capacity(), effective);
+            for v in 0..effective as u32 {
+                assert_eq!(queue.enqueue(0, v), EnqueueOutcome::Enqueued);
+            }
+            assert_eq!(queue.enqueue(1, 99), EnqueueOutcome::Full);
+            assert_eq!(queue.len(), queue.capacity());
         }
-        assert_eq!(queue.enqueue(1, 99), EnqueueOutcome::Full);
-        assert_eq!(queue.len(), 3);
     }
 
     #[test]
@@ -282,18 +247,6 @@ mod tests {
             assert_eq!(queue.dequeue(0), DequeueOutcome::Dequeued(7));
             assert_eq!(scope.take().total(), 7, "solo dequeue under {config:?}");
         }
-    }
-
-    #[test]
-    fn relaxed_lane_caps_round_down_to_powers_of_two() {
-        // ceil(48/4)=12, k/(lanes-1)=24/3=8 → min 8 (already pow2).
-        let q: ShardedCsQueue<u32> = ShardedCsQueue::new(48, 4, ShardConfig::relaxed(4, 24));
-        assert_eq!(q.capacity(), 32);
-        assert_eq!(q.relaxation_bound(), 24); // (4-1)*8 = 24 ≥ n-1
-                                              // ceil(60/4)=15, 21/3=7 → min 7 → rounds down to 4.
-        let q: ShardedCsQueue<u32> = ShardedCsQueue::new(60, 4, ShardConfig::relaxed(4, 21));
-        assert_eq!(q.capacity(), 16);
-        assert!(q.relaxation_bound() <= 21);
     }
 
     #[test]
@@ -418,22 +371,6 @@ mod tests {
         let stats = queue.router_stats();
         assert_eq!(stats.spills, 0);
         assert_eq!(stats.steals, 0);
-    }
-
-    #[test]
-    fn refresh_occupancy_reconciles_the_strict_journal() {
-        let queue: ShardedCsQueue<u32> = ShardedCsQueue::new(16, 2, ShardConfig::strict(2));
-        for v in 0..6 {
-            assert_eq!(queue.enqueue(v as usize % 2, v), EnqueueOutcome::Enqueued);
-        }
-        let before = queue.len();
-        queue.refresh_occupancy();
-        assert_eq!(queue.len(), before, "heal must agree with live counts");
-        // Strict heal preserves the exact FIFO order too.
-        for expect in 0..6 {
-            assert_eq!(queue.dequeue(0), DequeueOutcome::Dequeued(expect));
-        }
-        assert!(queue.router_stats().heals >= 1);
     }
 
     /// The queue's twin of the stack's steal/spill test: the probe

@@ -10,17 +10,21 @@
 //! Theorem 1's six accesses for a solo stack op, seven for the queue —
 //! and there is no copy of the number to maintain, drift or heal.
 //!
-//! Uncounted is not free, so the router also keeps a *cost* contract:
-//! in relaxed mode with elasticity off, an operation that stays in its
-//! home lane executes **no locked instruction and no shared load of
-//! the router's own**. It peeks the line of the lane it is about to
-//! C&S, runs the lane operation, and bumps its own stripe of the
-//! statistics block; the size is summed by readers, not maintained by
-//! writers, and the registry gauges are polled at scrape time. Strict
-//! mode's latch and journal and elastic mode's overlap sensor are
-//! shared writes by design and sit outside that contract.
+//! Uncounted is not free, so the router also keeps a *cost* contract,
+//! in every configuration: an operation that stays in its home lane
+//! executes **no locked instruction and writes no shared word of the
+//! router's own**. It peeks the line of the lane it is about to C&S,
+//! runs the lane operation, and bumps its own stripe of the statistics
+//! block; the size is summed by readers, not maintained by writers, and
+//! the registry gauges are polled at scrape time. A fixed-lane
+//! operation loads no shared word of the router's either; an elastic
+//! one loads `active`, which only a transition writes, and the
+//! controller behind it is one more reader — the thread whose own
+//! stripe of the push (or pop) count crosses a multiple of
+//! `eval_period` folds the stripes and the active lanes' abort/locked
+//! counts ([`Elastic::evaluate`]).
 //!
-//! ## Probe protocol (relaxed mode)
+//! ## Probe protocol
 //!
 //! *Push:* probe the home lane `proc mod active`, then the rest of
 //! the active prefix, then the inactive tail — skipping lanes whose
@@ -37,18 +41,20 @@
 //! lanes drain), then a force-probe round only if a lane that peeked
 //! nonempty lost a race.
 //!
+//! With **one lane** (`ShardConfig::strict`) there is no other lane for
+//! an answer to be out of order with: every value is the cell's own
+//! answer and every `Full`/`Empty` is the cell's own or a peek of it at
+//! an instant inside the operation, so the structure is linearizable
+//! against the unrelaxed specification — Theorem 1, with nothing in
+//! front of it.
+//!
 //! ## Crash consistency (the E14 kill sites)
 //!
-//! Relaxed mode has nothing to heal: a killed lane operation either
-//! applied or did not, and either way the lane's register says so.
-//! Strict mode keeps one derived structure, the order journal, and a
-//! kill between the lane operation and the journal update leaves it
-//! one entry off. The latch guard notices the unwind and flags the
-//! journal; the next strict operation (or an explicit
-//! `refresh_occupancy()`) reconciles it with the lanes under the
-//! latch, re-appending orphaned entries (legal: the killed operation
-//! never returned, so it linearizes late). Killed operations can
-//! therefore neither leak nor double-count.
+//! There is nothing to heal: a killed lane operation either applied or
+//! did not, and either way the lane's register says so. Killed
+//! operations can therefore neither leak nor double-count, and a
+//! stalled lock holder is the lane's own `RecoveryPolicy` story (§4.4
+//! succession), whichever lane it is.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -56,9 +62,8 @@ use std::sync::Arc;
 use cso_memory::Stripes;
 use cso_metrics::Registry;
 
-use crate::config::{ShardConfig, ShardMode};
+use crate::config::ShardConfig;
 use crate::elastic::Elastic;
-use crate::order::{OrderGuard, StrictOrder};
 
 /// What a lane must provide to be routable. Implemented for
 /// `CsStack` / `CsQueue` by the public wrappers.
@@ -71,6 +76,10 @@ pub(crate) trait ShardLane: Send + Sync + 'static {
     /// The lane's element count as its own registers hold it, read
     /// with **uncounted** peeks: exact at the instant of the read.
     fn lane_peek_len(&self) -> usize;
+    /// Aborted weak operations plus completions under the lock, as the
+    /// lane's own statistics hold them: it moves when operations on
+    /// this lane got in each other's way.
+    fn lane_collisions(&self) -> u64;
     /// Attach the lane's own metrics under `prefix`.
     fn lane_attach_metrics(&self, registry: &Registry, prefix: &str);
 }
@@ -90,9 +99,6 @@ pub struct RouterStats {
     pub splits: u64,
     /// Elastic contractions (active prefix halved).
     pub merges: u64,
-    /// Strict-mode journal reconciliations (after a crash/unwind, or
-    /// on request); relaxed mode has nothing to heal.
-    pub heals: u64,
     /// Current active lane prefix length.
     pub active_lanes: usize,
 }
@@ -101,37 +107,22 @@ const PUSHES: usize = 0;
 const POPS: usize = 1;
 const STEALS: usize = 2;
 const SPILLS: usize = 3;
-const HEALS: usize = 4;
 
 /// The shared router core.
 pub(crate) struct Router<T: ShardLane> {
     /// `Arc` (as are `elastic` and `counters`) so the registry's
     /// polled series can read it at scrape time.
     lanes: Arc<[T]>,
-    order: Option<StrictOrder>,
     elastic: Arc<Elastic>,
     /// Router statistics, indexed by the constants above: the one
     /// count of each fact, read by `stats()` and by the registry.
-    counters: Arc<Stripes<5>>,
+    counters: Arc<Stripes<4>>,
     /// Set by the first `attach_metrics`; later calls are no-ops.
     attached: AtomicBool,
-    mode: ShardMode,
-    capacity: usize,
-    /// What a relaxed push compares a lane's peek against.
+    /// Each lane's capacity: what a push compares a lane's peek
+    /// against.
     lane_cap: usize,
     n: usize,
-}
-
-/// Decrements the in-flight overlap counter even on unwind.
-struct ExitOnDrop<'a> {
-    elastic: &'a Elastic,
-}
-
-impl Drop for ExitOnDrop<'_> {
-    #[inline]
-    fn drop(&mut self) {
-        self.elastic.exit();
-    }
 }
 
 /// The lane probe order: the active prefix starting at the home lane
@@ -154,121 +145,71 @@ fn peek_sum<T: ShardLane>(lanes: &[T]) -> usize {
 }
 
 impl<T: ShardLane> Router<T> {
-    /// `lanes` are the constructed cells; `capacity` is the global
-    /// bound (strict mode enforces it via the journal; relaxed mode
-    /// via the per-lane caps baked into the cells, `lane_cap` each).
+    /// `cfg.lanes` cells for processes `0..n`, each built by
+    /// `make_lane` at the capacity [`ShardConfig::lane_cap`] derives
+    /// from `capacity` through `round`.
     pub(crate) fn new(
-        lanes: Vec<T>,
         cfg: &ShardConfig,
         n: usize,
         capacity: usize,
-        lane_cap: usize,
-        fifo: bool,
+        round: impl Fn(usize) -> usize,
+        make_lane: impl Fn(usize) -> T,
     ) -> Router<T> {
-        assert!(
-            !lanes.is_empty() && lanes.len() <= 64,
-            "lanes must be 1..=64"
-        );
-        let order = match cfg.mode {
-            ShardMode::Strict => Some(StrictOrder::new(capacity, fifo)),
-            ShardMode::Relaxed { .. } => None,
-        };
+        let lane_cap = cfg.lane_cap(capacity, round);
         Router {
             elastic: Arc::new(Elastic::new(
-                lanes.len(),
+                cfg.lanes,
                 cfg.elastic,
                 cfg.eval_period,
                 cfg.cooldown_evals,
             )),
-            lanes: lanes.into(),
-            order,
+            lanes: (0..cfg.lanes).map(|_| make_lane(lane_cap)).collect(),
             counters: Arc::new(Stripes::new()),
             attached: AtomicBool::new(false),
-            mode: cfg.mode,
-            capacity,
             lane_cap,
             n,
         }
     }
 
+    /// Counts a completed operation in the caller's own stripe — which
+    /// is also the elastic controller's cadence: the thread whose own
+    /// count of `field` crosses a multiple of `eval_period` evaluates.
+    #[inline]
+    fn completed(&self, field: usize) {
+        if self.elastic.due(self.counters.inc(field)) {
+            self.evaluate();
+        }
+    }
+
+    #[cold]
+    fn evaluate(&self) {
+        let (pushes, pops) = (
+            self.counters.per_stripe(PUSHES),
+            self.counters.per_stripe(POPS),
+        );
+        self.elastic.evaluate(
+            std::array::from_fn(|stripe| pushes[stripe] + pops[stripe]),
+            |active| self.lanes[..active].iter().map(T::lane_collisions).sum(),
+        );
+    }
+
     pub(crate) fn push(&self, proc: usize, value: T::Value) -> bool {
-        let contended = self.elastic.enter();
-        let _exit = ExitOnDrop {
-            elastic: &self.elastic,
-        };
-        let pushed = match self.order {
-            Some(ref order) => self.push_strict(order, proc, value),
-            None => self.push_relaxed(proc, value),
-        };
-        self.elastic.record(contended);
+        let pushed = self.probe_push(proc, value);
         if pushed {
-            self.counters.inc(PUSHES);
+            self.completed(PUSHES);
         }
         pushed
     }
 
     pub(crate) fn pop(&self, proc: usize) -> Option<T::Value> {
-        let contended = self.elastic.enter();
-        let _exit = ExitOnDrop {
-            elastic: &self.elastic,
-        };
-        let popped = match self.order {
-            Some(ref order) => self.pop_strict(order, proc),
-            None => self.pop_relaxed(proc),
-        };
-        self.elastic.record(contended);
+        let popped = self.probe_pop(proc);
         if popped.is_some() {
-            self.counters.inc(POPS);
+            self.completed(POPS);
         }
         popped
     }
 
-    fn push_strict(&self, order: &StrictOrder, proc: usize, value: T::Value) -> bool {
-        let guard = order.acquire();
-        if guard.take_dirty() {
-            self.reconcile(&guard);
-        }
-        if guard.len() >= self.capacity {
-            return false;
-        }
-        let active = self.elastic.active();
-        let home = proc % active;
-        // Under the latch no other op is inside any lane, and strict
-        // lane capacity ≥ the global capacity, so the home lane has
-        // room; probe the rest anyway for defence in depth.
-        for i in 0..self.lanes.len() {
-            let lane = probe_lane(home, active, i);
-            // A kill in here unwinds through `guard`, which flags the
-            // journal for the next holder.
-            if self.lanes[lane].lane_push(proc, value) {
-                guard.push_lane(lane);
-                if lane != home {
-                    self.counters.inc(SPILLS);
-                }
-                return true;
-            }
-        }
-        false
-    }
-
-    fn pop_strict(&self, order: &StrictOrder, proc: usize) -> Option<T::Value> {
-        let guard = order.acquire();
-        if guard.take_dirty() {
-            self.reconcile(&guard);
-        }
-        let lane = guard.pop_lane()?;
-        let value = self.lanes[lane].lane_pop(proc);
-        if value.is_none() {
-            // Journal said the lane held the answer but the lane
-            // disagrees: re-derive everything rather than guessing.
-            guard.mark_dirty();
-        } else if lane != proc % self.elastic.active() {
-            self.counters.inc(STEALS);
-        }
-        value
-    }
-
-    fn push_relaxed(&self, proc: usize, value: T::Value) -> bool {
+    fn probe_push(&self, proc: usize, value: T::Value) -> bool {
         let total = self.lanes.len();
         let active = self.elastic.active();
         let home = proc % active;
@@ -319,7 +260,7 @@ impl<T: ShardLane> Router<T> {
         ok
     }
 
-    fn pop_relaxed(&self, proc: usize) -> Option<T::Value> {
+    fn probe_pop(&self, proc: usize) -> Option<T::Value> {
         let total = self.lanes.len();
         let active = self.elastic.active();
         let home = proc % active;
@@ -364,36 +305,6 @@ impl<T: ShardLane> Router<T> {
         value
     }
 
-    /// Strict mode: reconciles the order journal with the lanes, under
-    /// the latch. Relaxed mode keeps nothing derived, so there is
-    /// nothing to do.
-    pub(crate) fn heal(&self) {
-        if let Some(ref order) = self.order {
-            let guard = order.acquire();
-            let _ = guard.take_dirty();
-            self.reconcile(&guard);
-        }
-    }
-
-    /// Lanes holding more elements than the journal records gained
-    /// them from killed (never-returned) operations, which may legally
-    /// linearize now — their entries are appended; the reverse
-    /// direction drops stale entries.
-    fn reconcile(&self, guard: &OrderGuard<'_>) {
-        for (lane, cell) in self.lanes.iter().enumerate() {
-            let actual = cell.lane_peek_len();
-            let journaled = guard.count_lane(lane);
-            if actual > journaled {
-                for _ in 0..(actual - journaled) {
-                    guard.push_lane(lane);
-                }
-            } else if journaled > actual {
-                guard.remove_lane_entries(lane, journaled - actual);
-            }
-        }
-        self.counters.inc(HEALS);
-    }
-
     /// First attach wins, as for the lanes. Every series is polled —
     /// evaluated when the registry is scraped — so an attached router
     /// pays nothing per operation: the event counters are lifetime
@@ -406,7 +317,7 @@ impl<T: ShardLane> Router<T> {
         for (i, lane) in self.lanes.iter().enumerate() {
             lane.lane_attach_metrics(registry, &format!("{prefix}_lane{i}"));
         }
-        for (name, cell) in [("steals", STEALS), ("spills", SPILLS), ("heals", HEALS)] {
+        for (name, cell) in [("steals", STEALS), ("spills", SPILLS)] {
             let counters = Arc::clone(&self.counters);
             registry.counter_fn(&format!("{prefix}_router_{name}_total"), move || {
                 counters.total(cell)
@@ -426,7 +337,7 @@ impl<T: ShardLane> Router<T> {
     }
 
     pub(crate) fn stats(&self) -> RouterStats {
-        let [pushes, pops, steals, spills, heals] = self.counters.snapshot();
+        let [pushes, pops, steals, spills] = self.counters.snapshot();
         RouterStats {
             pushes,
             pops,
@@ -434,7 +345,6 @@ impl<T: ShardLane> Router<T> {
             spills,
             splits: self.elastic.splits(),
             merges: self.elastic.merges(),
-            heals,
             active_lanes: self.elastic.active(),
         }
     }
@@ -447,34 +357,30 @@ impl<T: ShardLane> Router<T> {
         &self.elastic
     }
 
-    pub(crate) fn mode(&self) -> ShardMode {
-        self.mode
-    }
-
+    /// `lanes × lane_cap`: what the cells can hold between them.
     pub(crate) fn capacity(&self) -> usize {
-        self.capacity
+        self.lanes.len() * self.lane_cap
     }
 
     pub(crate) fn n(&self) -> usize {
         self.n
     }
 
-    /// The checked relaxation bound: 0 in strict mode; in relaxed
-    /// mode the lane-layout bound `(lanes − 1) × lane_cap ≤ k` plus
-    /// the in-flight slack `n − 1` folded in as a max (the slack only
-    /// affects Empty/Full answers, never the popped value's distance).
+    /// The checked relaxation bound: the lane-layout bound
+    /// `(lanes − 1) × lane_cap ≤ k` plus the in-flight slack `n − 1`
+    /// folded in as a max (the slack only affects Empty/Full answers,
+    /// never the popped value's distance) — and 0 with one lane, where
+    /// neither term exists: every answer is the only cell's own, at an
+    /// instant inside the operation.
     pub(crate) fn relaxation_bound(&self) -> usize {
-        match self.mode {
-            ShardMode::Strict => 0,
-            ShardMode::Relaxed { .. } => {
-                ((self.lanes.len() - 1) * self.lane_cap).max(self.n.saturating_sub(1))
-            }
+        match self.lanes.len() {
+            1 => 0,
+            lanes => ((lanes - 1) * self.lane_cap).max(self.n.saturating_sub(1)),
         }
     }
 
-    /// The sum of the lanes' own counts, in either mode: O(lanes),
-    /// racy (each peek is exact at its own instant), exact at
-    /// quiescence.
+    /// The sum of the lanes' own counts: O(lanes), racy (each peek is
+    /// exact at its own instant), exact at quiescence.
     pub(crate) fn len(&self) -> usize {
         peek_sum(&self.lanes)
     }

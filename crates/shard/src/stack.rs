@@ -4,7 +4,7 @@ use cso_locks::TasLock;
 use cso_metrics::Registry;
 use cso_stack::{CsStack, PopOutcome, PushOutcome, StackValue};
 
-use crate::config::{ShardConfig, ShardMode};
+use crate::config::ShardConfig;
 use crate::router::{Router, RouterStats, ShardLane};
 
 impl<V: StackValue> ShardLane for CsStack<V, TasLock> {
@@ -23,6 +23,11 @@ impl<V: StackValue> ShardLane for CsStack<V, TasLock> {
         self.peek_len()
     }
 
+    fn lane_collisions(&self) -> u64 {
+        let aborts = self.abort_stats();
+        aborts.push_aborts + aborts.pop_aborts + self.path_stats().locked
+    }
+
     fn lane_attach_metrics(&self, registry: &Registry, prefix: &str) {
         self.attach_metrics(registry, prefix);
     }
@@ -34,7 +39,7 @@ impl<V: StackValue> ShardLane for CsStack<V, TasLock> {
 /// slow path, and recovery machinery all work unchanged per lane, and
 /// each lane keeps Theorem 1's exact six-access solo budget (the
 /// router adds only uncounted peeks). See the crate docs for
-/// the ordering modes and the elasticity protocol.
+/// the relaxation bound and the elasticity protocol.
 ///
 /// ```
 /// use cso_shard::{ShardConfig, ShardedCsStack};
@@ -43,7 +48,8 @@ impl<V: StackValue> ShardLane for CsStack<V, TasLock> {
 /// let stack: ShardedCsStack<u32> = ShardedCsStack::new(16, 4, ShardConfig::strict(2));
 /// assert_eq!(stack.push(0, 1), PushOutcome::Pushed);
 /// assert_eq!(stack.push(1, 2), PushOutcome::Pushed);
-/// // Strict mode: exact LIFO across lanes.
+/// // Exact LIFO is one cell, whoever asks.
+/// assert_eq!((stack.lanes(), stack.relaxation_bound()), (1, 0));
 /// assert_eq!(stack.pop(2), PopOutcome::Popped(2));
 /// assert_eq!(stack.pop(3), PopOutcome::Popped(1));
 /// assert_eq!(stack.pop(0), PopOutcome::Empty);
@@ -56,45 +62,27 @@ impl<V: StackValue> ShardedCsStack<V> {
     /// A sharded stack holding up to `capacity` values for processes
     /// `0..n`, laid out per `config`.
     ///
-    /// In strict mode every lane is sized to the full `capacity` (the
-    /// order journal enforces the global bound), so `capacity()`
-    /// reports exactly the requested capacity. In relaxed mode the
-    /// per-lane capacity is `min(ceil(capacity / lanes), k / (lanes −
-    /// 1))` — the second term is what makes the relaxation bound hold
-    /// — and `capacity()` reports the effective `lanes × lane_cap`.
+    /// The per-lane capacity is `min(ceil(capacity / lanes), k /
+    /// (lanes − 1))` — the second term is what makes the relaxation
+    /// bound hold, and one lane (`ShardConfig::strict`) has no such
+    /// term — and `capacity()` reports the effective `lanes ×
+    /// lane_cap`.
     ///
     /// # Panics
     ///
-    /// Panics if `config.lanes` is outside `1..=64`, if a relaxed
-    /// config has `k < lanes − 1` (some lane could hold nothing), or
-    /// if the per-lane capacity violates `CsStack`'s own limits.
+    /// Panics if `config.lanes` is outside `1..=64`, if `k < lanes −
+    /// 1` (some lane could hold nothing), or if the per-lane capacity
+    /// violates `CsStack`'s own limits.
     #[must_use]
     pub fn new(capacity: usize, n: usize, config: ShardConfig) -> ShardedCsStack<V> {
-        assert!((1..=64).contains(&config.lanes), "lanes must be in 1..=64");
-        let (lane_cap, effective) = match config.mode {
-            ShardMode::Strict => (capacity, capacity),
-            ShardMode::Relaxed { k } => {
-                assert!(
-                    config.lanes == 1 || k >= config.lanes - 1,
-                    "relaxed mode needs k >= lanes - 1 (got k={k}, lanes={})",
-                    config.lanes
-                );
-                let per_lane = capacity.div_ceil(config.lanes).max(1);
-                let from_k = if config.lanes > 1 {
-                    k / (config.lanes - 1)
-                } else {
-                    usize::MAX
-                };
-                let lane_cap = per_lane.min(from_k);
-                (lane_cap, lane_cap * config.lanes)
-            }
-        };
-        let lanes: Vec<CsStack<V, TasLock>> = (0..config.lanes)
-            .map(|_| CsStack::with_config(lane_cap, TasLock::new(), n, config.cs))
-            .collect();
-        ShardedCsStack {
-            router: Router::new(lanes, &config, n, effective, lane_cap, false),
-        }
+        let router = Router::new(
+            &config,
+            n,
+            capacity,
+            |raw| raw,
+            |lane_cap| CsStack::with_config(lane_cap, TasLock::new(), n, config.cs),
+        );
+        ShardedCsStack { router }
     }
 
     /// Pushes `value` on behalf of process `proc`.
@@ -114,8 +102,7 @@ impl<V: StackValue> ShardedCsStack<V> {
         }
     }
 
-    /// Total capacity (strict: as requested; relaxed: `lanes ×
-    /// lane_cap`, see [`ShardedCsStack::new`]).
+    /// Total capacity: `lanes × lane_cap`, see [`ShardedCsStack::new`].
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.router.capacity()
@@ -162,17 +149,10 @@ impl<V: StackValue> ShardedCsStack<V> {
         self.router.elastic().active()
     }
 
-    /// The ordering mode.
-    #[must_use]
-    pub fn mode(&self) -> ShardMode {
-        self.router.mode()
-    }
-
-    /// The checked out-of-order bound: 0 in strict mode; in relaxed
-    /// mode `max((lanes − 1) × lane_cap, n − 1)` (the first term
-    /// bounds how far a popped value can be from the strict answer,
-    /// the second the slack on Empty/Full answers from in-flight
-    /// operations).
+    /// The checked out-of-order bound: `max((lanes − 1) × lane_cap,
+    /// n − 1)` (the first term bounds how far a popped value can be
+    /// from the strict answer, the second the slack on Empty/Full
+    /// answers from in-flight operations), and 0 with one lane.
     #[must_use]
     pub fn relaxation_bound(&self) -> usize {
         self.router.relaxation_bound()
@@ -191,24 +171,10 @@ impl<V: StackValue> ShardedCsStack<V> {
         &self.router.lanes()[i]
     }
 
-    /// The EWMA gate driving elastic split/merge decisions.
-    #[must_use]
-    pub fn gate(&self) -> &cso_core::AdaptiveGate {
-        self.router.elastic().gate()
-    }
-
     /// Whether elastic lane scaling is enabled.
     #[must_use]
     pub fn elastic_enabled(&self) -> bool {
         self.router.elastic().enabled()
-    }
-
-    /// Strict mode: reconciles the order journal with the lanes (done
-    /// automatically by the operation after a detected crash; exposed
-    /// for audits and tests). Relaxed mode keeps no derived state, so
-    /// there is nothing to refresh and this does nothing.
-    pub fn refresh_occupancy(&self) {
-        self.router.heal();
     }
 
     /// Registers per-lane metrics under `{prefix}_lane{i}` plus the
@@ -223,7 +189,7 @@ impl<V: StackValue> std::fmt::Debug for ShardedCsStack<V> {
         f.debug_struct("ShardedCsStack")
             .field("lanes", &self.lanes())
             .field("active", &self.active_lanes())
-            .field("mode", &self.mode())
+            .field("bound", &self.relaxation_bound())
             .field("len", &self.len())
             .field("capacity", &self.capacity())
             .finish()
@@ -234,12 +200,13 @@ impl<V: StackValue> std::fmt::Debug for ShardedCsStack<V> {
 mod tests {
     use super::*;
     use cso_memory::CountScope;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
-    fn strict_mode_is_exact_lifo_across_lanes() {
+    fn strict_mode_is_exact_lifo_whoever_asks() {
         let stack: ShardedCsStack<u32> = ShardedCsStack::new(32, 4, ShardConfig::strict(4));
-        // Different procs land in different lanes; order must still be
-        // globally LIFO.
+        // Exact order is one cell, whatever lane count was asked for.
+        assert_eq!((stack.lanes(), stack.active_lanes()), (1, 1));
         for (proc, v) in [(0, 10), (1, 11), (2, 12), (3, 13), (0, 14)] {
             assert_eq!(stack.push(proc, v), PushOutcome::Pushed);
         }
@@ -248,6 +215,9 @@ mod tests {
         }
         assert_eq!(stack.pop(0), PopOutcome::Empty);
         assert_eq!(stack.relaxation_bound(), 0);
+        // One relaxed lane is the same object.
+        let one: ShardedCsStack<u32> = ShardedCsStack::new(32, 4, ShardConfig::relaxed(1, 0));
+        assert_eq!((one.capacity(), one.relaxation_bound()), (32, 0));
     }
 
     #[test]
@@ -349,11 +319,66 @@ mod tests {
             1,
             "solo traffic must stay at one lane"
         );
+        assert_eq!(stack.router_stats().splits, 0);
         // Solo budget at one active lane is still exactly six.
         let scope = CountScope::start();
         assert_eq!(stack.push(0, 7), PushOutcome::Pushed);
         assert_eq!(scope.take().total(), 6);
         let _ = stack.pop(0);
+    }
+
+    /// The controller moves in both directions on real threads, on
+    /// nothing but what the operations already write: two threads with
+    /// different home lanes share lane 0 while the prefix is 1, collide
+    /// there, and are fanned out; one stops, and the survivor's own
+    /// traffic folds the prefix back. Cadence and budgets are operation
+    /// counts — no sleep, no clock.
+    #[test]
+    fn elastic_fans_out_under_two_threads_and_folds_back_when_one_stops() {
+        const BUDGET: u32 = 20_000_000;
+        let stack: ShardedCsStack<u32> = ShardedCsStack::new(
+            64,
+            2,
+            ShardConfig::relaxed(2, 32)
+                .with_elastic()
+                .with_elastic_cadence(16, 1),
+        );
+        let fanned_out = AtomicBool::new(false);
+        // One push/pop pair per turn until `until` says stop: the
+        // turns it took, or None past the budget.
+        let hammer = |proc: usize, until: &dyn Fn() -> bool| {
+            (0..BUDGET).find(|&turn| {
+                let _ = stack.push(proc, turn);
+                let _ = stack.pop(proc);
+                until()
+            })
+        };
+        let both = || {
+            if stack.active_lanes() >= 2 {
+                fanned_out.store(true, Ordering::Relaxed);
+            }
+            fanned_out.load(Ordering::Relaxed)
+        };
+        std::thread::scope(|s| {
+            let other = s.spawn(|| hammer(1, &both));
+            let survivor = hammer(0, &both);
+            let other = other.join().unwrap();
+            assert!(
+                survivor.is_some() && other.is_some(),
+                "two colliding writers never fanned out: {:?}",
+                stack.router_stats()
+            );
+            assert!(stack.router_stats().splits >= 1);
+            // The other thread is gone; the survivor carries on alone.
+            assert!(
+                hammer(0, &|| stack.active_lanes() == 1).is_some(),
+                "a solo writer never folded back: {:?}",
+                stack.router_stats()
+            );
+            assert!(stack.router_stats().merges >= 1);
+        });
+        while stack.pop(0).is_popped() {}
+        assert_eq!(stack.len(), 0);
     }
 
     #[test]
@@ -411,26 +436,6 @@ mod tests {
             assert_eq!(seen, expect, "conservation under {config:?}");
             assert_eq!(stack.len(), 0);
         }
-    }
-
-    #[test]
-    fn refresh_occupancy_reconciles_the_strict_journal() {
-        let stack: ShardedCsStack<u32> = ShardedCsStack::new(16, 2, ShardConfig::strict(2));
-        for v in 0..6 {
-            assert_eq!(stack.push(v as usize % 2, v), PushOutcome::Pushed);
-        }
-        let before = stack.len();
-        stack.refresh_occupancy();
-        assert_eq!(stack.len(), before, "heal must agree with live counts");
-        assert!(stack.router_stats().heals >= 1);
-        // Strict heal preserves the exact LIFO order too.
-        for expect in (0..6).rev() {
-            assert_eq!(stack.pop(0), PopOutcome::Popped(expect));
-        }
-        // Relaxed mode keeps nothing derived: nothing to refresh.
-        let relaxed: ShardedCsStack<u32> = ShardedCsStack::new(16, 2, ShardConfig::relaxed(2, 4));
-        relaxed.refresh_occupancy();
-        assert_eq!(relaxed.router_stats().heals, 0);
     }
 
     /// The probe order is steered by the lanes' own counts: with the

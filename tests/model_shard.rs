@@ -8,13 +8,15 @@
 //! Each body runs once per explored schedule, from the top, with fresh
 //! state (CONTRIBUTING.md, "Writing a model test"). Every counted
 //! access of a *lane* operation is a scheduling decision, and so is
-//! every hint the relaxed router reads: it steers by uncounted peeks
-//! of the lanes' own registers, and a peek is a schedule point under
-//! `model`. So the explorer interleaves other threads between a peek
-//! and the probe it chose — a stale "nonempty", a stale "full" — as
-//! well as through stealing, spilling, and split/merge. (The elastic
-//! controller and the strict-order latch are plain `std` atomics and
-//! run between those points.)
+//! every hint the router reads: it steers by uncounted peeks of the
+//! lanes' own registers, and a peek is a schedule point under `model`.
+//! So the explorer interleaves other threads between a peek and the
+//! probe it chose — a stale "nonempty", a stale "full" — as well as
+//! through stealing, spilling, and split/merge. `ShardConfig::strict`
+//! is one lane with nothing in front of it, so its bodies explore the
+//! cell's own interleavings — every one of them. (The elastic
+//! evaluation folds plain `std` statistics cells and runs between
+//! those points.)
 //!
 //! The elastic cadence in these bodies is operation-count driven (no
 //! wall-clock anywhere in the controller), so the split/merge history
@@ -23,6 +25,7 @@
 
 mod model_support;
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cso::lincheck::checker::check_relaxed_linearizable;
@@ -91,11 +94,10 @@ fn assert_len_is_the_lane_sum(stack: &ShardedCsStack<u32>) -> usize {
 /// One execution of an elastic relaxed stack: the scripts, a drain
 /// inside the history if `drain`, the quiescent audit, and the k-spec
 /// at the advertised bound.
-fn relaxed_body(stack: ShardedCsStack<u32>, scripts: &[Vec<SpecStackOp>], drain: bool) {
-    let stack = Arc::new(stack);
+fn relaxed_body(stack: &Arc<ShardedCsStack<u32>>, scripts: &[Vec<SpecStackOp>], drain: bool) {
     let spec = KStackSpec::new(stack.capacity(), stack.relaxation_bound());
     let recorder = Recorder::new();
-    let apply = spec_apply(&stack);
+    let apply = spec_apply(stack);
     run_scripts(&recorder, scripts.to_vec(), Arc::clone(&apply));
     // No lost lane: the active prefix stays in 1..=lanes, and
     // deactivated lanes still drain (pops probe all lanes).
@@ -104,12 +106,12 @@ fn relaxed_body(stack: ShardedCsStack<u32>, scripts: &[Vec<SpecStackOp>], drain:
     if drain {
         settle(&recorder, &*apply, SpecStackOp::Pop, &SpecStackResp::Empty);
         assert_eq!(
-            assert_len_is_the_lane_sum(&stack),
+            assert_len_is_the_lane_sum(stack),
             0,
             "values left stranded in a merged-away lane"
         );
     } else {
-        assert_len_is_the_lane_sum(&stack);
+        assert_len_is_the_lane_sum(stack);
     }
     let history = recorder.finish();
     assert!(
@@ -126,8 +128,8 @@ fn model_runtime_is_active() {
 
 /// The router adds **zero** counted accesses: solo sharded operations
 /// under the model runtime stay exactly on the single-cell budgets, in
-/// every mode (strict latch, relaxed probing, elastic contracted to
-/// one lane).
+/// every configuration (the one strict lane, relaxed probing, elastic
+/// contracted to one lane).
 #[test]
 fn solo_sharded_ops_keep_the_cell_budgets_under_model() {
     for config in [
@@ -159,14 +161,15 @@ fn solo_sharded_ops_keep_the_cell_budgets_under_model() {
     }
 }
 
-/// Exhaustive 2-thread × 2-lane **strict** exploration: the ticket
-/// latch serializes ordering decisions across lanes, so every
-/// interleaving must satisfy the *unrelaxed* stack spec — drain
-/// included — and leave `len()` agreeing with the lanes.
+/// Exhaustive 2-thread **strict** exploration: asked for two lanes,
+/// exact order is one cell, so every interleaving of the cell's own
+/// accesses and the router's peeks must satisfy the *unrelaxed* stack
+/// spec — drain included — and leave `len()` agreeing with the lane.
 #[test]
-fn exhaustive_strict_two_lane_stack_linearizes() {
+fn exhaustive_strict_stack_linearizes() {
     let report = Explorer::exhaustive().explore(|| {
         let stack = Arc::new(ShardedCsStack::new(2, 2, ShardConfig::strict(2)));
+        assert_eq!(stack.relaxation_bound(), 0);
         let scripts = [
             vec![StackOp::Push(1), StackOp::Pop],
             vec![StackOp::Push(2), StackOp::Pop],
@@ -174,38 +177,62 @@ fn exhaustive_strict_two_lane_stack_linearizes() {
         scripted_body(stack_apply(&stack), SeqStack::new(2), &[], &scripts);
         assert_eq!(assert_len_is_the_lane_sum(&stack), 0);
     });
-    assert_exhausted("exhaustive_strict_two_lane_stack_linearizes", &report);
+    assert_exhausted("exhaustive_strict_stack_linearizes", &report);
     assert!(report.schedules > 1, "two threads must branch: {report}");
 }
 
 /// Exhaustive 2-thread × 2-lane **elastic relaxed** exploration with
-/// the most aggressive cadence (evaluate every op, no cooldown): the
-/// active prefix flips between 1 and 2 *during* the ops, stealing
-/// races the merges, and in every schedule the structure must conserve
-/// values (the drain is part of the history), keep a sane lane count,
-/// satisfy the k-spec at its advertised bound, and leave `len()` equal
-/// to the lane sums.
+/// the most aggressive cadence that can see two writers (evaluate
+/// every second op of a thread, no cooldown): the active prefix flips
+/// between 1 and 2 *during* the ops, stealing races the merges, and in
+/// every schedule the structure must conserve values (the drain is part
+/// of the history), keep a sane lane count, satisfy the k-spec at its
+/// advertised bound, and leave `len()` equal to the lane sums. Both
+/// outcomes are required to occur — schedules where the threads
+/// collided in lane 0 and were fanned out, schedules where they did
+/// not and stayed at one lane — so the body cannot silently explore a
+/// controller that never moves.
 #[test]
 fn exhaustive_elastic_split_merge_with_stealing() {
     use SpecStackOp::{Pop, Push};
+    static FANNED_OUT: AtomicUsize = AtomicUsize::new(0);
+    static FOLDED_BACK: AtomicUsize = AtomicUsize::new(0);
+    static STAYED: AtomicUsize = AtomicUsize::new(0);
     let report = Explorer::exhaustive().explore(|| {
         let config = ShardConfig::relaxed(2, 2)
             .with_elastic()
-            .with_elastic_cadence(1, 0);
-        relaxed_body(
-            ShardedCsStack::new(4, 2, config),
-            &[vec![Push(1), Pop], vec![Push(2), Pop]],
-            true,
-        );
+            .with_elastic_cadence(2, 0);
+        let stack = Arc::new(ShardedCsStack::new(4, 2, config));
+        // Thread 0 evaluates at its second push: mid-race, with thread
+        // 1's operations on either side of the decision. Its second
+        // pop — the drain's — evaluates again, alone by then.
+        let scripts = [vec![Push(1), Push(3), Pop], vec![Push(2), Pop]];
+        relaxed_body(&stack, &scripts, true);
+        let stats = stack.router_stats();
+        for (count, moved) in [
+            (&FANNED_OUT, stats.splits > 0),
+            (&FOLDED_BACK, stats.merges > 0),
+            (&STAYED, stats.splits == 0),
+        ] {
+            count.fetch_add(usize::from(moved), Ordering::Relaxed);
+        }
     });
     assert_exhausted("exhaustive_elastic_split_merge_with_stealing", &report);
-    assert!(report.schedules > 1, "{report}");
+    let [fanned_out, folded_back, stayed] =
+        [&FANNED_OUT, &FOLDED_BACK, &STAYED].map(|count| count.load(Ordering::Relaxed));
+    println!(
+        "exhaustive_elastic_split_merge_with_stealing: {fanned_out} schedule(s) fanned out, \
+         {folded_back} folded back, {stayed} stayed at one lane"
+    );
+    assert!(fanned_out > 0, "no schedule reached two active lanes");
+    assert!(folded_back > 0, "no schedule folded back to one lane");
+    assert!(stayed > 0, "no schedule stayed at one active lane");
 }
 
-/// Exhaustive 2-thread strict **queue** exploration: FIFO across two
-/// lanes under the order journal.
+/// Exhaustive 2-thread strict **queue** exploration: exact FIFO from
+/// the one cell, against the unrelaxed spec.
 #[test]
-fn exhaustive_strict_two_lane_queue_linearizes() {
+fn exhaustive_strict_queue_linearizes() {
     let report = Explorer::exhaustive().explore(|| {
         let queue = Arc::new(ShardedCsQueue::new(2, 2, ShardConfig::strict(2)));
         let scripts = [
@@ -214,7 +241,7 @@ fn exhaustive_strict_two_lane_queue_linearizes() {
         ];
         scripted_body(queue_apply(&queue), SeqQueue::new(2), &[], &scripts);
     });
-    assert_exhausted("exhaustive_strict_two_lane_queue_linearizes", &report);
+    assert_exhausted("exhaustive_strict_queue_linearizes", &report);
     assert!(report.schedules > 1, "{report}");
 }
 
@@ -230,7 +257,7 @@ fn random_sweep_three_thread_elastic_shard_holds() {
             .with_elastic()
             .with_elastic_cadence(2, 0);
         relaxed_body(
-            ShardedCsStack::new(6, 3, config),
+            &Arc::new(ShardedCsStack::new(6, 3, config)),
             &[vec![Push(0)], vec![Push(1), Pop], vec![Push(2), Pop]],
             false,
         );

@@ -7,17 +7,16 @@
 //! cargo test --features chaos --test shard_chaos
 //! ```
 //!
-//! The E14 kill-site audit, shard edition. In relaxed mode the router
-//! keeps no record of occupancy beside the lanes' own registers, so a
-//! kill leaves nothing to heal: `len()` is the lane sum before, during
-//! and after, with no `refresh_occupancy()` in between. Strict mode
-//! keeps the order journal, which a kill between the lane operation
-//! and the journal update leaves one entry off; the latch guard flags
-//! it on the unwind and the next operation reconciles it. Every test
-//! here closes with the same invariant: **a killed operation may
-//! neither leak nor double-count** — `len()` equals the sum of lane
-//! ground truths and the drained values equal the successfully pushed
-//! ones exactly.
+//! The E14 kill-site audit, shard edition. The router keeps no record
+//! of occupancy, order or traffic beside the lanes' own registers and
+//! statistics, so a kill leaves nothing to heal: `len()` is the lane
+//! sum before, during and after. `ShardConfig::strict` is one such
+//! lane, so its crash story is the cell's own — a panic under the lock
+//! is the drop guard's, a stalled holder is §4.4 succession — with no
+//! second lock in front of it to wedge. Every test here closes with
+//! the same invariant: **a killed operation may neither leak nor
+//! double-count** — `len()` equals the sum of lane ground truths and
+//! the drained values equal the successfully pushed ones exactly.
 //!
 //! The chaos fail-point registry is process-global, so tests serialize
 //! behind one mutex (same pattern as `tests/chaos_stress.rs`).
@@ -44,7 +43,8 @@ fn lane_sum(stack: &ShardedCsStack<u32>) -> usize {
     (0..stack.lanes()).map(|i| stack.lane(i).len()).sum()
 }
 
-/// Spurious-abort storm over a mixed 3-thread workload in both modes:
+/// Spurious-abort storm over a mixed 3-thread workload, exact and
+/// relaxed:
 /// aborted attempts retry down the ladder, but completed operations
 /// must conserve values and `len()` must track the lanes.
 #[test]
@@ -124,7 +124,6 @@ fn panic_kill_in_relaxed_lane_leaves_nothing_to_heal() {
     assert_eq!(stack.push(2, 11), PushOutcome::Pushed);
     assert_eq!(stack.len(), len_before + 1);
     assert_eq!(stack.len(), lane_sum(&stack));
-    assert_eq!(stack.router_stats().heals, 0, "relaxed mode never heals");
 
     // Conservation: the victim's value never surfaces.
     let mut drained = Vec::new();
@@ -150,12 +149,12 @@ fn panic_kill_in_relaxed_lane_leaves_nothing_to_heal() {
     chaos::reset();
 }
 
-/// A panic kill inside a **strict-mode** lane operation: the order
-/// latch releases on unwind (no wedge) and flags the journal as it
-/// goes, the next holder reconciles it with the lanes, and the
-/// surviving values drain in exact LIFO order.
+/// A panic kill inside a **strict-mode** operation: the victim dies
+/// under the one cell's lock, the cell's drop guard releases it (no
+/// wedge — and there is no other lock to leave held), the victim's
+/// value is absent, and the surviving values drain in exact LIFO order.
 #[test]
-fn panic_kill_in_strict_mode_releases_the_latch_and_keeps_order() {
+fn panic_kill_in_strict_mode_wedges_nothing_and_keeps_order() {
     let _serial = serial();
     chaos::reset();
     let stack: ShardedCsStack<u32> = ShardedCsStack::new(32, 3, ShardConfig::strict(2));
@@ -168,24 +167,10 @@ fn panic_kill_in_strict_mode_releases_the_latch_and_keeps_order() {
     let killed = catch_unwind(AssertUnwindSafe(|| stack.push(1, 999)));
     assert!(killed.is_err(), "the injected panic must surface");
 
-    // The latch must have been released by the guard's unwind drop:
-    // every operation below would wedge otherwise. The first of them
-    // finds the journal flagged and reconciles it.
-    assert_eq!(stack.router_stats().heals, 0);
+    // Every operation below would wedge behind a lock left held.
     assert_eq!(stack.push(2, 7), PushOutcome::Pushed);
-    assert_eq!(
-        stack.router_stats().heals,
-        1,
-        "the kill flagged the journal"
-    );
     assert_eq!(stack.len(), lane_sum(&stack));
-    assert_eq!(stack.len(), 7, "999 must not be journaled");
-    stack.refresh_occupancy();
-    assert_eq!(
-        stack.router_stats().heals,
-        2,
-        "an audit reconciles on request"
-    );
+    assert_eq!(stack.len(), 7, "999 must not be counted");
 
     // Exact LIFO across the kill.
     for expect in (1..=7).rev() {
@@ -199,13 +184,13 @@ fn panic_kill_in_strict_mode_releases_the_latch_and_keeps_order() {
 /// holding one lane's slow-path lock. With a [`RecoveryPolicy`] on the
 /// lanes, survivors routed to that lane suspect the corpse, seize the
 /// lock by succession, and complete; conservation and `len()` stay
-/// exact. (Relaxed mode: strict mode's order latch has no
-/// succession protocol, so its crash story covers unwinding kills
-/// only — see DESIGN.md.)
+/// exact. Two relaxed lanes add fault isolation (the bystander lane
+/// waits for nobody); `strict(2)` is the one cell, where every survivor
+/// crosses the corpse — the configuration a lock in front of the lanes
+/// could only wedge.
 #[test]
 fn stalled_lane_lock_holder_is_succeeded_and_occupancy_stays_exact() {
     let _serial = serial();
-    chaos::reset();
     const PER_THREAD: u32 = 50;
     let policy = RecoveryPolicy {
         grace: Duration::from_secs(3600), // suspect only on mark_dead
@@ -213,76 +198,71 @@ fn stalled_lane_lock_holder_is_succeeded_and_occupancy_stays_exact() {
         backoff: Duration::from_millis(1),
     };
     let cs = CsConfig::PAPER.without_fast_path().with_recovery(policy);
-    // 2 lanes, n = 4: procs 0 and 2 share home lane 0, so survivor 2
+    // n = 4. Two lanes: procs 0 and 2 share home lane 0, so survivor 2
     // must cross the corpse's lane.
-    let stack = Arc::new(ShardedCsStack::<u32>::new(
-        4096,
-        4,
-        ShardConfig::relaxed(2, 4096).with_cs(cs),
-    ));
+    for config in [ShardConfig::relaxed(2, 4096), ShardConfig::strict(2)] {
+        chaos::reset();
+        let stack = Arc::new(ShardedCsStack::<u32>::new(4096, 4, config.with_cs(cs)));
 
-    // The victim (proc 0, home lane 0) takes lane 0's slow-path lock
-    // and dies there.
-    chaos::arm_plan("cs::locked", Plan::once(Fault::StallForever));
-    let _corpse = {
-        let stack = Arc::clone(&stack);
-        std::thread::spawn(move || {
-            let _ = stack.push(0, 999_999);
-        })
-    };
-    while chaos::fires("cs::locked") == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    stack
-        .lane(0)
-        .liveness()
-        .expect("recovery enabled")
-        .mark_dead(0);
-
-    // Survivors 1..=3 complete their whole workloads — including
-    // proc 2, whose home lane is the corpse's.
-    std::thread::scope(|s| {
-        for proc in 1..=3usize {
-            let stack = &stack;
-            s.spawn(move || {
-                for i in 0..PER_THREAD {
-                    let v = proc as u32 * PER_THREAD + i;
-                    assert_eq!(stack.push(proc, v), PushOutcome::Pushed);
-                }
-            });
+        // The victim (proc 0, home lane 0) takes lane 0's slow-path
+        // lock and dies there.
+        chaos::arm_plan("cs::locked", Plan::once(Fault::StallForever));
+        let _corpse = {
+            let stack = Arc::clone(&stack);
+            std::thread::spawn(move || {
+                let _ = stack.push(0, 999_999);
+            })
+        };
+        while chaos::fires("cs::locked") == 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
-    });
-    let successions: u64 = (0..stack.lanes())
-        .map(|i| {
-            stack
-                .lane(i)
-                .recovery_stats()
-                .expect("recovery enabled")
-                .successions
-        })
-        .sum();
-    assert!(successions >= 1, "the corpse's lane lock was never seized");
-    // Lane 1 waited for nobody: its tenures overlapped the corpse's,
-    // which one cell would have serialised behind it.
-    let bystander = stack.lane(1).recovery_stats().expect("recovery enabled");
-    assert_eq!(bystander.successions, 0);
+        stack
+            .lane(0)
+            .liveness()
+            .expect("recovery enabled")
+            .mark_dead(0);
 
-    // Kill-site audit: the stalled op applied nothing — no leak, no
-    // double-count.
-    assert_eq!(stack.len(), lane_sum(&stack));
-    assert_eq!(lane_sum(&stack), 3 * PER_THREAD as usize);
+        // Survivors 1..=3 complete their whole workloads — including
+        // those whose home lane is the corpse's.
+        std::thread::scope(|s| {
+            for proc in 1..=3usize {
+                let stack = &stack;
+                s.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        let v = proc as u32 * PER_THREAD + i;
+                        assert_eq!(stack.push(proc, v), PushOutcome::Pushed);
+                    }
+                });
+            }
+        });
+        let successions = |lane: usize| {
+            let stats = stack.lane(lane).recovery_stats();
+            stats.expect("recovery enabled").successions
+        };
+        assert!(successions(0) >= 1, "the corpse's lock was never seized");
+        if stack.lanes() == 2 {
+            // Lane 1 waited for nobody: its tenures overlapped the
+            // corpse's, which one cell serialises behind it.
+            assert_eq!(successions(1), 0);
+        }
 
-    let mut drained = Vec::new();
-    while let PopOutcome::Popped(v) = stack.pop(1) {
-        drained.push(v);
+        // Kill-site audit: the stalled op applied nothing — no leak,
+        // no double-count.
+        assert_eq!(stack.len(), lane_sum(&stack));
+        assert_eq!(lane_sum(&stack), 3 * PER_THREAD as usize);
+
+        let mut drained = Vec::new();
+        while let PopOutcome::Popped(v) = stack.pop(1) {
+            drained.push(v);
+        }
+        drained.sort_unstable();
+        let expected: Vec<u32> = (1..=3u32)
+            .flat_map(|p| p * PER_THREAD..(p + 1) * PER_THREAD)
+            .collect();
+        assert_eq!(
+            drained, expected,
+            "values lost or duplicated past the crash under {config:?}"
+        );
     }
-    drained.sort_unstable();
-    let expected: Vec<u32> = (1..=3u32)
-        .flat_map(|p| p * PER_THREAD..(p + 1) * PER_THREAD)
-        .collect();
-    assert_eq!(
-        drained, expected,
-        "values lost or duplicated past the crash"
-    );
     chaos::reset();
 }

@@ -1,12 +1,13 @@
 //! Linearizability of the sharded structures.
 //!
-//! Strict mode must satisfy the **unrelaxed** stack/queue
-//! specifications — the order journal makes the multi-lane structure
-//! indistinguishable from a single cell. Relaxed mode must satisfy the
-//! k-relaxed specification at `k = relaxation_bound()`: running every
-//! recorded history through the Wing–Gong membership check for the
-//! k-spec is exactly the proof that the *observed* relaxation never
-//! exceeds the *configured* bound.
+//! `ShardConfig::strict` must satisfy the **unrelaxed** stack/queue
+//! specifications: exact order is one cell, so the structure *is* a
+//! single Figure-3 object behind the router's peeks, whatever lane
+//! count was asked for. Relaxed sharding must satisfy the k-relaxed
+//! specification at `k = relaxation_bound()`: running every recorded
+//! history through the Wing–Gong membership check for the k-spec is
+//! exactly the proof that the *observed* relaxation never exceeds the
+//! *configured* bound.
 
 use cso::lincheck::checker::{check_linearizable, check_relaxed_linearizable};
 use cso::lincheck::recorder::Recorder;
