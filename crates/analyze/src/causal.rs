@@ -3,18 +3,19 @@
 //! Combining, elimination, and lock succession all complete (or
 //! enable) an operation on a *different* thread than its invoker, so
 //! per-thread spans alone cannot say who did the work. The causal
-//! annotations ([`crate::spans::HelpKind`]) close that gap; this
-//! module folds a [`SpanReport`] into the graph they induce: edge
-//! counts per `(kind, helper thread → owner thread)` pair plus the
-//! attribution coverage the observability acceptance gate checks —
-//! the fraction of operations that *should* carry an edge (combined
-//! and eliminated completions) that actually do.
+//! annotations ([`HelpKind`]) close that gap; [`CausalAccumulator`]
+//! folds completed spans into the graph they induce: edge counts per
+//! `(kind, helper thread → owner thread)` pair plus the attribution
+//! coverage the observability acceptance gate checks — the fraction
+//! of operations that *should* carry an edge (combined and eliminated
+//! completions) that actually do.
 
 use std::collections::BTreeMap;
 
 use cso_metrics::Json;
+use cso_trace::HelpKind;
 
-use crate::spans::{HelpKind, Path, Span, SpanReport};
+use crate::spans::{Path, Span};
 
 /// One aggregated helped-by edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +75,7 @@ impl CausalReport {
             .iter()
             .map(|e| {
                 Json::obj()
-                    .field("kind", e.kind.label())
+                    .field("kind", e.kind.name())
                     .field("helper_thread", u64::from(e.helper))
                     .field("owner_thread", u64::from(e.owner))
                     .field("count", e.count)
@@ -98,9 +99,9 @@ impl CausalReport {
     }
 }
 
-/// The streaming fold behind [`causal_graph`]. `cso-profile`'s live
-/// aggregator holds one and feeds it each completed span, so the live
-/// `/causal.json` graph and the post-mortem one cannot drift.
+/// The running fold behind [`CausalReport`]: [`crate::Fold`] holds one
+/// and feeds it each completed span, so `/causal.json` and
+/// `cso-analyze causal` render the same accumulator.
 #[derive(Debug, Clone, Default)]
 pub struct CausalAccumulator {
     counts: BTreeMap<(u8, u32, u32), (HelpKind, u64)>,
@@ -158,16 +159,6 @@ impl CausalAccumulator {
     }
 }
 
-/// Folds the spans of `report` into the helped-by graph.
-#[must_use]
-pub fn causal_graph(report: &SpanReport) -> CausalReport {
-    let mut acc = CausalAccumulator::default();
-    for span in &report.spans {
-        acc.add_span(span);
-    }
-    acc.report()
-}
-
 /// Renders the graph as a deterministic text block (one edge per
 /// line), for the CLI report.
 #[must_use]
@@ -194,7 +185,7 @@ pub fn render(report: &CausalReport) -> String {
         let _ = writeln!(
             s,
             "  {:<9} thread_{} -> thread_{}  x{}",
-            e.kind.label(),
+            e.kind.name(),
             e.helper,
             e.owner,
             e.count
@@ -206,30 +197,38 @@ pub fn render(report: &CausalReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::EventLog;
-    use crate::spans::reconstruct;
+    use crate::spans::Outcome;
 
-    fn parse(body: &str) -> EventLog {
-        let text = format!("# cso-trace-events v1\n# dropped 0\n{body}");
-        EventLog::parse(&text).expect("test log parses")
+    fn span(thread: u32, path: Path, helped_by: Option<(HelpKind, u32)>) -> Span {
+        Span {
+            thread,
+            proc_id: None,
+            path,
+            outcome: Outcome::Completed,
+            start_ns: 0,
+            end_ns: 10,
+            wait_ns: None,
+            hold_ns: None,
+            batch: None,
+            aborted_fast: false,
+            reposts: 0,
+            start_seq: 0,
+            end_seq: 1,
+            helped_by,
+        }
     }
 
     #[test]
     fn graph_counts_edges_and_coverage() {
-        // Two combined ops served by thread 9, one of them (seq 4-5)
-        // stripped of its annotation to model a lost stamp.
-        let log = parse(
-            "0\t1\t10\trecord-post\t-\t-\t-\n\
-             1\t1\t20\thelped-by-combiner\t-\t-\t9\n\
-             2\t1\t21\tcombined-complete\t-\t-\t-\n\
-             3\t2\t10\trecord-post\t-\t-\t-\n\
-             4\t2\t25\tcombined-complete\t-\t-\t-\n\
-             5\t1\t30\trecord-post\t-\t-\t-\n\
-             6\t1\t40\thelped-by-combiner\t-\t-\t9\n\
-             7\t1\t41\tcombined-complete\t-\t-\t-\n",
-        );
-        let report = reconstruct(&log);
-        let graph = causal_graph(&report);
+        // Three combined ops, two of them on thread 1 served by thread
+        // 9's combiner, the third stripped of its annotation to model
+        // a lost stamp; a fast op neither expects nor carries an edge.
+        let mut acc = CausalAccumulator::default();
+        acc.add_span(&span(1, Path::Combined, Some((HelpKind::Combiner, 9))));
+        acc.add_span(&span(2, Path::Combined, None));
+        acc.add_span(&span(1, Path::Combined, Some((HelpKind::Combiner, 9))));
+        acc.add_span(&span(3, Path::Fast, None));
+        let graph = acc.report();
         assert_eq!(graph.combined, (3, 2));
         assert_eq!(graph.eliminated, (0, 0));
         assert!((graph.attribution() - 2.0 / 3.0).abs() < 1e-9);
@@ -248,7 +247,7 @@ mod tests {
 
     #[test]
     fn empty_capture_has_full_attribution() {
-        let graph = causal_graph(&Default::default());
+        let graph = CausalAccumulator::default().report();
         assert_eq!(graph.attribution(), 1.0);
         assert_eq!(graph.attributed(), 0);
     }

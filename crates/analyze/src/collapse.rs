@@ -1,4 +1,4 @@
-//! Critical-path summary and collapsed-stack (flamegraph) output.
+//! Collapsed-stack (flamegraph) output.
 //!
 //! The collapsed format is the one `flamegraph.pl` / `inferno`
 //! consume: one `frame;frame;... weight` line per stack, weights in
@@ -9,117 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::spans::{Outcome, Path, Span, SpanReport};
-
-/// Aggregated duration statistics for one group of spans.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DurationStats {
-    /// Number of spans in the group.
-    pub count: usize,
-    /// Sum of durations in nanoseconds.
-    pub total_ns: u64,
-    /// 50th percentile duration.
-    pub p50_ns: u64,
-    /// 99th percentile duration.
-    pub p99_ns: u64,
-    /// Maximum duration.
-    pub max_ns: u64,
-}
-
-impl DurationStats {
-    fn of(mut durations: Vec<u64>) -> DurationStats {
-        durations.sort_unstable();
-        let pick = |q: f64| {
-            if durations.is_empty() {
-                0
-            } else {
-                let i = ((durations.len() - 1) as f64 * q).round() as usize;
-                durations[i]
-            }
-        };
-        DurationStats {
-            count: durations.len(),
-            total_ns: durations.iter().sum(),
-            p50_ns: pick(0.50),
-            p99_ns: pick(0.99),
-            max_ns: *durations.last().unwrap_or(&0),
-        }
-    }
-
-    /// Mean duration in nanoseconds (0 for an empty group).
-    #[must_use]
-    pub fn mean_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.total_ns / self.count as u64
-        }
-    }
-}
-
-/// Per-path duration statistics plus the wall-clock critical path.
-#[derive(Debug)]
-pub struct CriticalPath {
-    /// `(path label, stats)` for each populated path, fast first.
-    pub per_path: Vec<(&'static str, DurationStats)>,
-    /// Total nanoseconds the lock was held (sum of span holds).
-    pub lock_held_ns: u64,
-    /// Wall-clock extent of the capture (first start → last end).
-    pub wall_ns: u64,
-    /// The single longest span.
-    pub longest: Option<Span>,
-}
-
-impl CriticalPath {
-    /// Fraction of the capture during which *some* operation held the
-    /// lock — the serial fraction that bounds scalability. Can exceed
-    /// 1.0 only if tenures overlapped, which would itself be a bug.
-    #[must_use]
-    pub fn lock_saturation(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            self.lock_held_ns as f64 / self.wall_ns as f64
-        }
-    }
-}
-
-/// Computes per-path statistics and the lock's share of the capture.
-#[must_use]
-pub fn critical_path(report: &SpanReport) -> CriticalPath {
-    let paths = [
-        Path::Fast,
-        Path::Eliminated,
-        Path::Locked,
-        Path::Combined,
-        Path::Combiner,
-    ];
-    let per_path = paths
-        .iter()
-        .map(|&p| {
-            let durations: Vec<u64> = report.on_path(p).map(Span::duration_ns).collect();
-            (p.label(), DurationStats::of(durations))
-        })
-        .filter(|(_, s)| s.count > 0)
-        .collect();
-
-    let lock_held_ns = report.spans.iter().filter_map(|s| s.hold_ns).sum();
-    let wall_ns = match (
-        report.spans.iter().map(|s| s.start_ns).min(),
-        report.spans.iter().map(|s| s.end_ns).max(),
-    ) {
-        (Some(lo), Some(hi)) => hi.saturating_sub(lo),
-        _ => 0,
-    };
-    let longest = report.spans.iter().max_by_key(|s| s.duration_ns()).cloned();
-
-    CriticalPath {
-        per_path,
-        lock_held_ns,
-        wall_ns,
-        longest,
-    }
-}
+use crate::spans::{Outcome, Span};
 
 /// Escapes one frame name for the collapsed-stack grammar: `;`
 /// separates frames and the final space separates the stack from its
@@ -140,11 +30,9 @@ pub fn escape_frame(frame: &str) -> String {
 }
 
 /// Folds one span into a collapsed-stack accumulator (stack → total
-/// nanoseconds). The live aggregator feeds spans here one at a time as
-/// they complete; [`collapsed`] folds a whole report and renders. Both
-/// produce identical stacks for identical spans. Every frame passes
-/// through [`escape_frame`], so a hostile label cannot corrupt the
-/// line grammar.
+/// nanoseconds), keyed by `proc × path × phase` — a few dozen entries
+/// for any workload. Every frame passes through [`escape_frame`], so a
+/// hostile label cannot corrupt the line grammar.
 pub fn add_span(stacks: &mut BTreeMap<String, u64>, span: &Span) {
     let mut add = |frames: &[&str], ns: u64| {
         if ns > 0 {
@@ -195,39 +83,36 @@ pub fn render_stacks(stacks: &BTreeMap<String, u64>) -> String {
     out
 }
 
-/// Renders spans in collapsed-stack format, nanosecond weights,
-/// lexicographically sorted (stable output for diffing).
-#[must_use]
-pub fn collapsed(report: &SpanReport) -> String {
-    let mut stacks: BTreeMap<String, u64> = BTreeMap::new();
-    for span in &report.spans {
-        add_span(&mut stacks, span);
-    }
-    render_stacks(&stacks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::EventLog;
-    use crate::spans::reconstruct;
-
-    fn report_of(body: &str) -> SpanReport {
-        let text = format!("# cso-trace-events v1\n# dropped 0\n{body}");
-        reconstruct(&EventLog::parse(&text).expect("parses"))
-    }
+    use crate::spans::Path;
 
     #[test]
-    fn collapsed_splits_locked_spans_into_wait_and_hold() {
-        let report = report_of(
-            "0\t0\t0\tfast-attempt\t-\t-\t-\n\
-             1\t0\t10\tfast-success\t-\t-\t-\n\
-             2\t0\t100\tflag-raise\t-\t0\t-\n\
-             3\t0\t140\tlock-acquire\t-\t0\t-\n\
-             4\t0\t190\tlocked-complete\t-\t-\t-\n\
-             5\t0\t200\tlock-release\t-\t0\t-\n",
+    fn stacks_split_locked_spans_into_wait_and_hold() {
+        let span = |thread, proc_id, path, end_ns, wait_ns, hold_ns| Span {
+            thread,
+            proc_id,
+            path,
+            outcome: Outcome::Completed,
+            start_ns: 0,
+            end_ns,
+            wait_ns,
+            hold_ns,
+            batch: None,
+            aborted_fast: false,
+            reposts: 0,
+            start_seq: 0,
+            end_seq: 1,
+            helped_by: None,
+        };
+        let mut stacks = BTreeMap::new();
+        add_span(&mut stacks, &span(0, None, Path::Fast, 10, None, None));
+        add_span(
+            &mut stacks,
+            &span(0, Some(0), Path::Locked, 100, Some(40), Some(60)),
         );
-        let out = collapsed(&report);
+        let out = render_stacks(&stacks);
         assert!(out.contains("proc_0;locked;wait 40\n"), "{out}");
         assert!(out.contains("proc_0;locked;hold 60\n"), "{out}");
         assert!(out.contains("thread_0;fast 10\n"), "{out}");
@@ -245,25 +130,5 @@ mod tests {
         let escaped = escape_frame("evil; frame\u{a0}name");
         assert!(!escaped.contains(';'), "{escaped}");
         assert!(!escaped.chars().any(char::is_whitespace), "{escaped}");
-    }
-
-    #[test]
-    fn critical_path_reports_lock_share() {
-        let report = report_of(
-            "0\t0\t0\tflag-raise\t-\t0\t-\n\
-             1\t0\t10\tlock-acquire\t-\t0\t-\n\
-             2\t0\t60\tlocked-complete\t-\t-\t-\n\
-             3\t0\t100\tlock-release\t-\t0\t-\n\
-             4\t1\t100\tfast-attempt\t-\t-\t-\n\
-             5\t1\t200\tfast-success\t-\t-\t-\n",
-        );
-        let cp = critical_path(&report);
-        assert_eq!(cp.wall_ns, 200);
-        assert_eq!(cp.lock_held_ns, 90);
-        assert!((cp.lock_saturation() - 0.45).abs() < 1e-9);
-        assert_eq!(cp.longest.as_ref().map(Span::duration_ns), Some(100));
-        let locked = cp.per_path.iter().find(|(l, _)| *l == "locked").unwrap();
-        assert_eq!(locked.1.count, 1);
-        assert_eq!(locked.1.mean_ns(), 100);
     }
 }

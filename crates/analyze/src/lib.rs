@@ -1,40 +1,43 @@
-//! # `cso-analyze` — trace-driven analysis for contention-sensitive objects
+//! # `cso-analyze` — trace analysis for contention-sensitive objects
 //!
 //! Where `cso-metrics` reports what an object is doing *now*, this
-//! crate answers what a captured run actually *did*. It consumes the
-//! `cso-trace-events v1` TSV stream that the bench harness writes
-//! (`cso_trace::export::event_log`, via `CSO_TRACE_EVENTS` or
-//! `target/trace/<bin>.events.tsv`) and provides:
+//! crate answers what a run actually *did*, operation by operation —
+//! and it answers once. [`Fold`] is the repository's only trace
+//! analyser: a bounded-memory fold over the typed
+//! [`cso_trace::Event`] stream. `cso-profile` feeds it harvested
+//! batches while the workload runs; the `cso-analyze` binary feeds it
+//! a `cso-trace-events v1` capture (`cso_trace::export::event_log`,
+//! written by the bench harness via `CSO_TRACE_EVENTS` or to
+//! `target/trace/<bin>.events.tsv`, read back by
+//! `cso_trace::export::parse_event_log`) after it has ended. Both read
+//! the same [`Snapshot`].
 //!
-//! * [`log`] — the TSV parser, including ring-loss accounting
-//!   (`# dropped` / `# truncated` headers);
-//! * [`spans`] — per-operation span reconstruction: every thread's
-//!   stream replays through a state machine mirroring the Figure 3
-//!   emission sites, classifying each operation as fast / locked /
-//!   combined / combiner and each anomaly as truncation loss or a
-//!   protocol violation;
-//! * [`causal`] — the cross-thread helped-by graph: folds the causal
-//!   annotations (combiner / elimination partner / lock handoff /
-//!   custody transfer) into per-edge counts and the attribution
+//! * [`spans`] — the per-thread span state machine: every operation is
+//!   classified fast / eliminated / locked / combined / combiner, every
+//!   anomaly as loss or as a protocol violation;
+//! * [`fold`] — the fold itself, with the two cross-thread trackers it
+//!   owns: §4.4 bypass accounting (no `flag-raise(p)` →
+//!   `lock-acquire(p)` interval should contain more than `n − 1`
+//!   acquisitions by others) and lock-tenure accounting (convoys,
+//!   combiner stalls); its module docs say what memory it holds, what
+//!   loss does to each consumer, and what cross-thread skew remains;
+//! * [`snapshot`] — the view every consumer reads, with the
+//!   `/spans.json` and `/profile` renderings;
+//! * [`causal`] — the cross-thread helped-by graph and the attribution
 //!   coverage the observability gate enforces;
-//! * [`bypass`] — the empirical §4.4 starvation-freedom check: no
-//!   `flag-raise(p)` → `lock-acquire(p)` interval may contain more
-//!   than `n − 1` acquisitions by other processes;
-//! * [`convoy`] — lock-tenure pathologies: saturated hand-off runs
-//!   (convoys) and combining tenures whose batch failed to amortise
-//!   the hold (combiner stalls);
-//! * [`collapse`] — critical-path statistics and collapsed-stack
-//!   (flamegraph) output.
+//! * [`collapse`] — collapsed-stack (flamegraph) output.
 //!
-//! The `cso-analyze` binary fronts all of it; `cso-analyze check` is
-//! the CI entry point (nonzero exit on a bypass violation or span
-//! coverage below threshold).
+//! The `cso-analyze` binary prints views of one snapshot;
+//! `cso-analyze check` is the CI entry point (nonzero exit on a bypass
+//! violation or span coverage below threshold).
 
 #![warn(missing_docs)]
 
-pub mod bypass;
 pub mod causal;
 pub mod collapse;
-pub mod convoy;
-pub mod log;
+pub mod fold;
+pub mod snapshot;
 pub mod spans;
+
+pub use fold::Fold;
+pub use snapshot::Snapshot;

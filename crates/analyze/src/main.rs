@@ -1,9 +1,11 @@
-//! The `cso-analyze` command-line front end.
+//! The `cso-analyze` command-line front end: every subcommand parses
+//! the capture, feeds it to the one [`Fold`], and prints a view of the
+//! resulting [`Snapshot`].
 //!
 //! ```text
 //! cso-analyze spans   <events.tsv>                       span reconstruction + critical path
 //! cso-analyze bypass  <events.tsv> [--procs N] [--bound K]   §4.4 bypass-bound check
-//! cso-analyze convoy  <events.tsv> [--gap-ns G]          lock convoys + combiner stalls
+//! cso-analyze convoy  <events.tsv>                       lock convoys + combiner stalls
 //! cso-analyze collapse <events.tsv>                      collapsed stacks (flamegraph input)
 //! cso-analyze causal  <events.tsv>                       cross-thread helped-by graph
 //! cso-analyze check   <events.tsv> [--procs N] [--bound K] [--min-coverage F]
@@ -16,8 +18,8 @@
 
 use std::process::ExitCode;
 
-use cso_analyze::spans::SpanReport;
-use cso_analyze::{bypass, causal, collapse, convoy, log::EventLog, spans};
+use cso_analyze::{causal, Fold, Snapshot};
+use cso_trace::export::parse_event_log;
 
 /// Minimum fraction of observed operations that must reconstruct into
 /// well-formed spans for `check` to pass.
@@ -30,7 +32,7 @@ fn usage() -> ExitCode {
          trace commands (input: a cso-trace-events v1 TSV file):\n\
          \x20 spans    <events.tsv>                     reconstruct operation spans\n\
          \x20 bypass   <events.tsv> [--procs N] [--bound K]  check the section-4.4 bypass bound\n\
-         \x20 convoy   <events.tsv> [--gap-ns G]        detect lock convoys and combiner stalls\n\
+         \x20 convoy   <events.tsv>                     detect lock convoys and combiner stalls\n\
          \x20 collapse <events.tsv>                     emit collapsed stacks (ns weights)\n\
          \x20 causal   <events.tsv>                     cross-thread helped-by graph\n\
          \x20 check    <events.tsv> [--procs N] [--bound K] [--min-coverage F]\n\
@@ -64,67 +66,89 @@ fn parse_flag<T: std::str::FromStr>(
         .transpose()
 }
 
-fn load_log(path: &str) -> Result<EventLog, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    EventLog::parse(&text).map_err(|e| format!("{path}: {e}"))
+/// The §4.4 reading a run is judged by: `n` processes and the bypass
+/// bound, each as given on the command line or else taken from the
+/// capture (`n` = highest process id + 1, bound = `n − 1`).
+struct Section44 {
+    procs: u64,
+    bound: u64,
 }
 
-fn print_span_report(report: &SpanReport, log: &EventLog) {
+/// Parses the capture at `path` and folds it — whole, with the loss
+/// its header declares — judging bypass intervals by `--procs` /
+/// `--bound` when given.
+fn fold_file(
+    path: &str,
+    procs: Option<u64>,
+    bound: Option<u64>,
+) -> Result<(Fold, Section44), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let trace = parse_event_log(&text).map_err(|e| format!("{path}: {e}"))?;
+    // `n` has to be known before the first interval closes, so when it
+    // is not given it is read off the parsed events up front.
+    let seen = trace.events.iter().filter_map(|e| e.event.proc()).max();
+    let procs = procs.or(seen.map(|p| u64::from(p) + 1)).unwrap_or(0).max(1);
+    let bound = bound.unwrap_or(procs - 1);
+    let mut fold = Fold::with_bypass_bound(bound);
+    fold.ingest(&trace.events, &trace.truncated);
+    Ok((fold, Section44 { procs, bound }))
+}
+
+fn one_path<'a>(command: &str, args: &'a [String]) -> Result<&'a str, String> {
+    match args {
+        [path] => Ok(path),
+        _ => Err(format!("{command} takes exactly one events file")),
+    }
+}
+
+fn print_span_view(snap: &Snapshot) {
     println!(
         "events: {} ({} dropped by the ring, {} thread(s) truncated)",
-        log.rows.len(),
-        log.dropped,
-        log.truncated.len()
+        snap.events_ingested,
+        snap.lost,
+        snap.truncated_threads.len()
     );
     println!(
         "spans: {} well-formed, {} in flight at capture end, {} truncation orphan(s), {} malformed",
-        report.spans.len(),
-        report.open,
-        report.truncated_events,
-        report.malformed.len()
+        snap.spans, snap.open, snap.orphans, snap.malformed
     );
-    println!("coverage: {:.2}%", report.coverage() * 100.0);
-    if report.recovery.any() {
+    println!("coverage: {:.2}%", snap.coverage() * 100.0);
+    if snap.recovery.any() {
         println!(
             "recovery: {} suspicion(s) raised, {} orphaned record(s) reclaimed, {} lock succession(s)",
-            report.recovery.suspects, report.recovery.reclaimed, report.recovery.successions
+            snap.recovery.suspects, snap.recovery.reclaimed, snap.recovery.successions
         );
     }
-    for m in report.malformed.iter().take(5) {
+    for m in &snap.first_malformed {
         println!(
             "  malformed: thread {} seq {} `{}` illegal in state `{}`",
             m.thread, m.seq, m.event, m.state
         );
     }
-    if report.malformed.len() > 5 {
-        println!("  ... and {} more", report.malformed.len() - 5);
+    let unlisted = snap.malformed - snap.first_malformed.len() as u64;
+    if unlisted > 0 {
+        println!("  ... and {unlisted} more");
     }
 
-    let cp = collapse::critical_path(report);
-    if !cp.per_path.is_empty() {
+    if !snap.per_path.is_empty() {
         println!("\nper-path durations (ns):");
         println!(
             "  {:<10} {:>8} {:>10} {:>10} {:>10} {:>10}",
             "path", "count", "mean", "p50", "p99", "max"
         );
-        for (label, stats) in &cp.per_path {
+        for (label, hist) in &snap.per_path {
             println!(
                 "  {:<10} {:>8} {:>10} {:>10} {:>10} {:>10}",
-                label,
-                stats.count,
-                stats.mean_ns(),
-                stats.p50_ns,
-                stats.p99_ns,
-                stats.max_ns
+                label, hist.count, hist.mean_ns, hist.p50_ns, hist.p99_ns, hist.max_ns
             );
         }
         println!(
             "\nlock held {} ns over a {} ns capture: {:.1}% saturated",
-            cp.lock_held_ns,
-            cp.wall_ns,
-            cp.lock_saturation() * 100.0
+            snap.lock_held_ns,
+            snap.capture_ns,
+            snap.lock_saturation() * 100.0
         );
-        if let Some(longest) = &cp.longest {
+        if let Some(longest) = &snap.longest_span {
             println!(
                 "longest span: {} ns on the {} path (thread {}, seq {}..{})",
                 longest.duration_ns(),
@@ -137,164 +161,143 @@ fn print_span_report(report: &SpanReport, log: &EventLog) {
     }
 }
 
-fn print_bypass_report(report: &bypass::BypassReport) {
+fn print_bypass_view(snap: &Snapshot, claim: &Section44) {
     println!(
         "bypass bound: n = {} processes, bound = {}",
-        report.procs, report.bound
+        claim.procs, claim.bound
     );
     println!(
-        "intervals: {} closed, {} still open at capture end",
-        report.intervals, report.open_intervals
+        "intervals: {} closed, {} still open at capture end, {} voided by ring loss",
+        snap.bypass_intervals, snap.bypass_open, snap.bypass_voided
     );
-    println!("max bypass observed: {}", report.max_bypass);
-    for (p, m) in &report.per_proc_max {
+    println!(
+        "max bypass observed: {} at one TURN position ({} over a whole wait, not judged)",
+        snap.max_bypass, snap.max_bypass_over_wait
+    );
+    for (p, m) in &snap.bypass_per_proc {
         println!("  proc {p}: worst {m}");
     }
-    if report.holds() {
+    if snap.bypass_violations == 0 {
         println!(
             "OK: every flagged process acquired within {} bypasses",
-            report.bound
+            claim.bound
         );
-    } else {
-        for v in &report.violations {
-            println!(
-                "VIOLATION: proc {} bypassed {} times (> {}) between seq {} and {}",
-                v.proc_id, v.bypasses, report.bound, v.flag_seq, v.acquire_seq
-            );
-        }
+        return;
+    }
+    let listed = snap
+        .worst_bypasses
+        .iter()
+        .filter(|w| w.bypasses > claim.bound);
+    for v in listed.clone() {
+        println!(
+            "VIOLATION: proc {} bypassed {} times (> {}) at one TURN position between seq {} and {}",
+            v.proc_id, v.bypasses, claim.bound, v.flag_seq, v.acquire_seq
+        );
+    }
+    let unlisted = snap.bypass_violations - listed.count() as u64;
+    if unlisted > 0 {
+        println!("  ... and {unlisted} more violation(s), none worse than those listed");
     }
 }
 
-fn print_convoy_report(report: &convoy::ConvoyReport) {
+fn print_convoy_view(snap: &Snapshot) {
     println!(
         "tenures: {} (median hold {} ns, max {} ns)",
-        report.tenures.len(),
-        report.median_hold_ns,
-        report.max_hold_ns
+        snap.tenures, snap.hold.p50_ns, snap.hold.max_ns
     );
-    if report.convoys.is_empty() {
-        println!("no convoys: the lock went idle between saturated runs");
+    if snap.convoys == 0 {
+        println!(
+            "no convoys: no saturated run of two or more processes (longest run {} tenures)",
+            snap.longest_convoy_run
+        );
     } else {
-        for c in &report.convoys {
-            println!(
-                "convoy: {} back-to-back tenures over {} ns ({} procs, from seq {})",
-                c.length, c.duration_ns, c.procs, c.start_seq
-            );
-        }
+        println!(
+            "convoys: {} saturated run(s) of two or more processes (longest run {} tenures)",
+            snap.convoys, snap.longest_convoy_run
+        );
     }
-    if report.stalls.is_empty() {
+    if snap.stalls == 0 {
         println!("no combiner stalls: every batch amortised its tenure");
     } else {
-        for s in &report.stalls {
-            println!(
-                "combiner stall: {} ns for a batch of {} ({} ns/request) at seq {}",
-                s.tenure.hold_ns(),
-                s.tenure.batch.unwrap_or(0),
-                s.ns_per_request,
-                s.tenure.start_seq
-            );
-        }
+        println!(
+            "combiner stalls: {} tenure(s) cost over 4x the median hold per served request",
+            snap.stalls
+        );
     }
 }
 
 fn cmd_spans(args: Vec<String>) -> Result<ExitCode, String> {
-    let [path] = &args[..] else {
-        return Err("spans takes exactly one events file".to_owned());
-    };
-    let log = load_log(path)?;
-    let report = spans::reconstruct(&log);
-    print_span_report(&report, &log);
+    let (fold, _) = fold_file(one_path("spans", &args)?, None, None)?;
+    print_span_view(&fold.snapshot());
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_bypass(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let procs = parse_flag::<usize>(&mut args, "--procs")?;
+    let procs = parse_flag::<u64>(&mut args, "--procs")?;
     let bound = parse_flag::<u64>(&mut args, "--bound")?;
-    let [path] = &args[..] else {
-        return Err("bypass takes exactly one events file".to_owned());
-    };
-    let log = load_log(path)?;
-    let report = bypass::check(&log, procs, bound);
-    print_bypass_report(&report);
-    Ok(if report.holds() {
+    let (fold, claim) = fold_file(one_path("bypass", &args)?, procs, bound)?;
+    let snap = fold.snapshot();
+    print_bypass_view(&snap, &claim);
+    Ok(if snap.bypass_violations == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     })
 }
 
-fn cmd_convoy(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let gap_ns = parse_flag::<u64>(&mut args, "--gap-ns")?;
-    let [path] = &args[..] else {
-        return Err("convoy takes exactly one events file".to_owned());
-    };
-    let log = load_log(path)?;
-    print_convoy_report(&convoy::analyze(&log, gap_ns));
+fn cmd_convoy(args: Vec<String>) -> Result<ExitCode, String> {
+    let (fold, _) = fold_file(one_path("convoy", &args)?, None, None)?;
+    print_convoy_view(&fold.snapshot());
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_collapse(args: Vec<String>) -> Result<ExitCode, String> {
-    let [path] = &args[..] else {
-        return Err("collapse takes exactly one events file".to_owned());
-    };
-    let log = load_log(path)?;
-    print!("{}", collapse::collapsed(&spans::reconstruct(&log)));
+    let (fold, _) = fold_file(one_path("collapse", &args)?, None, None)?;
+    print!("{}", fold.collapsed());
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_causal(args: Vec<String>) -> Result<ExitCode, String> {
-    let [path] = &args[..] else {
-        return Err("causal takes exactly one events file".to_owned());
-    };
-    let log = load_log(path)?;
-    let graph = causal::causal_graph(&spans::reconstruct(&log));
-    print!("{}", causal::render(&graph));
+    let (fold, _) = fold_file(one_path("causal", &args)?, None, None)?;
+    print!("{}", causal::render(&fold.snapshot().causal));
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_check(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let procs = parse_flag::<usize>(&mut args, "--procs")?;
+    let procs = parse_flag::<u64>(&mut args, "--procs")?;
     let bound = parse_flag::<u64>(&mut args, "--bound")?;
     let min_coverage =
         parse_flag::<f64>(&mut args, "--min-coverage")?.unwrap_or(DEFAULT_MIN_COVERAGE);
     let min_attribution = parse_flag::<f64>(&mut args, "--min-attribution")?;
-    let [path] = &args[..] else {
-        return Err("check takes exactly one events file".to_owned());
-    };
-    let log = load_log(path)?;
+    let (fold, claim) = fold_file(one_path("check", &args)?, procs, bound)?;
+    let snap = fold.snapshot();
 
-    let span_report = spans::reconstruct(&log);
-    print_span_report(&span_report, &log);
+    print_span_view(&snap);
     println!();
-    let bypass_report = bypass::check(&log, procs, bound);
-    print_bypass_report(&bypass_report);
+    print_bypass_view(&snap, &claim);
     println!();
-    print_convoy_report(&convoy::analyze(&log, None));
+    print_convoy_view(&snap);
     println!();
-    let causal_report = causal::causal_graph(&span_report);
-    print!("{}", causal::render(&causal_report));
+    print!("{}", causal::render(&snap.causal));
 
     let mut failed = false;
-    if span_report.coverage() < min_coverage {
+    if snap.coverage() < min_coverage {
         eprintln!(
             "FAIL: span coverage {:.2}% below the {:.2}% threshold",
-            span_report.coverage() * 100.0,
+            snap.coverage() * 100.0,
             min_coverage * 100.0
         );
         failed = true;
     }
-    if !bypass_report.holds() {
-        eprintln!(
-            "FAIL: {} bypass-bound violation(s)",
-            bypass_report.violations.len()
-        );
+    if snap.bypass_violations > 0 {
+        eprintln!("FAIL: {} bypass-bound violation(s)", snap.bypass_violations);
         failed = true;
     }
     if let Some(min) = min_attribution {
-        if causal_report.attribution() < min {
+        if snap.causal.attribution() < min {
             eprintln!(
                 "FAIL: causal attribution {:.4} below the {min:.4} threshold",
-                causal_report.attribution()
+                snap.causal.attribution()
             );
             failed = true;
         }

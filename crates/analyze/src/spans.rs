@@ -1,7 +1,7 @@
 //! Per-operation span reconstruction.
 //!
 //! Each thread's event stream is replayed through a state machine that
-//! mirrors the instrumented code paths of the Figure 3 transformation
+//! follows the instrumented code paths of the Figure 3 transformation
 //! (see `cso-core::contention_sensitive` for the emission sites):
 //!
 //! * **fast**: `fast-attempt` → `fast-success`; the escalation
@@ -22,17 +22,25 @@
 //!   `lock-acquire` → `combine-batch` → `locked-complete` →
 //!   `lock-release`; an acquire that loses the retract race releases
 //!   immediately and falls back to waiting (`lock-acquire` →
-//!   `lock-release` with nothing in between);
+//!   `lock-release` with nothing in between); a poster that *seized*
+//!   the lock from a dead combiner first poisons the records the
+//!   corpse had claimed (`record-poisoned` under the lock, any number
+//!   of times) and then combines as usual;
 //! * **timeout**: `slow-timeout` either before any acquire (the
 //!   deadline passed in the wait queue) or *after* `lock-release`
 //!   (the weak op never succeeded while the lock was held).
 //!
-//! Events that only annotate a path (`contention-raise/clear`,
-//! `turn-advance`, `cas-fail`, `fail-point`, `lock-handoff`,
-//! `helping-write`) never delimit spans. A stream that violates the
-//! protocol yields a [`Malformed`] record — except at the head of a
-//! thread whose ring wrapped, where orphaned events are classified as
-//! truncation loss instead.
+//! The machine reads the typed [`Event`] the recorder wrote — live
+//! from a harvested batch, or parsed back from an event log by
+//! `cso_trace::export::parse_event_log` — and [`ThreadReplayer::feed`]
+//! sorts every variant into "annotates" or "drives the protocol" with
+//! an exhaustive `match`: a probe added to `cso-trace` does not compile
+//! here until someone has said which it is. Events that only annotate
+//! a path (`contention-raise/clear`, `turn-advance`, `cas-fail`,
+//! `fail-point`, `lock-handoff`, `helping-write`, the recovery markers)
+//! never delimit spans. A stream that violates the protocol yields a
+//! [`Malformed`] record — except where the thread is known to have
+//! lost events, where orphaned events are classified as loss instead.
 //!
 //! **Causal annotations** (`helped-by-combiner`, `helped-by-partner`,
 //! `handoff-from`, `custody-from`) carry the trace-thread id of the
@@ -41,7 +49,7 @@
 //! inside ([`Span::helped_by`]), turning per-thread streams into a
 //! cross-thread helped-by graph.
 
-use crate::log::{EventLog, Row};
+use cso_trace::probe::{Event, HelpKind, TraceEvent};
 
 /// Which code path an operation completed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,6 +68,15 @@ pub enum Path {
 }
 
 impl Path {
+    /// Every path, in the stable order reports list them.
+    pub const ALL: [Path; 5] = [
+        Path::Fast,
+        Path::Eliminated,
+        Path::Locked,
+        Path::Combined,
+        Path::Combiner,
+    ];
+
     /// Stable lower-case label for reports and collapsed stacks.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -71,56 +88,6 @@ impl Path {
             Path::Combiner => "combiner",
         }
     }
-}
-
-/// The kind of cross-thread help a causal annotation records. Mirrors
-/// `cso_trace::HelpKind` (duplicated because this crate analyzes text
-/// logs without depending on the tracing crate; `cso-profile` carries
-/// a test keeping the two in sync).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HelpKind {
-    /// A combiner tenure executed the operation (`helped-by-combiner`).
-    Combiner,
-    /// An inverse operation paired in the elimination rendezvous
-    /// (`helped-by-partner`).
-    Partner,
-    /// The lock was handed off by the previous holder (`handoff-from`).
-    Handoff,
-    /// Lock custody was seized from a dead holder (`custody-from`).
-    Custody,
-}
-
-impl HelpKind {
-    /// Parses the annotation event name; `None` for non-causal events.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<HelpKind> {
-        match name {
-            "helped-by-combiner" => Some(HelpKind::Combiner),
-            "helped-by-partner" => Some(HelpKind::Partner),
-            "handoff-from" => Some(HelpKind::Handoff),
-            "custody-from" => Some(HelpKind::Custody),
-            _ => None,
-        }
-    }
-
-    /// Stable lower-case label for reports and JSON.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            HelpKind::Combiner => "combiner",
-            HelpKind::Partner => "partner",
-            HelpKind::Handoff => "handoff",
-            HelpKind::Custody => "custody",
-        }
-    }
-
-    /// Every kind, for exhaustive reports.
-    pub const ALL: [HelpKind; 4] = [
-        HelpKind::Combiner,
-        HelpKind::Partner,
-        HelpKind::Handoff,
-        HelpKind::Custody,
-    ];
 }
 
 /// How an operation span ended.
@@ -179,14 +146,14 @@ impl Span {
 
 /// A protocol violation: an event that is illegal in the state its
 /// thread was in, outside any truncation window.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Malformed {
     /// Thread whose stream violated the protocol.
     pub thread: u32,
     /// Sequence number of the offending event.
     pub seq: u64,
     /// Name of the offending event.
-    pub event: String,
+    pub event: &'static str,
     /// The state it was illegal in.
     pub state: &'static str,
 }
@@ -215,40 +182,6 @@ impl RecoveryCounts {
     }
 }
 
-/// The result of replaying a whole log.
-#[derive(Debug, Default)]
-pub struct SpanReport {
-    /// Well-formed spans, in per-thread completion order.
-    pub spans: Vec<Span>,
-    /// Operations still in flight when the capture ended (not errors).
-    pub open: usize,
-    /// Orphan events attributed to ring truncation (not errors).
-    pub truncated_events: usize,
-    /// Protocol violations.
-    pub malformed: Vec<Malformed>,
-    /// Crash-recovery activity (annotation events).
-    pub recovery: RecoveryCounts,
-}
-
-impl SpanReport {
-    /// Fraction of observed operations reconstructed into well-formed
-    /// spans: `spans / (spans + malformed)`. 1.0 on an empty log.
-    #[must_use]
-    pub fn coverage(&self) -> f64 {
-        let total = self.spans.len() + self.malformed.len();
-        if total == 0 {
-            1.0
-        } else {
-            self.spans.len() as f64 / total as f64
-        }
-    }
-
-    /// Spans that completed on `path`.
-    pub fn on_path(&self, path: Path) -> impl Iterator<Item = &Span> {
-        self.spans.iter().filter(move |s| s.path == path)
-    }
-}
-
 /// In-progress span bookkeeping shared by all non-idle states.
 #[derive(Debug, Clone)]
 struct Pending {
@@ -263,27 +196,41 @@ struct Pending {
 }
 
 impl Pending {
-    fn start(row: &Row) -> Pending {
+    fn start(e: &TraceEvent) -> Pending {
         Pending {
-            start_seq: row.seq,
-            start_ns: row.wall_ns,
+            start_seq: e.seq,
+            start_ns: e.wall_ns,
             aborted_fast: false,
             reposts: 0,
-            proc_id: row.proc_id,
+            proc_id: e.event.proc(),
             flag_ns: None,
             acquire_ns: None,
             batch: None,
         }
     }
 
-    fn finish(self, row: &Row, path: Path, outcome: Outcome) -> Span {
+    /// `flag-raise(p)` seen: the wait is timed from here.
+    fn flagged(mut self, e: &TraceEvent) -> Pending {
+        self.flag_ns = Some(e.wall_ns);
+        self.proc_id = self.proc_id.or(e.event.proc());
+        self
+    }
+
+    /// `lock-acquire(p)` seen: the hold is timed from here.
+    fn acquired(mut self, e: &TraceEvent) -> Pending {
+        self.acquire_ns = Some(e.wall_ns);
+        self.proc_id = self.proc_id.or(e.event.proc());
+        self
+    }
+
+    fn finish(self, e: &TraceEvent, path: Path, outcome: Outcome) -> Span {
         Span {
-            thread: row.thread,
+            thread: e.thread,
             proc_id: self.proc_id,
             path,
             outcome,
             start_ns: self.start_ns,
-            end_ns: row.wall_ns,
+            end_ns: e.wall_ns,
             wait_ns: match (self.flag_ns, self.acquire_ns) {
                 (Some(f), Some(a)) => Some(a.saturating_sub(f)),
                 _ => None,
@@ -292,13 +239,13 @@ impl Pending {
                 // For timeout-after-release spans the release stamp is
                 // the previous event; end_ns is close enough that we
                 // accept it rather than thread a third timestamp.
-                row.wall_ns.saturating_sub(a)
+                e.wall_ns.saturating_sub(a)
             }),
             batch: self.batch,
             aborted_fast: self.aborted_fast,
             reposts: self.reposts,
             start_seq: self.start_seq,
-            end_seq: row.seq,
+            end_seq: e.seq,
             // Attached by the replayer when the span completes (causal
             // annotations are replayer-level state, not protocol state).
             helped_by: None,
@@ -334,54 +281,37 @@ enum State {
     AwaitTimeout(Pending),
 }
 
-/// Whether `name` only annotates a path: annotation events never
-/// delimit spans and are legal in every state. (Recovery annotations
-/// additionally bump [`RecoveryCounts`].)
-#[must_use]
-pub fn is_annotation(name: &str) -> bool {
-    matches!(
-        name,
-        "contention-raise"
-            | "contention-clear"
-            | "turn-advance"
-            | "cas-fail"
-            | "fail-point"
-            | "lock-handoff"
-            | "helping-write"
-            | "record-handoff"
-            | "suspect-raised"
-            | "record-reclaimed"
-            | "lock-succeeded"
-            | "helped-by-combiner"
-            | "helped-by-partner"
-            | "handoff-from"
-            | "custody-from"
-    )
+impl State {
+    fn locked(pending: Pending, from_posted: bool) -> State {
+        State::Locked {
+            pending,
+            from_posted,
+            done: None,
+        }
+    }
 }
 
-/// What feeding one row into a [`ThreadReplayer`] produced.
+/// What feeding one event into a [`ThreadReplayer`] produced.
 #[derive(Debug)]
 pub enum Fed {
-    /// The row advanced (or annotated) the in-flight operation without
-    /// completing it.
+    /// The event advanced (or annotated) the in-flight operation
+    /// without completing it.
     Quiet,
-    /// The row completed an operation span.
+    /// The event completed an operation span.
     Span(Span),
-    /// The row was illegal in the current state — a protocol
+    /// The event was illegal in the current state — a protocol
     /// violation. The machine has reset to idle.
     Malformed(Malformed),
-    /// The row was illegal, but this stream's truncated head has not
-    /// resynchronised yet: the event is ring wrap-around loss, not an
-    /// error. The machine has reset to idle.
+    /// The event was illegal, but this stream has lost events and not
+    /// resynchronised yet: it is ring wrap-around loss, not an error.
+    /// The machine has reset to idle.
     Orphan,
 }
 
-/// An incremental, one-thread instance of the span state machine: the
-/// streaming counterpart of [`reconstruct`] (which is implemented on
-/// top of it). A live aggregator keeps one replayer per recording
-/// thread and feeds each harvested batch's rows in sequence order;
-/// batch boundaries are invisible to the protocol, so live and
-/// post-mortem replays of the same stream yield identical spans.
+/// One thread's instance of the span state machine. The fold keeps one
+/// per recording thread and feeds it that thread's events in sequence
+/// order, whether they come from a harvested batch or a parsed file;
+/// batch boundaries are invisible to the protocol.
 #[derive(Debug)]
 pub struct ThreadReplayer {
     state: State,
@@ -392,26 +322,31 @@ pub struct ThreadReplayer {
     helped: Option<(HelpKind, u32)>,
 }
 
+impl Default for ThreadReplayer {
+    fn default() -> Self {
+        ThreadReplayer::new()
+    }
+}
+
 impl ThreadReplayer {
-    /// A fresh machine. `truncated` relaxes the head of the stream:
-    /// until the first span completes, illegal events are classified
-    /// [`Fed::Orphan`] (ring wrap-around loss) rather than
-    /// [`Fed::Malformed`], and the machine resynchronises on the next
-    /// clean span start.
+    /// A fresh machine at the head of a complete stream. For a stream
+    /// whose head was overwritten, follow with
+    /// [`ThreadReplayer::desync`].
     #[must_use]
-    pub fn new(truncated: bool) -> ThreadReplayer {
+    pub fn new() -> ThreadReplayer {
         ThreadReplayer {
             state: State::Idle,
-            synced: !truncated,
+            synced: true,
             recovery: RecoveryCounts::default(),
             helped: None,
         }
     }
 
-    /// Marks the stream as having lost events (e.g. a harvest pass
-    /// reported nonzero loss on this thread's ring): the machine
-    /// resets to idle and treats the next illegal events as orphans
-    /// until it resynchronises, exactly like a truncated head.
+    /// Marks the stream as having lost events just here (the head of a
+    /// wrapped capture, or a harvest pass that reported loss on this
+    /// thread's ring): the machine resets to idle and classifies the
+    /// next illegal events as [`Fed::Orphan`] rather than
+    /// [`Fed::Malformed`] until a span completes cleanly again.
     pub fn desync(&mut self) {
         self.state = State::Idle;
         self.synced = false;
@@ -431,21 +366,52 @@ impl ThreadReplayer {
         self.recovery
     }
 
-    /// Advances the machine by one row.
-    pub fn feed(&mut self, row: &Row) -> Fed {
-        if is_annotation(&row.name) {
-            match row.name.as_str() {
-                "suspect-raised" => self.recovery.suspects += 1,
-                "record-reclaimed" => self.recovery.reclaimed += 1,
-                "lock-succeeded" => self.recovery.successions += 1,
-                _ => {}
+    /// Advances the machine by one event.
+    pub fn feed(&mut self, e: &TraceEvent) -> Fed {
+        // Exhaustive on purpose — no `_` arm: every variant is either
+        // an annotation (never delimits a span, legal in every state)
+        // or handed to the protocol below.
+        match e.event {
+            Event::ContentionRaise
+            | Event::ContentionClear
+            | Event::TurnAdvance(_)
+            | Event::CasFail(_)
+            | Event::FailPoint(_)
+            | Event::LockHandoff(_)
+            | Event::HelpingWrite(_)
+            | Event::RecordHandoff(_) => return Fed::Quiet,
+            Event::SuspectRaised(_) => self.recovery.suspects += 1,
+            Event::RecordReclaimed(_) => self.recovery.reclaimed += 1,
+            Event::LockSucceeded(_) => self.recovery.successions += 1,
+            Event::HelpedByCombiner(_)
+            | Event::HelpedByPartner(_)
+            | Event::HandoffFrom(_)
+            | Event::CustodyFrom(_) => {
+                // Last annotation wins; an unattributable one (`NO_TID`)
+                // names nobody and leaves the stash alone.
+                self.helped = e.event.help().or(self.helped);
             }
-            if let (Some(kind), Some(tid)) = (HelpKind::from_name(&row.name), row.value) {
-                self.helped = Some((kind, tid as u32));
-            }
-            return Fed::Quiet;
+            Event::FastAttempt
+            | Event::FastAbort
+            | Event::FastSuccess
+            | Event::LockAcquire(_)
+            | Event::LockRelease(_)
+            | Event::LockedComplete
+            | Event::SlowTimeout
+            | Event::SlowPoisoned
+            | Event::RecordPost
+            | Event::CombineBatch(_)
+            | Event::CombinedComplete
+            | Event::RecordPoisoned
+            | Event::FlagRaise(_)
+            | Event::ElimAttempt
+            | Event::EliminatedComplete => return self.advance(e),
         }
-        match step(std::mem::replace(&mut self.state, State::Idle), row) {
+        Fed::Quiet
+    }
+
+    fn advance(&mut self, e: &TraceEvent) -> Fed {
+        match step(std::mem::replace(&mut self.state, State::Idle), e) {
             Ok((next, span)) => {
                 self.state = next;
                 match span {
@@ -457,17 +423,17 @@ impl ThreadReplayer {
                     None => Fed::Quiet,
                 }
             }
-            Err(prev) => {
-                // Illegal event. At the head of a truncated stream the
-                // start of this operation was overwritten; otherwise
-                // it is a real protocol violation.
+            Err(state) => {
+                // Illegal event. Where the stream is known to have a
+                // hole the start of this operation was overwritten;
+                // otherwise it is a real protocol violation.
                 self.helped = None;
                 if self.synced {
                     Fed::Malformed(Malformed {
-                        thread: row.thread,
-                        seq: row.seq,
-                        event: row.name.clone(),
-                        state: prev,
+                        thread: e.thread,
+                        seq: e.seq,
+                        event: e.event.name(),
+                        state,
                     })
                 } else {
                     Fed::Orphan
@@ -477,257 +443,182 @@ impl ThreadReplayer {
     }
 }
 
-/// Replays one thread's stream into `report`.
-fn replay_thread<'a>(
-    rows: impl Iterator<Item = &'a Row>,
-    truncated: bool,
-    report: &mut SpanReport,
-) {
-    let mut replayer = ThreadReplayer::new(truncated);
-    for row in rows {
-        match replayer.feed(row) {
-            Fed::Quiet => {}
-            Fed::Span(span) => report.spans.push(span),
-            Fed::Malformed(m) => report.malformed.push(m),
-            Fed::Orphan => report.truncated_events += 1,
-        }
-    }
-    let recovery = replayer.recovery();
-    report.recovery.suspects += recovery.suspects;
-    report.recovery.reclaimed += recovery.reclaimed;
-    report.recovery.successions += recovery.successions;
-    if replayer.is_open() {
-        report.open += 1;
-    }
-}
-
-/// One pure transition: the next state, plus the span the row
-/// completed, if any. `Err(state_name)` means `row` is illegal in the
-/// current state (which is consumed; the caller resets to idle).
-#[allow(clippy::too_many_lines)]
-fn step(state: State, row: &Row) -> Result<(State, Option<Span>), &'static str> {
-    let name = row.name.as_str();
-    let mut emitted = None;
-    let mut emit = |span: Span| {
-        emitted = Some(span);
-    };
-    let next = match state {
-        State::Idle => match name {
-            "fast-attempt" => Ok(State::FastTried(Pending::start(row))),
-            "flag-raise" => {
-                let mut p = Pending::start(row);
-                p.flag_ns = Some(row.wall_ns);
-                Ok(State::SlowWait(p))
-            }
-            "record-post" => Ok(State::Posted(Pending::start(row))),
+/// One pure transition: the next state, plus the span the event
+/// completed, if any. `Err(state_name)` means the event is illegal in
+/// the current state (which is consumed; the caller resets to idle).
+/// Only protocol events reach this function ([`ThreadReplayer::feed`]
+/// has peeled the annotations off), so each state's `_` arm means
+/// "a protocol event this state does not accept".
+fn step(state: State, e: &TraceEvent) -> Result<(State, Option<Span>), &'static str> {
+    let close = |span: Span| Ok((State::Idle, Some(span)));
+    let next = |state: State| Ok((state, None));
+    match state {
+        State::Idle => match e.event {
+            Event::FastAttempt => next(State::FastTried(Pending::start(e))),
+            Event::FlagRaise(_) => next(State::SlowWait(Pending::start(e).flagged(e))),
+            Event::RecordPost => next(State::Posted(Pending::start(e))),
             // A fast-path-less ablation can reach the elimination rung
             // without a preceding weak-op attempt.
-            "elim-attempt" => Ok(State::Eliminating(Pending::start(row))),
+            Event::ElimAttempt => next(State::Eliminating(Pending::start(e))),
             // The unfair ablation takes the inner lock with no flag.
-            "lock-acquire" => {
-                let mut p = Pending::start(row);
-                p.acquire_ns = Some(row.wall_ns);
-                Ok(State::Locked {
-                    pending: p,
-                    from_posted: false,
-                    done: None,
-                })
-            }
+            Event::LockAcquire(_) => next(State::locked(Pending::start(e).acquired(e), false)),
             _ => Err("idle"),
         },
-        State::FastTried(mut p) => match name {
-            "fast-success" => {
-                emit(p.finish(row, Path::Fast, Outcome::Completed));
-                Ok(State::Idle)
-            }
-            "fast-abort" => {
+        State::FastTried(mut p) => match e.event {
+            Event::FastSuccess => close(p.finish(e, Path::Fast, Outcome::Completed)),
+            Event::FastAbort => {
                 p.aborted_fast = true;
-                Ok(State::SlowStart(p))
+                next(State::SlowStart(p))
             }
             _ => Err("fast-tried"),
         },
-        State::SlowStart(mut p) => match name {
+        State::SlowStart(p) => match e.event {
             // A contention-management retry: the ladder re-attempts the
             // weak operation (backoff-paced) within the same span.
-            "fast-attempt" => Ok(State::FastTried(p)),
+            Event::FastAttempt => next(State::FastTried(p)),
             // The ladder's elimination rung.
-            "elim-attempt" => Ok(State::Eliminating(p)),
-            "flag-raise" => {
-                p.flag_ns = Some(row.wall_ns);
-                if p.proc_id.is_none() {
-                    p.proc_id = row.proc_id;
-                }
-                Ok(State::SlowWait(p))
-            }
-            "record-post" => Ok(State::Posted(p)),
-            "lock-acquire" => {
-                p.acquire_ns = Some(row.wall_ns);
-                if p.proc_id.is_none() {
-                    p.proc_id = row.proc_id;
-                }
-                Ok(State::Locked {
-                    pending: p,
-                    from_posted: false,
-                    done: None,
-                })
-            }
+            Event::ElimAttempt => next(State::Eliminating(p)),
+            Event::FlagRaise(_) => next(State::SlowWait(p.flagged(e))),
+            Event::RecordPost => next(State::Posted(p)),
+            Event::LockAcquire(_) => next(State::locked(p.acquired(e), false)),
             // Deadline expired before the (unfair) inner lock came.
-            "slow-timeout" => {
-                emit(p.finish(row, Path::Locked, Outcome::TimedOut));
-                Ok(State::Idle)
-            }
+            Event::SlowTimeout => close(p.finish(e, Path::Locked, Outcome::TimedOut)),
             _ => Err("slow-start"),
         },
-        State::Eliminating(mut p) => match name {
-            "eliminated-complete" => {
-                emit(p.finish(row, Path::Eliminated, Outcome::Completed));
-                Ok(State::Idle)
-            }
+        State::Eliminating(p) => match e.event {
+            Event::EliminatedComplete => close(p.finish(e, Path::Eliminated, Outcome::Completed)),
             // No partner committed: the operation escalates onto the
             // slow path, still within the same span.
-            "flag-raise" => {
-                p.flag_ns = Some(row.wall_ns);
-                if p.proc_id.is_none() {
-                    p.proc_id = row.proc_id;
-                }
-                Ok(State::SlowWait(p))
-            }
-            "record-post" => Ok(State::Posted(p)),
-            "lock-acquire" => {
-                p.acquire_ns = Some(row.wall_ns);
-                if p.proc_id.is_none() {
-                    p.proc_id = row.proc_id;
-                }
-                Ok(State::Locked {
-                    pending: p,
-                    from_posted: false,
-                    done: None,
-                })
-            }
+            Event::FlagRaise(_) => next(State::SlowWait(p.flagged(e))),
+            Event::RecordPost => next(State::Posted(p)),
+            Event::LockAcquire(_) => next(State::locked(p.acquired(e), false)),
             // Deadline expired while parked at the exchanger.
-            "slow-timeout" => {
-                emit(p.finish(row, Path::Locked, Outcome::TimedOut));
-                Ok(State::Idle)
-            }
+            Event::SlowTimeout => close(p.finish(e, Path::Locked, Outcome::TimedOut)),
             _ => Err("eliminating"),
         },
-        State::SlowWait(mut p) => match name {
+        State::SlowWait(p) => match e.event {
             // A recovering lock re-raises its flag once per backoff
             // slice while it waits out a suspected-dead holder; the
             // wait stays one span, timed from the first raise.
-            "flag-raise" => Ok(State::SlowWait(p)),
-            "lock-acquire" => {
-                p.acquire_ns = Some(row.wall_ns);
-                Ok(State::Locked {
-                    pending: p,
-                    from_posted: false,
-                    done: None,
-                })
-            }
+            Event::FlagRaise(_) => next(State::SlowWait(p)),
+            Event::LockAcquire(_) => next(State::locked(p.acquired(e), false)),
             // Deadline expired in the wait queue.
-            "slow-timeout" => {
-                emit(p.finish(row, Path::Locked, Outcome::TimedOut));
-                Ok(State::Idle)
-            }
+            Event::SlowTimeout => close(p.finish(e, Path::Locked, Outcome::TimedOut)),
             _ => Err("slow-wait"),
         },
-        State::Posted(mut p) => match name {
-            "combined-complete" => {
-                emit(p.finish(row, Path::Combined, Outcome::Completed));
-                Ok(State::Idle)
-            }
-            "record-poisoned" => {
+        State::Posted(mut p) => match e.event {
+            Event::CombinedComplete => close(p.finish(e, Path::Combined, Outcome::Completed)),
+            // The owner reclaims its own record, poisoned by a combiner
+            // that unwound (or died) before applying it…
+            Event::RecordPoisoned => {
                 p.reposts += 1;
-                Ok(State::Posted(p))
+                next(State::Posted(p))
             }
-            // The repost after a poisoning.
-            "record-post" => Ok(State::Posted(p)),
-            "lock-acquire" => {
-                p.acquire_ns = Some(row.wall_ns);
-                if p.proc_id.is_none() {
-                    p.proc_id = row.proc_id;
-                }
-                Ok(State::Locked {
-                    pending: p,
-                    from_posted: true,
-                    done: None,
-                })
-            }
+            // …and reposts it.
+            Event::RecordPost => next(State::Posted(p)),
+            Event::LockAcquire(_) => next(State::locked(p.acquired(e), true)),
             _ => Err("posted"),
         },
         State::Locked {
             mut pending,
             from_posted,
-            done,
-        } => match name {
-            "combine-batch" => {
-                pending.batch = row.value;
-                Ok(State::Locked {
-                    pending,
-                    from_posted,
-                    done,
-                })
-            }
-            "locked-complete" => Ok(State::Locked {
-                pending,
-                from_posted,
-                done: Some(Outcome::Completed),
-            }),
-            "slow-poisoned" => Ok(State::Locked {
-                pending,
-                from_posted,
-                done: Some(Outcome::Poisoned),
-            }),
-            "lock-release" => match done {
-                Some(outcome) => {
-                    let path = if pending.batch.is_some() {
-                        Path::Combiner
-                    } else {
-                        Path::Locked
+            mut done,
+        } => {
+            match e.event {
+                Event::CombineBatch(served) => pending.batch = Some(u64::from(served)),
+                Event::LockedComplete => done = Some(Outcome::Completed),
+                Event::SlowPoisoned => done = Some(Outcome::Poisoned),
+                // A holder that seized the lock from a dead combiner
+                // poisons the records the corpse had claimed — *other*
+                // processes' records, one probe each — before it serves
+                // its own batch. Nothing about this span changes.
+                Event::RecordPoisoned => {}
+                Event::LockRelease(_) => {
+                    return match done {
+                        Some(outcome) => {
+                            let path = match pending.batch {
+                                Some(_) => Path::Combiner,
+                                None => Path::Locked,
+                            };
+                            close(pending.finish(e, path, outcome))
+                        }
+                        // No completion under this tenure: a combining
+                        // poster that lost the retract race bounces back
+                        // to waiting; a deadline op is about to report
+                        // its timeout.
+                        None if from_posted => next(State::Posted(pending)),
+                        None => next(State::AwaitTimeout(pending)),
                     };
-                    emit(pending.finish(row, path, outcome));
-                    Ok(State::Idle)
                 }
-                // No completion under this tenure: a combining poster
-                // that lost the retract race bounces back to waiting;
-                // a deadline op is about to report its timeout.
-                None if from_posted => Ok(State::Posted(pending)),
-                None => Ok(State::AwaitTimeout(pending)),
-            },
-            _ => Err("locked"),
-        },
-        State::AwaitTimeout(p) => match name {
-            "slow-timeout" => {
-                emit(p.finish(row, Path::Locked, Outcome::TimedOut));
-                Ok(State::Idle)
+                _ => return Err("locked"),
             }
+            next(State::Locked {
+                pending,
+                from_posted,
+                done,
+            })
+        }
+        State::AwaitTimeout(p) => match e.event {
+            Event::SlowTimeout => close(p.finish(e, Path::Locked, Outcome::TimedOut)),
             _ => Err("await-timeout"),
         },
-    };
-    Ok((next?, emitted))
-}
-
-/// Reconstructs every thread of `log` into operation spans.
-#[must_use]
-pub fn reconstruct(log: &EventLog) -> SpanReport {
-    let mut report = SpanReport::default();
-    for thread in log.threads() {
-        replay_thread(
-            log.thread_rows(thread),
-            log.truncated_for(thread) > 0,
-            &mut report,
-        );
     }
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
-    fn parse(body: &str) -> EventLog {
-        let text = format!("# cso-trace-events v1\n# dropped 0\n{body}");
-        EventLog::parse(&text).expect("test log parses")
+    fn ev(seq: u64, thread: u32, wall_ns: u64, event: Event) -> TraceEvent {
+        TraceEvent {
+            thread,
+            seq,
+            wall_ns,
+            event,
+        }
+    }
+
+    /// What one replayer per thread made of a stream.
+    #[derive(Default)]
+    struct Replay {
+        spans: Vec<Span>,
+        malformed: Vec<Malformed>,
+        orphans: usize,
+        open: usize,
+        recovery: RecoveryCounts,
+    }
+
+    impl Replay {
+        fn on_path(&self, path: Path) -> Vec<&Span> {
+            self.spans.iter().filter(|s| s.path == path).collect()
+        }
+    }
+
+    /// Feeds `events` (sequence order, any threads) through one
+    /// replayer per thread; the threads in `truncated` start with a
+    /// hole, as a wrapped ring's survivors do.
+    fn replay(truncated: &[u32], events: &[TraceEvent]) -> Replay {
+        let mut machines: BTreeMap<u32, ThreadReplayer> = BTreeMap::new();
+        for &thread in truncated {
+            machines.entry(thread).or_default().desync();
+        }
+        let mut out = Replay::default();
+        for e in events {
+            match machines.entry(e.thread).or_default().feed(e) {
+                Fed::Quiet => {}
+                Fed::Span(span) => out.spans.push(span),
+                Fed::Malformed(m) => out.malformed.push(m),
+                Fed::Orphan => out.orphans += 1,
+            }
+        }
+        for machine in machines.values() {
+            out.open += usize::from(machine.is_open());
+            out.recovery.suspects += machine.recovery().suspects;
+            out.recovery.reclaimed += machine.recovery().reclaimed;
+            out.recovery.successions += machine.recovery().successions;
+        }
+        out
     }
 
     #[test]
@@ -735,49 +626,50 @@ mod tests {
         // Thread 0: fast op, then a locked op with the full §4.4
         // choreography. Thread 1: combining poster served by thread 2,
         // which combines a batch of 2.
-        let log = parse(
-            "0\t0\t10\tfast-attempt\t-\t-\t-\n\
-             1\t0\t20\tfast-success\t-\t-\t-\n\
-             2\t0\t30\tfast-attempt\t-\t-\t-\n\
-             3\t0\t40\tfast-abort\t-\t-\t-\n\
-             4\t0\t50\tflag-raise\t-\t0\t-\n\
-             5\t0\t90\tlock-acquire\t-\t0\t-\n\
-             6\t0\t95\tcontention-raise\t-\t-\t-\n\
-             7\t0\t120\tlocked-complete\t-\t-\t-\n\
-             8\t0\t121\tcontention-clear\t-\t-\t-\n\
-             9\t0\t125\tlock-release\t-\t0\t-\n\
-             10\t0\t126\tturn-advance\t-\t1\t-\n\
-             11\t1\t10\trecord-post\t-\t-\t-\n\
-             12\t2\t11\trecord-post\t-\t-\t-\n\
-             13\t2\t15\tlock-acquire\t-\t2\t-\n\
-             14\t2\t40\tcombine-batch\t-\t-\t2\n\
-             15\t1\t45\trecord-handoff\t-\t-\t30\n\
-             16\t1\t46\tcombined-complete\t-\t-\t-\n\
-             17\t2\t50\tlocked-complete\t-\t-\t-\n\
-             18\t2\t55\tlock-release\t-\t2\t-\n",
+        let report = replay(
+            &[],
+            &[
+                ev(0, 0, 10, Event::FastAttempt),
+                ev(1, 0, 20, Event::FastSuccess),
+                ev(2, 0, 30, Event::FastAttempt),
+                ev(3, 0, 40, Event::FastAbort),
+                ev(4, 0, 50, Event::FlagRaise(0)),
+                ev(5, 0, 90, Event::LockAcquire(0)),
+                ev(6, 0, 95, Event::ContentionRaise),
+                ev(7, 0, 120, Event::LockedComplete),
+                ev(8, 0, 121, Event::ContentionClear),
+                ev(9, 0, 125, Event::LockRelease(0)),
+                ev(10, 0, 126, Event::TurnAdvance(1)),
+                ev(11, 1, 10, Event::RecordPost),
+                ev(12, 2, 11, Event::RecordPost),
+                ev(13, 2, 15, Event::LockAcquire(2)),
+                ev(14, 2, 40, Event::CombineBatch(2)),
+                ev(15, 1, 45, Event::RecordHandoff(30)),
+                ev(16, 1, 46, Event::CombinedComplete),
+                ev(17, 2, 50, Event::LockedComplete),
+                ev(18, 2, 55, Event::LockRelease(2)),
+            ],
         );
-        let report = reconstruct(&log);
         assert!(report.malformed.is_empty(), "{:?}", report.malformed);
         assert_eq!(report.open, 0);
         assert_eq!(report.spans.len(), 4);
-        assert_eq!(report.coverage(), 1.0);
 
-        let fast: Vec<_> = report.on_path(Path::Fast).collect();
+        let fast = report.on_path(Path::Fast);
         assert_eq!(fast.len(), 1);
         assert_eq!(fast[0].duration_ns(), 10);
 
-        let locked: Vec<_> = report.on_path(Path::Locked).collect();
+        let locked = report.on_path(Path::Locked);
         assert_eq!(locked.len(), 1);
         assert!(locked[0].aborted_fast);
         assert_eq!(locked[0].proc_id, Some(0));
         assert_eq!(locked[0].wait_ns, Some(40));
         assert_eq!(locked[0].hold_ns, Some(35));
 
-        let combiner: Vec<_> = report.on_path(Path::Combiner).collect();
+        let combiner = report.on_path(Path::Combiner);
         assert_eq!(combiner.len(), 1);
         assert_eq!(combiner[0].batch, Some(2));
 
-        assert_eq!(report.on_path(Path::Combined).count(), 1);
+        assert_eq!(report.on_path(Path::Combined).len(), 1);
     }
 
     #[test]
@@ -785,15 +677,17 @@ mod tests {
         // Thread 0 aborts the weak op, retries once under contention
         // management, then rendezvouses at the exchanger. All of it is
         // one span on the eliminated path.
-        let log = parse(
-            "0\t0\t10\tfast-attempt\t-\t-\t-\n\
-             1\t0\t20\tfast-abort\t-\t-\t-\n\
-             2\t0\t30\tfast-attempt\t-\t-\t-\n\
-             3\t0\t40\tfast-abort\t-\t-\t-\n\
-             4\t0\t50\telim-attempt\t-\t-\t-\n\
-             5\t0\t90\teliminated-complete\t-\t-\t-\n",
+        let report = replay(
+            &[],
+            &[
+                ev(0, 0, 10, Event::FastAttempt),
+                ev(1, 0, 20, Event::FastAbort),
+                ev(2, 0, 30, Event::FastAttempt),
+                ev(3, 0, 40, Event::FastAbort),
+                ev(4, 0, 50, Event::ElimAttempt),
+                ev(5, 0, 90, Event::EliminatedComplete),
+            ],
         );
-        let report = reconstruct(&log);
         assert!(report.malformed.is_empty(), "{:?}", report.malformed);
         assert_eq!(report.spans.len(), 1);
         let span = &report.spans[0];
@@ -807,36 +701,40 @@ mod tests {
     fn failed_elimination_escalates_within_one_span() {
         // No partner commits; the operation walks the rest of the
         // ladder onto the locked slow path.
-        let log = parse(
-            "0\t0\t10\tfast-attempt\t-\t-\t-\n\
-             1\t0\t20\tfast-abort\t-\t-\t-\n\
-             2\t0\t30\telim-attempt\t-\t-\t-\n\
-             3\t0\t60\tflag-raise\t-\t0\t-\n\
-             4\t0\t80\tlock-acquire\t-\t0\t-\n\
-             5\t0\t95\tlocked-complete\t-\t-\t-\n\
-             6\t0\t100\tlock-release\t-\t0\t-\n",
+        let report = replay(
+            &[],
+            &[
+                ev(0, 0, 10, Event::FastAttempt),
+                ev(1, 0, 20, Event::FastAbort),
+                ev(2, 0, 30, Event::ElimAttempt),
+                ev(3, 0, 60, Event::FlagRaise(0)),
+                ev(4, 0, 80, Event::LockAcquire(0)),
+                ev(5, 0, 95, Event::LockedComplete),
+                ev(6, 0, 100, Event::LockRelease(0)),
+            ],
         );
-        let report = reconstruct(&log);
         assert!(report.malformed.is_empty(), "{:?}", report.malformed);
         assert_eq!(report.spans.len(), 1);
         let span = &report.spans[0];
         assert_eq!(span.path, Path::Locked);
         assert!(span.aborted_fast);
         assert_eq!(span.wait_ns, Some(20));
-        assert_eq!(report.on_path(Path::Eliminated).count(), 0);
+        assert!(report.on_path(Path::Eliminated).is_empty());
     }
 
     #[test]
     fn timeout_before_and_after_acquire() {
-        let log = parse(
-            "0\t0\t10\tflag-raise\t-\t0\t-\n\
-             1\t0\t60\tslow-timeout\t-\t-\t-\n\
-             2\t0\t70\tflag-raise\t-\t0\t-\n\
-             3\t0\t80\tlock-acquire\t-\t0\t-\n\
-             4\t0\t99\tlock-release\t-\t0\t-\n\
-             5\t0\t100\tslow-timeout\t-\t-\t-\n",
+        let report = replay(
+            &[],
+            &[
+                ev(0, 0, 10, Event::FlagRaise(0)),
+                ev(1, 0, 60, Event::SlowTimeout),
+                ev(2, 0, 70, Event::FlagRaise(0)),
+                ev(3, 0, 80, Event::LockAcquire(0)),
+                ev(4, 0, 99, Event::LockRelease(0)),
+                ev(5, 0, 100, Event::SlowTimeout),
+            ],
         );
-        let report = reconstruct(&log);
         assert!(report.malformed.is_empty(), "{:?}", report.malformed);
         assert_eq!(report.spans.len(), 2);
         assert!(report.spans.iter().all(|s| s.outcome == Outcome::TimedOut));
@@ -848,15 +746,17 @@ mod tests {
     fn combining_bounce_and_repost_stay_one_span() {
         // Poster loses the retract race (acquire → immediate release),
         // then is poisoned, reposts, and is finally served.
-        let log = parse(
-            "0\t0\t10\trecord-post\t-\t-\t-\n\
-             1\t0\t20\tlock-acquire\t-\t0\t-\n\
-             2\t0\t25\tlock-release\t-\t0\t-\n\
-             3\t0\t30\trecord-poisoned\t-\t-\t-\n\
-             4\t0\t31\trecord-post\t-\t-\t-\n\
-             5\t0\t90\tcombined-complete\t-\t-\t-\n",
+        let report = replay(
+            &[],
+            &[
+                ev(0, 0, 10, Event::RecordPost),
+                ev(1, 0, 20, Event::LockAcquire(0)),
+                ev(2, 0, 25, Event::LockRelease(0)),
+                ev(3, 0, 30, Event::RecordPoisoned),
+                ev(4, 0, 31, Event::RecordPost),
+                ev(5, 0, 90, Event::CombinedComplete),
+            ],
         );
-        let report = reconstruct(&log);
         assert!(report.malformed.is_empty(), "{:?}", report.malformed);
         assert_eq!(report.spans.len(), 1);
         let span = &report.spans[0];
@@ -865,108 +765,111 @@ mod tests {
         assert_eq!(span.duration_ns(), 80);
     }
 
+    /// The combiner-kill scenario of a traced `e14_recovery` capture,
+    /// event for event: the survivor posts, suspects the parked
+    /// combiner, seizes its tenure, and — holding the lock — poisons
+    /// the record the corpse had claimed before combining its own.
+    /// `record-poisoned` under the lock is the seizer's
+    /// `poison_orphan_claims`, not a protocol violation; read as one it
+    /// cost this span and the three protocol events after it.
     #[test]
-    fn truncated_head_is_loss_but_later_orphans_are_malformed() {
-        // Thread 3's ring wrapped: its stream opens mid-operation.
-        let body = "0\t3\t10\tlocked-complete\t-\t-\t-\n\
-                    1\t3\t12\tlock-release\t-\t3\t-\n\
-                    2\t3\t20\tfast-attempt\t-\t-\t-\n\
-                    3\t3\t25\tfast-success\t-\t-\t-\n\
-                    4\t3\t30\tfast-success\t-\t-\t-\n";
-        let text = format!("# cso-trace-events v1\n# dropped 2\n# truncated 3 2\n{body}");
-        let log = EventLog::parse(&text).expect("parses");
-        let report = reconstruct(&log);
-        // The two orphans at the head are truncation loss; the stray
-        // fast-success *after* a clean span is a real violation.
-        assert_eq!(report.truncated_events, 2);
+    fn a_seizer_poisoning_orphan_claims_under_the_lock_is_one_combiner_span() {
+        let report = replay(
+            &[],
+            &[
+                ev(0, 1, 100, Event::RecordPost),
+                ev(1, 1, 110, Event::SuspectRaised(1)),
+                ev(2, 1, 120, Event::CustodyFrom(26)),
+                ev(3, 1, 130, Event::LockSucceeded(2)),
+                ev(4, 1, 140, Event::LockAcquire(2)),
+                ev(5, 1, 150, Event::RecordPoisoned),
+                ev(6, 1, 160, Event::HelpingWrite("stack::slot")),
+                ev(7, 1, 170, Event::CombineBatch(1)),
+                ev(8, 1, 180, Event::LockedComplete),
+                ev(9, 1, 190, Event::ContentionClear),
+                ev(10, 1, 200, Event::LockRelease(2)),
+            ],
+        );
+        assert_eq!(report.malformed, vec![], "4 malformed before the fix");
         assert_eq!(report.spans.len(), 1);
-        assert_eq!(report.malformed.len(), 1);
-        assert_eq!(report.malformed[0].seq, 4);
-        assert_eq!(report.malformed[0].state, "idle");
-
-        // The same head orphans on an untruncated thread are
-        // violations.
-        let log = parse(body);
-        let report = reconstruct(&log);
-        assert_eq!(report.truncated_events, 0);
-        assert_eq!(report.malformed.len(), 3);
-        assert!((report.coverage() - 0.25).abs() < 1e-9);
+        let span = &report.spans[0];
+        assert_eq!(span.path, Path::Combiner);
+        assert_eq!(span.outcome, Outcome::Completed);
+        assert_eq!(span.reposts, 0, "the poisoned record was somebody else's");
+        assert_eq!(span.hold_ns, Some(60));
+        assert_eq!(span.helped_by, Some((HelpKind::Custody, 26)));
+        assert_eq!(report.recovery.suspects, 1);
+        assert_eq!(report.recovery.successions, 1);
+        assert_eq!(report.open, 0);
     }
 
     #[test]
-    fn incremental_replayer_matches_batch_reconstruct() {
-        let log = parse(
-            "0\t0\t10\tfast-attempt\t-\t-\t-\n\
-             1\t0\t20\tfast-success\t-\t-\t-\n\
-             2\t0\t30\tfast-attempt\t-\t-\t-\n\
-             3\t0\t40\tfast-abort\t-\t-\t-\n\
-             4\t0\t50\tflag-raise\t-\t0\t-\n\
-             5\t0\t90\tlock-acquire\t-\t0\t-\n\
-             6\t0\t120\tlocked-complete\t-\t-\t-\n\
-             7\t0\t125\tlock-release\t-\t0\t-\n\
-             8\t0\t130\tsuspect-raised\t-\t1\t-\n\
-             9\t0\t140\tfast-success\t-\t-\t-\n",
-        );
-        let batch = reconstruct(&log);
+    fn truncated_head_is_loss_but_later_orphans_are_malformed() {
+        // Thread 3's ring wrapped: its stream opens mid-operation.
+        let events = [
+            ev(0, 3, 10, Event::LockedComplete),
+            ev(1, 3, 12, Event::LockRelease(3)),
+            ev(2, 3, 20, Event::FastAttempt),
+            ev(3, 3, 25, Event::FastSuccess),
+            ev(4, 3, 30, Event::FastSuccess),
+        ];
+        let report = replay(&[3], &events);
+        // The two orphans at the head are truncation loss; the stray
+        // fast-success *after* a clean span is a real violation.
+        assert_eq!(report.orphans, 2);
+        assert_eq!(report.spans.len(), 1);
+        let stray = Malformed {
+            thread: 3,
+            seq: 4,
+            event: "fast-success",
+            state: "idle",
+        };
+        assert_eq!(report.malformed, vec![stray]);
 
-        // Feed the same stream row by row — batch boundaries anywhere.
-        let mut replayer = ThreadReplayer::new(false);
-        let mut spans = Vec::new();
-        let mut malformed = 0;
-        for row in log.thread_rows(0) {
-            match replayer.feed(row) {
-                Fed::Quiet | Fed::Orphan => {}
-                Fed::Span(s) => spans.push(s),
-                Fed::Malformed(_) => malformed += 1,
-            }
-        }
-        assert_eq!(spans.len(), batch.spans.len());
-        assert_eq!(malformed, batch.malformed.len());
-        assert_eq!(replayer.recovery().suspects, batch.recovery.suspects);
-        assert!(!replayer.is_open());
-        for (live, post) in spans.iter().zip(batch.spans.iter()) {
-            assert_eq!(live.path, post.path);
-            assert_eq!(live.start_seq, post.start_seq);
-            assert_eq!(live.end_seq, post.end_seq);
-            assert_eq!(live.duration_ns(), post.duration_ns());
-        }
+        // The same head orphans on an untruncated thread are
+        // violations.
+        let report = replay(&[], &events);
+        assert_eq!(report.orphans, 0);
+        assert_eq!(report.malformed.len(), 3);
+        assert_eq!(report.spans.len(), 1);
     }
 
     #[test]
     fn desync_turns_orphans_back_into_loss() {
-        let mk = |seq, name: &str| Row {
-            seq,
-            thread: 0,
-            wall_ns: seq * 10,
-            name: name.to_owned(),
-            site: None,
-            proc_id: None,
-            value: None,
-        };
-        let mut replayer = ThreadReplayer::new(false);
-        assert!(matches!(replayer.feed(&mk(0, "fast-attempt")), Fed::Quiet));
+        let mk = |seq, event| ev(seq, 0, seq * 10, event);
+        let mut replayer = ThreadReplayer::new();
         assert!(matches!(
-            replayer.feed(&mk(1, "fast-success")),
+            replayer.feed(&mk(0, Event::FastAttempt)),
+            Fed::Quiet
+        ));
+        assert!(matches!(
+            replayer.feed(&mk(1, Event::FastSuccess)),
             Fed::Span(_)
         ));
         // Synced now: a stray completion is a violation...
         assert!(matches!(
-            replayer.feed(&mk(2, "fast-success")),
+            replayer.feed(&mk(2, Event::FastSuccess)),
             Fed::Malformed(_)
         ));
         // ...but after a reported harvest loss it is charged to the
         // gap, and the machine resynchronises on the next clean span.
         replayer.desync();
         assert!(!replayer.is_open());
-        assert!(matches!(replayer.feed(&mk(3, "lock-release")), Fed::Orphan));
-        assert!(matches!(replayer.feed(&mk(4, "fast-attempt")), Fed::Quiet));
+        assert!(matches!(
+            replayer.feed(&mk(3, Event::LockRelease(0))),
+            Fed::Orphan
+        ));
+        assert!(matches!(
+            replayer.feed(&mk(4, Event::FastAttempt)),
+            Fed::Quiet
+        ));
         assert!(replayer.is_open());
         assert!(matches!(
-            replayer.feed(&mk(5, "fast-success")),
+            replayer.feed(&mk(5, Event::FastSuccess)),
             Fed::Span(_)
         ));
         assert!(matches!(
-            replayer.feed(&mk(6, "lock-release")),
+            replayer.feed(&mk(6, Event::LockRelease(0))),
             Fed::Malformed(_)
         ));
     }
@@ -976,28 +879,30 @@ mod tests {
         // Thread 1 is served by a combiner on thread 2; thread 0 takes
         // the lock twice, the second acquisition handed off from the
         // first (same thread here — the replayer does not judge).
-        let log = parse(
-            "0\t1\t10\trecord-post\t-\t-\t-\n\
-             1\t1\t45\thelped-by-combiner\t-\t-\t2\n\
-             2\t1\t46\tcombined-complete\t-\t-\t-\n\
-             3\t0\t10\tflag-raise\t-\t0\t-\n\
-             4\t0\t20\tlock-acquire\t-\t0\t-\n\
-             5\t0\t30\tlocked-complete\t-\t-\t-\n\
-             6\t0\t35\tlock-release\t-\t0\t-\n\
-             7\t0\t40\tflag-raise\t-\t0\t-\n\
-             8\t0\t50\thandoff-from\t-\t-\t7\n\
-             9\t0\t51\tlock-acquire\t-\t0\t-\n\
-             10\t0\t60\tlocked-complete\t-\t-\t-\n\
-             11\t0\t65\tlock-release\t-\t0\t-\n",
+        let report = replay(
+            &[],
+            &[
+                ev(0, 1, 10, Event::RecordPost),
+                ev(1, 1, 45, Event::HelpedByCombiner(2)),
+                ev(2, 1, 46, Event::CombinedComplete),
+                ev(3, 0, 10, Event::FlagRaise(0)),
+                ev(4, 0, 20, Event::LockAcquire(0)),
+                ev(5, 0, 30, Event::LockedComplete),
+                ev(6, 0, 35, Event::LockRelease(0)),
+                ev(7, 0, 40, Event::FlagRaise(0)),
+                ev(8, 0, 50, Event::HandoffFrom(7)),
+                ev(9, 0, 51, Event::LockAcquire(0)),
+                ev(10, 0, 60, Event::LockedComplete),
+                ev(11, 0, 65, Event::LockRelease(0)),
+            ],
         );
-        let report = reconstruct(&log);
         assert!(report.malformed.is_empty(), "{:?}", report.malformed);
         assert_eq!(report.spans.len(), 3);
 
-        let combined: Vec<_> = report.on_path(Path::Combined).collect();
+        let combined = report.on_path(Path::Combined);
         assert_eq!(combined[0].helped_by, Some((HelpKind::Combiner, 2)));
 
-        let locked: Vec<_> = report.on_path(Path::Locked).collect();
+        let locked = report.on_path(Path::Locked);
         assert_eq!(locked.len(), 2);
         assert_eq!(
             locked[0].helped_by, None,
@@ -1008,64 +913,43 @@ mod tests {
 
     #[test]
     fn causal_stash_does_not_leak_across_malformed_resets() {
-        let mk = |seq, name: &str, value: Option<u64>| Row {
-            seq,
-            thread: 0,
-            wall_ns: seq * 10,
-            name: name.to_owned(),
-            site: None,
-            proc_id: None,
-            value,
-        };
-        let mut replayer = ThreadReplayer::new(false);
+        let mk = |seq, event| ev(seq, 0, seq * 10, event);
+        let mut replayer = ThreadReplayer::new();
         // An op picks up an edge but dies malformed...
         assert!(matches!(
-            replayer.feed(&mk(0, "fast-attempt", None)),
+            replayer.feed(&mk(0, Event::FastAttempt)),
             Fed::Quiet
         ));
         assert!(matches!(
-            replayer.feed(&mk(1, "helped-by-partner", Some(5))),
+            replayer.feed(&mk(1, Event::HelpedByPartner(5))),
             Fed::Quiet
         ));
         assert!(matches!(
-            replayer.feed(&mk(2, "lock-release", None)),
+            replayer.feed(&mk(2, Event::LockRelease(0))),
             Fed::Malformed(_)
         ));
         // ...and the next clean span must not inherit the edge.
         assert!(matches!(
-            replayer.feed(&mk(3, "fast-attempt", None)),
+            replayer.feed(&mk(3, Event::FastAttempt)),
             Fed::Quiet
         ));
-        match replayer.feed(&mk(4, "fast-success", None)) {
+        match replayer.feed(&mk(4, Event::FastSuccess)) {
             Fed::Span(span) => assert_eq!(span.helped_by, None),
             other => panic!("expected a span, got {other:?}"),
         }
     }
 
     #[test]
-    fn help_kind_labels_round_trip_through_event_names() {
-        for kind in HelpKind::ALL {
-            let name = match kind {
-                HelpKind::Combiner => "helped-by-combiner",
-                HelpKind::Partner => "helped-by-partner",
-                HelpKind::Handoff => "handoff-from",
-                HelpKind::Custody => "custody-from",
-            };
-            assert_eq!(HelpKind::from_name(name), Some(kind));
-            assert!(is_annotation(name), "{name} must never delimit spans");
-        }
-        assert_eq!(HelpKind::from_name("fast-attempt"), None);
-    }
-
-    #[test]
     fn capture_end_leaves_open_spans_not_errors() {
-        let log = parse(
-            "0\t0\t10\tfast-attempt\t-\t-\t-\n\
-             1\t1\t10\tflag-raise\t-\t1\t-\n",
+        let report = replay(
+            &[],
+            &[
+                ev(0, 0, 10, Event::FastAttempt),
+                ev(1, 1, 10, Event::FlagRaise(1)),
+            ],
         );
-        let report = reconstruct(&log);
         assert_eq!(report.open, 2);
         assert!(report.malformed.is_empty());
-        assert_eq!(report.coverage(), 1.0);
+        assert!(report.spans.is_empty());
     }
 }

@@ -21,7 +21,7 @@ use std::time::Duration;
 use cso_bench::adapters::{drive_stack, prefill_stack, CsAdapter};
 use cso_bench::cell_duration;
 use cso_bench::report::{fmt_pct, fmt_rate, Table};
-use cso_bench::tracing::{drive_stack_timed, poisoning_causes, PathHists};
+use cso_bench::tracing::poisoning_causes;
 use cso_bench::workload::OpMix;
 use cso_memory::chaos::{self, Fault, Plan};
 use cso_stack::{CsStack, PopOutcome, PushOutcome};
@@ -166,21 +166,6 @@ fn stall_and_deadline(table: &mut Table) {
     ]);
 }
 
-/// Per-path operation latency under an abort storm: the "veto" cell
-/// again, but timing every operation into the histogram of the path it
-/// completed on. Without `--features trace` the completion path is
-/// unknown and every sample lands in the `unknown` row.
-fn latency_cell() {
-    let adapter = CsAdapter(CsStack::new(8192, THREADS));
-    prefill_stack(&adapter, 4096);
-    chaos::arm_plan("cs::fast", Plan::one_in(Fault::SpuriousAbort, 8));
-    let hists = PathHists::new();
-    let _ = drive_stack_timed(&adapter, THREADS, cell_duration(), OpMix::BALANCED, &hists);
-    chaos::reset();
-    println!("\nPer-path operation latency, veto 1/8 fast paths:");
-    hists.table().print();
-}
-
 fn main() {
     // Mirror every fail-point fire into the probe stream (no-op
     // without `--features trace`), so the trace can name the fail
@@ -225,8 +210,6 @@ fn main() {
     stall_and_deadline(&mut table);
 
     table.print();
-
-    latency_cell();
 
     if probe::enabled() {
         let causes = poisoning_causes(&probe::collect());

@@ -4,131 +4,19 @@
 //! untraced builds and, under `--features trace`, prints the event
 //! summary table and writes a Chrome `trace_event` JSON next to the
 //! target directory (open it in `chrome://tracing` or
-//! <https://ui.perfetto.dev>). [`PathHists`] adds the per-path latency
-//! dimension: each operation's wall time lands in the histogram of the
-//! Figure 3 path it actually completed on, as reported by
-//! [`cso_trace::probe::last_path`].
+//! <https://ui.perfetto.dev>) plus the `cso-trace-events v1` log that
+//! `cso-analyze` reads. Per-path latency is not measured here: a run
+//! that times is the yardstick's, and the per-path table of a traced
+//! capture is `cso-analyze spans <events.tsv>`.
 //!
 //! Environment knobs: `CSO_TRACE_OUT` overrides the JSON output path
-//! (default `target/trace/<bin>.json`).
+//! (default `target/trace/<bin>.json`), `CSO_TRACE_EVENTS` the event
+//! log's (default `target/trace/<bin>.events.tsv`).
 
 use std::path::PathBuf;
-use std::time::Instant;
 
 use cso_trace::export;
-use cso_trace::hist::{HistSnapshot, LogHistogram};
-use cso_trace::probe::{self, Event, Path, Trace};
-
-use crate::report::Table;
-
-/// Latency histograms keyed by the completion path of each operation.
-///
-/// [`PathHists::time`] wraps one operation: the sample is recorded
-/// into `fast`, `eliminated` or `locked` when the probe layer knows
-/// which path the operation completed on, and into `unknown` otherwise
-/// (untraced build, a non-path-reporting implementation, or a
-/// timed-out invocation). All histograms are concurrent — one
-/// `PathHists` can serve every worker thread of a driver.
-#[derive(Default)]
-pub struct PathHists {
-    /// Operations that completed on the lock-free fast path.
-    pub fast: LogHistogram,
-    /// Operations that completed by elimination rendezvous.
-    pub eliminated: LogHistogram,
-    /// Operations that completed under the lock.
-    pub locked: LogHistogram,
-    /// Operations whose path the probe layer could not attribute.
-    pub unknown: LogHistogram,
-}
-
-impl PathHists {
-    /// Four empty histograms.
-    #[must_use]
-    pub fn new() -> PathHists {
-        PathHists::default()
-    }
-
-    /// Times `op` and records the sample in the histogram of the path
-    /// it completed on. Returns `op`'s result.
-    pub fn time<R>(&self, op: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let out = op();
-        let elapsed = start.elapsed();
-        match probe::last_path() {
-            Some(Path::Fast) => self.fast.record(elapsed),
-            Some(Path::Eliminated) => self.eliminated.record(elapsed),
-            Some(Path::Locked) => self.locked.record(elapsed),
-            None => self.unknown.record(elapsed),
-        }
-        out
-    }
-
-    /// Renders the non-empty histograms as a `path × percentile`
-    /// table (ns with adaptive units).
-    #[must_use]
-    pub fn table(&self) -> Table {
-        let mut table = Table::new(&["path", "ops", "mean", "p50", "p90", "p99", "max"]);
-        for (label, hist) in [
-            ("fast", &self.fast),
-            ("eliminated", &self.eliminated),
-            ("locked", &self.locked),
-            ("unknown", &self.unknown),
-        ] {
-            if hist.is_empty() {
-                continue;
-            }
-            let s = hist.snapshot();
-            table.row(vec![
-                label.to_owned(),
-                s.count.to_string(),
-                HistSnapshot::fmt_ns(s.mean_ns),
-                HistSnapshot::fmt_ns(s.p50_ns),
-                HistSnapshot::fmt_ns(s.p90_ns),
-                HistSnapshot::fmt_ns(s.p99_ns),
-                HistSnapshot::fmt_ns(s.max_ns),
-            ]);
-        }
-        table
-    }
-
-    /// True when nothing has been timed yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.fast.is_empty()
-            && self.eliminated.is_empty()
-            && self.locked.is_empty()
-            && self.unknown.is_empty()
-    }
-}
-
-/// [`crate::adapters::drive_stack`] with per-operation timing: every
-/// operation's latency lands in `hists` under the path it completed
-/// on. Slower than the untimed driver (two `Instant` reads per op) —
-/// use it for the dedicated latency cells, not the throughput sweeps.
-pub fn drive_stack_timed(
-    stack: &dyn crate::adapters::BenchStack,
-    threads: usize,
-    duration: std::time::Duration,
-    mix: crate::workload::OpMix,
-    hists: &PathHists,
-) -> crate::measure::RunResult {
-    use std::sync::atomic::Ordering;
-    crate::measure::timed_run(threads, duration, |thread, stop| {
-        let mut rng = crate::workload::thread_rng(thread, 0xBEEF);
-        let mut ops = 0u64;
-        let mut value = thread as u32;
-        while !stop.load(Ordering::Relaxed) {
-            if mix.next_is_push(&mut rng) {
-                hists.time(|| stack.push(thread, value));
-                value = value.wrapping_add(threads as u32);
-            } else {
-                hists.time(|| stack.pop(thread));
-            }
-            ops += 1;
-        }
-        ops
-    })
-}
+use cso_trace::probe::{self, Event, Trace};
 
 /// Attributes each survived poisoning to the chaos fail point that
 /// caused it: for every [`Event::SlowPoisoned`], the nearest preceding
@@ -210,21 +98,6 @@ pub fn emit(bin: &str) {
 mod tests {
     use super::*;
     use cso_trace::probe::TraceEvent;
-
-    #[test]
-    fn path_hists_time_and_render() {
-        let hists = PathHists::new();
-        assert!(hists.is_empty());
-        let out = hists.time(|| 7);
-        assert_eq!(out, 7);
-        assert!(!hists.is_empty());
-        // Without the trace feature the sample is unattributed; with
-        // it, no completion probe fired inside the closure, so it is
-        // unattributed (or charged to this test thread's previous
-        // completion) either way — the table must still render.
-        let rendered = hists.table().render();
-        assert!(rendered.contains("path"));
-    }
 
     #[test]
     fn poisoning_attribution_charges_same_thread_fail_point() {

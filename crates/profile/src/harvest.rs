@@ -127,6 +127,10 @@ mod tests {
 
     #[test]
     fn harvester_starts_and_stops_cleanly_without_traffic() {
+        // A harvester is the rings' consumer while it runs: beside the
+        // test below it would take events that one is counting.
+        #[cfg(feature = "trace")]
+        let _serial = crate::test_serial();
         let harvester = Harvester::start();
         let agg = harvester.stop();
         // Without the trace feature the rings are empty; with it, other
@@ -145,8 +149,11 @@ mod tests {
         let before = probe::emitted();
         let agg = Arc::new(LiveAggregator::new());
         let harvester = Harvester::start_with(Arc::clone(&agg), Duration::from_millis(1));
-        // Emit far more than one ring capacity, paced so the harvester
-        // keeps up even on a single-CPU box.
+        // Emit far more than one ring capacity. The emitter is paced
+        // by the harvester itself, not by the clock: it waits while
+        // more than half a ring (4096 slots) of its events is still
+        // unread, so the ring cannot wrap however rarely the harvest
+        // thread is scheduled — pinned to a single CPU included.
         let rounds = 64u64;
         let per_round = 1024u64; // rounds * per_round = 16x capacity
         for _ in 0..rounds {
@@ -154,7 +161,9 @@ mod tests {
                 cso_trace::probe!(cso_trace::Event::FastAttempt);
                 cso_trace::probe!(cso_trace::Event::FastSuccess);
             }
-            std::thread::sleep(Duration::from_millis(2));
+            while probe::emitted() - before - agg.ingested() > 2048 {
+                std::thread::yield_now();
+            }
         }
         let agg = harvester.stop();
         let emitted = probe::emitted() - before;

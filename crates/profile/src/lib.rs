@@ -1,21 +1,22 @@
 //! # `cso-profile` — continuous profiling for contention-sensitive objects
 //!
 //! `cso-trace` records into fixed per-thread rings, so a long run
-//! overwrites its own history; `cso-analyze` replays captures after
-//! the fact. This crate closes the gap between the two with four
-//! pieces that work while the workload runs:
+//! overwrites its own history; `cso-analyze` folds a stream of probe
+//! events into spans, quantiles and verdicts. This crate connects the
+//! two while the workload runs, with four pieces:
 //!
 //! * [`harvest::Harvester`] — a background thread that drains every
 //!   probe ring (via `cso_trace::probe::harvest`) faster than the
 //!   rings wrap, making arbitrarily long traces lossless: the drop
 //!   gauge stays 0 and every event reaches the aggregator exactly
 //!   once;
-//! * [`aggregate::LiveAggregator`] — the streaming port of
-//!   `cso_analyze::spans`: each harvested batch feeds per-thread
-//!   [`cso_analyze::spans::ThreadReplayer`] state machines, and the
-//!   completed spans fold into bounded-memory aggregates — per-path
-//!   latency histograms, lock wait/hold quantiles, convoy and
-//!   combiner-stall detection, recovery counts, and collapsed stacks;
+//! * [`aggregate::LiveAggregator`] — [`cso_analyze::Fold`], the
+//!   analyser the `cso-analyze` CLI runs on a capture file, behind a
+//!   mutex and fed one harvested batch at a time: per-path latency
+//!   histograms, lock wait/hold quantiles, the §4.4 bypass count,
+//!   convoy and combiner-stall detection, recovery counts, the
+//!   helped-by graph and collapsed stacks, in memory bounded by the
+//!   thread count;
 //! * [`causal`] — a coz-style *causal* (what-if) profiler: to ask
 //!   "how much would speeding up site class X help?", it delays every
 //!   *other* probe-site class by a calibrated amount and compares

@@ -1,14 +1,20 @@
-//! Exporters: Chrome `trace_event` JSON and a plain-text summary.
+//! Exporters: Chrome `trace_event` JSON, a plain-text summary, and the
+//! `cso-trace-events v1` event log — the one format this crate also
+//! reads back ([`event_log`] / [`parse_event_log`]), so a capture
+//! written by a traced bench binary replays through the same typed
+//! [`Event`]s the live harvester hands out.
 //!
-//! Both render a collected [`Trace`]; neither depends on the `trace`
-//! feature (an empty trace exports to an empty-but-valid document).
+//! All of them work on a collected [`Trace`]; none depends on the
+//! `trace` feature (an empty trace exports to an empty-but-valid
+//! document, and an untraced build parses logs a traced one wrote).
 //! The JSON is hand-rolled — the workspace is deliberately
 //! dependency-free — against the published `trace_event` format, so
 //! the output opens directly in `chrome://tracing` or
 //! <https://ui.perfetto.dev>.
 
-use crate::probe::{Event, Trace};
+use crate::probe::{Event, Trace, TraceEvent};
 use std::fmt::Write as _;
+use std::sync::Mutex;
 
 /// Minimal JSON string escaping (the only dynamic strings we embed are
 /// event names and `&'static str` site labels, but stay correct for
@@ -158,8 +164,8 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
 }
 
 /// Renders a [`Trace`] as the `cso-trace-events v1` log: a line-based
-/// TSV made for the `cso-analyze` span reconstructor (stable, greppable
-/// and parseable without a JSON reader).
+/// TSV made for `cso-analyze` (stable, greppable and parseable without
+/// a JSON reader). [`parse_event_log`] is its inverse.
 ///
 /// Layout:
 ///
@@ -209,6 +215,172 @@ pub fn event_log(trace: &Trace) -> String {
         }
     }
     out
+}
+
+/// A line of a `cso-trace-events v1` log that [`parse_event_log`]
+/// could not read.
+#[derive(Debug)]
+pub struct ParseError {
+    /// 1-based line number of the offending line.
+    pub line: usize,
+    /// What was wrong with it.
+    pub message: String,
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "line {}: {}", self.line, self.message)
+    }
+}
+
+/// Site names read back from event logs, leaked once each so the
+/// parsed [`Event`] can carry the `&'static str` the recorded one did.
+/// The vocabulary is the few dozen register, lock-kind and fail-point
+/// names the probe sites spell, so the table stays that small. It is
+/// deliberately not the recorder's own interning table: that one is
+/// compiled only with the `trace` feature, and log files are read by
+/// untraced builds (CI runs the `cso-analyze` CLI that way).
+static PARSED_SITES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+
+fn intern_site(site: &str) -> &'static str {
+    let mut sites = PARSED_SITES.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(known) = sites.iter().find(|s| **s == site) {
+        return known;
+    }
+    let leaked: &'static str = Box::leak(site.to_owned().into_boxed_str());
+    sites.push(leaked);
+    leaked
+}
+
+/// Rebuilds an [`Event`] from the columns [`event_log`] writes for it:
+/// the inverse of [`Event::name`] plus whichever of [`Event::site`],
+/// [`Event::proc`] and [`Event::value`] the variant carries. `None`
+/// for an unknown name or a missing payload; payload columns the
+/// variant does not carry are ignored.
+#[must_use]
+pub fn parse_event(
+    name: &str,
+    site: Option<&str>,
+    proc: Option<u32>,
+    value: Option<u32>,
+) -> Option<Event> {
+    let site = || site.map(intern_site);
+    Some(match name {
+        "fast-attempt" => Event::FastAttempt,
+        "fast-abort" => Event::FastAbort,
+        "fast-success" => Event::FastSuccess,
+        "cas-fail" => Event::CasFail(site()?),
+        "contention-raise" => Event::ContentionRaise,
+        "contention-clear" => Event::ContentionClear,
+        "lock-acquire" => Event::LockAcquire(proc?),
+        "lock-release" => Event::LockRelease(proc?),
+        "lock-handoff" => Event::LockHandoff(site()?),
+        "turn-advance" => Event::TurnAdvance(proc?),
+        "helping-write" => Event::HelpingWrite(site()?),
+        "fail-point" => Event::FailPoint(site()?),
+        "locked-complete" => Event::LockedComplete,
+        "slow-timeout" => Event::SlowTimeout,
+        "slow-poisoned" => Event::SlowPoisoned,
+        "record-post" => Event::RecordPost,
+        "record-handoff" => Event::RecordHandoff(value?),
+        "combine-batch" => Event::CombineBatch(value?),
+        "combined-complete" => Event::CombinedComplete,
+        "record-poisoned" => Event::RecordPoisoned,
+        "flag-raise" => Event::FlagRaise(proc?),
+        "elim-attempt" => Event::ElimAttempt,
+        "eliminated-complete" => Event::EliminatedComplete,
+        "suspect-raised" => Event::SuspectRaised(proc?),
+        "record-reclaimed" => Event::RecordReclaimed(proc?),
+        "lock-succeeded" => Event::LockSucceeded(proc?),
+        "helped-by-combiner" => Event::HelpedByCombiner(value?),
+        "helped-by-partner" => Event::HelpedByPartner(value?),
+        "handoff-from" => Event::HandoffFrom(value?),
+        "custody-from" => Event::CustodyFrom(value?),
+        _ => return None,
+    })
+}
+
+/// One numeric column of a log line; the error is the message half of
+/// a [`ParseError`].
+fn number<T: std::str::FromStr>(text: Option<&str>, what: &str) -> Result<T, String> {
+    let text = text.ok_or_else(|| format!("missing {what} column"))?;
+    text.parse().map_err(|_| format!("bad {what}: {text:?}"))
+}
+
+/// A payload column: `-` when the event carries none.
+fn optional<T: std::str::FromStr>(text: Option<&str>, what: &str) -> Result<Option<T>, String> {
+    match text {
+        Some("-") => Ok(None),
+        text => number(text, what).map(Some),
+    }
+}
+
+/// Parses a `cso-trace-events v1` log back into the [`Trace`] that
+/// [`event_log`] rendered. Events are re-sorted by sequence number
+/// (earlier writers grouped rows by thread); blank lines and unknown
+/// `#` comments are skipped, so a log survives a future header.
+///
+/// # Errors
+///
+/// [`ParseError`] on a missing or mismatched version header, a row
+/// without the seven columns, an unparseable number, or an event name
+/// (or payload) this build's [`Event`] does not have.
+pub fn parse_event_log(text: &str) -> Result<Trace, ParseError> {
+    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim_end()));
+    let header = match lines.next() {
+        Some((_, "# cso-trace-events v1")) => Ok(()),
+        Some((_, first)) => Err(format!(
+            "expected `# cso-trace-events v1` header, got {first:?}"
+        )),
+        None => Err("empty input".to_owned()),
+    };
+    header.map_err(|message| ParseError { line: 1, message })?;
+
+    let mut trace = Trace::default();
+    for (line, text) in lines {
+        let fail = |message: String| ParseError { line, message };
+        if let Some(comment) = text.strip_prefix('#') {
+            let mut words = comment.split_whitespace();
+            match words.next() {
+                Some("dropped") => {
+                    trace.dropped = number(words.next(), "dropped count").map_err(fail)?;
+                }
+                Some("truncated") => trace.truncated.push((
+                    number(words.next(), "truncated thread").map_err(fail)?,
+                    number(words.next(), "truncated count").map_err(fail)?,
+                )),
+                _ => {}
+            }
+            continue;
+        }
+        if text.is_empty() {
+            continue;
+        }
+        let mut cols = text.split('\t');
+        let seq = number(cols.next(), "seq").map_err(fail)?;
+        let thread = number(cols.next(), "thread").map_err(fail)?;
+        let wall_ns = number(cols.next(), "wall_ns").map_err(fail)?;
+        let name = cols
+            .next()
+            .ok_or_else(|| fail("missing name column".into()))?;
+        let site = match cols.next() {
+            None => return Err(fail("missing site column".into())),
+            Some("-") => None,
+            site => site,
+        };
+        let proc = optional(cols.next(), "proc").map_err(fail)?;
+        let value = optional(cols.next(), "value").map_err(fail)?;
+        let event = parse_event(name, site, proc, value)
+            .ok_or_else(|| fail(format!("unknown event or missing payload: {name:?}")))?;
+        trace.events.push(TraceEvent {
+            thread,
+            seq,
+            wall_ns,
+            event,
+        });
+    }
+    trace.events.sort_by_key(|e| e.seq);
+    Ok(trace)
 }
 
 /// Renders a [`Trace`] as a plain-text counts table: one row per
@@ -357,6 +529,109 @@ mod tests {
         assert_eq!(lines.next(), Some("3\t1\t400\tlock-acquire\t-\t1\t-"));
         assert_eq!(lines.next(), Some("4\t1\t900\tcombine-batch\t-\t-\t5"));
         assert_eq!(lines.next(), None);
+    }
+
+    /// One of every variant, payloads distinct enough that a column
+    /// mix-up cannot cancel out. (A variant missing from this list is
+    /// still caught in `trace` builds, where
+    /// `every_ring_code_survives_the_event_log_codec` walks the ring's
+    /// own exhaustive enumeration through the parser.)
+    fn one_of_each() -> Vec<Event> {
+        vec![
+            Event::FastAttempt,
+            Event::FastAbort,
+            Event::FastSuccess,
+            Event::CasFail("stack::top"),
+            Event::ContentionRaise,
+            Event::ContentionClear,
+            Event::LockAcquire(1),
+            Event::LockRelease(2),
+            Event::LockHandoff("mcs"),
+            Event::TurnAdvance(3),
+            Event::HelpingWrite("queue::slot"),
+            Event::FailPoint("cs::locked"),
+            Event::LockedComplete,
+            Event::SlowTimeout,
+            Event::SlowPoisoned,
+            Event::RecordPost,
+            Event::RecordHandoff(u32::MAX),
+            Event::CombineBatch(5),
+            Event::CombinedComplete,
+            Event::RecordPoisoned,
+            Event::FlagRaise(4),
+            Event::ElimAttempt,
+            Event::EliminatedComplete,
+            Event::SuspectRaised(5),
+            Event::RecordReclaimed(6),
+            Event::LockSucceeded(7),
+            Event::HelpedByCombiner(8),
+            Event::HelpedByPartner(9),
+            Event::HandoffFrom(10),
+            Event::CustodyFrom(crate::NO_TID),
+        ]
+    }
+
+    #[test]
+    fn parse_event_log_inverts_event_log_for_every_variant() {
+        let events = one_of_each()
+            .into_iter()
+            .enumerate()
+            .map(|(i, event)| ev(i as u32 % 3, i as u64, 100 * i as u64, event))
+            .collect();
+        let trace = Trace {
+            events,
+            dropped: 12,
+            truncated: vec![(0, 5), (2, 7)],
+        };
+        let text = event_log(&trace);
+        let parsed = parse_event_log(&text).expect("own output parses");
+        assert_eq!(parsed.events, trace.events);
+        assert_eq!(parsed.dropped, trace.dropped);
+        assert_eq!(parsed.truncated, trace.truncated);
+        assert_eq!(event_log(&parsed), text, "and renders back byte for byte");
+        // A site read twice is one leaked string, not two.
+        let again = parse_event_log(&text).expect("parses again");
+        assert_eq!(
+            parsed.events[3].event.site().map(str::as_ptr),
+            again.events[3].event.site().map(str::as_ptr)
+        );
+    }
+
+    #[test]
+    fn parse_event_log_sorts_and_skips_noise() {
+        let text = "# cso-trace-events v1\n# some future header\n\n\
+                    3\t1\t900\tlock-acquire\t-\t1\t-\n\
+                    0\t0\t100\tfast-attempt\t-\t-\t-  \n";
+        let trace = parse_event_log(text).expect("parses");
+        assert_eq!(trace.dropped, 0);
+        assert!(trace.truncated.is_empty());
+        assert_eq!(trace.events[0], ev(0, 0, 100, Event::FastAttempt));
+        assert_eq!(trace.events[1], ev(1, 3, 900, Event::LockAcquire(1)));
+    }
+
+    #[test]
+    fn parse_event_log_rejects_what_it_cannot_represent() {
+        let line_of = |text: &str| parse_event_log(text).expect_err("rejected").line;
+        assert_eq!(line_of(""), 1);
+        assert_eq!(line_of("# cso-trace-events v2\n"), 1);
+        let head = "# cso-trace-events v1\n";
+        // Short row, bad number, unknown name, payload the variant
+        // needs but the row lacks, payload wider than the event's u32.
+        for row in [
+            "0\t0\t1\tfast-attempt\t-\n",
+            "x\t0\t1\tfast-attempt\t-\t-\t-\n",
+            "0\t0\t1\tno-such-event\t-\t-\t-\n",
+            "0\t0\t1\tlock-acquire\t-\t-\t-\n",
+            "0\t0\t1\tcombine-batch\t-\t-\t4294967296\n",
+            "# truncated 1\n",
+        ] {
+            assert_eq!(line_of(&format!("{head}{row}")), 2, "{row:?}");
+        }
+        let err = parse_event_log(&format!("{head}x\t0\t1\tfast-attempt\t-\t-\t-\n"));
+        assert!(err
+            .expect_err("bad seq")
+            .to_string()
+            .contains("line 2: bad seq"));
     }
 
     #[test]

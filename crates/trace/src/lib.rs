@@ -21,8 +21,10 @@
 //!   the E1 bench bin's measurement promoted to a reusable runtime
 //!   check that can fail a test run.
 //! * [`export`] — Chrome `trace_event` JSON (open in
-//!   `chrome://tracing` or <https://ui.perfetto.dev>) and a plain
-//!   counts summary, both driven off a collected [`Trace`].
+//!   `chrome://tracing` or <https://ui.perfetto.dev>), a plain counts
+//!   summary, and the `cso-trace-events v1` event log with its parser
+//!   (the codec `cso-analyze` reads captures through), all driven off
+//!   a collected [`Trace`].
 //!
 //! # Feature matrix
 //!

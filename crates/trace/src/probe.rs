@@ -666,7 +666,7 @@ mod imp {
         }
     }
 
-    fn decode(code: u8, arg: u32) -> Option<Event> {
+    pub(super) fn decode(code: u8, arg: u32) -> Option<Event> {
         Some(match code {
             0 => Event::FastAttempt,
             1 => Event::FastAbort,
@@ -839,10 +839,30 @@ mod imp {
     }
 
     pub(super) fn harvest() -> Harvested {
+        harvest_with(|_| {})
+    }
+
+    /// [`harvest`], calling `after_ring` with each ring's thread id once
+    /// that ring has been read — the seam that lets a test record
+    /// events *during* a scan, on rings of its choosing, without racing
+    /// a real one.
+    pub(super) fn harvest_with(mut after_ring: impl FnMut(u32)) -> Harvested {
         // The RINGS mutex serializes harvest against collect/clear and
         // against concurrent harvesters: each ring has exactly one
         // consumer at a time, so advancing the floor below is safe.
         let rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
+        // The rings are read one after another while writers keep
+        // recording, so without a common horizon the ring read last
+        // would hand over events younger than ones the ring read first
+        // recorded during the scan — and those would arrive a whole
+        // pass later, behind their successors. Cut every ring at the
+        // clock value read here: this pass takes timestamps below it,
+        // the rest wait for the next. What can still arrive late is an
+        // event whose writer drew its timestamp before the cut but had
+        // not published it when its ring was read — at most one per
+        // writer per pass (see [`super::harvest`]). Relaxed: the clock
+        // is a ticket dispenser, nothing is published through it.
+        let cut = SEQ.load(Ordering::Relaxed);
         let mut events = Vec::new();
         let mut lost = 0u64;
         let mut truncated = Vec::new();
@@ -882,15 +902,27 @@ mod imp {
                 ring_lost += safe_from.min(head) - oldest;
                 batch.retain(|(i, _)| *i >= safe_from);
             }
+            // A ring's timestamps ascend with its indices, so the cut
+            // is a prefix: everything from the first young event on
+            // stays in the ring, unconsumed, for the next pass.
+            let consumed = match batch.iter().position(|(_, e)| e.seq >= cut) {
+                Some(young) => {
+                    let index = batch[young].0;
+                    batch.truncate(young);
+                    index
+                }
+                None => head,
+            };
             events.extend(batch.into_iter().map(|(_, e)| e));
             if ring_lost > 0 {
                 truncated.push((ring.thread, ring_lost));
             }
             lost += ring_lost;
-            // Everything up to the observed head is now consumed:
+            // Everything below `consumed` is now the harvester's:
             // overwriting it no longer counts as a drop. fetch_max
             // keeps a concurrent clear()'s higher floor intact.
-            ring.floor.fetch_max(head, Ordering::AcqRel);
+            ring.floor.fetch_max(consumed, Ordering::AcqRel);
+            after_ring(ring.thread);
         }
         events.sort_by_key(|e| e.seq);
         Harvested {
@@ -1036,6 +1068,18 @@ pub fn clear() {
 /// *after* a harvest returns only the not-yet-harvested tail — the
 /// harvester owns everything before its watermark. Empty without the
 /// `trace` feature.
+///
+/// # Order across passes
+///
+/// A pass reads the logical clock once, before it scans, and takes
+/// from every ring only the events stamped below that value; younger
+/// ones stay in their ring for the next pass. Successive batches
+/// therefore concatenate into one stream in [`TraceEvent::seq`] order,
+/// which a streaming consumer can fold in arrival order with no
+/// reorder buffer. The skew that remains: a writer preempted between
+/// drawing its timestamp and publishing the slot is invisible to the
+/// pass that cut above it, so its event arrives one pass late — at
+/// most one event per writing thread per pass.
 #[must_use]
 pub fn harvest() -> Harvested {
     #[cfg(feature = "trace")]
@@ -1466,6 +1510,72 @@ mod tests {
             assert_eq!(trace.dropped, 0);
             assert!(trace.truncated.is_empty());
             clear();
+        }
+
+        #[test]
+        fn events_recorded_during_a_scan_wait_for_the_next_pass_in_clock_order() {
+            use std::sync::mpsc::channel;
+            let _serial = serial();
+            clear();
+            // This thread's ring registers first, so every pass reads
+            // it before the second writer's.
+            let me = thread_id();
+            record(Event::FastAttempt);
+            let (go, gone) = (channel::<()>(), channel::<()>());
+            let other = std::thread::spawn(move || {
+                record(Event::ContentionRaise); // registers the later ring
+                gone.0.send(()).unwrap();
+                go.1.recv().unwrap();
+                record(Event::LockAcquire(1));
+                gone.0.send(()).unwrap();
+            });
+            gone.1.recv().unwrap();
+            // Mid-scan, after this thread's ring has been read: an event
+            // here, then a younger one on the ring still to be read.
+            let first = super::super::imp::harvest_with(|ring| {
+                if ring == me {
+                    record(Event::FlagRaise(0));
+                    go.0.send(()).unwrap();
+                    gone.1.recv().unwrap();
+                }
+            });
+            other.join().unwrap();
+            let second = harvest();
+            let straddlers = |batch: &Harvested| -> Vec<Event> {
+                let events = batch.events.iter().map(|e| e.event);
+                events
+                    .filter(|e| matches!(e, Event::FlagRaise(0) | Event::LockAcquire(1)))
+                    .collect()
+            };
+            // Without the cut the first pass hands over the younger
+            // `lock-acquire` and the older `flag-raise` trails it by a
+            // pass: the flag looks raised after the acquire it preceded.
+            assert_eq!(straddlers(&first), vec![]);
+            assert_eq!(
+                straddlers(&second),
+                vec![Event::FlagRaise(0), Event::LockAcquire(1)]
+            );
+            assert_eq!(first.lost + second.lost, 0);
+            clear();
+        }
+
+        #[test]
+        fn every_ring_code_survives_the_event_log_codec() {
+            // `encode` is an exhaustive match, so the ring's codes are
+            // the one enumeration of `Event` a new variant cannot skip;
+            // walk them to pin the name-keyed parser to it.
+            let mut code = 0u8;
+            while let Some(event) = super::super::imp::decode(code, 7) {
+                let back = crate::export::parse_event(
+                    event.name(),
+                    event.site(),
+                    event.proc(),
+                    event.value(),
+                );
+                assert_eq!(back, Some(event), "code {code}");
+                code += 1;
+            }
+            assert!(code >= 30, "walked {code} codes");
         }
 
         #[test]

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cso_profile::LiveAggregator;
-use cso_trace::probe::{Event, Harvested, TraceEvent};
+use cso_trace::probe::{self, Event, Harvested, TraceEvent};
 use cso_watch::{Invariant, Watchdog};
 
 /// Shared op counters a workload updates and the watchdog samples.
@@ -166,7 +166,16 @@ fn a_clean_concurrent_workload_raises_no_alerts() {
     let books = Books::new();
     // With `trace` on, the workload emits real probes; a live
     // harvester must drain the rings or `lossless_rings` would —
-    // correctly — flag the capture as lossy.
+    // correctly — flag the capture as lossy. Whether a 1 ms harvester
+    // gets scheduled often enough is the host's business, so the
+    // workers do not bet on it: each waits while the events emitted
+    // since this point and not yet ingested exceed half a ring (4096
+    // slots). No ring can then hold a full lap of unread events,
+    // however the threads are scheduled — on one CPU as well. Without
+    // `trace` both counts stay 0.
+    const HALF_RING: u64 = 2048;
+    probe::clear();
+    let emitted_before = probe::emitted();
     let harvester = cso_profile::Harvester::start_with(
         Arc::new(LiveAggregator::new()),
         Duration::from_millis(1),
@@ -185,8 +194,17 @@ fn a_clean_concurrent_workload_raises_no_alerts() {
         .map(|proc| {
             let stack = Arc::clone(&stack);
             let books = Arc::clone(&books);
+            let agg = Arc::clone(&agg);
             std::thread::spawn(move || {
                 for i in 0..OPS {
+                    // Every 16 operations is often enough: four workers
+                    // emit a few hundred events between checks.
+                    while i % 16 == 0
+                        && (probe::emitted() - emitted_before).saturating_sub(agg.ingested())
+                            > HALF_RING
+                    {
+                        std::thread::yield_now();
+                    }
                     if i % 2 == 0 {
                         if stack.push(proc, i as u32).is_pushed() {
                             books.pushes.fetch_add(1, Ordering::Relaxed);
@@ -195,11 +213,6 @@ fn a_clean_concurrent_workload_raises_no_alerts() {
                     } else if stack.pop(proc).is_popped() {
                         books.pops.fetch_add(1, Ordering::Relaxed);
                         books.size.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    if i % 512 == 511 {
-                        // Breathe so the 1ms harvester keeps every
-                        // 4096-slot ring ahead of the probe stream.
-                        std::thread::sleep(Duration::from_millis(1));
                     }
                 }
             })
