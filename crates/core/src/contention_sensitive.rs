@@ -30,13 +30,12 @@
 //!   (uncounted) atomics, so Theorem 1's counted budgets are
 //!   untouched.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use cso_locks::{ProcLock, RawLock, RecoveringLock, StarvationFree, Succession};
-use cso_memory::backoff::{CasBackoff, Deadline, Spinner};
+use cso_memory::backoff::{retry_pause, Deadline, Spinner};
 use cso_memory::combining::{CachePadded, PubRecord, RecordState, NO_HELPER};
 use cso_memory::fail_point;
 use cso_memory::liveness::{Liveness, RecoveryPolicy};
@@ -75,19 +74,13 @@ pub struct CsConfig {
     /// probing. Off, the `CONTENTION` register alone routes (the
     /// paper's exact behaviour).
     pub adaptive_gate: bool,
-    /// Escalation-ladder rung 2: after a fast-path abort, retry the
-    /// weak operation a bounded number of times under **lightweight
-    /// CAS contention management** (a per-thread, failure-history-
-    /// driven [`CasBackoff`]) before touching `CONTENTION` or the
-    /// lock. All bookkeeping is thread-local / uncounted, so the solo
-    /// fast path keeps Theorem 1's exact six accesses.
-    pub cas_backoff: bool,
-    /// Escalation-ladder rung 3: after the weak-op retries are
-    /// exhausted, attempt to complete by **elimination** — rendezvous
-    /// with a concurrent inverse operation via the object's
-    /// [`Abortable::try_eliminate`] hook (e.g. a stack's push/pop pair
-    /// exchanging through [`cso_memory::exchange`]). Objects without
-    /// an inverse structure decline and fall through to the lock.
+    /// The escalation ladder's middle rung: once the fast path's
+    /// [`FAST_RETRIES`] are spent, attempt to complete by
+    /// **elimination** — rendezvous with a concurrent inverse
+    /// operation via the object's [`Abortable::try_eliminate`] hook
+    /// (e.g. a stack's push/pop pair exchanging through
+    /// [`cso_memory::exchange`]). Objects without an inverse structure
+    /// decline and fall through to the lock.
     pub elimination: bool,
     /// Crash tolerance for the slow path (the paper's §5 caveat): when
     /// `Some`, the object keeps a per-process [`Liveness`] lease,
@@ -108,7 +101,6 @@ impl CsConfig {
         fast_path: true,
         combining: false,
         adaptive_gate: false,
-        cas_backoff: false,
         elimination: false,
         recovery: None,
     };
@@ -118,7 +110,6 @@ impl CsConfig {
         fast_path: true,
         combining: false,
         adaptive_gate: false,
-        cas_backoff: false,
         elimination: false,
         recovery: None,
     };
@@ -129,20 +120,17 @@ impl CsConfig {
         fast_path: true,
         combining: true,
         adaptive_gate: true,
-        cas_backoff: false,
         elimination: false,
         recovery: None,
     };
-    /// The full escalation ladder: bare fast path,
-    /// then CAS contention management, then elimination, then the
-    /// lock. The paper's exact fast path and slow path bracket the two
-    /// new middle rungs.
+    /// The full escalation ladder: the fast path and its paced
+    /// retries, then elimination, then the lock — [`CsConfig::PAPER`]
+    /// with the middle rung on.
     pub const LADDER: CsConfig = CsConfig {
         fair: true,
         fast_path: true,
         combining: false,
         adaptive_gate: false,
-        cas_backoff: true,
         elimination: true,
         recovery: None,
     };
@@ -167,14 +155,6 @@ impl CsConfig {
     #[must_use]
     pub const fn without_fast_path(mut self) -> CsConfig {
         self.fast_path = false;
-        self
-    }
-
-    /// This configuration with the CAS contention-management rung
-    /// (bounded, backoff-paced weak-op retries) enabled.
-    #[must_use]
-    pub const fn with_cas_backoff(mut self) -> CsConfig {
-        self.cas_backoff = true;
         self
     }
 
@@ -239,9 +219,9 @@ struct StatsBlock {
 }
 
 // The cells, each with its one writer.
-/// Lock-free weak-op successes, ladder retries included (invoker).
+/// Lock-free weak-op successes, first attempts and retries (invoker).
 const FAST: usize = 0;
-/// Aborts of those same attempts; each escalated a rung (invoker).
+/// Aborts of those same attempts (invoker).
 const FAST_ABORTS: usize = 1;
 /// Completions by elimination rendezvous (invoker).
 const ELIMINATED: usize = 2;
@@ -286,8 +266,7 @@ const COUNTER_SERIES: [(&str, usize); 11] = [
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathStats {
     /// Operations that completed on the lock-free fast path
-    /// (lines 01–03), including the escalation ladder's
-    /// contention-managed retries (still lock-free weak-op successes).
+    /// (lines 01–03), at the first attempt or a paced retry.
     pub fast: u64,
     /// Operations that completed by elimination rendezvous — the
     /// ladder's middle rung, touching neither the object's main state
@@ -343,18 +322,21 @@ pub struct FaultStats {
 ///
 /// | lines | accesses |
 /// |---|---|
-/// | 01 (`CONTENTION` read) | 1 |
+/// | 01 (`CONTENTION` read, once per attempt) | [`FAST_ATTEMPTS`] = 4 |
 /// | 04–06 (`FLAG[i]` write, `TURN` read, `FLAG[TURN]` read, lock TAS) | 4 |
 /// | 07 + 09 (`CONTENTION` write ×2) | 2 |
 /// | 10–12 (`FLAG[i]` write, `TURN` read, `FLAG[TURN]` read, `TURN` write, unlock write) | 5 |
 ///
-/// Total 12, documented here with one access of headroom (a lock
-/// whose release re-reads state, e.g. ticket, may add it). Contended
-/// invocations wait, so their access count is unbounded in general —
-/// this bound is the *floor* cost of taking the lock at all, the
-/// number Theorem 1's "six accesses, no lock" fast path is avoiding.
-/// Guarded by a regression test (`locked_path_stays_within_bound`).
-pub const LOCKED_SOLO_ACCESS_BOUND: u64 = 13;
+/// Total 15 — 11 + [`FAST_ATTEMPTS`], the figure's own 12 plus
+/// one `CONTENTION` read per retry — documented here with one access
+/// of headroom (a lock whose release re-reads state, e.g. ticket, may
+/// add it). An operation that leaves the loop early because it *saw*
+/// `CONTENTION` raised spends fewer. Contended invocations wait, so
+/// their access count is unbounded in general — this bound is the
+/// *floor* cost of taking the lock at all, the number Theorem 1's "six
+/// accesses, no lock" fast path is avoiding. Guarded by a regression
+/// test (`locked_path_stays_within_bound`).
+pub const LOCKED_SOLO_ACCESS_BOUND: u64 = 12 + FAST_ATTEMPTS as u64;
 
 /// One snapshot of both statistics families, taken together.
 ///
@@ -511,6 +493,14 @@ struct RecoveryInner {
 /// The starred lines live in [`StarvationFree`]; the inner lock `L`
 /// only needs to be deadlock-free (a plain TAS lock suffices).
 ///
+/// One deliberate departure: an aborted line 02 does not fall through
+/// to line 04 at once. Lines 01–02 are retried up to [`FAST_RETRIES`]
+/// times, a constant pause apart and `CONTENTION` re-read each time
+/// (see [`FAST_RETRIES`] for the counted-access closed form). The
+/// contention-free case — attempt 0 succeeds — is the figure's, access
+/// for access; the lemmas hold as printed because the loop is bounded
+/// and stops the moment it sees the register raised.
+///
 /// # The combining slow path
 ///
 /// With [`CsConfig::combining`] enabled, the slow path is **flat
@@ -622,30 +612,39 @@ impl<O: Abortable, L: RawLock> Drop for SlowGuard<'_, O, L> {
 /// is picked up by the next tenure.
 const COMBINE_ROUNDS: usize = 3;
 
-/// Rung 2: how many contention-managed weak-op retries before the
-/// ladder escalates. Small by design — if three backoff-paced retries
-/// all abort, the contention is sustained and waiting longer at this
-/// rung just burns cycles.
-const CM_RETRIES: u32 = 3;
+/// How many times lines 01–02 are retried, a [`retry_pause`] apart,
+/// before an aborted operation escalates to line 04. The paper's
+/// figure escalates on the first abort (`0`): one interfering C&S and
+/// the operation raises `FLAG`, swaps the lock and raises
+/// `CONTENTION`, which vetoes its peer's fast path too — a ≈ 1 µs
+/// handoff to undo a ≈ 20 ns collision. Small by design: if this many
+/// paced retries all abort, the contention is sustained and the lock
+/// is the cheaper place to wait. Sized with the window by the sweep in
+/// DESIGN.md, "The escalation ladder".
+///
+/// What the bound costs, in counted accesses: a strong operation that
+/// aborts `k ≤ FAST_RETRIES` times and then succeeds lock-free spends
+/// `(k + 1) × (1 + w)` (one `CONTENTION` read + the `w` accesses of a
+/// weak operation per attempt; `6 + 6k` on the stack, `7 + 7k` on the
+/// queue, `k = 0` being Theorem 1's contention-free budget); one that
+/// escalates has spent at most [`FAST_ATTEMPTS`]` × (1 + w)` before
+/// line 04, i.e. `FAST_RETRIES × (1 + w)` more than the figure's.
+pub const FAST_RETRIES: u32 = 3;
 
-/// Rung 3: elimination park length (spin polls) while the gate's abort
+/// Lock-free attempts an operation makes before line 04 — the
+/// figure's one and its [`FAST_RETRIES`]: how many aborts (or
+/// `cs::fast` vetoes) in a row send an operation to the lock.
+pub const FAST_ATTEMPTS: u32 = FAST_RETRIES + 1;
+
+/// Elimination park length (spin polls) while the gate's abort
 /// EWMA is calm — a short window, since a partner is not especially
 /// likely.
 const ELIM_POLLS_SHORT: u32 = 64;
 
-/// Rung 3: elimination park length while the gate is engaged (the
+/// Elimination park length while the gate is engaged (the
 /// object is demonstrably hot) — park longer, an inverse operation is
 /// probably moments away.
 const ELIM_POLLS_LONG: u32 = 512;
-
-thread_local! {
-    /// Rung 2's failure history, per *thread* (Dice–Hendler–Mirsky-
-    /// style lightweight contention management): the thread, not the
-    /// object, is what experiences contention, so the history survives
-    /// across operations and across objects. Thread-local and
-    /// uncounted — invisible to the step-complexity accounting.
-    static CAS_CM: RefCell<CasBackoff> = RefCell::new(CasBackoff::from_entropy());
-}
 
 /// The records one combining sweep has claimed and not yet completed:
 /// the indices in `claimed[applied..]`. If the tenure unwinds (an
@@ -854,16 +853,16 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         deadline: Deadline,
     ) -> Result<O::Response, CsError> {
         assert!(proc < self.lock.n(), "process id out of range");
-        // Lines 01–03: the lock-free shortcut costs no waiting,
-        // deadline or not.
+        // Lines 01–03: the lock-free shortcut awaits nobody — its
+        // retries and their pauses are bounded — deadline or not.
         if let Some(res) = self.fast_path(op) {
             return Ok(res);
         }
-        // Rungs 2–3 of the escalation ladder (no-op unless enabled):
-        // bounded (backoff windows and park polls are finite), so one
-        // pass respects any reasonable deadline; skip it once expired.
+        // The elimination rung (no-op unless enabled): its park is
+        // bounded too, so one pass respects any reasonable deadline;
+        // skip it once expired.
         if !deadline.expired() {
-            if let Some(res) = self.ladder(op) {
+            if let Some(res) = self.eliminate(op) {
                 return Ok(res);
             }
         }
@@ -1015,34 +1014,51 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         rcv.degraded.fetch_max(rung, Ordering::Relaxed);
     }
 
-    /// Lines 01–03: one `CONTENTION` read plus a weak attempt. With
-    /// the adaptive gate enabled, an engaged gate (sustained abort
-    /// EWMA) also diverts — but its bookkeeping is all uncounted, so
-    /// the contention-free cost stays at Theorem 1's six accesses.
+    /// Lines 01–03 as one bounded loop: a `CONTENTION` read plus a
+    /// weak attempt, retried up to [`FAST_RETRIES`] times a
+    /// [`retry_pause`] apart. Attempt 0 is the paper's fast path
+    /// exactly — contention-free it succeeds, at Theorem 1's six
+    /// accesses. `CONTENTION` is re-read before every attempt and the
+    /// loop ends the moment it is seen raised, before the next pause:
+    /// a holder is in its line-08 window, only operations that read
+    /// the register before it rose may still interfere with it
+    /// (Lemma 2), and queueing behind it beats doing so. With the
+    /// adaptive gate enabled, an engaged gate (sustained abort EWMA)
+    /// ends the loop too — its bookkeeping is all uncounted.
+    ///
+    /// `None` escalates: to the elimination rung, then line 04.
     fn fast_path(&self, op: &O::Op) -> Option<O::Response> {
         if !self.config.fast_path {
             return None;
         }
-        if self.contention.read() {
-            return None;
+        for attempt in 0..FAST_ATTEMPTS {
+            if self.contention.read() {
+                break;
+            }
+            if self.config.adaptive_gate && self.stats.gate.should_divert() {
+                break;
+            }
+            if attempt > 0 {
+                retry_pause();
+            }
+            fail_point!("cs::fast", continue);
+            // The sample covers this attempt, not the pauses before it.
+            let timed = self.metrics.get().map(|m| (m, Instant::now()));
+            if let Some(res) = self.weak_attempt(op) {
+                if let Some((m, t0)) = timed {
+                    m.fast_ns.record(t0.elapsed());
+                }
+                return Some(res);
+            }
         }
-        if self.config.adaptive_gate && self.stats.gate.should_divert() {
-            return None;
-        }
-        fail_point!("cs::fast", return None);
-        let timed = self.metrics.get().map(|m| (m, Instant::now()));
-        let res = self.weak_attempt(op)?;
-        if let Some((m, t0)) = timed {
-            m.fast_ns.record(t0.elapsed());
-        }
-        Some(res)
+        None
     }
 
-    /// One lock-free weak attempt — line 02, and each of the ladder's
-    /// retries — with its bookkeeping: the gate's sample, the `fast` or
-    /// `fast_aborts` cell, the probe pair. Two call sites, so `#[inline]`
-    /// alone leaves it out of line: a call, and the response returned
-    /// through memory, on the path Theorem 1 is about.
+    /// One lock-free weak attempt — line 02 — with its bookkeeping:
+    /// the gate's sample, the `fast` or `fast_aborts` cell, the probe
+    /// pair. `#[inline]` alone leaves it out of line inside the loop —
+    /// a call, and the response returned through memory, on the path
+    /// Theorem 1 is about: ≈ 1 ns of a 21 ns solo operation.
     #[inline(always)]
     fn weak_attempt(&self, op: &O::Op) -> Option<O::Response> {
         probe!(Event::FastAttempt);
@@ -1060,59 +1076,33 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         res
     }
 
-    /// Rungs 2–3 of the escalation ladder, between the bare fast path
-    /// (rung 1) and the lock (rung 4):
+    /// The escalation ladder's middle rung, between the fast path and
+    /// the lock ([`CsConfig::elimination`]): one rendezvous attempt
+    /// via [`Abortable::try_eliminate`], parking for a gate-scaled
+    /// poll budget. A completion touches neither the object's main
+    /// state nor the lock and counts as `eliminated`.
     ///
-    /// * **rung 2** ([`CsConfig::cas_backoff`]): up to [`CM_RETRIES`]
-    ///   weak-op retries, each paced by the thread's [`CasBackoff`]
-    ///   failure history — the retries are ordinary lock-free attempts,
-    ///   so successes count as `fast` and emit the fast-path probes;
-    /// * **rung 3** ([`CsConfig::elimination`]): one rendezvous attempt
-    ///   via [`Abortable::try_eliminate`], parking for a gate-scaled
-    ///   poll budget. A completion touches neither the object's main
-    ///   state nor the lock and counts as `eliminated`.
-    ///
-    /// Both rungs bail out the moment an uncounted peek shows
-    /// `CONTENTION` raised: a lock holder is in its line-08 window and
-    /// escalating (to queue behind it) beats interfering with it.
-    /// Returns `None` to escalate to the slow path. Solo invocations
-    /// never reach this method — their fast path succeeds — so
-    /// Theorem 1's six-access bound is untouched, which the
-    /// step-budget tests pin down with the ladder enabled.
-    fn ladder(&self, op: &O::Op) -> Option<O::Response> {
-        if self.config.cas_backoff {
-            for _ in 0..CM_RETRIES {
-                if self.contention.peek() {
-                    break;
-                }
-                CAS_CM.with(|cm| cm.borrow_mut().wait());
-                let res = self.weak_attempt(op);
-                CAS_CM.with(|cm| match res {
-                    Some(_) => cm.borrow_mut().on_success(),
-                    None => cm.borrow_mut().on_failure(),
-                });
-                if res.is_some() {
-                    return res;
-                }
-            }
+    /// Declines the moment an uncounted peek shows `CONTENTION`
+    /// raised: a lock holder is in its line-08 window and escalating
+    /// (to queue behind it) beats parking. Returns `None` to escalate
+    /// to the slow path. Solo invocations never reach this method —
+    /// their fast path succeeds — so Theorem 1's six-access bound is
+    /// untouched, which the step-budget tests pin down with the ladder
+    /// enabled.
+    fn eliminate(&self, op: &O::Op) -> Option<O::Response> {
+        if !self.config.elimination || self.contention.peek() {
+            return None;
         }
-        if self.config.elimination {
-            if self.contention.peek() {
-                return None;
-            }
-            let polls = if self.stats.gate.engaged() {
-                ELIM_POLLS_LONG
-            } else {
-                ELIM_POLLS_SHORT
-            };
-            probe!(Event::ElimAttempt);
-            if let Some(res) = self.inner.try_eliminate(op, polls) {
-                self.stats.cells.inc(ELIMINATED);
-                probe!(Event::EliminatedComplete);
-                return Some(res);
-            }
-        }
-        None
+        let polls = if self.stats.gate.engaged() {
+            ELIM_POLLS_LONG
+        } else {
+            ELIM_POLLS_SHORT
+        };
+        probe!(Event::ElimAttempt);
+        let res = self.inner.try_eliminate(op, polls)?;
+        self.stats.cells.inc(ELIMINATED);
+        probe!(Event::EliminatedComplete);
+        Some(res)
     }
 
     /// The flat-combining slow path: post a publication record, then
@@ -1486,6 +1476,10 @@ mod tests {
     use cso_locks::TasLock;
     use cso_memory::counting::CountScope;
 
+    /// Scripted aborts that exhaust lines 01–02 and their retries: the
+    /// fewest that send a solo operation to the lock.
+    const TO_THE_LOCK: usize = FAST_ATTEMPTS as usize;
+
     fn make(aborts: usize, config: CsConfig) -> ContentionSensitive<ScriptedObject, TasLock> {
         ContentionSensitive::with_config(
             ScriptedObject::with_aborts(aborts),
@@ -1511,7 +1505,7 @@ mod tests {
 
     #[test]
     fn abort_falls_back_to_lock_and_succeeds() {
-        let cs = make(1, CsConfig::PAPER);
+        let cs = make(TO_THE_LOCK, CsConfig::PAPER);
         assert_eq!(cs.apply(2, &Bump(7)), 7);
         assert_eq!(
             cs.stats(),
@@ -1545,24 +1539,25 @@ mod tests {
 
     #[test]
     fn ablation_unfair_still_correct() {
-        let cs = make(2, CsConfig::UNFAIR);
+        let cs = make(TO_THE_LOCK, CsConfig::UNFAIR);
         assert_eq!(cs.apply(3, &Bump(9)), 9);
         assert_eq!(cs.stats().locked, 1);
     }
 
     #[test]
     fn locked_path_stays_within_bound() {
-        // Solo invocation forced onto the slow path (one scripted
-        // abort defeats the fast path). ScriptedObject performs no
-        // counted accesses, so the measurement isolates the
-        // transformation's own footprint.
-        let cs = make(1, CsConfig::PAPER);
+        // Solo invocation forced onto the slow path (scripted aborts
+        // defeat the fast path and every retry). ScriptedObject
+        // performs no counted accesses, so the measurement isolates
+        // the transformation's own footprint: one `CONTENTION` read
+        // per attempt, then the figure's eleven.
+        let cs = make(TO_THE_LOCK, CsConfig::PAPER);
         let scope = CountScope::start();
         cs.apply(2, &Bump(1));
         let counts = scope.take();
         assert_eq!(
             counts.total(),
-            12,
+            TO_THE_LOCK as u64 + 11,
             "solo slow path changed cost: {counts} (update the \
              LOCKED_SOLO_ACCESS_BOUND table if intentional)"
         );
@@ -1571,8 +1566,8 @@ mod tests {
 
     #[test]
     fn telemetry_partitions_finished_invocations() {
-        let cs = make(1, CsConfig::PAPER);
-        cs.apply(0, &Bump(1)); // locked (scripted abort)
+        let cs = make(TO_THE_LOCK, CsConfig::PAPER);
+        cs.apply(0, &Bump(1)); // locked (scripted aborts)
         cs.apply(0, &Bump(1)); // fast
         assert!(cs
             .try_apply_for(1, &Bump(1), Duration::from_millis(50))
@@ -2074,18 +2069,21 @@ mod tests {
     #[test]
     fn attached_metrics_mirror_path_counters() {
         let reg = Registry::new();
-        let cs = make(1, CsConfig::PAPER);
+        let cs = make(TO_THE_LOCK, CsConfig::PAPER);
         cs.attach_metrics(&reg, "t");
-        cs.apply(0, &Bump(1)); // scripted abort → locked
+        cs.apply(0, &Bump(1)); // scripted aborts → locked
         cs.apply(0, &Bump(1)); // fast
         assert!(cs
             .try_apply_for(1, &Bump(1), Duration::from_millis(50))
-            .is_ok()); // fast again (the single abort is spent)
+            .is_ok()); // fast again (the scripted aborts are spent)
         let snap = reg.snapshot();
         assert_eq!(snap.counter("t_ops_fast_total"), Some(2));
         assert_eq!(snap.counter("t_ops_locked_total"), Some(1));
         assert_eq!(snap.counter("t_ops_combined_total"), Some(0));
-        assert_eq!(snap.counter("t_fast_aborts_total"), Some(1));
+        assert_eq!(
+            snap.counter("t_fast_aborts_total"),
+            Some(TO_THE_LOCK as u64)
+        );
         assert_eq!(snap.counter("t_timeouts_total"), Some(0));
         // The lock's own counters registered under the same prefix.
         assert_eq!(snap.counter("t_lock_acquires_total"), Some(1));
@@ -2145,8 +2143,8 @@ mod tests {
 
     /// An abortable object with an always-available rendezvous
     /// partner: the weak op aborts like [`ScriptedObject`], but
-    /// `try_eliminate` always succeeds — so the ladder's rung 3 can be
-    /// driven deterministically, single-threaded.
+    /// `try_eliminate` always succeeds — so the elimination rung can
+    /// be driven deterministically, single-threaded.
     struct ElimWrap {
         inner: ScriptedObject,
         eliminations: AtomicU64,
@@ -2167,27 +2165,111 @@ mod tests {
         }
     }
 
+    /// The boundary, said in counts: `k ≤ FAST_RETRIES` aborts
+    /// complete lock-free at exactly `(k + 1) × (1 + w)` counted
+    /// accesses (`w = 0` for the scripted object: one `CONTENTION`
+    /// read per attempt), one abort more takes the lock, once.
     #[test]
-    fn ladder_cm_retry_completes_lock_free() {
-        // One scripted abort defeats the fast path; the first
-        // contention-managed retry then succeeds — a lock-free
-        // completion, counted as fast, never touching the lock.
-        let cs = make(1, CsConfig::PAPER.with_cas_backoff());
-        assert_eq!(cs.apply(0, &Bump(7)), 7);
-        assert_eq!(
-            cs.stats(),
-            PathStats {
-                fast: 1,
-                eliminated: 0,
-                locked: 0
+    fn retries_complete_lock_free_up_to_the_bound_then_lock() {
+        for k in 0..=TO_THE_LOCK {
+            let cs = make(k, CsConfig::PAPER);
+            let scope = CountScope::start();
+            assert_eq!(cs.apply(0, &Bump(7)), 7);
+            let counts = scope.take();
+            let lock_free = k < TO_THE_LOCK;
+            assert_eq!(
+                cs.stats(),
+                PathStats {
+                    fast: u64::from(lock_free),
+                    eliminated: 0,
+                    locked: u64::from(!lock_free),
+                },
+                "{k} aborts"
+            );
+            if lock_free {
+                assert_eq!(counts.total(), k as u64 + 1, "{k} aborts: {counts}");
             }
+        }
+    }
+
+    /// A weak object whose first attempt aborts *and* leaves
+    /// `CONTENTION` raised behind it — what a fast-path operation sees
+    /// when a lock holder reached line 07 during its attempt.
+    struct RaisedMeanwhile {
+        cs: OnceLock<std::sync::Weak<ContentionSensitive<RaisedMeanwhile, TasLock>>>,
+        calls: AtomicU64,
+    }
+
+    impl Abortable for RaisedMeanwhile {
+        type Op = Bump;
+        type Response = u64;
+
+        fn try_apply(&self, op: &Bump) -> Result<u64, crate::error::Aborted> {
+            if self.calls.fetch_add(1, Ordering::Relaxed) > 0 {
+                return Ok(op.0);
+            }
+            let cs = self.cs.get().and_then(std::sync::Weak::upgrade).unwrap();
+            cs.contention.write(true);
+            Err(crate::error::Aborted)
+        }
+    }
+
+    #[test]
+    fn a_raised_contention_ends_the_retries() {
+        let cs = Arc::new(ContentionSensitive::new(
+            RaisedMeanwhile {
+                cs: OnceLock::new(),
+                calls: AtomicU64::new(0),
+            },
+            TasLock::new(),
+            4,
+        ));
+        cs.inner().cs.set(Arc::downgrade(&cs)).ok().unwrap();
+        let scope = CountScope::start();
+        assert_eq!(cs.apply(2, &Bump(3)), 3);
+        // One abort is within the retry budget, yet the operation went
+        // to line 04: the re-read before attempt 1 saw the register
+        // raised and no further attempt — or pause — was made. Two
+        // weak attempts in all (line 02 once, line 08 once), and the
+        // slow path's eleven accesses less line 07's store (already
+        // raised: `write_lazy` skips it), plus the two `CONTENTION`
+        // reads and the object's own raise.
+        assert_eq!(cs.inner().calls.load(Ordering::Relaxed), 2);
+        assert_eq!(cs.stats.cells.get(FAST_ABORTS), 1);
+        assert_eq!(cs.stats().locked, 1);
+        assert_eq!(scope.take().total(), 2 + 10 + 1);
+        assert!(!cs.contention.read(), "line 09 lowers it again");
+    }
+
+    /// A retried completion is timed like any other fast one: every
+    /// `ops_fast_total` has its `fast_ns` sample.
+    #[test]
+    fn a_retried_completion_records_its_latency_sample() {
+        let reg = Registry::new();
+        let cs = make(FAST_RETRIES as usize, CsConfig::PAPER);
+        cs.attach_metrics(&reg, "r");
+        assert_eq!(cs.apply(0, &Bump(7)), 7);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("r_ops_fast_total"), Some(1));
+        assert_eq!(
+            snap.counter("r_fast_aborts_total"),
+            Some(u64::from(FAST_RETRIES))
         );
+        assert_eq!(snap.counter("r_ops_locked_total"), Some(0));
+        let samples = |name: &str| {
+            snap.timers
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, h)| h.count)
+        };
+        assert_eq!(samples("r_fast_ns"), Some(1));
+        assert_eq!(samples("r_locked_ns"), Some(0));
     }
 
     #[test]
     fn ladder_elimination_completes_without_lock() {
         let obj = ElimWrap {
-            inner: ScriptedObject::with_aborts(2),
+            inner: ScriptedObject::with_aborts(TO_THE_LOCK),
             eliminations: AtomicU64::new(0),
         };
         let cs = ContentionSensitive::with_config(
@@ -2213,10 +2295,10 @@ mod tests {
 
     #[test]
     fn ladder_escalates_to_lock_when_both_rungs_fail() {
-        // Four scripted aborts exhaust the fast attempt and all three
-        // CM retries; the default try_eliminate declines; the lock
+        // The scripted aborts exhaust the fast attempt and all its
+        // retries; the default try_eliminate declines; the lock
         // absorbs the rest (Figure 3's line 08).
-        let cs = make(4, CsConfig::PAPER.with_cas_backoff().with_elimination());
+        let cs = make(TO_THE_LOCK, CsConfig::LADDER);
         assert_eq!(cs.apply(3, &Bump(5)), 5);
         assert_eq!(
             cs.stats(),
@@ -2243,7 +2325,7 @@ mod tests {
     #[test]
     fn deadline_bounded_ladder_still_eliminates() {
         let obj = ElimWrap {
-            inner: ScriptedObject::with_aborts(1),
+            inner: ScriptedObject::with_aborts(TO_THE_LOCK),
             eliminations: AtomicU64::new(0),
         };
         let cs = ContentionSensitive::with_config(
@@ -2263,7 +2345,7 @@ mod tests {
     fn attached_metrics_mirror_the_eliminated_path() {
         let reg = Registry::new();
         let obj = ElimWrap {
-            inner: ScriptedObject::with_aborts(1),
+            inner: ScriptedObject::with_aborts(TO_THE_LOCK),
             eliminations: AtomicU64::new(0),
         };
         let cs = ContentionSensitive::with_config(
@@ -2273,8 +2355,8 @@ mod tests {
             CsConfig::PAPER.with_elimination(),
         );
         cs.attach_metrics(&reg, "e");
-        cs.apply(0, &Bump(1)); // fast abort → eliminated
-        cs.apply(0, &Bump(1)); // fast (the scripted abort is spent)
+        cs.apply(0, &Bump(1)); // fast aborts → eliminated
+        cs.apply(0, &Bump(1)); // fast (the scripted aborts are spent)
         let snap = reg.snapshot();
         assert_eq!(snap.counter("e_ops_eliminated_total"), Some(1));
         assert_eq!(snap.counter("e_ops_fast_total"), Some(1));

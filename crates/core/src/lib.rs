@@ -68,7 +68,7 @@ pub mod progress;
 pub use abortable::{Abortable, BatchCounters, BatchStats};
 pub use contention_sensitive::{
     CombiningStats, ContentionSensitive, CsConfig, FaultStats, PathStats, RecoveryStats, Telemetry,
-    LOCKED_SOLO_ACCESS_BOUND,
+    FAST_ATTEMPTS, FAST_RETRIES, LOCKED_SOLO_ACCESS_BOUND,
 };
 pub use cso_memory::liveness::{Liveness, RecoveryPolicy};
 pub use error::{Aborted, CsError, TimedOut, Unrecoverable};

@@ -77,10 +77,16 @@ impl FlakyCounter {
         }
     }
 
-    /// Makes the next `count` attempts abort (⊥) — e.g. one to push an
-    /// invocation off the fast path onto the lock.
+    /// Makes the next `count` attempts abort (⊥).
     pub fn abort_next(&self, count: usize) {
         self.abort_budget.store(count, Ordering::SeqCst);
+    }
+
+    /// Aborts the next invocation's fast attempt and every retry of
+    /// it — the fewest aborts that push it onto the lock, where its
+    /// line-08 attempt then goes through.
+    pub fn abort_to_the_lock(&self) {
+        self.abort_next(cso_core::FAST_ATTEMPTS as usize);
     }
 
     /// Makes the next non-aborted attempt panic.

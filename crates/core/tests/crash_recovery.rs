@@ -25,8 +25,10 @@ fn real_transformation_recovers_from_a_panic_inside_the_lock() {
     use cso_locks::TasLock;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-    /// Stage 0: abort (forces the slow path). Stage 1: panic (under
-    /// the lock). Stage ≥ 2: behave.
+    /// The first attempt and every retry abort (forcing the slow
+    /// path), the next attempt panics (under the lock), later ones
+    /// behave.
+    const UNDER_THE_LOCK: usize = cso_core::FAST_ATTEMPTS as usize;
     struct CrashDummy {
         stage: AtomicUsize,
         applied: AtomicU64,
@@ -38,8 +40,8 @@ fn real_transformation_recovers_from_a_panic_inside_the_lock() {
 
         fn try_apply(&self, _op: &()) -> Result<u64, Aborted> {
             match self.stage.fetch_add(1, Ordering::SeqCst) {
-                0 => Err(Aborted),
-                1 => panic!("modelled crash inside the critical section"),
+                stage if stage < UNDER_THE_LOCK => Err(Aborted),
+                UNDER_THE_LOCK => panic!("modelled crash inside the critical section"),
                 _ => Ok(self.applied.fetch_add(1, Ordering::SeqCst) + 1),
             }
         }

@@ -26,9 +26,9 @@ fn make(n: usize) -> ContentionSensitive<FlakyCounter, TasLock> {
 #[test]
 fn panic_under_the_lock_is_survived_by_everyone_else() {
     let cs = Arc::new(make(4));
-    // One abort pushes the victim off the fast path; the next attempt
+    // The aborts push the victim off the fast path; the next attempt
     // (now under the lock) panics.
-    cs.inner().abort_next(1);
+    cs.inner().abort_to_the_lock();
     cs.inner().panic_next();
     let result = catch_unwind(AssertUnwindSafe(|| cs.apply(0, &Add(5))));
     assert!(result.is_err(), "the injected panic must propagate");
@@ -40,7 +40,7 @@ fn panic_under_the_lock_is_survived_by_everyone_else() {
     assert_eq!(cs.stats().fast, 1, "CONTENTION leaked: fast path dead");
 
     // The lock was released: a slow-path op completes too.
-    cs.inner().abort_next(1);
+    cs.inner().abort_to_the_lock();
     assert_eq!(cs.apply(2, &Add(2)), 5);
     assert_eq!(cs.stats().locked, 1, "lock leaked: slow path dead");
 
@@ -66,11 +66,12 @@ fn panic_under_the_lock_is_survived_by_everyone_else() {
 fn try_apply_for_times_out_while_the_holder_is_stuck() {
     let cs = Arc::new(make(2));
     cs.inner().gate.close();
-    cs.inner().abort_next(1);
+    cs.inner().abort_to_the_lock();
     let worker = {
         let cs = Arc::clone(&cs);
-        // Aborts once, takes the lock, then blocks on the gate — a
-        // holder that (for now) never finishes its critical section.
+        // Aborts off the fast path, takes the lock, then blocks on the
+        // gate — a holder that (for now) never finishes its critical
+        // section.
         thread::spawn(move || cs.apply(0, &Add(1)))
     };
     while cs.inner().gate.waiting() == 0 {
@@ -116,8 +117,8 @@ fn zero_timeout_still_serves_the_wait_free_fast_path() {
     assert_eq!(cs.try_apply_for(0, &Add(4), Duration::ZERO), Ok(4));
     assert_eq!(cs.stats().fast, 1);
     // A free lock is also grabbed without waiting (try-then-check), so
-    // a single abort still completes under the lock even at ZERO.
-    cs.inner().abort_next(1);
+    // an aborted operation still completes under the lock even at ZERO.
+    cs.inner().abort_to_the_lock();
     assert_eq!(cs.try_apply_for(0, &Add(1), Duration::ZERO), Ok(5));
     // Only an op that cannot finish inside its budget gives up.
     cs.inner().abort_next(usize::MAX);
@@ -132,7 +133,7 @@ fn zero_timeout_still_serves_the_wait_free_fast_path() {
 #[test]
 fn deadline_never_behaves_like_apply() {
     let cs = make(1);
-    cs.inner().abort_next(3);
+    cs.inner().abort_to_the_lock();
     assert_eq!(cs.try_apply_until(0, &Add(6), Deadline::NEVER), Ok(6));
     assert_eq!(cs.stats().locked, 1);
     assert_eq!(cs.fault_stats().timeouts, 0);
@@ -147,7 +148,7 @@ fn unfair_ablation_times_out_on_the_raw_lock() {
         CsConfig::UNFAIR,
     ));
     cs.inner().gate.close();
-    cs.inner().abort_next(1);
+    cs.inner().abort_to_the_lock();
     let worker = {
         let cs = Arc::clone(&cs);
         thread::spawn(move || cs.apply(0, &Add(1)))

@@ -315,111 +315,44 @@ impl Default for Spinner {
     }
 }
 
-/// A failure-history-driven CAS contention manager, after Dice,
-/// Hendler & Mirsky's *Lightweight Contention Management for Efficient
-/// Compare-and-Swap Operations*.
+/// Pause hints in one [`retry_pause`]: the window between two lock-free
+/// attempts of Figure 3's line-02 loop.
 ///
-/// Unlike [`Backoff`], which forgets everything once its loop ends, a
-/// `CasBackoff` is meant to live across operations (one per thread):
-/// its *level* is a running estimate of how contended this thread's
-/// CAS targets have recently been. Each failure raises the level
-/// (multiplicative increase in the waiting window), each success
-/// lowers it by one step (slow decay — the history is the point), and
-/// [`CasBackoff::wait`] sleeps a jittered interval drawn from the
-/// current window **before** the next attempt, so threads that failed
-/// together don't collide again. At high levels the wait yields the
-/// OS thread once first, keeping oversubscribed runs live.
+/// A **count of `spin_loop` hints, not a time** — one hint is ≈ 11 ns
+/// on the 2-vCPU host the window was sized on (≈ 2.8 µs per window)
+/// and other hosts differ. Sized by a sweep (DESIGN.md, "The
+/// escalation ladder"): the smallest window on the throughput plateau
+/// whose run-to-run fairness spread stays inside the yardstick's bound.
+pub const RETRY_PAUSE_HINTS: u32 = 256;
+
+/// The pause between two lock-free attempts at one contended word,
+/// after Dice, Hendler & Mirsky's *Lightweight Contention Management
+/// for Efficient Compare-and-Swap Operations*: a failed CAS means the
+/// line just moved to another core, and retrying at once only takes it
+/// back mid-operation.
+///
+/// **Constant and stateless** on purpose. Every caller waits the same
+/// window whatever happened before, so two threads that collide are
+/// treated symmetrically: no per-thread history in which the loser
+/// waits longer and the winner shorter (positive feedback), no RNG,
+/// and no call into the scheduler — the pause never yields the OS
+/// thread. It is for *bounded* retry loops, which fall back to a
+/// blocking path whose wait ([`Spinner`]) does yield, so
+/// oversubscribed runs stay live.
+///
+/// A pacing delay awaits nothing, so to a model session it is an
+/// ordinary yield point — the caller may be scheduled straight on or
+/// overtaken — and not a spin hint, which would park the thread until
+/// every other thread pauses.
 ///
 /// ```
-/// use cso_memory::backoff::CasBackoff;
-/// let mut cm = CasBackoff::new(42);
-/// cm.wait(); // level 0: free
-/// cm.on_failure();
-/// cm.on_failure();
-/// assert_eq!(cm.level(), 2);
-/// cm.wait(); // a jittered 1..=4 pause window
-/// cm.on_success();
-/// assert_eq!(cm.level(), 1);
+/// cso_memory::backoff::retry_pause(); // ≈ 3 µs, returns
 /// ```
-#[derive(Debug, Clone)]
-pub struct CasBackoff {
-    level: u32,
-    rng: XorShift64,
-}
-
-impl CasBackoff {
-    /// The level (and thus the window, `2^level` pauses) stops growing
-    /// here.
-    pub const MAX_LEVEL: u32 = 10;
-    /// At or above this level, [`CasBackoff::wait`] yields the OS
-    /// thread once before spinning.
-    pub const YIELD_LEVEL: u32 = 8;
-
-    /// A manager with empty history, seeded for jitter.
-    #[must_use]
-    pub fn new(seed: u64) -> CasBackoff {
-        CasBackoff {
-            level: 0,
-            rng: XorShift64::new(seed),
-        }
-    }
-
-    /// A manager with empty history, jitter-seeded from entropy —
-    /// the per-thread constructor.
-    #[must_use]
-    pub fn from_entropy() -> CasBackoff {
-        CasBackoff {
-            level: 0,
-            rng: XorShift64::from_entropy(),
-        }
-    }
-
-    /// The current contention estimate (0 = uncontended).
-    #[must_use]
-    pub fn level(&self) -> u32 {
-        self.level
-    }
-
-    /// Records a failed CAS (or aborted weak operation): the next
-    /// [`CasBackoff::wait`] window doubles, up to the cap.
-    pub fn on_failure(&mut self) {
-        self.level = (self.level + 1).min(Self::MAX_LEVEL);
-    }
-
-    /// Records a successful CAS: the window halves one step. The decay
-    /// is deliberately slower than [`Backoff::reset`] — a thread that
-    /// just fought for a line will likely fight for it again.
-    pub fn on_success(&mut self) {
-        self.level = self.level.saturating_sub(1);
-    }
-
-    /// Waits a jittered interval in `[1, 2^level]` pause instructions
-    /// (free at level 0), yielding once first at high levels. Call
-    /// *before* retrying the CAS.
-    pub fn wait(&mut self) {
-        // A pacing delay awaits nothing, so to a model session it is
-        // an ordinary yield point — the caller may be scheduled
-        // straight on or overtaken — and not a spin hint, which would
-        // park it until every other thread pauses. Unconditional: the
-        // level is per-thread state that survives across explored
-        // schedules, so a level-dependent yield point would make
-        // replays of the same schedule prefix diverge.
-        Active::before_peek();
-        if self.level == 0 {
-            return;
-        }
-        if self.level >= Self::YIELD_LEVEL {
-            thread::yield_now();
-        }
-        let window = 1u64 << self.level;
-        for _ in 0..=self.rng.next_below(window) {
-            hint::spin_loop();
-        }
-    }
-
-    /// Forgets the failure history (level back to 0).
-    pub fn reset(&mut self) {
-        self.level = 0;
+#[inline]
+pub fn retry_pause() {
+    Active::before_peek();
+    for _ in 0..RETRY_PAUSE_HINTS {
+        hint::spin_loop();
     }
 }
 
@@ -504,28 +437,6 @@ mod tests {
             assert!(spins < 100_000_000, "deadline never fired");
         }
         assert!(live.expired());
-    }
-
-    #[test]
-    fn cas_backoff_tracks_failure_history() {
-        let mut cm = CasBackoff::new(9);
-        assert_eq!(cm.level(), 0);
-        cm.wait(); // level 0 must be free (returns immediately)
-        for _ in 0..3 {
-            cm.on_failure();
-        }
-        assert_eq!(cm.level(), 3);
-        cm.wait();
-        // Slow decay: one success undoes one failure, not all of them.
-        cm.on_success();
-        assert_eq!(cm.level(), 2);
-        for _ in 0..100 {
-            cm.on_failure();
-        }
-        assert_eq!(cm.level(), CasBackoff::MAX_LEVEL, "level must cap");
-        cm.wait(); // yield-level wait still terminates promptly
-        cm.reset();
-        assert_eq!(cm.level(), 0);
     }
 
     #[test]

@@ -97,11 +97,18 @@ impl Plan {
     /// Fires exactly once, on the first hit.
     #[must_use]
     pub fn once(fault: Fault) -> Plan {
+        Plan::times(fault, 1)
+    }
+
+    /// Fires on each of the first `n` hits, then disarms — e.g. a
+    /// veto of one operation's fast attempt and each of its retries.
+    #[must_use]
+    pub fn times(fault: Fault, n: u64) -> Plan {
         Plan {
             fault,
             after: 0,
             one_in: 1,
-            max_fires: 1,
+            max_fires: n,
         }
     }
 

@@ -44,7 +44,7 @@ pub trait Runtime {
     /// touch shared memory, so the model runtime schedules them too —
     /// otherwise racy peek-based code would be invisible to the
     /// explorer. A pacing delay that awaits nothing
-    /// ([`crate::backoff::CasBackoff::wait`]) calls it too: "others
+    /// ([`crate::backoff::retry_pause`]) calls it too: "others
     /// may run now" is a plain schedule point, not a spin hint.
     fn before_peek();
 

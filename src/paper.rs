@@ -93,6 +93,14 @@
 //!   contention-free stack operation; Theorem 1 proves six. Our
 //!   measurement sides with the theorem (six); Lamport's fast mutex
 //!   is the seven.
+//! * **Line 02 is retried.** The figure escalates to line 04 on the
+//!   first ⊥; [`cso_core::ContentionSensitive`] re-runs lines 01–02 up
+//!   to [`cso_core::FAST_RETRIES`] times, a constant pause apart,
+//!   before it does — `CONTENTION` re-read every time, so Lemma 2's
+//!   argument is the figure's. Contention-free nothing changes (attempt
+//!   0 succeeds: six accesses, no lock); an operation that aborts `k`
+//!   times and completes lock-free spends `6 + 6k`. Why, and what it
+//!   buys under contention: `DESIGN.md`, "The escalation ladder".
 //! * **0-based identities.** The paper's `p_1..p_n` and
 //!   `TURN ← (TURN mod n) + 1` become `0..n` and
 //!   `TURN ← (TURN + 1) mod n`.

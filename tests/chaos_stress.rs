@@ -14,7 +14,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use cso::core::{CsConfig, RecoveryPolicy};
+use cso::core::{CsConfig, RecoveryPolicy, FAST_ATTEMPTS};
 use cso::deque::{CsDeque, DequeOp, DequePopOutcome, DequePushOutcome, End, SeqDeque};
 use cso::lincheck::checker::check_linearizable;
 use cso::lincheck::recorder::Recorder;
@@ -350,9 +350,12 @@ fn panic_in_stack_slow_path_preserves_conservation() {
         assert_eq!(stack.push(0, v), PushOutcome::Pushed);
     }
 
-    // Veto the fast path once so the next push goes under the lock,
-    // then kill it there.
-    chaos::arm_plan("cs::fast", Plan::once(Fault::SpuriousAbort));
+    // Veto the fast attempt and its retries so the next push goes
+    // under the lock, then kill it there.
+    chaos::arm_plan(
+        "cs::fast",
+        Plan::times(Fault::SpuriousAbort, u64::from(FAST_ATTEMPTS)),
+    );
     chaos::arm_plan("cs::locked", Plan::once(Fault::Panic));
     let poisoned = catch_unwind(AssertUnwindSafe(|| stack.push(1, 999)));
     assert!(poisoned.is_err(), "the injected panic must surface");

@@ -36,7 +36,7 @@ mod model_support;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cso::core::CsConfig;
+use cso::core::{CsConfig, FAST_ATTEMPTS, FAST_RETRIES};
 use cso::deque::{AbortableDeque, DequePopOutcome, End};
 use cso::locks::{RawLock, TasLock};
 use cso::memory::chaos::{self, Fault, Plan};
@@ -286,9 +286,9 @@ const BLOCKED_AFTER: usize = 400;
 
 /// The §5 caveat over one object. `build` makes it around the watched
 /// lock, pre-fills it, and returns the victim's operation — whose fast
-/// path the fail point `veto` aborts once, so lines 04–13 it is — and
-/// the survivor's, which must cost `fast_path` accesses whenever it
-/// gets past a held lock. Explores every crash prefix and checks: no
+/// attempt and every retry the fail point `veto` aborts, so lines
+/// 04–13 it is — and the survivor's, which must cost `fast_path`
+/// accesses whenever it gets past a held lock. Explores every crash prefix and checks: no
 /// violation, and the pruned executions are exactly those in which
 /// the lock was held and the survivor did not get through — some are,
 /// and some held ones are not (`CONTENTION` down).
@@ -316,7 +316,10 @@ fn explore_caveat<T, V, S>(
                 inner: TasLock::new(),
                 held: Arc::clone(&lock_held),
             });
-            chaos::arm_plan(veto, Plan::once(Fault::SpuriousAbort));
+            chaos::arm_plan(
+                veto,
+                Plan::times(Fault::SpuriousAbort, u64::from(FAST_ATTEMPTS)),
+            );
             let done = spawn_crashing(max_prefix, victim).try_join().is_some();
             let lock_held = lock_held.load(Ordering::SeqCst);
             assert!(
@@ -364,10 +367,11 @@ fn explore_caveat<T, V, S>(
 #[test]
 fn cs_stack_blocks_on_a_crash_inside_the_lock() {
     let _serial = serial();
-    // The victim's slow-path push passes 20 yield points.
+    // The victim's slow-path push passes 20 yield points past line 01,
+    // after one `CONTENTION` read and one pause per vetoed retry.
     explore_caveat(
         "cs_stack_blocks_on_a_crash_inside_the_lock",
-        22,
+        22 + 2 * FAST_RETRIES as usize,
         "stack::push",
         6,
         |lock| {
@@ -387,7 +391,7 @@ fn cs_queue_blocks_on_a_crash_inside_the_lock() {
     let _serial = serial();
     explore_caveat(
         "cs_queue_blocks_on_a_crash_inside_the_lock",
-        24,
+        24 + 2 * FAST_RETRIES as usize,
         "queue::enqueue",
         7,
         |lock| {

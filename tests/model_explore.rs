@@ -35,7 +35,7 @@ mod model_support;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cso::core::CsConfig;
+use cso::core::{CsConfig, FAST_ATTEMPTS, FAST_RETRIES};
 use cso::deque::{CsDeque, DequeOp, DequePushOutcome, DequeResponse, End, SeqDeque};
 use cso::locks::TasLock;
 use cso::memory::chaos::{self, Fault, Plan};
@@ -66,7 +66,8 @@ const QUEUE_SOLO: u64 = 7;
 const CONTENDED_CEILING: u64 = 160;
 
 /// Own accesses an operation may need under the fair scheduler with
-/// up to four processes (measured: 22 / 34 / 45 at n = 2 / 3 / 4).
+/// up to four processes (measured: 27 / 34 / 45 at n = 2 / 3 / 4, the
+/// retries spent; 22 / 34 / 45 when the figure escalated at once).
 const FAIR_BOUND: u64 = 160;
 
 const SWEEP: usize = 1_000;
@@ -104,18 +105,39 @@ fn assert_strong<Resp: std::fmt::Debug>(notes: &[Note<Resp>]) {
 
 /// At quiescence the slow path must be passable by every process:
 /// `n + 1` rounds (so `TURN` visits everyone) of one operation each
-/// whose fast path a fail point vetoes. A lock left held, or a `FLAG`
-/// left raised under `TURN`, blocks one of them — which the explorer
-/// reports as a pruned execution. `op` must not change the (drained)
-/// object; returns how many operations were sent through.
+/// whose fast attempt and every retry a fail point vetoes. A lock
+/// left held, or a `FLAG` left raised under `TURN`, blocks one of them
+/// — which the explorer reports as a pruned execution. `op` must not
+/// change the (drained) object; returns how many operations were sent
+/// through.
 fn assert_slow_path_passable(n: usize, site: &'static str, op: impl Fn(usize)) -> u64 {
     for _round in 0..=n {
         for proc in 0..n {
-            chaos::arm_plan(site, Plan::once(Fault::SpuriousAbort));
+            chaos::arm_plan(
+                site,
+                Plan::times(Fault::SpuriousAbort, u64::from(FAST_ATTEMPTS)),
+            );
             op(proc);
         }
     }
     ((n + 1) * n) as u64
+}
+
+/// With `FAST_RETRIES` paced retries an operation reaches line 04 only
+/// after `FAST_ATTEMPTS` aborts in a row — more than the peers of a
+/// two-operation script can inflict. So the bodies that are about
+/// *both* paths spend the retries up front: the first `FAST_RETRIES`
+/// weak operations at `site` are answered ⊥ (`one_in: 1` draws are not
+/// schedule branches; which thread's attempts they land on is), and
+/// from there one real interference sends an operation to the lock, as
+/// it did when the figure escalated on the first abort. Call at the top
+/// of a body, once per execution.
+fn spend_retries(site: &'static str) {
+    chaos::reset();
+    chaos::arm_plan(
+        site,
+        Plan::times(Fault::SpuriousAbort, u64::from(FAST_RETRIES)),
+    );
 }
 
 /// One execution over a fresh `CsStack`: the scripts, the oracles, and
@@ -224,6 +246,7 @@ fn stack_two_ops_per_thread() {
     let scripts = [vec![Push(1), Pop], vec![Push(2), Pop]];
     let locked = AtomicU64::new(0);
     let body = || {
+        spend_retries("stack::push");
         let (_, mix) = stack_body(2, CsConfig::PAPER, &[], &scripts);
         locked.fetch_add(mix.locked, Ordering::Relaxed);
     };
@@ -240,6 +263,7 @@ fn stack_three_threads_exercise_both_paths() {
     let scripts = [vec![Push(1)], vec![Push(2)], vec![Push(3)]];
     let (fast, locked) = (AtomicU64::new(0), AtomicU64::new(0));
     let body = || {
+        spend_retries("stack::push");
         let (_, mix) = stack_body(8, CsConfig::PAPER, &[], &scripts);
         fast.fetch_add(mix.fast, Ordering::Relaxed);
         locked.fetch_add(mix.locked, Ordering::Relaxed);
@@ -272,6 +296,7 @@ fn stack_three_threads_two_ops_sweep() {
         ("combining", CsConfig::COMBINING),
     ] {
         let report = Explorer::random(0xC50, SWEEP).explore(|| {
+            spend_retries("stack::push");
             stack_body(8, config, &[], &scripts);
         });
         assert_swept(
@@ -283,28 +308,28 @@ fn stack_three_threads_two_ops_sweep() {
 }
 
 /// The production `CsStack` with the **full escalation ladder and the
-/// combining slow path** (fast path → CAS contention management →
+/// combining slow path** (fast path and its paced retries →
 /// elimination → flat combining), through every 2-thread interleaving
 /// at bound 2, then a sweep.
 ///
-/// Rung 2 absorbs `CM_RETRIES` = 3 paced retries, and with only two
-/// ops per thread the other thread can cause at most two CAS failures
-/// — pure interleaving can never push an op past rung 2 here. So the
-/// body arms a deterministic fail-point plan (`one_in: 1` draws are
-/// not schedule branches) vetoing the first eight weak pushes: in
-/// every schedule at least one push exhausts its retries, parks in
-/// elimination, and falls through to the combining lock, while pops
-/// and later pushes still travel the fast path.
+/// The fast path absorbs `FAST_RETRIES` paced retries, and with only
+/// two ops per thread the other thread can cause at most two CAS
+/// failures — pure interleaving can never push an op off the fast
+/// path here. So the body arms a deterministic fail-point plan
+/// (`one_in: 1` draws are not schedule branches) vetoing the first
+/// eight weak pushes: in every schedule at least one push exhausts its
+/// retries, parks in elimination, and falls through to the combining
+/// lock, while pops and later pushes still travel the fast path.
 ///
-/// Rung 2's pacing (`CasBackoff::wait`) awaits nothing, so it is a
-/// plain yield point, and the exchanger's slot words and the
+/// The retry pacing (`backoff::retry_pause`) awaits nothing, so it is
+/// a plain yield point, and the exchanger's slot words and the
 /// publication records' status words behind it are yield points too:
-/// 211 schedules. The `> 100` below separates that from either going
+/// 188 schedules. The `> 100` below separates that from either going
 /// missing — 91 with those words inside atomic blocks, 7 with the
 /// pacing a spin hint (both threads hint within three accesses of
 /// starting and alternate deterministically from there). Bound 2, not
 /// the table's 3: a 512-poll elimination park makes a schedule cost
-/// ≈ 10 ms, and bound 3 is 1,485 schedules in 17 s.
+/// ≈ 10 ms, and bound 3 is 1,275 schedules in 32 s.
 #[test]
 fn exhaustive_ladder_combining_stack() {
     let _serial = serial();
@@ -384,6 +409,7 @@ fn queue_two_ops_per_thread() {
     let _serial = serial();
     let scripts = [vec![Enqueue(1), Dequeue], vec![Enqueue(2), Dequeue]];
     let report = bounded_then_swept("queue_two_ops_per_thread", 3, (0xC5, SWEEP), || {
+        spend_retries("queue::enqueue");
         queue_body(2, &[], &scripts);
     });
     assert!(report.schedules > 1_000, "{report}");
@@ -398,6 +424,7 @@ fn queue_three_threads_two_ops_sweep() {
         vec![Dequeue, Enqueue(4)],
     ];
     let report = Explorer::random(0xC5, SWEEP).explore(|| {
+        spend_retries("queue::enqueue");
         queue_body(8, &[9], &scripts);
     });
     assert_swept("queue_three_threads_two_ops_sweep", &report, SWEEP);
@@ -443,6 +470,7 @@ fn deque_two_ops_per_thread() {
         vec![DPush(Right, 2), DPop(Left)],
     ];
     let report = bounded_then_swept("deque_two_ops_per_thread", 3, (0xD0, SWEEP), || {
+        spend_retries("deque::push");
         deque_body(4, &scripts);
     });
     assert!(report.schedules > 1_000, "{report}");
@@ -460,6 +488,7 @@ fn deque_three_threads_sweep() {
         vec![DPop(Left), DPush(Right, 3)],
     ];
     let report = Explorer::random(0xD0, SWEEP).explore(|| {
+        spend_retries("deque::push");
         deque_body(2, &scripts);
     });
     assert_swept("deque_three_threads_sweep", &report, SWEEP);
@@ -474,19 +503,22 @@ fn all_strong_ops_complete_under_fair_scheduling() {
     let _serial = serial();
     for n in [2usize, 3, 4] {
         let scripts: Vec<_> = (0..n).map(|i| vec![Push(i as u32), Pop]).collect();
-        let worst = AtomicU64::new(0);
+        let (worst, locked) = (AtomicU64::new(0), AtomicU64::new(0));
         let report = Explorer::round_robin().explore(|| {
-            let (notes, _) = stack_body(16, CsConfig::PAPER, &[], &scripts);
+            spend_retries("stack::push");
+            let (notes, mix) = stack_body(16, CsConfig::PAPER, &[], &scripts);
             assert_eq!(notes.len(), 2 * n);
             let most = notes.iter().map(|n| n.accesses).max().unwrap_or(0);
             worst.store(most, Ordering::Relaxed);
+            locked.store(mix.locked, Ordering::Relaxed);
         });
-        let worst = worst.into_inner();
+        let (worst, locked) = (worst.into_inner(), locked.into_inner());
         println!(
             "all_strong_ops_complete_under_fair_scheduling (n = {n}): {report}; \
-             worst op {worst} accesses"
+             worst op {worst} accesses, {locked} under the lock"
         );
         report.assert_ok();
         assert!(worst <= FAIR_BOUND, "n={n}: an operation needed {worst}");
+        assert!(locked > 0, "n={n}: the fair run never reached line 04");
     }
 }

@@ -13,14 +13,25 @@
 //! within a bounded schedule count, and its printed trace must replay
 //! to the same violation.
 //!
+//! A second mutant sits at the bottom: Figure 3's line-02 retry loop
+//! with the re-read of `CONTENTION` between attempts taken out. The
+//! control there is the *shipped* `ContentionSensitive`; the oracle is
+//! Lemma 2's premise, checked in every schedule.
+//!
 //! Requires `--features model`.
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use cso::core::{Abortable, Aborted, ContentionSensitive, FAST_ATTEMPTS, FAST_RETRIES};
+use cso::locks::{ProcLock, RawLock, StarvationFree, TasLock};
+use cso::memory::backoff::{retry_pause, Spinner};
 use cso::memory::packed::{SlotWord, TopWord};
-use cso::memory::reg::Reg64;
-use cso::sched::{spawn, Explorer};
+use cso::memory::reg::{Reg64, RegBool};
+use cso::sched::{spawn, yield_access, Explorer};
+use cso::stack::{AbortableStack, PushOutcome, StackOp, StackResponse};
 
 /// `⊥` — the paper's "no value" sentinel (must match the real stack's
 /// convention of using the value-field zero state for ⊥; the mutant
@@ -228,6 +239,242 @@ fn mutant_survives_serial_schedules() {
     let report = Explorer::exhaustive()
         .with_preemption_bound(Some(0))
         .explore(|| conservation_body(true));
+    report.assert_ok();
+    assert!(report.exhausted, "{report}");
+}
+
+// ---------------------------------------------------------------
+// Mutant 2: the retry loop that does not re-read `CONTENTION`.
+// ---------------------------------------------------------------
+//
+// Figure 3's line 08 terminates because "only the fast-path operations
+// already in flight can make us abort" (Lemma 2): once the holder has
+// raised `CONTENTION`, every process makes at most the one attempt it
+// had already been cleared for. The shipped loop keeps that premise by
+// re-reading the register before every retry. The mutant reads it once,
+// at line 01, and then spends all `FAST_RETRIES` against the holder.
+//
+// The oracle is that premise, as ghost state around the real Figure 1
+// stack: **inside one line-08 window — from the holder's first weak
+// attempt under the lock to its successful one — no other process
+// starts a second attempt.** On this object and two processes the
+// mutant's extra attempts cost the holder nothing *observable* (a
+// Figure 1 attempt aborts only because somebody else's C&S succeeded,
+// and with n = 2 that somebody is the holder, finished); what they
+// would cost with a third process or a two-C&S object (the HLM deque,
+// where attempts abort each other without either succeeding) does not
+// fit the DFS. So the aborts are scripted — a spurious ⊥ is always a
+// legal answer of a weak operation — and the premise itself is judged.
+
+thread_local! {
+    /// The process identity of the running model thread (set by each
+    /// script; thread-locals outlive an execution on the body thread).
+    static PROC: Cell<usize> = const { Cell::new(0) };
+}
+
+const NOBODY: usize = usize::MAX;
+
+/// The production TAS lock, telling the ghost who holds it.
+struct Watched {
+    inner: TasLock,
+    holder: Arc<AtomicUsize>,
+}
+
+impl RawLock for Watched {
+    fn lock(&self) {
+        self.inner.lock();
+        self.holder.store(PROC.get(), Ordering::SeqCst);
+    }
+
+    fn unlock(&self) {
+        self.holder.store(NOBODY, Ordering::SeqCst);
+        self.inner.unlock();
+    }
+
+    fn try_lock(&self) -> bool {
+        let won = self.inner.try_lock();
+        if won {
+            self.holder.store(PROC.get(), Ordering::SeqCst);
+        }
+        won
+    }
+}
+
+/// The production abortable stack behind scripted aborts and the
+/// Lemma 2 ghost. None of the ghost's words is a yield point, so each
+/// of its steps is atomic with the counted access before it — except
+/// where an attempt *starts*: that takes a yield point of its own, so
+/// an attempt cleared at line 01 can be overtaken by the holder before
+/// it begins, which is what "in flight at the raise" means.
+struct Lemma2 {
+    stack: AbortableStack<u32>,
+    holder: Arc<AtomicUsize>,
+    /// Attempts still to be answered ⊥ (untouched), per process.
+    vetoes: [AtomicUsize; 2],
+    /// A holder is between its first line-08 attempt and its
+    /// successful one.
+    window: AtomicBool,
+    /// Fast attempts started inside the current window, per process.
+    started: [AtomicUsize; 2],
+}
+
+impl Abortable for Lemma2 {
+    type Op = StackOp<u32>;
+    type Response = StackResponse<u32>;
+
+    fn try_apply(&self, op: &StackOp<u32>) -> Result<StackResponse<u32>, Aborted> {
+        let me = PROC.get();
+        yield_access();
+        let holding = self.holder.load(Ordering::SeqCst) == me;
+        if holding {
+            if !self.window.swap(true, Ordering::SeqCst) {
+                self.started
+                    .iter()
+                    .for_each(|s| s.store(0, Ordering::SeqCst));
+            }
+        } else if self.window.load(Ordering::SeqCst) {
+            let nth = self.started[me].fetch_add(1, Ordering::SeqCst) + 1;
+            assert!(
+                nth <= 1,
+                "Lemma 2's premise broken: process {me} started fast attempt \
+                 #{nth} inside one line-08 window"
+            );
+        }
+        let vetoed = self.vetoes[me]
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok();
+        if vetoed {
+            return Err(Aborted);
+        }
+        let res = self.stack.try_apply(op);
+        if holding && res.is_ok() {
+            self.window.store(false, Ordering::SeqCst);
+        }
+        res
+    }
+}
+
+/// Figure 3 over the same production pieces — `StarvationFree`, the
+/// `CONTENTION` register, `retry_pause` — with the one mutation.
+struct NoReread {
+    inner: Lemma2,
+    contention: RegBool,
+    lock: StarvationFree<Watched>,
+}
+
+impl NoReread {
+    fn apply(&self, proc: usize, op: &StackOp<u32>) -> StackResponse<u32> {
+        if !self.contention.read() {
+            for attempt in 0..FAST_ATTEMPTS {
+                if attempt > 0 {
+                    // THE MUTATION: no `if self.contention.read() {
+                    // break }` ahead of this retry — the operation
+                    // goes on using the clearance it got at line 01.
+                    retry_pause();
+                }
+                if let Ok(res) = self.inner.try_apply(op) {
+                    return res;
+                }
+            }
+        }
+        self.lock.lock(proc);
+        self.contention.write(true);
+        let mut spinner = Spinner::new();
+        let res = loop {
+            match self.inner.try_apply(op) {
+                Ok(res) => break res,
+                Err(Aborted) => spinner.spin(),
+            }
+        };
+        self.contention.write(false);
+        self.lock.unlock(proc);
+        res
+    }
+}
+
+/// Process 0's push is refused off the fast path altogether and takes
+/// the lock; process 1's is refused every attempt but its last, so it
+/// is between retries when — in some schedules — the window has opened
+/// around it.
+fn lemma2_body(mutant: bool) {
+    let holder = Arc::new(AtomicUsize::new(NOBODY));
+    let inner = Lemma2 {
+        stack: AbortableStack::new(4),
+        holder: Arc::clone(&holder),
+        vetoes: [
+            AtomicUsize::new(FAST_ATTEMPTS as usize),
+            AtomicUsize::new(FAST_RETRIES as usize),
+        ],
+        window: AtomicBool::new(false),
+        started: [AtomicUsize::new(0), AtomicUsize::new(0)],
+    };
+    let lock = Watched {
+        inner: TasLock::new(),
+        holder,
+    };
+    let apply: Arc<dyn Fn(usize, u32) -> StackResponse<u32> + Send + Sync> = if mutant {
+        let fig3 = NoReread {
+            inner,
+            contention: RegBool::new(false),
+            lock: StarvationFree::new(lock, 2),
+        };
+        Arc::new(move |proc, v| fig3.apply(proc, &StackOp::Push(v)))
+    } else {
+        let fig3 = ContentionSensitive::new(inner, lock, 2);
+        Arc::new(move |proc, v| fig3.apply(proc, &StackOp::Push(v)))
+    };
+    let pushed = StackResponse::Push(PushOutcome::Pushed);
+    let child = {
+        let apply = Arc::clone(&apply);
+        spawn(move || {
+            PROC.set(1);
+            assert_eq!(apply(1, 2), pushed);
+        })
+    };
+    PROC.set(0);
+    assert_eq!(apply(0, 1), pushed);
+    child.join();
+}
+
+/// The control: the shipped loop keeps the premise in every schedule.
+#[test]
+fn shipped_retry_loop_keeps_lemma_2s_premise() {
+    let report = Explorer::exhaustive()
+        .with_preemption_bound(Some(3))
+        .explore(|| lemma2_body(false));
+    println!("shipped_retry_loop_keeps_lemma_2s_premise: {report}");
+    report.assert_ok();
+    assert!(report.exhausted, "{report}");
+    assert!(report.schedules > 100, "{report}");
+}
+
+/// The planted bug dies, and its trace replays.
+#[test]
+fn no_reread_mutant_is_killed_with_a_replaying_trace() {
+    let report = Explorer::exhaustive()
+        .with_preemption_bound(Some(3))
+        .explore(|| lemma2_body(true));
+    println!("no_reread_mutant_is_killed_with_a_replaying_trace: {report}");
+    let violation = report.assert_violation();
+    assert!(
+        violation.message.contains("Lemma 2's premise broken"),
+        "wrong oracle fired: {}",
+        violation.message
+    );
+    assert!(!violation.trace.is_empty(), "a race has branch decisions");
+
+    let replayed = Explorer::replay(&violation.trace).explore(|| lemma2_body(true));
+    assert_eq!(replayed.assert_violation().message, violation.message);
+    assert_eq!(replayed.schedules, 1, "replay is a single execution");
+}
+
+/// Without preemptions the mutant is indistinguishable: each push runs
+/// to completion alone, so no attempt ever falls inside a window.
+#[test]
+fn no_reread_mutant_survives_serial_schedules() {
+    let report = Explorer::exhaustive()
+        .with_preemption_bound(Some(0))
+        .explore(|| lemma2_body(true));
     report.assert_ok();
     assert!(report.exhausted, "{report}");
 }

@@ -25,7 +25,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use cso::core::{CsConfig, RecoveryPolicy};
+use cso::core::{CsConfig, RecoveryPolicy, FAST_ATTEMPTS};
 use cso::memory::chaos::{self, Fault, Plan};
 use cso::shard::{ShardConfig, ShardedCsStack};
 use cso::stack::{PopOutcome, PushOutcome};
@@ -114,7 +114,10 @@ fn panic_kill_in_relaxed_lane_leaves_nothing_to_heal() {
     }
     let len_before = stack.len();
 
-    chaos::arm_plan("cs::fast", Plan::once(Fault::SpuriousAbort));
+    chaos::arm_plan(
+        "cs::fast",
+        Plan::times(Fault::SpuriousAbort, u64::from(FAST_ATTEMPTS)),
+    );
     chaos::arm_plan("cs::locked", Plan::once(Fault::Panic));
     let killed = catch_unwind(AssertUnwindSafe(|| stack.push(1, 999)));
     assert!(killed.is_err(), "the injected panic must surface");
@@ -162,7 +165,10 @@ fn panic_kill_in_strict_mode_wedges_nothing_and_keeps_order() {
         assert_eq!(stack.push(0, v), PushOutcome::Pushed);
     }
 
-    chaos::arm_plan("cs::fast", Plan::once(Fault::SpuriousAbort));
+    chaos::arm_plan(
+        "cs::fast",
+        Plan::times(Fault::SpuriousAbort, u64::from(FAST_ATTEMPTS)),
+    );
     chaos::arm_plan("cs::locked", Plan::once(Fault::Panic));
     let killed = catch_unwind(AssertUnwindSafe(|| stack.push(1, 999)));
     assert!(killed.is_err(), "the injected panic must surface");
