@@ -77,7 +77,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 /// Without `trace` the workload runs flat out, which is the config
 /// whose armed/disarmed ratio isolates the watchdog machinery.
 fn run_window(stack: &CsStack<u32>, books: &Books) -> u64 {
-    let paced = cfg!(feature = "trace");
+    let paced = cso_trace::TRACE;
     timed_run(THREADS, WINDOW, |thread, stop| {
         let mut rng = thread_rng(thread, 0xE16);
         let mut ops = 0u64;

@@ -1,7 +1,5 @@
 //! The abortable-object abstraction.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::error::Aborted;
 
 /// An *abortable* concurrent object (paper §1.2).
@@ -47,25 +45,6 @@ pub trait Abortable: Send + Sync {
     /// interfered; the object state is unchanged in that case.
     fn try_apply(&self, op: &Self::Op) -> Result<Self::Response, Aborted>;
 
-    /// Batch-apply hook: a combining transformation
-    /// ([`crate::ContentionSensitive`] with [`crate::CsConfig::combining`])
-    /// is about to apply `pending` requests posted by *other* processes
-    /// in one lock tenure. The default is a no-op; objects may override
-    /// it to account batches or prepare (e.g. prefetch). Called with the
-    /// slow-path lock held — implementations must not block.
-    fn batch_begin(&self, pending: usize) {
-        let _ = pending;
-    }
-
-    /// Batch-apply hook: the combiner finished the batch announced by
-    /// [`Abortable::batch_begin`], having applied `applied` requests.
-    /// Not called if the batch unwinds mid-way (the combining guard
-    /// poisons the in-flight records instead), so
-    /// `batch_begin`/`batch_end` calls pair up only on clean tenures.
-    fn batch_end(&self, applied: usize) {
-        let _ = applied;
-    }
-
     /// Elimination hook: attempts to complete `op` by *rendezvous*
     /// with a concurrent inverse operation (e.g. a stack's push/pop
     /// pair exchanging the value through `cso_memory::exchange`),
@@ -90,63 +69,6 @@ pub trait Abortable: Send + Sync {
     }
 }
 
-/// Plug-in counters for the [`Abortable::batch_begin`] /
-/// [`Abortable::batch_end`] hooks: embed one in an abortable object
-/// and forward the hooks to [`BatchCounters::begin`] /
-/// [`BatchCounters::end`] to get per-object combining statistics.
-#[derive(Debug, Default)]
-pub struct BatchCounters {
-    batches: AtomicU64,
-    applied: AtomicU64,
-    max_batch: AtomicU64,
-}
-
-/// Snapshot of a [`BatchCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Batches announced via [`Abortable::batch_begin`].
-    pub batches: u64,
-    /// Requests applied across all clean batches
-    /// ([`Abortable::batch_end`] sums; an unwound batch contributes
-    /// nothing here but still counts in `batches`).
-    pub applied: u64,
-    /// The largest batch announced.
-    pub max_batch: u64,
-}
-
-impl BatchCounters {
-    /// Fresh, all-zero counters.
-    #[must_use]
-    pub const fn new() -> BatchCounters {
-        BatchCounters {
-            batches: AtomicU64::new(0),
-            applied: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
-        }
-    }
-
-    /// Forward [`Abortable::batch_begin`] here.
-    pub fn begin(&self, pending: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.max_batch.fetch_max(pending as u64, Ordering::Relaxed);
-    }
-
-    /// Forward [`Abortable::batch_end`] here.
-    pub fn end(&self, applied: usize) {
-        self.applied.fetch_add(applied as u64, Ordering::Relaxed);
-    }
-
-    /// The current totals.
-    #[must_use]
-    pub fn snapshot(&self) -> BatchStats {
-        BatchStats {
-            batches: self.batches.load(Ordering::Relaxed),
-            applied: self.applied.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
-        }
-    }
-}
-
 // An `Arc<O>` or reference to an abortable object is itself abortable,
 // so the transformations can share objects freely.
 impl<O: Abortable + ?Sized> Abortable for &O {
@@ -155,14 +77,6 @@ impl<O: Abortable + ?Sized> Abortable for &O {
 
     fn try_apply(&self, op: &Self::Op) -> Result<Self::Response, Aborted> {
         (**self).try_apply(op)
-    }
-
-    fn batch_begin(&self, pending: usize) {
-        (**self).batch_begin(pending);
-    }
-
-    fn batch_end(&self, applied: usize) {
-        (**self).batch_end(applied);
     }
 
     fn try_eliminate(&self, op: &Self::Op, polls: u32) -> Option<Self::Response> {
@@ -176,14 +90,6 @@ impl<O: Abortable + ?Sized> Abortable for std::sync::Arc<O> {
 
     fn try_apply(&self, op: &Self::Op) -> Result<Self::Response, Aborted> {
         (**self).try_apply(op)
-    }
-
-    fn batch_begin(&self, pending: usize) {
-        (**self).batch_begin(pending);
-    }
-
-    fn batch_end(&self, applied: usize) {
-        (**self).batch_end(applied);
     }
 
     fn try_eliminate(&self, op: &Self::Op, polls: u32) -> Option<Self::Response> {

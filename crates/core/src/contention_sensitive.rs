@@ -42,7 +42,7 @@ use cso_memory::liveness::{Liveness, RecoveryPolicy};
 use cso_memory::reg::RegBool;
 use cso_memory::Stripes;
 use cso_metrics::{Registry, Timer};
-use cso_trace::{probe, probe_if, Event};
+use cso_trace::{probe, probe_if, Event, SpanClock};
 
 use crate::abortable::Abortable;
 use crate::error::{CsError, TimedOut, Unrecoverable};
@@ -1119,8 +1119,8 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             rcv.live.announce(proc);
         }
         let rec: &PubRecord<O::Op, O::Response> = &self.records[proc];
-        #[cfg(feature = "trace")]
-        let posted_at = std::time::Instant::now();
+        // Reads no clock unless probes record.
+        let posted_at = SpanClock::start();
         let post = || {
             // SAFETY: this frame does not return until the record
             // reaches a terminal state it consumes (retract under the
@@ -1144,10 +1144,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                     // An under-lock completion, attributed to this
                     // (invoking) process — the combiner only executed.
                     self.stats.cells.inc(HANDED_OFF);
-                    #[cfg(feature = "trace")]
-                    probe!(Event::RecordHandoff(
-                        u32::try_from(posted_at.elapsed().as_nanos()).unwrap_or(u32::MAX)
-                    ));
+                    probe!(Event::RecordHandoff(posted_at.elapsed_ns()));
                     probe_if!(helper != NO_HELPER, Event::HelpedByCombiner(helper));
                     probe!(Event::CombinedComplete);
                     return res;
@@ -1326,8 +1323,6 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             if ops.is_empty() {
                 break;
             }
-            // Apply phase: the object sees the batch boundaries.
-            self.inner.batch_begin(ops.len());
             for (k, ptr) in ops.iter().enumerate() {
                 fail_point!("cs::combine");
                 // SAFETY: the claim pins the owner in
@@ -1345,7 +1340,6 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                 self.records[claims.claimed[k]].complete(res);
                 claims.applied = k + 1;
             }
-            self.inner.batch_end(ops.len());
             served += ops.len() as u64;
         }
         served
@@ -2361,19 +2355,5 @@ mod tests {
         assert_eq!(snap.counter("e_ops_eliminated_total"), Some(1));
         assert_eq!(snap.counter("e_ops_fast_total"), Some(1));
         assert_eq!(snap.counter("e_ops_locked_total"), Some(0));
-    }
-
-    #[test]
-    fn batch_hooks_reach_the_inner_object() {
-        // Two processes: one blocks as a waiter (scripted abort forces
-        // it slow... not available deterministically here), so instead
-        // drive the hook directly through the trait to pin the default
-        // and the forwarding impls.
-        let obj = ScriptedObject::with_aborts(0);
-        obj.batch_begin(3); // default no-op must exist
-        obj.batch_end(3);
-        let by_ref: &ScriptedObject = &obj;
-        by_ref.batch_begin(1);
-        by_ref.batch_end(1);
     }
 }

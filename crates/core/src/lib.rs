@@ -65,7 +65,7 @@ mod manager;
 mod nonblocking;
 pub mod progress;
 
-pub use abortable::{Abortable, BatchCounters, BatchStats};
+pub use abortable::Abortable;
 pub use contention_sensitive::{
     CombiningStats, ContentionSensitive, CsConfig, FaultStats, PathStats, RecoveryStats, Telemetry,
     FAST_ATTEMPTS, FAST_RETRIES, LOCKED_SOLO_ACCESS_BOUND,

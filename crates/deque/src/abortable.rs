@@ -2,7 +2,7 @@
 
 use std::marker::PhantomData;
 
-use cso_core::{Abortable, Aborted, BatchCounters, BatchStats};
+use cso_core::{Abortable, Aborted};
 use cso_memory::bits::Bits32;
 use cso_memory::fail_point;
 use cso_memory::packed::{DequeState, DequeWord};
@@ -48,7 +48,6 @@ pub struct AbortableDeque<V> {
     slots: Box<[Reg64]>,
     /// Diagnostics, indexed by `ATTEMPTS` / `ABORTS`.
     stats: Stripes<2>,
-    batch: BatchCounters,
     _values: PhantomData<V>,
 }
 
@@ -93,7 +92,6 @@ impl<V: Bits32> AbortableDeque<V> {
         AbortableDeque {
             slots,
             stats: Stripes::new(),
-            batch: BatchCounters::new(),
             _values: PhantomData,
         }
     }
@@ -315,14 +313,6 @@ impl<V: Bits32> AbortableDeque<V> {
         let [attempts, aborts] = self.stats.snapshot();
         (attempts, aborts)
     }
-
-    /// Combining-batch totals observed through the
-    /// [`Abortable::batch_begin`] / [`Abortable::batch_end`] hooks
-    /// (all zero unless a combining transformation drives this deque).
-    #[must_use]
-    pub fn batch_stats(&self) -> BatchStats {
-        self.batch.snapshot()
-    }
 }
 
 impl<V: Bits32> Abortable for AbortableDeque<V> {
@@ -334,14 +324,6 @@ impl<V: Bits32> Abortable for AbortableDeque<V> {
             DequeOp::Push(end, v) => self.try_push(*end, *v).map(DequeResponse::Push),
             DequeOp::Pop(end) => self.try_pop(*end).map(DequeResponse::Pop),
         }
-    }
-
-    fn batch_begin(&self, pending: usize) {
-        self.batch.begin(pending);
-    }
-
-    fn batch_end(&self, applied: usize) {
-        self.batch.end(applied);
     }
 }
 

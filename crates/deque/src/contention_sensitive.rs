@@ -2,7 +2,7 @@
 //! one transformation.
 
 use cso_core::{
-    AdaptiveGate, BatchStats, CombiningStats, ContentionSensitive, CsConfig, FaultStats, PathStats,
+    AdaptiveGate, CombiningStats, ContentionSensitive, CsConfig, FaultStats, PathStats,
     ProgressCondition, RecoveryStats,
 };
 use cso_locks::{RawLock, TasLock};
@@ -157,12 +157,6 @@ impl<V: Bits32, L: RawLock> CsDeque<V, L> {
     /// (all zero unless built with [`CsConfig::with_combining`]).
     pub fn combining_stats(&self) -> CombiningStats {
         self.inner.combining_stats()
-    }
-
-    /// Batches seen by the underlying abortable deque through its
-    /// batch-apply hooks.
-    pub fn batch_stats(&self) -> BatchStats {
-        self.inner.inner().batch_stats()
     }
 
     /// The adaptive contention gate (consulted only when built with
@@ -345,7 +339,6 @@ mod tests {
         let combining = deque.combining_stats();
         assert_eq!(paths.fast, 0, "fast path disabled");
         assert_eq!(combining.batches + combining.combined, paths.locked);
-        assert_eq!(deque.batch_stats().applied, combining.combined);
     }
 
     #[test]

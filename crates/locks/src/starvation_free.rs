@@ -39,8 +39,6 @@
 //! ([`StarvationFree::is_poisoned`]) rather than mask a correlated
 //! failure forever.
 
-#[cfg(feature = "trace")]
-use std::sync::atomic::AtomicU32;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -51,9 +49,7 @@ use cso_memory::liveness::{Liveness, RecoveryPolicy};
 use cso_memory::reg::{RegBool, RegUsize};
 use cso_memory::Stripes;
 use cso_metrics::Registry;
-use cso_trace::{probe, Event};
-#[cfg(feature = "trace")]
-use cso_trace::{probe_if, NO_TID};
+use cso_trace::{probe, probe_if, Event, TidStamp, NO_TID};
 
 use crate::raw::{ProcLock, RawLock};
 
@@ -183,20 +179,16 @@ pub struct StarvationFree<L> {
     /// Optional crash-recovery state (see
     /// [`StarvationFree::enable_recovery`]).
     recovery: OnceLock<RecoveryState>,
-    /// Trace-thread id of the last releaser, consumed (swapped back to
-    /// [`NO_TID`]) by the next acquirer to emit
-    /// [`Event::HandoffFrom`]. A plain (uncounted) atomic: causal
-    /// stamps must not perturb the paper's counted budgets. Padded —
-    /// every release writes it while waiters hammer the inner word.
-    /// Trace builds only: without probes there is no thread id to
-    /// leave and nobody to read it.
-    #[cfg(feature = "trace")]
-    prev_tid: CachePadded<AtomicU32>,
-    /// Trace-thread id of the current holder's OS thread (uncounted).
-    /// Read by a successor after winning the custody CAS to emit
+    /// Trace-thread id of the last releaser, left before every inner
+    /// unlock and taken by the next acquirer to emit
+    /// [`Event::HandoffFrom`]. Zero-sized unless probes record (see
+    /// [`TidStamp`]): without probes there is no thread id to leave
+    /// and nobody to read it.
+    prev_tid: TidStamp,
+    /// Trace-thread id of the current holder's OS thread. Read by a
+    /// successor after winning the custody CAS to emit
     /// [`Event::CustodyFrom`] against the corpse's thread.
-    #[cfg(feature = "trace")]
-    holder_tid: CachePadded<AtomicU32>,
+    holder_tid: TidStamp,
 }
 
 impl<L> StarvationFree<L> {
@@ -219,10 +211,8 @@ impl<L> StarvationFree<L> {
                 successions: AtomicU64::new(0),
             }),
             recovery: OnceLock::new(),
-            #[cfg(feature = "trace")]
-            prev_tid: CachePadded::new(AtomicU32::new(NO_TID)),
-            #[cfg(feature = "trace")]
-            holder_tid: CachePadded::new(AtomicU32::new(NO_TID)),
+            prev_tid: TidStamp::new(),
+            holder_tid: TidStamp::new(),
         }
     }
 
@@ -285,53 +275,20 @@ impl<L: RawLock> StarvationFree<L> {
         }
     }
 
-    /// *Abortable* acquisition (the paper's §1.2 discussion of
-    /// abortable mutual exclusion, ref \[13\]): competes for at most
-    /// `budget` predicate evaluations, then **stops competing** and
-    /// returns `false`. Per the abortable-mutex contract, the
-    /// abandonment "has not to alter the liveness of the other
-    /// critical section requests": the flag is lowered on abort, so
-    /// waiters blocked on `FLAG[TURN]` observe an idle priority holder
-    /// and proceed.
-    ///
-    /// Returns `true` when the lock was acquired (release it with
-    /// [`ProcLock::unlock`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `proc` is out of range.
-    pub fn lock_abortable(&self, proc: usize, budget: usize) -> bool {
-        assert!(proc < self.flag.len(), "process id out of range");
-        // Line 04: announce the competition.
-        self.flag[proc].write(true);
-        probe!(Event::FlagRaise(proc as u32));
-        let mut spinner = Spinner::new();
-        for _ in 0..budget {
-            // Line 05 predicate.
-            let t = self.turn.read();
-            if t == proc || !self.flag[t].read() {
-                // Priority granted: go for the inner lock, but stay
-                // abortable — try_lock, so a held inner lock counts
-                // against the budget instead of blocking forever.
-                if self.inner.try_lock() {
-                    self.acquired(proc);
-                    return true;
-                }
-            }
-            spinner.spin();
-        }
-        // Abort: stop competing. No other waiter can be blocked on us
-        // afterwards (they re-read FLAG[TURN] in their wait loop).
-        self.flag[proc].write(false);
-        false
-    }
-
     /// Lines 04–06, deadline-bounded: gives up — lowering `FLAG[proc]`
     /// so nobody waits on a ghost — once `deadline` expires, whether
     /// the wait was on the line-05 predicate or on the inner lock.
     /// Returns whether the lock was acquired (release with
     /// [`ProcLock::unlock`]). [`ProcLock::lock`] is the
     /// [`Deadline::NEVER`] instance, which always returns `true`.
+    ///
+    /// This is the *abortable* acquisition of the paper's §1.2
+    /// discussion of abortable mutual exclusion (ref \[13\]): a process
+    /// may stop competing, and per that contract the abandonment "has
+    /// not to alter the liveness of the other critical section
+    /// requests" — the flag is lowered on the way out, so waiters
+    /// blocked on `FLAG[TURN]` observe an idle priority holder and
+    /// proceed (they re-read it in their wait loop).
     ///
     /// The inner lock is taken through [`RawLock::try_lock_until`], so
     /// even a *wedged* inner lock (e.g. a crashed holder, the §5
@@ -397,7 +354,7 @@ impl<L: RawLock> StarvationFree<L> {
     }
 
     /// Records `proc` as the inner-lock holder (recovery custody, when
-    /// enabled) and, in `trace` builds, stamps the causal handoff
+    /// enabled) and, when probes record, stamps the causal handoff
     /// cells. The boosted entry points do this themselves; call it
     /// only when taking the inner lock *directly* via
     /// [`StarvationFree::inner`] (the combining path), and pair with
@@ -407,31 +364,15 @@ impl<L: RawLock> StarvationFree<L> {
         if let Some(rec) = self.recovery.get() {
             rec.holder.store(proc, Ordering::Release);
         }
-        #[cfg(feature = "trace")]
-        self.stamp_acquire();
-    }
-
-    /// Causal stamp at every acquisition: consume the releaser's
-    /// handoff stamp (so a later successor can never observe a stale
-    /// one) and record our own thread as holder. The consuming `swap`
-    /// plus the emission keep the helped-by edge exactly-once per
-    /// handoff. Relaxed suffices — the stamp was published by the
-    /// releaser's inner-lock Release and we hold the lock's Acquire.
-    #[cfg(feature = "trace")]
-    #[inline]
-    fn stamp_acquire(&self) {
-        let prev = self.prev_tid.swap(NO_TID, Ordering::Relaxed);
+        // Causal stamp at every acquisition: take the releaser's
+        // handoff stamp (so a later successor can never observe a
+        // stale one — the edge is recorded exactly once per handoff)
+        // and leave our own thread as holder. The releaser left its
+        // stamp *before* the inner lock's Release store, and we hold
+        // the lock's Acquire.
+        let prev = self.prev_tid.take();
         probe_if!(prev != NO_TID, Event::HandoffFrom(prev));
-        self.holder_tid.store(probe::thread_id(), Ordering::Relaxed);
-    }
-
-    /// Causal stamp at every release: leave our thread id for the next
-    /// acquirer. Must run *before* the inner lock's Release store so
-    /// the stamp is published with it.
-    #[cfg(feature = "trace")]
-    #[inline]
-    fn stamp_release(&self) {
-        self.prev_tid.store(probe::thread_id(), Ordering::Relaxed);
+        self.holder_tid.leave();
     }
 
     /// Gives up custody of the inner lock. Returns `false` — and the
@@ -461,8 +402,7 @@ impl<L: RawLock> StarvationFree<L> {
     /// Returns whether the inner lock was actually released.
     pub fn raw_unlock(&self, proc: usize) -> bool {
         if self.surrender_custody(proc) {
-            #[cfg(feature = "trace")]
-            self.stamp_release();
+            self.prev_tid.leave();
             self.inner.unlock();
             true
         } else {
@@ -607,12 +547,9 @@ impl<L: RawLock> StarvationFree<L> {
             // Causal edge: custody of the still-locked inner word came
             // from the corpse's thread. Read its acquire stamp before
             // overwriting with our own.
-            #[cfg(feature = "trace")]
-            {
-                let corpse_tid = self.holder_tid.load(Ordering::Relaxed);
-                probe_if!(corpse_tid != NO_TID, Event::CustodyFrom(corpse_tid));
-                self.holder_tid.store(probe::thread_id(), Ordering::Relaxed);
-            }
+            let corpse_tid = self.holder_tid.read();
+            probe_if!(corpse_tid != NO_TID, Event::CustodyFrom(corpse_tid));
+            self.holder_tid.leave();
             // The corpse is no longer competing: clear its FLAG and
             // re-arm TURN past it (the §4.4 recovery writes).
             self.flag[h].write(false);
@@ -739,9 +676,8 @@ impl<L: RawLock> ProcLock for StarvationFree<L> {
             probe!(Event::TurnAdvance(next as u32));
             self.counts.cells.inc(TURN_ADVANCES);
         }
-        // Line 12.
-        #[cfg(feature = "trace")]
-        self.stamp_release();
+        // Line 12, our thread id left for the next acquirer first.
+        self.prev_tid.leave();
         self.inner.unlock();
     }
 }
@@ -827,8 +763,11 @@ mod tests {
         let lock = StarvationFree::new(inner, 3);
         let mut written = vec![lines_of(&lock.inner), lines_of(&lock.turn)];
         written.extend(lock.flag.iter().map(lines_of));
-        #[cfg(feature = "trace")]
-        written.extend([lines_of(&lock.prev_tid), lines_of(&lock.holder_tid)]);
+        // The stamp cells are words only when probes record; untraced
+        // they are zero-sized and sit on nobody's line.
+        if cso_trace::TRACE {
+            written.extend([lines_of(&lock.prev_tid), lines_of(&lock.holder_tid)]);
+        }
         let read_mostly = [
             lines_of(&lock.flag),
             lines_of(&lock.counts),
@@ -878,9 +817,20 @@ mod tests {
         assert_eq!(other.counter("other_lock_successions_total"), Some(0));
     }
 
-    /// Causal-edge stamps — cells, writes and edges — exist only with
-    /// the `trace` feature (thread ids come from the probe rings).
-    #[cfg(feature = "trace")]
+    /// Zero cost, as a size: in an untraced build the two stamp cells
+    /// add nothing to the lock — three padded words (inner lock, TURN,
+    /// and the line the unpadded tail shares) and no more.
+    #[test]
+    fn untraced_stamp_cells_take_no_room_in_the_lock() {
+        use std::mem::size_of;
+        let stamps = 2 * size_of::<cso_trace::TidStamp>();
+        assert_eq!(stamps == 0, !cso_trace::TRACE);
+        assert_eq!(size_of::<StarvationFree<TasLock>>(), 3 * 128 + stamps);
+    }
+
+    /// Causal-edge stamps — cells, writes and edges — exist only when
+    /// probes record (thread ids come from the probe rings): each test
+    /// type-checks in every build and returns early in an untraced one.
     mod causal {
         use super::*;
 
@@ -892,6 +842,9 @@ mod tests {
 
         #[test]
         fn unlock_then_lock_emits_a_handoff_edge() {
+            if !cso_trace::TRACE {
+                return;
+            }
             let _serial = serial();
             probe::clear();
             let lock = Arc::new(StarvationFree::new(TasLock::new(), 2));
@@ -924,6 +877,9 @@ mod tests {
         #[test]
         fn succession_emits_a_custody_edge_from_the_corpse_thread() {
             use cso_memory::liveness::Liveness;
+            if !cso_trace::TRACE {
+                return;
+            }
             let _serial = serial();
             probe::clear();
             let lock = Arc::new(StarvationFree::new(TasLock::new(), 3));
@@ -959,6 +915,9 @@ mod tests {
         #[test]
         fn a_successor_never_sees_the_pre_corpse_handoff_stamp() {
             use cso_memory::liveness::Liveness;
+            if !cso_trace::TRACE {
+                return;
+            }
             let _serial = serial();
             probe::clear();
             let lock = Arc::new(StarvationFree::new(TasLock::new(), 3));
@@ -1225,17 +1184,20 @@ mod tests {
         let lock = StarvationFree::new(TasLock::new(), 2);
         lock.lock(0);
         // Process 1 gives up after a bounded competition.
-        assert!(!lock.lock_abortable(1, 64));
+        let soon = || Deadline::after(std::time::Duration::from_millis(2));
+        assert!(!lock.lock_until(1, soon()));
         lock.unlock(0);
         // The abandonment left the lock usable.
-        assert!(lock.lock_abortable(1, 64));
+        assert!(lock.lock_until(1, soon()));
         lock.unlock(1);
     }
 
     /// The abortable-mutex liveness contract (§1.2, ref \[13\]): a
     /// process abandoning its attempt must not impair the other
-    /// requests — here, aborters hammer tiny budgets while normal
-    /// lockers must all complete.
+    /// requests — here, aborters hammer already-expired deadlines
+    /// (each attempt raises `FLAG[i]`, evaluates line 05 and the inner
+    /// lock once, and backs out) while normal lockers must all
+    /// complete.
     #[test]
     fn abandonment_does_not_impair_others() {
         use std::sync::atomic::AtomicBool;
@@ -1250,7 +1212,7 @@ mod tests {
                     let mut acquired = 0u64;
                     let mut aborted = 0u64;
                     while !stop.load(Ordering::Relaxed) {
-                        if lock.lock_abortable(i, 2) {
+                        if lock.lock_until(i, Deadline::at(std::time::Instant::now())) {
                             acquired += 1;
                             lock.unlock(i);
                         } else {
@@ -1284,7 +1246,8 @@ mod tests {
             let (_, aborted) = aborter.join().unwrap();
             total_aborts += aborted;
         }
-        // With budget 2 under contention, aborts genuinely occur.
+        // With an expired deadline under contention, aborts genuinely
+        // occur.
         let _ = total_aborts;
     }
 }

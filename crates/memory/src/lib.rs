@@ -109,6 +109,30 @@ macro_rules! fail_point {
     ($site:expr, $on_abort:expr) => {};
 }
 
+/// Whether this build carries the `chaos` fail-point registry. The
+/// `chaos` cargo feature of **this crate** is the one switch for the
+/// mode (Cargo unifies features over the graph, so it is on for every
+/// crate or for none); code that branches on the mode reads this
+/// constant, and no other library crate declares a `chaos` feature.
+pub const CHAOS: bool = cfg!(feature = "chaos");
+
+/// Whether counted accesses run on the `cso-sched` model runtime (see
+/// [`runtime`]): the `model` cargo feature of this crate, the one
+/// switch for that mode.
+pub const MODEL: bool = cfg!(feature = "model");
+
+/// Installs (or, with `None`, removes) the observer called each time
+/// a fail point **fires** (`chaos::set_fire_hook`). Present in every
+/// build, so a tracing layer needs no `chaos` feature of its own to
+/// offer the hook; without [`CHAOS`] no fail point exists to fire and
+/// the call does nothing.
+pub fn set_fire_hook(hook: Option<fn(&'static str)>) {
+    #[cfg(feature = "chaos")]
+    chaos::set_fire_hook(hook);
+    #[cfg(not(feature = "chaos"))]
+    let _ = hook;
+}
+
 pub use backoff::Deadline;
 pub use bits::Bits32;
 pub use combining::{CachePadded, PubRecord, RecordState, NO_HELPER};

@@ -311,8 +311,10 @@ impl Registry {
     ///   version, spread over three series because the registry is
     ///   label-free by design;
     /// * `cso_feature_trace` / `cso_feature_chaos` /
-    ///   `cso_feature_model` — `1` when the corresponding compile-time
-    ///   capability was enabled for this build, else `0`;
+    ///   `cso_feature_model` — `1` when the corresponding build mode
+    ///   is on, else `0`: the constants of the crates that own the
+    ///   switches (`cso_trace::TRACE`, `cso_memory::{CHAOS, MODEL}`),
+    ///   so a gauge cannot disagree with what was compiled;
     /// * `cso_process_uptime_seconds` — polled; seconds since this
     ///   method ran (call it once at startup so the gauge tracks
     ///   process lifetime).
@@ -329,9 +331,9 @@ impl Registry {
             self.gauge(name).set(parts.next().unwrap_or(0) as f64);
         }
         for (name, enabled) in [
-            ("cso_feature_trace", cfg!(feature = "trace")),
-            ("cso_feature_chaos", cfg!(feature = "chaos")),
-            ("cso_feature_model", cfg!(feature = "model")),
+            ("cso_feature_trace", cso_trace::TRACE),
+            ("cso_feature_chaos", cso_memory::CHAOS),
+            ("cso_feature_model", cso_memory::MODEL),
         ] {
             self.gauge(name).set(f64::from(u8::from(enabled)));
         }
@@ -343,7 +345,7 @@ impl Registry {
 
     /// Registers the `cso_trace_ring_dropped` polled gauge: probe
     /// events lost to ring wrap-around since the last `probe::clear()`
-    /// (always `0` without the `trace` feature). Surfacing the drop
+    /// (always `0` unless probes record). Surfacing the drop
     /// count means a truncated trace is visible on the dashboard, not
     /// just in the collected artifact.
     pub fn register_probe_drop_gauge(&self) {
@@ -529,14 +531,16 @@ mod tests {
             get("cso_build_version_patch")
         );
         assert_eq!(version, "0.1.0");
-        for feature in ["trace", "chaos", "model"] {
+        // Each gauge is its owner's switch — in particular `model`,
+        // which no feature of this crate could ever have reported.
+        for (feature, on) in [
+            ("trace", cso_trace::TRACE),
+            ("chaos", cso_memory::CHAOS),
+            ("model", cso_memory::MODEL),
+        ] {
             let v = get(&format!("cso_feature_{feature}"));
-            assert!(v == 0.0 || v == 1.0, "{feature}: {v}");
+            assert_eq!(v, f64::from(u8::from(on)), "{feature}");
         }
-        assert_eq!(
-            get("cso_feature_trace"),
-            f64::from(u8::from(cfg!(feature = "trace")))
-        );
         assert!(get("cso_process_uptime_seconds") >= 0.0);
     }
 

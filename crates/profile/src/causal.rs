@@ -300,12 +300,14 @@ mod tests {
         assert_eq!(gain.virtual_speedup(0), 0.0);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn scan_ranks_the_class_the_workload_actually_hits() {
         use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
         use std::sync::Arc;
 
+        if !cso_trace::TRACE {
+            return;
+        }
         let _serial = crate::test_serial();
         // A synthetic workload that emits one flag-wait-class probe per
         // operation: delaying FlagWait throttles it, delaying anything

@@ -129,7 +129,6 @@ mod tests {
     fn harvester_starts_and_stops_cleanly_without_traffic() {
         // A harvester is the rings' consumer while it runs: beside the
         // test below it would take events that one is counting.
-        #[cfg(feature = "trace")]
         let _serial = crate::test_serial();
         let harvester = Harvester::start();
         let agg = harvester.stop();
@@ -139,9 +138,11 @@ mod tests {
         let _ = agg.snapshot();
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn harvester_makes_overflowing_rings_lossless() {
+        if !cso_trace::TRACE {
+            return;
+        }
         // The global rings are process-wide: serialize against the
         // causal test via the shared lock.
         let _serial = crate::test_serial();

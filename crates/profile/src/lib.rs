@@ -44,7 +44,7 @@ pub use routes::profile_routes;
 
 /// Serializes tests that touch the process-global probe rings or the
 /// causal injector (the rings have a single logical consumer).
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 fn test_serial() -> std::sync::MutexGuard<'static, ()> {
     static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
     SERIAL

@@ -30,7 +30,7 @@
 
 use std::marker::PhantomData;
 
-use cso_core::{Abortable, Aborted, BatchCounters, BatchStats};
+use cso_core::{Abortable, Aborted};
 use cso_memory::bits::Bits32;
 use cso_memory::fail_point;
 use cso_memory::packed::{HeadWord, SlotWord, TailWord};
@@ -90,7 +90,6 @@ pub struct AbortableQueue<V> {
     ring: Box<[Reg64]>,
     /// Diagnostics, indexed by the constants below.
     stats: Stripes<4>,
-    batch: BatchCounters,
     _values: PhantomData<V>,
 }
 
@@ -138,7 +137,6 @@ impl<V: Bits32> AbortableQueue<V> {
             ),
             ring,
             stats: Stripes::new(),
-            batch: BatchCounters::new(),
             _values: PhantomData,
         }
     }
@@ -341,14 +339,6 @@ impl<V: Bits32> AbortableQueue<V> {
     pub fn reset_abort_stats(&self) {
         self.stats.reset();
     }
-
-    /// Combining-batch totals observed through the
-    /// [`Abortable::batch_begin`] / [`Abortable::batch_end`] hooks
-    /// (all zero unless a combining transformation drives this queue).
-    #[must_use]
-    pub fn batch_stats(&self) -> BatchStats {
-        self.batch.snapshot()
-    }
 }
 
 impl<V: Bits32> Abortable for AbortableQueue<V> {
@@ -360,14 +350,6 @@ impl<V: Bits32> Abortable for AbortableQueue<V> {
             QueueOp::Enqueue(v) => self.weak_enqueue(*v).map(QueueResponse::Enqueue),
             QueueOp::Dequeue => self.weak_dequeue().map(QueueResponse::Dequeue),
         }
-    }
-
-    fn batch_begin(&self, pending: usize) {
-        self.batch.begin(pending);
-    }
-
-    fn batch_end(&self, applied: usize) {
-        self.batch.end(applied);
     }
 }
 

@@ -4,8 +4,8 @@
 use std::time::Duration;
 
 use cso_core::{
-    AdaptiveGate, BatchStats, CombiningStats, ContentionSensitive, CsConfig, CsError, FaultStats,
-    PathStats, ProgressCondition, RecoveryStats,
+    AdaptiveGate, CombiningStats, ContentionSensitive, CsConfig, CsError, FaultStats, PathStats,
+    ProgressCondition, RecoveryStats,
 };
 use cso_locks::{RawLock, TasLock};
 use cso_memory::bits::Bits32;
@@ -209,12 +209,6 @@ impl<V: Bits32, L: RawLock> CsQueue<V, L> {
         self.inner.combining_stats()
     }
 
-    /// Batches seen by the underlying abortable queue through its
-    /// batch-apply hooks.
-    pub fn batch_stats(&self) -> BatchStats {
-        self.inner.inner().batch_stats()
-    }
-
     /// The adaptive contention gate (consulted only when built with
     /// [`CsConfig::with_adaptive_gate`]).
     pub fn gate(&self) -> &AdaptiveGate {
@@ -382,8 +376,7 @@ mod tests {
         }
     }
 
-    /// Forced-slow combining on the queue: tenure accounting holds and
-    /// the batch hooks reach the underlying abortable queue.
+    /// Forced-slow combining on the queue: tenure accounting holds.
     #[test]
     fn combining_slow_path_conserves_and_reports_batches() {
         const THREADS: u32 = 3;
@@ -421,7 +414,6 @@ mod tests {
         let combining = queue.combining_stats();
         assert_eq!(paths.fast, 0, "fast path disabled");
         assert_eq!(combining.batches + combining.combined, paths.locked);
-        assert_eq!(queue.batch_stats().applied, combining.combined);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::marker::PhantomData;
 
-use cso_core::{Abortable, Aborted, BatchCounters, BatchStats};
+use cso_core::{Abortable, Aborted};
 use cso_memory::combining::{CachePadded, NO_HELPER};
 use cso_memory::exchange::Exchanger;
 use cso_memory::fail_point;
@@ -97,7 +97,6 @@ pub struct AbortableStack<V> {
     /// Diagnostics (not shared-memory accesses), indexed by the
     /// constants below.
     stats: Stripes<4>,
-    batch: BatchCounters,
     _values: PhantomData<V>,
 }
 
@@ -151,7 +150,6 @@ impl<V: StackValue> AbortableStack<V> {
             slots,
             exchanger: Exchanger::new(ELIM_SLOTS),
             stats: Stripes::new(),
-            batch: BatchCounters::new(),
             _values: PhantomData,
         }
     }
@@ -321,14 +319,6 @@ impl<V: StackValue> AbortableStack<V> {
         self.stats.reset();
     }
 
-    /// Combining-batch totals observed through the
-    /// [`Abortable::batch_begin`] / [`Abortable::batch_end`] hooks
-    /// (all zero unless a combining transformation drives this stack).
-    #[must_use]
-    pub fn batch_stats(&self) -> BatchStats {
-        self.batch.snapshot()
-    }
-
     /// Push/pop *pairs* completed by elimination rendezvous through
     /// [`Abortable::try_eliminate`] (zero unless an escalation ladder
     /// with `elimination` drives this stack).
@@ -349,14 +339,6 @@ impl<V: StackValue> Abortable for AbortableStack<V> {
             StackOp::Push(v) => self.weak_push(*v).map(StackResponse::Push),
             StackOp::Pop => self.weak_pop().map(StackResponse::Pop),
         }
-    }
-
-    fn batch_begin(&self, pending: usize) {
-        self.batch.begin(pending);
-    }
-
-    fn batch_end(&self, applied: usize) {
-        self.batch.end(applied);
     }
 
     /// Elimination: an aborted push parks its value in the exchanger;
@@ -576,12 +558,14 @@ mod tests {
 
     /// The causal stamps ride the rendezvous only when the probe rings
     /// are live (thread ids come from registration order).
-    #[cfg(feature = "trace")]
     #[test]
     fn eliminated_pair_records_both_partner_edges() {
         use cso_trace::probe;
         use std::sync::Arc;
 
+        if !cso_trace::TRACE {
+            return;
+        }
         let stack: Arc<AbortableStack<u32>> = Arc::new(AbortableStack::new(8));
         let taker_tid = probe::thread_id();
         let offeror = {

@@ -3,8 +3,8 @@
 use std::time::Duration;
 
 use cso_core::{
-    Abortable, Aborted, AdaptiveGate, BatchStats, CombiningStats, ContentionSensitive, CsConfig,
-    CsError, FaultStats, PathStats, ProgressCondition, RecoveryStats,
+    Abortable, Aborted, AdaptiveGate, CombiningStats, ContentionSensitive, CsConfig, CsError,
+    FaultStats, PathStats, ProgressCondition, RecoveryStats,
 };
 use cso_locks::{RawLock, TasLock};
 
@@ -217,12 +217,6 @@ impl<V: StackValue, L: RawLock> CsStack<V, L> {
         self.inner.combining_stats()
     }
 
-    /// Batches seen by the underlying abortable stack through its
-    /// [`Abortable::batch_begin`] / [`Abortable::batch_end`] hooks.
-    pub fn batch_stats(&self) -> BatchStats {
-        self.inner.inner().batch_stats()
-    }
-
     /// The adaptive contention gate (consulted only when built with
     /// [`CsConfig::with_adaptive_gate`]).
     pub fn gate(&self) -> &AdaptiveGate {
@@ -280,14 +274,6 @@ impl<V: StackValue, L: RawLock> Abortable for CsStack<V, L> {
     fn try_apply(&self, op: &CsStackOp<V>) -> Result<Self::Response, Aborted> {
         Ok(self.inner.apply(op.proc, &op.op))
     }
-
-    fn batch_begin(&self, pending: usize) {
-        self.inner.inner().batch_begin(pending);
-    }
-
-    fn batch_end(&self, applied: usize) {
-        self.inner.inner().batch_end(applied);
-    }
 }
 
 #[cfg(test)]
@@ -307,6 +293,19 @@ mod tests {
             assert_eq!(stack.pop(1), PopOutcome::Popped(v));
         }
         assert_eq!(stack.pop(0), PopOutcome::Empty);
+    }
+
+    /// What a traced build keeps for its probes — the lock's two
+    /// handoff stamps — is all it adds to the object: untraced, the
+    /// stack is byte for byte the size it was before the stamps moved
+    /// behind `cso-trace` (a 64-bit layout; 3,200 = 25 padded lines).
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn untraced_stack_carries_nothing_for_the_probes() {
+        use std::mem::size_of;
+        let stamps = 2 * size_of::<cso_trace::TidStamp>();
+        assert_eq!(stamps == 0, !cso_trace::TRACE);
+        assert_eq!(size_of::<CsStack<u32>>(), 3200 + stamps);
     }
 
     /// Theorem 1's headline number: a contention-free strong operation
@@ -408,8 +407,7 @@ mod tests {
     }
 
     /// Forced-slow combining: every completion is either a combiner's
-    /// own op or a served record, and the batch hooks reach the
-    /// underlying abortable stack.
+    /// own op or a served record.
     #[test]
     fn combining_slow_path_conserves_and_reports_batches() {
         const THREADS: u32 = 3;
@@ -450,8 +448,6 @@ mod tests {
         // satisfy the tenure accounting: every locked completion is a
         // combiner's own op (one per batch) or a served record.
         assert_eq!(combining.batches + combining.combined, paths.locked);
-        // The batch hooks reached the abortable stack itself.
-        assert_eq!(stack.batch_stats().applied, combining.combined);
     }
 
     #[test]

@@ -26,13 +26,24 @@
 //!   (the codec `cso-analyze` reads captures through), all driven off
 //!   a collected [`Trace`].
 //!
-//! # Feature matrix
+//! * [`stamp`] — the two things a probe site keeps *between* events:
+//!   a thread-id cell one thread leaves for the next ([`TidStamp`])
+//!   and a clock for a span's length ([`SpanClock`]). Both are
+//!   zero-sized, and do nothing, unless probes record.
 //!
-//! | feature | effect |
+//! # The one switch
+//!
+//! `trace` is a cargo feature of **this crate only**, and [`TRACE`]
+//! says whether it is on. The instrumented crates declare no feature
+//! of their own: what they keep for a traced build lives behind the
+//! types and functions here, so switching the mode on — from any
+//! package, by any spelling that reaches `cso-trace/trace` — switches
+//! it on for every probe site in the graph at once.
+//!
+//! | `cso-trace/trace` | effect |
 //! |---|---|
-//! | *(none)* | [`probe!`] compiles to nothing; [`probe::collect`] returns an empty [`Trace`]; histograms and the auditor still work |
-//! | `trace` | probes record into per-thread rings; [`probe::last_path`] reports the completion path |
-//! | `trace` + `chaos` | [`install_chaos_hook`] mirrors fail-point *fires* into the event stream |
+//! | off | [`probe!`] compiles to nothing; [`probe::collect`] returns an empty [`Trace`]; histograms and the auditor still work |
+//! | on | probes record into per-thread rings; [`probe::last_path`] reports the completion path; [`install_chaos_hook`] mirrors fail-point *fires* into the event stream (when `cso-memory/chaos` is on too) |
 //!
 //! # Example (feature-independent surface)
 //!
@@ -58,10 +69,18 @@ pub mod audit;
 pub mod export;
 pub mod hist;
 pub mod probe;
+pub mod stamp;
 
 pub use audit::{AuditReport, StepAuditor};
 pub use hist::{HistSnapshot, LogHistogram};
 pub use probe::{Event, Harvested, HelpKind, Path, SiteClass, Trace, TraceEvent, NO_TID};
+pub use stamp::{SpanClock, TidStamp};
+
+/// Whether probes are compiled in: the `trace` cargo feature of this
+/// crate, the one switch for the mode. Code that must branch on it —
+/// a build-info gauge, a test that reads the rings — reads this
+/// constant; no other library crate declares a `trace` feature.
+pub const TRACE: bool = cfg!(feature = "trace");
 
 /// Records a probe [`Event`] on the calling thread.
 ///
@@ -122,11 +141,11 @@ macro_rules! probe_if {
 /// [`Event::FailPoint`] records, so a trace can show *which* fail
 /// point caused each poisoning or abort storm.
 ///
-/// A no-op unless both the `trace` and `chaos` cargo features are
-/// enabled (callers need not gate the call). Idempotent.
+/// A no-op unless probes record ([`TRACE`]) and fail points exist
+/// (`cso_memory::CHAOS`); callers need not gate the call. Idempotent.
 pub fn install_chaos_hook() {
-    #[cfg(all(feature = "trace", feature = "chaos"))]
-    cso_memory::chaos::set_fire_hook(Some(|site| probe::record(Event::FailPoint(site))));
+    #[cfg(feature = "trace")]
+    cso_memory::set_fire_hook(Some(|site| probe::record(Event::FailPoint(site))));
 }
 
 #[cfg(test)]

@@ -82,7 +82,7 @@
 //! | Paper | Code |
 //! |---|---|
 //! | contention managers (refs \[4\], \[25\], \[5\]) | [`cso_core::ContentionManager`] policies ([`NoBackoff`](cso_core::NoBackoff), [`SpinBackoff`](cso_core::SpinBackoff), [`ExpBackoff`](cso_core::ExpBackoff), [`YieldBackoff`](cso_core::YieldBackoff)) |
-//! | abortable mutual exclusion (§1.2, ref \[13\]) | [`cso_locks::StarvationFree::lock_abortable`] |
+//! | abortable mutual exclusion (§1.2, ref \[13\]) | [`cso_locks::StarvationFree::lock_until`] |
 //! | Lamport's fast mutex (§1.1, ref \[16\], “seven accesses”) | [`cso_locks::LamportFastLock`] — measured at exactly 7 |
 //! | the queue as the non-interference example (§1.1) | the whole of [`cso_queue`]: enqueue CASes only `TAIL`, dequeue only `HEAD`; exhaustively verified non-interfering |
 //! | obstruction-freedom's defining example (§1.2, ref \[8\]: HLM deques) | the whole of [`cso_deque`]: the deque as an abortable object, the original retry loop ([`HlmDeque`](cso_deque::HlmDeque), obstruction-free *only*), and Figure 3 lifting it to starvation freedom ([`CsDeque`](cso_deque::CsDeque)) |

@@ -111,7 +111,7 @@ fn eliminated_path_surfaces_agree() {
     for config in [elimination_only, CsConfig::LADDER] {
         surfaces_agree(config);
     }
-    if cfg!(feature = "trace") {
+    if cso::trace::TRACE {
         let spans = cso::profile::LiveAggregator::new();
         spans.ingest(&cso::trace::probe::harvest());
         let snap = spans.snapshot();

@@ -168,7 +168,7 @@ fn scrapes_stay_consistent_while_workers_hammer_the_stack() {
         cso::trace::probe::emitted(),
         "conservation: ingested + lost == emitted"
     );
-    if cfg!(feature = "trace") {
+    if cso::trace::TRACE {
         assert!(snap.events_ingested > 0, "trace build: events flowed");
         assert!(snap.spans > 0, "trace build: spans reconstructed");
     }

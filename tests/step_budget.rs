@@ -9,18 +9,18 @@
 //! * The closed form past attempt 0: an operation whose `k ≤
 //!   FAST_RETRIES` first attempts abort completes lock-free within
 //!   `(k + 1) × 6` accesses, and one sent to the lock never exceeds
-//!   [`cso_core::LOCKED_SOLO_ACCESS_BOUND`] plus the weak operation's
+//!   [`cso::core::LOCKED_SOLO_ACCESS_BOUND`] plus the weak operation's
 //!   own 5 accesses (chaos-gated — the fail point is the only
 //!   deterministic way to veto the fast path of a real stack).
 //!
 //! A budget violation panics inside [`StepAuditor::audit`], failing
 //! the build — Theorem 1 is a regression test now.
 
-use cso_core::CsConfig;
-use cso_locks::TasLock;
-use cso_memory::counting::CountScope;
-use cso_stack::{AbortableStack, CsStack, PopOutcome, PushOutcome};
-use cso_trace::StepAuditor;
+use cso::core::CsConfig;
+use cso::locks::TasLock;
+use cso::memory::counting::CountScope;
+use cso::stack::{AbortableStack, CsStack, PopOutcome, PushOutcome};
+use cso::trace::StepAuditor;
 
 /// Theorem 1's budget for a contention-free strong operation.
 const STRONG_BUDGET: u64 = 6;
@@ -40,10 +40,10 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 /// The access-counting substrate this whole file leans on must be the
 /// zero-cost passthrough in a default build — the `model` runtime is
 /// opt-in and would invalidate the bit-exact totals below.
-#[cfg(not(feature = "model"))]
 #[test]
 fn default_build_runs_the_std_runtime() {
-    assert_eq!(cso_memory::runtime::active_name(), "std");
+    let std = cso::memory::runtime::active_name() == "std";
+    assert_eq!(std, !cso::memory::MODEL);
 }
 
 #[test]
@@ -159,13 +159,13 @@ fn ladder_config_keeps_theorem_one_exact() {
 #[cfg(feature = "chaos")]
 #[test]
 fn retried_ops_complete_lock_free_within_the_closed_form() {
-    use cso_memory::chaos::{self, Fault, Plan};
+    use cso::memory::chaos::{self, Fault, Plan};
     let _serial = serial();
 
     let cs: CsStack<u32> = CsStack::new(1024, 4);
     cs.push(0, 0);
 
-    for k in 1..=u64::from(cso_core::FAST_RETRIES) {
+    for k in 1..=u64::from(cso::core::FAST_RETRIES) {
         let auditor = StepAuditor::strict((k + 1) * STRONG_BUDGET);
         for i in 0..250u32 {
             chaos::arm_plan("cs::fast", Plan::times(Fault::SpuriousAbort, k));
@@ -248,17 +248,19 @@ fn engaged_gate_diverts_then_recovery_restores_the_six_access_fast_path() {
 /// attempt, at most `FAST_ATTEMPTS` attempts. (That an attempt
 /// nobody interferes with is the *first* one, i.e. Theorem 1's six, is
 /// the solo tests' above; the model bodies check `6 + 6k` per `k`.)
-#[cfg(feature = "trace")]
 #[test]
 fn concurrent_fast_path_completions_stay_within_the_closed_form() {
     use std::sync::Arc;
+    if !cso::trace::TRACE {
+        return;
+    }
     let _serial = serial();
 
     const THREADS: usize = 4;
     const OPS: u32 = 20_000;
     let cs: Arc<CsStack<u32>> = Arc::new(CsStack::new(1 << 15, THREADS));
     let auditor = Arc::new(StepAuditor::strict(
-        STRONG_BUDGET * u64::from(cso_core::FAST_ATTEMPTS),
+        STRONG_BUDGET * u64::from(cso::core::FAST_ATTEMPTS),
     ));
 
     std::thread::scope(|s| {
@@ -286,16 +288,16 @@ fn concurrent_fast_path_completions_stay_within_the_closed_form() {
 }
 
 /// The slow path has a documented bound too: the transformation's own
-/// footprint ([`cso_core::LOCKED_SOLO_ACCESS_BOUND`]) plus one weak
+/// footprint ([`cso::core::LOCKED_SOLO_ACCESS_BOUND`]) plus one weak
 /// operation. A solo invocation vetoed off the fast path — first
 /// attempt and every retry — must land within it.
 #[cfg(feature = "chaos")]
 #[test]
 fn locked_path_stays_within_documented_bound() {
-    use cso_memory::chaos::{self, Fault, Plan};
+    use cso::memory::chaos::{self, Fault, Plan};
     let _serial = serial();
 
-    let locked_budget = cso_core::LOCKED_SOLO_ACCESS_BOUND + WEAK_COST;
+    let locked_budget = cso::core::LOCKED_SOLO_ACCESS_BOUND + WEAK_COST;
     let cs: CsStack<u32> = CsStack::new(1024, 4);
     cs.push(0, 0);
 
@@ -303,7 +305,7 @@ fn locked_path_stays_within_documented_bound() {
     for i in 0..1_000u32 {
         chaos::arm_plan(
             "cs::fast",
-            Plan::times(Fault::SpuriousAbort, u64::from(cso_core::FAST_ATTEMPTS)),
+            Plan::times(Fault::SpuriousAbort, u64::from(cso::core::FAST_ATTEMPTS)),
         );
         assert_eq!(auditor.audit(|| cs.push(0, i)), PushOutcome::Pushed);
         cs.pop(0);

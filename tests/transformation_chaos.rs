@@ -1,9 +1,14 @@
 //! Fail-point chaos tests for the Figure 3 transformation
-//! (`--features chaos`). Where `panic_safety.rs` scripts faults into
-//! the *object*, these arm the named fail points inside the
-//! transformation and the locks themselves — panics and stalls at the
-//! exact program points §5 of the paper worries about.
+//! (`--features chaos`). Where `cso-core`'s `panic_safety.rs` scripts
+//! faults into the *object*, these arm the named fail points inside
+//! the transformation and the locks themselves — panics and stalls at
+//! the exact program points §5 of the paper worries about.
+//!
+//! Lives with the umbrella's other mode-gated tests: `cso-core` has no
+//! `chaos` feature to gate a test target on (the switch is
+//! `cso-memory`'s). The scripted object is `cso-core`'s own.
 
+#[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -12,9 +17,9 @@ use std::thread;
 use std::time::Duration;
 
 use common::{Add, FlakyCounter};
-use cso_core::{ContentionSensitive, CsConfig, CsError, RecoveryPolicy};
-use cso_locks::TasLock;
-use cso_memory::chaos::{self, Fault, Plan};
+use cso::core::{ContentionSensitive, CsConfig, CsError, RecoveryPolicy};
+use cso::locks::TasLock;
+use cso::memory::chaos::{self, Fault, Plan};
 
 // The chaos registry is process-global: these tests must not overlap.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -124,7 +129,7 @@ fn fast_path_abort_storm_degrades_to_lock_without_losing_ops() {
     // lock only after its fast attempt and every retry were refused.
     assert_eq!(
         chaos::fires("cs::fast"),
-        100 * (u64::from(cso_core::FAST_ATTEMPTS))
+        100 * (u64::from(cso::core::FAST_ATTEMPTS))
     );
     chaos::reset();
 }
