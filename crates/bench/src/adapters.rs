@@ -3,9 +3,7 @@
 
 use cso_core::CsConfig;
 use cso_locks::{OsLock, TasLock, TicketLock};
-use cso_stack::{
-    CsStack, EliminationStack, LockStack, NonBlockingStack, PushOutcome, TreiberStack,
-};
+use cso_stack::{CsStack, LockStack, NonBlockingStack, PushOutcome, TreiberStack};
 
 /// A stack under benchmark: push returns `false` on `Full` (unbounded
 /// stacks always return `true`).
@@ -60,24 +58,6 @@ pub struct TreiberAdapter(pub TreiberStack<u32>);
 impl BenchStack for TreiberAdapter {
     fn name(&self) -> &'static str {
         "treiber"
-    }
-
-    fn push(&self, _proc: usize, value: u32) -> bool {
-        self.0.push(value);
-        true
-    }
-
-    fn pop(&self, _proc: usize) -> Option<u32> {
-        self.0.pop()
-    }
-}
-
-/// Elimination back-off stack.
-pub struct EliminationAdapter(pub EliminationStack<u32>);
-
-impl BenchStack for EliminationAdapter {
-    fn name(&self) -> &'static str {
-        "elimination"
     }
 
     fn push(&self, _proc: usize, value: u32) -> bool {
@@ -178,15 +158,14 @@ impl BenchStack for CsConfigAdapter {
 }
 
 /// The standard stack suite swept by E3/E5: the paper's two lock-free
-/// constructions, three fully locked baselines, Treiber and the
-/// elimination stack.
+/// constructions, Treiber and three fully locked baselines — the rows
+/// ROADMAP 1(a) keeps for the yardstick.
 #[must_use]
 pub fn stack_suite(capacity: usize, n: usize) -> Vec<Box<dyn BenchStack>> {
     vec![
         Box::new(CsAdapter(CsStack::new(capacity, n))),
         Box::new(NbAdapter(NonBlockingStack::new(capacity))),
         Box::new(TreiberAdapter(TreiberStack::new())),
-        Box::new(EliminationAdapter(EliminationStack::new(2))),
         Box::new(LockTasAdapter(LockStack::new(capacity))),
         Box::new(LockTicketAdapter(LockStack::with_lock(
             capacity,

@@ -5,6 +5,11 @@
 //! contention-sensitive stack should track the lock-free stacks when
 //! contention is rare (here: 1 thread, or high think time) while the
 //! fully locked baselines pay the lock on every operation.
+//!
+//! Kept only for ROADMAP 1(a)'s baselines — `nb-stack`, Treiber and
+//! the `LockStack` menu — and the thread/think-time sweeps (the latter
+//! is E4's), none of which the yardstick runs yet; `cs-stack`'s own
+//! one- and two-thread figures are the yardstick's.
 
 use cso_bench::adapters::{drive_stack, prefill_stack, stack_suite};
 use cso_bench::report::{fmt_rate, Table};

@@ -5,6 +5,11 @@
 //! the §4.4 `FLAG`/`TURN` booster) should keep the per-thread spread
 //! tight; the merely non-blocking and TAS-locked baselines may
 //! starve individual threads.
+//!
+//! Kept only for ROADMAP 1(a)'s baselines — `nb-stack`, Treiber and
+//! the `LockStack` menu — and for `cs/unfair` (Figure 3 without the
+//! booster), none of which the yardstick runs yet; `cs-stack`'s
+//! two-thread fairness is the yardstick's `fairness_min_max`.
 
 use cso_bench::adapters::{drive_stack, prefill_stack, stack_suite, CsConfigAdapter};
 use cso_bench::report::{fmt_rate, Table};

@@ -46,7 +46,7 @@
 //! assert_eq!(deque.pop_left(1), DequePopOutcome::Empty);
 //! ```
 
-#![forbid(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod abortable;

@@ -42,7 +42,7 @@
 //! fair.unlock(0);
 //! ```
 
-#![forbid(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod clh;

@@ -74,9 +74,9 @@ impl Deadline {
 
 /// A deterministic xorshift64* pseudo-random generator.
 ///
-/// Used for backoff jitter and for the elimination stack's slot
-/// selection. Not cryptographic; deliberately dependency-free so the
-/// core crates stay `std`-only.
+/// Used for backoff jitter and for the exchanger's slot selection.
+/// Not cryptographic; deliberately dependency-free so the core crates
+/// stay `std`-only.
 ///
 /// ```
 /// use cso_memory::backoff::XorShift64;

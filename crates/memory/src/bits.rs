@@ -14,11 +14,9 @@
 /// lossless. The property tests in this module check it for all
 /// provided implementations.
 ///
-/// For payloads that do not fit (boxes, strings, structs), use the
-/// indirect containers (`cso_stack::IndirectStack`,
-/// `cso_queue::IndirectQueue`), which store the payload in a
-/// [`crate::slab::Slab`] and run the register algorithm on the 32-bit
-/// handle.
+/// A payload that does not fit (a box, a string, a struct) rides as a
+/// `u32` index into storage the caller owns, the way
+/// `examples/job_scheduler.rs` pushes job indices.
 ///
 /// ```
 /// use cso_memory::bits::Bits32;

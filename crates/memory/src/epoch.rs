@@ -2,15 +2,15 @@
 //!
 //! The paper's array + sequence-number objects need no dynamic
 //! reclamation at all — that is one of their selling points. The
-//! *baselines* they are compared against (Treiber's stack, the
-//! Michael–Scott queue, the elimination stack) allocate a node per
-//! element and therefore do: a node unlinked by one thread may still be
+//! linked baseline they are compared against, Treiber's stack
+//! (`cso_stack::TreiberStack`), allocates a node per element and
+//! therefore does: a node unlinked by one thread may still be
 //! traversed by another, so it cannot be freed immediately.
 //!
 //! This module is a small, dependency-free implementation of the
 //! classical three-epoch scheme (Fraser 2004), API-compatible with the
-//! subset of `crossbeam-epoch` the baselines use, so the workspace
-//! builds fully offline:
+//! subset of `crossbeam-epoch` Treiber's stack uses — and no more — so
+//! the workspace builds fully offline:
 //!
 //! * threads [`pin`] themselves before touching shared nodes, recording
 //!   the global epoch they observed;
@@ -24,7 +24,7 @@
 //! Throughput trade-off: retirement buffers are thread-local but the
 //! participant registry and the garbage pool are behind plain mutexes,
 //! touched only every [`COLLECT_PERIOD`] pins. That is plenty for the
-//! baseline role these structures play here; a production EBR would
+//! baseline role Treiber's stack plays here; a production EBR would
 //! shard the garbage pool.
 
 use std::cell::Cell;
@@ -305,14 +305,6 @@ impl Drop for Guard {
     }
 }
 
-impl fmt::Debug for Guard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Guard")
-            .field("unprotected", &self.unprotected)
-            .finish()
-    }
-}
-
 /// An atomic nullable pointer to a heap node.
 pub struct Atomic<T> {
     ptr: AtomicPtr<T>,
@@ -324,14 +316,6 @@ impl<T> Atomic<T> {
     pub fn null() -> Atomic<T> {
         Atomic {
             ptr: AtomicPtr::new(ptr::null_mut()),
-        }
-    }
-
-    /// Creates a pointer to a fresh allocation of `value`.
-    #[must_use]
-    pub fn new(value: T) -> Atomic<T> {
-        Atomic {
-            ptr: AtomicPtr::new(Box::into_raw(Box::new(value))),
         }
     }
 
@@ -419,27 +403,6 @@ impl<T> Owned<T> {
             ptr: Box::into_raw(Box::new(value)),
         }
     }
-
-    /// Converts into a [`Shared`], transferring the allocation to the
-    /// data structure (it must eventually be retired or re-owned).
-    #[must_use]
-    pub fn into_shared<'g>(self, _guard: &'g Guard) -> Shared<'g, T> {
-        let ptr = self.ptr;
-        std::mem::forget(self);
-        Shared {
-            ptr,
-            _marker: PhantomData,
-        }
-    }
-
-    /// Converts back into a plain [`Box`].
-    #[must_use]
-    pub fn into_box(self) -> Box<T> {
-        let ptr = self.ptr;
-        std::mem::forget(self);
-        // SAFETY: `ptr` came from `Box::into_raw` and is uniquely owned.
-        unsafe { Box::from_raw(ptr) }
-    }
 }
 
 impl<T> Drop for Owned<T> {
@@ -464,12 +427,6 @@ impl<T> DerefMut for Owned<T> {
     }
 }
 
-impl<T: fmt::Debug> fmt::Debug for Owned<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("Owned").field(&**self).finish()
-    }
-}
-
 // SAFETY: owning pointer — same story as Box<T>.
 unsafe impl<T: Send> Send for Owned<T> {}
 
@@ -491,18 +448,8 @@ impl<T> PartialEq for Shared<'_, T> {
         self.ptr == other.ptr
     }
 }
-impl<T> Eq for Shared<'_, T> {}
 
 impl<'g, T> Shared<'g, T> {
-    /// The null pointer.
-    #[must_use]
-    pub fn null() -> Shared<'g, T> {
-        Shared {
-            ptr: ptr::null_mut(),
-            _marker: PhantomData,
-        }
-    }
-
     /// Whether this is null.
     #[must_use]
     pub fn is_null(&self) -> bool {
@@ -518,17 +465,6 @@ impl<'g, T> Shared<'g, T> {
     pub unsafe fn as_ref(&self) -> Option<&'g T> {
         // SAFETY: forwarded to the caller.
         unsafe { self.ptr.as_ref() }
-    }
-
-    /// Dereferences a known-non-null pointer.
-    ///
-    /// # Safety
-    ///
-    /// As [`Shared::as_ref`], plus the pointer must not be null.
-    pub unsafe fn deref(&self) -> &'g T {
-        debug_assert!(!self.is_null());
-        // SAFETY: forwarded to the caller.
-        unsafe { &*self.ptr }
     }
 
     /// Reclaims unique ownership of the allocation.
@@ -591,6 +527,9 @@ impl<T> Pointer<T> for Shared<'_, T> {
 
 #[cfg(test)]
 mod tests {
+    // SAFETY (every `unsafe` below): a node is dereferenced only under
+    // a pin or by the one thread that can reach it, and re-owned or
+    // retired exactly once, after it is unlinked or was never shared.
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
@@ -603,30 +542,50 @@ mod tests {
         }
     }
 
+    /// Publishes `value` through a scratch [`Atomic`] and loads it
+    /// back — the only way from an [`Owned`] to a [`Shared`], as in
+    /// `TreiberStack`'s push then pop. The scratch cell is forgotten
+    /// (an `Atomic` owns nothing), so the caller owns the node.
+    fn published<T>(value: T, guard: &Guard) -> Shared<'_, T> {
+        let cell = Atomic::null();
+        cell.store(Owned::new(value), Ordering::SeqCst);
+        cell.load(Ordering::SeqCst, guard)
+    }
+
     #[test]
     fn owned_roundtrip_and_drop() {
-        let owned = Owned::new(41u64);
-        assert_eq!(*owned, 41);
-        let boxed = owned.into_box();
-        assert_eq!(*boxed, 41);
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        let guard = pin();
+        let mut owned = Owned::new((41u64, Counted(&DROPS)));
+        owned.0 += 1;
+        assert_eq!(owned.0, 42);
+        let atomic = Atomic::null();
+        atomic.store(owned, Ordering::SeqCst);
+        let shared = atomic.load(Ordering::SeqCst, &guard);
+        assert_eq!(unsafe { shared.as_ref() }.map(|n| n.0), Some(42));
+        assert_eq!(DROPS.load(Ordering::SeqCst), 0);
+        // Re-owned, then dropped: the payload drops exactly once.
+        drop(unsafe { shared.into_owned() });
+        assert_eq!(DROPS.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn cas_failure_returns_candidate() {
-        let atomic: Atomic<u64> = Atomic::new(1);
+        let atomic: Atomic<u64> = Atomic::null();
         let guard = pin();
+        let stale = atomic.load(Ordering::SeqCst, &guard);
+        atomic.store(Owned::new(1u64), Ordering::SeqCst);
         let current = atomic.load(Ordering::SeqCst, &guard);
-        let stale = Shared::null();
         let candidate = Owned::new(2u64);
         let err = atomic
             .compare_exchange(stale, candidate, Ordering::SeqCst, Ordering::SeqCst, &guard)
             .unwrap_err();
         assert_eq!(err.current, current);
         // The candidate is returned intact and freed normally.
+        assert_eq!(*err.new, 2);
         drop(err.new);
         // Clean up the structure.
-        let head = atomic.load(Ordering::SeqCst, &guard);
-        drop(unsafe { head.into_owned() });
+        drop(unsafe { current.into_owned() });
     }
 
     #[test]
@@ -634,9 +593,10 @@ mod tests {
         static DROPS: AtomicUsize = AtomicUsize::new(0);
         {
             let guard = pin();
-            let node = Owned::new(Counted(&DROPS)).into_shared(&guard);
+            let node = published(Counted(&DROPS), &guard);
             // Retire while pinned: must NOT drop yet.
             unsafe { guard.defer_destroy(node) };
+            assert_eq!(DROPS.load(Ordering::SeqCst), 0);
         }
         // Repin until the epoch advances far enough (bounded wait:
         // concurrent tests may transiently block an advance).
@@ -660,21 +620,27 @@ mod tests {
     fn unprotected_defer_destroy_is_immediate() {
         static DROPS: AtomicUsize = AtomicUsize::new(0);
         let guard = unsafe { unprotected() };
-        let node = Owned::new(Counted(&DROPS)).into_shared(guard);
+        let node = published(Counted(&DROPS), guard);
         unsafe { guard.defer_destroy(node) };
         assert_eq!(DROPS.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn nested_pins_share_one_epoch_slot() {
+        let status = || HANDLE.with(|h| h.participant.status.load(Ordering::SeqCst));
         let g1 = pin();
+        let slot = status();
+        assert_ne!(slot, IDLE);
         let g2 = pin();
         drop(g1);
-        // Still pinned through g2; loads remain protected.
-        let atomic: Atomic<u64> = Atomic::new(5);
-        let shared = atomic.load(Ordering::SeqCst, &g2);
-        assert_eq!(unsafe { *shared.deref() }, 5);
+        // Still pinned through g2, on the same slot; loads remain
+        // protected.
+        assert_eq!(status(), slot);
+        let shared = published(5u64, &g2);
+        assert_eq!(unsafe { shared.as_ref() }, Some(&5));
         drop(unsafe { shared.into_owned() });
+        drop(g2);
+        assert_eq!(status(), IDLE);
     }
 
     #[test]

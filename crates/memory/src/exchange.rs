@@ -3,11 +3,9 @@
 //! Hendler, Shavit & Yerushalmi's elimination back-off rests on one
 //! observation: a concurrent push and pop *cancel out* — they can meet
 //! in a side array and exchange the value without touching the shared
-//! object at all. The slot state machine below was born inside
-//! `cso-stack`'s `EliminationStack`; it is promoted here so the same
-//! machinery can serve both that baseline and the contention-sensitive
-//! escalation ladder in `cso-core` (which tries a rendezvous *between*
-//! the failed fast path and the lock).
+//! object at all. The slot state machine below serves the
+//! contention-sensitive escalation ladder in `cso-core`, which tries a
+//! rendezvous *between* the failed fast path and the lock.
 //!
 //! An [`Exchanger`] is directional: *offerors* park an item and wait
 //! for a partner; *takers* consume a parked item. Each slot cycles

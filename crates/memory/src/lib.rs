@@ -22,15 +22,12 @@
 //!   needed by the `FLAG`/`TURN` starvation-freedom mechanism;
 //! * [`backoff`] — spin/backoff helpers and deadlines used by retry
 //!   and wait loops;
-//! * [`slab`] — a fixed-capacity slab with an ABA-safe array freelist,
-//!   used to lift the 32-bit-value algorithms to arbitrary payloads;
 //! * [`combining`] — cache-padded publication records for the
 //!   flat-combining slow path (post → claim → complete/poison);
 //! * [`exchange`] — the elimination rendezvous slots (offer → park →
-//!   take/retract) shared by the elimination-stack baseline and the
-//!   contention-sensitive escalation ladder;
-//! * [`epoch`] — a minimal epoch-based reclamation scheme for the
-//!   node-allocating baselines (Treiber, Michael–Scott, elimination);
+//!   take/retract) behind the contention-sensitive escalation ladder;
+//! * [`epoch`] — a minimal epoch-based reclamation scheme for the one
+//!   node-allocating baseline, Treiber's stack;
 //! * [`liveness`] — a lease-based failure detector (announce / beat /
 //!   exit, plus `suspect`) and the [`liveness::RecoveryPolicy`] that
 //!   governs crash recovery of the locked slow path;
@@ -70,7 +67,6 @@ pub mod packed;
 pub mod reg;
 pub mod registry;
 pub mod runtime;
-pub mod slab;
 pub mod stripes;
 
 /// Declares a named fault-injection site (see [`chaos`]).
@@ -142,5 +138,4 @@ pub use liveness::{Liveness, RecoveryPolicy};
 pub use packed::{DequeState, DequeWord, HeadWord, SlotWord, TailWord, TopWord};
 pub use reg::{Reg64, RegBool, RegUsize};
 pub use registry::{ProcRegistry, ProcToken, RegistryFull};
-pub use slab::Slab;
 pub use stripes::Stripes;

@@ -13,9 +13,6 @@
 //! | [`NonBlockingQueue`] | Figure 2 | non-blocking |
 //! | [`CsQueue`] | Figure 3 | starvation-free, contention-sensitive |
 //!
-//! plus the baselines [`MsQueue`] (Michael–Scott two-lock-free linked
-//! queue) and [`LockQueue`] (a single lock around a ring buffer).
-//!
 //! The design mirrors the stack's register discipline: a `TAIL`
 //! register `⟨count, value, sn⟩` is the authority for the enqueue end
 //! (with the same lazy slot write + helping + per-slot sequence
@@ -35,23 +32,17 @@
 //! assert_eq!(queue.dequeue(1), DequeueOutcome::Dequeued(1)); // FIFO
 //! ```
 
-#![forbid(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod abortable;
 mod contention_sensitive;
-mod indirect;
-mod lock_queue;
-mod ms_queue;
 mod nonblocking;
 mod outcome;
 mod seqspec;
 
 pub use abortable::{AbortableQueue, QueueAbortStats};
 pub use contention_sensitive::CsQueue;
-pub use indirect::{HandleQueue, IndirectQueue};
-pub use lock_queue::LockQueue;
-pub use ms_queue::MsQueue;
 pub use nonblocking::NonBlockingQueue;
 pub use outcome::{DequeueOutcome, EnqueueOutcome, QueueOp, QueueResponse};
 pub use seqspec::SeqQueue;

@@ -67,7 +67,7 @@
 //! assert!(stack.relaxation_bound() <= 8.max(stack.n() - 1));
 //! ```
 
-#![forbid(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -9,15 +9,14 @@
 //! | [`NonBlockingStack`] | Figure 2 | non-blocking | none |
 //! | [`CsStack`] | Figure 3 | starvation-free | only under contention |
 //!
-//! plus the baselines the benchmarks compare against:
-//! [`TreiberStack`] (classic lock-free linked stack),
+//! plus the two baselines ROADMAP 1(a) keeps for the yardstick:
+//! [`TreiberStack`] (classic lock-free linked stack) and
 //! [`LockStack`] (everything under a single lock — the "traditional"
-//! approach of §1.1) and [`EliminationStack`] (Treiber + elimination
-//! backoff; an extension, see `DESIGN.md`).
+//! approach of §1.1).
 //!
 //! Values stored in the register-based stacks are 32-bit
-//! ([`StackValue`]); [`IndirectStack`] lifts any `Send` payload over a
-//! slab of handles.
+//! ([`StackValue`]); a larger payload rides as an index into storage
+//! the caller owns (`examples/job_scheduler.rs`).
 //!
 //! # Quickstart
 //!
@@ -39,8 +38,6 @@
 
 mod abortable;
 mod contention_sensitive;
-mod elimination;
-mod indirect;
 mod lock_stack;
 mod nonblocking;
 mod outcome;
@@ -50,8 +47,6 @@ mod value;
 
 pub use abortable::{AbortStats, AbortableStack};
 pub use contention_sensitive::CsStack;
-pub use elimination::EliminationStack;
-pub use indirect::{HandleStack, IndirectStack};
 pub use lock_stack::LockStack;
 pub use nonblocking::NonBlockingStack;
 pub use outcome::{PopOutcome, PushOutcome, StackOp, StackResponse};

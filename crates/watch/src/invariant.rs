@@ -9,7 +9,7 @@
 //! | invariant | guarantee | feed |
 //! |---|---|---|
 //! | `conservation` | pushes − pops == size | caller-supplied closures |
-//! | `bypass_bound` | §4.4: a raised FLAG is bypassed ≤ n−1 times | live aggregator bypass tracker |
+//! | `bypass_bound` | §4.4: a raised FLAG is bypassed ≤ n−1 times at one `TURN` position | live aggregator bypass tracker |
 //! | `path_ceiling` | per-path p99 stays under a step-budget-derived ceiling | live aggregator quantiles |
 //! | `lease_staleness` | every registered proc heartbeats within its grace | [`cso_memory::Liveness`] |
 //! | `poison_free` | no operation ever observed a poisoned record/lock | live aggregator event counts |
@@ -181,11 +181,13 @@ impl Invariant {
         })
     }
 
-    /// §4.4 bypass bound: once a slow process raises its FLAG, at most
-    /// n−1 other lock acquisitions may bypass it before the TURN
-    /// booster forces its admission. The aggregator's streaming bypass
-    /// tracker records the maximum observed; exceeding n−1 is a
-    /// starvation-freedom violation.
+    /// §4.4 bypass bound: while a slow process's FLAG is raised and
+    /// `TURN` rests on one position, at most n−1 other lock
+    /// acquisitions may bypass it. The aggregator's streaming bypass
+    /// tracker counts per `TURN` position and records the maximum
+    /// observed; exceeding n−1 at one position is a starvation-freedom
+    /// violation. (Over a whole wait the counts add up; a whole-wait
+    /// bound is not what is checked here.)
     pub fn bypass_bound(aggregator: &Arc<LiveAggregator>) -> Invariant {
         let agg = Arc::clone(aggregator);
         Invariant::new("bypass_bound", move || {
@@ -196,7 +198,7 @@ impl Invariant {
             let bound = snap.procs - 1;
             if snap.max_bypass > bound {
                 Verdict::Degraded(format!(
-                    "bypass bound violated: a raised flag was bypassed {} times, bound is n-1 = {} for n = {}",
+                    "bypass bound violated: a raised flag was bypassed {} times at one TURN position, bound is n-1 = {} for n = {}",
                     snap.max_bypass, bound, snap.procs
                 ))
             } else {

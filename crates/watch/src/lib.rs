@@ -13,9 +13,9 @@
 //! Three pieces:
 //!
 //! - [`invariant`] — the catalogue of named checks: conservation
-//!   (pushes − pops == size), the §4.4 bypass bound (≤ n−1), per-path
-//!   step-budget latency ceilings, lease staleness, poison freedom,
-//!   and lossless trace capture.
+//!   (pushes − pops == size), the §4.4 bypass bound (≤ n−1 at one
+//!   `TURN` position), per-path step-budget latency ceilings, lease
+//!   staleness, poison freedom, and lossless trace capture.
 //! - [`slo`] — declarative objectives over the live per-path
 //!   operation mix, evaluated with the classic multi-window burn
 //!   rate so a brief spike alerts fast but never pages.

@@ -34,11 +34,11 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`memory`] | counted atomic registers, packed words, process registry, slab |
+//! | [`memory`] | counted atomic registers, packed words, process registry, Treiber's epoch reclamation |
 //! | [`locks`] | TAS/TTAS/ticket/CLH/MCS/Peterson/Lamport locks + the §4.4 booster |
 //! | [`core`] | `Abortable` objects, progress conditions, Figure 2/3 as generic transformations |
-//! | [`stack`] | the paper's three stacks + Treiber, lock-based, elimination baselines |
-//! | [`queue`] | the same construction for a bounded FIFO queue + Michael–Scott, lock baselines |
+//! | [`stack`] | the paper's three stacks + Treiber and lock-based baselines |
+//! | [`queue`] | the same construction for a bounded FIFO queue |
 //! | [`deque`] | the HLM obstruction-free deque (paper ref \[8\]) and its boosts — one object per rung of the hierarchy |
 //! | [`lincheck`] | history recording + Wing–Gong linearizability checker |
 //! | `sched` (feature `model`) | the model checker: a controlled scheduler that drives these very types through exhaustive, seeded-random, fair and crash-prefixed schedules (`tests/model_*.rs`) |

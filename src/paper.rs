@@ -11,7 +11,7 @@
 //! |---|---|
 //! | processes `p_1..p_n`, identities | [`cso_memory::registry::ProcRegistry`] (0-based) |
 //! | atomic registers: read / write / `C&S` | [`cso_memory::reg::Reg64`], [`RegBool`](cso_memory::reg::RegBool), [`RegUsize`](cso_memory::reg::RegUsize) — every access counted ([`cso_memory::counting`]) |
-//! | §2.2 the ABA problem & sequence numbers | the `seq` fields of [`cso_memory::packed::TopWord`] / [`SlotWord`](cso_memory::packed::SlotWord); the tagged freelist in [`cso_memory::slab::Slab`] |
+//! | §2.2 the ABA problem & sequence numbers | the `seq` fields of [`cso_memory::packed::TopWord`] / [`SlotWord`](cso_memory::packed::SlotWord) |
 //!
 //! ## §3 — The abortable stack (Figure 1) and non-blocking stack (Figure 2)
 //!

@@ -9,12 +9,11 @@
 use cso::memory::backoff::XorShift64;
 
 use cso::queue::{
-    AbortableQueue, CsQueue, DequeueOutcome, EnqueueOutcome, LockQueue, MsQueue, NonBlockingQueue,
-    SeqQueue,
+    AbortableQueue, CsQueue, DequeueOutcome, EnqueueOutcome, NonBlockingQueue, SeqQueue,
 };
 use cso::stack::{
-    AbortableStack, CsStack, EliminationStack, LockStack, NonBlockingStack, PopOutcome,
-    PushOutcome, SeqStack, TreiberStack,
+    AbortableStack, CsStack, LockStack, NonBlockingStack, PopOutcome, PushOutcome, SeqStack,
+    TreiberStack,
 };
 
 const CAPACITY: usize = 8;
@@ -25,7 +24,6 @@ enum AnyStack {
     Nb(NonBlockingStack<u16>),
     Cs(Box<CsStack<u16>>),
     Treiber(TreiberStack<u16>),
-    Elim(EliminationStack<u16>),
     Locked(LockStack<u16>),
 }
 
@@ -36,7 +34,6 @@ impl AnyStack {
             AnyStack::Nb(NonBlockingStack::new(CAPACITY)),
             AnyStack::Cs(Box::new(CsStack::new(CAPACITY, 1))),
             AnyStack::Treiber(TreiberStack::new()),
-            AnyStack::Elim(EliminationStack::new(2)),
             AnyStack::Locked(LockStack::new(CAPACITY)),
         ]
     }
@@ -47,15 +44,14 @@ impl AnyStack {
             AnyStack::Nb(_) => "non-blocking",
             AnyStack::Cs(_) => "contention-sensitive",
             AnyStack::Treiber(_) => "treiber",
-            AnyStack::Elim(_) => "elimination",
             AnyStack::Locked(_) => "lock",
         }
     }
 
-    /// Unbounded stacks can't answer `Full`; the differential check
-    /// skips push-at-capacity steps for them.
+    /// Treiber's stack is unbounded and can't answer `Full`; the
+    /// differential check skips push-at-capacity steps for it.
     fn bounded(&self) -> bool {
-        !matches!(self, AnyStack::Treiber(_) | AnyStack::Elim(_))
+        !matches!(self, AnyStack::Treiber(_))
     }
 
     fn push(&self, v: u16) -> PushOutcome {
@@ -64,10 +60,6 @@ impl AnyStack {
             AnyStack::Nb(s) => s.push(v),
             AnyStack::Cs(s) => s.push(0, v),
             AnyStack::Treiber(s) => {
-                s.push(v);
-                PushOutcome::Pushed
-            }
-            AnyStack::Elim(s) => {
                 s.push(v);
                 PushOutcome::Pushed
             }
@@ -81,10 +73,6 @@ impl AnyStack {
             AnyStack::Nb(s) => s.pop(),
             AnyStack::Cs(s) => s.pop(0),
             AnyStack::Treiber(s) => match s.pop() {
-                Some(v) => PopOutcome::Popped(v),
-                None => PopOutcome::Empty,
-            },
-            AnyStack::Elim(s) => match s.pop() {
                 Some(v) => PopOutcome::Popped(v),
                 None => PopOutcome::Empty,
             },
@@ -139,8 +127,6 @@ enum AnyQueue {
     Weak(AbortableQueue<u16>),
     Nb(NonBlockingQueue<u16>),
     Cs(Box<CsQueue<u16>>),
-    Ms(MsQueue<u16>),
-    Locked(LockQueue<u16>),
 }
 
 impl AnyQueue {
@@ -149,8 +135,6 @@ impl AnyQueue {
             AnyQueue::Weak(AbortableQueue::new(CAPACITY)),
             AnyQueue::Nb(NonBlockingQueue::new(CAPACITY)),
             AnyQueue::Cs(Box::new(CsQueue::new(CAPACITY, 1))),
-            AnyQueue::Ms(MsQueue::new()),
-            AnyQueue::Locked(LockQueue::new(CAPACITY)),
         ]
     }
 
@@ -159,13 +143,7 @@ impl AnyQueue {
             AnyQueue::Weak(_) => "abortable",
             AnyQueue::Nb(_) => "non-blocking",
             AnyQueue::Cs(_) => "contention-sensitive",
-            AnyQueue::Ms(_) => "michael-scott",
-            AnyQueue::Locked(_) => "lock",
         }
-    }
-
-    fn bounded(&self) -> bool {
-        !matches!(self, AnyQueue::Ms(_))
     }
 
     fn enqueue(&self, v: u16) -> EnqueueOutcome {
@@ -173,11 +151,6 @@ impl AnyQueue {
             AnyQueue::Weak(q) => q.weak_enqueue(v).expect("solo never aborts"),
             AnyQueue::Nb(q) => q.enqueue(v),
             AnyQueue::Cs(q) => q.enqueue(0, v),
-            AnyQueue::Ms(q) => {
-                q.enqueue(v);
-                EnqueueOutcome::Enqueued
-            }
-            AnyQueue::Locked(q) => q.enqueue(v),
         }
     }
 
@@ -186,11 +159,6 @@ impl AnyQueue {
             AnyQueue::Weak(q) => q.weak_dequeue().expect("solo never aborts"),
             AnyQueue::Nb(q) => q.dequeue(),
             AnyQueue::Cs(q) => q.dequeue(0),
-            AnyQueue::Ms(q) => match q.dequeue() {
-                Some(v) => DequeueOutcome::Dequeued(v),
-                None => DequeueOutcome::Empty,
-            },
-            AnyQueue::Locked(q) => q.dequeue(),
         }
     }
 }
@@ -205,9 +173,6 @@ fn all_queues_agree_with_the_sequential_reference() {
             for op in &ops {
                 match op {
                     Some(v) => {
-                        if !queue.bounded() && reference.len() == CAPACITY {
-                            continue;
-                        }
                         let got = queue.enqueue(*v);
                         let want = reference.enqueue(*v);
                         assert_eq!(got, want, "{} enqueue", queue.name());
