@@ -330,12 +330,12 @@ pub struct FaultStats {
 /// Total 15 — 11 + [`FAST_ATTEMPTS`], the figure's own 12 plus
 /// one `CONTENTION` read per retry — documented here with one access
 /// of headroom (a lock whose release re-reads state, e.g. ticket, may
-/// add it). An operation that leaves the loop early because it *saw*
-/// `CONTENTION` raised spends fewer. Contended invocations wait, so
-/// their access count is unbounded in general — this bound is the
-/// *floor* cost of taking the lock at all, the number Theorem 1's "six
-/// accesses, no lock" fast path is avoiding. Guarded by a regression
-/// test (`locked_path_stays_within_bound`).
+/// add it). An attempt that *saw* `CONTENTION` raised spends its read
+/// and no weak operation, so it costs no more. Contended invocations
+/// wait, so their access count is unbounded in general — this bound is
+/// the *floor* cost of taking the lock at all, the number Theorem 1's
+/// "six accesses, no lock" fast path is avoiding. Guarded by a
+/// regression test (`locked_path_stays_within_bound`).
 pub const LOCKED_SOLO_ACCESS_BOUND: u64 = 12 + FAST_ATTEMPTS as u64;
 
 /// One snapshot of both statistics families, taken together.
@@ -493,13 +493,14 @@ struct RecoveryInner {
 /// The starred lines live in [`StarvationFree`]; the inner lock `L`
 /// only needs to be deadlock-free (a plain TAS lock suffices).
 ///
-/// One deliberate departure: an aborted line 02 does not fall through
-/// to line 04 at once. Lines 01–02 are retried up to [`FAST_RETRIES`]
-/// times, a constant pause apart and `CONTENTION` re-read each time
-/// (see [`FAST_RETRIES`] for the counted-access closed form). The
-/// contention-free case — attempt 0 succeeds — is the figure's, access
-/// for access; the lemmas hold as printed because the loop is bounded
-/// and stops the moment it sees the register raised.
+/// One deliberate departure: neither an aborted line 02 nor a raised
+/// `CONTENTION` at line 01 falls through to line 04 at once. Lines
+/// 01–02 are retried up to [`FAST_RETRIES`] times, a constant pause
+/// apart and `CONTENTION` re-read each time (see [`FAST_RETRIES`] for
+/// the counted-access closed form). The contention-free case — attempt
+/// 0 succeeds — is the figure's, access for access; the lemmas hold as
+/// printed because the loop is bounded and makes a weak attempt only
+/// right after reading the register lowered.
 ///
 /// # The combining slow path
 ///
@@ -622,13 +623,19 @@ const COMBINE_ROUNDS: usize = 3;
 /// is the cheaper place to wait. Sized with the window by the sweep in
 /// DESIGN.md, "The escalation ladder".
 ///
+/// A raised `CONTENTION` spends an attempt too: the operation pauses
+/// and re-reads instead of queueing at once, so one escalation costs
+/// one lock trip rather than a convoy of them.
+///
 /// What the bound costs, in counted accesses: a strong operation that
-/// aborts `k ≤ FAST_RETRIES` times and then succeeds lock-free spends
-/// `(k + 1) × (1 + w)` (one `CONTENTION` read + the `w` accesses of a
-/// weak operation per attempt; `6 + 6k` on the stack, `7 + 7k` on the
-/// queue, `k = 0` being Theorem 1's contention-free budget); one that
-/// escalates has spent at most [`FAST_ATTEMPTS`]` × (1 + w)` before
-/// line 04, i.e. `FAST_RETRIES × (1 + w)` more than the figure's.
+/// waits out `j` raises, aborts `k` times (`j + k ≤ FAST_RETRIES`) and
+/// then succeeds lock-free spends `j + (k + 1) × (1 + w)` (one
+/// `CONTENTION` read per waited-out raise; one read + the `w` accesses
+/// of a weak operation per attempt made; `6 + 6k` on the stack, `7 +
+/// 7k` on the queue when `j = 0`, `j = k = 0` being Theorem 1's
+/// contention-free budget); one that escalates has spent at most
+/// [`FAST_ATTEMPTS`]` × (1 + w)` before line 04, i.e. `FAST_RETRIES ×
+/// (1 + w)` more than the figure's.
 pub const FAST_RETRIES: u32 = 3;
 
 /// Lock-free attempts an operation makes before line 04 — the
@@ -914,8 +921,8 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         fail_point!("cs::locked");
 
         // Line 08: bounded in practice by Lemma 2 — only the fast-path
-        // operations already in flight can make us abort, and future
-        // invocations see CONTENTION and queue behind the lock. The
+        // operations already in flight can make us abort, and later
+        // attempts see CONTENTION and make no weak operation. The
         // spinner only yields the CPU so those in-flight operations can
         // finish on oversubscribed machines; it adds no shared accesses.
         // Giving up mid-loop is safe: every failed try_apply had no
@@ -1018,13 +1025,16 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// weak attempt, retried up to [`FAST_RETRIES`] times a
     /// [`retry_pause`] apart. Attempt 0 is the paper's fast path
     /// exactly — contention-free it succeeds, at Theorem 1's six
-    /// accesses. `CONTENTION` is re-read before every attempt and the
-    /// loop ends the moment it is seen raised, before the next pause:
-    /// a holder is in its line-08 window, only operations that read
-    /// the register before it rose may still interfere with it
-    /// (Lemma 2), and queueing behind it beats doing so. With the
+    /// accesses. `CONTENTION` is re-read after every pause, and a
+    /// raised register ends the attempt like an abort does, not the
+    /// loop: a holder is in its line-08 window, which lasts about one
+    /// weak operation, so the next read usually finds it lowered.
+    /// Queueing at once instead raises the register for the holder's
+    /// peer in turn — a convoy of lock trips per escalation (DESIGN.md,
+    /// "The escalation ladder"). Every weak attempt still follows a
+    /// read that returned `false`, which is all Lemma 2 asks. With the
     /// adaptive gate enabled, an engaged gate (sustained abort EWMA)
-    /// ends the loop too — its bookkeeping is all uncounted.
+    /// ends the loop — its bookkeeping is all uncounted.
     ///
     /// `None` escalates: to the elimination rung, then line 04.
     fn fast_path(&self, op: &O::Op) -> Option<O::Response> {
@@ -1032,14 +1042,14 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             return None;
         }
         for attempt in 0..FAST_ATTEMPTS {
+            if attempt > 0 {
+                retry_pause();
+            }
             if self.contention.read() {
-                break;
+                continue;
             }
             if self.config.adaptive_gate && self.stats.gate.should_divert() {
                 break;
-            }
-            if attempt > 0 {
-                retry_pause();
             }
             fail_point!("cs::fast", continue);
             // The sample covers this attempt, not the pauses before it.
@@ -1469,6 +1479,7 @@ mod tests {
     use crate::testobj::{Bump, ScriptedObject};
     use cso_locks::TasLock;
     use cso_memory::counting::CountScope;
+    use std::sync::atomic::AtomicBool;
 
     /// Scripted aborts that exhaust lines 01–02 and their retries: the
     /// fewest that send a solo operation to the lock.
@@ -2221,18 +2232,74 @@ mod tests {
         cs.inner().cs.set(Arc::downgrade(&cs)).ok().unwrap();
         let scope = CountScope::start();
         assert_eq!(cs.apply(2, &Bump(3)), 3);
-        // One abort is within the retry budget, yet the operation went
-        // to line 04: the re-read before attempt 1 saw the register
-        // raised and no further attempt — or pause — was made. Two
-        // weak attempts in all (line 02 once, line 08 once), and the
-        // slow path's eleven accesses less line 07's store (already
-        // raised: `write_lazy` skips it), plus the two `CONTENTION`
-        // reads and the object's own raise.
+        // Nobody lowers the register, so the raise is waited out for
+        // the whole budget and then queued behind: every re-read after
+        // attempt 0 saw it raised and made no weak attempt. Two weak
+        // attempts in all (line 02 once, line 08 once), and the slow
+        // path's eleven accesses less line 07's store (already raised:
+        // `write_lazy` skips it), plus the four `CONTENTION` reads and
+        // the object's own raise.
         assert_eq!(cs.inner().calls.load(Ordering::Relaxed), 2);
         assert_eq!(cs.stats.cells.get(FAST_ABORTS), 1);
         assert_eq!(cs.stats().locked, 1);
-        assert_eq!(scope.take().total(), 2 + 10 + 1);
+        assert_eq!(scope.take().total(), TO_THE_LOCK as u64 + 10 + 1);
         assert!(!cs.contention.read(), "line 09 lowers it again");
+    }
+
+    /// The other half: a raise that is lowered while the operation
+    /// pauses costs it one `CONTENTION` read per re-read that saw it,
+    /// and no lock. Only the pause can be aimed at, so a second thread
+    /// lowers the register about a pause and a half after the raise;
+    /// a trial counts when the operation saw the register raised at
+    /// least once (more reads than weak attempts) and still finished on
+    /// the fast path — which Figure 3 as printed, queueing on the first
+    /// raise it sees, can never do.
+    #[test]
+    fn a_raise_lowered_during_the_pause_is_waited_out() {
+        if std::thread::available_parallelism().map_or(1, usize::from) < 2 {
+            return; // one core time-slices the two threads: no overlap
+        }
+        for _trial in 0..1_000 {
+            let cs = Arc::new(ContentionSensitive::new(
+                RaisedMeanwhile {
+                    cs: OnceLock::new(),
+                    calls: AtomicU64::new(0),
+                },
+                TasLock::new(),
+                4,
+            ));
+            cs.inner().cs.set(Arc::downgrade(&cs)).ok().unwrap();
+            let (ready, done) = (AtomicBool::new(false), AtomicBool::new(false));
+            let (locked, reads) = std::thread::scope(|s| {
+                s.spawn(|| {
+                    ready.store(true, Ordering::Relaxed);
+                    // Line 09 may have lowered it before we looked.
+                    while !cs.contention.peek() {
+                        if done.load(Ordering::Relaxed) {
+                            return;
+                        }
+                        std::hint::spin_loop();
+                    }
+                    retry_pause();
+                    for _ in 0..cso_memory::backoff::RETRY_PAUSE_HINTS / 2 {
+                        std::hint::spin_loop();
+                    }
+                    cs.contention.write(false);
+                });
+                while !ready.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+                let scope = CountScope::start();
+                assert_eq!(cs.apply(0, &Bump(3)), 3);
+                done.store(true, Ordering::Relaxed);
+                (cs.stats().locked, scope.take().reads)
+            });
+            let attempts = cs.inner().calls.load(Ordering::Relaxed);
+            if locked == 0 && reads > attempts {
+                return;
+            }
+        }
+        panic!("no operation finished on the fast path after seeing CONTENTION raised");
     }
 
     /// A retried completion is timed like any other fast one: every

@@ -101,6 +101,15 @@
 //!   0 succeeds: six accesses, no lock); an operation that aborts `k`
 //!   times and completes lock-free spends `6 + 6k`. Why, and what it
 //!   buys under contention: `DESIGN.md`, "The escalation ladder".
+//! * **Line 01 is waited out.** The figure sends an operation that
+//!   reads `CONTENTION` raised straight to line 04; here that read ends
+//!   the attempt, not the loop, and costs the same pause and the same
+//!   bound as an abort. No weak operation runs until a read returns
+//!   `false`, which is all Lemma 2 needs, and after
+//!   [`cso_core::FAST_ATTEMPTS`] attempts lines 04–13 run as printed.
+//!   Lock trips per real escalation fall from a convoy of several to
+//!   one; an operation that waits out `j` raises and aborts `k` times
+//!   spends `j + 6 + 6k`.
 //! * **0-based identities.** The paper's `p_1..p_n` and
 //!   `TURN ← (TURN mod n) + 1` become `0..n` and
 //!   `TURN ← (TURN + 1) mod n`.

@@ -324,7 +324,7 @@ fn stack_three_threads_two_ops_sweep() {
 /// The retry pacing (`backoff::retry_pause`) awaits nothing, so it is
 /// a plain yield point, and the exchanger's slot words and the
 /// publication records' status words behind it are yield points too:
-/// 188 schedules. The `> 100` below separates that from either going
+/// 197 schedules. The `> 100` below separates that from either going
 /// missing — 91 with those words inside atomic blocks, 7 with the
 /// pacing a spin hint (both threads hint within three accesses of
 /// starting and alternate deterministically from there). Bound 2, not

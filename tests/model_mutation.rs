@@ -13,10 +13,12 @@
 //! within a bounded schedule count, and its printed trace must replay
 //! to the same violation.
 //!
-//! A second mutant sits at the bottom: Figure 3's line-02 retry loop
-//! with the re-read of `CONTENTION` between attempts taken out. The
-//! control there is the *shipped* `ContentionSensitive`; the oracle is
-//! Lemma 2's premise, checked in every schedule.
+//! Two more mutants sit at the bottom, both of Figure 3's line-02
+//! retry loop: one with the re-read of `CONTENTION` between attempts
+//! taken out, one that waits a raised `CONTENTION` out but then
+//! attempts without reading it again. The control there is the
+//! *shipped* `ContentionSensitive`; the oracle is Lemma 2's premise,
+//! checked in every schedule.
 //!
 //! Requires `--features model`.
 
@@ -244,15 +246,17 @@ fn mutant_survives_serial_schedules() {
 }
 
 // ---------------------------------------------------------------
-// Mutant 2: the retry loop that does not re-read `CONTENTION`.
+// Mutants 2 and 3: retry loops that attempt without a fresh clearance.
 // ---------------------------------------------------------------
 //
 // Figure 3's line 08 terminates because "only the fast-path operations
 // already in flight can make us abort" (Lemma 2): once the holder has
 // raised `CONTENTION`, every process makes at most the one attempt it
 // had already been cleared for. The shipped loop keeps that premise by
-// re-reading the register before every retry. The mutant reads it once,
-// at line 01, and then spends all `FAST_RETRIES` against the holder.
+// re-reading the register before every attempt and making none while
+// it reads raised. `NoReread` reads it once, at line 01, and then
+// spends all `FAST_RETRIES` against the holder; `WaitThenAttempt`
+// waits a raise out but attempts after the pause without a new read.
 //
 // The oracle is that premise, as ghost state around the real Figure 1
 // stack: **inside one line-08 window — from the holder's first weak
@@ -354,28 +358,61 @@ impl Abortable for Lemma2 {
     }
 }
 
+/// The two planted mistakes in Figure 3's fast-path loop.
+#[derive(Clone, Copy)]
+enum Mutation {
+    /// `CONTENTION` is read once, at line 01, and the retries go on
+    /// using that clearance.
+    NoReread,
+    /// A raised `CONTENTION` is waited out as shipped, but the attempt
+    /// after the pause goes ahead without reading it again.
+    WaitThenAttempt,
+}
+
 /// Figure 3 over the same production pieces — `StarvationFree`, the
-/// `CONTENTION` register, `retry_pause` — with the one mutation.
-struct NoReread {
+/// `CONTENTION` register, `retry_pause` — with one mutation.
+struct Mutant {
     inner: Lemma2,
     contention: RegBool,
     lock: StarvationFree<Watched>,
+    mutation: Mutation,
 }
 
-impl NoReread {
-    fn apply(&self, proc: usize, op: &StackOp<u32>) -> StackResponse<u32> {
-        if !self.contention.read() {
-            for attempt in 0..FAST_ATTEMPTS {
-                if attempt > 0 {
-                    // THE MUTATION: no `if self.contention.read() {
-                    // break }` ahead of this retry — the operation
-                    // goes on using the clearance it got at line 01.
-                    retry_pause();
-                }
-                if let Ok(res) = self.inner.try_apply(op) {
-                    return res;
+impl Mutant {
+    /// Lines 01–03, mutated; `None` goes to the lock.
+    fn fast_path(&self, op: &StackOp<u32>) -> Option<StackResponse<u32>> {
+        if let Mutation::NoReread = self.mutation {
+            if self.contention.read() {
+                return None;
+            }
+        }
+        for attempt in 0..FAST_ATTEMPTS {
+            if attempt > 0 {
+                retry_pause();
+            }
+            match self.mutation {
+                // THE MUTATION: no `if self.contention.read() {
+                // continue }` ahead of this retry — the operation goes
+                // on using the clearance it got at line 01.
+                Mutation::NoReread => {}
+                Mutation::WaitThenAttempt => {
+                    if self.contention.read() {
+                        // THE MUTATION: wait, then attempt on a
+                        // clearance nobody gave.
+                        retry_pause();
+                    }
                 }
             }
+            if let Ok(res) = self.inner.try_apply(op) {
+                return Some(res);
+            }
+        }
+        None
+    }
+
+    fn apply(&self, proc: usize, op: &StackOp<u32>) -> StackResponse<u32> {
+        if let Some(res) = self.fast_path(op) {
+            return res;
         }
         self.lock.lock(proc);
         self.contention.write(true);
@@ -396,7 +433,7 @@ impl NoReread {
 /// the lock; process 1's is refused every attempt but its last, so it
 /// is between retries when — in some schedules — the window has opened
 /// around it.
-fn lemma2_body(mutant: bool) {
+fn lemma2_body(mutant: Option<Mutation>) {
     let holder = Arc::new(AtomicUsize::new(NOBODY));
     let inner = Lemma2 {
         stack: AbortableStack::new(4),
@@ -412,17 +449,19 @@ fn lemma2_body(mutant: bool) {
         inner: TasLock::new(),
         holder,
     };
-    let apply: Arc<dyn Fn(usize, u32) -> StackResponse<u32> + Send + Sync> = if mutant {
-        let fig3 = NoReread {
-            inner,
-            contention: RegBool::new(false),
-            lock: StarvationFree::new(lock, 2),
+    let apply: Arc<dyn Fn(usize, u32) -> StackResponse<u32> + Send + Sync> =
+        if let Some(mutation) = mutant {
+            let fig3 = Mutant {
+                inner,
+                contention: RegBool::new(false),
+                lock: StarvationFree::new(lock, 2),
+                mutation,
+            };
+            Arc::new(move |proc, v| fig3.apply(proc, &StackOp::Push(v)))
+        } else {
+            let fig3 = ContentionSensitive::new(inner, lock, 2);
+            Arc::new(move |proc, v| fig3.apply(proc, &StackOp::Push(v)))
         };
-        Arc::new(move |proc, v| fig3.apply(proc, &StackOp::Push(v)))
-    } else {
-        let fig3 = ContentionSensitive::new(inner, lock, 2);
-        Arc::new(move |proc, v| fig3.apply(proc, &StackOp::Push(v)))
-    };
     let pushed = StackResponse::Push(PushOutcome::Pushed);
     let child = {
         let apply = Arc::clone(&apply);
@@ -441,20 +480,19 @@ fn lemma2_body(mutant: bool) {
 fn shipped_retry_loop_keeps_lemma_2s_premise() {
     let report = Explorer::exhaustive()
         .with_preemption_bound(Some(3))
-        .explore(|| lemma2_body(false));
+        .explore(|| lemma2_body(None));
     println!("shipped_retry_loop_keeps_lemma_2s_premise: {report}");
     report.assert_ok();
     assert!(report.exhausted, "{report}");
     assert!(report.schedules > 100, "{report}");
 }
 
-/// The planted bug dies, and its trace replays.
-#[test]
-fn no_reread_mutant_is_killed_with_a_replaying_trace() {
+/// A planted bug dies under the Lemma 2 oracle, and its trace replays.
+fn assert_killed_with_a_replaying_trace(name: &str, mutation: Mutation) {
     let report = Explorer::exhaustive()
         .with_preemption_bound(Some(3))
-        .explore(|| lemma2_body(true));
-    println!("no_reread_mutant_is_killed_with_a_replaying_trace: {report}");
+        .explore(|| lemma2_body(Some(mutation)));
+    println!("{name}: {report}");
     let violation = report.assert_violation();
     assert!(
         violation.message.contains("Lemma 2's premise broken"),
@@ -463,18 +501,39 @@ fn no_reread_mutant_is_killed_with_a_replaying_trace() {
     );
     assert!(!violation.trace.is_empty(), "a race has branch decisions");
 
-    let replayed = Explorer::replay(&violation.trace).explore(|| lemma2_body(true));
+    let replayed = Explorer::replay(&violation.trace).explore(|| lemma2_body(Some(mutation)));
     assert_eq!(replayed.assert_violation().message, violation.message);
     assert_eq!(replayed.schedules, 1, "replay is a single execution");
 }
 
-/// Without preemptions the mutant is indistinguishable: each push runs
-/// to completion alone, so no attempt ever falls inside a window.
 #[test]
-fn no_reread_mutant_survives_serial_schedules() {
-    let report = Explorer::exhaustive()
-        .with_preemption_bound(Some(0))
-        .explore(|| lemma2_body(true));
-    report.assert_ok();
-    assert!(report.exhausted, "{report}");
+fn no_reread_mutant_is_killed_with_a_replaying_trace() {
+    assert_killed_with_a_replaying_trace(
+        "no_reread_mutant_is_killed_with_a_replaying_trace",
+        Mutation::NoReread,
+    );
+}
+
+/// Waiting a raise out is safe only because the attempt after the
+/// pause re-reads `CONTENTION`: without that read it lands inside the
+/// holder's window.
+#[test]
+fn wait_then_attempt_mutant_is_killed_with_a_replaying_trace() {
+    assert_killed_with_a_replaying_trace(
+        "wait_then_attempt_mutant_is_killed_with_a_replaying_trace",
+        Mutation::WaitThenAttempt,
+    );
+}
+
+/// Without preemptions the mutants are indistinguishable: each push
+/// runs to completion alone, so no attempt ever falls inside a window.
+#[test]
+fn mutants_survive_serial_schedules() {
+    for mutation in [Mutation::NoReread, Mutation::WaitThenAttempt] {
+        let report = Explorer::exhaustive()
+            .with_preemption_bound(Some(0))
+            .explore(|| lemma2_body(Some(mutation)));
+        report.assert_ok();
+        assert!(report.exhausted, "{report}");
+    }
 }

@@ -6,9 +6,10 @@
 //!   lock (solo it is exactly 6, deterministically).
 //! * §3 / Figure 1: a solo `weak_push`/`weak_pop` performs exactly
 //!   **5**.
-//! * The closed form past attempt 0: an operation whose `k ≤
-//!   FAST_RETRIES` first attempts abort completes lock-free within
-//!   `(k + 1) × 6` accesses, and one sent to the lock never exceeds
+//! * The closed form past attempt 0: an operation that waits out `j`
+//!   raises of `CONTENTION` and whose `k` attempts abort (`j + k ≤
+//!   FAST_RETRIES`) completes lock-free within `j + (k + 1) × 6`
+//!   accesses, and one sent to the lock never exceeds
 //!   [`cso::core::LOCKED_SOLO_ACCESS_BOUND`] plus the weak operation's
 //!   own 5 accesses (chaos-gated — the fail point is the only
 //!   deterministic way to veto the fast path of a real stack).
@@ -244,24 +245,33 @@ fn engaged_gate_diverts_then_recovery_restores_the_six_access_fast_path() {
 
 /// Under real concurrency the auditor can still enforce the closed
 /// form — on exactly the operations that completed lock-free (fast
-/// path), which only the probe layer can identify: six accesses per
-/// attempt, at most `FAST_ATTEMPTS` attempts. (That an attempt
+/// path), which only the probe layer can identify. A completion after
+/// `j` waited-out raises of `CONTENTION` and `k` aborts costs `j + (k +
+/// 1) × 6`, with `j + k < FAST_ATTEMPTS`; the worst of those is `j = 0`,
+/// every attempt made and all but the last aborted. (That an attempt
 /// nobody interferes with is the *first* one, i.e. Theorem 1's six, is
-/// the solo tests' above; the model bodies check `6 + 6k` per `k`.)
+/// the solo tests' above; `tests/theorem1.rs` checks each `k`.)
 #[test]
 fn concurrent_fast_path_completions_stay_within_the_closed_form() {
+    use cso::core::{FAST_ATTEMPTS, FAST_RETRIES};
     use std::sync::Arc;
     if !cso::trace::TRACE {
         return;
     }
     let _serial = serial();
 
+    let fast_cost = |j: u64, k: u64| j + (k + 1) * STRONG_BUDGET;
+    let retries = u64::from(FAST_RETRIES);
+    let worst = (0..=retries)
+        .map(|k| fast_cost(retries - k, k))
+        .max()
+        .unwrap();
+    assert_eq!(worst, STRONG_BUDGET * u64::from(FAST_ATTEMPTS));
+
     const THREADS: usize = 4;
     const OPS: u32 = 20_000;
     let cs: Arc<CsStack<u32>> = Arc::new(CsStack::new(1 << 15, THREADS));
-    let auditor = Arc::new(StepAuditor::strict(
-        STRONG_BUDGET * u64::from(cso::core::FAST_ATTEMPTS),
-    ));
+    let auditor = Arc::new(StepAuditor::strict(worst));
 
     std::thread::scope(|s| {
         for proc in 0..THREADS {
@@ -283,7 +293,7 @@ fn concurrent_fast_path_completions_stay_within_the_closed_form() {
     assert_eq!(report.checked, THREADS as u64 * u64::from(OPS));
     assert!(
         report.clean(),
-        "a fast-path completion exceeded six accesses per attempt"
+        "a fast-path completion exceeded j + (k + 1) × 6"
     );
 }
 

@@ -8,11 +8,21 @@ use cso::memory::registry::ProcRegistry;
 use cso::queue::CsQueue;
 use cso::stack::{AbortableStack, CsStack, NonBlockingStack, PopOutcome, PushOutcome};
 
+/// Chaos plans are process-global and an armed `cs::fast` plan is
+/// consumed by whichever thread passes that site next, so every test
+/// that sends a strong operation through it holds this guard (as in
+/// `tests/step_budget.rs`).
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    M.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Theorem 1: "any strong_push() or strong_pop() operation invoked in
 /// a contention-free context is lock-free and accesses six times the
 /// shared memory."
 #[test]
 fn theorem1_six_accesses_lock_free() {
+    let _serial = serial();
     let stack: CsStack<u32> = CsStack::new(4096, 16);
     stack.push(0, 0); // warm-up
 
@@ -30,6 +40,54 @@ fn theorem1_six_accesses_lock_free() {
         0,
         "lock-free in contention-free context"
     );
+}
+
+/// Theorem 1 past attempt 0, on both objects: an operation whose first
+/// `k ≤ FAST_RETRIES` attempts are refused still completes lock-free.
+/// A scripted veto (`cs::fast`, between the `CONTENTION` read and the
+/// weak operation) is the cheapest refusal there is — one read — so
+/// the cost is exactly `k + (1 + w)`, inside the closed form's `(k +
+/// 1) × (1 + w)` for real aborts: `w` = 5 on the stack, 6 on the queue.
+#[cfg(feature = "chaos")]
+#[test]
+fn theorem1_holds_for_every_retry_count() {
+    use cso::core::FAST_RETRIES;
+    use cso::memory::chaos::{self, Fault, Plan};
+    let _serial = serial();
+
+    let stack: CsStack<u32> = CsStack::new(64, 4);
+    let queue: CsQueue<u32> = CsQueue::new(64, 4);
+    // First ops on a fresh object may take a boundary path; warm up.
+    stack.push(0, 0);
+    stack.pop(0);
+    queue.enqueue(0, 0);
+    queue.dequeue(0);
+    let push = || assert!(stack.push(1, 7).is_pushed());
+    let pop = || assert!(stack.pop(2).is_popped());
+    let enqueue = || assert!(queue.enqueue(1, 7).is_enqueued());
+    let dequeue = || assert!(queue.dequeue(2).into_option().is_some());
+    let ops: [(&str, u64, &dyn Fn()); 4] = [
+        ("push", 5, &push),
+        ("pop", 5, &pop),
+        ("enqueue", 6, &enqueue),
+        ("dequeue", 6, &dequeue),
+    ];
+    for k in 0..=u64::from(FAST_RETRIES) {
+        for (name, w, op) in ops {
+            chaos::reset();
+            if k > 0 {
+                chaos::arm_plan("cs::fast", Plan::times(Fault::SpuriousAbort, k));
+            }
+            let scope = CountScope::start();
+            op();
+            let spent = scope.take().total();
+            assert_eq!(spent, k + 1 + w, "{name}, k = {k}");
+            assert!(spent <= (k + 1) * (1 + w), "{name}, k = {k}");
+        }
+    }
+    chaos::reset();
+    let locked = stack.path_stats().locked + queue.path_stats().locked;
+    assert_eq!(locked, 0, "the retries absorb every veto");
 }
 
 /// §3: the weak operations are the five-access building block.
@@ -77,6 +135,7 @@ fn progress_hierarchy_is_declared_and_ordered() {
 /// capacity boundaries.
 #[test]
 fn strong_ops_total_at_boundaries() {
+    let _serial = serial();
     let stack: CsStack<u32> = CsStack::new(2, 4);
     assert_eq!(stack.pop(0), PopOutcome::Empty);
     assert_eq!(stack.push(1, 1), PushOutcome::Pushed);
