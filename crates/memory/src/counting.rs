@@ -1,17 +1,22 @@
 //! Per-thread shared-memory access counters.
 //!
-//! Every operation on a register from [`crate::reg`] records one access
+//! While a [`CountScope`] is open on a thread, every operation that
+//! thread performs on a register from [`crate::reg`] records one access
 //! in a thread-local counter. The counters are the measurement substrate
 //! for experiment E1 (the paper's Theorem 1: a contention-free
 //! `strong_push`/`strong_pop` performs exactly **six** shared-memory
 //! accesses) and for the Lamport fast-mutex "seven accesses" claim
 //! (reference \[16\] of the paper).
 //!
-//! Counting is always on; a thread-local increment costs about a
-//! nanosecond and does not perturb the relative benchmark results.
+//! The scope that reads the counters is the switch that maintains them.
+//! With no scope open an access pays a thread-local load and a
+//! predicted branch; an increment would be a load-store ahead of the
+//! operation's own atomics on every operation of every thread, for a
+//! statistic only a scope ever reads.
 
 use std::cell::Cell;
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::{Add, Sub};
 
 /// The kind of shared-memory access performed on an atomic register.
@@ -29,19 +34,25 @@ pub enum AccessKind {
 }
 
 thread_local! {
+    /// Open [`CountScope`]s on this thread; [`record`] counts only
+    /// while it is non-zero.
+    static SCOPES: Cell<u32> = const { Cell::new(0) };
     static READS: Cell<u64> = const { Cell::new(0) };
     static WRITES: Cell<u64> = const { Cell::new(0) };
     static CASES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Records one shared-memory access of the given kind for the calling
-/// thread.
+/// thread, if a [`CountScope`] is open on it; otherwise does nothing.
 ///
 /// Register types in [`crate::reg`] call this automatically; call it
 /// yourself only when modelling a shared access that does not go
 /// through those types.
 #[inline]
 pub fn record(kind: AccessKind) {
+    if SCOPES.with(Cell::get) == 0 {
+        return;
+    }
     match kind {
         AccessKind::Read => READS.with(|c| c.set(c.get().wrapping_add(1))),
         AccessKind::Write => WRITES.with(|c| c.set(c.get().wrapping_add(1))),
@@ -49,10 +60,8 @@ pub fn record(kind: AccessKind) {
     }
 }
 
-/// A snapshot of the calling thread's access counters.
-///
-/// Obtained from [`snapshot`] or, more conveniently, as the difference
-/// computed by a [`CountScope`].
+/// Shared-memory accesses by kind: the difference a [`CountScope`]
+/// computes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct AccessCounts {
     /// Number of atomic reads.
@@ -66,11 +75,10 @@ pub struct AccessCounts {
 impl AccessCounts {
     /// Total number of shared-memory accesses.
     ///
-    /// Saturating: a nonsensical snapshot (e.g. the wrapped deltas
-    /// produced by subtracting counters from *different* threads — see
-    /// the [`CountScope`] visibility contract) yields a huge total,
-    /// never a panic, so budget checks built on `total()` fail loudly
-    /// instead of aborting in debug builds.
+    /// Saturating: a nonsensical value (e.g. the wrapped difference of
+    /// subtracting a larger count from a smaller one) yields a huge
+    /// total, never a panic, so budget checks built on `total()` fail
+    /// loudly instead of aborting in debug builds.
     ///
     /// ```
     /// use cso_memory::counting::AccessCounts;
@@ -122,9 +130,9 @@ impl fmt::Display for AccessCounts {
     }
 }
 
-/// Returns the calling thread's cumulative access counters.
-#[must_use]
-pub fn snapshot() -> AccessCounts {
+/// The calling thread's cumulative access counters. They move only
+/// while a scope is open, so only a scope reads them.
+fn snapshot() -> AccessCounts {
     AccessCounts {
         reads: READS.with(Cell::get),
         writes: WRITES.with(Cell::get),
@@ -132,30 +140,30 @@ pub fn snapshot() -> AccessCounts {
     }
 }
 
-/// A measurement scope: captures the counters at construction and
-/// reports the delta on [`CountScope::take`].
+/// A measurement scope: switches access counting on for the calling
+/// thread, captures the counters at construction and reports the delta
+/// on [`CountScope::take`]; dropping the last open scope switches
+/// counting off again.
 ///
-/// # Visibility contract (cross-thread behaviour)
-///
-/// The underlying counters are **thread-local** (`Cell`s, no atomics),
-/// so a scope is *thread-affine*: [`CountScope::take`] and
-/// [`CountScope::lap`] subtract the **calling** thread's live counters
-/// from the baseline the scope captured on whatever thread called
-/// [`CountScope::start`]. Used on one thread — the only supported
-/// pattern — the delta is exact: no other thread's accesses can leak
-/// in, and nothing this thread recorded can be missed, because there
-/// is no shared state to race on. A `CountScope` that is copied or
-/// moved to a *different* thread is not UB and never panics, but its
-/// deltas are meaningless (two unrelated counter streams subtracted
-/// with wrapping arithmetic); to audit several threads, start one
-/// scope *on each thread* and combine the per-thread results with
+/// The counters are **thread-local** (`Cell`s, no atomics), so a scope
+/// counts the thread that opened it and is `!Send`: the delta is exact,
+/// no other thread's accesses can leak in and nothing this thread
+/// recorded can be missed. To audit several threads, start one scope
+/// *on each thread* and combine the per-thread results with
 /// [`AccessCounts`]'s `Add` — see `StepAuditor` in `cso-trace` for the
-/// aggregated form.
+/// aggregated form. A scope cannot be moved to another thread:
+///
+/// ```compile_fail,E0277
+/// use cso_memory::counting::CountScope;
+///
+/// let scope = CountScope::start();
+/// std::thread::spawn(move || scope.take()).join().unwrap();
+/// ```
 ///
 /// Nested scopes on one thread compose exactly: the counters are
-/// cumulative and monotonic, so an inner scope's delta is a sub-range
-/// of every enclosing scope's delta (tested by
-/// `nested_scopes_compose`).
+/// cumulative and monotonic while any scope is open, so an inner
+/// scope's delta is a sub-range of every enclosing scope's delta
+/// (tested by `nested_scopes_compose`).
 ///
 /// ```
 /// use cso_memory::counting::CountScope;
@@ -166,21 +174,26 @@ pub fn snapshot() -> AccessCounts {
 /// flag.write(true);
 /// assert_eq!(scope.take().writes, 1);
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct CountScope {
     base: AccessCounts,
+    /// Pins the scope to the thread whose counters it switched on.
+    _thread: PhantomData<*const ()>,
 }
 
 impl CountScope {
     /// Starts a new measurement scope on the calling thread.
     #[must_use]
     pub fn start() -> CountScope {
-        CountScope { base: snapshot() }
+        SCOPES.with(|open| open.set(open.get() + 1));
+        CountScope {
+            base: snapshot(),
+            _thread: PhantomData,
+        }
     }
 
     /// Returns the accesses performed on this thread since
-    /// [`CountScope::start`] (or since the last [`CountScope::take`],
-    /// which resets the scope's baseline).
+    /// [`CountScope::start`] (or since the last [`CountScope::lap`]).
     pub fn take(&self) -> AccessCounts {
         snapshot() - self.base
     }
@@ -188,16 +201,20 @@ impl CountScope {
     /// Returns the accesses since the scope started and moves the
     /// baseline forward, so consecutive calls report disjoint windows.
     ///
-    /// Windows are exact and gap-free *on the owning thread*: the new
-    /// baseline is the same snapshot the delta was computed from, so
-    /// an access is reported in exactly one lap. Calling `lap` from a
-    /// different thread re-baselines the scope onto *that* thread's
-    /// counters (see the type-level visibility contract).
+    /// Windows are exact and gap-free: the new baseline is the same
+    /// snapshot the delta was computed from, so an access is reported
+    /// in exactly one lap.
     pub fn lap(&mut self) -> AccessCounts {
         let now = snapshot();
         let delta = now - self.base;
         self.base = now;
         delta
+    }
+}
+
+impl Drop for CountScope {
+    fn drop(&mut self) {
+        SCOPES.with(|open| open.set(open.get() - 1));
     }
 }
 
@@ -274,8 +291,7 @@ mod tests {
 
     #[test]
     fn total_saturates_on_garbage_deltas() {
-        // The wrapped delta a cross-thread misuse would produce must
-        // not overflow-panic in total().
+        // A wrapped difference must not overflow-panic in total().
         let garbage = AccessCounts {
             reads: u64::MAX - 1,
             writes: 7,
@@ -294,6 +310,34 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(scope.take().total(), 0);
+    }
+
+    #[test]
+    fn registers_count_nothing_outside_a_scope() {
+        use crate::reg::{Reg64, RegBool, RegUsize};
+        let before = snapshot();
+        let (word, flag, index) = (Reg64::new(0), RegBool::new(false), RegUsize::new(0));
+        for i in 0..1_000 {
+            let seen = word.read();
+            word.cas(seen, seen + 1);
+            word.write(i);
+            flag.write(!flag.read());
+            index.cas(index.read(), i as usize);
+        }
+        assert_eq!(snapshot(), before);
+    }
+
+    #[test]
+    fn the_last_dropped_scope_switches_counting_off() {
+        drop(CountScope::start());
+        let before = snapshot();
+        record(AccessKind::Read);
+        assert_eq!(snapshot(), before, "no scope is open");
+
+        let outer = CountScope::start();
+        drop(CountScope::start());
+        record(AccessKind::Write);
+        assert_eq!(outer.take().writes, 1, "the outer scope is still open");
     }
 
     #[test]

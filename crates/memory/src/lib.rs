@@ -6,8 +6,9 @@
 //! that model on top of `std::sync::atomic`:
 //!
 //! * [`reg`] — atomic registers whose every access is recorded in a
-//!   per-thread counter (so experiments can *measure* the paper's
-//!   "six shared memory accesses" claim rather than assert it);
+//!   per-thread counter while a [`CountScope`] is open (so experiments
+//!   can *measure* the paper's "six shared memory accesses" claim
+//!   rather than assert it);
 //! * [`packed`] — the multi-field register words the paper uses
 //!   (`TOP = ⟨index, value, seqnb⟩`, `STACK[x] = ⟨val, sn⟩`), packed
 //!   into a single `u64` so they can be CAS-ed atomically;

@@ -5,7 +5,8 @@
 //! model over `std::sync::atomic` with two deliberate choices:
 //!
 //! * **every access records itself** in the thread-local counters of
-//!   [`crate::counting`], making step-complexity claims measurable;
+//!   [`crate::counting`] while a scope is open there, making
+//!   step-complexity claims measurable;
 //! * **all orderings are `SeqCst`** — the paper's registers are atomic
 //!   in the sequential-consistency sense, and the point of the
 //!   algorithms is their structure, not fence minimization. Baseline
