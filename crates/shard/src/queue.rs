@@ -232,6 +232,8 @@ mod tests {
         }
     }
 
+    /// Process 0 homes without a division; process 5 homes at `5 mod
+    /// active` (lane 1 of 4 relaxed lanes) and pays the same seven.
     #[test]
     fn solo_enqueue_and_dequeue_cost_exactly_seven_counted_accesses() {
         for config in [
@@ -239,13 +241,29 @@ mod tests {
             ShardConfig::relaxed(4, 12),
             ShardConfig::relaxed(4, 12).with_elastic(),
         ] {
-            let queue: ShardedCsQueue<u32> = ShardedCsQueue::new(64, 4, config);
-            let scope = CountScope::start();
-            assert_eq!(queue.enqueue(0, 7), EnqueueOutcome::Enqueued);
-            assert_eq!(scope.take().total(), 7, "solo enqueue under {config:?}");
-            let scope = CountScope::start();
-            assert_eq!(queue.dequeue(0), DequeueOutcome::Dequeued(7));
-            assert_eq!(scope.take().total(), 7, "solo dequeue under {config:?}");
+            for proc in [0, 5] {
+                let queue: ShardedCsQueue<u32> = ShardedCsQueue::new(64, 8, config);
+                let scope = CountScope::start();
+                assert_eq!(queue.enqueue(proc, 7), EnqueueOutcome::Enqueued);
+                assert_eq!(
+                    scope.take().total(),
+                    7,
+                    "enqueue by {proc} under {config:?}"
+                );
+                let home = proc % queue.active_lanes();
+                assert_eq!(
+                    queue.occupancy(home),
+                    1,
+                    "enqueue by {proc} under {config:?}"
+                );
+                let scope = CountScope::start();
+                assert_eq!(queue.dequeue(proc), DequeueOutcome::Dequeued(7));
+                assert_eq!(
+                    scope.take().total(),
+                    7,
+                    "dequeue by {proc} under {config:?}"
+                );
+            }
         }
     }
 

@@ -231,6 +231,8 @@ mod tests {
         assert_eq!(stack.len(), 3);
     }
 
+    /// Process 0 homes without a division; process 5 homes at `5 mod
+    /// active` (lane 1 of 4 relaxed lanes) and pays the same six.
     #[test]
     fn solo_push_and_pop_cost_exactly_six_counted_accesses() {
         for config in [
@@ -238,13 +240,17 @@ mod tests {
             ShardConfig::relaxed(4, 8),
             ShardConfig::relaxed(4, 8).with_elastic(),
         ] {
-            let stack: ShardedCsStack<u32> = ShardedCsStack::new(64, 4, config);
-            let scope = CountScope::start();
-            assert_eq!(stack.push(0, 7), PushOutcome::Pushed);
-            assert_eq!(scope.take().total(), 6, "solo push under {config:?}");
-            let scope = CountScope::start();
-            assert_eq!(stack.pop(0), PopOutcome::Popped(7));
-            assert_eq!(scope.take().total(), 6, "solo pop under {config:?}");
+            for proc in [0, 5] {
+                let stack: ShardedCsStack<u32> = ShardedCsStack::new(64, 8, config);
+                let scope = CountScope::start();
+                assert_eq!(stack.push(proc, 7), PushOutcome::Pushed);
+                assert_eq!(scope.take().total(), 6, "push by {proc} under {config:?}");
+                let home = proc % stack.active_lanes();
+                assert_eq!(stack.occupancy(home), 1, "push by {proc} under {config:?}");
+                let scope = CountScope::start();
+                assert_eq!(stack.pop(proc), PopOutcome::Popped(7));
+                assert_eq!(scope.take().total(), 6, "pop by {proc} under {config:?}");
+            }
         }
     }
 
