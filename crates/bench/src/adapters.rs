@@ -2,11 +2,10 @@
 //! experiment binaries can sweep a whole suite with one driver.
 
 use cso_core::CsConfig;
-use cso_locks::{OsLock, TasLock, TicketLock};
-use cso_stack::{CsStack, LockStack, NonBlockingStack, PushOutcome, TreiberStack};
+use cso_locks::{TasLock, TicketLock};
+use cso_stack::{CsStack, LockStack, NonBlockingStack, PushOutcome};
 
-/// A stack under benchmark: push returns `false` on `Full` (unbounded
-/// stacks always return `true`).
+/// A stack under benchmark: push returns `false` on `Full`.
 pub trait BenchStack: Send + Sync {
     /// Implementation name shown in tables.
     fn name(&self) -> &'static str;
@@ -52,24 +51,6 @@ impl BenchStack for NbAdapter {
     }
 }
 
-/// Treiber's lock-free stack.
-pub struct TreiberAdapter(pub TreiberStack<u32>);
-
-impl BenchStack for TreiberAdapter {
-    fn name(&self) -> &'static str {
-        "treiber"
-    }
-
-    fn push(&self, _proc: usize, value: u32) -> bool {
-        self.0.push(value);
-        true
-    }
-
-    fn pop(&self, _proc: usize) -> Option<u32> {
-        self.0.pop()
-    }
-}
-
 /// Everything under one TAS lock.
 pub struct LockTasAdapter(pub LockStack<u32, TasLock>);
 
@@ -93,23 +74,6 @@ pub struct LockTicketAdapter(pub LockStack<u32, TicketLock>);
 impl BenchStack for LockTicketAdapter {
     fn name(&self) -> &'static str {
         "lock(ticket)"
-    }
-
-    fn push(&self, _proc: usize, value: u32) -> bool {
-        self.0.push(value) == PushOutcome::Pushed
-    }
-
-    fn pop(&self, _proc: usize) -> Option<u32> {
-        self.0.pop().into_option()
-    }
-}
-
-/// Everything under one OS (parking_lot) mutex.
-pub struct LockOsAdapter(pub LockStack<u32, OsLock>);
-
-impl BenchStack for LockOsAdapter {
-    fn name(&self) -> &'static str {
-        "lock(os)"
     }
 
     fn push(&self, _proc: usize, value: u32) -> bool {
@@ -158,20 +122,18 @@ impl BenchStack for CsConfigAdapter {
 }
 
 /// The standard stack suite swept by E3/E5: the paper's two lock-free
-/// constructions, Treiber and three fully locked baselines — the rows
-/// ROADMAP 1(a) keeps for the yardstick.
+/// constructions and two fully locked baselines — the rows ROADMAP
+/// 1(a) keeps for the yardstick.
 #[must_use]
 pub fn stack_suite(capacity: usize, n: usize) -> Vec<Box<dyn BenchStack>> {
     vec![
         Box::new(CsAdapter(CsStack::new(capacity, n))),
         Box::new(NbAdapter(NonBlockingStack::new(capacity))),
-        Box::new(TreiberAdapter(TreiberStack::new())),
         Box::new(LockTasAdapter(LockStack::new(capacity))),
         Box::new(LockTicketAdapter(LockStack::with_lock(
             capacity,
             TicketLock::new(),
         ))),
-        Box::new(LockOsAdapter(LockStack::with_lock(capacity, OsLock::new()))),
     ]
 }
 

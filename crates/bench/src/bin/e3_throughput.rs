@@ -2,12 +2,12 @@
 //! counts.
 //!
 //! The performance story the paper argues for: the
-//! contention-sensitive stack should track the lock-free stacks when
+//! contention-sensitive stack should track the lock-free stack when
 //! contention is rare (here: 1 thread, or high think time) while the
 //! fully locked baselines pay the lock on every operation.
 //!
-//! Kept only for ROADMAP 1(a)'s baselines — `nb-stack`, Treiber and
-//! the `LockStack` menu — and the thread/think-time sweeps (the latter
+//! Kept only for ROADMAP 1(a)'s baselines — `nb-stack`, `lock(tas)`
+//! and `lock(ticket)` — and the thread/think-time sweeps (the latter
 //! is E4's), none of which the yardstick runs yet; `cs-stack`'s own
 //! one- and two-thread figures are the yardstick's.
 

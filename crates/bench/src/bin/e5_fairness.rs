@@ -6,8 +6,8 @@
 //! tight; the merely non-blocking and TAS-locked baselines may
 //! starve individual threads.
 //!
-//! Kept only for ROADMAP 1(a)'s baselines — `nb-stack`, Treiber and
-//! the `LockStack` menu — and for `cs/unfair` (Figure 3 without the
+//! Kept only for ROADMAP 1(a)'s baselines — `nb-stack`, `lock(tas)`
+//! and `lock(ticket)` — and for `cs/unfair` (Figure 3 without the
 //! booster), none of which the yardstick runs yet; `cs-stack`'s
 //! two-thread fairness is the yardstick's `fairness_min_max`.
 

@@ -17,7 +17,6 @@
 //! | `e3_throughput` | stack throughput across implementations |
 //! | `e4_lock_fraction` | fraction of operations taking the lock path |
 //! | `e5_fairness` | per-thread fairness / starvation |
-//! | `e7_locks` | lock substrate comparison + §4.4 booster |
 //! | `e10_chaos` | graceful degradation under injected faults |
 //! | `e14_recovery` | kill-at-every-site crash recovery |
 //! | `e15_profile` | harvester losslessness + causal ranking |

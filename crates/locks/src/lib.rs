@@ -3,25 +3,20 @@
 //! The contention-sensitive stack of Mostefaoui & Raynal (2011),
 //! Figure 3, needs a lock that is only **deadlock-free** — its
 //! `FLAG`/`TURN` mechanism (§4.4) boosts any such lock to starvation
-//! freedom. This crate provides that boost plus a menu of classical
-//! spin locks so the benchmarks can compare substrates:
+//! freedom. This crate provides that boost, the deadlock-free lock it
+//! wraps in production, one fair lock to compare it with, and the fast
+//! mutex the paper cites for its access count:
 //!
 //! | Lock | Trait | Progress | Notes |
 //! |---|---|---|---|
 //! | [`TasLock`] | [`RawLock`] | deadlock-free | test-and-set; the paper's minimal assumption |
-//! | [`TtasLock`] | [`RawLock`] | deadlock-free | test-and-test-and-set with exponential backoff |
 //! | [`TicketLock`] | [`RawLock`] | starvation-free | FIFO |
-//! | [`OsLock`] | [`RawLock`] | deadlock-free | `std` mutex + condvar (OS-assisted state of practice) |
-//! | [`ClhLock`] | [`ProcLock`] | starvation-free | implicit queue of spin nodes |
-//! | [`McsLock`] | [`ProcLock`] | starvation-free | explicit queue, local spinning |
-//! | [`PetersonLock`] | 2-proc | starvation-free | classic 2-process algorithm |
-//! | [`TournamentLock`] | [`ProcLock`] | starvation-free | Peterson tree for `n` processes |
 //! | [`LamportFastLock`] | [`ProcLock`] | deadlock-free | 7 shared accesses on a contention-free acquire+release (paper ref \[16\]) |
 //! | [`StarvationFree`] | [`ProcLock`] | starvation-free | §4.4 booster over any deadlock-free [`RawLock`] |
 //!
 //! Every lock is built on the counted registers of [`cso_memory::reg`],
-//! so its shared-memory step complexity is measurable (experiment E7;
-//! the Lamport fast-path claim is E1).
+//! so its shared-memory step complexity is measurable (the Lamport
+//! fast-path claim is E1).
 //!
 //! # Example
 //!
@@ -45,29 +40,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod clh;
 mod guard;
 mod lamport_fast;
-mod mcs;
-mod os;
-mod peterson;
 mod raw;
 mod starvation_free;
 mod tas;
 mod ticket;
-mod ttas;
 
-pub use clh::ClhLock;
 pub use guard::{LockGuard, ProcLockGuard};
 pub use lamport_fast::LamportFastLock;
-pub use mcs::McsLock;
-pub use os::OsLock;
-pub use peterson::{PetersonLock, TournamentLock};
 pub use raw::{Anonymous, ProcLock, RawLock};
 pub use starvation_free::{RecoveringLock, SfRecoveryStats, StarvationFree, Succession};
 pub use tas::TasLock;
 pub use ticket::TicketLock;
-pub use ttas::TtasLock;
 
 /// Every probe event the lock substrate emits, paired with the causal
 /// site class a what-if profiling run delays it under (`"-"` for
@@ -77,7 +62,6 @@ pub use ttas::TtasLock;
 pub const PROBE_SITES: &[(&str, &str)] = &[
     ("flag-raise", "flag-wait"),
     ("turn-advance", "lock-handoff"),
-    ("lock-handoff", "lock-handoff"),
     ("lock-succeeded", "lock-handoff"),
     ("suspect-raised", "-"),
     // Causal annotations (cross-thread helped-by edges); never

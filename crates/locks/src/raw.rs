@@ -1,11 +1,11 @@
 //! The two lock interfaces used across the workspace.
 //!
 //! * [`RawLock`] — anonymous locks (`lock()`/`unlock()`), enough for
-//!   TAS/TTAS/ticket locks and OS mutexes;
+//!   test-and-set and ticket locks;
 //! * [`ProcLock`] — identity-indexed locks (`lock(i)`/`unlock(i)` for
 //!   `i ∈ 0..n`), required by algorithms that keep per-process state,
-//!   like the paper's §4.4 `FLAG`/`TURN` booster, CLH/MCS queue locks,
-//!   Peterson trees and Lamport's fast mutex.
+//!   like the paper's §4.4 `FLAG`/`TURN` booster and Lamport's fast
+//!   mutex.
 
 use cso_memory::backoff::{Deadline, Spinner};
 
@@ -35,10 +35,9 @@ pub trait RawLock: Send + Sync {
     /// Attempts to acquire the lock until `deadline` expires; returns
     /// whether the acquisition succeeded. The default implementation
     /// polls [`RawLock::try_lock`] through a [`Spinner`], so it never
-    /// sleeps past the deadline even over a blocking inner lock. With
-    /// [`Deadline::NEVER`] there is nothing to poll for: the wait is
-    /// [`RawLock::lock`] itself, so a queue lock (CLH, MCS, ticket)
-    /// enqueues and keeps its FIFO order.
+    /// spins past the deadline. With [`Deadline::NEVER`] there is
+    /// nothing to poll for: the wait is [`RawLock::lock`] itself, so a
+    /// queue lock (ticket) enqueues and keeps its FIFO order.
     ///
     /// ```
     /// use cso_locks::{RawLock, TasLock};
@@ -145,8 +144,8 @@ pub trait ProcLock: Send + Sync {
 
 /// Adapts any [`RawLock`] into a [`ProcLock`] that ignores identities.
 ///
-/// Useful to run the proc-indexed benchmark harness over anonymous
-/// locks.
+/// Useful to run a proc-indexed harness (`tests/model_locks.rs`) over
+/// anonymous locks.
 ///
 /// ```
 /// use cso_locks::{Anonymous, ProcLock, TicketLock};

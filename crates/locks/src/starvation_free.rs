@@ -686,7 +686,7 @@ impl<L: RawLock> ProcLock for StarvationFree<L> {
 mod tests {
     use super::*;
     use crate::testutil::stress_proc;
-    use crate::{ClhLock, McsLock, TasLock, TicketLock, TtasLock};
+    use crate::{TasLock, TicketLock};
     use cso_memory::layout::{disjoint, lines_of};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -697,8 +697,8 @@ mod tests {
     }
 
     #[test]
-    fn provides_mutual_exclusion_over_ttas() {
-        stress_proc(StarvationFree::new(TtasLock::new(), 4), 4, 2_000);
+    fn provides_mutual_exclusion_over_ticket() {
+        stress_proc(StarvationFree::new(TicketLock::new(), 4), 4, 2_000);
     }
 
     #[test]
@@ -783,10 +783,7 @@ mod tests {
     #[test]
     fn flag_and_turn_live_on_distinct_cache_lines() {
         slow_path_words_own_their_lines(TasLock::new());
-        slow_path_words_own_their_lines(TtasLock::new());
         slow_path_words_own_their_lines(TicketLock::new());
-        slow_path_words_own_their_lines(ClhLock::new(3));
-        slow_path_words_own_their_lines(McsLock::new(3));
     }
 
     #[test]

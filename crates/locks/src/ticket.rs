@@ -9,7 +9,7 @@ use crate::raw::RawLock;
 /// A FIFO spin lock: acquirers draw a ticket and wait for it to be
 /// served.
 ///
-/// Unlike TAS/TTAS this lock is **starvation-free** by construction —
+/// Unlike TAS this lock is **starvation-free** by construction —
 /// tickets are served in draw order — so it is a useful comparison
 /// point for the paper's §4.4 booster: Figure 3's remark notes that
 /// with a starvation-free lock the `FLAG`/`TURN` machinery (lines

@@ -142,100 +142,6 @@ impl XorShift64 {
     }
 }
 
-/// Exponential spin backoff with an eventual yield to the scheduler.
-///
-/// Modeled on the classical TTAS backoff: spin `2^k` pause
-/// instructions, doubling up to a cap, then start yielding the OS
-/// thread so oversubscribed runs still make progress.
-///
-/// ```
-/// use cso_memory::backoff::Backoff;
-/// let mut b = Backoff::new();
-/// for _ in 0..4 {
-///     b.spin(); // grows 1, 2, 4, 8 pauses
-/// }
-/// b.reset();
-/// ```
-#[derive(Debug, Clone)]
-pub struct Backoff {
-    step: u32,
-}
-
-impl Backoff {
-    /// Spins below this exponent; yields the thread at or above it.
-    pub const YIELD_THRESHOLD: u32 = 10;
-    /// The exponent stops growing here (2¹⁶ pauses max — with yields).
-    pub const MAX_STEP: u32 = 16;
-
-    /// Creates a fresh backoff at the shortest delay.
-    #[must_use]
-    pub fn new() -> Backoff {
-        Backoff { step: 0 }
-    }
-
-    /// Resets to the shortest delay (call after a successful operation).
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-
-    /// True once the backoff has escalated to yielding the thread.
-    #[must_use]
-    pub fn is_yielding(&self) -> bool {
-        self.step >= Self::YIELD_THRESHOLD
-    }
-
-    /// Waits for the current delay and doubles it (up to the cap).
-    pub fn spin(&mut self) {
-        if Active::spin_hint() {
-            // A model session absorbed the wait (and marked this
-            // thread as busy-waiting); the delay still escalates so
-            // `is_yielding` behaves identically.
-            if self.step < Self::MAX_STEP {
-                self.step += 1;
-            }
-            return;
-        }
-        if self.step < Self::YIELD_THRESHOLD {
-            for _ in 0..(1u32 << self.step) {
-                hint::spin_loop();
-            }
-        } else {
-            thread::yield_now();
-        }
-        if self.step < Self::MAX_STEP {
-            self.step += 1;
-        }
-    }
-
-    /// Like [`Backoff::spin`] but randomizes the spin count in
-    /// `[1, 2^step]`, decorrelating threads that failed together.
-    pub fn spin_jittered(&mut self, rng: &mut XorShift64) {
-        if Active::spin_hint() {
-            if self.step < Self::MAX_STEP {
-                self.step += 1;
-            }
-            return;
-        }
-        if self.step < Self::YIELD_THRESHOLD {
-            let max = 1u64 << self.step;
-            for _ in 0..=rng.next_below(max) {
-                hint::spin_loop();
-            }
-        } else {
-            thread::yield_now();
-        }
-        if self.step < Self::MAX_STEP {
-            self.step += 1;
-        }
-    }
-}
-
-impl Default for Backoff {
-    fn default() -> Backoff {
-        Backoff::new()
-    }
-}
-
 /// A cooperative wait-loop helper: busy-spins a handful of iterations
 /// (cheap when the awaited condition flips quickly on another core),
 /// then starts yielding the OS thread (essential when cores are scarce
@@ -397,21 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_escalates_to_yield_and_caps() {
-        let mut b = Backoff::new();
-        assert!(!b.is_yielding());
-        for _ in 0..Backoff::YIELD_THRESHOLD {
-            b.spin();
-        }
-        assert!(b.is_yielding());
-        for _ in 0..40 {
-            b.spin(); // must not overflow past MAX_STEP
-        }
-        b.reset();
-        assert!(!b.is_yielding());
-    }
-
-    #[test]
     fn deadline_expires_and_reports_remaining() {
         let d = Deadline::after(Duration::from_millis(0));
         std::thread::sleep(Duration::from_millis(1));
@@ -437,15 +328,5 @@ mod tests {
             assert!(spins < 100_000_000, "deadline never fired");
         }
         assert!(live.expired());
-    }
-
-    #[test]
-    fn jittered_backoff_advances() {
-        let mut b = Backoff::new();
-        let mut rng = XorShift64::new(5);
-        for _ in 0..20 {
-            b.spin_jittered(&mut rng);
-        }
-        assert!(b.is_yielding());
     }
 }

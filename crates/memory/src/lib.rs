@@ -27,8 +27,6 @@
 //!   flat-combining slow path (post → claim → complete/poison);
 //! * [`exchange`] — the elimination rendezvous slots (offer → park →
 //!   take/retract) behind the contention-sensitive escalation ladder;
-//! * [`epoch`] — a minimal epoch-based reclamation scheme for the one
-//!   node-allocating baseline, Treiber's stack;
 //! * [`liveness`] — a lease-based failure detector (announce / beat /
 //!   exit, plus `suspect`) and the [`liveness::RecoveryPolicy`] that
 //!   governs crash recovery of the locked slow path;
@@ -60,7 +58,6 @@ pub mod bits;
 pub mod chaos;
 pub mod combining;
 pub mod counting;
-pub mod epoch;
 pub mod exchange;
 pub mod layout;
 pub mod liveness;

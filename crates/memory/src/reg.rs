@@ -218,7 +218,7 @@ impl RegBool {
 }
 
 /// A counted `usize` atomic register (the paper's `TURN` register and
-/// the ticket/queue lock counters).
+/// the ticket lock's counters).
 ///
 /// ```
 /// use cso_memory::reg::RegUsize;

@@ -13,7 +13,7 @@
 //!
 //! # Spin discipline
 //!
-//! Busy-wait loops (`Spinner`/`Backoff` in `cso_memory::backoff`)
+//! Busy-wait loops (`Spinner` in `cso_memory::backoff`)
 //! report themselves via the spin hint, which marks the thread
 //! *yielded*: it is not scheduled again while any non-yielded thread
 //! is runnable. This is loom's treatment of `yield_now`, and it is

@@ -9,10 +9,9 @@
 //! | [`NonBlockingStack`] | Figure 2 | non-blocking | none |
 //! | [`CsStack`] | Figure 3 | starvation-free | only under contention |
 //!
-//! plus the two baselines ROADMAP 1(a) keeps for the yardstick:
-//! [`TreiberStack`] (classic lock-free linked stack) and
-//! [`LockStack`] (everything under a single lock — the "traditional"
-//! approach of §1.1).
+//! plus the baseline the paper measures them against: [`LockStack`]
+//! (everything under a single lock — the "traditional" approach of
+//! §1.1).
 //!
 //! Values stored in the register-based stacks are 32-bit
 //! ([`StackValue`]); a larger payload rides as an index into storage
@@ -42,7 +41,6 @@ mod lock_stack;
 mod nonblocking;
 mod outcome;
 mod seqspec;
-mod treiber;
 mod value;
 
 pub use abortable::{AbortStats, AbortableStack};
@@ -51,7 +49,6 @@ pub use lock_stack::LockStack;
 pub use nonblocking::NonBlockingStack;
 pub use outcome::{PopOutcome, PushOutcome, StackOp, StackResponse};
 pub use seqspec::SeqStack;
-pub use treiber::TreiberStack;
 pub use value::StackValue;
 
 /// Every probe event this crate emits, paired with the causal site

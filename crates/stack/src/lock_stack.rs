@@ -132,7 +132,7 @@ impl<T, L: RawLock> std::fmt::Debug for LockStack<T, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cso_locks::{OsLock, TicketLock};
+    use cso_locks::TicketLock;
     use std::collections::HashSet;
     use std::sync::Arc;
 
@@ -161,9 +161,6 @@ mod tests {
         let ticket: LockStack<u32, TicketLock> = LockStack::with_lock(4, TicketLock::new());
         assert_eq!(ticket.push(1), PushOutcome::Pushed);
         assert_eq!(ticket.pop(), PopOutcome::Popped(1));
-        let os: LockStack<u32, OsLock> = LockStack::with_lock(4, OsLock::new());
-        assert_eq!(os.push(2), PushOutcome::Pushed);
-        assert_eq!(os.pop(), PopOutcome::Popped(2));
     }
 
     #[test]

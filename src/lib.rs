@@ -4,8 +4,8 @@
 //! Efficient Implementations of Concurrent Objects” (2011)**: the
 //! abortable stack (Figure 1), the non-blocking stack (Figure 2) and
 //! the contention-sensitive, starvation-free stack (Figure 3), built
-//! on explicit substrates — counted atomic registers, a lock menu with
-//! the §4.4 deadlock-free → starvation-free booster, generic
+//! on explicit substrates — counted atomic registers, locks with the
+//! §4.4 deadlock-free → starvation-free booster, generic
 //! object transformations — and validated by a linearizability checker
 //! and a schedule-exploring model checker.
 //!
@@ -34,10 +34,10 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`memory`] | counted atomic registers, packed words, process registry, Treiber's epoch reclamation |
-//! | [`locks`] | TAS/TTAS/ticket/CLH/MCS/Peterson/Lamport locks + the §4.4 booster |
+//! | [`memory`] | counted atomic registers, packed words, process registry |
+//! | [`locks`] | TAS/ticket/Lamport locks + the §4.4 booster |
 //! | [`core`] | `Abortable` objects, progress conditions, Figure 2/3 as generic transformations |
-//! | [`stack`] | the paper's three stacks + Treiber and lock-based baselines |
+//! | [`stack`] | the paper's three stacks + the lock-based baseline |
 //! | [`queue`] | the same construction for a bounded FIFO queue |
 //! | [`deque`] | the HLM obstruction-free deque (paper ref \[8\]) and its boosts — one object per rung of the hierarchy |
 //! | [`lincheck`] | history recording + Wing–Gong linearizability checker |

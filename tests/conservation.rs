@@ -11,7 +11,7 @@ use std::sync::Arc;
 use cso::core::CsConfig;
 use cso::locks::TasLock;
 use cso::queue::{CsQueue, DequeueOutcome, EnqueueOutcome, NonBlockingQueue};
-use cso::stack::{CsStack, LockStack, NonBlockingStack, PushOutcome, TreiberStack};
+use cso::stack::{CsStack, LockStack, NonBlockingStack, PushOutcome};
 
 const THREADS: u32 = 4;
 const PER_THREAD: u32 = 3_000;
@@ -86,21 +86,6 @@ fn nb_stack_conserves() {
         move |_, v| s1.push(v) == PushOutcome::Pushed,
         move |_| s2.pop().into_option(),
         "nb-stack",
-    );
-}
-
-#[test]
-fn treiber_conserves() {
-    let stack = Arc::new(TreiberStack::<u32>::new());
-    let s1 = Arc::clone(&stack);
-    let s2 = Arc::clone(&stack);
-    drive(
-        move |_, v| {
-            s1.push(v);
-            true
-        },
-        move |_| s2.pop(),
-        "treiber",
     );
 }
 

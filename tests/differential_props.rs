@@ -13,7 +13,6 @@ use cso::queue::{
 };
 use cso::stack::{
     AbortableStack, CsStack, LockStack, NonBlockingStack, PopOutcome, PushOutcome, SeqStack,
-    TreiberStack,
 };
 
 const CAPACITY: usize = 8;
@@ -23,7 +22,6 @@ enum AnyStack {
     Weak(AbortableStack<u16>),
     Nb(NonBlockingStack<u16>),
     Cs(Box<CsStack<u16>>),
-    Treiber(TreiberStack<u16>),
     Locked(LockStack<u16>),
 }
 
@@ -33,7 +31,6 @@ impl AnyStack {
             AnyStack::Weak(AbortableStack::new(CAPACITY)),
             AnyStack::Nb(NonBlockingStack::new(CAPACITY)),
             AnyStack::Cs(Box::new(CsStack::new(CAPACITY, 1))),
-            AnyStack::Treiber(TreiberStack::new()),
             AnyStack::Locked(LockStack::new(CAPACITY)),
         ]
     }
@@ -43,15 +40,8 @@ impl AnyStack {
             AnyStack::Weak(_) => "abortable",
             AnyStack::Nb(_) => "non-blocking",
             AnyStack::Cs(_) => "contention-sensitive",
-            AnyStack::Treiber(_) => "treiber",
             AnyStack::Locked(_) => "lock",
         }
-    }
-
-    /// Treiber's stack is unbounded and can't answer `Full`; the
-    /// differential check skips push-at-capacity steps for it.
-    fn bounded(&self) -> bool {
-        !matches!(self, AnyStack::Treiber(_))
     }
 
     fn push(&self, v: u16) -> PushOutcome {
@@ -59,10 +49,6 @@ impl AnyStack {
             AnyStack::Weak(s) => s.weak_push(v).expect("solo never aborts"),
             AnyStack::Nb(s) => s.push(v),
             AnyStack::Cs(s) => s.push(0, v),
-            AnyStack::Treiber(s) => {
-                s.push(v);
-                PushOutcome::Pushed
-            }
             AnyStack::Locked(s) => s.push(v),
         }
     }
@@ -72,10 +58,6 @@ impl AnyStack {
             AnyStack::Weak(s) => s.weak_pop().expect("solo never aborts"),
             AnyStack::Nb(s) => s.pop(),
             AnyStack::Cs(s) => s.pop(0),
-            AnyStack::Treiber(s) => match s.pop() {
-                Some(v) => PopOutcome::Popped(v),
-                None => PopOutcome::Empty,
-            },
             AnyStack::Locked(s) => s.pop(),
         }
     }
@@ -104,9 +86,6 @@ fn all_stacks_agree_with_the_sequential_reference() {
             for op in &ops {
                 match op {
                     Some(v) => {
-                        if !stack.bounded() && reference.len() == CAPACITY {
-                            continue; // unbounded stacks can't report Full
-                        }
                         let got = stack.push(*v);
                         let want = reference.push(*v);
                         assert_eq!(got, want, "{} push", stack.name());

@@ -6,7 +6,7 @@ use cso::core::{
     Abortable, ContentionSensitive, CsConfig, ExpBackoff, NoBackoff, NonBlocking, SpinBackoff,
     YieldBackoff,
 };
-use cso::locks::{OsLock, TasLock, TicketLock, TtasLock};
+use cso::locks::{TasLock, TicketLock};
 use cso::queue::{AbortableQueue, QueueOp, QueueResponse};
 use cso::stack::{AbortableStack, PopOutcome, PushOutcome, StackOp, StackResponse};
 
@@ -38,9 +38,7 @@ fn figure3_over_the_queue_with_every_lock() {
         assert_eq!(cs.stats().total(), 100);
     }
     exercise(TasLock::new());
-    exercise(TtasLock::new());
     exercise(TicketLock::new());
-    exercise(OsLock::new());
 }
 
 #[test]
