@@ -809,13 +809,13 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// **no effect** on the object — once `timeout` elapses without the
     /// operation completing.
     ///
-    /// The fast path is unchanged (lines 01–03 are wait-free already);
-    /// the deadline governs the slow path: both the starvation-free
-    /// lock acquisition (lines 04–06) and the under-lock retry loop
-    /// (line 08) stop at the deadline. This keeps invocations live even
-    /// when a *crashed* (not merely panicked) process wedged the lock —
-    /// the paper's §5 failure the transformation cannot otherwise
-    /// survive.
+    /// The deadline governs every wait: the fast path's paced retries
+    /// (lines 01–03) sleep no more once it has expired, and both the
+    /// starvation-free lock acquisition (lines 04–06) and the
+    /// under-lock retry loop (line 08) stop at it. This keeps
+    /// invocations live even when a *crashed* (not merely panicked)
+    /// process wedged the lock — the paper's §5 failure the
+    /// transformation cannot otherwise survive.
     ///
     /// # Errors
     ///
@@ -860,9 +860,9 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         deadline: Deadline,
     ) -> Result<O::Response, CsError> {
         assert!(proc < self.lock.n(), "process id out of range");
-        // Lines 01–03: the lock-free shortcut awaits nobody — its
-        // retries and their pauses are bounded — deadline or not.
-        if let Some(res) = self.fast_path(op) {
+        // Lines 01–03: the lock-free shortcut awaits nobody, but its
+        // pauses are sleeps, so they stop at the deadline.
+        if let Some(res) = self.fast_path(op, deadline) {
             return Ok(res);
         }
         // The elimination rung (no-op unless enabled): its park is
@@ -1034,15 +1034,20 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// "The escalation ladder"). Every weak attempt still follows a
     /// read that returned `false`, which is all Lemma 2 asks. With the
     /// adaptive gate enabled, an engaged gate (sustained abort EWMA)
-    /// ends the loop — its bookkeeping is all uncounted.
+    /// ends the loop — its bookkeeping is all uncounted. So does an
+    /// expired `deadline`, before the pause: a bounded caller is not
+    /// slept past its deadline (attempt 0 reads no clock).
     ///
     /// `None` escalates: to the elimination rung, then line 04.
-    fn fast_path(&self, op: &O::Op) -> Option<O::Response> {
+    fn fast_path(&self, op: &O::Op, deadline: Deadline) -> Option<O::Response> {
         if !self.config.fast_path {
             return None;
         }
         for attempt in 0..FAST_ATTEMPTS {
             if attempt > 0 {
+                if deadline.expired() {
+                    break;
+                }
                 retry_pause();
             }
             if self.contention.read() {
@@ -2249,7 +2254,10 @@ mod tests {
     /// The other half: a raise that is lowered while the operation
     /// pauses costs it one `CONTENTION` read per re-read that saw it,
     /// and no lock. Only the pause can be aimed at, so a second thread
-    /// lowers the register about a pause and a half after the raise;
+    /// lowers the register about a pause and a half after the raise —
+    /// in time: it sleeps one pause itself, then waits half as long
+    /// again (the sleep's real length, which the OS's timer slack
+    /// stretches well past the `RETRY_PAUSE` it asks for);
     /// a trial counts when the operation saw the register raised at
     /// least once (more reads than weak attempts) and still finished on
     /// the fast path — which Figure 3 as printed, queueing on the first
@@ -2280,8 +2288,11 @@ mod tests {
                         }
                         std::hint::spin_loop();
                     }
+                    let raised = Instant::now();
                     retry_pause();
-                    for _ in 0..cso_memory::backoff::RETRY_PAUSE_HINTS / 2 {
+                    let half = raised.elapsed() / 2;
+                    let paused = Instant::now();
+                    while paused.elapsed() < half {
                         std::hint::spin_loop();
                     }
                     cs.contention.write(false);
@@ -2300,6 +2311,41 @@ mod tests {
             }
         }
         panic!("no operation finished on the fast path after seeing CONTENTION raised");
+    }
+
+    /// A bounded caller is not slept past its deadline. With
+    /// `CONTENTION` held raised for the whole call (and the lock held:
+    /// a holder in its line-08 window), an expired deadline reads the
+    /// register once, pauses not at all, and times out at line 04 with
+    /// no effect; an unbounded call re-reads it after each of its
+    /// `FAST_RETRIES` pauses before it queues.
+    #[test]
+    fn an_expired_deadline_ends_the_retries() {
+        let cs = make(0, CsConfig::PAPER);
+        assert!(cs.lock.lock_until(1, Deadline::NEVER));
+        cs.contention.write(true);
+        let expired = Deadline::after(Duration::ZERO);
+        let scope = CountScope::start();
+        assert!(!cs.lock.lock_until(0, expired));
+        let line_04 = scope.take();
+        let scope = CountScope::start();
+        assert_eq!(
+            cs.try_apply_until(0, &Bump(3), expired),
+            Err(CsError::TimedOut)
+        );
+        let bounded = scope.take();
+        assert_eq!(bounded.reads, line_04.reads + 1, "one CONTENTION read");
+        assert_eq!(bounded.total(), line_04.total() + 1);
+        assert_eq!(cs.stats.cells.get(FAST_ABORTS), 0, "no weak attempt");
+        assert_eq!(cs.stats.cells.get(TIMEOUTS), 1);
+
+        cs.lock.unlock(1);
+        let scope = CountScope::start();
+        assert_eq!(cs.try_apply_until(0, &Bump(3), Deadline::NEVER), Ok(3));
+        // Four CONTENTION reads, then the slow path's eleven accesses
+        // less line 07's store (already raised: `write_lazy` skips it).
+        assert_eq!(scope.take().total(), u64::from(FAST_ATTEMPTS) + 10);
+        assert_eq!(cs.stats().locked, 1);
     }
 
     /// A retried completion is timed like any other fast one: every

@@ -116,10 +116,12 @@ fn zero_timeout_still_serves_the_wait_free_fast_path() {
     let cs = make(1);
     assert_eq!(cs.try_apply_for(0, &Add(4), Duration::ZERO), Ok(4));
     assert_eq!(cs.stats().fast, 1);
-    // A free lock is also grabbed without waiting (try-then-check), so
-    // an aborted operation still completes under the lock even at ZERO.
-    cs.inner().abort_to_the_lock();
+    // An aborted operation sleeps no retry pause past its deadline: at
+    // ZERO it escalates after one abort. A free lock is grabbed without
+    // waiting (try-then-check), so it still completes under the lock.
+    cs.inner().abort_next(1);
     assert_eq!(cs.try_apply_for(0, &Add(1), Duration::ZERO), Ok(5));
+    assert_eq!(cs.stats().locked, 1);
     // Only an op that cannot finish inside its budget gives up.
     cs.inner().abort_next(usize::MAX);
     assert_eq!(

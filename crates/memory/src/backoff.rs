@@ -221,15 +221,18 @@ impl Default for Spinner {
     }
 }
 
-/// Pause hints in one [`retry_pause`]: the window between two lock-free
-/// attempts of Figure 3's line-02 loop.
+/// The window between two lock-free attempts of Figure 3's line-02
+/// loop: what one [`retry_pause`] asks the OS to sleep.
 ///
-/// A **count of `spin_loop` hints, not a time** — one hint is ≈ 11 ns
-/// on the 2-vCPU host the window was sized on (≈ 2.8 µs per window)
-/// and other hosts differ. Sized by a sweep (DESIGN.md, "The
-/// escalation ladder"): the smallest window on the throughput plateau
-/// whose run-to-run fairness spread stays inside the yardstick's bound.
-pub const RETRY_PAUSE_HINTS: u32 = 256;
+/// A **request, not the window**: Linux wakes a sleeping thread within
+/// its timer slack (50 µs by default), and on the 2-vCPU host the
+/// window was sized on a 1 µs request sleeps 56–57 µs at the median
+/// and 63–64 µs at p99 (3,000 calls; 10 µs sleeps 66 / 75–80 and
+/// 50 µs 105 / 114). So the slack, not this constant, sets the window
+/// there, and the smallest request on the throughput plateau is the
+/// one that ships: the sweep in DESIGN.md, "The escalation ladder",
+/// finds `contended` level from 1 to 10 µs and 12 % slower at 50.
+pub const RETRY_PAUSE: Duration = Duration::from_micros(1);
 
 /// The pause between two lock-free attempts at one contended word,
 /// after Dice, Hendler & Mirsky's *Lightweight Contention Management
@@ -241,25 +244,28 @@ pub const RETRY_PAUSE_HINTS: u32 = 256;
 /// window whatever happened before, so two threads that collide are
 /// treated symmetrically: no per-thread history in which the loser
 /// waits longer and the winner shorter (positive feedback), no RNG,
-/// and no call into the scheduler — the pause never yields the OS
-/// thread. It is for *bounded* retry loops, which fall back to a
-/// blocking path whose wait ([`Spinner`]) does yield, so
-/// oversubscribed runs stay live.
+/// and no `yield_now`. The wait is a timed sleep of [`RETRY_PAUSE`]:
+/// the thread leaves the CPU for the window instead of spinning
+/// through it, so the wait costs no CPU time, and on an
+/// oversubscribed host another thread runs meanwhile. It is for
+/// *bounded* retry loops, which fall back to a blocking path whose
+/// wait ([`Spinner`]) yields, so oversubscribed runs stay live.
 ///
 /// A pacing delay awaits nothing, so to a model session it is an
 /// ordinary yield point — the caller may be scheduled straight on or
 /// overtaken — and not a spin hint, which would park the thread until
-/// every other thread pauses.
+/// every other thread pauses. Inside a session the sleep itself is
+/// skipped: the explorer's schedules do not depend on time.
 ///
 /// ```
-/// cso_memory::backoff::retry_pause(); // ≈ 3 µs, returns
+/// cso_memory::backoff::retry_pause(); // ≈ 60 µs on Linux, returns
 /// ```
 #[inline]
 pub fn retry_pause() {
-    Active::before_peek();
-    for _ in 0..RETRY_PAUSE_HINTS {
-        hint::spin_loop();
+    if Active::before_pause() {
+        return;
     }
+    thread::sleep(RETRY_PAUSE);
 }
 
 #[cfg(test)]
@@ -328,5 +334,12 @@ mod tests {
             assert!(spins < 100_000_000, "deadline never fired");
         }
         assert!(live.expired());
+    }
+
+    #[test]
+    fn retry_pause_lasts_at_least_the_window() {
+        let t0 = Instant::now();
+        retry_pause();
+        assert!(t0.elapsed() >= RETRY_PAUSE);
     }
 }

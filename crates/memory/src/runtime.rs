@@ -43,10 +43,17 @@ pub trait Runtime {
     /// Uncounted accesses are free in the paper's cost model but still
     /// touch shared memory, so the model runtime schedules them too —
     /// otherwise racy peek-based code would be invisible to the
-    /// explorer. A pacing delay that awaits nothing
-    /// ([`crate::backoff::retry_pause`]) calls it too: "others
-    /// may run now" is a plain schedule point, not a spin hint.
+    /// explorer.
     fn before_peek();
+
+    /// Called by a pacing delay that awaits nothing
+    /// ([`crate::backoff::retry_pause`]) before it sleeps. Under the
+    /// model runtime "others may run now" is a plain schedule point,
+    /// the same one as [`Runtime::before_peek`], not a spin hint.
+    /// Returns `true` if the runtime absorbed the delay (the caller
+    /// should skip its sleep): a model session's schedules do not
+    /// depend on time.
+    fn before_pause() -> bool;
 
     /// Called by spin loops ([`crate::backoff::Spinner`] and friends)
     /// once per wait iteration. Returns `true` if the runtime absorbed
@@ -85,6 +92,11 @@ impl Runtime for StdRuntime {
     fn before_peek() {}
 
     #[inline(always)]
+    fn before_pause() -> bool {
+        false
+    }
+
+    #[inline(always)]
     fn spin_hint() -> bool {
         false
     }
@@ -119,6 +131,12 @@ impl Runtime for ModelRuntime {
     #[inline]
     fn before_peek() {
         cso_sched::yield_access();
+    }
+
+    #[inline]
+    fn before_pause() -> bool {
+        cso_sched::yield_access();
+        cso_sched::active()
     }
 
     #[inline]
@@ -166,6 +184,7 @@ mod tests {
     fn std_runtime_hooks_are_inert() {
         StdRuntime::before_access(AccessKind::Read);
         StdRuntime::before_peek();
+        assert!(!StdRuntime::before_pause());
         assert!(!StdRuntime::spin_hint());
         assert_eq!(StdRuntime::chaos_one_in(7), None);
         assert_eq!(StdRuntime::entropy_seed(), None);
@@ -183,6 +202,7 @@ mod tests {
     fn model_build_selects_model() {
         assert_eq!(active_name(), "model");
         // Outside a session the model hooks fall back to inert.
+        assert!(!ModelRuntime::before_pause());
         assert!(!ModelRuntime::spin_hint());
         assert_eq!(ModelRuntime::chaos_one_in(7), None);
     }

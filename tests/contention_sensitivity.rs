@@ -68,7 +68,9 @@ fn run() -> CsStack<u32> {
 /// holder's raise sent its peer's next operation to the lock too, a
 /// convoy. With the raise waited out as well only real escalations
 /// lock, and an escalation takes several aborts: 0.07–0.09 % of the
-/// operations, 0.13–0.14 lock trips per abort. The bound sits between
+/// operations, 0.13–0.14 lock trips per abort. With the pause a sleep
+/// the threads collide about ten times less often, and the lock with
+/// them: 0.004–0.008 %, 0.11–0.15 per abort. The bound sits between
 /// the two, and is judged per abort rather than per operation because
 /// a run the scheduler overlaps only in part has fewer of both.
 ///
@@ -76,10 +78,10 @@ fn run() -> CsStack<u32> {
 /// (fewer than [`CONTENDED`] aborts) and is run again, up to twenty
 /// times; a host that never races the two threads passes trivially.
 /// The ratio is judged in optimized builds only (CI runs this file
-/// with `--release`). The pause is a fixed count of `spin_loop` hints
-/// whatever the build; an unoptimized operation is ten times longer,
-/// so a window is worth 30 operations instead of 300 and the same
-/// locked completions weigh ten times as much.
+/// with `--release`). The pause is a fixed time whatever the build;
+/// an unoptimized operation is ten times longer, so a window is worth
+/// a tenth as many operations and the same locked completions weigh
+/// ten times as much.
 #[test]
 fn two_threads_on_one_stack_conserve_and_rarely_lock() {
     let runs = if cfg!(debug_assertions) { 1 } else { 20 };
