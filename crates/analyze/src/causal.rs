@@ -50,7 +50,7 @@ pub struct CausalReport {
 impl CausalReport {
     /// Fraction of operations that should carry a helper edge
     /// (combined + eliminated completions) that do. 1.0 when none
-    /// were observed. The e14 acceptance gate requires ≥ 0.99.
+    /// were observed. The traced `tests/recovery_sites.rs` requires ≥ 0.99.
     #[must_use]
     pub fn attribution(&self) -> f64 {
         let expected = self.combined.0 + self.eliminated.0;

@@ -37,8 +37,8 @@
 //! an exhaustive `match`: a probe added to `cso-trace` does not compile
 //! here until someone has said which it is. Events that only annotate
 //! a path (`contention-raise/clear`, `turn-advance`, `cas-fail`,
-//! `fail-point`, `lock-handoff`, `helping-write`, the recovery markers)
-//! never delimit spans. A stream that violates the protocol yields a
+//! `fail-point`, `helping-write`, the recovery markers) never delimit
+//! spans. A stream that violates the protocol yields a
 //! [`Malformed`] record — except where the thread is known to have
 //! lost events, where orphaned events are classified as loss instead.
 //!
@@ -377,7 +377,6 @@ impl ThreadReplayer {
             | Event::TurnAdvance(_)
             | Event::CasFail(_)
             | Event::FailPoint(_)
-            | Event::LockHandoff(_)
             | Event::HelpingWrite(_)
             | Event::RecordHandoff(_) => return Fed::Quiet,
             Event::SuspectRaised(_) => self.recovery.suspects += 1,
@@ -765,7 +764,7 @@ mod tests {
         assert_eq!(span.duration_ns(), 80);
     }
 
-    /// The combiner-kill scenario of a traced `e14_recovery` capture,
+    /// The combiner-kill scenario of a traced E14 capture,
     /// event for event: the survivor posts, suspects the parked
     /// combiner, seizes its tenure, and — holding the lock — poisons
     /// the record the corpse had claimed before combining its own.

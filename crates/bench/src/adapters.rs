@@ -3,6 +3,7 @@
 
 use cso_core::CsConfig;
 use cso_locks::{TasLock, TicketLock};
+use cso_memory::backoff::XorShift64;
 use cso_stack::{CsStack, LockStack, NonBlockingStack, PushOutcome};
 
 /// A stack under benchmark: push returns `false` on `Full`.
@@ -148,31 +149,29 @@ pub fn prefill_stack(stack: &dyn BenchStack, count: usize) {
     }
 }
 
-/// The standard timed driver: `threads` threads issue operations from
-/// `mix` with `think_iters` pause instructions between operations.
+/// The standard timed driver: `threads` threads issue a random 50/50
+/// push/pop mix with no think time, each from its own seeded RNG.
 /// Returns per-thread completed-operation counts (`Full`/`Empty`
 /// answers count — they are completed operations).
 pub fn drive_stack(
     stack: &dyn BenchStack,
     threads: usize,
     duration: std::time::Duration,
-    mix: crate::workload::OpMix,
-    think_iters: u32,
 ) -> crate::measure::RunResult {
     use std::sync::atomic::Ordering;
     crate::measure::timed_run(threads, duration, |thread, stop| {
-        let mut rng = crate::workload::thread_rng(thread, 0xBEEF);
+        let seed = 0xBEEF ^ (thread as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut rng = XorShift64::new(seed);
         let mut ops = 0u64;
         let mut value = thread as u32;
         while !stop.load(Ordering::Relaxed) {
-            if mix.next_is_push(&mut rng) {
+            if rng.next_below(100) < 50 {
                 stack.push(thread, value);
                 value = value.wrapping_add(threads as u32);
             } else {
                 stack.pop(thread);
             }
             ops += 1;
-            crate::workload::think(think_iters);
         }
         ops
     })
@@ -214,13 +213,7 @@ mod tests {
     fn drive_stack_reports_ops_for_every_thread() {
         let adapter = CsAdapter(CsStack::new(1024, 3));
         prefill_stack(&adapter, 100);
-        let result = drive_stack(
-            &adapter,
-            3,
-            std::time::Duration::from_millis(30),
-            crate::workload::OpMix::BALANCED,
-            0,
-        );
+        let result = drive_stack(&adapter, 3, std::time::Duration::from_millis(30));
         assert_eq!(result.per_thread.len(), 3);
         assert!(result.total_ops() > 0);
     }

@@ -1,19 +1,17 @@
-//! E3/E4 throughput series — stack implementations across thread
-//! counts.
+//! E3 — stack throughput across implementations and thread counts.
 //!
 //! The performance story the paper argues for: the
 //! contention-sensitive stack should track the lock-free stack when
-//! contention is rare (here: 1 thread, or high think time) while the
+//! contention is rare (here: 1 thread) while the
 //! fully locked baselines pay the lock on every operation.
 //!
 //! Kept only for ROADMAP 1(a)'s baselines — `nb-stack`, `lock(tas)`
-//! and `lock(ticket)` — and the thread/think-time sweeps (the latter
-//! is E4's), none of which the yardstick runs yet; `cs-stack`'s own
-//! one- and two-thread figures are the yardstick's.
+//! and `lock(ticket)` — and the thread sweep, none of which the
+//! yardstick runs yet; `cs-stack`'s own one- and two-thread figures
+//! are the yardstick's.
 
 use cso_bench::adapters::{drive_stack, prefill_stack, stack_suite};
 use cso_bench::report::{fmt_rate, Table};
-use cso_bench::workload::OpMix;
 use cso_bench::{cell_duration, thread_counts};
 
 fn main() {
@@ -35,7 +33,7 @@ fn main() {
         let suite = stack_suite(8192, threads.max(1));
         for (i, stack) in suite.iter().enumerate() {
             prefill_stack(stack.as_ref(), 4096);
-            let result = drive_stack(stack.as_ref(), threads, cell_duration(), OpMix::BALANCED, 0);
+            let result = drive_stack(stack.as_ref(), threads, cell_duration());
             rows[i].push(fmt_rate(result.ops_per_sec()));
         }
     }

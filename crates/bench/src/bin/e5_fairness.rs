@@ -13,7 +13,6 @@
 
 use cso_bench::adapters::{drive_stack, prefill_stack, stack_suite, CsConfigAdapter};
 use cso_bench::report::{fmt_rate, Table};
-use cso_bench::workload::OpMix;
 use cso_bench::{cell_duration, thread_counts};
 use cso_core::CsConfig;
 
@@ -29,7 +28,7 @@ fn main() {
 
     let mut run = |stack: &dyn cso_bench::adapters::BenchStack| {
         prefill_stack(stack, 4096);
-        let result = drive_stack(stack, threads, cell_duration(), OpMix::BALANCED, 0);
+        let result = drive_stack(stack, threads, cell_duration());
         let min = result.min_ops().max(1);
         table.row(vec![
             stack.name().to_owned(),

@@ -1,30 +1,22 @@
-//! Experiment binaries for the `cso` workspace.
+//! The two baseline tables the yardstick does not run yet.
 //!
 //! The paper has no measured evaluation — its claims are analytic
 //! (step counts, progress conditions) plus a performance argument
 //! (contention-sensitivity beats always-locking when contention is
 //! rare). What this repository *times* is timed by the yardstick
-//! (`benchmark/`); this crate keeps the experiments it has no home
-//! for — exact counts, functional phases that `assert!` and exit
-//! non-zero, and the baseline tables whose objects are not yardstick
-//! targets yet. Binaries only print: `results/<bin>.txt` is a
+//! (`benchmark/`), and what it *asserts* is asserted by `cargo test`
+//! (EXPERIMENTS.md, "Assertion ledger"). This crate keeps the two
+//! tables whose baselines are not yardstick rows yet (ROADMAP 1(a)/(b));
+//! they assert nothing and only print: `results/<bin>.txt` is a
 //! redirected stdout.
 //!
 //! | Binary | Experiment |
 //! |---|---|
-//! | `e1_access_counts` | Theorem 1 / ref \[16\] shared-access counts |
-//! | `e2_abort_rate` | abortability under contention |
-//! | `e3_throughput` | stack throughput across implementations |
-//! | `e4_lock_fraction` | fraction of operations taking the lock path |
+//! | `e3_throughput` | stack throughput across implementations and thread counts |
 //! | `e5_fairness` | per-thread fairness / starvation |
-//! | `e10_chaos` | graceful degradation under injected faults |
-//! | `e14_recovery` | kill-at-every-site crash recovery |
-//! | `e15_profile` | harvester losslessness + causal ranking |
-//! | `e16_watch` | watchdog overhead guard + live health surface |
-//! | `metrics_smoke` | registry scraped over real HTTP |
 //!
-//! With `--features trace` E1–E14 also collect the probe event
-//! stream and export it (see [`tracing`]).
+//! With probes on (`--features cso-trace/trace`) both also collect the
+//! probe event stream and export it (see [`tracing`]).
 //!
 //! Environment knobs: `CSO_BENCH_MS` (milliseconds per measured cell,
 //! default 300), `CSO_MAX_THREADS` (default 8), `CSO_TRACE_OUT` and
@@ -37,7 +29,6 @@ pub mod adapters;
 pub mod measure;
 pub mod report;
 pub mod tracing;
-pub mod workload;
 
 use std::time::Duration;
 

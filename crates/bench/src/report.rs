@@ -88,12 +88,6 @@ pub fn fmt_rate(rate: f64) -> String {
     }
 }
 
-/// Formats a fraction as a percentage.
-#[must_use]
-pub fn fmt_pct(fraction: f64) -> String {
-    format!("{:.2}%", fraction * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,6 +116,5 @@ mod tests {
         assert_eq!(fmt_rate(15_300.0), "15.3k");
         assert_eq!(fmt_rate(2_500_000.0), "2.50M");
         assert_eq!(fmt_rate(3.1e9), "3.10G");
-        assert_eq!(fmt_pct(0.1234), "12.34%");
     }
 }

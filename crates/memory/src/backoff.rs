@@ -1,10 +1,7 @@
-//! Spin/backoff helpers for retry loops and contention managers.
-//!
-//! The paper's Figure 2 turns the abortable stack into a non-blocking
-//! one with a bare `repeat … until res ≠ ⊥` loop. A practical
-//! implementation inserts backoff between retries to reduce CAS
-//! contention; `cso-core`'s contention managers are built from the
-//! pieces here.
+//! Waiting and pacing for retry loops: the [`Deadline`] a bounded
+//! wait polls, the [`Spinner`] a blocking wait spins and yields on,
+//! [`retry_pause`] (the fixed sleep between two lock-free attempts of
+//! Figure 3's line-02 loop), and the [`XorShift64`] generator.
 
 use std::hint;
 use std::thread;
@@ -24,9 +21,14 @@ use crate::runtime::{Active, Runtime};
 /// use cso_memory::backoff::Deadline;
 /// use std::time::Duration;
 ///
-/// let d = Deadline::after(Duration::from_millis(5));
-/// assert!(!d.expired() || d.remaining().is_none());
-/// assert!(Deadline::NEVER.remaining().is_none() || true);
+/// let d = Deadline::after(Duration::from_secs(60));
+/// assert!(!d.expired());
+/// assert!(d.remaining().is_some_and(|left| left <= Duration::from_secs(60)));
+/// assert!(!Deadline::NEVER.expired());
+/// assert_eq!(Deadline::NEVER.remaining(), None);
+/// let past = Deadline::after(Duration::ZERO);
+/// assert!(past.expired());
+/// assert_eq!(past.remaining(), Some(Duration::ZERO));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deadline {
@@ -74,7 +76,8 @@ impl Deadline {
 
 /// A deterministic xorshift64* pseudo-random generator.
 ///
-/// Used for backoff jitter and for the exchanger's slot selection.
+/// Used for `cso_core::ExpBackoff`'s jitter, the exchanger's slot
+/// selection and the seeded workloads of the tests.
 /// Not cryptographic; deliberately dependency-free so the core crates
 /// stay `std`-only.
 ///

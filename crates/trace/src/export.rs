@@ -274,7 +274,6 @@ pub fn parse_event(
         "contention-clear" => Event::ContentionClear,
         "lock-acquire" => Event::LockAcquire(proc?),
         "lock-release" => Event::LockRelease(proc?),
-        "lock-handoff" => Event::LockHandoff(site()?),
         "turn-advance" => Event::TurnAdvance(proc?),
         "helping-write" => Event::HelpingWrite(site()?),
         "fail-point" => Event::FailPoint(site()?),
@@ -546,7 +545,6 @@ mod tests {
             Event::ContentionClear,
             Event::LockAcquire(1),
             Event::LockRelease(2),
-            Event::LockHandoff("mcs"),
             Event::TurnAdvance(3),
             Event::HelpingWrite("queue::slot"),
             Event::FailPoint("cs::locked"),

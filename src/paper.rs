@@ -73,7 +73,7 @@
 //! | Figure 3 for the stack | [`cso_stack::CsStack`] |
 //! | the deadlock-free lock it assumes | any [`cso_locks::RawLock`]; default [`cso_locks::TasLock`] |
 //! | §4.4 starred lines as a standalone booster | [`cso_locks::StarvationFree`] |
-//! | Theorem 1 (non-⊥, linearizable, 6 accesses, lock-free solo) | asserted in `tests/theorem1.rs`; measured by `e1_access_counts`; model-checked on `CsStack`/`CsQueue`/`CsDeque` in `tests/model_explore.rs` |
+//! | Theorem 1 (non-⊥, linearizable, 6 accesses, lock-free solo) | asserted in `tests/theorem1.rs` and `tests/step_budget.rs`; model-checked on `CsStack`/`CsQueue`/`CsDeque` in `tests/model_explore.rs` |
 //! | Lemmas 2–3 (termination, eventual lock acquisition) | bounded mechanical form: `cso_sched::Explorer::round_robin` fair runs of `CsStack` (`tests/model_explore.rs`) and of the starvation-free locks (`tests/model_locks.rs`); hostile-workload stress in `cso-locks` |
 //! | the remark that a starvation-free lock makes FLAG/TURN unnecessary | [`cso_core::CsConfig::UNFAIR`] uses the bare lock; pair [`cso_stack::CsStack::with_lock`] with [`cso_locks::TicketLock`] for the remark's configuration |
 //!
