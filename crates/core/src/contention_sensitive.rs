@@ -41,8 +41,7 @@ use cso_memory::fail_point;
 use cso_memory::liveness::{Liveness, RecoveryPolicy};
 use cso_memory::reg::RegBool;
 use cso_memory::Stripes;
-use cso_metrics::{Registry, Timer};
-use cso_trace::{probe, probe_if, Event, SpanClock};
+use cso_trace::{probe, probe_if, Event, Registry, SpanClock, Timer};
 
 use crate::abortable::Abortable;
 use crate::error::{CsError, TimedOut, Unrecoverable};

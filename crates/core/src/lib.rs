@@ -77,39 +77,6 @@ pub use manager::{ContentionManager, ExpBackoff, NoBackoff, SpinBackoff, YieldBa
 pub use nonblocking::NonBlocking;
 pub use progress::ProgressCondition;
 
-/// Every probe event the Figure 3 transformation in this crate emits,
-/// paired with the causal site class a what-if profiling run delays it
-/// under (`"-"` for events that are never delayed: completions,
-/// timeouts, recovery markers). The class names mirror
-/// `cso_trace::probe::SiteClass`; `cso-profile` carries a test keeping
-/// this table and `Event::site_class` in sync, so a new probe site
-/// added here without a class decision fails that test rather than
-/// silently escaping causal injection.
-pub const PROBE_SITES: &[(&str, &str)] = &[
-    ("fast-attempt", "cas-retry"),
-    ("fast-abort", "cas-retry"),
-    ("fast-success", "-"),
-    ("contention-raise", "-"),
-    ("contention-clear", "-"),
-    ("elim-attempt", "-"),
-    ("eliminated-complete", "-"),
-    ("lock-acquire", "flag-wait"),
-    ("lock-release", "lock-handoff"),
-    ("locked-complete", "-"),
-    ("slow-timeout", "-"),
-    ("slow-poisoned", "-"),
-    ("record-post", "combining"),
-    ("record-handoff", "combining"),
-    ("combine-batch", "combining"),
-    ("combined-complete", "combining"),
-    ("record-poisoned", "combining"),
-    ("suspect-raised", "-"),
-    ("record-reclaimed", "-"),
-    // Causal annotation (which thread's tenure executed our record);
-    // never delayed — attribution, not work.
-    ("helped-by-combiner", "-"),
-];
-
 #[cfg(test)]
 pub(crate) mod testobj {
     //! A deterministic abortable object for testing the

@@ -192,7 +192,7 @@ impl<V: Bits32, L: RawLock> CsDeque<V, L> {
     /// Registers this deque's live metrics under `prefix` (see
     /// [`ContentionSensitive::attach_metrics`]; first call wins, and
     /// unattached deques keep Theorem 1's access budget untouched).
-    pub fn attach_metrics(&self, registry: &cso_metrics::Registry, prefix: &str) {
+    pub fn attach_metrics(&self, registry: &cso_trace::Registry, prefix: &str) {
         self.inner.attach_metrics(registry, prefix);
     }
 }

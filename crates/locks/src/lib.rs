@@ -54,22 +54,6 @@ pub use starvation_free::{RecoveringLock, SfRecoveryStats, StarvationFree, Succe
 pub use tas::TasLock;
 pub use ticket::TicketLock;
 
-/// Every probe event the lock substrate emits, paired with the causal
-/// site class a what-if profiling run delays it under (`"-"` for
-/// events never delayed). The class names mirror
-/// `cso_trace::probe::SiteClass`; `cso-profile` carries a test keeping
-/// this table and `Event::site_class` in sync.
-pub const PROBE_SITES: &[(&str, &str)] = &[
-    ("flag-raise", "flag-wait"),
-    ("turn-advance", "lock-handoff"),
-    ("lock-succeeded", "lock-handoff"),
-    ("suspect-raised", "-"),
-    // Causal annotations (cross-thread helped-by edges); never
-    // delayed — they carry attribution, not work.
-    ("handoff-from", "-"),
-    ("custody-from", "-"),
-];
-
 #[cfg(test)]
 pub(crate) mod testutil {
     //! Shared stress harnesses: every lock must provide mutual

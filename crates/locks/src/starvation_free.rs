@@ -48,8 +48,7 @@ use cso_memory::fail_point;
 use cso_memory::liveness::{Liveness, RecoveryPolicy};
 use cso_memory::reg::{RegBool, RegUsize};
 use cso_memory::Stripes;
-use cso_metrics::Registry;
-use cso_trace::{probe, probe_if, Event, TidStamp, NO_TID};
+use cso_trace::{probe, probe_if, Event, Registry, TidStamp, NO_TID};
 
 use crate::raw::{ProcLock, RawLock};
 
@@ -788,7 +787,7 @@ mod tests {
 
     #[test]
     fn attached_metrics_count_acquires_and_turn_advances() {
-        let registry = cso_metrics::Registry::new();
+        let registry = cso_trace::Registry::new();
         let lock = StarvationFree::new(TasLock::new(), 2);
         lock.attach_metrics(&registry, "sf");
         for _ in 0..5 {
@@ -803,7 +802,7 @@ mod tests {
         assert_eq!(snap.counter("sf_turn_advances_total"), Some(6));
         // A second attachment is a second reader of the same cells:
         // not a double count, and not a series stuck at zero.
-        let other = cso_metrics::Registry::new();
+        let other = cso_trace::Registry::new();
         lock.attach_metrics(&other, "other");
         lock.lock(0);
         lock.unlock(0);
@@ -1142,7 +1141,7 @@ mod tests {
     #[test]
     fn succession_is_counted_by_attached_metrics() {
         use cso_memory::liveness::Liveness;
-        let registry = cso_metrics::Registry::new();
+        let registry = cso_trace::Registry::new();
         let lock = StarvationFree::new(TasLock::new(), 2);
         lock.attach_metrics(&registry, "sfr");
         let live = Liveness::new(2);

@@ -242,7 +242,7 @@ impl<V: Bits32, L: RawLock> CsQueue<V, L> {
     /// Registers this queue's live metrics under `prefix` (see
     /// [`ContentionSensitive::attach_metrics`]; first call wins, and
     /// unattached queues keep Theorem 1's access budget untouched).
-    pub fn attach_metrics(&self, registry: &cso_metrics::Registry, prefix: &str) {
+    pub fn attach_metrics(&self, registry: &cso_trace::Registry, prefix: &str) {
         self.inner.attach_metrics(registry, prefix);
     }
 }

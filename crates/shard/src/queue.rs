@@ -1,8 +1,8 @@
 //! The sharded contention-sensitive queue.
 
 use cso_locks::TasLock;
-use cso_metrics::Registry;
 use cso_queue::{CsQueue, DequeueOutcome, EnqueueOutcome, QueueValue};
+use cso_trace::Registry;
 
 use crate::config::ShardConfig;
 use crate::router::{Router, RouterStats, ShardLane};

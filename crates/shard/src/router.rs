@@ -66,7 +66,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cso_memory::Stripes;
-use cso_metrics::Registry;
+use cso_trace::Registry;
 
 use crate::config::ShardConfig;
 use crate::elastic::Elastic;

@@ -1,8 +1,8 @@
 //! The sharded contention-sensitive stack.
 
 use cso_locks::TasLock;
-use cso_metrics::Registry;
 use cso_stack::{CsStack, PopOutcome, PushOutcome, StackValue};
+use cso_trace::Registry;
 
 use crate::config::ShardConfig;
 use crate::router::{Router, RouterStats, ShardLane};

@@ -250,7 +250,7 @@ impl<V: StackValue, L: RawLock> CsStack<V, L> {
     /// Registers this stack's live metrics under `prefix` (see
     /// [`ContentionSensitive::attach_metrics`]; first call wins, and
     /// unattached stacks keep Theorem 1's access budget untouched).
-    pub fn attach_metrics(&self, registry: &cso_metrics::Registry, prefix: &str) {
+    pub fn attach_metrics(&self, registry: &cso_trace::Registry, prefix: &str) {
         self.inner.attach_metrics(registry, prefix);
     }
 }

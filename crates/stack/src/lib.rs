@@ -50,14 +50,3 @@ pub use nonblocking::NonBlockingStack;
 pub use outcome::{PopOutcome, PushOutcome, StackOp, StackResponse};
 pub use seqspec::SeqStack;
 pub use value::StackValue;
-
-/// Every probe event this crate emits, paired with the causal site
-/// class a what-if profiling run delays it under (`"-"` for events
-/// never delayed). The class names mirror
-/// `cso_trace::probe::SiteClass`; `cso-profile` carries a test keeping
-/// this table and `Event::site_class` in sync.
-pub const PROBE_SITES: &[(&str, &str)] = &[
-    // Causal annotation (which thread's inverse operation paired with
-    // ours in the elimination rendezvous); never delayed.
-    ("helped-by-partner", "-"),
-];

@@ -4,7 +4,7 @@
 //! strong operation costs **six** shared-memory accesses and no lock)
 //! is checked offline by the E1 experiment; nothing in the seed could
 //! say *why* an individual operation aborted, raised `CONTENTION`, or
-//! queued behind `TURN`. This crate closes that gap with four pieces:
+//! queued behind `TURN`. This crate closes that gap:
 //!
 //! * [`probe`] — a tracing event API ([`Event`], [`probe!`]) recorded
 //!   into lock-free per-thread ring buffers with global logical
@@ -25,6 +25,12 @@
 //!   summary, and the `cso-trace-events v1` event log with its parser
 //!   (the codec `cso-analyze` reads captures through), all driven off
 //!   a collected [`Trace`].
+//!
+//! * [`registry`] — the live metrics [`Registry`]: per-thread-striped
+//!   [`Counter`]s, [`Gauge`]s, [`LogHistogram`]-backed [`Timer`]s,
+//!   and polled readers of what an object already counts in its own
+//!   cells. The objects' `attach_metrics` register here; rendering
+//!   and serving a snapshot is `cso-observe`'s.
 //!
 //! * [`stamp`] — the two things a probe site keeps *between* events:
 //!   a thread-id cell one thread leaves for the next ([`TidStamp`])
@@ -69,11 +75,13 @@ pub mod audit;
 pub mod export;
 pub mod hist;
 pub mod probe;
+pub mod registry;
 pub mod stamp;
 
 pub use audit::{AuditReport, StepAuditor};
 pub use hist::{HistSnapshot, LogHistogram};
-pub use probe::{Event, Harvested, HelpKind, Path, SiteClass, Trace, TraceEvent, NO_TID};
+pub use probe::{Event, Harvested, HelpKind, Path, Trace, TraceEvent, NO_TID};
+pub use registry::{Counter, Gauge, Registry, Timer};
 pub use stamp::{SpanClock, TidStamp};
 
 /// Whether probes are compiled in: the `trace` cargo feature of this

@@ -328,102 +328,6 @@ impl fmt::Display for Event {
     }
 }
 
-/// The four candidate bottlenecks a causal (what-if) profiling run
-/// ranks against each other. Every probe event maps to at most one
-/// class (see [`Event::site_class`]); events outside the four classes
-/// (completions, chaos fires, recovery markers) are never delayed.
-///
-/// The classes follow the transformation's cost structure:
-/// [`SiteClass::CasRetry`] is the fast path's retry machinery,
-/// [`SiteClass::FlagWait`] the FLAG-to-acquire wait of the §4.4 boosted
-/// lock, [`SiteClass::LockHandoff`] the release/TURN/succession custody
-/// transfer, and [`SiteClass::Combining`] the publication-record
-/// lifecycle of the combining slow path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SiteClass {
-    /// Fast-path retry machinery: `fast-attempt`, `fast-abort`,
-    /// `cas-fail`, `helping-write`.
-    CasRetry,
-    /// FLAG raise through lock acquisition: `flag-raise`,
-    /// `lock-acquire`.
-    FlagWait,
-    /// Lock custody transfer: `lock-release`, `turn-advance`,
-    /// `lock-succeeded`.
-    LockHandoff,
-    /// Combining tenure: `record-post`, `record-handoff`,
-    /// `combine-batch`, `combined-complete`, `record-poisoned`.
-    Combining,
-}
-
-impl SiteClass {
-    /// Every class, in a stable order (bit index order).
-    pub const ALL: [SiteClass; 4] = [
-        SiteClass::CasRetry,
-        SiteClass::FlagWait,
-        SiteClass::LockHandoff,
-        SiteClass::Combining,
-    ];
-
-    /// A stable short name (`cas-retry`, `flag-wait`, `lock-handoff`,
-    /// `combining`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SiteClass::CasRetry => "cas-retry",
-            SiteClass::FlagWait => "flag-wait",
-            SiteClass::LockHandoff => "lock-handoff",
-            SiteClass::Combining => "combining",
-        }
-    }
-
-    /// The inverse of [`SiteClass::name`].
-    #[must_use]
-    pub fn parse(name: &str) -> Option<SiteClass> {
-        SiteClass::ALL.iter().copied().find(|c| c.name() == name)
-    }
-
-    /// This class's bit in a delay mask (see [`set_causal_delays`]).
-    #[must_use]
-    pub fn bit(self) -> u32 {
-        1 << (self as u32)
-    }
-
-    /// The mask selecting every class.
-    #[must_use]
-    pub fn mask_all() -> u32 {
-        SiteClass::ALL.iter().map(|c| c.bit()).fold(0, |a, b| a | b)
-    }
-}
-
-impl fmt::Display for SiteClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl Event {
-    /// The causal site class this event belongs to, or `None` for
-    /// events that a causal profiling run never delays.
-    #[must_use]
-    pub fn site_class(&self) -> Option<SiteClass> {
-        match self {
-            Event::FastAttempt | Event::FastAbort | Event::CasFail(_) | Event::HelpingWrite(_) => {
-                Some(SiteClass::CasRetry)
-            }
-            Event::FlagRaise(_) | Event::LockAcquire(_) => Some(SiteClass::FlagWait),
-            Event::LockRelease(_) | Event::TurnAdvance(_) | Event::LockSucceeded(_) => {
-                Some(SiteClass::LockHandoff)
-            }
-            Event::RecordPost
-            | Event::RecordHandoff(_)
-            | Event::CombineBatch(_)
-            | Event::CombinedComplete
-            | Event::RecordPoisoned => Some(SiteClass::Combining),
-            _ => None,
-        }
-    }
-}
-
 /// One collected event: which thread, when (logical and wall), what.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -507,19 +411,13 @@ mod imp {
     use std::cell::{Cell, OnceCell, RefCell};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{Arc, Mutex, OnceLock};
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     /// Events kept per thread before the ring wraps (power of two).
     pub(super) const RING_CAPACITY: usize = 1 << 12;
 
     /// Runtime master switch (the compile-time switch is the feature).
     static ENABLED: AtomicBool = AtomicBool::new(true);
-
-    /// Causal-profiling delay config, packed `mask << 32 | delay_ns`
-    /// where `mask` selects [`super::SiteClass`] bits. Zero when
-    /// inactive, so the per-event cost outside a profiling window is
-    /// one relaxed load.
-    static CAUSAL: AtomicU64 = AtomicU64::new(0);
 
     /// The global logical clock: one relaxed `fetch_add` per event.
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -701,45 +599,11 @@ mod imp {
             Event::SlowTimeout | Event::SlowPoisoned => LAST_PATH.with(|p| p.set(None)),
             _ => {}
         }
-        let causal = CAUSAL.load(Ordering::Relaxed);
-        if causal != 0 {
-            if let Some(class) = event.site_class() {
-                if (causal >> 32) as u32 & class.bit() != 0 {
-                    spin_delay(causal as u32);
-                }
-            }
-        }
         if !ENABLED.load(Ordering::Relaxed) {
             return;
         }
         let (code, arg) = encode(event);
         MY_RING.with(|cell| cell.get_or_init(register_ring).push(code, arg));
-    }
-
-    /// Busy-wait for `delay_ns`: causal injection must not yield the
-    /// core (a sleep would let the scheduler hide the virtual slowdown).
-    fn spin_delay(delay_ns: u32) {
-        let deadline = Duration::from_nanos(u64::from(delay_ns));
-        let start = Instant::now();
-        while start.elapsed() < deadline {
-            std::hint::spin_loop();
-        }
-    }
-
-    pub(super) fn set_causal_delays(mask: u32, delay_ns: u32) {
-        let packed = if mask == 0 || delay_ns == 0 {
-            0
-        } else {
-            u64::from(mask) << 32 | u64::from(delay_ns)
-        };
-        CAUSAL.store(packed, Ordering::SeqCst);
-    }
-
-    pub(super) fn causal_delays() -> Option<(u32, u32)> {
-        match CAUSAL.load(Ordering::Relaxed) {
-            0 => None,
-            packed => Some(((packed >> 32) as u32, packed as u32)),
-        }
     }
 
     pub(super) fn last_path() -> Option<Path> {
@@ -1097,40 +961,6 @@ pub fn emitted() -> u64 {
     }
 }
 
-/// Arms causal-profiling delay injection: every probe event whose
-/// [`Event::site_class`] bit is set in `mask` busy-waits `delay_ns`
-/// nanoseconds before recording. A causal profiler delays every class
-/// *except* the one under test and compares throughput against an
-/// all-classes-delayed baseline (coz-style virtual speedup). Passing
-/// `mask == 0` or `delay_ns == 0` disarms. Costs one relaxed atomic
-/// load per probe event while disarmed; no-op without the `trace`
-/// feature.
-pub fn set_causal_delays(mask: u32, delay_ns: u32) {
-    #[cfg(feature = "trace")]
-    imp::set_causal_delays(mask, delay_ns);
-    #[cfg(not(feature = "trace"))]
-    let _ = (mask, delay_ns);
-}
-
-/// Disarms causal-profiling delay injection.
-pub fn clear_causal_delays() {
-    set_causal_delays(0, 0);
-}
-
-/// The armed `(mask, delay_ns)` pair, or `None` when injection is
-/// disarmed (always `None` without the `trace` feature).
-#[must_use]
-pub fn causal_delays() -> Option<(u32, u32)> {
-    #[cfg(feature = "trace")]
-    {
-        imp::causal_delays()
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1218,39 +1048,6 @@ mod tests {
         assert!(!trace.is_empty());
     }
 
-    #[test]
-    fn site_classes_partition_the_taxonomy() {
-        use SiteClass::*;
-        assert_eq!(Event::FastAttempt.site_class(), Some(CasRetry));
-        assert_eq!(Event::FastAbort.site_class(), Some(CasRetry));
-        assert_eq!(Event::CasFail("top").site_class(), Some(CasRetry));
-        assert_eq!(Event::HelpingWrite("top").site_class(), Some(CasRetry));
-        assert_eq!(Event::FlagRaise(0).site_class(), Some(FlagWait));
-        assert_eq!(Event::LockAcquire(0).site_class(), Some(FlagWait));
-        assert_eq!(Event::LockRelease(0).site_class(), Some(LockHandoff));
-        assert_eq!(Event::TurnAdvance(0).site_class(), Some(LockHandoff));
-        assert_eq!(Event::LockSucceeded(0).site_class(), Some(LockHandoff));
-        assert_eq!(Event::RecordPost.site_class(), Some(Combining));
-        assert_eq!(Event::CombineBatch(3).site_class(), Some(Combining));
-        // Completions, chaos and recovery markers are never delayed.
-        assert_eq!(Event::FastSuccess.site_class(), None);
-        assert_eq!(Event::LockedComplete.site_class(), None);
-        assert_eq!(Event::FailPoint("x").site_class(), None);
-        assert_eq!(Event::SuspectRaised(0).site_class(), None);
-        // Causal annotations must never be delayed either: they sit
-        // inside completion windows a delay would skew.
-        assert_eq!(Event::HelpedByCombiner(0).site_class(), None);
-        assert_eq!(Event::HelpedByPartner(0).site_class(), None);
-        assert_eq!(Event::HandoffFrom(0).site_class(), None);
-        assert_eq!(Event::CustodyFrom(0).site_class(), None);
-        for class in SiteClass::ALL {
-            assert_eq!(SiteClass::parse(class.name()), Some(class));
-        }
-        assert_eq!(SiteClass::parse("nope"), None);
-        assert_eq!(SiteClass::mask_all(), 0b1111);
-        assert_eq!(SiteClass::CasRetry.to_string(), "cas-retry");
-    }
-
     #[cfg(not(feature = "trace"))]
     #[test]
     fn disabled_build_records_nothing() {
@@ -1261,9 +1058,6 @@ mod tests {
         assert_eq!(thread_id(), NO_TID, "untraced builds have no thread id");
         assert!(harvest().events.is_empty());
         assert_eq!(emitted(), 0);
-        set_causal_delays(SiteClass::mask_all(), 1_000);
-        assert_eq!(causal_delays(), None);
-        clear_causal_delays();
     }
 
     #[cfg(feature = "trace")]
@@ -1569,36 +1363,6 @@ mod tests {
             }
             assert_eq!(super::super::imp::decode(8, 7), None);
             assert!(walked >= 29, "walked {walked} codes");
-        }
-
-        #[test]
-        fn causal_delays_slow_only_masked_classes() {
-            let _serial = serial();
-            clear();
-            clear_causal_delays();
-            assert_eq!(causal_delays(), None);
-            set_causal_delays(SiteClass::FlagWait.bit(), 200_000);
-            assert_eq!(causal_delays(), Some((SiteClass::FlagWait.bit(), 200_000)));
-            let t = std::time::Instant::now();
-            record(Event::FlagRaise(0)); // flag-wait: delayed
-            let delayed = t.elapsed();
-            let t = std::time::Instant::now();
-            record(Event::FastSuccess); // classless: never delayed
-            let undelayed = t.elapsed();
-            clear_causal_delays();
-            assert_eq!(causal_delays(), None);
-            assert!(
-                delayed.as_nanos() >= 200_000,
-                "masked class was delayed ({delayed:?})"
-            );
-            assert!(
-                undelayed < delayed,
-                "unmasked record ({undelayed:?}) is faster than delayed ({delayed:?})"
-            );
-            let t = std::time::Instant::now();
-            record(Event::FlagRaise(0));
-            assert!(t.elapsed().as_nanos() < 200_000, "disarm removes the delay");
-            clear();
         }
 
         #[test]

@@ -2,7 +2,7 @@
 //! rings overflow, every emitted event is either harvested or counted
 //! lost — `ingested + lost == emitted` exactly, provided the final
 //! drain starts after the writers stop. This is the invariant the
-//! `cso-profile` harvester and the scrape-under-load smoke rely on.
+//! profiler's harvester and the scrape-under-load smoke rely on.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

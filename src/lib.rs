@@ -42,10 +42,14 @@
 //! | [`deque`] | the HLM obstruction-free deque (paper ref \[8\]) and its boosts — one object per rung of the hierarchy |
 //! | [`lincheck`] | history recording + Wing–Gong linearizability checker |
 //! | `sched` (feature `model`) | the model checker: a controlled scheduler that drives these very types through exhaustive, seeded-random, fair and crash-prefixed schedules (`tests/model_*.rs`) |
-//! | [`metrics`] | live metrics registry (sharded counters, gauges, log-histogram timers), Prometheus/JSON exporters, scrape endpoint |
-//! | [`trace`] | feature-gated probe rings, latency histograms, step auditor, Chrome trace export |
-//! | [`profile`] | continuous profiling: background ring harvester, online span aggregator, causal (what-if) profiler, live `/profile` + `/spans.json` + `/flamegraph` + `/causal.json` routes |
+//! | [`trace`] | what the objects record into: feature-gated probe rings, latency histograms, the live metrics registry every `attach_metrics` registers in, step auditor, Chrome trace export |
+//! | [`metrics`] | the registry (from [`trace`]) with its Prometheus/JSON exporters and scrape endpoint |
+//! | [`analyze`] | the one trace analyser: a bounded-memory fold into spans, the §4.4 bypass count, convoys, the helped-by graph and flamegraph stacks (the `cso-analyze` CLI runs it on a capture) |
+//! | [`profile`] | continuous profiling: background ring harvester, online span aggregator, live `/profile` + `/spans.json` + `/flamegraph` + `/causal.json` routes |
 //! | [`watch`] | online runtime verification: the invariant watchdog, declarative SLOs with burn-rate alerting, `/health` + `/alerts.json` routes, JSONL event export |
+//!
+//! The last four come from `cso-observe`, a leaf no object crate
+//! depends on.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -57,8 +61,7 @@ pub use cso_deque as deque;
 pub use cso_lincheck as lincheck;
 pub use cso_locks as locks;
 pub use cso_memory as memory;
-pub use cso_metrics as metrics;
-pub use cso_profile as profile;
+pub use cso_observe::{analyze, metrics, profile, watch};
 pub use cso_queue as queue;
 /// The deterministic-interleaving runtime (only with the `model`
 /// feature) — the workspace's one model checker: drives the
@@ -70,4 +73,3 @@ pub use cso_sched as sched;
 pub use cso_shard as shard;
 pub use cso_stack as stack;
 pub use cso_trace as trace;
-pub use cso_watch as watch;

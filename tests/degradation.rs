@@ -18,13 +18,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
+use cso::analyze::Fold;
 use cso::core::FAST_ATTEMPTS;
 use cso::memory::chaos::{self, Fault, Plan};
 use cso::metrics::Json;
 use cso::stack::{CsStack, PopOutcome, PushOutcome};
 use cso::trace::export::chrome_trace_json;
 use cso::trace::probe;
-use cso_analyze::Fold;
 
 const THREADS: usize = 4;
 const OPS_PER_THREAD: u64 = 4_000;

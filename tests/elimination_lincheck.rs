@@ -99,7 +99,7 @@ fn elimination_heavy_histories_linearize_and_rendezvous() {
 
 /// The `Path::Eliminated` accounting surfaces agree with each other:
 /// the per-object path statistics, the exchanger's pair counter, and
-/// the attached `cso-metrics` registry all describe the same run —
+/// the attached metrics registry all describe the same run —
 /// under the elimination-only ablation, where rendezvous is certain,
 /// and under the `LADDER` preset, the shipped order of the same rungs.
 /// With `trace` on, the probe stream of those live runs (and of the

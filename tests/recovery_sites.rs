@@ -29,12 +29,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use cso::analyze::Fold;
 use cso::core::{CsConfig, RecoveryPolicy};
 use cso::locks::TasLock;
 use cso::memory::chaos::{self, Fault, Plan};
 use cso::stack::{CsStack, PopOutcome};
 use cso::trace::probe;
-use cso_analyze::Fold;
 
 const THREADS: usize = 4;
 /// Suspicion is lease-driven here (no explicit `mark_dead`): recovery
