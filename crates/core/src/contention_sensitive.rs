@@ -199,7 +199,7 @@ struct CsMetrics {
 
 /// Everything the object counts about itself: **one block per object,
 /// each fact counted once**. Operations write it; the accessors (since
-/// the last [`ContentionSensitive::reset_stats`]) and an attached
+/// the last [`ContentionSensitive::reset_path_stats`]) and an attached
 /// registry (lifetime totals, so an exported counter never goes
 /// backwards) are its readers. Metrics, not part of the algorithm's
 /// shared-memory footprint: all plain (uncounted) atomics. Behind an
@@ -362,7 +362,7 @@ pub const LOCKED_SOLO_ACCESS_BOUND: u64 = 12 + FAST_ATTEMPTS as u64;
 /// identity.
 ///
 /// Prefer [`ContentionSensitive::telemetry`] over calling
-/// [`ContentionSensitive::stats`] and
+/// [`ContentionSensitive::path_stats`] and
 /// [`ContentionSensitive::fault_stats`] separately when relating the
 /// families (e.g. computing a degradation rate): the one-call snapshot
 /// reads all four counters back-to-back, minimizing the skew window
@@ -741,7 +741,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// Counters and gauges are *polled*: the registry reads this
     /// object's own statistics block when it is scraped — counters as
     /// totals since construction, whatever
-    /// [`ContentionSensitive::reset_stats`] did; gauges live — so
+    /// [`ContentionSensitive::reset_path_stats`] did; gauges live — so
     /// attaching adds no store to any path. It adds two `Instant`
     /// readings per operation for the latency histograms, behind the
     /// one *uncounted* atomic load (the `OnceLock` probe) every
@@ -1359,8 +1359,10 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         served
     }
 
-    /// Snapshot of how many operations used each path.
-    pub fn stats(&self) -> PathStats {
+    /// Snapshot of how many operations completed on each path — fast,
+    /// eliminated (the escalation ladder's rendezvous rung), or under
+    /// the lock.
+    pub fn path_stats(&self) -> PathStats {
         PathStats {
             fast: self.stats.cells.get(FAST),
             eliminated: self.stats.cells.get(ELIMINATED),
@@ -1400,7 +1402,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// together — see [`Telemetry`] for how the families relate.
     pub fn telemetry(&self) -> Telemetry {
         Telemetry {
-            paths: self.stats(),
+            paths: self.path_stats(),
             faults: self.fault_stats(),
         }
     }
@@ -1448,13 +1450,13 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// A baseline snapshot, not a store: the counters are
     /// single-writer stripes other threads may be updating, so the
     /// reset records the current sums and every accessor
-    /// ([`ContentionSensitive::stats`], `fault_stats`,
+    /// ([`ContentionSensitive::path_stats`], `fault_stats`,
     /// `combining_stats`, `telemetry`) reports the difference. A
     /// completion racing the reset is counted on one side of it or the
     /// other, never lost — so a mid-run reset leaves the families
     /// reconcilable: completions since the reset still equal
     /// `telemetry().invocations()` at the next quiescent point.
-    pub fn reset_stats(&self) {
+    pub fn reset_path_stats(&self) {
         self.stats.cells.reset();
         self.stats.max_batch.store(0, Ordering::Relaxed);
     }
@@ -1473,6 +1475,19 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
 
     /// The wrapped abortable object.
     pub fn inner(&self) -> &O {
+        &self.inner
+    }
+}
+
+/// The wrapped object's own accessors (`capacity`, `len`, its abort
+/// counters), read through the transformation — DESIGN.md, "One
+/// transformation, one set of accessors", says why its weak operations
+/// may come along.
+impl<O: Abortable, L> std::ops::Deref for ContentionSensitive<O, L> {
+    type Target = O;
+
+    #[inline]
+    fn deref(&self) -> &O {
         &self.inner
     }
 }
@@ -1503,7 +1518,7 @@ mod tests {
         let cs = make(0, CsConfig::PAPER);
         assert_eq!(cs.apply(0, &Bump(7)), 7);
         assert_eq!(
-            cs.stats(),
+            cs.path_stats(),
             PathStats {
                 fast: 1,
                 eliminated: 0,
@@ -1517,7 +1532,7 @@ mod tests {
         let cs = make(TO_THE_LOCK, CsConfig::PAPER);
         assert_eq!(cs.apply(2, &Bump(7)), 7);
         assert_eq!(
-            cs.stats(),
+            cs.path_stats(),
             PathStats {
                 fast: 0,
                 eliminated: 0,
@@ -1531,7 +1546,7 @@ mod tests {
         let cs = make(25, CsConfig::PAPER);
         assert_eq!(cs.apply(1, &Bump(1)), 1);
         assert_eq!(cs.apply(1, &Bump(1)), 2);
-        let stats = cs.stats();
+        let stats = cs.path_stats();
         assert_eq!(stats.total(), 2);
     }
 
@@ -1550,7 +1565,7 @@ mod tests {
     fn ablation_unfair_still_correct() {
         let cs = make(TO_THE_LOCK, CsConfig::UNFAIR);
         assert_eq!(cs.apply(3, &Bump(9)), 9);
-        assert_eq!(cs.stats().locked, 1);
+        assert_eq!(cs.path_stats().locked, 1);
     }
 
     #[test]
@@ -1582,7 +1597,7 @@ mod tests {
             .try_apply_for(1, &Bump(1), Duration::from_millis(50))
             .is_ok());
         let t = cs.telemetry();
-        assert_eq!(t.paths, cs.stats());
+        assert_eq!(t.paths, cs.path_stats());
         assert_eq!(t.faults, cs.fault_stats());
         assert_eq!(
             t.paths,
@@ -1831,10 +1846,14 @@ mod tests {
     fn stats_reset() {
         let cs = make(0, CsConfig::PAPER);
         cs.apply(0, &Bump(1));
-        cs.reset_stats();
-        assert_eq!(cs.stats().total(), 0);
+        cs.reset_path_stats();
+        assert_eq!(cs.path_stats().total(), 0);
         cs.apply(0, &Bump(1));
-        assert_eq!(cs.stats().total(), 1, "counting restarts at the baseline");
+        assert_eq!(
+            cs.path_stats().total(),
+            1,
+            "counting restarts at the baseline"
+        );
     }
 
     #[test]
@@ -1862,7 +1881,7 @@ mod tests {
                 std::hint::spin_loop();
             }
             let before = finished.load(Ordering::SeqCst);
-            cs.reset_stats();
+            cs.reset_path_stats();
             (before, begun.load(Ordering::SeqCst))
         });
         let all = THREADS as u64 * OPS;
@@ -1947,7 +1966,7 @@ mod tests {
         }
         let total = cs.inner().applied.load(std::sync::atomic::Ordering::SeqCst);
         assert_eq!(total, 8_000);
-        assert_eq!(cs.stats().total(), 8_000);
+        assert_eq!(cs.path_stats().total(), 8_000);
     }
 
     #[test]
@@ -1957,7 +1976,7 @@ mod tests {
         let cs = make(0, CsConfig::COMBINING.without_fast_path());
         assert_eq!(cs.apply(0, &Bump(5)), 5);
         assert_eq!(
-            cs.stats(),
+            cs.path_stats(),
             PathStats {
                 fast: 0,
                 eliminated: 0,
@@ -1981,7 +2000,7 @@ mod tests {
         let cs = make(3, CsConfig::COMBINING.without_fast_path());
         assert_eq!(cs.apply(1, &Bump(2)), 2);
         assert_eq!(cs.apply(1, &Bump(2)), 4);
-        assert_eq!(cs.stats().locked, 2);
+        assert_eq!(cs.path_stats().locked, 2);
     }
 
     #[test]
@@ -1989,7 +2008,7 @@ mod tests {
         let cs = make(0, CsConfig::COMBINING);
         assert_eq!(cs.apply(0, &Bump(7)), 7);
         assert_eq!(
-            cs.stats(),
+            cs.path_stats(),
             PathStats {
                 fast: 1,
                 eliminated: 0,
@@ -2025,7 +2044,7 @@ mod tests {
         let expected = THREADS as u64 * OPS;
         let total = cs.inner().applied.load(std::sync::atomic::Ordering::SeqCst);
         assert_eq!(total, expected, "every op applied exactly once");
-        let stats = cs.stats();
+        let stats = cs.path_stats();
         assert_eq!(
             stats,
             PathStats {
@@ -2053,7 +2072,7 @@ mod tests {
             "probe successes must disengage the gate (ewma {})",
             cs.gate().abort_ewma()
         );
-        let stats = cs.stats();
+        let stats = cs.path_stats();
         assert!(stats.locked > 0, "engaged gate diverted nothing");
         assert!(stats.fast > 0, "probes and post-disengage ops run fast");
         assert_eq!(stats.total(), 2_000);
@@ -2187,7 +2206,7 @@ mod tests {
             let counts = scope.take();
             let lock_free = k < TO_THE_LOCK;
             assert_eq!(
-                cs.stats(),
+                cs.path_stats(),
                 PathStats {
                     fast: u64::from(lock_free),
                     eliminated: 0,
@@ -2245,7 +2264,7 @@ mod tests {
         // the object's own raise.
         assert_eq!(cs.inner().calls.load(Ordering::Relaxed), 2);
         assert_eq!(cs.stats.cells.get(FAST_ABORTS), 1);
-        assert_eq!(cs.stats().locked, 1);
+        assert_eq!(cs.path_stats().locked, 1);
         assert_eq!(scope.take().total(), TO_THE_LOCK as u64 + 10 + 1);
         assert!(!cs.contention.read(), "line 09 lowers it again");
     }
@@ -2302,7 +2321,7 @@ mod tests {
                 let scope = CountScope::start();
                 assert_eq!(cs.apply(0, &Bump(3)), 3);
                 done.store(true, Ordering::Relaxed);
-                (cs.stats().locked, scope.take().reads)
+                (cs.path_stats().locked, scope.take().reads)
             });
             let attempts = cs.inner().calls.load(Ordering::Relaxed);
             if locked == 0 && reads > attempts {
@@ -2344,7 +2363,7 @@ mod tests {
         // Four CONTENTION reads, then the slow path's eleven accesses
         // less line 07's store (already raised: `write_lazy` skips it).
         assert_eq!(scope.take().total(), u64::from(FAST_ATTEMPTS) + 10);
-        assert_eq!(cs.stats().locked, 1);
+        assert_eq!(cs.path_stats().locked, 1);
     }
 
     /// A retried completion is timed like any other fast one: every
@@ -2386,7 +2405,7 @@ mod tests {
         );
         assert_eq!(cs.apply(0, &Bump(9)), 9);
         assert_eq!(
-            cs.stats(),
+            cs.path_stats(),
             PathStats {
                 fast: 0,
                 eliminated: 1,
@@ -2407,7 +2426,7 @@ mod tests {
         let cs = make(TO_THE_LOCK, CsConfig::LADDER);
         assert_eq!(cs.apply(3, &Bump(5)), 5);
         assert_eq!(
-            cs.stats(),
+            cs.path_stats(),
             PathStats {
                 fast: 0,
                 eliminated: 0,
@@ -2444,7 +2463,7 @@ mod tests {
             cs.try_apply_for(1, &Bump(3), Duration::from_millis(100)),
             Ok(3)
         );
-        assert_eq!(cs.stats().eliminated, 1);
+        assert_eq!(cs.path_stats().eliminated, 1);
     }
 
     #[test]

@@ -13,11 +13,12 @@ use crate::progress::ProgressCondition;
 /// ```
 ///
 /// Because a solo weak operation never aborts, the loop trivially
-/// satisfies obstruction-freedom; because some concurrent weak
-/// operation always succeeds (an abort means *another* operation's CAS
-/// won), at least one looping process exits — the implementation is
-/// **non-blocking** (lock-free). No operation of the wrapper ever
-/// returns ⊥.
+/// satisfies obstruction-freedom; where some concurrent weak operation
+/// always succeeds (an abort means *another* operation's CAS won, as
+/// for the stack and the queue), at least one looping process exits —
+/// the implementation is **non-blocking** (lock-free). Over an object
+/// without that property (the HLM deque) the same loop is only
+/// obstruction-free. No operation of the wrapper ever returns ⊥.
 ///
 /// The `M` parameter selects the backoff policy between retries;
 /// [`NoBackoff`] is the paper's literal loop.
@@ -99,6 +100,17 @@ impl<O: Abortable, M: ContentionManager> NonBlocking<O, M> {
     /// Unwraps the transformation.
     pub fn into_inner(self) -> O {
         self.inner
+    }
+}
+
+/// The wrapped object's own accessors, read through the loop (see the
+/// same impl on [`ContentionSensitive`](crate::ContentionSensitive)).
+impl<O, M> std::ops::Deref for NonBlocking<O, M> {
+    type Target = O;
+
+    #[inline]
+    fn deref(&self) -> &O {
+        &self.inner
     }
 }
 

@@ -62,7 +62,7 @@ fn real_transformation_recovers_from_a_panic_inside_the_lock() {
 
     // Where the model's survivor spun forever, this one completes.
     assert_eq!(cs.apply(1, &()), 1);
-    assert_eq!(cs.stats().total(), 1, "only the survivor's op counts");
+    assert_eq!(cs.path_stats().total(), 1, "only the survivor's op counts");
 }
 
 // ---------------------------------------------------------------------

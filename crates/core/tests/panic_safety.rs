@@ -37,12 +37,12 @@ fn panic_under_the_lock_is_survived_by_everyone_else() {
 
     // CONTENTION was restored: a contention-free op takes the fast path.
     assert_eq!(cs.apply(1, &Add(3)), 3);
-    assert_eq!(cs.stats().fast, 1, "CONTENTION leaked: fast path dead");
+    assert_eq!(cs.path_stats().fast, 1, "CONTENTION leaked: fast path dead");
 
     // The lock was released: a slow-path op completes too.
     cs.inner().abort_to_the_lock();
     assert_eq!(cs.apply(2, &Add(2)), 5);
-    assert_eq!(cs.stats().locked, 1, "lock leaked: slow path dead");
+    assert_eq!(cs.path_stats().locked, 1, "lock leaked: slow path dead");
 
     // And other *threads* keep completing.
     let handles: Vec<_> = (0..3)
@@ -108,20 +108,20 @@ fn try_apply_for_times_out_under_the_lock_and_releases_it() {
     // The guard released the lock and CONTENTION on the way out.
     cs.inner().abort_next(0);
     assert_eq!(cs.apply(0, &Add(7)), 7);
-    assert_eq!(cs.stats().fast, 1);
+    assert_eq!(cs.path_stats().fast, 1);
 }
 
 #[test]
 fn zero_timeout_still_serves_the_wait_free_fast_path() {
     let cs = make(1);
     assert_eq!(cs.try_apply_for(0, &Add(4), Duration::ZERO), Ok(4));
-    assert_eq!(cs.stats().fast, 1);
+    assert_eq!(cs.path_stats().fast, 1);
     // An aborted operation sleeps no retry pause past its deadline: at
     // ZERO it escalates after one abort. A free lock is grabbed without
     // waiting (try-then-check), so it still completes under the lock.
     cs.inner().abort_next(1);
     assert_eq!(cs.try_apply_for(0, &Add(1), Duration::ZERO), Ok(5));
-    assert_eq!(cs.stats().locked, 1);
+    assert_eq!(cs.path_stats().locked, 1);
     // Only an op that cannot finish inside its budget gives up.
     cs.inner().abort_next(usize::MAX);
     assert_eq!(
@@ -137,7 +137,7 @@ fn deadline_never_behaves_like_apply() {
     let cs = make(1);
     cs.inner().abort_to_the_lock();
     assert_eq!(cs.try_apply_until(0, &Add(6), Deadline::NEVER), Ok(6));
-    assert_eq!(cs.stats().locked, 1);
+    assert_eq!(cs.path_stats().locked, 1);
     assert_eq!(cs.fault_stats().timeouts, 0);
 }
 

@@ -1,10 +1,9 @@
 //! Figure 3 over the deque: obstruction-free → starvation-free in
 //! one transformation.
 
-use cso_core::{
-    AdaptiveGate, CombiningStats, ContentionSensitive, CsConfig, FaultStats, PathStats,
-    ProgressCondition, RecoveryStats,
-};
+use std::ops::Deref;
+
+use cso_core::{ContentionSensitive, CsConfig, ProgressCondition};
 use cso_locks::{RawLock, TasLock};
 use cso_memory::bits::Bits32;
 
@@ -117,83 +116,14 @@ impl<V: Bits32, L: RawLock> CsDeque<V, L> {
     pub fn pop_right(&self, proc: usize) -> DequePopOutcome<V> {
         self.pop(proc, End::Right)
     }
+}
 
-    /// The total value capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.inner.inner().capacity()
-    }
+impl<V: Bits32, L: RawLock> Deref for CsDeque<V, L> {
+    type Target = ContentionSensitive<AbortableDeque<V>, L>;
 
-    /// Racy size snapshot.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.inner().len()
-    }
-
-    /// Racy emptiness snapshot.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.inner.inner().is_empty()
-    }
-
-    /// The number of processes served.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    /// Fast-path vs lock-path completion counts.
-    pub fn path_stats(&self) -> PathStats {
-        self.inner.stats()
-    }
-
-    /// Survived slow-path panics and deadline expiries (see
-    /// [`ContentionSensitive::fault_stats`]).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.inner.fault_stats()
-    }
-
-    /// Combiner-tenure totals of the flat-combining slow path
-    /// (all zero unless built with [`CsConfig::with_combining`]).
-    pub fn combining_stats(&self) -> CombiningStats {
-        self.inner.combining_stats()
-    }
-
-    /// The adaptive contention gate (consulted only when built with
-    /// [`CsConfig::with_adaptive_gate`]).
-    pub fn gate(&self) -> &AdaptiveGate {
-        self.inner.gate()
-    }
-
-    /// Whether the slow path is permanently closed because the
-    /// crash-recovery succession budget ran out (see
-    /// [`ContentionSensitive::is_poisoned`]).
-    #[must_use]
-    pub fn is_poisoned(&self) -> bool {
-        self.inner.is_poisoned()
-    }
-
-    /// Crash-recovery counters, or `None` unless built with
-    /// [`CsConfig::with_recovery`] (see
-    /// [`ContentionSensitive::recovery_stats`]).
-    #[must_use]
-    pub fn recovery_stats(&self) -> Option<RecoveryStats> {
-        self.inner.recovery_stats()
-    }
-
-    /// The liveness registry driving crash recovery, or `None` unless
-    /// built with [`CsConfig::with_recovery`] (see
-    /// [`ContentionSensitive::liveness`]).
-    #[must_use]
-    pub fn liveness(&self) -> Option<&std::sync::Arc<cso_core::Liveness>> {
-        self.inner.liveness()
-    }
-
-    /// Registers this deque's live metrics under `prefix` (see
-    /// [`ContentionSensitive::attach_metrics`]; first call wins, and
-    /// unattached deques keep Theorem 1's access budget untouched).
-    pub fn attach_metrics(&self, registry: &cso_trace::Registry, prefix: &str) {
-        self.inner.attach_metrics(registry, prefix);
+    #[inline]
+    fn deref(&self) -> &Self::Target {
+        &self.inner
     }
 }
 

@@ -18,7 +18,9 @@
 //! That last row is the paper's §1.2 observation made concrete: the
 //! contention-sensitive transformation is also an
 //! obstruction-freedom booster — it lifts the weakest rung straight
-//! to the strongest.
+//! to the strongest. Both retry loops keep only their operations and
+//! dereference to `cso-core`'s transformation (Figure 2's loop, or
+//! Figure 3) and the [`AbortableDeque`] for everything else.
 //!
 //! # The algorithm (linear bounded HLM deque)
 //!

@@ -1,24 +1,28 @@
 //! The original HLM deque: retry ⊥ — obstruction-free, and *only*
 //! obstruction-free.
 
-use cso_core::{ContentionManager, NoBackoff, ProgressCondition};
+use std::ops::Deref;
+
+use cso_core::{ContentionManager, NoBackoff, NonBlocking, ProgressCondition};
 use cso_memory::bits::Bits32;
 
 use crate::abortable::AbortableDeque;
-use crate::outcome::{DequePopOutcome, DequePushOutcome, End};
+use crate::outcome::{DequeOp, DequePopOutcome, DequePushOutcome, End};
 
 /// The Herlihy–Luchangco–Moir deque as published: each operation
 /// retries its attempt until it gets a definitive answer.
 ///
 /// **Progress: obstruction-free** — an operation is guaranteed to
 /// terminate only when it eventually runs solo (paper §1.2 / ref
-/// \[8\]). Unlike the stack's Figure 2, the retry loop here is *not*
-/// non-blocking: two symmetric two-`C&S` operations can keep
-/// invalidating each other's first `C&S` forever without either
-/// completing (no "my abort implies your success" property). This is
-/// the genuinely weakest rung of the paper's hierarchy, which is why
-/// a contention manager (`M`) matters in practice and why
-/// [`crate::CsDeque`] exists.
+/// \[8\]). The retry loop is Figure 2's ([`NonBlocking`]), but over
+/// this object it is *not* non-blocking: two symmetric two-`C&S`
+/// operations can keep invalidating each other's first `C&S` forever
+/// without either completing (no "my abort implies your success"
+/// property). This is the genuinely weakest rung of the paper's
+/// hierarchy, which is why a contention manager (`M`) matters in
+/// practice and why [`crate::CsDeque`] exists. The object's accessors
+/// (`capacity`, `len`, …) are [`AbortableDeque`]'s, reached through
+/// `Deref`.
 ///
 /// ```
 /// use cso_deque::{HlmDeque, DequePushOutcome, DequePopOutcome, End};
@@ -29,8 +33,7 @@ use crate::outcome::{DequePopOutcome, DequePushOutcome, End};
 /// ```
 #[derive(Debug)]
 pub struct HlmDeque<V: Bits32, M: ContentionManager = NoBackoff> {
-    inner: AbortableDeque<V>,
-    manager: M,
+    inner: NonBlocking<AbortableDeque<V>, M>,
 }
 
 impl<V: Bits32> HlmDeque<V, NoBackoff> {
@@ -41,10 +44,7 @@ impl<V: Bits32> HlmDeque<V, NoBackoff> {
     /// Panics on invalid capacities (see [`AbortableDeque::new`]).
     #[must_use]
     pub fn new(capacity: usize) -> HlmDeque<V, NoBackoff> {
-        HlmDeque {
-            inner: AbortableDeque::new(capacity),
-            manager: NoBackoff,
-        }
+        HlmDeque::with_manager(capacity, NoBackoff)
     }
 }
 
@@ -59,8 +59,7 @@ impl<V: Bits32, M: ContentionManager> HlmDeque<V, M> {
     #[must_use]
     pub fn with_manager(capacity: usize, manager: M) -> HlmDeque<V, M> {
         HlmDeque {
-            inner: AbortableDeque::new(capacity),
-            manager,
+            inner: NonBlocking::with_manager(AbortableDeque::new(capacity), manager),
         }
     }
 
@@ -69,53 +68,26 @@ impl<V: Bits32, M: ContentionManager> HlmDeque<V, M> {
 
     /// Pushes `value` at `end`, retrying ⊥.
     pub fn push(&self, end: End, value: V) -> DequePushOutcome {
-        let mut attempt = 0u32;
-        loop {
-            match self.inner.try_push(end, value) {
-                Ok(outcome) => return outcome,
-                Err(_) => {
-                    self.manager.on_abort(attempt);
-                    attempt = attempt.saturating_add(1);
-                }
-            }
-        }
+        self.inner.apply(&DequeOp::Push(end, value)).expect_push()
     }
 
     /// Pops from `end`, retrying ⊥.
     pub fn pop(&self, end: End) -> DequePopOutcome<V> {
-        let mut attempt = 0u32;
-        loop {
-            match self.inner.try_pop(end) {
-                Ok(outcome) => return outcome,
-                Err(_) => {
-                    self.manager.on_abort(attempt);
-                    attempt = attempt.saturating_add(1);
-                }
-            }
-        }
+        self.inner.apply(&DequeOp::Pop(end)).expect_pop()
     }
 
     /// The underlying abortable deque.
     pub fn as_abortable(&self) -> &AbortableDeque<V> {
+        self.inner.inner()
+    }
+}
+
+impl<V: Bits32, M: ContentionManager> Deref for HlmDeque<V, M> {
+    type Target = NonBlocking<AbortableDeque<V>, M>;
+
+    #[inline]
+    fn deref(&self) -> &Self::Target {
         &self.inner
-    }
-
-    /// The total value capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity()
-    }
-
-    /// Racy size snapshot.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Racy emptiness snapshot.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
     }
 }
 

@@ -1,7 +1,7 @@
 //! A mid-run statistics reset must not look like a leak.
 //!
 //! The object's counters are single-writer stripes, so
-//! `reset_abort_stats()` / `reset_stats()` record a baseline
+//! `reset_abort_stats()` / `reset_path_stats()` record a baseline
 //! instead of storing zeroes into cells other threads are updating.
 //! This test feeds the conservation invariant from the *object's own*
 //! accessors — successful weak pushes minus successful weak pops
@@ -105,7 +105,7 @@ fn conservation_and_telemetry_reconcile_across_a_mid_run_reset() {
             // the barrier below (it feeds no invariant, so the
             // watchdog's books hold).
             if burst == 0 {
-                stack.reset_stats();
+                stack.reset_path_stats();
             }
             // Sample while the burst runs, then once it has quiesced.
             for _ in 0..50 {
@@ -124,7 +124,7 @@ fn conservation_and_telemetry_reconcile_across_a_mid_run_reset() {
                     "the reset cuts a non-empty stack"
                 );
                 stack.inner().reset_abort_stats();
-                stack.reset_stats();
+                stack.reset_path_stats();
                 base.store(stack.inner().len() as i64, Ordering::SeqCst);
             }
             scraped = registry.snapshot();
@@ -141,7 +141,7 @@ fn conservation_and_telemetry_reconcile_across_a_mid_run_reset() {
     );
     let telemetry = stack.telemetry();
     assert_eq!(telemetry.invocations(), THREADS as u64 * OPS);
-    assert_eq!(telemetry.paths, stack.stats());
+    assert_eq!(telemetry.paths, stack.path_stats());
 
     // The registry's view is since construction: both bursts, less the
     // 100 pops each worker skipped in the first.

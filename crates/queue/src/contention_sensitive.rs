@@ -1,16 +1,14 @@
 //! The contention-sensitive starvation-free queue (Figure-3
 //! methodology).
 
+use std::ops::Deref;
 use std::time::Duration;
 
-use cso_core::{
-    AdaptiveGate, CombiningStats, ContentionSensitive, CsConfig, CsError, FaultStats, PathStats,
-    ProgressCondition, RecoveryStats,
-};
+use cso_core::{ContentionSensitive, CsConfig, CsError, ProgressCondition};
 use cso_locks::{RawLock, TasLock};
 use cso_memory::bits::Bits32;
 
-use crate::abortable::{AbortableQueue, QueueAbortStats};
+use crate::abortable::AbortableQueue;
 use crate::outcome::{DequeueOutcome, EnqueueOutcome, QueueOp};
 
 /// A **contention-sensitive, starvation-free bounded FIFO queue**:
@@ -146,104 +144,14 @@ impl<V: Bits32, L: RawLock> CsQueue<V, L> {
             .try_apply_for(proc, &QueueOp::Dequeue, timeout)
             .map(|resp| resp.expect_dequeue())
     }
+}
 
-    /// The capacity fixed at construction.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.inner.inner().capacity()
-    }
+impl<V: Bits32, L: RawLock> Deref for CsQueue<V, L> {
+    type Target = ContentionSensitive<AbortableQueue<V>, L>;
 
-    /// Racy size snapshot, never more than the capacity (see
-    /// [`AbortableQueue::len`]).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.inner().len()
-    }
-
-    /// Racy size snapshot through uncounted peeks (see
-    /// [`AbortableQueue::peek_len`]).
     #[inline]
-    #[must_use]
-    pub fn peek_len(&self) -> usize {
-        self.inner.inner().peek_len()
-    }
-
-    /// Racy emptiness snapshot.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.inner.inner().is_empty()
-    }
-
-    /// The number of processes this queue serves.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    /// Fast-path vs lock-path completion counts.
-    pub fn path_stats(&self) -> PathStats {
-        self.inner.stats()
-    }
-
-    /// Restarts the path statistics from zero — a baseline snapshot,
-    /// safe against concurrent operations (see
-    /// [`ContentionSensitive::reset_stats`]).
-    pub fn reset_path_stats(&self) {
-        self.inner.reset_stats()
-    }
-
-    /// Attempt/abort counters of the underlying weak operations.
-    pub fn abort_stats(&self) -> QueueAbortStats {
-        self.inner.inner().abort_stats()
-    }
-
-    /// Survived slow-path panics and deadline expiries (see
-    /// [`ContentionSensitive::fault_stats`]).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.inner.fault_stats()
-    }
-
-    /// Combiner-tenure totals of the flat-combining slow path
-    /// (all zero unless built with [`CsConfig::with_combining`]).
-    pub fn combining_stats(&self) -> CombiningStats {
-        self.inner.combining_stats()
-    }
-
-    /// The adaptive contention gate (consulted only when built with
-    /// [`CsConfig::with_adaptive_gate`]).
-    pub fn gate(&self) -> &AdaptiveGate {
-        self.inner.gate()
-    }
-
-    /// Whether the slow path is permanently closed because the
-    /// crash-recovery succession budget ran out (see
-    /// [`ContentionSensitive::is_poisoned`]).
-    #[must_use]
-    pub fn is_poisoned(&self) -> bool {
-        self.inner.is_poisoned()
-    }
-
-    /// Crash-recovery counters, or `None` unless built with
-    /// [`CsConfig::with_recovery`] (see
-    /// [`ContentionSensitive::recovery_stats`]).
-    #[must_use]
-    pub fn recovery_stats(&self) -> Option<RecoveryStats> {
-        self.inner.recovery_stats()
-    }
-
-    /// The liveness registry driving crash recovery, or `None` unless
-    /// built with [`CsConfig::with_recovery`] (see
-    /// [`ContentionSensitive::liveness`]).
-    #[must_use]
-    pub fn liveness(&self) -> Option<&std::sync::Arc<cso_core::Liveness>> {
-        self.inner.liveness()
-    }
-
-    /// Registers this queue's live metrics under `prefix` (see
-    /// [`ContentionSensitive::attach_metrics`]; first call wins, and
-    /// unattached queues keep Theorem 1's access budget untouched).
-    pub fn attach_metrics(&self, registry: &cso_trace::Registry, prefix: &str) {
-        self.inner.attach_metrics(registry, prefix);
+    fn deref(&self) -> &Self::Target {
+        &self.inner
     }
 }
 

@@ -13,6 +13,10 @@
 //! | [`NonBlockingQueue`] | Figure 2 | non-blocking |
 //! | [`CsQueue`] | Figure 3 | starvation-free, contention-sensitive |
 //!
+//! As for the stack, the last two keep only their own operations and
+//! dereference to `cso-core`'s transformation and the
+//! [`AbortableQueue`] for everything else.
+//!
 //! The design mirrors the stack's register discipline: a `TAIL`
 //! register `⟨count, value, sn⟩` is the authority for the enqueue end
 //! (with the same lazy slot write + helping + per-slot sequence

@@ -1,9 +1,11 @@
 //! The non-blocking queue (Figure-2 methodology).
 
+use std::ops::Deref;
+
 use cso_core::{ContentionManager, NoBackoff, NonBlocking, ProgressCondition};
 use cso_memory::bits::Bits32;
 
-use crate::abortable::{AbortableQueue, QueueAbortStats};
+use crate::abortable::AbortableQueue;
 use crate::outcome::{DequeueOutcome, EnqueueOutcome, QueueOp};
 
 /// A **non-blocking bounded FIFO queue**: an [`AbortableQueue`] whose
@@ -12,7 +14,9 @@ use crate::outcome::{DequeueOutcome, EnqueueOutcome, QueueOp};
 ///
 /// No operation ever returns ⊥; at least one concurrent operation
 /// always terminates. `M` selects the inter-retry backoff
-/// ([`NoBackoff`] = the literal figure).
+/// ([`NoBackoff`] = the literal figure). The object's accessors
+/// (`capacity`, `len`, `abort_stats`, …) are [`AbortableQueue`]'s,
+/// reached through `Deref`.
 ///
 /// ```
 /// use cso_queue::{NonBlockingQueue, EnqueueOutcome, DequeueOutcome};
@@ -68,33 +72,18 @@ impl<V: Bits32, M: ContentionManager> NonBlockingQueue<V, M> {
         self.inner.apply(&QueueOp::Dequeue).expect_dequeue()
     }
 
-    /// The capacity fixed at construction.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.inner.inner().capacity()
-    }
-
-    /// Racy size snapshot, never more than the capacity (see
-    /// [`AbortableQueue::len`]).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.inner().len()
-    }
-
-    /// Racy emptiness snapshot.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.inner.inner().is_empty()
-    }
-
-    /// Attempt/abort counters of the underlying weak operations.
-    pub fn abort_stats(&self) -> QueueAbortStats {
-        self.inner.inner().abort_stats()
-    }
-
     /// The underlying abortable queue.
     pub fn as_abortable(&self) -> &AbortableQueue<V> {
         self.inner.inner()
+    }
+}
+
+impl<V: Bits32, M: ContentionManager> Deref for NonBlockingQueue<V, M> {
+    type Target = NonBlocking<AbortableQueue<V>, M>;
+
+    #[inline]
+    fn deref(&self) -> &Self::Target {
+        &self.inner
     }
 }
 

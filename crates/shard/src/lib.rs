@@ -8,7 +8,8 @@
 //! the paper's algorithms: [`ShardedCsStack`] and [`ShardedCsQueue`]
 //! are **N independent Figure-3 cells** (each a full `CsStack` /
 //! `CsQueue` with the escalation ladder, combining slow path, and
-//! crash-recovery machinery intact) behind a thin router.
+//! crash-recovery machinery intact) behind a thin router — two
+//! aliases of one [`Sharded`], which has every accessor.
 //!
 //! The router adds three things:
 //!
@@ -78,5 +79,5 @@ mod stack;
 
 pub use config::ShardConfig;
 pub use queue::ShardedCsQueue;
-pub use router::RouterStats;
+pub use router::{RouterStats, ShardLane, Sharded};
 pub use stack::ShardedCsStack;

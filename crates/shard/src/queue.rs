@@ -5,7 +5,9 @@ use cso_queue::{CsQueue, DequeueOutcome, EnqueueOutcome, QueueValue};
 use cso_trace::Registry;
 
 use crate::config::ShardConfig;
-use crate::router::{Router, RouterStats, ShardLane};
+use crate::router::{sealed, ShardLane, Sharded};
+
+impl<V: QueueValue> sealed::Sealed for CsQueue<V, TasLock> {}
 
 impl<V: QueueValue> ShardLane for CsQueue<V, TasLock> {
     type Value = V;
@@ -45,7 +47,8 @@ pub(crate) fn power_of_two_floor(raw: usize) -> usize {
 /// pairs, the escalation ladder, combining, and recovery all work
 /// unchanged per lane, and each lane keeps the exact seven-access solo
 /// budget (the router adds only uncounted peeks). See the crate
-/// docs for the relaxation bound and the elasticity protocol.
+/// docs for the relaxation bound and the elasticity protocol, and
+/// [`Sharded`] for the accessors both sharded objects share.
 ///
 /// ```
 /// use cso_shard::{ShardConfig, ShardedCsQueue};
@@ -60,9 +63,7 @@ pub(crate) fn power_of_two_floor(raw: usize) -> usize {
 /// assert_eq!(queue.dequeue(3), DequeueOutcome::Dequeued(2));
 /// assert_eq!(queue.dequeue(0), DequeueOutcome::Empty);
 /// ```
-pub struct ShardedCsQueue<V: QueueValue = u32> {
-    router: Router<CsQueue<V, TasLock>>,
-}
+pub type ShardedCsQueue<V = u32> = Sharded<CsQueue<V, TasLock>>;
 
 impl<V: QueueValue> ShardedCsQueue<V> {
     /// A sharded queue holding up to `capacity` values for processes
@@ -81,15 +82,14 @@ impl<V: QueueValue> ShardedCsQueue<V> {
     /// limits.
     #[must_use]
     pub fn new(capacity: usize, n: usize, config: ShardConfig) -> ShardedCsQueue<V> {
-        let router = Router::new(&config, n, capacity, power_of_two_floor, |lane_cap| {
+        Sharded::build(&config, n, capacity, power_of_two_floor, |lane_cap| {
             CsQueue::with_config(lane_cap, TasLock::new(), n, config.cs)
-        });
-        ShardedCsQueue { router }
+        })
     }
 
     /// Enqueues `value` on behalf of process `proc`.
     pub fn enqueue(&self, proc: usize, value: V) -> EnqueueOutcome {
-        if self.router.push(proc, value) {
+        if self.route_push(proc, value) {
             EnqueueOutcome::Enqueued
         } else {
             EnqueueOutcome::Full
@@ -98,101 +98,10 @@ impl<V: QueueValue> ShardedCsQueue<V> {
 
     /// Dequeues on behalf of process `proc`.
     pub fn dequeue(&self, proc: usize) -> DequeueOutcome<V> {
-        match self.router.pop(proc) {
+        match self.route_pop(proc) {
             Some(v) => DequeueOutcome::Dequeued(v),
             None => DequeueOutcome::Empty,
         }
-    }
-
-    /// Total capacity: `lanes × lane_cap`, see [`ShardedCsQueue::new`].
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.router.capacity()
-    }
-
-    /// Element count: the sum of the lanes' own counts, each read with
-    /// an uncounted peek — O(lanes), and there is no other record of
-    /// it. Racy (each lane's count is exact at its own instant), exact
-    /// at quiescence.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.router.len()
-    }
-
-    /// Whether every lane reads empty — O(lanes), same freshness as
-    /// [`len`](Self::len).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lane `lane`'s element count as the lane's own registers hold
-    /// it (an uncounted peek — what the router steers by).
-    #[must_use]
-    pub fn occupancy(&self, lane: usize) -> usize {
-        self.router.lanes()[lane].lane_peek_len()
-    }
-
-    /// Number of processes the structure was built for.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.router.n()
-    }
-
-    /// Number of lanes (total, including inactive ones).
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.router.lanes().len()
-    }
-
-    /// Length of the currently active lane prefix.
-    #[must_use]
-    pub fn active_lanes(&self) -> usize {
-        self.router.elastic().active()
-    }
-
-    /// The checked out-of-order bound: `max((lanes − 1) × lane_cap,
-    /// n − 1)`, and 0 with one lane.
-    #[must_use]
-    pub fn relaxation_bound(&self) -> usize {
-        self.router.relaxation_bound()
-    }
-
-    /// A snapshot of the router's counters.
-    #[must_use]
-    pub fn router_stats(&self) -> RouterStats {
-        self.router.stats()
-    }
-
-    /// Direct access to lane `i` (telemetry: `path_stats()`,
-    /// `combining_stats()`, … of the underlying cell).
-    #[must_use]
-    pub fn lane(&self, i: usize) -> &CsQueue<V, TasLock> {
-        &self.router.lanes()[i]
-    }
-
-    /// Whether elastic lane scaling is enabled.
-    #[must_use]
-    pub fn elastic_enabled(&self) -> bool {
-        self.router.elastic().enabled()
-    }
-
-    /// Registers per-lane metrics under `{prefix}_lane{i}` plus the
-    /// router's own counters/gauges under `{prefix}_router_*`.
-    pub fn attach_metrics(&self, registry: &Registry, prefix: &str) {
-        self.router.attach_metrics(registry, prefix);
-    }
-}
-
-impl<V: QueueValue> std::fmt::Debug for ShardedCsQueue<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedCsQueue")
-            .field("lanes", &self.lanes())
-            .field("active", &self.active_lanes())
-            .field("bound", &self.relaxation_bound())
-            .field("len", &self.len())
-            .field("capacity", &self.capacity())
-            .finish()
     }
 }
 

@@ -1,11 +1,14 @@
 //! The lane router: affinity, bounded stealing, telemetry.
 //!
-//! Generic over the lane type (a `CsStack` or `CsQueue`); the public
-//! wrappers in [`crate::stack`] / [`crate::queue`] are thin facades
-//! over [`Router`]. The router keeps **no record of occupancy of its
-//! own**: a lane's size is the `index` field of its `TOP` register (the
-//! queue's `TAIL − HEAD`), and the router reads it there, through the
-//! lane's *uncounted* [`peek_len`](ShardLane::lane_peek_len). So a
+//! [`Sharded`] is generic over the lane type (a `CsStack` or
+//! `CsQueue`) and has what the two sharded objects share, once: the
+//! accessors, the metrics and the `Debug` impl. `stack.rs` and
+//! `queue.rs` add each alias's constructor and two operations.
+//!
+//! The router keeps **no record of occupancy of its own**: a lane's
+//! size is the `index` field of its `TOP` register (the queue's
+//! `TAIL − HEAD`), and the router reads it there, through the lane's
+//! *uncounted* [`peek_len`](ShardLane::lane_peek_len). So a
 //! routed operation spends exactly the lane's own counted budget —
 //! Theorem 1's six accesses for a solo stack op, seven for the queue —
 //! and there is no copy of the number to maintain, drift or heal.
@@ -71,9 +74,17 @@ use cso_trace::Registry;
 use crate::config::ShardConfig;
 use crate::elastic::Elastic;
 
-/// What a lane must provide to be routable. Implemented for
-/// `CsStack` / `CsQueue` by the public wrappers.
-pub(crate) trait ShardLane: Send + Sync + 'static {
+pub(crate) mod sealed {
+    /// Keeps [`ShardLane`](super::ShardLane) closed to the two lane
+    /// types this crate routes.
+    pub trait Sealed {}
+}
+
+/// What a lane must provide to be routable: implemented for `CsStack`
+/// and `CsQueue` (with the default TAS lock), and sealed — it is
+/// public only because [`Sharded`] names it in its bound.
+pub trait ShardLane: sealed::Sealed + Send + Sync + 'static {
+    /// The value a lane holds.
     type Value: Copy;
     /// Apply a push/enqueue; `true` = accepted, `false` = full.
     fn lane_push(&self, proc: usize, value: Self::Value) -> bool;
@@ -114,14 +125,18 @@ const POPS: usize = 1;
 const STEALS: usize = 2;
 const SPILLS: usize = 3;
 
-/// The shared router core.
-pub(crate) struct Router<T: ShardLane> {
+/// N independent Figure-3 cells of type `T` behind the sharding
+/// router, with the accessors [`ShardedCsStack`](crate::ShardedCsStack)
+/// and [`ShardedCsQueue`](crate::ShardedCsQueue) share; each alias adds
+/// its constructor and operations.
+pub struct Sharded<T: ShardLane> {
     /// `Arc` (as are `elastic` and `counters`) so the registry's
     /// polled series can read it at scrape time.
     lanes: Arc<[T]>,
     elastic: Arc<Elastic>,
     /// Router statistics, indexed by the constants above: the one
-    /// count of each fact, read by `stats()` and by the registry.
+    /// count of each fact, read by `router_stats()` and by the
+    /// registry.
     counters: Arc<Stripes<4>>,
     /// Set by the first `attach_metrics`; later calls are no-ops.
     attached: AtomicBool,
@@ -150,19 +165,19 @@ fn peek_sum<T: ShardLane>(lanes: &[T]) -> usize {
     lanes.iter().map(T::lane_peek_len).sum()
 }
 
-impl<T: ShardLane> Router<T> {
+impl<T: ShardLane> Sharded<T> {
     /// `cfg.lanes` cells for processes `0..n`, each built by
     /// `make_lane` at the capacity [`ShardConfig::lane_cap`] derives
     /// from `capacity` through `round`.
-    pub(crate) fn new(
+    pub(crate) fn build(
         cfg: &ShardConfig,
         n: usize,
         capacity: usize,
         round: impl Fn(usize) -> usize,
         make_lane: impl Fn(usize) -> T,
-    ) -> Router<T> {
+    ) -> Sharded<T> {
         let lane_cap = cfg.lane_cap(capacity, round);
-        Router {
+        Sharded {
             elastic: Arc::new(Elastic::new(
                 cfg.lanes,
                 cfg.elastic,
@@ -200,7 +215,7 @@ impl<T: ShardLane> Router<T> {
     }
 
     #[inline]
-    pub(crate) fn push(&self, proc: usize, value: T::Value) -> bool {
+    pub(crate) fn route_push(&self, proc: usize, value: T::Value) -> bool {
         let cap = self.lane_cap;
         let full = move |lane: &T| lane.lane_peek_len() >= cap;
         let push = move |lane: &T| lane.lane_push(proc, value).then_some(());
@@ -208,7 +223,7 @@ impl<T: ShardLane> Router<T> {
     }
 
     #[inline]
-    pub(crate) fn pop(&self, proc: usize) -> Option<T::Value> {
+    pub(crate) fn route_pop(&self, proc: usize) -> Option<T::Value> {
         let empty = |lane: &T| lane.lane_peek_len() == 0;
         self.route(proc, POPS, STEALS, empty, move |lane| lane.lane_pop(proc))
     }
@@ -300,12 +315,106 @@ impl<T: ShardLane> Router<T> {
             .find_map(try_lane)
     }
 
+    /// Total capacity: `lanes × lane_cap`, what the cells can hold
+    /// between them (the constructor derives `lane_cap`).
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.lanes.len() * self.lane_cap
+    }
+
+    /// Element count: the sum of the lanes' own counts, each read with
+    /// an uncounted peek — O(lanes), and there is no other record of
+    /// it. Racy (each lane's count is exact at its own instant), exact
+    /// at quiescence.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        peek_sum(&self.lanes)
+    }
+
+    /// Whether every lane reads empty — O(lanes), same freshness as
+    /// [`len`](Self::len).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Lane `lane`'s element count as the lane's own registers hold
+    /// it (an uncounted peek — what the router steers by).
+    #[must_use]
+    pub fn occupancy(&self, lane: usize) -> usize {
+        self.lanes[lane].lane_peek_len()
+    }
+
+    /// Number of processes the structure was built for.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Number of lanes (total, including inactive ones).
+    #[must_use]
+    pub fn lanes(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Length of the currently active lane prefix.
+    #[must_use]
+    pub fn active_lanes(&self) -> usize {
+        self.elastic.active()
+    }
+
+    /// The checked out-of-order bound: `max((lanes − 1) × lane_cap,
+    /// n − 1)` — the first term bounds how far a popped value can be
+    /// from the strict answer, the second the slack on Empty/Full
+    /// answers from in-flight operations (it never moves a popped
+    /// value) — and 0 with one lane, where neither term exists: every
+    /// answer is the only cell's own, at an instant inside the
+    /// operation.
+    #[must_use]
+    pub fn relaxation_bound(&self) -> usize {
+        match self.lanes.len() {
+            1 => 0,
+            lanes => ((lanes - 1) * self.lane_cap).max(self.n.saturating_sub(1)),
+        }
+    }
+
+    /// A snapshot of the router's counters.
+    #[must_use]
+    pub fn router_stats(&self) -> RouterStats {
+        let [pushes, pops, steals, spills] = self.counters.snapshot();
+        RouterStats {
+            pushes,
+            pops,
+            steals,
+            spills,
+            splits: self.elastic.splits(),
+            merges: self.elastic.merges(),
+            active_lanes: self.elastic.active(),
+        }
+    }
+
+    /// Direct access to lane `i` (telemetry: `path_stats()`,
+    /// `combining_stats()`, … of the underlying cell).
+    #[must_use]
+    pub fn lane(&self, i: usize) -> &T {
+        &self.lanes[i]
+    }
+
+    /// Whether elastic lane scaling is enabled.
+    #[must_use]
+    pub fn elastic_enabled(&self) -> bool {
+        self.elastic.enabled()
+    }
+
+    /// Registers per-lane metrics under `{prefix}_lane{i}` plus the
+    /// router's own counters/gauges under `{prefix}_router_*`.
+    ///
     /// First attach wins, as for the lanes. Every series is polled —
     /// evaluated when the registry is scraped — so an attached router
     /// pays nothing per operation: the event counters are lifetime
     /// sums of the router's own cells, and `size` in particular never
     /// turns the O(lanes) `len()` into a per-operation scan.
-    pub(crate) fn attach_metrics(&self, registry: &Registry, prefix: &str) {
+    pub fn attach_metrics(&self, registry: &Registry, prefix: &str) {
         if self.attached.swap(true, Ordering::Relaxed) {
             return;
         }
@@ -330,54 +439,17 @@ impl<T: ShardLane> Router<T> {
         poll("splits", |e| e.splits() as f64);
         poll("merges", |e| e.merges() as f64);
     }
+}
 
-    pub(crate) fn stats(&self) -> RouterStats {
-        let [pushes, pops, steals, spills] = self.counters.snapshot();
-        RouterStats {
-            pushes,
-            pops,
-            steals,
-            spills,
-            splits: self.elastic.splits(),
-            merges: self.elastic.merges(),
-            active_lanes: self.elastic.active(),
-        }
-    }
-
-    pub(crate) fn lanes(&self) -> &[T] {
-        &self.lanes
-    }
-
-    pub(crate) fn elastic(&self) -> &Elastic {
-        &self.elastic
-    }
-
-    /// `lanes × lane_cap`: what the cells can hold between them.
-    pub(crate) fn capacity(&self) -> usize {
-        self.lanes.len() * self.lane_cap
-    }
-
-    pub(crate) fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The checked relaxation bound: the lane-layout bound
-    /// `(lanes − 1) × lane_cap ≤ k` plus the in-flight slack `n − 1`
-    /// folded in as a max (the slack only affects Empty/Full answers,
-    /// never the popped value's distance) — and 0 with one lane, where
-    /// neither term exists: every answer is the only cell's own, at an
-    /// instant inside the operation.
-    pub(crate) fn relaxation_bound(&self) -> usize {
-        match self.lanes.len() {
-            1 => 0,
-            lanes => ((lanes - 1) * self.lane_cap).max(self.n.saturating_sub(1)),
-        }
-    }
-
-    /// The sum of the lanes' own counts: O(lanes), racy (each peek is
-    /// exact at its own instant), exact at quiescence.
-    pub(crate) fn len(&self) -> usize {
-        peek_sum(&self.lanes)
+impl<T: ShardLane> std::fmt::Debug for Sharded<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Sharded")
+            .field("lanes", &self.lanes())
+            .field("active", &self.active_lanes())
+            .field("bound", &self.relaxation_bound())
+            .field("len", &self.len())
+            .field("capacity", &self.capacity())
+            .finish()
     }
 }
 
@@ -432,6 +504,8 @@ mod tests {
         }
     }
 
+    impl sealed::Sealed for Scripted {}
+
     impl ShardLane for Scripted {
         type Value = u32;
         fn lane_push(&self, _: usize, _: u32) -> bool {
@@ -452,10 +526,10 @@ mod tests {
 
     /// `config.lanes` scripted lanes of capacity `CAP`, numbered in
     /// order, for processes `0..8`.
-    fn router(config: ShardConfig) -> Router<Scripted> {
+    fn router(config: ShardConfig) -> Sharded<Scripted> {
         let log = Arc::default();
         let next = Cell::new(0);
-        let router = Router::new(
+        let router = Sharded::build(
             &config,
             8,
             config.lanes * CAP,
@@ -471,22 +545,22 @@ mod tests {
         router
     }
 
-    fn relaxed(lanes: usize) -> Router<Scripted> {
+    fn relaxed(lanes: usize) -> Sharded<Scripted> {
         router(ShardConfig::relaxed(lanes, (lanes - 1) * CAP))
     }
 
     /// Sets lane `i` to `states[i]`, runs `op`, and returns its answer
     /// and every call it made, in order.
     fn run<R>(
-        router: &Router<Scripted>,
+        router: &Sharded<Scripted>,
         states: &[(usize, bool)],
-        op: impl FnOnce(&Router<Scripted>) -> R,
+        op: impl FnOnce(&Sharded<Scripted>) -> R,
     ) -> (R, Vec<Call>) {
-        for (lane, &(peek, answer)) in router.lanes().iter().zip(states) {
+        for (lane, &(peek, answer)) in router.lanes.iter().zip(states) {
             lane.peek.store(peek, Ordering::Relaxed);
             lane.answer.store(answer, Ordering::Relaxed);
         }
-        let log = &router.lanes()[0].log;
+        let log = &router.lanes[0].log;
         log.lock().unwrap().clear();
         let answer = op(router);
         (answer, std::mem::take(&mut *log.lock().unwrap()))
@@ -506,21 +580,21 @@ mod tests {
     #[test]
     fn a_free_home_lane_is_one_peek_and_one_attempt() {
         let r = relaxed(4);
-        let push = run(&r, &[OPEN; 4], |r| r.push(1, 7));
+        let push = run(&r, &[OPEN; 4], |r| r.route_push(1, 7));
         assert_eq!(push, (true, vec![Peek(1), Push(1)]));
-        let pop = run(&r, &[OPEN; 4], |r| r.pop(1));
+        let pop = run(&r, &[OPEN; 4], |r| r.route_pop(1));
         assert_eq!(pop, (Some(1), vec![Peek(1), Pop(1)]));
-        assert_eq!(r.stats(), stats(4, [1, 1, 0, 0]));
+        assert_eq!(r.router_stats(), stats(4, [1, 1, 0, 0]));
     }
 
     #[test]
     fn a_home_lane_that_peeks_full_or_empty_is_passed_over() {
         let r = relaxed(4);
-        let push = run(&r, &[OPEN, FULL, OPEN, OPEN], |r| r.push(1, 7));
+        let push = run(&r, &[OPEN, FULL, OPEN, OPEN], |r| r.route_push(1, 7));
         assert_eq!(push, (true, vec![Peek(1), Peek(2), Push(2)]));
-        let pop = run(&r, &[OPEN, EMPTY, OPEN, OPEN], |r| r.pop(1));
+        let pop = run(&r, &[OPEN, EMPTY, OPEN, OPEN], |r| r.route_pop(1));
         assert_eq!(pop, (Some(2), vec![Peek(1), Peek(2), Pop(2)]));
-        assert_eq!(r.stats(), stats(4, [1, 1, 1, 1]));
+        assert_eq!(r.router_stats(), stats(4, [1, 1, 1, 1]));
     }
 
     /// Home peeks like a candidate and loses its race: round 1 carries
@@ -529,13 +603,15 @@ mod tests {
     #[test]
     fn a_home_lane_that_loses_its_race_counts_as_probed() {
         let r = relaxed(4);
-        let push = run(&r, &[OPEN, RACED, OPEN, OPEN], |r| r.push(1, 7));
+        let push = run(&r, &[OPEN, RACED, OPEN, OPEN], |r| r.route_push(1, 7));
         assert_eq!(push, (true, vec![Peek(1), Push(1), Peek(2), Push(2)]));
-        let pop = run(&r, &[OPEN, RACED, OPEN, OPEN], |r| r.pop(1));
+        let pop = run(&r, &[OPEN, RACED, OPEN, OPEN], |r| r.route_pop(1));
         assert_eq!(pop, (Some(2), vec![Peek(1), Pop(1), Peek(2), Pop(2)]));
-        assert_eq!(r.stats(), stats(4, [1, 1, 1, 1]));
+        assert_eq!(r.router_stats(), stats(4, [1, 1, 1, 1]));
 
-        let push = run(&r, &[RACED, RACED, STALE_FULL, RACED], |r| r.push(1, 7));
+        let push = run(&r, &[RACED, RACED, STALE_FULL, RACED], |r| {
+            r.route_push(1, 7)
+        });
         let round_1 = [
             Peek(1),
             Push(1),
@@ -546,10 +622,10 @@ mod tests {
             Push(0),
         ];
         assert_eq!(push, (true, [&round_1[..], &[Push(2)]].concat()));
-        let pop = run(&r, &[RACED, RACED, STALE_EMPTY, RACED], |r| r.pop(1));
+        let pop = run(&r, &[RACED, RACED, STALE_EMPTY, RACED], |r| r.route_pop(1));
         let round_1 = [Peek(1), Pop(1), Peek(2), Peek(3), Pop(3), Peek(0), Pop(0)];
         assert_eq!(pop, (Some(2), [&round_1[..], &[Pop(2)]].concat()));
-        assert_eq!(r.stats(), stats(4, [2, 2, 2, 2]));
+        assert_eq!(r.router_stats(), stats(4, [2, 2, 2, 2]));
     }
 
     /// Every lane peeked full (empty) at an instant inside the
@@ -560,11 +636,14 @@ mod tests {
         let r = relaxed(4);
         let every = [Peek(1), Peek(2), Peek(3), Peek(0)];
         assert_eq!(
-            run(&r, &[FULL; 4], |r| r.push(1, 7)),
+            run(&r, &[FULL; 4], |r| r.route_push(1, 7)),
             (false, every.to_vec())
         );
-        assert_eq!(run(&r, &[EMPTY; 4], |r| r.pop(1)), (None, every.to_vec()));
-        let push = run(&r, &[RACED; 4], |r| r.push(1, 7));
+        assert_eq!(
+            run(&r, &[EMPTY; 4], |r| r.route_pop(1)),
+            (None, every.to_vec())
+        );
+        let push = run(&r, &[RACED; 4], |r| r.route_push(1, 7));
         let tried = [
             Peek(1),
             Push(1),
@@ -576,7 +655,7 @@ mod tests {
             Push(0),
         ];
         assert_eq!(push, (false, tried.to_vec()));
-        let pop = run(&r, &[RACED; 4], |r| r.pop(1));
+        let pop = run(&r, &[RACED; 4], |r| r.route_pop(1));
         let tried = [
             Peek(1),
             Pop(1),
@@ -588,7 +667,7 @@ mod tests {
             Pop(0),
         ];
         assert_eq!(pop, (None, tried.to_vec()));
-        assert_eq!(r.stats(), stats(4, [0; 4]));
+        assert_eq!(r.router_stats(), stats(4, [0; 4]));
     }
 
     /// The peeks skipped home, a real probe lost its race, and round 2
@@ -597,24 +676,32 @@ mod tests {
     #[test]
     fn a_skipped_home_lane_force_probed_in_round_2_is_no_spill_or_steal() {
         let r = relaxed(4);
-        let push = run(&r, &[FULL, STALE_FULL, RACED, STALE_FULL], |r| r.push(1, 7));
+        let push = run(&r, &[FULL, STALE_FULL, RACED, STALE_FULL], |r| {
+            r.route_push(1, 7)
+        });
         let round_1 = [Peek(1), Peek(2), Push(2), Peek(3), Peek(0)];
         assert_eq!(push, (true, [&round_1[..], &[Push(1)]].concat()));
-        let pop = run(&r, &[EMPTY, STALE_EMPTY, RACED, STALE_EMPTY], |r| r.pop(1));
+        let pop = run(&r, &[EMPTY, STALE_EMPTY, RACED, STALE_EMPTY], |r| {
+            r.route_pop(1)
+        });
         let round_1 = [Peek(1), Peek(2), Pop(2), Peek(3), Peek(0)];
         assert_eq!(pop, (Some(1), [&round_1[..], &[Pop(1)]].concat()));
-        assert_eq!(r.stats(), stats(4, [1, 1, 0, 0]));
+        assert_eq!(r.router_stats(), stats(4, [1, 1, 0, 0]));
 
         // Home answers Full (Empty) in round 2 as well: the next
         // skipped lane in probe order takes it, and that is a spill
         // (a steal).
-        let push = run(&r, &[STALE_FULL, FULL, RACED, STALE_FULL], |r| r.push(1, 7));
+        let push = run(&r, &[STALE_FULL, FULL, RACED, STALE_FULL], |r| {
+            r.route_push(1, 7)
+        });
         let round_1 = [Peek(1), Peek(2), Push(2), Peek(3), Peek(0)];
         assert_eq!(push, (true, [&round_1[..], &[Push(1), Push(3)]].concat()));
-        let pop = run(&r, &[STALE_EMPTY, EMPTY, RACED, STALE_EMPTY], |r| r.pop(1));
+        let pop = run(&r, &[STALE_EMPTY, EMPTY, RACED, STALE_EMPTY], |r| {
+            r.route_pop(1)
+        });
         let round_1 = [Peek(1), Peek(2), Pop(2), Peek(3), Peek(0)];
         assert_eq!(pop, (Some(3), [&round_1[..], &[Pop(1), Pop(3)]].concat()));
-        assert_eq!(r.stats(), stats(4, [2, 2, 1, 1]));
+        assert_eq!(r.router_stats(), stats(4, [2, 2, 1, 1]));
     }
 
     /// `proc ≥ active` homes at `proc mod active`, and the probe order
@@ -623,16 +710,16 @@ mod tests {
     fn a_process_beyond_the_lanes_homes_at_proc_mod_active() {
         let r = relaxed(4);
         assert_eq!(
-            run(&r, &[OPEN; 4], |r| r.push(5, 7)),
+            run(&r, &[OPEN; 4], |r| r.route_push(5, 7)),
             (true, vec![Peek(1), Push(1)])
         );
-        let push = run(&r, &[OPEN, OPEN, OPEN, FULL], |r| r.push(7, 7));
+        let push = run(&r, &[OPEN, OPEN, OPEN, FULL], |r| r.route_push(7, 7));
         assert_eq!(push, (true, vec![Peek(3), Peek(0), Push(0)]));
-        let pop = run(&r, &[EMPTY, EMPTY, OPEN, EMPTY], |r| r.pop(6));
+        let pop = run(&r, &[EMPTY, EMPTY, OPEN, EMPTY], |r| r.route_pop(6));
         assert_eq!(pop, (Some(2), vec![Peek(2), Pop(2)]));
-        let pop = run(&r, &[EMPTY, OPEN, OPEN, OPEN], |r| r.pop(4));
+        let pop = run(&r, &[EMPTY, OPEN, OPEN, OPEN], |r| r.route_pop(4));
         assert_eq!(pop, (Some(1), vec![Peek(0), Peek(1), Pop(1)]));
-        assert_eq!(r.stats(), stats(4, [2, 2, 1, 1]));
+        assert_eq!(r.router_stats(), stats(4, [2, 2, 1, 1]));
     }
 
     /// With the elastic prefix at 2 of 4 lanes, home is `proc mod 2`,
@@ -642,26 +729,26 @@ mod tests {
     #[test]
     fn an_elastic_prefix_probes_from_home_then_the_inactive_tail() {
         let r = router(ShardConfig::relaxed(4, 3 * CAP).with_elastic());
-        assert_eq!(r.elastic().active(), 1);
+        assert_eq!(r.elastic.active(), 1);
         let both_wrote = std::array::from_fn(|stripe| u64::from(stripe < 2));
-        r.elastic().evaluate(both_wrote, |_| 1);
-        assert_eq!(r.elastic().active(), 2);
+        r.elastic.evaluate(both_wrote, |_| 1);
+        assert_eq!(r.elastic.active(), 2);
 
-        let push = run(&r, &[FULL, FULL, FULL, OPEN], |r| r.push(5, 7));
+        let push = run(&r, &[FULL, FULL, FULL, OPEN], |r| r.route_push(5, 7));
         assert_eq!(
             push,
             (true, vec![Peek(1), Peek(0), Peek(2), Peek(3), Push(3)])
         );
-        let pop = run(&r, &[EMPTY, EMPTY, OPEN, OPEN], |r| r.pop(3));
+        let pop = run(&r, &[EMPTY, EMPTY, OPEN, OPEN], |r| r.route_pop(3));
         assert_eq!(pop, (Some(2), vec![Peek(1), Peek(0), Peek(2), Pop(2)]));
-        let push = run(&r, &[OPEN; 4], |r| r.push(2, 7));
+        let push = run(&r, &[OPEN; 4], |r| r.route_push(2, 7));
         assert_eq!(push, (true, vec![Peek(0), Push(0)]));
         // Round 2 force-probes the skipped lanes in the same order.
-        let pop = run(&r, &[EMPTY, STALE_EMPTY, RACED, EMPTY], |r| r.pop(0));
+        let pop = run(&r, &[EMPTY, STALE_EMPTY, RACED, EMPTY], |r| r.route_pop(0));
         let calls = vec![Peek(0), Peek(1), Peek(2), Pop(2), Peek(3), Pop(0), Pop(1)];
         assert_eq!(pop, (Some(1), calls));
         assert_eq!(
-            r.stats(),
+            r.router_stats(),
             RouterStats {
                 splits: 1,
                 ..stats(2, [2, 2, 2, 1])
@@ -675,15 +762,18 @@ mod tests {
     fn one_lane_takes_the_same_path() {
         let r = router(ShardConfig::strict(4));
         assert_eq!(
-            run(&r, &[OPEN], |r| r.push(3, 7)),
+            run(&r, &[OPEN], |r| r.route_push(3, 7)),
             (true, vec![Peek(0), Push(0)])
         );
-        assert_eq!(run(&r, &[FULL], |r| r.push(3, 7)), (false, vec![Peek(0)]));
         assert_eq!(
-            run(&r, &[RACED], |r| r.pop(3)),
+            run(&r, &[FULL], |r| r.route_push(3, 7)),
+            (false, vec![Peek(0)])
+        );
+        assert_eq!(
+            run(&r, &[RACED], |r| r.route_pop(3)),
             (None, vec![Peek(0), Pop(0)])
         );
-        assert_eq!(run(&r, &[EMPTY], |r| r.pop(3)), (None, vec![Peek(0)]));
-        assert_eq!(r.stats(), stats(1, [1, 0, 0, 0]));
+        assert_eq!(run(&r, &[EMPTY], |r| r.route_pop(3)), (None, vec![Peek(0)]));
+        assert_eq!(r.router_stats(), stats(1, [1, 0, 0, 0]));
     }
 }

@@ -5,7 +5,9 @@ use cso_stack::{CsStack, PopOutcome, PushOutcome, StackValue};
 use cso_trace::Registry;
 
 use crate::config::ShardConfig;
-use crate::router::{Router, RouterStats, ShardLane};
+use crate::router::{sealed, ShardLane, Sharded};
+
+impl<V: StackValue> sealed::Sealed for CsStack<V, TasLock> {}
 
 impl<V: StackValue> ShardLane for CsStack<V, TasLock> {
     type Value = V;
@@ -39,7 +41,8 @@ impl<V: StackValue> ShardLane for CsStack<V, TasLock> {
 /// slow path, and recovery machinery all work unchanged per lane, and
 /// each lane keeps Theorem 1's exact six-access solo budget (the
 /// router adds only uncounted peeks). See the crate docs for
-/// the relaxation bound and the elasticity protocol.
+/// the relaxation bound and the elasticity protocol, and [`Sharded`]
+/// for the accessors both sharded objects share.
 ///
 /// ```
 /// use cso_shard::{ShardConfig, ShardedCsStack};
@@ -54,9 +57,7 @@ impl<V: StackValue> ShardLane for CsStack<V, TasLock> {
 /// assert_eq!(stack.pop(3), PopOutcome::Popped(1));
 /// assert_eq!(stack.pop(0), PopOutcome::Empty);
 /// ```
-pub struct ShardedCsStack<V: StackValue = u32> {
-    router: Router<CsStack<V, TasLock>>,
-}
+pub type ShardedCsStack<V = u32> = Sharded<CsStack<V, TasLock>>;
 
 impl<V: StackValue> ShardedCsStack<V> {
     /// A sharded stack holding up to `capacity` values for processes
@@ -75,19 +76,18 @@ impl<V: StackValue> ShardedCsStack<V> {
     /// violates `CsStack`'s own limits.
     #[must_use]
     pub fn new(capacity: usize, n: usize, config: ShardConfig) -> ShardedCsStack<V> {
-        let router = Router::new(
+        Sharded::build(
             &config,
             n,
             capacity,
             |raw| raw,
             |lane_cap| CsStack::with_config(lane_cap, TasLock::new(), n, config.cs),
-        );
-        ShardedCsStack { router }
+        )
     }
 
     /// Pushes `value` on behalf of process `proc`.
     pub fn push(&self, proc: usize, value: V) -> PushOutcome {
-        if self.router.push(proc, value) {
+        if self.route_push(proc, value) {
             PushOutcome::Pushed
         } else {
             PushOutcome::Full
@@ -96,103 +96,10 @@ impl<V: StackValue> ShardedCsStack<V> {
 
     /// Pops on behalf of process `proc`.
     pub fn pop(&self, proc: usize) -> PopOutcome<V> {
-        match self.router.pop(proc) {
+        match self.route_pop(proc) {
             Some(v) => PopOutcome::Popped(v),
             None => PopOutcome::Empty,
         }
-    }
-
-    /// Total capacity: `lanes × lane_cap`, see [`ShardedCsStack::new`].
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.router.capacity()
-    }
-
-    /// Element count: the sum of the lanes' own counts, each read with
-    /// an uncounted peek — O(lanes), and there is no other record of
-    /// it. Racy (each lane's count is exact at its own instant), exact
-    /// at quiescence.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.router.len()
-    }
-
-    /// Whether every lane reads empty — O(lanes), same freshness as
-    /// [`len`](Self::len).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lane `lane`'s element count as the lane's own registers hold
-    /// it (an uncounted peek — what the router steers by).
-    #[must_use]
-    pub fn occupancy(&self, lane: usize) -> usize {
-        self.router.lanes()[lane].lane_peek_len()
-    }
-
-    /// Number of processes the structure was built for.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.router.n()
-    }
-
-    /// Number of lanes (total, including inactive ones).
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.router.lanes().len()
-    }
-
-    /// Length of the currently active lane prefix.
-    #[must_use]
-    pub fn active_lanes(&self) -> usize {
-        self.router.elastic().active()
-    }
-
-    /// The checked out-of-order bound: `max((lanes − 1) × lane_cap,
-    /// n − 1)` (the first term bounds how far a popped value can be
-    /// from the strict answer, the second the slack on Empty/Full
-    /// answers from in-flight operations), and 0 with one lane.
-    #[must_use]
-    pub fn relaxation_bound(&self) -> usize {
-        self.router.relaxation_bound()
-    }
-
-    /// A snapshot of the router's counters.
-    #[must_use]
-    pub fn router_stats(&self) -> RouterStats {
-        self.router.stats()
-    }
-
-    /// Direct access to lane `i` (telemetry: `path_stats()`,
-    /// `combining_stats()`, … of the underlying cell).
-    #[must_use]
-    pub fn lane(&self, i: usize) -> &CsStack<V, TasLock> {
-        &self.router.lanes()[i]
-    }
-
-    /// Whether elastic lane scaling is enabled.
-    #[must_use]
-    pub fn elastic_enabled(&self) -> bool {
-        self.router.elastic().enabled()
-    }
-
-    /// Registers per-lane metrics under `{prefix}_lane{i}` plus the
-    /// router's own counters/gauges under `{prefix}_router_*`.
-    pub fn attach_metrics(&self, registry: &Registry, prefix: &str) {
-        self.router.attach_metrics(registry, prefix);
-    }
-}
-
-impl<V: StackValue> std::fmt::Debug for ShardedCsStack<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedCsStack")
-            .field("lanes", &self.lanes())
-            .field("active", &self.active_lanes())
-            .field("bound", &self.relaxation_bound())
-            .field("len", &self.len())
-            .field("capacity", &self.capacity())
-            .finish()
     }
 }
 

@@ -1,14 +1,12 @@
 //! Figure 3: the contention-sensitive starvation-free stack.
 
+use std::ops::Deref;
 use std::time::Duration;
 
-use cso_core::{
-    Abortable, Aborted, AdaptiveGate, CombiningStats, ContentionSensitive, CsConfig, CsError,
-    FaultStats, PathStats, ProgressCondition, RecoveryStats,
-};
+use cso_core::{ContentionSensitive, CsConfig, CsError, ProgressCondition};
 use cso_locks::{RawLock, TasLock};
 
-use crate::abortable::{AbortStats, AbortableStack};
+use crate::abortable::AbortableStack;
 use crate::outcome::{PopOutcome, PushOutcome, StackOp};
 use crate::value::StackValue;
 
@@ -25,6 +23,10 @@ use crate::value::StackValue;
 ///
 /// Each participating thread passes its process identity
 /// (`0..n`, typically from [`cso_memory::registry::ProcRegistry`]).
+///
+/// The stack keeps only its own operations; through `Deref`,
+/// [`ContentionSensitive`] has the statistics (`path_stats`, `gate`,
+/// `liveness`, …) and [`AbortableStack`] the accessors (`len`, …).
 ///
 /// ```
 /// use cso_stack::{CsStack, PushOutcome, PopOutcome};
@@ -144,135 +146,14 @@ impl<V: StackValue, L: RawLock> CsStack<V, L> {
             .try_apply_for(proc, &StackOp::Pop, timeout)
             .map(|resp| resp.expect_pop())
     }
+}
 
-    /// The capacity fixed at construction.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.inner.inner().capacity()
-    }
+impl<V: StackValue, L: RawLock> Deref for CsStack<V, L> {
+    type Target = ContentionSensitive<AbortableStack<V>, L>;
 
-    /// Racy size snapshot (one shared access).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.inner().len()
-    }
-
-    /// Racy emptiness snapshot (one shared access).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.inner.inner().is_empty()
-    }
-
-    /// Racy size snapshot through an uncounted peek (see
-    /// [`AbortableStack::peek_len`]).
     #[inline]
-    #[must_use]
-    pub fn peek_len(&self) -> usize {
-        self.inner.inner().peek_len()
-    }
-
-    /// The number of processes this stack serves.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    /// How many operations completed on each path — fast, eliminated
-    /// (the escalation ladder's rendezvous rung), or under the lock
-    /// (experiment E4).
-    pub fn path_stats(&self) -> PathStats {
-        self.inner.stats()
-    }
-
-    /// Push/pop *pairs* completed by elimination rendezvous (zero
-    /// unless built with [`CsConfig::with_elimination`]). Each pair
-    /// accounts for **two** entries in [`PathStats::eliminated`] once
-    /// both sides return.
-    #[must_use]
-    pub fn eliminated_pairs(&self) -> u64 {
-        self.inner.inner().eliminated_pairs()
-    }
-
-    /// Restarts the path statistics from zero — a baseline snapshot,
-    /// safe against concurrent operations (see
-    /// [`ContentionSensitive::reset_stats`]).
-    pub fn reset_path_stats(&self) {
-        self.inner.reset_stats()
-    }
-
-    /// Attempt/abort counters of the underlying weak operations.
-    pub fn abort_stats(&self) -> AbortStats {
-        self.inner.inner().abort_stats()
-    }
-
-    /// Survived slow-path panics and deadline expiries (see
-    /// [`ContentionSensitive::fault_stats`]).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.inner.fault_stats()
-    }
-
-    /// Combiner-tenure totals of the flat-combining slow path
-    /// (all zero unless built with [`CsConfig::with_combining`]).
-    pub fn combining_stats(&self) -> CombiningStats {
-        self.inner.combining_stats()
-    }
-
-    /// The adaptive contention gate (consulted only when built with
-    /// [`CsConfig::with_adaptive_gate`]).
-    pub fn gate(&self) -> &AdaptiveGate {
-        self.inner.gate()
-    }
-
-    /// Whether the slow path is permanently closed because the
-    /// crash-recovery succession budget ran out (see
-    /// [`ContentionSensitive::is_poisoned`]).
-    #[must_use]
-    pub fn is_poisoned(&self) -> bool {
-        self.inner.is_poisoned()
-    }
-
-    /// Crash-recovery counters, or `None` unless built with
-    /// [`CsConfig::with_recovery`] (see
-    /// [`ContentionSensitive::recovery_stats`]).
-    #[must_use]
-    pub fn recovery_stats(&self) -> Option<RecoveryStats> {
-        self.inner.recovery_stats()
-    }
-
-    /// The liveness registry driving crash recovery, or `None` unless
-    /// built with [`CsConfig::with_recovery`] (see
-    /// [`ContentionSensitive::liveness`]).
-    #[must_use]
-    pub fn liveness(&self) -> Option<&std::sync::Arc<cso_core::Liveness>> {
-        self.inner.liveness()
-    }
-
-    /// Registers this stack's live metrics under `prefix` (see
-    /// [`ContentionSensitive::attach_metrics`]; first call wins, and
-    /// unattached stacks keep Theorem 1's access budget untouched).
-    pub fn attach_metrics(&self, registry: &cso_trace::Registry, prefix: &str) {
-        self.inner.attach_metrics(registry, prefix);
-    }
-}
-
-/// A `CsStack` is itself abortable in the degenerate sense that it
-/// never aborts; exposing the trait lets generic harnesses treat every
-/// stack uniformly. `proc` is carried in the op via
-/// [`CsStackOp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CsStackOp<V> {
-    /// The invoking process identity.
-    pub proc: usize,
-    /// The stack operation.
-    pub op: StackOp<V>,
-}
-
-impl<V: StackValue, L: RawLock> Abortable for CsStack<V, L> {
-    type Op = CsStackOp<V>;
-    type Response = crate::outcome::StackResponse<V>;
-
-    fn try_apply(&self, op: &CsStackOp<V>) -> Result<Self::Response, Aborted> {
-        Ok(self.inner.apply(op.proc, &op.op))
+    fn deref(&self) -> &Self::Target {
+        &self.inner
     }
 }
 

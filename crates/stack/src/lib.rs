@@ -13,6 +13,10 @@
 //! (everything under a single lock — the "traditional" approach of
 //! §1.1).
 //!
+//! Figures 2 and 3 keep only their own operations: each dereferences
+//! to `cso-core`'s generic transformation, which has the statistics,
+//! and that to the [`AbortableStack`], which has the accessors.
+//!
 //! Values stored in the register-based stacks are 32-bit
 //! ([`StackValue`]); a larger payload rides as an index into storage
 //! the caller owns (`examples/job_scheduler.rs`).

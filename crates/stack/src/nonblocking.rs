@@ -1,8 +1,10 @@
 //! Figure 2: the non-blocking stack.
 
+use std::ops::Deref;
+
 use cso_core::{ContentionManager, NoBackoff, NonBlocking, ProgressCondition};
 
-use crate::abortable::{AbortStats, AbortableStack};
+use crate::abortable::AbortableStack;
 use crate::outcome::{PopOutcome, PushOutcome, StackOp};
 use crate::value::StackValue;
 
@@ -24,7 +26,8 @@ use crate::value::StackValue;
 /// which is what Figure 3 ([`crate::CsStack`]) repairs.
 ///
 /// `M` selects the inter-retry backoff ([`NoBackoff`] = the literal
-/// figure).
+/// figure). The object's accessors (`capacity`, `len`, `abort_stats`,
+/// …) are [`AbortableStack`]'s, reached through `Deref`.
 ///
 /// ```
 /// use cso_stack::{NonBlockingStack, PushOutcome, PopOutcome};
@@ -80,32 +83,18 @@ impl<V: StackValue, M: ContentionManager> NonBlockingStack<V, M> {
         self.inner.apply(&StackOp::Pop).expect_pop()
     }
 
-    /// The capacity fixed at construction.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.inner.inner().capacity()
-    }
-
-    /// Racy size snapshot (one shared access).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.inner().len()
-    }
-
-    /// Racy emptiness snapshot (one shared access).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.inner.inner().is_empty()
-    }
-
-    /// Attempt/abort counters of the underlying weak operations.
-    pub fn abort_stats(&self) -> AbortStats {
-        self.inner.inner().abort_stats()
-    }
-
     /// The underlying abortable stack.
     pub fn as_abortable(&self) -> &AbortableStack<V> {
         self.inner.inner()
+    }
+}
+
+impl<V: StackValue, M: ContentionManager> Deref for NonBlockingStack<V, M> {
+    type Target = NonBlocking<AbortableStack<V>, M>;
+
+    #[inline]
+    fn deref(&self) -> &Self::Target {
+        &self.inner
     }
 }
 

@@ -36,10 +36,11 @@
 //! |---|---|
 //! | [`memory`] | counted atomic registers, packed words, process registry |
 //! | [`locks`] | TAS/ticket/Lamport locks + the §4.4 booster |
-//! | [`core`] | `Abortable` objects, progress conditions, Figure 2/3 as generic transformations |
-//! | [`stack`] | the paper's three stacks + the lock-based baseline |
+//! | [`core`] | `Abortable` objects, progress conditions, Figure 2/3 as generic transformations — which carry every statistic once, for every object |
+//! | [`stack`] | the paper's three stacks + the lock-based baseline; Figures 2 and 3 keep only their operations and `Deref` to [`core`]'s transformation, which `Deref`s to the abortable stack |
 //! | [`queue`] | the same construction for a bounded FIFO queue |
 //! | [`deque`] | the HLM obstruction-free deque (paper ref \[8\]) and its boosts — one object per rung of the hierarchy |
+//! | [`shard`] | N Figure-3 cells behind one router: `Sharded<T>`, aliased as `ShardedCsStack` and `ShardedCsQueue` |
 //! | [`lincheck`] | history recording + Wing–Gong linearizability checker |
 //! | `sched` (feature `model`) | the model checker: a controlled scheduler that drives these very types through exhaustive, seeded-random, fair and crash-prefixed schedules (`tests/model_*.rs`) |
 //! | [`trace`] | what the objects record into: feature-gated probe rings, latency histograms, the live metrics registry every `attach_metrics` registers in, step auditor, Chrome trace export |

@@ -58,7 +58,7 @@ fn injected_panic_in_locked_slow_path_leaves_object_usable() {
     assert_eq!(cs.apply(1, &Add(5)), 5);
     // CONTENTION restored: contention-free ops are back on the fast path.
     assert_eq!(cs.apply(2, &Add(1)), 6);
-    assert!(cs.stats().fast >= 1);
+    assert!(cs.path_stats().fast >= 1);
 
     // And concurrent threads all complete.
     let handles: Vec<_> = (0..3)
@@ -122,7 +122,7 @@ fn fast_path_abort_storm_degrades_to_lock_without_losing_ops() {
         assert_eq!(cs.apply((i % 2) as usize, &Add(1)), i + 1);
     }
     assert_eq!(cs.inner().value(), 100);
-    let stats = cs.stats();
+    let stats = cs.path_stats();
     assert_eq!(stats.fast, 0, "every fast attempt was vetoed");
     assert_eq!(stats.locked, 100);
     // The veto applies to every attempt: an operation reaches the
@@ -166,7 +166,7 @@ fn delay_and_yield_faults_preserve_correctness_under_load() {
         h.join().expect("no chaos schedule may wedge a thread");
     }
     assert_eq!(cs.inner().value(), THREADS as u64 * OPS);
-    assert_eq!(cs.stats().total(), THREADS as u64 * OPS);
+    assert_eq!(cs.path_stats().total(), THREADS as u64 * OPS);
     assert_eq!(cs.fault_stats().poisoned, 0);
     chaos::reset();
 }

@@ -35,7 +35,7 @@ fn figure3_over_the_queue_with_every_lock() {
             let resp = cs.apply((round as usize + 1) % 4, &QueueOp::Dequeue);
             assert_eq!(resp.expect_dequeue().into_option(), Some(round));
         }
-        assert_eq!(cs.stats().total(), 100);
+        assert_eq!(cs.path_stats().total(), 100);
     }
     exercise(TasLock::new());
     exercise(TicketLock::new());
@@ -110,9 +110,9 @@ fn nested_transformation_is_still_correct() {
     // Pathological but legal: Figure 2 wrapped around a Figure 3
     // object (a never-⊥ object retried is just the object).
     let cs = ContentionSensitive::new(AbortableStack::<u32>::new(8), TasLock::new(), 2);
-    // CsStackOp-style adapter via closure object is overkill; drive
-    // the generic Abortable face of ContentionSensitive through a
-    // reference-wrapper object instead.
+    // `ContentionSensitive` is not itself `Abortable` (its `apply`
+    // takes a process identity and never aborts): a reference-wrapper
+    // object that pins process 0 gives it that face.
     struct ProcPinned<'a>(&'a ContentionSensitive<AbortableStack<u32>, TasLock>);
     impl Abortable for ProcPinned<'_> {
         type Op = StackOp<u32>;
