@@ -13,7 +13,7 @@
 //!    contention. Abortable objects terminate always; solo operations
 //!    never abort.
 //! 2. [`NonBlocking`] — Figure 2: `repeat weak_op() until res ≠ ⊥`,
-//!    parameterized by a [`ContentionManager`] backoff policy.
+//!    retried at once, as printed.
 //! 3. [`ContentionSensitive`] — Figure 3: a lock-free fast path guarded
 //!    by the `CONTENTION` register, and a slow path under a
 //!    deadlock-free lock boosted to starvation freedom by the
@@ -61,7 +61,6 @@ mod abortable;
 mod contention_sensitive;
 mod error;
 mod gate;
-mod manager;
 mod nonblocking;
 pub mod progress;
 
@@ -73,7 +72,6 @@ pub use contention_sensitive::{
 pub use cso_memory::liveness::{Liveness, RecoveryPolicy};
 pub use error::{Aborted, CsError, TimedOut, Unrecoverable};
 pub use gate::{AdaptiveGate, GateStats};
-pub use manager::{ContentionManager, ExpBackoff, NoBackoff, SpinBackoff, YieldBackoff};
 pub use nonblocking::NonBlocking;
 pub use progress::ProgressCondition;
 

@@ -1,7 +1,6 @@
 //! Figure 2: the abortable → non-blocking transformation.
 
 use crate::abortable::Abortable;
-use crate::manager::{ContentionManager, NoBackoff};
 use crate::progress::ProgressCondition;
 
 /// Figure 2 of the paper, generalized to any [`Abortable`] object:
@@ -20,8 +19,8 @@ use crate::progress::ProgressCondition;
 /// without that property (the HLM deque) the same loop is only
 /// obstruction-free. No operation of the wrapper ever returns ⊥.
 ///
-/// The `M` parameter selects the backoff policy between retries;
-/// [`NoBackoff`] is the paper's literal loop.
+/// The loop retries at once, as printed. The one pacing policy in the
+/// repo is Figure 3's `cso_memory::backoff::retry_pause`.
 ///
 /// ```
 /// # use cso_core::{Abortable, Aborted, NonBlocking};
@@ -38,27 +37,15 @@ use crate::progress::ProgressCondition;
 /// assert_eq!(nb.apply(&5), 5); // never ⊥
 /// ```
 #[derive(Debug)]
-pub struct NonBlocking<O, M = NoBackoff> {
+pub struct NonBlocking<O> {
     inner: O,
-    manager: M,
 }
 
-impl<O: Abortable> NonBlocking<O, NoBackoff> {
+impl<O: Abortable> NonBlocking<O> {
     /// Wraps `inner` with the paper's immediate-retry loop.
     #[must_use]
-    pub fn new(inner: O) -> NonBlocking<O, NoBackoff> {
-        NonBlocking {
-            inner,
-            manager: NoBackoff,
-        }
-    }
-}
-
-impl<O: Abortable, M: ContentionManager> NonBlocking<O, M> {
-    /// Wraps `inner` with retries paced by `manager`.
-    #[must_use]
-    pub fn with_manager(inner: O, manager: M) -> NonBlocking<O, M> {
-        NonBlocking { inner, manager }
+    pub fn new(inner: O) -> NonBlocking<O> {
+        NonBlocking { inner }
     }
 
     /// The progress condition this transformation provides.
@@ -67,45 +54,17 @@ impl<O: Abortable, M: ContentionManager> NonBlocking<O, M> {
     /// Applies `op`, retrying aborts until it takes effect. Never
     /// returns ⊥.
     pub fn apply(&self, op: &O::Op) -> O::Response {
-        let mut attempt: u32 = 0;
         loop {
-            match self.inner.try_apply(op) {
-                Ok(res) => return res,
-                Err(_) => {
-                    self.manager.on_abort(attempt);
-                    attempt = attempt.saturating_add(1);
-                }
-            }
-        }
-    }
-
-    /// Applies `op` with a retry budget, returning `None` if every
-    /// attempt aborted. Exposes the intermediate abort count for
-    /// diagnostics (experiment E2 uses it).
-    pub fn apply_bounded(&self, op: &O::Op, max_attempts: u32) -> Option<O::Response> {
-        for attempt in 0..max_attempts {
             if let Ok(res) = self.inner.try_apply(op) {
-                return Some(res);
+                return res;
             }
-            self.manager.on_abort(attempt);
         }
-        None
-    }
-
-    /// The wrapped abortable object.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// Unwraps the transformation.
-    pub fn into_inner(self) -> O {
-        self.inner
     }
 }
 
 /// The wrapped object's own accessors, read through the loop (see the
 /// same impl on [`ContentionSensitive`](crate::ContentionSensitive)).
-impl<O, M> std::ops::Deref for NonBlocking<O, M> {
+impl<O> std::ops::Deref for NonBlocking<O> {
     type Target = O;
 
     #[inline]
@@ -117,52 +76,21 @@ impl<O, M> std::ops::Deref for NonBlocking<O, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::{ExpBackoff, YieldBackoff};
     use crate::testobj::{Bump, ScriptedObject};
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn retries_until_success() {
         let nb = NonBlocking::new(ScriptedObject::with_aborts(10));
         assert_eq!(nb.apply(&Bump(3)), 3);
-        assert_eq!(
-            nb.inner()
-                .aborts_left
-                .load(std::sync::atomic::Ordering::SeqCst),
-            0
-        );
+        assert_eq!(nb.aborts_left.load(Ordering::SeqCst), 0);
     }
 
     #[test]
-    fn works_with_every_manager() {
-        let nb = NonBlocking::with_manager(ScriptedObject::with_aborts(5), ExpBackoff::default());
+    fn retries_through_five_aborts() {
+        let nb = NonBlocking::new(ScriptedObject::with_aborts(5));
         assert_eq!(nb.apply(&Bump(1)), 1);
-        let nb = NonBlocking::with_manager(ScriptedObject::with_aborts(5), YieldBackoff);
-        assert_eq!(nb.apply(&Bump(1)), 1);
-    }
-
-    #[test]
-    fn bounded_apply_gives_up() {
-        let nb = NonBlocking::new(ScriptedObject::with_aborts(100));
-        assert_eq!(nb.apply_bounded(&Bump(1), 10), None);
-        // 10 attempts consumed 10 scripted aborts.
-        assert_eq!(
-            nb.inner()
-                .aborts_left
-                .load(std::sync::atomic::Ordering::SeqCst),
-            90
-        );
-    }
-
-    #[test]
-    fn bounded_apply_succeeds_within_budget() {
-        let nb = NonBlocking::new(ScriptedObject::with_aborts(3));
-        assert_eq!(nb.apply_bounded(&Bump(2), 10), Some(2));
-    }
-
-    #[test]
-    fn into_inner_round_trips() {
-        let nb = NonBlocking::new(ScriptedObject::with_aborts(0));
-        let obj = nb.into_inner();
-        assert_eq!(obj.applied.load(std::sync::atomic::Ordering::SeqCst), 0);
+        assert_eq!(nb.aborts_left.load(Ordering::SeqCst), 0);
+        assert_eq!(nb.applied.load(Ordering::SeqCst), 1);
     }
 }

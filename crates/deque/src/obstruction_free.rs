@@ -3,7 +3,7 @@
 
 use std::ops::Deref;
 
-use cso_core::{ContentionManager, NoBackoff, NonBlocking, ProgressCondition};
+use cso_core::{NonBlocking, ProgressCondition};
 use cso_memory::bits::Bits32;
 
 use crate::abortable::AbortableDeque;
@@ -19,10 +19,9 @@ use crate::outcome::{DequeOp, DequePopOutcome, DequePushOutcome, End};
 /// operations can keep invalidating each other's first `C&S` forever
 /// without either completing (no "my abort implies your success"
 /// property). This is the genuinely weakest rung of the paper's
-/// hierarchy, which is why a contention manager (`M`) matters in
-/// practice and why [`crate::CsDeque`] exists. The object's accessors
-/// (`capacity`, `len`, …) are [`AbortableDeque`]'s, reached through
-/// `Deref`.
+/// hierarchy, which is why [`crate::CsDeque`] exists. The object's
+/// accessors (`capacity`, `len`, …) are [`AbortableDeque`]'s, reached
+/// through `Deref`.
 ///
 /// ```
 /// use cso_deque::{HlmDeque, DequePushOutcome, DequePopOutcome, End};
@@ -32,34 +31,20 @@ use crate::outcome::{DequeOp, DequePopOutcome, DequePushOutcome, End};
 /// assert_eq!(deque.pop(End::Right), DequePopOutcome::Popped(1));
 /// ```
 #[derive(Debug)]
-pub struct HlmDeque<V: Bits32, M: ContentionManager = NoBackoff> {
-    inner: NonBlocking<AbortableDeque<V>, M>,
+pub struct HlmDeque<V: Bits32> {
+    inner: NonBlocking<AbortableDeque<V>>,
 }
 
-impl<V: Bits32> HlmDeque<V, NoBackoff> {
+impl<V: Bits32> HlmDeque<V> {
     /// Creates an empty deque with immediate retries.
     ///
     /// # Panics
     ///
     /// Panics on invalid capacities (see [`AbortableDeque::new`]).
     #[must_use]
-    pub fn new(capacity: usize) -> HlmDeque<V, NoBackoff> {
-        HlmDeque::with_manager(capacity, NoBackoff)
-    }
-}
-
-impl<V: Bits32, M: ContentionManager> HlmDeque<V, M> {
-    /// Creates an empty deque whose retries are paced by `manager`
-    /// (the practical mitigation for the livelock the progress
-    /// condition permits).
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid capacities.
-    #[must_use]
-    pub fn with_manager(capacity: usize, manager: M) -> HlmDeque<V, M> {
+    pub fn new(capacity: usize) -> HlmDeque<V> {
         HlmDeque {
-            inner: NonBlocking::with_manager(AbortableDeque::new(capacity), manager),
+            inner: NonBlocking::new(AbortableDeque::new(capacity)),
         }
     }
 
@@ -78,12 +63,12 @@ impl<V: Bits32, M: ContentionManager> HlmDeque<V, M> {
 
     /// The underlying abortable deque.
     pub fn as_abortable(&self) -> &AbortableDeque<V> {
-        self.inner.inner()
+        &self.inner
     }
 }
 
-impl<V: Bits32, M: ContentionManager> Deref for HlmDeque<V, M> {
-    type Target = NonBlocking<AbortableDeque<V>, M>;
+impl<V: Bits32> Deref for HlmDeque<V> {
+    type Target = NonBlocking<AbortableDeque<V>>;
 
     #[inline]
     fn deref(&self) -> &Self::Target {
@@ -94,7 +79,6 @@ impl<V: Bits32, M: ContentionManager> Deref for HlmDeque<V, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cso_core::YieldBackoff;
     use std::collections::HashSet;
     use std::sync::Arc;
 
@@ -111,15 +95,14 @@ mod tests {
         assert_eq!(d.capacity(), 6);
     }
 
-    /// Under real threads (with yields giving solo windows,
-    /// satisfying the obstruction-freedom hypothesis) values are
-    /// conserved.
+    /// Under real threads values are conserved. The loop retries at
+    /// once; the scheduler's interleaving gives each operation the solo
+    /// window the obstruction-freedom hypothesis asks for.
     #[test]
-    fn concurrent_conservation_with_yielding() {
+    fn concurrent_conservation_with_immediate_retries() {
         const THREADS: u32 = 3;
         const PER_THREAD: u32 = 800;
-        let deque: Arc<HlmDeque<u32, YieldBackoff>> =
-            Arc::new(HlmDeque::with_manager(16, YieldBackoff));
+        let deque: Arc<HlmDeque<u32>> = Arc::new(HlmDeque::new(16));
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let deque = Arc::clone(&deque);

@@ -76,8 +76,8 @@ impl Deadline {
 
 /// A deterministic xorshift64* pseudo-random generator.
 ///
-/// Used for `cso_core::ExpBackoff`'s jitter, the exchanger's slot
-/// selection and the seeded workloads of the tests.
+/// Used for the exchanger's slot selection and the seeded workloads of
+/// the tests.
 /// Not cryptographic; deliberately dependency-free so the core crates
 /// stay `std`-only.
 ///

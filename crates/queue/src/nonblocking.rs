@@ -2,7 +2,7 @@
 
 use std::ops::Deref;
 
-use cso_core::{ContentionManager, NoBackoff, NonBlocking, ProgressCondition};
+use cso_core::{NonBlocking, ProgressCondition};
 use cso_memory::bits::Bits32;
 
 use crate::abortable::AbortableQueue;
@@ -13,10 +13,8 @@ use crate::outcome::{DequeueOutcome, EnqueueOutcome, QueueOp};
 /// Figure 2 transformation, instantiated for the queue.
 ///
 /// No operation ever returns ⊥; at least one concurrent operation
-/// always terminates. `M` selects the inter-retry backoff
-/// ([`NoBackoff`] = the literal figure). The object's accessors
-/// (`capacity`, `len`, `abort_stats`, …) are [`AbortableQueue`]'s,
-/// reached through `Deref`.
+/// always terminates. The object's accessors (`capacity`, `len`,
+/// `abort_stats`, …) are [`AbortableQueue`]'s, reached through `Deref`.
 ///
 /// ```
 /// use cso_queue::{NonBlockingQueue, EnqueueOutcome, DequeueOutcome};
@@ -27,11 +25,11 @@ use crate::outcome::{DequeueOutcome, EnqueueOutcome, QueueOp};
 /// assert_eq!(queue.dequeue(), DequeueOutcome::Dequeued(1));
 /// ```
 #[derive(Debug)]
-pub struct NonBlockingQueue<V: Bits32, M: ContentionManager = NoBackoff> {
-    inner: NonBlocking<AbortableQueue<V>, M>,
+pub struct NonBlockingQueue<V: Bits32> {
+    inner: NonBlocking<AbortableQueue<V>>,
 }
 
-impl<V: Bits32> NonBlockingQueue<V, NoBackoff> {
+impl<V: Bits32> NonBlockingQueue<V> {
     /// Creates an empty queue of capacity `capacity` (a power of two
     /// at most 2¹⁵) with immediate retries.
     ///
@@ -39,23 +37,9 @@ impl<V: Bits32> NonBlockingQueue<V, NoBackoff> {
     ///
     /// Panics on invalid capacities (see [`AbortableQueue::new`]).
     #[must_use]
-    pub fn new(capacity: usize) -> NonBlockingQueue<V, NoBackoff> {
+    pub fn new(capacity: usize) -> NonBlockingQueue<V> {
         NonBlockingQueue {
             inner: NonBlocking::new(AbortableQueue::new(capacity)),
-        }
-    }
-}
-
-impl<V: Bits32, M: ContentionManager> NonBlockingQueue<V, M> {
-    /// Creates an empty queue whose retries are paced by `manager`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid capacities (see [`AbortableQueue::new`]).
-    #[must_use]
-    pub fn with_manager(capacity: usize, manager: M) -> NonBlockingQueue<V, M> {
-        NonBlockingQueue {
-            inner: NonBlocking::with_manager(AbortableQueue::new(capacity), manager),
         }
     }
 
@@ -74,12 +58,12 @@ impl<V: Bits32, M: ContentionManager> NonBlockingQueue<V, M> {
 
     /// The underlying abortable queue.
     pub fn as_abortable(&self) -> &AbortableQueue<V> {
-        self.inner.inner()
+        &self.inner
     }
 }
 
-impl<V: Bits32, M: ContentionManager> Deref for NonBlockingQueue<V, M> {
-    type Target = NonBlocking<AbortableQueue<V>, M>;
+impl<V: Bits32> Deref for NonBlockingQueue<V> {
+    type Target = NonBlocking<AbortableQueue<V>>;
 
     #[inline]
     fn deref(&self) -> &Self::Target {
@@ -161,18 +145,5 @@ mod tests {
                 "producer {t} order violated"
             );
         }
-    }
-
-    #[test]
-    fn with_manager_variant_works() {
-        use cso_core::YieldBackoff;
-        let queue: NonBlockingQueue<u32, YieldBackoff> =
-            NonBlockingQueue::with_manager(8, YieldBackoff);
-        assert_eq!(queue.enqueue(3), EnqueueOutcome::Enqueued);
-        assert_eq!(queue.dequeue(), DequeueOutcome::Dequeued(3));
-        assert!(queue.is_empty());
-        assert_eq!(queue.capacity(), 8);
-        assert_eq!(queue.abort_stats().enq_attempts, 1);
-        assert!(queue.as_abortable().is_empty());
     }
 }

@@ -2,7 +2,7 @@
 
 use std::ops::Deref;
 
-use cso_core::{ContentionManager, NoBackoff, NonBlocking, ProgressCondition};
+use cso_core::{NonBlocking, ProgressCondition};
 
 use crate::abortable::AbortableStack;
 use crate::outcome::{PopOutcome, PushOutcome, StackOp};
@@ -25,9 +25,8 @@ use crate::value::StackValue;
 /// *not* starvation-free — a specific process can lose every race —
 /// which is what Figure 3 ([`crate::CsStack`]) repairs.
 ///
-/// `M` selects the inter-retry backoff ([`NoBackoff`] = the literal
-/// figure). The object's accessors (`capacity`, `len`, `abort_stats`,
-/// …) are [`AbortableStack`]'s, reached through `Deref`.
+/// The object's accessors (`capacity`, `len`, `abort_stats`, …) are
+/// [`AbortableStack`]'s, reached through `Deref`.
 ///
 /// ```
 /// use cso_stack::{NonBlockingStack, PushOutcome, PopOutcome};
@@ -38,11 +37,11 @@ use crate::value::StackValue;
 /// assert_eq!(stack.pop(), PopOutcome::Empty);
 /// ```
 #[derive(Debug)]
-pub struct NonBlockingStack<V: StackValue, M: ContentionManager = NoBackoff> {
-    inner: NonBlocking<AbortableStack<V>, M>,
+pub struct NonBlockingStack<V: StackValue> {
+    inner: NonBlocking<AbortableStack<V>>,
 }
 
-impl<V: StackValue> NonBlockingStack<V, NoBackoff> {
+impl<V: StackValue> NonBlockingStack<V> {
     /// Creates an empty stack of capacity `capacity` with the paper's
     /// immediate-retry loop.
     ///
@@ -50,23 +49,9 @@ impl<V: StackValue> NonBlockingStack<V, NoBackoff> {
     ///
     /// Panics if `capacity` is 0 or exceeds `u16::MAX - 1`.
     #[must_use]
-    pub fn new(capacity: usize) -> NonBlockingStack<V, NoBackoff> {
+    pub fn new(capacity: usize) -> NonBlockingStack<V> {
         NonBlockingStack {
             inner: NonBlocking::new(AbortableStack::new(capacity)),
-        }
-    }
-}
-
-impl<V: StackValue, M: ContentionManager> NonBlockingStack<V, M> {
-    /// Creates an empty stack whose retries are paced by `manager`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is 0 or exceeds `u16::MAX - 1`.
-    #[must_use]
-    pub fn with_manager(capacity: usize, manager: M) -> NonBlockingStack<V, M> {
-        NonBlockingStack {
-            inner: NonBlocking::with_manager(AbortableStack::new(capacity), manager),
         }
     }
 
@@ -85,12 +70,12 @@ impl<V: StackValue, M: ContentionManager> NonBlockingStack<V, M> {
 
     /// The underlying abortable stack.
     pub fn as_abortable(&self) -> &AbortableStack<V> {
-        self.inner.inner()
+        &self.inner
     }
 }
 
-impl<V: StackValue, M: ContentionManager> Deref for NonBlockingStack<V, M> {
-    type Target = NonBlocking<AbortableStack<V>, M>;
+impl<V: StackValue> Deref for NonBlockingStack<V> {
+    type Target = NonBlocking<AbortableStack<V>>;
 
     #[inline]
     fn deref(&self) -> &Self::Target {
@@ -166,15 +151,6 @@ mod tests {
         assert_eq!(all.len(), (THREADS * PER_THREAD) as usize);
         let distinct: HashSet<u32> = all.iter().copied().collect();
         assert_eq!(distinct.len(), all.len());
-    }
-
-    #[test]
-    fn with_manager_variant_works() {
-        use cso_core::ExpBackoff;
-        let stack: NonBlockingStack<u32, ExpBackoff> =
-            NonBlockingStack::with_manager(8, ExpBackoff::default());
-        assert_eq!(stack.push(3), PushOutcome::Pushed);
-        assert_eq!(stack.pop(), PopOutcome::Popped(3));
     }
 
     #[test]

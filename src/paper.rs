@@ -81,7 +81,7 @@
 //!
 //! | Paper | Code |
 //! |---|---|
-//! | contention managers (refs \[4\], \[25\], \[5\]) | [`cso_core::ContentionManager`] policies ([`NoBackoff`](cso_core::NoBackoff), [`SpinBackoff`](cso_core::SpinBackoff), [`ExpBackoff`](cso_core::ExpBackoff), [`YieldBackoff`](cso_core::YieldBackoff)) |
+//! | contention managers (refs \[4\], \[25\], \[5\]) | [`cso_memory::backoff::retry_pause`], Figure 3's one pacing: a constant window gets most of the gain (Dice–Hendler–Mirsky), and Figure 2's [`NonBlocking`](cso_core::NonBlocking) retries at once, as printed |
 //! | abortable mutual exclusion (§1.2, ref \[13\]) | [`cso_locks::StarvationFree::lock_until`] |
 //! | Lamport's fast mutex (§1.1, ref \[16\], “seven accesses”) | [`cso_locks::LamportFastLock`] — measured at exactly 7 |
 //! | the queue as the non-interference example (§1.1) | the whole of [`cso_queue`]: enqueue CASes only `TAIL`, dequeue only `HEAD`; exhaustively verified non-interfering |

@@ -1,25 +1,29 @@
-//! The public surface of the seven object types a client names:
-//! `CsStack`, `CsQueue`, `CsDeque` (Figure 3), `NonBlockingStack`,
-//! `NonBlockingQueue` (Figure 2), `ShardedCsStack` and
-//! `ShardedCsQueue`. Every public method and associated const is
-//! called here once, through plain method syntax and with its return
-//! type spelled out, so a refactor that moves an accessor (onto the
-//! generic transformation, or the shared router) must keep it
-//! reachable under the same name and type — or this file stops
-//! compiling.
+//! The public surface of the object types a client names: `CsStack`,
+//! `CsQueue`, `CsDeque` (Figure 3), `NonBlockingStack`,
+//! `NonBlockingQueue`, `HlmDeque` and the generic `NonBlocking`
+//! (Figure 2), `ShardedCsStack` and `ShardedCsQueue`. Every public
+//! method and associated const is called here once, through plain
+//! method syntax and with its return type spelled out, so a refactor
+//! that moves an accessor (onto the generic transformation, or the
+//! shared router) must keep it reachable under the same name and type
+//! — or this file stops compiling.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use cso::core::{
-    AdaptiveGate, CombiningStats, CsConfig, CsError, FaultStats, Liveness, PathStats,
+    AdaptiveGate, CombiningStats, CsConfig, CsError, FaultStats, Liveness, NonBlocking, PathStats,
     ProgressCondition, RecoveryPolicy, RecoveryStats,
 };
-use cso::deque::{CsDeque, DequePopOutcome, DequePushOutcome, End};
+use cso::deque::{
+    AbortableDeque, CsDeque, DequeOp, DequePopOutcome, DequePushOutcome, End, HlmDeque,
+};
 use cso::locks::{TasLock, TicketLock};
 use cso::queue::{CsQueue, DequeueOutcome, EnqueueOutcome, NonBlockingQueue, QueueAbortStats};
 use cso::shard::{RouterStats, ShardConfig, ShardedCsQueue, ShardedCsStack};
-use cso::stack::{AbortStats, CsStack, NonBlockingStack, PopOutcome, PushOutcome};
+use cso::stack::{
+    AbortStats, AbortableStack, CsStack, NonBlockingStack, PopOutcome, PushOutcome, StackOp,
+};
 use cso::trace::Registry;
 
 const TIMEOUT: Duration = Duration::from_secs(5);
@@ -182,8 +186,6 @@ fn non_blocking_stack_surface() {
     assert_eq!(progress, ProgressCondition::NonBlocking);
 
     let stack: NonBlockingStack<u32> = NonBlockingStack::new(8);
-    let paced = NonBlockingStack::<u32, _>::with_manager(8, cso::core::YieldBackoff);
-    assert_eq!(paced.push(7), PushOutcome::Pushed);
 
     assert_eq!(stack.push(1), PushOutcome::Pushed);
     assert_eq!(stack.pop(), PopOutcome::Popped(1));
@@ -205,8 +207,6 @@ fn non_blocking_queue_surface() {
     assert_eq!(progress, ProgressCondition::NonBlocking);
 
     let queue: NonBlockingQueue<u32> = NonBlockingQueue::new(8);
-    let paced = NonBlockingQueue::<u32, _>::with_manager(8, cso::core::YieldBackoff);
-    assert_eq!(paced.enqueue(7), EnqueueOutcome::Enqueued);
 
     assert_eq!(queue.enqueue(1), EnqueueOutcome::Enqueued);
     assert_eq!(queue.dequeue(), DequeueOutcome::Dequeued(1));
@@ -220,6 +220,55 @@ fn non_blocking_queue_surface() {
     assert_eq!(aborts.enq_attempts + aborts.deq_attempts, 3);
     let weak: &cso::queue::AbortableQueue<u32> = queue.as_abortable();
     assert_eq!(weak.len(), 1);
+}
+
+#[test]
+fn hlm_deque_surface() {
+    let progress: ProgressCondition = HlmDeque::<u32>::PROGRESS;
+    assert_eq!(progress, ProgressCondition::ObstructionFree);
+
+    let deque: HlmDeque<u32> = HlmDeque::new(8);
+    assert_eq!(deque.push(End::Left, 1), DequePushOutcome::Pushed);
+    assert_eq!(deque.push(End::Right, 2), DequePushOutcome::Pushed);
+    assert_eq!(deque.pop(End::Left), DequePopOutcome::Popped(1));
+    assert_eq!(deque.pop(End::Right), DequePopOutcome::Popped(2));
+    deque.push(End::Right, 3);
+
+    // The Figure 2 loop, then the abortable deque, through `Deref`.
+    let looped: &NonBlocking<AbortableDeque<u32>> = &deque;
+    let pushed: DequePushOutcome = looped.apply(&DequeOp::Push(End::Left, 4)).expect_push();
+    assert_eq!(pushed, DequePushOutcome::Pushed);
+    let capacity: usize = deque.capacity();
+    let len: usize = deque.len();
+    let empty: bool = deque.is_empty();
+    assert_eq!((capacity, len, empty), (8, 2, false));
+    let (attempts, aborts): (u64, u64) = deque.abort_counts();
+    assert_eq!((attempts, aborts), (6, 0));
+    let weak: &AbortableDeque<u32> = deque.as_abortable();
+    assert_eq!(weak.try_pop(End::Left), Ok(DequePopOutcome::Popped(4)));
+}
+
+#[test]
+fn non_blocking_surface() {
+    let progress: ProgressCondition = NonBlocking::<AbortableStack<u32>>::PROGRESS;
+    assert_eq!(progress, ProgressCondition::NonBlocking);
+
+    let nb: NonBlocking<AbortableStack<u32>> = NonBlocking::new(AbortableStack::new(8));
+    assert_eq!(
+        nb.apply(&StackOp::Push(1)).expect_push(),
+        PushOutcome::Pushed
+    );
+    assert_eq!(nb.apply(&StackOp::Pop).expect_pop(), PopOutcome::Popped(1));
+    nb.apply(&StackOp::Push(2));
+
+    // The wrapped object's own accessors, through `Deref`.
+    let weak: &AbortableStack<u32> = &nb;
+    assert_eq!(
+        (weak.capacity(), weak.len(), weak.is_empty()),
+        (8, 1, false)
+    );
+    let aborts: AbortStats = nb.abort_stats();
+    assert_eq!(aborts.push_attempts + aborts.pop_attempts, 3);
 }
 
 #[test]

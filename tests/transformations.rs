@@ -2,10 +2,7 @@
 //! every object and lock — the "contention manager that can be used
 //! to solve other fairness-related problems" of §1.2.
 
-use cso::core::{
-    Abortable, ContentionSensitive, CsConfig, ExpBackoff, NoBackoff, NonBlocking, SpinBackoff,
-    YieldBackoff,
-};
+use cso::core::{Abortable, ContentionSensitive, CsConfig, NonBlocking};
 use cso::locks::{TasLock, TicketLock};
 use cso::queue::{AbortableQueue, QueueOp, QueueResponse};
 use cso::stack::{AbortableStack, PopOutcome, PushOutcome, StackOp, StackResponse};
@@ -42,18 +39,16 @@ fn figure3_over_the_queue_with_every_lock() {
 }
 
 #[test]
-fn figure2_with_every_contention_manager() {
+fn figure2_shares_one_object_by_reference() {
     let stack = AbortableStack::<u32>::new(16);
-    // Share one object through several managers (by reference — the
-    // blanket impl of Abortable for &O).
-    let a = NonBlocking::with_manager(&stack, NoBackoff);
-    let b = NonBlocking::with_manager(&stack, SpinBackoff::default());
-    let c = NonBlocking::with_manager(&stack, ExpBackoff::default());
-    let d = NonBlocking::with_manager(&stack, YieldBackoff);
+    // Two loops over one object, by reference (the blanket impl of
+    // Abortable for &O).
+    let a = NonBlocking::new(&stack);
+    let b = NonBlocking::new(&stack);
     a.apply(&StackOp::Push(1));
     b.apply(&StackOp::Push(2));
-    c.apply(&StackOp::Push(3));
-    match d.apply(&StackOp::Pop) {
+    a.apply(&StackOp::Push(3));
+    match b.apply(&StackOp::Pop) {
         StackResponse::Pop(PopOutcome::Popped(v)) => assert_eq!(v, 3),
         other => panic!("unexpected {other:?}"),
     }
