@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use crate::outcome::{DequePopOutcome, DequePushOutcome, End};
+use crate::outcome::{DequeOp, DequePopOutcome, DequePushOutcome, DequeResponse, End};
 
 /// A single-threaded deque with the **linear-HLM arena semantics**:
 /// each end owns a block of null slots, a push consumes a null on its
@@ -11,8 +11,8 @@ use crate::outcome::{DequePopOutcome, DequePushOutcome, End};
 ///
 /// This is deliberately *not* a plain bounded `VecDeque`: it is the
 /// sequential specification of [`crate::AbortableDeque`]'s observable
-/// behaviour, used by the property tests and (conceptually) by any
-/// linearizability checking of the deque family.
+/// behaviour, used by the property tests, the linearizability checker
+/// and the model checker.
 ///
 /// ```
 /// use cso_deque::{SeqDeque, DequePushOutcome, End};
@@ -86,6 +86,14 @@ impl<V: Clone> SeqDeque<V> {
                 DequePopOutcome::Popped(v)
             }
             None => DequePopOutcome::Empty,
+        }
+    }
+
+    /// Applies an operation descriptor (checker-facing interface).
+    pub fn apply(&mut self, op: &DequeOp<V>) -> DequeResponse<V> {
+        match op {
+            DequeOp::Push(end, v) => DequeResponse::Push(self.push(*end, v.clone())),
+            DequeOp::Pop(end) => DequeResponse::Pop(self.pop(*end)),
         }
     }
 

@@ -300,7 +300,7 @@ pub fn check_linearizable<S: SeqSpec>(spec: &S, history: &History<S::Op, S::Resp
 /// [`RelaxedSpec`] with singleton candidates) this agrees exactly with
 /// [`check_linearizable`] — the k-relaxed specs in
 /// [`crate::specs::relaxed`] with `k = 0` therefore decide strict
-/// linearizability.
+/// linearizability against the objects' own `SeqStack`/`SeqQueue`.
 ///
 /// # Panics
 ///
@@ -310,17 +310,17 @@ pub fn check_linearizable<S: SeqSpec>(spec: &S, history: &History<S::Op, S::Resp
 /// use cso_lincheck::checker::check_relaxed_linearizable;
 /// use cso_lincheck::history::History;
 /// use cso_lincheck::specs::relaxed::KStackSpec;
-/// use cso_lincheck::specs::stack::{SpecStackOp as Op, SpecStackResp as Resp};
+/// use cso_stack::{PopOutcome, PushOutcome, StackOp, StackResponse};
 ///
 /// // Two sequential pushes, then a pop returning the *bottom* value:
 /// // distance 1 from the top — illegal strictly, legal for k = 1.
 /// let mut h = History::new();
-/// h.invoke(0, Op::Push(1));
-/// h.ret(0, Resp::Pushed);
-/// h.invoke(0, Op::Push(2));
-/// h.ret(0, Resp::Pushed);
-/// h.invoke(0, Op::Pop);
-/// h.ret(0, Resp::Popped(1));
+/// h.invoke(0, StackOp::Push(1));
+/// h.ret(0, StackResponse::Push(PushOutcome::Pushed));
+/// h.invoke(0, StackOp::Push(2));
+/// h.ret(0, StackResponse::Push(PushOutcome::Pushed));
+/// h.invoke(0, StackOp::Pop);
+/// h.ret(0, StackResponse::Pop(PopOutcome::Popped(1)));
 /// assert!(!check_relaxed_linearizable(&KStackSpec::new(4, 0), &h).is_linearizable());
 /// assert!(check_relaxed_linearizable(&KStackSpec::new(4, 1), &h).is_linearizable());
 /// ```
@@ -414,24 +414,32 @@ pub fn check_relaxed_linearizable<S: RelaxedSpec>(
 mod tests {
     use super::*;
     use crate::specs::register::{RegOp, RegResp, RegisterSpec};
-    use crate::specs::stack::{SpecStackOp as Op, SpecStackResp as Resp, StackSpec};
+    use cso_stack::{PopOutcome, PushOutcome, SeqStack, StackOp as Op, StackResponse as Resp};
+
+    const PUSHED: Resp<u32> = Resp::Push(PushOutcome::Pushed);
+    const FULL: Resp<u32> = Resp::Push(PushOutcome::Full);
+    const EMPTY: Resp<u32> = Resp::Pop(PopOutcome::Empty);
+
+    fn popped(v: u32) -> Resp<u32> {
+        Resp::Pop(PopOutcome::Popped(v))
+    }
 
     #[test]
     fn empty_history_is_linearizable() {
-        let h: History<Op, Resp> = History::new();
-        assert!(check_linearizable(&StackSpec::new(4), &h).is_linearizable());
+        let h: History<Op<u32>, Resp<u32>> = History::new();
+        assert!(check_linearizable(&SeqStack::new(4), &h).is_linearizable());
     }
 
     #[test]
     fn sequential_stack_history_linearizes_in_order() {
         let mut h = History::new();
         h.invoke(0, Op::Push(1));
-        h.ret(0, Resp::Pushed);
+        h.ret(0, PUSHED);
         h.invoke(0, Op::Push(2));
-        h.ret(0, Resp::Pushed);
+        h.ret(0, PUSHED);
         h.invoke(0, Op::Pop);
-        h.ret(0, Resp::Popped(2));
-        let verdict = check_linearizable(&StackSpec::new(4), &h);
+        h.ret(0, popped(2));
+        let verdict = check_linearizable(&SeqStack::new(4), &h);
         assert_eq!(verdict.witness(), Some(&[0, 1, 2][..]));
     }
 
@@ -441,14 +449,14 @@ mod tests {
         // concurrently and the responses arrive "crossed".
         let mut h = History::new();
         h.invoke(0, Op::Push(1));
-        h.ret(0, Resp::Pushed);
+        h.ret(0, PUSHED);
         h.invoke(0, Op::Push(2));
-        h.ret(0, Resp::Pushed);
+        h.ret(0, PUSHED);
         h.invoke(0, Op::Pop);
         h.invoke(1, Op::Pop);
-        h.ret(0, Resp::Popped(1)); // p0 got the *bottom* value
-        h.ret(1, Resp::Popped(2)); // because p1's pop linearized first
-        assert!(check_linearizable(&StackSpec::new(4), &h).is_linearizable());
+        h.ret(0, popped(1)); // p0 got the *bottom* value
+        h.ret(1, popped(2)); // because p1's pop linearized first
+        assert!(check_linearizable(&SeqStack::new(4), &h).is_linearizable());
     }
 
     #[test]
@@ -456,11 +464,11 @@ mod tests {
         // Pop returns a value that was never pushed first.
         let mut h = History::new();
         h.invoke(0, Op::Push(1));
-        h.ret(0, Resp::Pushed);
+        h.ret(0, PUSHED);
         h.invoke(0, Op::Pop);
-        h.ret(0, Resp::Popped(2));
+        h.ret(0, popped(2));
         assert_eq!(
-            check_linearizable(&StackSpec::new(4), &h),
+            check_linearizable(&SeqStack::new(4), &h),
             LinResult::NotLinearizable
         );
     }
@@ -471,11 +479,11 @@ mod tests {
         // Empty: not linearizable.
         let mut h = History::new();
         h.invoke(0, Op::Push(1));
-        h.ret(0, Resp::Pushed);
+        h.ret(0, PUSHED);
         h.invoke(1, Op::Pop);
-        h.ret(1, Resp::Empty);
+        h.ret(1, EMPTY);
         assert_eq!(
-            check_linearizable(&StackSpec::new(4), &h),
+            check_linearizable(&SeqStack::new(4), &h),
             LinResult::NotLinearizable
         );
     }
@@ -487,9 +495,9 @@ mod tests {
         let mut h = History::new();
         h.invoke(0, Op::Push(1));
         h.invoke(1, Op::Pop);
-        h.ret(1, Resp::Empty);
-        h.ret(0, Resp::Pushed);
-        assert!(check_linearizable(&StackSpec::new(4), &h).is_linearizable());
+        h.ret(1, EMPTY);
+        h.ret(0, PUSHED);
+        assert!(check_linearizable(&SeqStack::new(4), &h).is_linearizable());
     }
 
     #[test]
@@ -499,8 +507,8 @@ mod tests {
         let mut h = History::new();
         h.invoke(0, Op::Push(9));
         h.invoke(1, Op::Pop);
-        h.ret(1, Resp::Popped(9));
-        assert!(check_linearizable(&StackSpec::new(4), &h).is_linearizable());
+        h.ret(1, popped(9));
+        assert!(check_linearizable(&SeqStack::new(4), &h).is_linearizable());
     }
 
     #[test]
@@ -509,22 +517,22 @@ mod tests {
         let mut h = History::new();
         h.invoke(0, Op::Push(9));
         h.invoke(1, Op::Pop);
-        h.ret(1, Resp::Empty);
-        assert!(check_linearizable(&StackSpec::new(4), &h).is_linearizable());
+        h.ret(1, EMPTY);
+        assert!(check_linearizable(&SeqStack::new(4), &h).is_linearizable());
     }
 
     #[test]
     fn full_outcome_checks_against_capacity() {
         let mut h = History::new();
         h.invoke(0, Op::Push(1));
-        h.ret(0, Resp::Pushed);
+        h.ret(0, PUSHED);
         h.invoke(0, Op::Push(2));
-        h.ret(0, Resp::Full); // capacity 1: correct
-        assert!(check_linearizable(&StackSpec::new(1), &h).is_linearizable());
+        h.ret(0, FULL); // capacity 1: correct
+        assert!(check_linearizable(&SeqStack::new(1), &h).is_linearizable());
         // With capacity 2 the same history is NOT linearizable (the
         // push could not have failed).
         assert_eq!(
-            check_linearizable(&StackSpec::new(2), &h),
+            check_linearizable(&SeqStack::new(2), &h),
             LinResult::NotLinearizable
         );
     }
@@ -553,9 +561,9 @@ mod tests {
         let mut h = History::new();
         h.invoke(0, Op::Push(1));
         h.invoke(1, Op::Pop);
-        h.ret(0, Resp::Pushed);
-        h.ret(1, Resp::Popped(1));
-        let spec = StackSpec::new(4);
+        h.ret(0, PUSHED);
+        h.ret(1, popped(1));
+        let spec = SeqStack::new(4);
         match check_linearizable_bounded(&spec, &h, 10_000) {
             BoundedLinResult::Linearizable { .. } => {}
             other => panic!("expected linearizable, got {other:?}"),
@@ -563,7 +571,7 @@ mod tests {
         // Non-linearizable histories stay non-linearizable.
         let mut bad = History::new();
         bad.invoke(0, Op::Pop);
-        bad.ret(0, Resp::Popped(9));
+        bad.ret(0, popped(9));
         assert_eq!(
             check_linearizable_bounded(&spec, &bad, 10_000),
             BoundedLinResult::NotLinearizable
@@ -584,11 +592,11 @@ mod tests {
         for i in 0..12 {
             events.push(crate::history::Event::Return {
                 proc: i,
-                resp: Resp::Pushed,
+                resp: PUSHED,
             });
         }
         let h = History::from_events(events);
-        match check_linearizable_bounded(&StackSpec::new(16), &h, 1) {
+        match check_linearizable_bounded(&SeqStack::new(16), &h, 1) {
             BoundedLinResult::Unknown { explored } => assert!(explored <= 1),
             // With budget 1 the first path could still succeed for
             // this all-push history (any order works), so accept it.
@@ -602,9 +610,9 @@ mod tests {
         let mut h = History::new();
         h.invoke(0, Op::Push(5));
         h.invoke(1, Op::Pop);
-        h.ret(0, Resp::Pushed);
-        h.ret(1, Resp::Popped(5));
-        let spec = StackSpec::new(4);
+        h.ret(0, PUSHED);
+        h.ret(1, popped(5));
+        let spec = SeqStack::new(4);
         let verdict = check_linearizable(&spec, &h);
         let witness = verdict.witness().expect("linearizable").to_vec();
         // Replaying the witness through the spec reproduces every

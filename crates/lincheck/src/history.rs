@@ -180,12 +180,14 @@ impl<Op: Clone, Resp: Clone> History<Op, Resp> {
     }
 }
 
-impl<Op: fmt::Display, Resp: fmt::Display> fmt::Display for History<Op, Resp> {
+/// One line per event, the operation and the response in their
+/// `Debug` form.
+impl<Op: fmt::Debug, Resp: fmt::Debug> fmt::Display for History<Op, Resp> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for event in &self.events {
             match event {
-                Event::Invoke { proc, op } => writeln!(f, "p{proc} ── invoke {op}")?,
-                Event::Return { proc, resp } => writeln!(f, "p{proc} ←─ return {resp}")?,
+                Event::Invoke { proc, op } => writeln!(f, "p{proc} ── invoke {op:?}")?,
+                Event::Return { proc, resp } => writeln!(f, "p{proc} ←─ return {resp:?}")?,
             }
         }
         Ok(())

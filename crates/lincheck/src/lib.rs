@@ -10,33 +10,39 @@
 //!
 //! * [`history`] — invoke/return event sequences ([`History`]);
 //! * [`recorder`] — a concurrent [`Recorder`] producing real-time
-//!   ordered histories from live runs;
+//!   ordered histories from live runs, and [`record`], which runs one
+//!   operation script per thread through a closure and records it;
 //! * [`spec`] — the [`SeqSpec`] trait: a sequential specification as a
 //!   pure state-transition function;
 //! * [`checker`] — the decision procedure: the Wing & Gong
 //!   backtracking search with Lowe-style memoization of
 //!   (linearized-set, state) configurations;
-//! * [`specs`] — ready-made specifications for the paper's objects
-//!   (bounded stack, bounded queue, CAS register) plus the k-relaxed
-//!   variants decided by [`check_relaxed_linearizable`] against the
-//!   nondeterministic [`RelaxedSpec`] trait.
+//! * [`specs`] — the specifications: the object crates' own
+//!   `SeqStack`, `SeqQueue` and `SeqDeque` (one sequential type per
+//!   object, in the objects' own vocabulary), a CAS register, and the
+//!   k-relaxed stack and queue decided by [`check_relaxed_linearizable`]
+//!   against the nondeterministic [`RelaxedSpec`] trait.
 //!
 //! # Example
 //!
 //! ```
-//! use cso_lincheck::checker::check_linearizable;
-//! use cso_lincheck::history::History;
-//! use cso_lincheck::specs::stack::{StackSpec, SpecStackOp as Op, SpecStackResp as Resp};
+//! use cso_lincheck::{check_linearizable, record};
+//! use cso_stack::{AbortableStack, SeqStack, StackOp, StackResponse};
 //!
-//! // p0: push(1) then pop() overlapping nothing — a sequential history.
-//! let mut history = History::new();
-//! history.invoke(0, Op::Push(1));
-//! history.ret(0, Resp::Pushed);
-//! history.invoke(0, Op::Pop);
-//! history.ret(0, Resp::Popped(1));
+//! // Two threads push and pop a Figure-1 stack; a ⊥ (`None`) is
+//! // cancelled, since an aborted operation took no effect.
+//! let stack: AbortableStack<u32> = AbortableStack::new(4);
+//! let scripts = [
+//!     vec![StackOp::Push(1), StackOp::Pop],
+//!     vec![StackOp::Push(2), StackOp::Pop],
+//! ];
+//! let history = record(&scripts, |_proc, op| match *op {
+//!     StackOp::Push(v) => stack.weak_push(v).ok().map(StackResponse::Push),
+//!     StackOp::Pop => stack.weak_pop().ok().map(StackResponse::Pop),
+//! });
 //!
-//! let verdict = check_linearizable(&StackSpec::new(4), &history);
-//! assert!(verdict.is_linearizable());
+//! let verdict = check_linearizable(&SeqStack::new(4), &history);
+//! assert!(verdict.is_linearizable(), "{history}");
 //! ```
 
 #![forbid(unsafe_op_in_unsafe_fn)]
@@ -53,5 +59,5 @@ pub use checker::{
     LinResult,
 };
 pub use history::{Event, History};
-pub use recorder::{OpHandle, Recorder};
+pub use recorder::{record, Recorder};
 pub use spec::{RelaxedSpec, SeqSpec};

@@ -1,4 +1,5 @@
-//! Concurrent history recording.
+//! Concurrent history recording, and [`record`], which runs one
+//! operation script per thread and records the run.
 
 use std::sync::{Arc, Mutex};
 
@@ -81,27 +82,6 @@ impl<Op: Clone, Resp: Clone> Recorder<Op, Resp> {
         events.remove(position);
     }
 
-    /// Records the invocation and returns a handle pinned to the
-    /// *invoking* process.
-    ///
-    /// Combining slow paths complicate attribution: the thread that
-    /// physically applies an operation (the combiner) is not the
-    /// thread that invoked it (the waiter whose publication record it
-    /// served). Histories must attribute each operation to its
-    /// **invoker** — that is the process whose invoke/return window
-    /// bounds the linearization point. The handle freezes that
-    /// identity at invocation time: [`OpHandle::finish`] and
-    /// [`OpHandle::abort`] record under the owner no matter which
-    /// thread calls them.
-    #[must_use]
-    pub fn begin(&self, proc: ProcId, op: Op) -> OpHandle<Op, Resp> {
-        self.invoke(proc, op);
-        OpHandle {
-            recorder: self.clone(),
-            proc,
-        }
-    }
-
     /// Consumes the recorded events into a [`History`].
     ///
     /// # Panics
@@ -112,41 +92,6 @@ impl<Op: Clone, Resp: Clone> Recorder<Op, Resp> {
     pub fn finish(&self) -> History<Op, Resp> {
         let events = self.events.lock().expect("recorder poisoned").clone();
         History::from_events(events)
-    }
-}
-
-/// A pending invocation pinned to its owner (see [`Recorder::begin`]).
-///
-/// The handle is `Send`: it may cross to the thread that ends up
-/// completing the operation (e.g. a combiner) and still record the
-/// return under the process that invoked it.
-#[derive(Debug)]
-pub struct OpHandle<Op, Resp> {
-    recorder: Recorder<Op, Resp>,
-    proc: ProcId,
-}
-
-impl<Op: Clone, Resp: Clone> OpHandle<Op, Resp> {
-    /// The owning (invoking) process.
-    #[must_use]
-    pub fn proc(&self) -> ProcId {
-        self.proc
-    }
-
-    /// Records the response under the invoking process, regardless of
-    /// the calling thread.
-    pub fn finish(self, resp: Resp) {
-        self.recorder.ret(self.proc, resp);
-    }
-
-    /// Erases the invocation (the operation returned ⊥ with no
-    /// effect); see [`Recorder::cancel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the owner has no pending invocation.
-    pub fn abort(self) {
-        self.recorder.cancel(self.proc);
     }
 }
 
@@ -162,6 +107,45 @@ impl<Op, Resp> Clone for Recorder<Op, Resp> {
             events: Arc::clone(&self.events),
         }
     }
+}
+
+/// Runs `scripts[p]` as process `p`, each script on a thread of its
+/// own, and returns the recorded history: every operation is recorded
+/// on its invoker's thread, around the call `apply(p, op)`.
+///
+/// `apply` answers in the specification's vocabulary; `None` is ⊥,
+/// and cancels the invocation ([`Recorder::cancel`]): by the
+/// abortable-object contract an aborted operation took no effect, and
+/// an implementation that breaks the contract leaves a history that
+/// does not linearize. Each thread yields after every operation, to
+/// shake the interleaving.
+///
+/// # Panics
+///
+/// Propagates a panic of `apply`.
+pub fn record<Op, Resp, F>(scripts: &[Vec<Op>], apply: F) -> History<Op, Resp>
+where
+    Op: Clone + Send + Sync,
+    Resp: Clone + Send,
+    F: Fn(ProcId, &Op) -> Option<Resp> + Sync,
+{
+    let recorder = Recorder::new();
+    std::thread::scope(|s| {
+        for (proc, script) in scripts.iter().enumerate() {
+            let (recorder, apply) = (&recorder, &apply);
+            s.spawn(move || {
+                for op in script {
+                    recorder.invoke(proc, op.clone());
+                    match apply(proc, op) {
+                        Some(resp) => recorder.ret(proc, resp),
+                        None => recorder.cancel(proc),
+                    }
+                    std::thread::yield_now();
+                }
+            });
+        }
+    });
+    recorder.finish()
 }
 
 #[cfg(test)]
@@ -207,32 +191,6 @@ mod tests {
     fn cancel_without_invoke_panics() {
         let recorder: Recorder<&str, u32> = Recorder::new();
         recorder.cancel(0);
-    }
-
-    /// The combining-attribution contract: a handle completed by a
-    /// *different* thread still records under the invoking process.
-    #[test]
-    fn handle_attributes_completion_to_the_invoker() {
-        let recorder: Recorder<&str, u32> = Recorder::new();
-        let handle = recorder.begin(3, "pop");
-        assert_eq!(handle.proc(), 3);
-        // A "combiner" thread applies the op and reports the response.
-        std::thread::spawn(move || handle.finish(7)).join().unwrap();
-        let history = recorder.finish();
-        let ops = history.operations();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].proc, 3, "owner is the invoker, not the combiner");
-        assert_eq!(ops[0].returned.as_ref().unwrap().0, 7);
-    }
-
-    #[test]
-    fn handle_abort_erases_the_invocation() {
-        let recorder: Recorder<&str, u32> = Recorder::new();
-        let handle = recorder.begin(0, "aborted");
-        handle.abort();
-        let history = recorder.finish();
-        assert!(history.operations().is_empty());
-        assert!(history.pending().is_empty());
     }
 
     #[test]

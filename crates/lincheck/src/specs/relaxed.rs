@@ -12,8 +12,9 @@
 //!   resident.
 //!
 //! Insertions stay strict (they always append). With `k = 0` both
-//! specs are **exactly** the deterministic [`StackSpec`] /
-//! [`QueueSpec`] semantics, which the unit tests pin down.
+//! specs are **exactly** the objects' own [`SeqStack`] / [`SeqQueue`]
+//! semantics, which the unit tests pin down; both speak the objects'
+//! vocabulary (`StackOp`/`StackResponse`, `QueueOp`/`QueueResponse`).
 //!
 //! These are [`RelaxedSpec`]s — relations, not functions — decided by
 //! [`check_relaxed_linearizable`](crate::checker::check_relaxed_linearizable).
@@ -22,14 +23,15 @@
 //! `tests/sharding_lincheck.rs` proves the observed relaxation never
 //! exceeds the configured one.
 //!
-//! [`StackSpec`]: crate::specs::stack::StackSpec
-//! [`QueueSpec`]: crate::specs::queue::QueueSpec
+//! [`SeqStack`]: cso_stack::SeqStack
+//! [`SeqQueue`]: cso_queue::SeqQueue
 
 use std::collections::VecDeque;
 
+use cso_queue::{DequeueOutcome, EnqueueOutcome, QueueOp, QueueResponse};
+use cso_stack::{PopOutcome, PushOutcome, StackOp, StackResponse};
+
 use crate::spec::RelaxedSpec;
-use crate::specs::queue::{SpecQueueOp, SpecQueueResp};
-use crate::specs::stack::{SpecStackOp, SpecStackResp};
 
 /// The k-relaxed bounded LIFO stack specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,29 +56,33 @@ impl KStackSpec {
 
 impl RelaxedSpec for KStackSpec {
     type State = Vec<u32>;
-    type Op = SpecStackOp;
-    type Resp = SpecStackResp;
+    type Op = StackOp<u32>;
+    type Resp = StackResponse<u32>;
 
     fn initial(&self) -> Vec<u32> {
         Vec::new()
     }
 
-    fn candidates(&self, state: &Vec<u32>, op: &SpecStackOp) -> Vec<(Vec<u32>, SpecStackResp)> {
+    fn candidates(
+        &self,
+        state: &Vec<u32>,
+        op: &StackOp<u32>,
+    ) -> Vec<(Vec<u32>, StackResponse<u32>)> {
         match op {
-            SpecStackOp::Push(v) => {
+            StackOp::Push(v) => {
                 let mut out = Vec::new();
                 if state.len() < self.capacity {
                     let mut next = state.clone();
                     next.push(*v);
-                    out.push((next, SpecStackResp::Pushed));
+                    out.push((next, StackResponse::Push(PushOutcome::Pushed)));
                 }
                 // Full may be answered while ≥ capacity − k resident.
                 if state.len() + self.k >= self.capacity {
-                    out.push((state.clone(), SpecStackResp::Full));
+                    out.push((state.clone(), StackResponse::Push(PushOutcome::Full)));
                 }
                 out
             }
-            SpecStackOp::Pop => {
+            StackOp::Pop => {
                 let mut out = Vec::new();
                 // Any element within distance k of the top.
                 if !state.is_empty() {
@@ -84,12 +90,12 @@ impl RelaxedSpec for KStackSpec {
                         let idx = state.len() - 1 - depth;
                         let mut next = state.clone();
                         let v = next.remove(idx);
-                        out.push((next, SpecStackResp::Popped(v)));
+                        out.push((next, StackResponse::Pop(PopOutcome::Popped(v))));
                     }
                 }
                 // Empty may be answered while ≤ k resident.
                 if state.len() <= self.k {
-                    out.push((state.clone(), SpecStackResp::Empty));
+                    out.push((state.clone(), StackResponse::Pop(PopOutcome::Empty)));
                 }
                 out
             }
@@ -121,8 +127,8 @@ impl KQueueSpec {
 
 impl RelaxedSpec for KQueueSpec {
     type State = VecDeque<u32>;
-    type Op = SpecQueueOp;
-    type Resp = SpecQueueResp;
+    type Op = QueueOp<u32>;
+    type Resp = QueueResponse<u32>;
 
     fn initial(&self) -> VecDeque<u32> {
         VecDeque::new()
@@ -131,33 +137,33 @@ impl RelaxedSpec for KQueueSpec {
     fn candidates(
         &self,
         state: &VecDeque<u32>,
-        op: &SpecQueueOp,
-    ) -> Vec<(VecDeque<u32>, SpecQueueResp)> {
+        op: &QueueOp<u32>,
+    ) -> Vec<(VecDeque<u32>, QueueResponse<u32>)> {
         match op {
-            SpecQueueOp::Enqueue(v) => {
+            QueueOp::Enqueue(v) => {
                 let mut out = Vec::new();
                 if state.len() < self.capacity {
                     let mut next = state.clone();
                     next.push_back(*v);
-                    out.push((next, SpecQueueResp::Enqueued));
+                    out.push((next, QueueResponse::Enqueue(EnqueueOutcome::Enqueued)));
                 }
                 if state.len() + self.k >= self.capacity {
-                    out.push((state.clone(), SpecQueueResp::Full));
+                    out.push((state.clone(), QueueResponse::Enqueue(EnqueueOutcome::Full)));
                 }
                 out
             }
-            SpecQueueOp::Dequeue => {
+            QueueOp::Dequeue => {
                 let mut out = Vec::new();
                 // Any element within distance k of the front.
                 if !state.is_empty() {
                     for depth in 0..=self.k.min(state.len() - 1) {
                         let mut next = state.clone();
                         let v = next.remove(depth).expect("depth < len");
-                        out.push((next, SpecQueueResp::Dequeued(v)));
+                        out.push((next, QueueResponse::Dequeue(DequeueOutcome::Dequeued(v))));
                     }
                 }
                 if state.len() <= self.k {
-                    out.push((state.clone(), SpecQueueResp::Empty));
+                    out.push((state.clone(), QueueResponse::Dequeue(DequeueOutcome::Empty)));
                 }
                 out
             }
@@ -167,36 +173,47 @@ impl RelaxedSpec for KQueueSpec {
 
 #[cfg(test)]
 mod tests {
+    use cso_queue::SeqQueue;
+    use cso_stack::SeqStack;
+
     use super::*;
     use crate::checker::{check_linearizable, check_relaxed_linearizable};
     use crate::history::History;
-    use crate::specs::queue::QueueSpec;
-    use crate::specs::stack::StackSpec;
+    use crate::spec::SeqSpec;
+
+    const PUSHED: StackResponse<u32> = StackResponse::Push(PushOutcome::Pushed);
+    const ENQUEUED: QueueResponse<u32> = QueueResponse::Enqueue(EnqueueOutcome::Enqueued);
 
     #[test]
     fn k0_stack_candidates_match_the_strict_spec() {
-        use crate::spec::SeqSpec;
-        let strict = StackSpec::new(2);
         let relaxed = KStackSpec::new(2, 0);
-        for state in [vec![], vec![1], vec![1, 2]] {
-            for op in [SpecStackOp::Push(9), SpecStackOp::Pop] {
-                let got = relaxed.candidates(&state, &op);
+        for items in [vec![], vec![1], vec![1, 2]] {
+            let mut strict = SeqStack::new(2);
+            for &v in &items {
+                strict.push(v);
+            }
+            for op in [StackOp::Push(9), StackOp::Pop] {
+                let got = relaxed.candidates(&items, &op);
                 assert_eq!(got.len(), 1, "k=0 must be deterministic");
-                assert_eq!(got[0], strict.apply(&state, &op));
+                let (next, resp) = SeqSpec::apply(&strict, &strict, &op);
+                assert_eq!((got[0].0.as_slice(), got[0].1), (next.items(), resp));
             }
         }
     }
 
     #[test]
     fn k0_queue_candidates_match_the_strict_spec() {
-        use crate::spec::SeqSpec;
-        let strict = QueueSpec::new(2);
         let relaxed = KQueueSpec::new(2, 0);
-        for state in [VecDeque::new(), VecDeque::from([1]), VecDeque::from([1, 2])] {
-            for op in [SpecQueueOp::Enqueue(9), SpecQueueOp::Dequeue] {
-                let got = relaxed.candidates(&state, &op);
+        for items in [VecDeque::new(), VecDeque::from([1]), VecDeque::from([1, 2])] {
+            let mut strict = SeqQueue::new(2);
+            for &v in &items {
+                strict.enqueue(v);
+            }
+            for op in [QueueOp::Enqueue(9), QueueOp::Dequeue] {
+                let got = relaxed.candidates(&items, &op);
                 assert_eq!(got.len(), 1, "k=0 must be deterministic");
-                assert_eq!(got[0], strict.apply(&state, &op));
+                let (next, resp) = SeqSpec::apply(&strict, &strict, &op);
+                assert_eq!((&got[0].0, got[0].1), (next.items(), resp));
             }
         }
     }
@@ -207,35 +224,36 @@ mod tests {
         // k = 1, but never 1 (depth 2).
         let spec = KStackSpec::new(8, 1);
         let state = vec![1, 2, 3];
-        let popped: Vec<SpecStackResp> = spec
-            .candidates(&state, &SpecStackOp::Pop)
+        let popped: Vec<StackResponse<u32>> = spec
+            .candidates(&state, &StackOp::Pop)
             .into_iter()
             .map(|(_, r)| r)
             .collect();
-        assert!(popped.contains(&SpecStackResp::Popped(3)));
-        assert!(popped.contains(&SpecStackResp::Popped(2)));
-        assert!(!popped.contains(&SpecStackResp::Popped(1)));
-        assert!(!popped.contains(&SpecStackResp::Empty), "3 > k resident");
+        let pop = StackResponse::<u32>::Pop;
+        assert!(popped.contains(&pop(PopOutcome::Popped(3))));
+        assert!(popped.contains(&pop(PopOutcome::Popped(2))));
+        assert!(!popped.contains(&pop(PopOutcome::Popped(1))));
+        assert!(!popped.contains(&pop(PopOutcome::Empty)), "3 > k resident");
     }
 
     #[test]
     fn empty_and_full_windows_scale_with_k() {
         let spec = KQueueSpec::new(4, 2);
         // 2 resident ≤ k: Empty is a legal answer.
-        let resps: Vec<SpecQueueResp> = spec
-            .candidates(&VecDeque::from([1, 2]), &SpecQueueOp::Dequeue)
+        let resps: Vec<QueueResponse<u32>> = spec
+            .candidates(&VecDeque::from([1, 2]), &QueueOp::Dequeue)
             .into_iter()
             .map(|(_, r)| r)
             .collect();
-        assert!(resps.contains(&SpecQueueResp::Empty));
+        assert!(resps.contains(&QueueResponse::Dequeue(DequeueOutcome::Empty)));
         // 2 resident ≥ capacity − k: Full is a legal answer too.
-        let resps: Vec<SpecQueueResp> = spec
-            .candidates(&VecDeque::from([1, 2]), &SpecQueueOp::Enqueue(9))
+        let resps: Vec<QueueResponse<u32>> = spec
+            .candidates(&VecDeque::from([1, 2]), &QueueOp::Enqueue(9))
             .into_iter()
             .map(|(_, r)| r)
             .collect();
-        assert!(resps.contains(&SpecQueueResp::Full));
-        assert!(resps.contains(&SpecQueueResp::Enqueued));
+        assert!(resps.contains(&QueueResponse::Enqueue(EnqueueOutcome::Full)));
+        assert!(resps.contains(&ENQUEUED));
     }
 
     #[test]
@@ -243,32 +261,32 @@ mod tests {
         // enq 1, 2, 3 sequentially; dequeue returns 3 (distance 2).
         let mut h = History::new();
         for v in 1..=3 {
-            h.invoke(0, SpecQueueOp::Enqueue(v));
-            h.ret(0, SpecQueueResp::Enqueued);
+            h.invoke(0, QueueOp::Enqueue(v));
+            h.ret(0, ENQUEUED);
         }
-        h.invoke(1, SpecQueueOp::Dequeue);
-        h.ret(1, SpecQueueResp::Dequeued(3));
+        h.invoke(1, QueueOp::Dequeue);
+        h.ret(1, QueueResponse::Dequeue(DequeueOutcome::Dequeued(3)));
         assert!(!check_relaxed_linearizable(&KQueueSpec::new(8, 1), &h).is_linearizable());
         assert!(check_relaxed_linearizable(&KQueueSpec::new(8, 2), &h).is_linearizable());
         // And the strict checker rejects it outright.
-        assert!(!check_linearizable(&QueueSpec::new(8), &h).is_linearizable());
+        assert!(!check_linearizable(&SeqQueue::new(8), &h).is_linearizable());
     }
 
     #[test]
     fn relaxed_checker_with_k0_agrees_with_strict() {
         // A legal strict history passes both checkers.
         let mut h = History::new();
-        h.invoke(0, SpecStackOp::Push(1));
-        h.invoke(1, SpecStackOp::Pop);
-        h.ret(0, SpecStackResp::Pushed);
-        h.ret(1, SpecStackResp::Popped(1));
-        assert!(check_linearizable(&StackSpec::new(4), &h).is_linearizable());
+        h.invoke(0, StackOp::Push(1));
+        h.invoke(1, StackOp::Pop);
+        h.ret(0, PUSHED);
+        h.ret(1, StackResponse::Pop(PopOutcome::Popped(1)));
+        assert!(check_linearizable(&SeqStack::new(4), &h).is_linearizable());
         assert!(check_relaxed_linearizable(&KStackSpec::new(4, 0), &h).is_linearizable());
         // An illegal one fails both.
         let mut bad = History::new();
-        bad.invoke(0, SpecStackOp::Pop);
-        bad.ret(0, SpecStackResp::Popped(7));
-        assert!(!check_linearizable(&StackSpec::new(4), &bad).is_linearizable());
+        bad.invoke(0, StackOp::Pop);
+        bad.ret(0, StackResponse::Pop(PopOutcome::Popped(7)));
+        assert!(!check_linearizable(&SeqStack::new(4), &bad).is_linearizable());
         assert!(!check_relaxed_linearizable(&KStackSpec::new(4, 0), &bad).is_linearizable());
     }
 
@@ -276,10 +294,10 @@ mod tests {
     fn seqspec_blanket_impl_feeds_the_relaxed_checker() {
         // A deterministic spec run through the relaxed checker.
         let mut h = History::new();
-        h.invoke(0, SpecQueueOp::Enqueue(5));
-        h.ret(0, SpecQueueResp::Enqueued);
-        h.invoke(0, SpecQueueOp::Dequeue);
-        h.ret(0, SpecQueueResp::Dequeued(5));
-        assert!(check_relaxed_linearizable(&QueueSpec::new(4), &h).is_linearizable());
+        h.invoke(0, QueueOp::Enqueue(5u32));
+        h.ret(0, ENQUEUED);
+        h.invoke(0, QueueOp::Dequeue);
+        h.ret(0, QueueResponse::Dequeue(DequeueOutcome::Dequeued(5)));
+        assert!(check_relaxed_linearizable(&SeqQueue::new(4), &h).is_linearizable());
     }
 }

@@ -20,15 +20,24 @@ use cso_memory::backoff::XorShift64;
 use cso_lincheck::checker::check_linearizable;
 use cso_lincheck::history::{Event, History};
 use cso_lincheck::spec::SeqSpec;
-use cso_lincheck::specs::stack::{SpecStackOp, SpecStackResp, StackSpec};
+use cso_stack::{PopOutcome, PushOutcome, SeqStack, StackOp, StackResponse};
 
 const CAPACITY: usize = 4;
+
+type Op = StackOp<u32>;
+type Resp = StackResponse<u32>;
+
+const PUSHED: Resp = StackResponse::Push(PushOutcome::Pushed);
+
+fn popped(v: u32) -> Resp {
+    StackResponse::Pop(PopOutcome::Popped(v))
+}
 
 /// Runs ops sequentially through the spec, producing a history where
 /// each op completes before the next starts (attributed round-robin
 /// to 3 processes).
-fn sequential_history(ops: &[SpecStackOp]) -> History<SpecStackOp, SpecStackResp> {
-    let spec = StackSpec::new(CAPACITY);
+fn sequential_history(ops: &[Op]) -> History<Op, Resp> {
+    let spec = SeqStack::new(CAPACITY);
     let mut state = spec.initial();
     let mut history = History::new();
     for (i, op) in ops.iter().enumerate() {
@@ -42,9 +51,7 @@ fn sequential_history(ops: &[SpecStackOp]) -> History<SpecStackOp, SpecStackResp
 }
 
 /// The same responses, but all invocations first (maximal overlap).
-fn fully_overlapped(
-    history: &History<SpecStackOp, SpecStackResp>,
-) -> History<SpecStackOp, SpecStackResp> {
+fn fully_overlapped(history: &History<Op, Resp>) -> History<Op, Resp> {
     // One op per process only — give every op its own process id.
     let ops = history.operations();
     let mut events = Vec::new();
@@ -59,15 +66,15 @@ fn fully_overlapped(
 }
 
 /// Draws a random operation sequence of length `< max_len`.
-fn random_ops(rng: &mut XorShift64, max_len: u64) -> Vec<SpecStackOp> {
+fn random_ops(rng: &mut XorShift64, max_len: u64) -> Vec<Op> {
     let len = rng.next_u64() % max_len;
     (0..len)
         .map(|_| {
             let word = rng.next_u64();
             if word & 1 == 0 {
-                SpecStackOp::Push((word >> 1) as u32 % 8)
+                StackOp::Push((word >> 1) as u32 % 8)
             } else {
-                SpecStackOp::Pop
+                StackOp::Pop
             }
         })
         .collect()
@@ -83,12 +90,12 @@ fn sequential_histories_are_linearizable() {
     for _ in 0..CASES {
         let ops = random_ops(&mut rng, 14);
         let history = sequential_history(&ops);
-        let verdict = check_linearizable(&StackSpec::new(CAPACITY), &history);
+        let verdict = check_linearizable(&SeqStack::new(CAPACITY), &history);
         let witness = verdict
             .witness()
             .expect("sequential history must linearize");
         // Replay the witness.
-        let spec = StackSpec::new(CAPACITY);
+        let spec = SeqStack::new(CAPACITY);
         let records = history.operations();
         let mut state = spec.initial();
         for &idx in witness {
@@ -107,7 +114,7 @@ fn overlap_preserves_acceptance() {
         let ops = random_ops(&mut rng, 10);
         let history = sequential_history(&ops);
         let overlapped = fully_overlapped(&history);
-        assert!(check_linearizable(&StackSpec::new(CAPACITY), &overlapped).is_linearizable());
+        assert!(check_linearizable(&SeqStack::new(CAPACITY), &overlapped).is_linearizable());
     }
 }
 
@@ -120,20 +127,23 @@ fn corrupted_pop_is_rejected() {
     for _ in 0..CASES {
         let mut ops = random_ops(&mut rng, 14);
         if ops.is_empty() {
-            ops.push(SpecStackOp::Push(1));
+            ops.push(StackOp::Push(1));
         }
         let history = sequential_history(&ops);
         // Find a pop that returned a value; skip histories without one.
         let records = history.operations();
-        let target = records
-            .iter()
-            .position(|r| matches!(r.returned, Some((SpecStackResp::Popped(_), _))));
+        let target = records.iter().position(|r| {
+            matches!(
+                r.returned,
+                Some((StackResponse::Pop(PopOutcome::Popped(_)), _))
+            )
+        });
         let Some(target) = target else { continue };
         killed += 1;
 
         // Rebuild the event list with the corrupted response.
         let mut seen_returns = 0usize;
-        let corrupted: Vec<Event<SpecStackOp, SpecStackResp>> = history
+        let corrupted: Vec<Event<Op, Resp>> = history
             .events()
             .iter()
             .cloned()
@@ -142,10 +152,10 @@ fn corrupted_pop_is_rejected() {
                     let idx = seen_returns;
                     seen_returns += 1;
                     if idx == target {
-                        if let SpecStackResp::Popped(v) = resp {
+                        if let StackResponse::Pop(PopOutcome::Popped(v)) = resp {
                             return Event::Return {
                                 proc,
-                                resp: SpecStackResp::Popped(v + 1_000),
+                                resp: popped(v + 1_000),
                             };
                         }
                     }
@@ -156,7 +166,7 @@ fn corrupted_pop_is_rejected() {
             .collect();
         let corrupted = History::from_events(corrupted);
         assert!(
-            !check_linearizable(&StackSpec::new(CAPACITY), &corrupted).is_linearizable(),
+            !check_linearizable(&SeqStack::new(CAPACITY), &corrupted).is_linearizable(),
             "a never-pushed value must not linearize"
         );
     }
@@ -172,17 +182,17 @@ fn corrupted_pop_is_rejected() {
 fn swapped_sequential_pops_are_rejected() {
     for a in 0u32..4 {
         for b in 4u32..8 {
-            let mut history: History<SpecStackOp, SpecStackResp> = History::new();
+            let mut history: History<Op, Resp> = History::new();
             for v in [a, b] {
-                history.invoke(0, SpecStackOp::Push(v));
-                history.ret(0, SpecStackResp::Pushed);
+                history.invoke(0, StackOp::Push(v));
+                history.ret(0, PUSHED);
             }
             // Two sequential pops returning bottom-first (wrong for LIFO).
-            history.invoke(1, SpecStackOp::Pop);
-            history.ret(1, SpecStackResp::Popped(a));
-            history.invoke(1, SpecStackOp::Pop);
-            history.ret(1, SpecStackResp::Popped(b));
-            assert!(!check_linearizable(&StackSpec::new(CAPACITY), &history).is_linearizable());
+            history.invoke(1, StackOp::Pop);
+            history.ret(1, popped(a));
+            history.invoke(1, StackOp::Pop);
+            history.ret(1, popped(b));
+            assert!(!check_linearizable(&SeqStack::new(CAPACITY), &history).is_linearizable());
         }
     }
 }
@@ -192,14 +202,14 @@ fn swapped_sequential_pops_are_rejected() {
 #[test]
 fn checker_is_deterministic() {
     let ops = [
-        SpecStackOp::Push(1),
-        SpecStackOp::Push(2),
-        SpecStackOp::Pop,
-        SpecStackOp::Pop,
-        SpecStackOp::Pop,
+        StackOp::Push(1),
+        StackOp::Push(2),
+        StackOp::Pop,
+        StackOp::Pop,
+        StackOp::Pop,
     ];
     let history = sequential_history(&ops);
-    let spec = StackSpec::new(CAPACITY);
+    let spec = SeqStack::new(CAPACITY);
     let first = check_linearizable(&spec, &history);
     for _ in 0..10 {
         assert_eq!(check_linearizable(&spec, &history), first);
@@ -210,24 +220,24 @@ fn checker_is_deterministic() {
 /// thanks to memoization (would be astronomically slow without it).
 #[test]
 fn memoization_handles_wide_histories() {
-    let spec = StackSpec::new(64);
+    let spec = SeqStack::new(64);
     let mut events = Vec::new();
     for i in 0..20 {
         events.push(Event::Invoke {
             proc: i,
-            op: SpecStackOp::Push(i as u32),
+            op: StackOp::Push(i as u32),
         });
     }
     for i in 0..20 {
         events.push(Event::Return {
             proc: i,
-            resp: SpecStackResp::Pushed,
+            resp: PUSHED,
         });
     }
     for i in 0..20 {
         events.push(Event::Invoke {
             proc: i,
-            op: SpecStackOp::Pop,
+            op: StackOp::Pop,
         });
     }
     for i in 0..20 {
@@ -235,7 +245,7 @@ fn memoization_handles_wide_histories() {
         // any assignment is admissible.
         events.push(Event::Return {
             proc: i,
-            resp: SpecStackResp::Popped(i as u32),
+            resp: popped(i as u32),
         });
     }
     let history = History::from_events(events);

@@ -4,8 +4,10 @@ use crate::outcome::{PopOutcome, PushOutcome, StackOp, StackResponse};
 
 /// A plain single-threaded bounded stack with the same vocabulary as
 /// the concurrent ones — the sequential specification that
-/// linearizability is defined against (§1.1), used by the property
-/// tests, the linearizability checker, and the model checker.
+/// linearizability is defined against (§1.1), and the only one: the
+/// property tests compare against it, and `cso-lincheck` implements
+/// its `SeqSpec` for this type, so the stress suites and the model
+/// checker's bodies judge every recorded history against it.
 ///
 /// ```
 /// use cso_stack::{SeqStack, PushOutcome, PopOutcome};

@@ -1,10 +1,11 @@
 //! Recording real concurrent runs and checking them for
 //! linearizability.
 //!
-//! Demonstrates the verification workflow: wrap every operation on the
-//! abortable stack with the `lincheck` recorder, run a few threads,
-//! and feed the resulting history to the Wing–Gong checker. Operations
-//! that returned ⊥ are *cancelled* in the recorder — the
+//! Demonstrates the verification workflow: hand `lincheck::record`
+//! one operation script per thread and the abortable stack's
+//! `try_apply`, and feed the recorded history to the Wing–Gong checker
+//! against the stack's own sequential type, `SeqStack`. Operations
+//! that returned ⊥ are *cancelled* in the history — the
 //! abortable-object contract says they had no effect, and the check
 //! would catch an implementation that lied about that (a secretly
 //! effective "aborted" push would make the remaining history
@@ -13,66 +14,34 @@
 //!
 //! Run with: `cargo run --example verify_linearizability`
 
-use cso::lincheck::checker::check_linearizable;
-use cso::lincheck::history::History;
-use cso::lincheck::recorder::Recorder;
-use cso::lincheck::specs::stack::{SpecStackOp, SpecStackResp, StackSpec};
-use cso::stack::{AbortableStack, PopOutcome, PushOutcome};
+use cso::core::Abortable;
+use cso::lincheck::{check_linearizable, record, History};
+use cso::stack::{AbortableStack, PopOutcome, PushOutcome, SeqStack, StackOp, StackResponse};
 
 const CAPACITY: usize = 8;
 const THREADS: usize = 3;
 const OPS_PER_THREAD: usize = 6;
 const ROUNDS: usize = 300;
 
-fn record_round(round: usize) -> (History<SpecStackOp, SpecStackResp>, usize) {
-    let stack: AbortableStack<u32> = AbortableStack::new(CAPACITY);
-    let recorder: Recorder<SpecStackOp, SpecStackResp> = Recorder::new();
-
-    std::thread::scope(|s| {
-        for proc in 0..THREADS {
-            let stack = &stack;
-            let recorder = recorder.clone();
-            s.spawn(move || {
-                for i in 0..OPS_PER_THREAD {
-                    if (proc + i + round) % 2 == 0 {
-                        let v = (proc * OPS_PER_THREAD + i) as u32;
-                        recorder.invoke(proc, SpecStackOp::Push(v));
-                        match stack.weak_push(v) {
-                            Ok(PushOutcome::Pushed) => recorder.ret(proc, SpecStackResp::Pushed),
-                            Ok(PushOutcome::Full) => recorder.ret(proc, SpecStackResp::Full),
-                            Err(_) => recorder.cancel(proc), // ⊥: no effect, erase
-                        }
-                    } else {
-                        recorder.invoke(proc, SpecStackOp::Pop);
-                        match stack.weak_pop() {
-                            Ok(PopOutcome::Popped(v)) => {
-                                recorder.ret(proc, SpecStackResp::Popped(v));
-                            }
-                            Ok(PopOutcome::Empty) => recorder.ret(proc, SpecStackResp::Empty),
-                            Err(_) => recorder.cancel(proc), // ⊥: no effect, erase
-                        }
-                    }
-                    if i % 2 == 0 {
-                        std::thread::yield_now(); // shake the interleaving
-                    }
-                }
-            });
-        }
-    });
-
-    let aborted = {
-        let stats = stack.abort_stats();
-        (stats.push_aborts + stats.pop_aborts) as usize
-    };
-    (recorder.finish(), aborted)
-}
-
 fn main() {
-    let spec = StackSpec::new(CAPACITY);
+    let spec = SeqStack::new(CAPACITY);
     let mut total_aborts = 0;
     for round in 0..ROUNDS {
-        let (history, aborted) = record_round(round);
-        total_aborts += aborted;
+        let stack: AbortableStack<u32> = AbortableStack::new(CAPACITY);
+        let scripts: Vec<Vec<StackOp<u32>>> = (0..THREADS)
+            .map(|proc| {
+                (0..OPS_PER_THREAD)
+                    .map(|i| match (proc + i + round) % 2 {
+                        0 => StackOp::Push((proc * OPS_PER_THREAD + i) as u32),
+                        _ => StackOp::Pop,
+                    })
+                    .collect()
+            })
+            .collect();
+        // ⊥ is `None`: `record` erases the invocation.
+        let history = record(&scripts, |_proc, op| stack.try_apply(op).ok());
+        let stats = stack.abort_stats();
+        total_aborts += stats.push_aborts + stats.pop_aborts;
         let verdict = check_linearizable(&spec, &history);
         assert!(
             verdict.is_linearizable(),
@@ -87,11 +56,11 @@ fn main() {
 
     // The negative control: a forged history the checker must reject —
     // a pop returning a value that was never pushed.
-    let mut forged: History<SpecStackOp, SpecStackResp> = History::new();
-    forged.invoke(0, SpecStackOp::Push(1));
-    forged.ret(0, SpecStackResp::Pushed);
-    forged.invoke(1, SpecStackOp::Pop);
-    forged.ret(1, SpecStackResp::Popped(99));
+    let mut forged: History<StackOp<u32>, StackResponse<u32>> = History::new();
+    forged.invoke(0, StackOp::Push(1));
+    forged.ret(0, StackResponse::Push(PushOutcome::Pushed));
+    forged.invoke(1, StackOp::Pop);
+    forged.ret(1, StackResponse::Pop(PopOutcome::Popped(99)));
     assert!(!check_linearizable(&spec, &forged).is_linearizable());
     println!("forged history correctly rejected");
 }

@@ -41,7 +41,7 @@
 //! | [`queue`] | the same construction for a bounded FIFO queue |
 //! | [`deque`] | the HLM obstruction-free deque (paper ref \[8\]) and its boosts — one object per rung of the hierarchy |
 //! | [`shard`] | N Figure-3 cells behind one router: `Sharded<T>`, aliased as `ShardedCsStack` and `ShardedCsQueue` |
-//! | [`lincheck`] | history recording + Wing–Gong linearizability checker |
+//! | [`lincheck`] | history recording + Wing–Gong linearizability checker, against the objects' own `Seq*` specifications |
 //! | `sched` (feature `model`) | the model checker: a controlled scheduler that drives these very types through exhaustive, seeded-random, fair and crash-prefixed schedules (`tests/model_*.rs`) |
 //! | [`trace`] | what the objects record into: feature-gated probe rings, latency histograms, the live metrics registry every `attach_metrics` registers in, step auditor, Chrome trace export |
 //! | [`metrics`] | the registry (from [`trace`]) with its Prometheus/JSON exporters and scrape endpoint |

@@ -15,15 +15,11 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use cso::core::{CsConfig, RecoveryPolicy, FAST_ATTEMPTS};
-use cso::deque::{CsDeque, DequeOp, DequePopOutcome, DequePushOutcome, End, SeqDeque};
-use cso::lincheck::checker::check_linearizable;
-use cso::lincheck::recorder::Recorder;
-use cso::lincheck::spec::SeqSpec;
-use cso::lincheck::specs::queue::{QueueSpec, SpecQueueOp, SpecQueueResp};
-use cso::lincheck::specs::stack::{SpecStackOp, SpecStackResp, StackSpec};
+use cso::deque::{CsDeque, DequeOp, End, SeqDeque};
+use cso::lincheck::{check_linearizable, record};
 use cso::memory::chaos::{self, Fault, Plan};
-use cso::queue::{CsQueue, DequeueOutcome, EnqueueOutcome};
-use cso::stack::{CsStack, PopOutcome, PushOutcome};
+use cso::queue::{CsQueue, DequeueOutcome, EnqueueOutcome, QueueOp, SeqQueue};
+use cso::stack::{CsStack, PopOutcome, PushOutcome, SeqStack, StackOp};
 
 // The chaos registry is process-global: serialize the scenarios.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -34,6 +30,15 @@ fn serial() -> MutexGuard<'static, ()> {
 
 const THREADS: usize = 3;
 const OPS: usize = 7;
+
+/// One script per thread: op `i` of thread `proc` is `op(proc, i, v)`,
+/// `v` a value unique to the round.
+fn scripts<Op>(round: usize, op: impl Fn(usize, usize, u32) -> Op) -> Vec<Vec<Op>> {
+    let value = |proc, i| (round * 100 + proc * OPS + i) as u32;
+    (0..THREADS)
+        .map(|proc| (0..OPS).map(|i| op(proc, i, value(proc, i))).collect())
+        .collect()
+}
 
 #[test]
 fn cs_stack_linearizes_under_weak_op_abort_storm() {
@@ -46,39 +51,15 @@ fn cs_stack_linearizes_under_weak_op_abort_storm() {
     chaos::arm_plan("cs::fast", Plan::one_in(Fault::SpuriousAbort, 4));
     chaos::arm_plan("tas::acquire", Plan::one_in(Fault::Yield, 2));
 
-    let spec = StackSpec::new(4);
     for round in 0..40 {
         let stack: CsStack<u32> = CsStack::new(4, THREADS);
-        let recorder: Recorder<SpecStackOp, SpecStackResp> = Recorder::new();
-        std::thread::scope(|s| {
-            for proc in 0..THREADS {
-                let stack = &stack;
-                let recorder = recorder.clone();
-                s.spawn(move || {
-                    for i in 0..OPS {
-                        if (proc * 31 + i * 17 + round) % 3 != 0 {
-                            let v = (round * 100 + proc * OPS + i) as u32;
-                            recorder.invoke(proc, SpecStackOp::Push(v));
-                            let resp = match stack.push(proc, v) {
-                                PushOutcome::Pushed => SpecStackResp::Pushed,
-                                PushOutcome::Full => SpecStackResp::Full,
-                            };
-                            recorder.ret(proc, resp);
-                        } else {
-                            recorder.invoke(proc, SpecStackOp::Pop);
-                            let resp = match stack.pop(proc) {
-                                PopOutcome::Popped(v) => SpecStackResp::Popped(v),
-                                PopOutcome::Empty => SpecStackResp::Empty,
-                            };
-                            recorder.ret(proc, resp);
-                        }
-                    }
-                });
-            }
+        let scripts = scripts(round, |proc, i, v| match (proc * 31 + i * 17 + round) % 3 {
+            0 => StackOp::Pop,
+            _ => StackOp::Push(v),
         });
-        let history = recorder.finish();
+        let history = record(&scripts, |proc, op| Some(stack.apply(proc, op)));
         assert!(
-            check_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&SeqStack::new(4), &history).is_linearizable(),
             "round {round} under chaos:\n{history}"
         );
     }
@@ -209,81 +190,19 @@ fn cs_queue_linearizes_under_chaos() {
     chaos::arm_plan("queue::dequeue", Plan::one_in(Fault::SpuriousAbort, 3));
     chaos::arm_plan("sfree::wait", Plan::one_in(Fault::Yield, 2));
 
-    let spec = QueueSpec::new(4);
     for round in 0..40 {
         let queue: CsQueue<u32> = CsQueue::new(4, THREADS);
-        let recorder: Recorder<SpecQueueOp, SpecQueueResp> = Recorder::new();
-        std::thread::scope(|s| {
-            for proc in 0..THREADS {
-                let queue = &queue;
-                let recorder = recorder.clone();
-                s.spawn(move || {
-                    for i in 0..OPS {
-                        if (proc * 13 + i * 7 + round) % 3 != 0 {
-                            let v = (round * 100 + proc * OPS + i) as u32;
-                            recorder.invoke(proc, SpecQueueOp::Enqueue(v));
-                            let resp = match queue.enqueue(proc, v) {
-                                EnqueueOutcome::Enqueued => SpecQueueResp::Enqueued,
-                                EnqueueOutcome::Full => SpecQueueResp::Full,
-                            };
-                            recorder.ret(proc, resp);
-                        } else {
-                            recorder.invoke(proc, SpecQueueOp::Dequeue);
-                            let resp = match queue.dequeue(proc) {
-                                DequeueOutcome::Dequeued(v) => SpecQueueResp::Dequeued(v),
-                                DequeueOutcome::Empty => SpecQueueResp::Empty,
-                            };
-                            recorder.ret(proc, resp);
-                        }
-                    }
-                });
-            }
+        let scripts = scripts(round, |proc, i, v| match (proc * 13 + i * 7 + round) % 3 {
+            0 => QueueOp::Dequeue,
+            _ => QueueOp::Enqueue(v),
         });
-        let history = recorder.finish();
+        let history = record(&scripts, |proc, op| Some(queue.apply(proc, op)));
         assert!(
-            check_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&SeqQueue::new(4), &history).is_linearizable(),
             "round {round}: queue history not linearizable under chaos"
         );
     }
     chaos::reset();
-}
-
-/// The linear-HLM deque specification (see tests/deque_lincheck.rs).
-struct DequeSpec {
-    capacity: usize,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DequeResp {
-    Pushed,
-    Full,
-    Popped(u32),
-    Empty,
-}
-
-impl SeqSpec for DequeSpec {
-    type State = SeqDeque<u32>;
-    type Op = DequeOp<u32>;
-    type Resp = DequeResp;
-
-    fn initial(&self) -> SeqDeque<u32> {
-        SeqDeque::new(self.capacity)
-    }
-
-    fn apply(&self, state: &SeqDeque<u32>, op: &DequeOp<u32>) -> (SeqDeque<u32>, DequeResp) {
-        let mut next = state.clone();
-        let resp = match op {
-            DequeOp::Push(end, v) => match next.push(*end, *v) {
-                DequePushOutcome::Pushed => DequeResp::Pushed,
-                DequePushOutcome::Full => DequeResp::Full,
-            },
-            DequeOp::Pop(end) => match next.pop(*end) {
-                DequePopOutcome::Popped(v) => DequeResp::Popped(v),
-                DequePopOutcome::Empty => DequeResp::Empty,
-            },
-        };
-        (next, resp)
-    }
 }
 
 #[test]
@@ -293,44 +212,18 @@ fn cs_deque_linearizes_under_weak_op_abort_storm() {
     chaos::arm_plan("deque::push", Plan::one_in(Fault::SpuriousAbort, 3));
     chaos::arm_plan("deque::pop", Plan::one_in(Fault::SpuriousAbort, 3));
 
-    let spec = DequeSpec { capacity: 4 };
     for round in 0..30 {
         let deque: CsDeque<u32> = CsDeque::new(4, THREADS);
-        let recorder: Recorder<DequeOp<u32>, DequeResp> = Recorder::new();
-        std::thread::scope(|s| {
-            for proc in 0..THREADS {
-                let deque = &deque;
-                let recorder = recorder.clone();
-                s.spawn(move || {
-                    for i in 0..OPS {
-                        let end = if (proc + i + round) % 2 == 0 {
-                            End::Left
-                        } else {
-                            End::Right
-                        };
-                        if (proc * 31 + i * 17 + round) % 3 != 0 {
-                            let v = (round * 100 + proc * OPS + i) as u32;
-                            recorder.invoke(proc, DequeOp::Push(end, v));
-                            let resp = match deque.push(proc, end, v) {
-                                DequePushOutcome::Pushed => DequeResp::Pushed,
-                                DequePushOutcome::Full => DequeResp::Full,
-                            };
-                            recorder.ret(proc, resp);
-                        } else {
-                            recorder.invoke(proc, DequeOp::Pop(end));
-                            let resp = match deque.pop(proc, end) {
-                                DequePopOutcome::Popped(v) => DequeResp::Popped(v),
-                                DequePopOutcome::Empty => DequeResp::Empty,
-                            };
-                            recorder.ret(proc, resp);
-                        }
-                    }
-                });
+        let scripts = scripts(round, |proc, i, v| {
+            let end = [End::Left, End::Right][(proc + i + round) % 2];
+            match (proc * 31 + i * 17 + round) % 3 {
+                0 => DequeOp::Pop(end),
+                _ => DequeOp::Push(end, v),
             }
         });
-        let history = recorder.finish();
+        let history = record(&scripts, |proc, op| Some(deque.apply(proc, op)));
         assert!(
-            check_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&SeqDeque::new(4), &history).is_linearizable(),
             "round {round}: deque history not linearizable under chaos"
         );
     }

@@ -3,23 +3,30 @@
 //! With combining forced on (fast path compiled out), operations are
 //! frequently applied by a *different* thread than the one that
 //! invoked them: the combiner serves the publication records of the
-//! waiters. These stress tests record live histories with the
-//! owner-pinned [`Recorder::begin`] handles — every operation is
-//! attributed to its **invoking** process, which is the process whose
-//! invoke/return window must contain the linearization point — and
-//! run them through the Wing–Gong checker.
+//! waiters. These stress tests record live histories with
+//! [`cso::lincheck::record`], which records every operation on its
+//! invoker's thread, around the public call — so each is attributed to
+//! its **invoking** process, whose invoke/return window must contain
+//! the linearization point — and run them through the Wing–Gong
+//! checker.
 
 use cso::core::CsConfig;
-use cso::lincheck::checker::check_linearizable;
-use cso::lincheck::recorder::Recorder;
-use cso::lincheck::specs::queue::{QueueSpec, SpecQueueOp, SpecQueueResp};
-use cso::lincheck::specs::stack::{SpecStackOp, SpecStackResp, StackSpec};
+use cso::lincheck::{check_linearizable, record};
 use cso::locks::TasLock;
-use cso::queue::{CsQueue, DequeueOutcome, EnqueueOutcome};
-use cso::stack::{CsStack, PopOutcome, PushOutcome};
+use cso::queue::{CsQueue, QueueOp, SeqQueue};
+use cso::stack::{CsStack, SeqStack, StackOp};
 
 const THREADS: usize = 3;
 const OPS: usize = 7;
+
+/// One script per thread: op `i` of thread `proc` is `op(proc, i, v)`,
+/// `v` a value unique to the round.
+fn scripts<Op>(round: usize, op: impl Fn(usize, usize, u32) -> Op) -> Vec<Vec<Op>> {
+    let value = |proc, i| (round * 100 + proc * OPS + i) as u32;
+    (0..THREADS)
+        .map(|proc| (0..OPS).map(|i| op(proc, i, value(proc, i))).collect())
+        .collect()
+}
 
 fn combining_config() -> CsConfig {
     // Fast path off: every operation goes through the combining slow
@@ -29,46 +36,19 @@ fn combining_config() -> CsConfig {
 
 #[test]
 fn combining_stack_histories_linearize() {
-    let spec = StackSpec::new(4);
     for round in 0..120 {
         let stack: CsStack<u32> =
             CsStack::with_config(4, TasLock::new(), THREADS, combining_config());
-        let recorder: Recorder<SpecStackOp, SpecStackResp> = Recorder::new();
-        std::thread::scope(|s| {
-            for proc in 0..THREADS {
-                let stack = &stack;
-                let recorder = recorder.clone();
-                s.spawn(move || {
-                    for i in 0..OPS {
-                        if (proc * 31 + i * 17 + round) % 3 != 0 {
-                            let v = (round * 100 + proc * OPS + i) as u32;
-                            let handle = recorder.begin(proc, SpecStackOp::Push(v));
-                            // Strong ops never return ⊥; the handle
-                            // pins attribution to `proc` even when a
-                            // combiner applied the op.
-                            match stack.push(proc, v) {
-                                PushOutcome::Pushed => handle.finish(SpecStackResp::Pushed),
-                                PushOutcome::Full => handle.finish(SpecStackResp::Full),
-                            }
-                        } else {
-                            let handle = recorder.begin(proc, SpecStackOp::Pop);
-                            match stack.pop(proc) {
-                                PopOutcome::Popped(v) => handle.finish(SpecStackResp::Popped(v)),
-                                PopOutcome::Empty => handle.finish(SpecStackResp::Empty),
-                            }
-                        }
-                        if i % 2 == round % 2 {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
+        let scripts = scripts(round, |proc, i, v| match (proc * 31 + i * 17 + round) % 3 {
+            0 => StackOp::Pop,
+            _ => StackOp::Push(v),
         });
+        // Strong ops never return ⊥.
+        let history = record(&scripts, |proc, op| Some(stack.apply(proc, op)));
         // Sanity: the run exercised the combining machinery at all.
         assert_eq!(stack.path_stats().fast, 0, "fast path must be off");
-        let history = recorder.finish();
         assert!(
-            check_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&SeqStack::new(4), &history).is_linearizable(),
             "round {round}:\n{history}"
         );
     }
@@ -76,46 +56,17 @@ fn combining_stack_histories_linearize() {
 
 #[test]
 fn combining_queue_histories_linearize() {
-    let spec = QueueSpec::new(4);
     for round in 0..120 {
         let queue: CsQueue<u32> =
             CsQueue::with_config(4, TasLock::new(), THREADS, combining_config());
-        let recorder: Recorder<SpecQueueOp, SpecQueueResp> = Recorder::new();
-        std::thread::scope(|s| {
-            for proc in 0..THREADS {
-                let queue = &queue;
-                let recorder = recorder.clone();
-                s.spawn(move || {
-                    for i in 0..OPS {
-                        if (proc * 13 + i * 7 + round) % 3 != 0 {
-                            let v = (round * 100 + proc * OPS + i) as u32;
-                            let handle = recorder.begin(proc, SpecQueueOp::Enqueue(v));
-                            match queue.enqueue(proc, v) {
-                                EnqueueOutcome::Enqueued => {
-                                    handle.finish(SpecQueueResp::Enqueued);
-                                }
-                                EnqueueOutcome::Full => handle.finish(SpecQueueResp::Full),
-                            }
-                        } else {
-                            let handle = recorder.begin(proc, SpecQueueOp::Dequeue);
-                            match queue.dequeue(proc) {
-                                DequeueOutcome::Dequeued(v) => {
-                                    handle.finish(SpecQueueResp::Dequeued(v));
-                                }
-                                DequeueOutcome::Empty => handle.finish(SpecQueueResp::Empty),
-                            }
-                        }
-                        if i % 2 == round % 2 {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
+        let scripts = scripts(round, |proc, i, v| match (proc * 13 + i * 7 + round) % 3 {
+            0 => QueueOp::Dequeue,
+            _ => QueueOp::Enqueue(v),
         });
+        let history = record(&scripts, |proc, op| Some(queue.apply(proc, op)));
         assert_eq!(queue.path_stats().fast, 0, "fast path must be off");
-        let history = recorder.finish();
         assert!(
-            check_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&SeqQueue::new(4), &history).is_linearizable(),
             "round {round}:\n{history}"
         );
     }
@@ -125,38 +76,16 @@ fn combining_queue_histories_linearize() {
 /// fast-path and combiner-applied completions still linearize.
 #[test]
 fn combining_with_fast_path_histories_linearize() {
-    let spec = StackSpec::new(4);
     for round in 0..60 {
         let stack: CsStack<u32> =
             CsStack::with_config(4, TasLock::new(), THREADS, CsConfig::COMBINING);
-        let recorder: Recorder<SpecStackOp, SpecStackResp> = Recorder::new();
-        std::thread::scope(|s| {
-            for proc in 0..THREADS {
-                let stack = &stack;
-                let recorder = recorder.clone();
-                s.spawn(move || {
-                    for i in 0..OPS {
-                        if (proc + i + round) % 2 == 0 {
-                            let v = (round * 100 + proc * OPS + i) as u32;
-                            let handle = recorder.begin(proc, SpecStackOp::Push(v));
-                            match stack.push(proc, v) {
-                                PushOutcome::Pushed => handle.finish(SpecStackResp::Pushed),
-                                PushOutcome::Full => handle.finish(SpecStackResp::Full),
-                            }
-                        } else {
-                            let handle = recorder.begin(proc, SpecStackOp::Pop);
-                            match stack.pop(proc) {
-                                PopOutcome::Popped(v) => handle.finish(SpecStackResp::Popped(v)),
-                                PopOutcome::Empty => handle.finish(SpecStackResp::Empty),
-                            }
-                        }
-                    }
-                });
-            }
+        let scripts = scripts(round, |proc, i, v| match (proc + i + round) % 2 {
+            0 => StackOp::Push(v),
+            _ => StackOp::Pop,
         });
-        let history = recorder.finish();
+        let history = record(&scripts, |proc, op| Some(stack.apply(proc, op)));
         assert!(
-            check_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&SeqStack::new(4), &history).is_linearizable(),
             "round {round}:\n{history}"
         );
     }

@@ -1,108 +1,45 @@
 //! Linearizability stress for the HLM deque family.
 //!
-//! The deque needs its own sequential specification — the linear-HLM
-//! arena semantics (per-side space) — implemented here over
-//! `cso_deque::SeqDeque` and plugged into the generic Wing–Gong
-//! checker. Aborted (⊥) attempts are cancelled per the
-//! abortable-object contract; a secretly-effective abort (e.g. a push
-//! whose first "bump" C&S changed abstract state) would make the
+//! The deque's sequential specification is `cso_deque::SeqDeque` — the
+//! linear-HLM arena semantics (per-side space) — checked by the
+//! generic Wing–Gong checker. Aborted (⊥) attempts are cancelled per
+//! the abortable-object contract; a secretly-effective abort (e.g. a
+//! push whose first "bump" C&S changed abstract state) would make the
 //! remaining history non-linearizable and fail here.
 
-use cso::deque::{
-    AbortableDeque, CsDeque, DequeOp, DequePopOutcome, DequePushOutcome, End, SeqDeque,
-};
-use cso::lincheck::checker::check_linearizable;
-use cso::lincheck::recorder::Recorder;
-use cso::lincheck::spec::SeqSpec;
-
-/// Responses, checker-side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resp {
-    Pushed,
-    Full,
-    Popped(u32),
-    Empty,
-}
-
-/// The linear-HLM deque specification.
-struct DequeSpec {
-    capacity: usize,
-}
-
-impl SeqSpec for DequeSpec {
-    type State = SeqDeque<u32>;
-    type Op = DequeOp<u32>;
-    type Resp = Resp;
-
-    fn initial(&self) -> SeqDeque<u32> {
-        SeqDeque::new(self.capacity)
-    }
-
-    fn apply(&self, state: &SeqDeque<u32>, op: &DequeOp<u32>) -> (SeqDeque<u32>, Resp) {
-        let mut next = state.clone();
-        let resp = match op {
-            DequeOp::Push(end, v) => match next.push(*end, *v) {
-                DequePushOutcome::Pushed => Resp::Pushed,
-                DequePushOutcome::Full => Resp::Full,
-            },
-            DequeOp::Pop(end) => match next.pop(*end) {
-                DequePopOutcome::Popped(v) => Resp::Popped(v),
-                DequePopOutcome::Empty => Resp::Empty,
-            },
-        };
-        (next, resp)
-    }
-}
+use cso::core::Abortable;
+use cso::deque::{AbortableDeque, CsDeque, DequeOp, End, SeqDeque};
+use cso::lincheck::{check_linearizable, record};
 
 const CAPACITY: usize = 4;
 const THREADS: usize = 3;
 const OPS: usize = 7;
 
+/// One script per thread: op `i` of thread `proc` works on the left
+/// end when `proc + i` is even, and pushes a value unique to the round
+/// when `pushes(proc, i)` holds.
+fn scripts(round: usize, pushes: impl Fn(usize, usize) -> bool) -> Vec<Vec<DequeOp<u32>>> {
+    let op = |proc, i| {
+        let end = [End::Left, End::Right][(proc + i) % 2];
+        if pushes(proc, i) {
+            DequeOp::Push(end, (round * 100 + proc * OPS + i) as u32)
+        } else {
+            DequeOp::Pop(end)
+        }
+    };
+    (0..THREADS)
+        .map(|proc| (0..OPS).map(|i| op(proc, i)).collect())
+        .collect()
+}
+
 #[test]
 fn abortable_deque_histories_linearize() {
-    let spec = DequeSpec { capacity: CAPACITY };
     for round in 0..200 {
         let deque: AbortableDeque<u32> = AbortableDeque::new(CAPACITY);
-        let recorder: Recorder<DequeOp<u32>, Resp> = Recorder::new();
-        std::thread::scope(|s| {
-            for proc in 0..THREADS {
-                let deque = &deque;
-                let recorder = recorder.clone();
-                s.spawn(move || {
-                    for i in 0..OPS {
-                        let end = if (proc + i) % 2 == 0 {
-                            End::Left
-                        } else {
-                            End::Right
-                        };
-                        if (proc * 31 + i * 17 + round) % 3 != 0 {
-                            let v = (round * 100 + proc * OPS + i) as u32;
-                            recorder.invoke(proc, DequeOp::Push(end, v));
-                            match deque.try_push(end, v) {
-                                Ok(DequePushOutcome::Pushed) => recorder.ret(proc, Resp::Pushed),
-                                Ok(DequePushOutcome::Full) => recorder.ret(proc, Resp::Full),
-                                Err(_) => recorder.cancel(proc),
-                            }
-                        } else {
-                            recorder.invoke(proc, DequeOp::Pop(end));
-                            match deque.try_pop(end) {
-                                Ok(DequePopOutcome::Popped(v)) => {
-                                    recorder.ret(proc, Resp::Popped(v));
-                                }
-                                Ok(DequePopOutcome::Empty) => recorder.ret(proc, Resp::Empty),
-                                Err(_) => recorder.cancel(proc),
-                            }
-                        }
-                        if i % 2 == round % 2 {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-        });
-        let history = recorder.finish();
+        let scripts = scripts(round, |proc, i| (proc * 31 + i * 17 + round) % 3 != 0);
+        let history = record(&scripts, |_, op| deque.try_apply(op).ok());
         assert!(
-            check_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&SeqDeque::new(CAPACITY), &history).is_linearizable(),
             "round {round}: deque history not linearizable"
         );
     }
@@ -110,44 +47,12 @@ fn abortable_deque_histories_linearize() {
 
 #[test]
 fn cs_deque_histories_linearize() {
-    let spec = DequeSpec { capacity: CAPACITY };
     for round in 0..120 {
         let deque: CsDeque<u32> = CsDeque::new(CAPACITY, THREADS);
-        let recorder: Recorder<DequeOp<u32>, Resp> = Recorder::new();
-        std::thread::scope(|s| {
-            for proc in 0..THREADS {
-                let deque = &deque;
-                let recorder = recorder.clone();
-                s.spawn(move || {
-                    for i in 0..OPS {
-                        let end = if (proc + i) % 2 == 0 {
-                            End::Left
-                        } else {
-                            End::Right
-                        };
-                        if (proc + i + round) % 2 == 0 {
-                            let v = (round * 100 + proc * OPS + i) as u32;
-                            recorder.invoke(proc, DequeOp::Push(end, v));
-                            let resp = match deque.push(proc, end, v) {
-                                DequePushOutcome::Pushed => Resp::Pushed,
-                                DequePushOutcome::Full => Resp::Full,
-                            };
-                            recorder.ret(proc, resp);
-                        } else {
-                            recorder.invoke(proc, DequeOp::Pop(end));
-                            let resp = match deque.pop(proc, end) {
-                                DequePopOutcome::Popped(v) => Resp::Popped(v),
-                                DequePopOutcome::Empty => Resp::Empty,
-                            };
-                            recorder.ret(proc, resp);
-                        }
-                    }
-                });
-            }
-        });
-        let history = recorder.finish();
+        let scripts = scripts(round, |proc, i| (proc + i + round) % 2 == 0);
+        let history = record(&scripts, |proc, op| Some(deque.apply(proc, op)));
         assert!(
-            check_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&SeqDeque::new(CAPACITY), &history).is_linearizable(),
             "round {round}: cs-deque history not linearizable"
         );
     }

@@ -5,63 +5,42 @@
 //! pair linearizes back-to-back at the taker's admission instant —
 //! which lies inside both operations' invoke/return windows (the
 //! offeror is still parked when the taker commits). These stress
-//! tests record live histories with the owner-pinned
-//! [`Recorder::begin`] handles and run them through the Wing–Gong
-//! checker, so that claim is checked against real interleavings
-//! rather than argued.
+//! tests record live histories with [`cso::lincheck::record`] and run
+//! them through the Wing–Gong checker, so that claim is checked
+//! against real interleavings rather than argued.
 
 use cso::core::CsConfig;
-use cso::lincheck::checker::check_linearizable;
-use cso::lincheck::recorder::Recorder;
-use cso::lincheck::specs::stack::{SpecStackOp, SpecStackResp, StackSpec};
+use cso::lincheck::{check_linearizable, record, History};
 use cso::locks::TasLock;
-use cso::stack::{CsStack, PopOutcome, PushOutcome};
+use cso::stack::{CsStack, SeqStack, StackOp, StackResponse};
 
 const THREADS: usize = 3;
 const OPS: usize = 7;
 
-fn drive_round(stack: &CsStack<u32>, round: usize) -> Recorder<SpecStackOp, SpecStackResp> {
-    let recorder: Recorder<SpecStackOp, SpecStackResp> = Recorder::new();
-    std::thread::scope(|s| {
-        for proc in 0..THREADS {
-            let recorder = recorder.clone();
-            s.spawn(move || {
-                for i in 0..OPS {
-                    if (proc * 31 + i * 17 + round) % 2 == 0 {
-                        let v = (round * 100 + proc * OPS + i) as u32;
-                        let handle = recorder.begin(proc, SpecStackOp::Push(v));
-                        match stack.push(proc, v) {
-                            PushOutcome::Pushed => handle.finish(SpecStackResp::Pushed),
-                            PushOutcome::Full => handle.finish(SpecStackResp::Full),
-                        }
-                    } else {
-                        let handle = recorder.begin(proc, SpecStackOp::Pop);
-                        match stack.pop(proc) {
-                            PopOutcome::Popped(v) => handle.finish(SpecStackResp::Popped(v)),
-                            PopOutcome::Empty => handle.finish(SpecStackResp::Empty),
-                        }
-                    }
-                    if i % 2 == round % 2 {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        }
-    });
-    recorder
+fn drive_round(stack: &CsStack<u32>, round: usize) -> History<StackOp<u32>, StackResponse<u32>> {
+    let scripts: Vec<Vec<_>> = (0..THREADS)
+        .map(|proc| {
+            (0..OPS)
+                .map(|i| match (proc * 31 + i * 17 + round) % 2 {
+                    0 => StackOp::Push((round * 100 + proc * OPS + i) as u32),
+                    _ => StackOp::Pop,
+                })
+                .collect()
+        })
+        .collect();
+    record(&scripts, |proc, op| Some(stack.apply(proc, op)))
 }
 
 /// The full ladder with the fast path *on*: mixed fast, retried,
 /// eliminated, and locked completions must all linearize together.
 #[test]
 fn ladder_stack_histories_linearize() {
-    let spec = StackSpec::new(4);
     for round in 0..120 {
         let stack: CsStack<u32> =
             CsStack::with_config(4, TasLock::new(), THREADS, CsConfig::LADDER);
-        let history = drive_round(&stack, round).finish();
+        let history = drive_round(&stack, round);
         assert!(
-            check_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&SeqStack::new(4), &history).is_linearizable(),
             "round {round}:\n{history}"
         );
     }
@@ -74,15 +53,14 @@ fn ladder_stack_histories_linearize() {
 /// just compiled).
 #[test]
 fn elimination_heavy_histories_linearize_and_rendezvous() {
-    let spec = StackSpec::new(4);
     let config = CsConfig::PAPER.without_fast_path().with_elimination();
     let mut total_pairs = 0u64;
     let mut total_eliminated = 0u64;
     for round in 0..120 {
         let stack: CsStack<u32> = CsStack::with_config(4, TasLock::new(), THREADS, config);
-        let history = drive_round(&stack, round).finish();
+        let history = drive_round(&stack, round);
         assert!(
-            check_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&SeqStack::new(4), &history).is_linearizable(),
             "round {round}:\n{history}"
         );
         assert_eq!(stack.path_stats().fast, 0, "fast path must be off");

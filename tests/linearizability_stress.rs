@@ -7,62 +7,34 @@
 //! contract they had no effect, and an implementation violating that
 //! contract would poison the remaining history and fail the check.
 
-use cso::lincheck::checker::check_linearizable;
-use cso::lincheck::recorder::Recorder;
-use cso::lincheck::specs::queue::{QueueSpec, SpecQueueOp, SpecQueueResp};
-use cso::lincheck::specs::stack::{SpecStackOp, SpecStackResp, StackSpec};
-use cso::queue::{AbortableQueue, CsQueue, DequeueOutcome, EnqueueOutcome};
-use cso::stack::{AbortableStack, CsStack, PopOutcome, PushOutcome};
+use cso::core::Abortable;
+use cso::lincheck::{check_linearizable, record};
+use cso::queue::{AbortableQueue, CsQueue, QueueOp, SeqQueue};
+use cso::stack::{AbortableStack, CsStack, SeqStack, StackOp};
 
 const THREADS: usize = 3;
 const OPS: usize = 7;
 
+/// One script per thread: op `i` of thread `proc` is `op(proc, i, v)`,
+/// `v` a value unique to the round.
+fn scripts<Op>(round: usize, op: impl Fn(usize, usize, u32) -> Op) -> Vec<Vec<Op>> {
+    let value = |proc, i| (round * 100 + proc * OPS + i) as u32;
+    (0..THREADS)
+        .map(|proc| (0..OPS).map(|i| op(proc, i, value(proc, i))).collect())
+        .collect()
+}
+
 #[test]
 fn abortable_stack_histories_linearize() {
-    let spec = StackSpec::new(4);
     for round in 0..150 {
         let stack: AbortableStack<u32> = AbortableStack::new(4);
-        let recorder: Recorder<SpecStackOp, SpecStackResp> = Recorder::new();
-        std::thread::scope(|s| {
-            for proc in 0..THREADS {
-                let stack = &stack;
-                let recorder = recorder.clone();
-                s.spawn(move || {
-                    for i in 0..OPS {
-                        if (proc * 31 + i * 17 + round) % 3 != 0 {
-                            let v = (round * 100 + proc * OPS + i) as u32;
-                            recorder.invoke(proc, SpecStackOp::Push(v));
-                            match stack.weak_push(v) {
-                                Ok(PushOutcome::Pushed) => {
-                                    recorder.ret(proc, SpecStackResp::Pushed);
-                                }
-                                Ok(PushOutcome::Full) => {
-                                    recorder.ret(proc, SpecStackResp::Full);
-                                }
-                                Err(_) => recorder.cancel(proc),
-                            }
-                        } else {
-                            recorder.invoke(proc, SpecStackOp::Pop);
-                            match stack.weak_pop() {
-                                Ok(PopOutcome::Popped(v)) => {
-                                    recorder.ret(proc, SpecStackResp::Popped(v));
-                                }
-                                Ok(PopOutcome::Empty) => {
-                                    recorder.ret(proc, SpecStackResp::Empty);
-                                }
-                                Err(_) => recorder.cancel(proc),
-                            }
-                        }
-                        if i % 2 == round % 2 {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
+        let scripts = scripts(round, |proc, i, v| match (proc * 31 + i * 17 + round) % 3 {
+            0 => StackOp::Pop,
+            _ => StackOp::Push(v),
         });
-        let history = recorder.finish();
+        let history = record(&scripts, |_, op| stack.try_apply(op).ok());
         assert!(
-            check_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&SeqStack::new(4), &history).is_linearizable(),
             "round {round}:\n{history}"
         );
     }
@@ -70,39 +42,15 @@ fn abortable_stack_histories_linearize() {
 
 #[test]
 fn cs_stack_histories_linearize() {
-    let spec = StackSpec::new(4);
     for round in 0..120 {
         let stack: CsStack<u32> = CsStack::new(4, THREADS);
-        let recorder: Recorder<SpecStackOp, SpecStackResp> = Recorder::new();
-        std::thread::scope(|s| {
-            for proc in 0..THREADS {
-                let stack = &stack;
-                let recorder = recorder.clone();
-                s.spawn(move || {
-                    for i in 0..OPS {
-                        if (proc + i + round) % 2 == 0 {
-                            let v = (round * 100 + proc * OPS + i) as u32;
-                            recorder.invoke(proc, SpecStackOp::Push(v));
-                            let resp = match stack.push(proc, v) {
-                                PushOutcome::Pushed => SpecStackResp::Pushed,
-                                PushOutcome::Full => SpecStackResp::Full,
-                            };
-                            recorder.ret(proc, resp);
-                        } else {
-                            recorder.invoke(proc, SpecStackOp::Pop);
-                            let resp = match stack.pop(proc) {
-                                PopOutcome::Popped(v) => SpecStackResp::Popped(v),
-                                PopOutcome::Empty => SpecStackResp::Empty,
-                            };
-                            recorder.ret(proc, resp);
-                        }
-                    }
-                });
-            }
+        let scripts = scripts(round, |proc, i, v| match (proc + i + round) % 2 {
+            0 => StackOp::Push(v),
+            _ => StackOp::Pop,
         });
-        let history = recorder.finish();
+        let history = record(&scripts, |proc, op| Some(stack.apply(proc, op)));
         assert!(
-            check_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&SeqStack::new(4), &history).is_linearizable(),
             "round {round}:\n{history}"
         );
     }
@@ -110,50 +58,15 @@ fn cs_stack_histories_linearize() {
 
 #[test]
 fn abortable_queue_histories_linearize() {
-    let spec = QueueSpec::new(4);
     for round in 0..150 {
         let queue: AbortableQueue<u32> = AbortableQueue::new(4);
-        let recorder: Recorder<SpecQueueOp, SpecQueueResp> = Recorder::new();
-        std::thread::scope(|s| {
-            for proc in 0..THREADS {
-                let queue = &queue;
-                let recorder = recorder.clone();
-                s.spawn(move || {
-                    for i in 0..OPS {
-                        if (proc * 13 + i * 7 + round) % 3 != 0 {
-                            let v = (round * 100 + proc * OPS + i) as u32;
-                            recorder.invoke(proc, SpecQueueOp::Enqueue(v));
-                            match queue.weak_enqueue(v) {
-                                Ok(EnqueueOutcome::Enqueued) => {
-                                    recorder.ret(proc, SpecQueueResp::Enqueued);
-                                }
-                                Ok(EnqueueOutcome::Full) => {
-                                    recorder.ret(proc, SpecQueueResp::Full);
-                                }
-                                Err(_) => recorder.cancel(proc),
-                            }
-                        } else {
-                            recorder.invoke(proc, SpecQueueOp::Dequeue);
-                            match queue.weak_dequeue() {
-                                Ok(DequeueOutcome::Dequeued(v)) => {
-                                    recorder.ret(proc, SpecQueueResp::Dequeued(v));
-                                }
-                                Ok(DequeueOutcome::Empty) => {
-                                    recorder.ret(proc, SpecQueueResp::Empty);
-                                }
-                                Err(_) => recorder.cancel(proc),
-                            }
-                        }
-                        if i % 2 == 0 {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
+        let scripts = scripts(round, |proc, i, v| match (proc * 13 + i * 7 + round) % 3 {
+            0 => QueueOp::Dequeue,
+            _ => QueueOp::Enqueue(v),
         });
-        let history = recorder.finish();
+        let history = record(&scripts, |_, op| queue.try_apply(op).ok());
         assert!(
-            check_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&SeqQueue::new(4), &history).is_linearizable(),
             "round {round}"
         );
     }
@@ -161,39 +74,15 @@ fn abortable_queue_histories_linearize() {
 
 #[test]
 fn cs_queue_histories_linearize() {
-    let spec = QueueSpec::new(4);
     for round in 0..120 {
         let queue: CsQueue<u32> = CsQueue::new(4, THREADS);
-        let recorder: Recorder<SpecQueueOp, SpecQueueResp> = Recorder::new();
-        std::thread::scope(|s| {
-            for proc in 0..THREADS {
-                let queue = &queue;
-                let recorder = recorder.clone();
-                s.spawn(move || {
-                    for i in 0..OPS {
-                        if (proc + i + round) % 2 == 0 {
-                            let v = (round * 100 + proc * OPS + i) as u32;
-                            recorder.invoke(proc, SpecQueueOp::Enqueue(v));
-                            let resp = match queue.enqueue(proc, v) {
-                                EnqueueOutcome::Enqueued => SpecQueueResp::Enqueued,
-                                EnqueueOutcome::Full => SpecQueueResp::Full,
-                            };
-                            recorder.ret(proc, resp);
-                        } else {
-                            recorder.invoke(proc, SpecQueueOp::Dequeue);
-                            let resp = match queue.dequeue(proc) {
-                                DequeueOutcome::Dequeued(v) => SpecQueueResp::Dequeued(v),
-                                DequeueOutcome::Empty => SpecQueueResp::Empty,
-                            };
-                            recorder.ret(proc, resp);
-                        }
-                    }
-                });
-            }
+        let scripts = scripts(round, |proc, i, v| match (proc + i + round) % 2 {
+            0 => QueueOp::Enqueue(v),
+            _ => QueueOp::Dequeue,
         });
-        let history = recorder.finish();
+        let history = record(&scripts, |proc, op| Some(queue.apply(proc, op)));
         assert!(
-            check_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&SeqQueue::new(4), &history).is_linearizable(),
             "round {round}"
         );
     }

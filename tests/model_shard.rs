@@ -36,16 +36,13 @@ use std::sync::Arc;
 use cso::lincheck::checker::check_relaxed_linearizable;
 use cso::lincheck::recorder::Recorder;
 use cso::lincheck::specs::relaxed::KStackSpec;
-use cso::lincheck::specs::stack::{SpecStackOp, SpecStackResp};
 use cso::memory::runtime;
 use cso::queue::{QueueOp, QueueResponse, SeqQueue};
 use cso::sched::{Explorer, Report};
 use cso::shard::{ShardConfig, ShardedCsQueue, ShardedCsStack};
-use cso::stack::{PopOutcome, PushOutcome, SeqStack, StackOp, StackResponse};
+use cso::stack::{PopOutcome, SeqStack, StackOp, StackResponse};
 
-use model_support::{
-    assert_exhausted, assert_swept, run_scripts, scripted_body, settle, Apply, ApplyFn,
-};
+use model_support::{assert_exhausted, assert_swept, run_scripts, scripted_body, settle, Apply};
 
 /// Theorem 1 per lane: six accesses for a solo stack op, seven for
 /// the queue (the extra `CONTENTION` read of the opposite end).
@@ -72,23 +69,6 @@ fn queue_apply(queue: &Arc<ShardedCsQueue<u32>>) -> Apply<SeqQueue<u32>> {
     })
 }
 
-/// The same stack in the relaxed checker's vocabulary.
-fn spec_apply(stack: &Arc<ShardedCsStack<u32>>) -> Arc<ApplyFn<SpecStackOp, SpecStackResp>> {
-    let stack = Arc::clone(stack);
-    Arc::new(move |proc, op| {
-        Some(match *op {
-            SpecStackOp::Push(v) => match stack.push(proc, v) {
-                PushOutcome::Pushed => SpecStackResp::Pushed,
-                PushOutcome::Full => SpecStackResp::Full,
-            },
-            SpecStackOp::Pop => match stack.pop(proc) {
-                PopOutcome::Popped(v) => SpecStackResp::Popped(v),
-                PopOutcome::Empty => SpecStackResp::Empty,
-            },
-        })
-    })
-}
-
 /// Why a pinned count may move, and what moving it takes.
 const PINNED: &str = "a change to the router's peek and probe sequence (or to a lane's \
      counted accesses) moves this number: the change that moves it must say why, and re-pin it";
@@ -109,17 +89,18 @@ fn assert_len_is_the_lane_sum(stack: &ShardedCsStack<u32>) -> usize {
 /// One execution of an elastic relaxed stack: the scripts, a drain
 /// inside the history if `drain`, the quiescent audit, and the k-spec
 /// at the advertised bound.
-fn relaxed_body(stack: &Arc<ShardedCsStack<u32>>, scripts: &[Vec<SpecStackOp>], drain: bool) {
+fn relaxed_body(stack: &Arc<ShardedCsStack<u32>>, scripts: &[Vec<StackOp<u32>>], drain: bool) {
     let spec = KStackSpec::new(stack.capacity(), stack.relaxation_bound());
     let recorder = Recorder::new();
-    let apply = spec_apply(stack);
+    let apply = stack_apply(stack);
     run_scripts(&recorder, scripts.to_vec(), Arc::clone(&apply));
     // No lost lane: the active prefix stays in 1..=lanes, and
     // deactivated lanes still drain (pops probe all lanes).
     let active = stack.active_lanes();
     assert!(active >= 1 && active <= stack.lanes(), "active {active}");
     if drain {
-        settle(&recorder, &*apply, SpecStackOp::Pop, &SpecStackResp::Empty);
+        let empty = StackResponse::Pop(PopOutcome::Empty);
+        settle(&recorder, &*apply, StackOp::Pop, &empty);
         assert_eq!(
             assert_len_is_the_lane_sum(stack),
             0,
@@ -209,7 +190,7 @@ fn exhaustive_strict_stack_linearizes() {
 /// moves.
 #[test]
 fn exhaustive_elastic_split_merge_with_stealing() {
-    use SpecStackOp::{Pop, Push};
+    use StackOp::{Pop, Push};
     static FANNED_OUT: AtomicUsize = AtomicUsize::new(0);
     static FOLDED_BACK: AtomicUsize = AtomicUsize::new(0);
     static STAYED: AtomicUsize = AtomicUsize::new(0);
@@ -267,7 +248,7 @@ fn exhaustive_strict_queue_linearizes() {
 /// schedule seed and a replay trace.
 #[test]
 fn random_sweep_three_thread_elastic_shard_holds() {
-    use SpecStackOp::{Pop, Push};
+    use StackOp::{Pop, Push};
     let report = Explorer::random(0x0005_AA4D_5EED, 150).explore(|| {
         let config = ShardConfig::relaxed(2, 2)
             .with_elastic()

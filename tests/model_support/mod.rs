@@ -7,17 +7,17 @@
 //! operation: who ran it, over which interval of a logical clock,
 //! whether it returned ⊥, and how many counted accesses it cost. The
 //! history keeps only the operations that took effect —
-//! [`cso::lincheck::recorder::OpHandle::abort`] erases a ⊥ — so
-//! checking it *is* checking that aborted operations are no-ops. The
-//! body then [`settle`]s the object inside the same history (drain to
-//! `Empty`, probe to `Full`): the combined history linearizes iff the
+//! [`cso::lincheck::Recorder::cancel`] erases a ⊥ — so checking it
+//! *is* checking that aborted operations are no-ops. The body then
+//! [`settle`]s the object inside the same history (drain to `Empty`,
+//! probe to `Full`): the combined history linearizes iff the
 //! concurrent part does *and* some linearization of it leaves exactly
-//! the state the drain observed.
+//! the state the drain observed. The specification is the object
+//! crate's own `Seq*` type, started from the state the body built.
 
 #![allow(dead_code)]
 
 use std::fmt::Debug;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -41,13 +41,11 @@ pub fn serial() -> std::sync::MutexGuard<'static, ()> {
     guard
 }
 
-/// A sequential reference object with the production vocabulary —
-/// and the two things a body does around its race: fill the object
-/// with values, and turn its final state into history.
-pub trait Reference: Clone + Eq + Hash {
-    type Op: Clone + Debug + Send + Sync + 'static;
-    type Resp: Clone + Eq + Debug + Send + 'static;
-    fn step(&mut self, op: &Self::Op) -> Self::Resp;
+/// A sequential specification that is its own state (the object
+/// crates' `Seq*` types) — and the two things a body does around its
+/// race: fill the object with values, and turn its final state into
+/// history.
+pub trait Reference: SeqSpec<State = Self> + Clone {
     /// The operation a pre-fill inserts `v` with.
     fn put(v: u32) -> Self::Op;
     /// The quiescent tail: each `(op, resp)` is applied, recorded,
@@ -56,11 +54,6 @@ pub trait Reference: Clone + Eq + Hash {
 }
 
 impl Reference for SeqStack<u32> {
-    type Op = StackOp<u32>;
-    type Resp = StackResponse<u32>;
-    fn step(&mut self, op: &Self::Op) -> Self::Resp {
-        self.apply(op)
-    }
     fn put(v: u32) -> Self::Op {
         StackOp::Push(v)
     }
@@ -70,11 +63,6 @@ impl Reference for SeqStack<u32> {
 }
 
 impl Reference for SeqQueue<u32> {
-    type Op = QueueOp<u32>;
-    type Resp = QueueResponse<u32>;
-    fn step(&mut self, op: &Self::Op) -> Self::Resp {
-        self.apply(op)
-    }
     fn put(v: u32) -> Self::Op {
         QueueOp::Enqueue(v)
     }
@@ -90,14 +78,6 @@ impl Reference for SeqQueue<u32> {
 /// drifted, so after the left drain it pushes left until `Full`, which
 /// pins how many left nulls the arena ended with.
 impl Reference for SeqDeque<u32> {
-    type Op = DequeOp<u32>;
-    type Resp = DequeResponse<u32>;
-    fn step(&mut self, op: &Self::Op) -> Self::Resp {
-        match op {
-            DequeOp::Push(end, v) => DequeResponse::Push(self.push(*end, *v)),
-            DequeOp::Pop(end) => DequeResponse::Pop(self.pop(*end)),
-        }
-    }
     fn put(v: u32) -> Self::Op {
         DequeOp::Push(End::Right, v)
     }
@@ -112,26 +92,6 @@ impl Reference for SeqDeque<u32> {
                 DequeResponse::Push(DequePushOutcome::Full),
             ),
         ]
-    }
-}
-
-/// The specification "start from this reference state": a pre-filled
-/// body passes the same pre-filled reference it built the object to.
-pub struct Spec<R>(pub R);
-
-impl<R: Reference> SeqSpec for Spec<R> {
-    type State = R;
-    type Op = R::Op;
-    type Resp = R::Resp;
-
-    fn initial(&self) -> R {
-        self.0.clone()
-    }
-
-    fn apply(&self, state: &R, op: &R::Op) -> (R, R::Resp) {
-        let mut next = state.clone();
-        let resp = next.step(op);
-        (next, resp)
     }
 }
 
@@ -165,7 +125,7 @@ pub fn aborts<Resp>(notes: &[Note<Resp>]) -> usize {
 pub type ApplyFn<Op, Resp> = dyn Fn(usize, &Op) -> Option<Resp> + Send + Sync;
 
 /// [`ApplyFn`] in a reference's vocabulary, shared between threads.
-pub type Apply<R> = Arc<ApplyFn<<R as Reference>::Op, <R as Reference>::Resp>>;
+pub type Apply<R> = Arc<ApplyFn<<R as SeqSpec>::Op, <R as SeqSpec>::Resp>>;
 
 /// A weak object as the scripts see it: `try_apply`, ⊥ as `None`.
 pub fn weak<O: Abortable + 'static>(object: O) -> Arc<ApplyFn<O::Op, O::Response>> {
@@ -194,15 +154,15 @@ fn run_script<Op: Clone, Resp: Clone>(
     script
         .iter()
         .map(|op| {
-            let handle = recorder.begin(proc, op.clone());
+            recorder.invoke(proc, op.clone());
             let start = clock.fetch_add(1, Ordering::SeqCst);
             let scope = CountScope::start();
             let resp = apply(proc, op);
             let accesses = scope.take().total();
             let end = clock.fetch_add(1, Ordering::SeqCst);
             match resp.clone() {
-                Some(resp) => handle.finish(resp),
-                None => handle.abort(),
+                Some(resp) => recorder.ret(proc, resp),
+                None => recorder.cancel(proc),
             }
             Note {
                 proc,
@@ -256,11 +216,11 @@ pub fn settle<Op: Clone, Resp: Clone + PartialEq>(
 ) -> usize {
     let mut calls = 0;
     loop {
-        let handle = recorder.begin(0, op.clone());
+        recorder.invoke(0, op.clone());
         let resp = apply(0, &op).expect("a solo operation returned ⊥");
         calls += 1;
         let done = resp == *last;
-        handle.finish(resp);
+        recorder.ret(0, resp);
         if done {
             return calls;
         }
@@ -277,10 +237,16 @@ pub fn scripted_body<R: Reference>(
     mut reference: R,
     prefill: &[u32],
     scripts: &[Vec<R::Op>],
-) -> Vec<Note<R::Resp>> {
+) -> Vec<Note<R::Resp>>
+where
+    R::Op: Debug + Send + Sync + 'static,
+    R::Resp: Debug + Send + 'static,
+{
     for op in prefill.iter().map(|&v| R::put(v)) {
         let built = apply(0, &op).expect("solo prefill returned ⊥");
-        assert_eq!(built, reference.step(&op), "prefill {op:?}");
+        let (next, expected) = SeqSpec::apply(&reference, &reference, &op);
+        assert_eq!(built, expected, "prefill {op:?}");
+        reference = next;
     }
     let recorder = Recorder::new();
     let notes = run_scripts(&recorder, scripts.to_vec(), Arc::clone(&apply));
@@ -293,12 +259,16 @@ pub fn scripted_body<R: Reference>(
 }
 
 /// Wing–Gong over everything the recorder holds.
-pub fn assert_linearizable<R: Reference>(initial: R, recorder: &Recorder<R::Op, R::Resp>) {
+pub fn assert_linearizable<R>(initial: R, recorder: &Recorder<R::Op, R::Resp>)
+where
+    R: SeqSpec<State = R>,
+    R::Op: Debug,
+    R::Resp: Debug,
+{
     let history = recorder.finish();
     assert!(
-        check_linearizable(&Spec(initial), &history).is_linearizable(),
-        "history does not linearize: {:?}",
-        history.events()
+        check_linearizable(&initial, &history).is_linearizable(),
+        "history does not linearize:\n{history}"
     );
 }
 

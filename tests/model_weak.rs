@@ -29,12 +29,13 @@ mod model_support;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use cso::deque::{AbortableDeque, DequeOp, End, SeqDeque};
+use cso::lincheck::spec::SeqSpec;
 use cso::queue::{AbortableQueue, QueueOp, SeqQueue};
 use cso::stack::{AbortableStack, PopOutcome, SeqStack, StackOp, StackResponse};
 
 use model_support::{
     aborts, assert_exhausted, assert_someone_wins, bounded_then_swept, scripted_body, unbounded,
-    weak, Note, Reference,
+    weak, Note,
 };
 
 use DequeOp::{Pop as DPop, Push as DPush};
@@ -45,7 +46,7 @@ use StackOp::{Pop, Push};
 /// The sweep behind every bounded body.
 const SWEEP: usize = 2_000;
 
-type Notes<R> = Vec<Note<<R as Reference>::Resp>>;
+type Notes<R> = Vec<Note<<R as SeqSpec>::Resp>>;
 
 fn stack_body(
     capacity: usize,

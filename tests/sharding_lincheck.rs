@@ -9,96 +9,63 @@
 //! exactly the proof that the *observed* relaxation never exceeds the
 //! *configured* bound.
 
-use cso::lincheck::checker::{check_linearizable, check_relaxed_linearizable};
-use cso::lincheck::recorder::Recorder;
-use cso::lincheck::specs::queue::{QueueSpec, SpecQueueOp, SpecQueueResp};
 use cso::lincheck::specs::relaxed::{KQueueSpec, KStackSpec};
-use cso::lincheck::specs::stack::{SpecStackOp, SpecStackResp, StackSpec};
-use cso::queue::{DequeueOutcome, EnqueueOutcome};
+use cso::lincheck::{check_linearizable, check_relaxed_linearizable, record, History};
+use cso::queue::{QueueOp, QueueResponse, SeqQueue};
 use cso::shard::{ShardConfig, ShardedCsQueue, ShardedCsStack};
-use cso::stack::{PopOutcome, PushOutcome};
+use cso::stack::{SeqStack, StackOp, StackResponse};
 
 const THREADS: usize = 3;
 const OPS: usize = 7;
 
+/// One script per thread: op `i` of thread `proc` is `op(proc, i, v)`,
+/// `v` a value unique to the round.
+fn scripts<Op>(round: usize, op: impl Fn(usize, usize, u32) -> Op) -> Vec<Vec<Op>> {
+    let value = |proc, i| (round * 100 + proc * OPS + i) as u32;
+    (0..THREADS)
+        .map(|proc| (0..OPS).map(|i| op(proc, i, value(proc, i))).collect())
+        .collect()
+}
+
 fn run_stack_round(
     stack: &ShardedCsStack<u32>,
     round: usize,
-) -> cso::lincheck::History<SpecStackOp, SpecStackResp> {
-    let recorder: Recorder<SpecStackOp, SpecStackResp> = Recorder::new();
-    std::thread::scope(|s| {
-        for proc in 0..THREADS {
-            let recorder = recorder.clone();
-            s.spawn(move || {
-                for i in 0..OPS {
-                    if (proc * 31 + i * 17 + round) % 3 != 0 {
-                        let v = (round * 100 + proc * OPS + i) as u32;
-                        let handle = recorder.begin(proc, SpecStackOp::Push(v));
-                        match stack.push(proc, v) {
-                            PushOutcome::Pushed => handle.finish(SpecStackResp::Pushed),
-                            PushOutcome::Full => handle.finish(SpecStackResp::Full),
-                        }
-                    } else {
-                        let handle = recorder.begin(proc, SpecStackOp::Pop);
-                        match stack.pop(proc) {
-                            PopOutcome::Popped(v) => handle.finish(SpecStackResp::Popped(v)),
-                            PopOutcome::Empty => handle.finish(SpecStackResp::Empty),
-                        }
-                    }
-                    if i % 2 == round % 2 {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        }
+) -> History<StackOp<u32>, StackResponse<u32>> {
+    let scripts = scripts(round, |proc, i, v| match (proc * 31 + i * 17 + round) % 3 {
+        0 => StackOp::Pop,
+        _ => StackOp::Push(v),
     });
-    recorder.finish()
+    record(&scripts, |proc, op| {
+        Some(match *op {
+            StackOp::Push(v) => StackResponse::Push(stack.push(proc, v)),
+            StackOp::Pop => StackResponse::Pop(stack.pop(proc)),
+        })
+    })
 }
 
 fn run_queue_round(
     queue: &ShardedCsQueue<u32>,
     round: usize,
-) -> cso::lincheck::History<SpecQueueOp, SpecQueueResp> {
-    let recorder: Recorder<SpecQueueOp, SpecQueueResp> = Recorder::new();
-    std::thread::scope(|s| {
-        for proc in 0..THREADS {
-            let recorder = recorder.clone();
-            s.spawn(move || {
-                for i in 0..OPS {
-                    if (proc * 13 + i * 7 + round) % 3 != 0 {
-                        let v = (round * 100 + proc * OPS + i) as u32;
-                        let handle = recorder.begin(proc, SpecQueueOp::Enqueue(v));
-                        match queue.enqueue(proc, v) {
-                            EnqueueOutcome::Enqueued => handle.finish(SpecQueueResp::Enqueued),
-                            EnqueueOutcome::Full => handle.finish(SpecQueueResp::Full),
-                        }
-                    } else {
-                        let handle = recorder.begin(proc, SpecQueueOp::Dequeue);
-                        match queue.dequeue(proc) {
-                            DequeueOutcome::Dequeued(v) => {
-                                handle.finish(SpecQueueResp::Dequeued(v));
-                            }
-                            DequeueOutcome::Empty => handle.finish(SpecQueueResp::Empty),
-                        }
-                    }
-                    if i % 2 == round % 2 {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        }
+) -> History<QueueOp<u32>, QueueResponse<u32>> {
+    let scripts = scripts(round, |proc, i, v| match (proc * 13 + i * 7 + round) % 3 {
+        0 => QueueOp::Dequeue,
+        _ => QueueOp::Enqueue(v),
     });
-    recorder.finish()
+    record(&scripts, |proc, op| {
+        Some(match *op {
+            QueueOp::Enqueue(v) => QueueResponse::Enqueue(queue.enqueue(proc, v)),
+            QueueOp::Dequeue => QueueResponse::Dequeue(queue.dequeue(proc)),
+        })
+    })
 }
 
 #[test]
 fn strict_sharded_stack_histories_linearize_unrelaxed() {
-    let spec = StackSpec::new(4);
     for round in 0..120 {
         let stack: ShardedCsStack<u32> = ShardedCsStack::new(4, THREADS, ShardConfig::strict(2));
         let history = run_stack_round(&stack, round);
         assert!(
-            check_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&SeqStack::new(4), &history).is_linearizable(),
             "round {round}:\n{history}"
         );
     }
@@ -106,12 +73,11 @@ fn strict_sharded_stack_histories_linearize_unrelaxed() {
 
 #[test]
 fn strict_sharded_queue_histories_linearize_unrelaxed() {
-    let spec = QueueSpec::new(4);
     for round in 0..120 {
         let queue: ShardedCsQueue<u32> = ShardedCsQueue::new(4, THREADS, ShardConfig::strict(2));
         let history = run_queue_round(&queue, round);
         assert!(
-            check_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&SeqQueue::new(4), &history).is_linearizable(),
             "round {round}:\n{history}"
         );
     }
