@@ -3,10 +3,11 @@
 //! Implements the Wing & Gong backtracking search in the formulation
 //! popularized by Lowe: repeatedly pick a *minimal* operation (one
 //! whose invocation precedes every return of the operations not yet
-//! linearized), check that the sequential specification produces the
-//! observed response, and recurse; memoize visited (linearized-set,
-//! abstract-state) configurations so equivalent interleavings are
-//! explored once.
+//! linearized), check that the sequential specification can produce
+//! the observed response (one candidate for a deterministic spec, any
+//! of several for a relaxed one), and recurse; memoize visited
+//! (linearized-set, abstract-state) configurations so equivalent
+//! interleavings are explored once.
 //!
 //! Pending operations (invoked, never returned) are handled per the
 //! definition: each may either take effect at some point after its
@@ -15,8 +16,8 @@
 
 use std::collections::HashSet;
 
-use crate::history::History;
-use crate::spec::{RelaxedSpec, SeqSpec};
+use crate::history::{History, OpRecord};
+use crate::spec::RelaxedSpec;
 
 /// The verdict of [`check_linearizable`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,137 +50,12 @@ impl LinResult {
     }
 }
 
-/// The verdict of [`check_linearizable_bounded`]: like [`LinResult`]
-/// but with an explicit "ran out of budget" case.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BoundedLinResult {
-    /// A linearization was found within budget.
-    Linearizable {
-        /// A valid linearization order (operation indices).
-        witness: Vec<usize>,
-    },
-    /// The full configuration space was explored: no linearization.
-    NotLinearizable,
-    /// The node budget ran out before the search concluded.
-    Unknown {
-        /// Configurations explored before giving up.
-        explored: usize,
-    },
-}
-
-impl BoundedLinResult {
-    /// True when a linearization was found.
-    #[must_use]
-    pub fn is_linearizable(&self) -> bool {
-        matches!(self, BoundedLinResult::Linearizable { .. })
-    }
-}
-
-/// Like [`check_linearizable`], but gives up after visiting
-/// `max_nodes` distinct (linearized-set, state) configurations,
-/// returning [`BoundedLinResult::Unknown`] instead of running for an
-/// unbounded time. Use for histories near the 128-operation ceiling,
-/// where the worst case is astronomically large even with
-/// memoization.
-///
-/// # Panics
-///
-/// Panics if the history contains more than 128 operations.
-pub fn check_linearizable_bounded<S: SeqSpec>(
-    spec: &S,
-    history: &History<S::Op, S::Resp>,
-    max_nodes: usize,
-) -> BoundedLinResult {
-    let ops = history.operations();
-    assert!(
-        ops.len() <= 128,
-        "checker supports at most 128 operations per history"
-    );
-    let completed_mask: u128 = ops
-        .iter()
-        .enumerate()
-        .filter(|(_, op)| op.returned.is_some())
-        .fold(0u128, |mask, (i, _)| mask | (1u128 << i));
-
-    struct Search<State> {
-        visited: HashSet<(u128, State)>,
-        witness: Vec<usize>,
-        budget: usize,
-        exhausted: bool,
-    }
-
-    fn dfs<S: SeqSpec>(
-        spec: &S,
-        ops: &[crate::history::OpRecord<S::Op, S::Resp>],
-        linearized: u128,
-        state: &S::State,
-        completed_mask: u128,
-        search: &mut Search<S::State>,
-    ) -> bool {
-        if linearized & completed_mask == completed_mask {
-            return true;
-        }
-        if search.visited.len() >= search.budget {
-            search.exhausted = true;
-            return false;
-        }
-        if !search.visited.insert((linearized, state.clone())) {
-            return false;
-        }
-        let frontier = ops
-            .iter()
-            .enumerate()
-            .filter(|(i, op)| linearized & (1 << i) == 0 && op.returned.is_some())
-            .map(|(_, op)| op.returned.as_ref().expect("filtered").1)
-            .min()
-            .unwrap_or(usize::MAX);
-        for (i, op) in ops.iter().enumerate() {
-            if linearized & (1 << i) != 0 || op.invoked_at >= frontier {
-                continue;
-            }
-            let (next_state, resp) = spec.apply(state, &op.op);
-            if let Some((actual, _)) = &op.returned {
-                if resp != *actual {
-                    continue;
-                }
-            }
-            search.witness.push(i);
-            if dfs(
-                spec,
-                ops,
-                linearized | (1 << i),
-                &next_state,
-                completed_mask,
-                search,
-            ) {
-                return true;
-            }
-            search.witness.pop();
-        }
-        false
-    }
-
-    let mut search = Search {
-        visited: HashSet::new(),
-        witness: Vec::new(),
-        budget: max_nodes,
-        exhausted: false,
-    };
-    let initial = spec.initial();
-    if dfs(spec, &ops, 0, &initial, completed_mask, &mut search) {
-        BoundedLinResult::Linearizable {
-            witness: search.witness,
-        }
-    } else if search.exhausted {
-        BoundedLinResult::Unknown {
-            explored: search.visited.len(),
-        }
-    } else {
-        BoundedLinResult::NotLinearizable
-    }
-}
-
 /// Decides whether `history` is linearizable with respect to `spec`.
+///
+/// The spec may be nondeterministic, like the k-relaxed specs in
+/// [`crate::specs::relaxed`]: the search branches over every outcome
+/// it allows. A [`SeqSpec`](crate::spec::SeqSpec) allows exactly one,
+/// so strict and relaxed checking are this one call.
 ///
 /// # Panics
 ///
@@ -202,39 +78,58 @@ pub fn check_linearizable_bounded<S: SeqSpec>(
 /// h.ret(0, RegResp::Value(1)); // write(2) linearized first
 /// assert!(check_linearizable(&RegisterSpec, &h).is_linearizable());
 /// ```
-pub fn check_linearizable<S: SeqSpec>(spec: &S, history: &History<S::Op, S::Resp>) -> LinResult {
+pub fn check_linearizable<S: RelaxedSpec>(
+    spec: &S,
+    history: &History<S::Op, S::Resp>,
+) -> LinResult {
     let ops = history.operations();
     assert!(
         ops.len() <= 128,
         "checker supports at most 128 operations per history"
     );
-    let total = ops.len();
-    let completed_mask: u128 = ops
+    let completed = ops
         .iter()
         .enumerate()
         .filter(|(_, op)| op.returned.is_some())
         .fold(0u128, |mask, (i, _)| mask | (1u128 << i));
+    let mut search = Search {
+        spec,
+        ops: &ops,
+        completed,
+        visited: HashSet::new(),
+        witness: Vec::new(),
+    };
+    if search.dfs(0, &spec.initial()) {
+        LinResult::Linearizable {
+            witness: search.witness,
+        }
+    } else {
+        LinResult::NotLinearizable
+    }
+}
 
-    let mut visited: HashSet<(u128, S::State)> = HashSet::new();
-    let mut witness: Vec<usize> = Vec::new();
+/// The search's fixed inputs and its memo and witness stack.
+struct Search<'a, S: RelaxedSpec> {
+    spec: &'a S,
+    ops: &'a [OpRecord<S::Op, S::Resp>],
+    /// One bit per operation that returned.
+    completed: u128,
+    /// The (linearized-set, state) configurations already explored.
+    visited: HashSet<(u128, S::State)>,
+    witness: Vec<usize>,
+}
 
-    fn dfs<S: SeqSpec>(
-        spec: &S,
-        ops: &[crate::history::OpRecord<S::Op, S::Resp>],
-        linearized: u128,
-        state: &S::State,
-        completed_mask: u128,
-        visited: &mut HashSet<(u128, S::State)>,
-        witness: &mut Vec<usize>,
-    ) -> bool {
+impl<S: RelaxedSpec> Search<'_, S> {
+    fn dfs(&mut self, linearized: u128, state: &S::State) -> bool {
         // Success: every completed operation is linearized (pending
         // ones may be dropped).
-        if linearized & completed_mask == completed_mask {
+        if linearized & self.completed == self.completed {
             return true;
         }
-        if !visited.insert((linearized, state.clone())) {
+        if !self.visited.insert((linearized, state.clone())) {
             return false;
         }
+        let (spec, ops) = (self.spec, self.ops);
         // The frontier: the earliest return among non-linearized
         // completed operations. Any operation invoked before it is a
         // legal next linearization point.
@@ -245,174 +140,34 @@ pub fn check_linearizable<S: SeqSpec>(spec: &S, history: &History<S::Op, S::Resp
             .map(|(_, op)| op.returned.as_ref().expect("filtered").1)
             .min()
             .unwrap_or(usize::MAX);
-
         for (i, op) in ops.iter().enumerate() {
             if linearized & (1 << i) != 0 || op.invoked_at >= frontier {
                 continue;
             }
-            let (next_state, resp) = spec.apply(state, &op.op);
-            if let Some((actual, _)) = &op.returned {
-                if resp != *actual {
-                    continue; // the spec would answer differently
-                }
-            }
-            // Pending operations linearize with any response.
-            witness.push(i);
-            if dfs(
-                spec,
-                ops,
-                linearized | (1 << i),
-                &next_state,
-                completed_mask,
-                visited,
-                witness,
-            ) {
-                return true;
-            }
-            witness.pop();
-        }
-        false
-    }
-
-    let initial = spec.initial();
-    if dfs(
-        spec,
-        &ops,
-        0,
-        &initial,
-        completed_mask,
-        &mut visited,
-        &mut witness,
-    ) {
-        debug_assert!(witness.len() >= total.min(witness.len()));
-        LinResult::Linearizable { witness }
-    } else {
-        LinResult::NotLinearizable
-    }
-}
-
-/// Decides whether `history` is linearizable with respect to a
-/// **nondeterministic** (relaxed) specification: the Wing & Gong
-/// search, additionally branching over every candidate outcome the
-/// spec allows for the chosen operation.
-///
-/// With a deterministic [`SeqSpec`] (every `SeqSpec` is a
-/// [`RelaxedSpec`] with singleton candidates) this agrees exactly with
-/// [`check_linearizable`] — the k-relaxed specs in
-/// [`crate::specs::relaxed`] with `k = 0` therefore decide strict
-/// linearizability against the objects' own `SeqStack`/`SeqQueue`.
-///
-/// # Panics
-///
-/// Panics if the history contains more than 128 operations.
-///
-/// ```
-/// use cso_lincheck::checker::check_relaxed_linearizable;
-/// use cso_lincheck::history::History;
-/// use cso_lincheck::specs::relaxed::KStackSpec;
-/// use cso_stack::{PopOutcome, PushOutcome, StackOp, StackResponse};
-///
-/// // Two sequential pushes, then a pop returning the *bottom* value:
-/// // distance 1 from the top — illegal strictly, legal for k = 1.
-/// let mut h = History::new();
-/// h.invoke(0, StackOp::Push(1));
-/// h.ret(0, StackResponse::Push(PushOutcome::Pushed));
-/// h.invoke(0, StackOp::Push(2));
-/// h.ret(0, StackResponse::Push(PushOutcome::Pushed));
-/// h.invoke(0, StackOp::Pop);
-/// h.ret(0, StackResponse::Pop(PopOutcome::Popped(1)));
-/// assert!(!check_relaxed_linearizable(&KStackSpec::new(4, 0), &h).is_linearizable());
-/// assert!(check_relaxed_linearizable(&KStackSpec::new(4, 1), &h).is_linearizable());
-/// ```
-pub fn check_relaxed_linearizable<S: RelaxedSpec>(
-    spec: &S,
-    history: &History<S::Op, S::Resp>,
-) -> LinResult {
-    let ops = history.operations();
-    assert!(
-        ops.len() <= 128,
-        "checker supports at most 128 operations per history"
-    );
-    let completed_mask: u128 = ops
-        .iter()
-        .enumerate()
-        .filter(|(_, op)| op.returned.is_some())
-        .fold(0u128, |mask, (i, _)| mask | (1u128 << i));
-
-    fn dfs<S: RelaxedSpec>(
-        spec: &S,
-        ops: &[crate::history::OpRecord<S::Op, S::Resp>],
-        linearized: u128,
-        state: &S::State,
-        completed_mask: u128,
-        visited: &mut HashSet<(u128, S::State)>,
-        witness: &mut Vec<usize>,
-    ) -> bool {
-        if linearized & completed_mask == completed_mask {
-            return true;
-        }
-        if !visited.insert((linearized, state.clone())) {
-            return false;
-        }
-        let frontier = ops
-            .iter()
-            .enumerate()
-            .filter(|(i, op)| linearized & (1 << i) == 0 && op.returned.is_some())
-            .map(|(_, op)| op.returned.as_ref().expect("filtered").1)
-            .min()
-            .unwrap_or(usize::MAX);
-        for (i, op) in ops.iter().enumerate() {
-            if linearized & (1 << i) != 0 || op.invoked_at >= frontier {
-                continue;
-            }
-            // Branch over every candidate outcome the relaxed spec
-            // allows; completed operations constrain the response,
-            // pending ones accept any candidate.
-            for (next_state, resp) in spec.candidates(state, &op.op) {
+            // Branch over every candidate outcome the spec allows;
+            // completed operations constrain the response, pending
+            // ones accept any candidate.
+            for (next, resp) in spec.candidates(state, &op.op) {
                 if let Some((actual, _)) = &op.returned {
                     if resp != *actual {
                         continue;
                     }
                 }
-                witness.push(i);
-                if dfs(
-                    spec,
-                    ops,
-                    linearized | (1 << i),
-                    &next_state,
-                    completed_mask,
-                    visited,
-                    witness,
-                ) {
+                self.witness.push(i);
+                if self.dfs(linearized | (1 << i), &next) {
                     return true;
                 }
-                witness.pop();
+                self.witness.pop();
             }
         }
         false
-    }
-
-    let mut visited: HashSet<(u128, S::State)> = HashSet::new();
-    let mut witness: Vec<usize> = Vec::new();
-    let initial = spec.initial();
-    if dfs(
-        spec,
-        &ops,
-        0,
-        &initial,
-        completed_mask,
-        &mut visited,
-        &mut witness,
-    ) {
-        LinResult::Linearizable { witness }
-    } else {
-        LinResult::NotLinearizable
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::SeqSpec;
     use crate::specs::register::{RegOp, RegResp, RegisterSpec};
     use cso_stack::{PopOutcome, PushOutcome, SeqStack, StackOp as Op, StackResponse as Resp};
 
@@ -557,55 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_checker_agrees_when_budget_suffices() {
-        let mut h = History::new();
-        h.invoke(0, Op::Push(1));
-        h.invoke(1, Op::Pop);
-        h.ret(0, PUSHED);
-        h.ret(1, popped(1));
-        let spec = SeqStack::new(4);
-        match check_linearizable_bounded(&spec, &h, 10_000) {
-            BoundedLinResult::Linearizable { .. } => {}
-            other => panic!("expected linearizable, got {other:?}"),
-        }
-        // Non-linearizable histories stay non-linearizable.
-        let mut bad = History::new();
-        bad.invoke(0, Op::Pop);
-        bad.ret(0, popped(9));
-        assert_eq!(
-            check_linearizable_bounded(&spec, &bad, 10_000),
-            BoundedLinResult::NotLinearizable
-        );
-    }
-
-    #[test]
-    fn bounded_checker_reports_unknown_on_tiny_budget() {
-        // A wide overlapping history with an enormous configuration
-        // space and a budget of 1: the search must give up, not hang.
-        let mut events = Vec::new();
-        for i in 0..12 {
-            events.push(crate::history::Event::Invoke {
-                proc: i,
-                op: Op::Push(i as u32),
-            });
-        }
-        for i in 0..12 {
-            events.push(crate::history::Event::Return {
-                proc: i,
-                resp: PUSHED,
-            });
-        }
-        let h = History::from_events(events);
-        match check_linearizable_bounded(&SeqStack::new(16), &h, 1) {
-            BoundedLinResult::Unknown { explored } => assert!(explored <= 1),
-            // With budget 1 the first path could still succeed for
-            // this all-push history (any order works), so accept it.
-            BoundedLinResult::Linearizable { .. } => {}
-            BoundedLinResult::NotLinearizable => panic!("cannot conclude within budget 1"),
-        }
-    }
-
-    #[test]
     fn witness_replays_to_observed_responses() {
         let mut h = History::new();
         h.invoke(0, Op::Push(5));
@@ -618,9 +324,9 @@ mod tests {
         // Replaying the witness through the spec reproduces every
         // observed response.
         let ops = h.operations();
-        let mut state = crate::spec::SeqSpec::initial(&spec);
+        let mut state = SeqSpec::initial(&spec);
         for idx in witness {
-            let (next, resp) = crate::spec::SeqSpec::apply(&spec, &state, &ops[idx].op);
+            let (next, resp) = spec.step(&state, &ops[idx].op);
             if let Some((actual, _)) = &ops[idx].returned {
                 assert_eq!(resp, *actual);
             }

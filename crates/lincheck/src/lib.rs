@@ -13,15 +13,17 @@
 //!   ordered histories from live runs, and [`record`], which runs one
 //!   operation script per thread through a closure and records it;
 //! * [`spec`] — the [`SeqSpec`] trait: a sequential specification as a
-//!   pure state-transition function;
-//! * [`checker`] — the decision procedure: the Wing & Gong
-//!   backtracking search with Lowe-style memoization of
-//!   (linearized-set, state) configurations;
+//!   pure state-transition function, and [`RelaxedSpec`], its
+//!   nondeterministic form (every `SeqSpec` is one, with a single
+//!   candidate per step);
+//! * [`checker`] — the decision procedure, [`check_linearizable`]: one
+//!   Wing & Gong backtracking search over any [`RelaxedSpec`], with
+//!   Lowe-style memoization of (linearized-set, state) configurations;
 //! * [`specs`] — the specifications: the object crates' own
 //!   `SeqStack`, `SeqQueue` and `SeqDeque` (one sequential type per
 //!   object, in the objects' own vocabulary), a CAS register, and the
-//!   k-relaxed stack and queue decided by [`check_relaxed_linearizable`]
-//!   against the nondeterministic [`RelaxedSpec`] trait.
+//!   k-relaxed stack and queue, decided by the same
+//!   [`check_linearizable`].
 //!
 //! # Example
 //!
@@ -54,10 +56,7 @@ pub mod recorder;
 pub mod spec;
 pub mod specs;
 
-pub use checker::{
-    check_linearizable, check_linearizable_bounded, check_relaxed_linearizable, BoundedLinResult,
-    LinResult,
-};
+pub use checker::{check_linearizable, LinResult};
 pub use history::{Event, History};
 pub use recorder::{record, Recorder};
 pub use spec::{RelaxedSpec, SeqSpec};

@@ -21,7 +21,7 @@ pub trait SeqSpec {
 
     /// Applies `op` to `state`, producing the next state and the
     /// response a sequential execution would deliver.
-    fn apply(&self, state: &Self::State, op: &Self::Op) -> (Self::State, Self::Resp);
+    fn step(&self, state: &Self::State, op: &Self::Op) -> (Self::State, Self::Resp);
 }
 
 /// A **nondeterministic** sequential specification: applying an
@@ -32,14 +32,14 @@ pub trait SeqSpec {
 /// "quantitative relaxation"): a k-relaxed pop may return any of the
 /// top k + 1 elements, so the specification is a relation, not a
 /// function. The checker
-/// ([`check_relaxed_linearizable`](crate::checker::check_relaxed_linearizable))
+/// ([`check_linearizable`](crate::checker::check_linearizable))
 /// branches over the candidates whose response matches the observed
 /// one.
 ///
 /// Every deterministic [`SeqSpec`] is trivially a `RelaxedSpec` with a
-/// singleton candidate set; the blanket impl below provides that, so
-/// the relaxed checker with a strict spec decides plain
-/// linearizability.
+/// singleton candidate set; the blanket impl below provides that
+/// without allocating, so the one checker decides plain
+/// linearizability against a strict spec.
 pub trait RelaxedSpec {
     /// The abstract object state.
     type State: Clone + Eq + Hash;
@@ -54,7 +54,11 @@ pub trait RelaxedSpec {
     /// Every (next-state, response) pair a sequential execution could
     /// legally produce for `op` in `state`. Must be non-empty and
     /// deterministic as a *set* (same inputs, same candidates).
-    fn candidates(&self, state: &Self::State, op: &Self::Op) -> Vec<(Self::State, Self::Resp)>;
+    fn candidates(
+        &self,
+        state: &Self::State,
+        op: &Self::Op,
+    ) -> impl IntoIterator<Item = (Self::State, Self::Resp)>;
 }
 
 impl<S: SeqSpec> RelaxedSpec for S {
@@ -66,8 +70,12 @@ impl<S: SeqSpec> RelaxedSpec for S {
         SeqSpec::initial(self)
     }
 
-    fn candidates(&self, state: &Self::State, op: &Self::Op) -> Vec<(Self::State, Self::Resp)> {
-        vec![SeqSpec::apply(self, state, op)]
+    fn candidates(
+        &self,
+        state: &Self::State,
+        op: &Self::Op,
+    ) -> impl IntoIterator<Item = (Self::State, Self::Resp)> {
+        std::iter::once(self.step(state, op))
     }
 }
 
@@ -86,7 +94,7 @@ mod tests {
             0
         }
 
-        fn apply(&self, state: &u64, op: &u64) -> (u64, u64) {
+        fn step(&self, state: &u64, op: &u64) -> (u64, u64) {
             (state + op, state + op)
         }
     }
@@ -96,16 +104,17 @@ mod tests {
         let spec = CounterSpec;
         // (Qualified calls: the RelaxedSpec blanket impl also applies.)
         let s0 = SeqSpec::initial(&spec);
-        let (s1, r1) = spec.apply(&s0, &5);
+        let (s1, r1) = spec.step(&s0, &5);
         assert_eq!((s1, r1), (5, 5));
         // Reapplying from the same state gives the same result.
-        assert_eq!(spec.apply(&s0, &5), (5, 5));
+        assert_eq!(spec.step(&s0, &5), (5, 5));
     }
 
     #[test]
     fn every_seqspec_is_a_singleton_relaxed_spec() {
         let spec = CounterSpec;
         let s0 = RelaxedSpec::initial(&spec);
-        assert_eq!(spec.candidates(&s0, &5), vec![(5, 5)]);
+        let candidates: Vec<_> = spec.candidates(&s0, &5).into_iter().collect();
+        assert_eq!(candidates, vec![(5, 5)]);
     }
 }

@@ -27,9 +27,9 @@ impl<V: Clone + Eq + Hash> SeqSpec for SeqStack<V> {
         self.clone()
     }
 
-    fn apply(&self, state: &SeqStack<V>, op: &StackOp<V>) -> (SeqStack<V>, StackResponse<V>) {
+    fn step(&self, state: &SeqStack<V>, op: &StackOp<V>) -> (SeqStack<V>, StackResponse<V>) {
         let mut next = state.clone();
-        let resp = SeqStack::apply(&mut next, op);
+        let resp = next.apply(op);
         (next, resp)
     }
 }
@@ -43,9 +43,9 @@ impl<V: Clone + Eq + Hash> SeqSpec for SeqQueue<V> {
         self.clone()
     }
 
-    fn apply(&self, state: &SeqQueue<V>, op: &QueueOp<V>) -> (SeqQueue<V>, QueueResponse<V>) {
+    fn step(&self, state: &SeqQueue<V>, op: &QueueOp<V>) -> (SeqQueue<V>, QueueResponse<V>) {
         let mut next = state.clone();
-        let resp = SeqQueue::apply(&mut next, op);
+        let resp = next.apply(op);
         (next, resp)
     }
 }
@@ -61,9 +61,9 @@ impl<V: Clone + Eq + Hash> SeqSpec for SeqDeque<V> {
         self.clone()
     }
 
-    fn apply(&self, state: &SeqDeque<V>, op: &DequeOp<V>) -> (SeqDeque<V>, DequeResponse<V>) {
+    fn step(&self, state: &SeqDeque<V>, op: &DequeOp<V>) -> (SeqDeque<V>, DequeResponse<V>) {
         let mut next = state.clone();
-        let resp = SeqDeque::apply(&mut next, op);
+        let resp = next.apply(op);
         (next, resp)
     }
 }
@@ -82,15 +82,15 @@ mod tests {
     fn lifo_with_capacity() {
         let spec = SeqStack::new(2);
         let s0 = spec.initial();
-        let (s1, r1) = SeqSpec::apply(&spec, &s0, &StackOp::Push(1u32));
+        let (s1, r1) = spec.step(&s0, &StackOp::Push(1u32));
         assert_eq!(r1, StackResponse::Push(PushOutcome::Pushed));
-        let (s2, _) = SeqSpec::apply(&spec, &s1, &StackOp::Push(2));
-        let (s3, r3) = SeqSpec::apply(&spec, &s2, &StackOp::Push(3));
+        let (s2, _) = spec.step(&s1, &StackOp::Push(2));
+        let (s3, r3) = spec.step(&s2, &StackOp::Push(3));
         assert_eq!(r3, StackResponse::Push(PushOutcome::Full));
         assert_eq!(s3, s2);
-        let (_, r4) = SeqSpec::apply(&spec, &s3, &StackOp::Pop);
+        let (_, r4) = spec.step(&s3, &StackOp::Pop);
         assert_eq!(r4, StackResponse::Pop(PopOutcome::Popped(2)));
-        let (empty, r5) = SeqSpec::apply(&spec, &s0, &StackOp::Pop);
+        let (empty, r5) = spec.step(&s0, &StackOp::Pop);
         assert_eq!(r5, StackResponse::Pop(PopOutcome::Empty));
         assert!(empty.is_empty());
     }
@@ -99,14 +99,14 @@ mod tests {
     fn fifo_with_capacity() {
         let spec = SeqQueue::new(2);
         let s0 = spec.initial();
-        let (s1, _) = SeqSpec::apply(&spec, &s0, &QueueOp::Enqueue(1u32));
-        let (s2, _) = SeqSpec::apply(&spec, &s1, &QueueOp::Enqueue(2));
-        let (s3, r) = SeqSpec::apply(&spec, &s2, &QueueOp::Enqueue(3));
+        let (s1, _) = spec.step(&s0, &QueueOp::Enqueue(1u32));
+        let (s2, _) = spec.step(&s1, &QueueOp::Enqueue(2));
+        let (s3, r) = spec.step(&s2, &QueueOp::Enqueue(3));
         assert_eq!(r, QueueResponse::Enqueue(EnqueueOutcome::Full));
         assert_eq!(s3, s2);
-        let (_, r) = SeqSpec::apply(&spec, &s2, &QueueOp::Dequeue);
+        let (_, r) = spec.step(&s2, &QueueOp::Dequeue);
         assert_eq!(r, QueueResponse::Dequeue(DequeueOutcome::Dequeued(1)));
-        let (_, r) = SeqSpec::apply(&spec, &s0, &QueueOp::Dequeue);
+        let (_, r) = spec.step(&s0, &QueueOp::Dequeue);
         assert_eq!(r, QueueResponse::Dequeue(DequeueOutcome::Empty));
     }
 

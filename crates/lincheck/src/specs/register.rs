@@ -38,7 +38,7 @@ impl SeqSpec for RegisterSpec {
         0
     }
 
-    fn apply(&self, state: &u64, op: &RegOp) -> (u64, RegResp) {
+    fn step(&self, state: &u64, op: &RegOp) -> (u64, RegResp) {
         match op {
             RegOp::Read => (*state, RegResp::Value(*state)),
             RegOp::Write(v) => (*v, RegResp::Done),
@@ -61,13 +61,13 @@ mod tests {
     fn cas_semantics_match_the_paper() {
         let spec = RegisterSpec;
         let s0 = spec.initial();
-        let (s1, r1) = spec.apply(&s0, &RegOp::Cas(0, 5));
+        let (s1, r1) = spec.step(&s0, &RegOp::Cas(0, 5));
         assert_eq!((s1, r1), (5, RegResp::Swapped(true)));
-        let (s2, r2) = spec.apply(&s1, &RegOp::Cas(0, 9));
+        let (s2, r2) = spec.step(&s1, &RegOp::Cas(0, 9));
         assert_eq!((s2, r2), (5, RegResp::Swapped(false)));
-        let (_, r3) = spec.apply(&s2, &RegOp::Read);
+        let (_, r3) = spec.step(&s2, &RegOp::Read);
         assert_eq!(r3, RegResp::Value(5));
-        let (s4, r4) = spec.apply(&s2, &RegOp::Write(1));
+        let (s4, r4) = spec.step(&s2, &RegOp::Write(1));
         assert_eq!((s4, r4), (1, RegResp::Done));
     }
 }

@@ -17,7 +17,8 @@
 //! vocabulary (`StackOp`/`StackResponse`, `QueueOp`/`QueueResponse`).
 //!
 //! These are [`RelaxedSpec`]s — relations, not functions — decided by
-//! [`check_relaxed_linearizable`](crate::checker::check_relaxed_linearizable).
+//! the same [`check_linearizable`](crate::checker::check_linearizable)
+//! search as the strict specs.
 //! `cso-shard`'s relaxed mode advertises its bound via
 //! `relaxation_bound()`; feeding that bound as `k` here is how
 //! `tests/sharding_lincheck.rs` proves the observed relaxation never
@@ -34,6 +35,25 @@ use cso_stack::{PopOutcome, PushOutcome, StackOp, StackResponse};
 use crate::spec::RelaxedSpec;
 
 /// The k-relaxed bounded LIFO stack specification.
+///
+/// ```
+/// use cso_lincheck::checker::check_linearizable;
+/// use cso_lincheck::history::History;
+/// use cso_lincheck::specs::relaxed::KStackSpec;
+/// use cso_stack::{PopOutcome, PushOutcome, StackOp, StackResponse};
+///
+/// // Two sequential pushes, then a pop returning the *bottom* value:
+/// // distance 1 from the top — illegal strictly, legal for k = 1.
+/// let mut h = History::new();
+/// h.invoke(0, StackOp::Push(1));
+/// h.ret(0, StackResponse::Push(PushOutcome::Pushed));
+/// h.invoke(0, StackOp::Push(2));
+/// h.ret(0, StackResponse::Push(PushOutcome::Pushed));
+/// h.invoke(0, StackOp::Pop);
+/// h.ret(0, StackResponse::Pop(PopOutcome::Popped(1)));
+/// assert!(!check_linearizable(&KStackSpec::new(4, 0), &h).is_linearizable());
+/// assert!(check_linearizable(&KStackSpec::new(4, 1), &h).is_linearizable());
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KStackSpec {
     capacity: usize,
@@ -67,7 +87,7 @@ impl RelaxedSpec for KStackSpec {
         &self,
         state: &Vec<u32>,
         op: &StackOp<u32>,
-    ) -> Vec<(Vec<u32>, StackResponse<u32>)> {
+    ) -> impl IntoIterator<Item = (Vec<u32>, StackResponse<u32>)> {
         match op {
             StackOp::Push(v) => {
                 let mut out = Vec::new();
@@ -138,7 +158,7 @@ impl RelaxedSpec for KQueueSpec {
         &self,
         state: &VecDeque<u32>,
         op: &QueueOp<u32>,
-    ) -> Vec<(VecDeque<u32>, QueueResponse<u32>)> {
+    ) -> impl IntoIterator<Item = (VecDeque<u32>, QueueResponse<u32>)> {
         match op {
             QueueOp::Enqueue(v) => {
                 let mut out = Vec::new();
@@ -177,7 +197,7 @@ mod tests {
     use cso_stack::SeqStack;
 
     use super::*;
-    use crate::checker::{check_linearizable, check_relaxed_linearizable};
+    use crate::checker::check_linearizable;
     use crate::history::History;
     use crate::spec::SeqSpec;
 
@@ -193,9 +213,9 @@ mod tests {
                 strict.push(v);
             }
             for op in [StackOp::Push(9), StackOp::Pop] {
-                let got = relaxed.candidates(&items, &op);
+                let got: Vec<_> = relaxed.candidates(&items, &op).into_iter().collect();
                 assert_eq!(got.len(), 1, "k=0 must be deterministic");
-                let (next, resp) = SeqSpec::apply(&strict, &strict, &op);
+                let (next, resp) = strict.step(&strict, &op);
                 assert_eq!((got[0].0.as_slice(), got[0].1), (next.items(), resp));
             }
         }
@@ -210,9 +230,9 @@ mod tests {
                 strict.enqueue(v);
             }
             for op in [QueueOp::Enqueue(9), QueueOp::Dequeue] {
-                let got = relaxed.candidates(&items, &op);
+                let got: Vec<_> = relaxed.candidates(&items, &op).into_iter().collect();
                 assert_eq!(got.len(), 1, "k=0 must be deterministic");
-                let (next, resp) = SeqSpec::apply(&strict, &strict, &op);
+                let (next, resp) = strict.step(&strict, &op);
                 assert_eq!((&got[0].0, got[0].1), (next.items(), resp));
             }
         }
@@ -266,38 +286,39 @@ mod tests {
         }
         h.invoke(1, QueueOp::Dequeue);
         h.ret(1, QueueResponse::Dequeue(DequeueOutcome::Dequeued(3)));
-        assert!(!check_relaxed_linearizable(&KQueueSpec::new(8, 1), &h).is_linearizable());
-        assert!(check_relaxed_linearizable(&KQueueSpec::new(8, 2), &h).is_linearizable());
+        assert!(!check_linearizable(&KQueueSpec::new(8, 1), &h).is_linearizable());
+        assert!(check_linearizable(&KQueueSpec::new(8, 2), &h).is_linearizable());
         // And the strict checker rejects it outright.
         assert!(!check_linearizable(&SeqQueue::new(8), &h).is_linearizable());
     }
 
     #[test]
     fn relaxed_checker_with_k0_agrees_with_strict() {
-        // A legal strict history passes both checkers.
+        // A legal strict history passes at k = 0 as it does strictly.
         let mut h = History::new();
         h.invoke(0, StackOp::Push(1));
         h.invoke(1, StackOp::Pop);
         h.ret(0, PUSHED);
         h.ret(1, StackResponse::Pop(PopOutcome::Popped(1)));
         assert!(check_linearizable(&SeqStack::new(4), &h).is_linearizable());
-        assert!(check_relaxed_linearizable(&KStackSpec::new(4, 0), &h).is_linearizable());
-        // An illegal one fails both.
+        assert!(check_linearizable(&KStackSpec::new(4, 0), &h).is_linearizable());
+        // An illegal one fails both ways.
         let mut bad = History::new();
         bad.invoke(0, StackOp::Pop);
         bad.ret(0, StackResponse::Pop(PopOutcome::Popped(7)));
         assert!(!check_linearizable(&SeqStack::new(4), &bad).is_linearizable());
-        assert!(!check_relaxed_linearizable(&KStackSpec::new(4, 0), &bad).is_linearizable());
+        assert!(!check_linearizable(&KStackSpec::new(4, 0), &bad).is_linearizable());
     }
 
     #[test]
     fn seqspec_blanket_impl_feeds_the_relaxed_checker() {
-        // A deterministic spec run through the relaxed checker.
+        // A deterministic spec reaches the search through the blanket
+        // impl's singleton candidates.
         let mut h = History::new();
         h.invoke(0, QueueOp::Enqueue(5u32));
         h.ret(0, ENQUEUED);
         h.invoke(0, QueueOp::Dequeue);
         h.ret(0, QueueResponse::Dequeue(DequeueOutcome::Dequeued(5)));
-        assert!(check_relaxed_linearizable(&SeqQueue::new(4), &h).is_linearizable());
+        assert!(check_linearizable(&SeqQueue::new(4), &h).is_linearizable());
     }
 }

@@ -13,13 +13,17 @@
 //!   overlapped versions of accepted histories stay accepted;
 //! * **mutation kills**: flipping a pop response in a sequential
 //!   history to a different value must be rejected (unless the value
-//!   coincides — excluded by construction).
+//!   coincides — excluded by construction);
+//! * **the relaxed path**: the k-relaxed stack at k = 0 gives the
+//!   strict stack's verdict on every generated history, and a history
+//!   accepted at k is accepted at k + 1.
 
 use cso_memory::backoff::XorShift64;
 
 use cso_lincheck::checker::check_linearizable;
 use cso_lincheck::history::{Event, History};
 use cso_lincheck::spec::SeqSpec;
+use cso_lincheck::specs::relaxed::KStackSpec;
 use cso_stack::{PopOutcome, PushOutcome, SeqStack, StackOp, StackResponse};
 
 const CAPACITY: usize = 4;
@@ -42,7 +46,7 @@ fn sequential_history(ops: &[Op]) -> History<Op, Resp> {
     let mut history = History::new();
     for (i, op) in ops.iter().enumerate() {
         let proc = i % 3;
-        let (next, resp) = spec.apply(&state, op);
+        let (next, resp) = spec.step(&state, op);
         history.invoke(proc, *op);
         history.ret(proc, resp);
         state = next;
@@ -99,7 +103,7 @@ fn sequential_histories_are_linearizable() {
         let records = history.operations();
         let mut state = spec.initial();
         for &idx in witness {
-            let (next, resp) = spec.apply(&state, &records[idx].op);
+            let (next, resp) = spec.step(&state, &records[idx].op);
             assert_eq!(resp, records[idx].returned.unwrap().0);
             state = next;
         }
@@ -118,6 +122,41 @@ fn overlap_preserves_acceptance() {
     }
 }
 
+/// The history with its first popped value replaced by one never
+/// pushed, or `None` when no pop returned a value.
+fn corrupt_first_pop(history: &History<Op, Resp>) -> Option<History<Op, Resp>> {
+    let target = history.operations().iter().position(|r| {
+        matches!(
+            r.returned,
+            Some((StackResponse::Pop(PopOutcome::Popped(_)), _))
+        )
+    })?;
+    // Rebuild the event list with the corrupted response.
+    let mut seen_returns = 0usize;
+    let corrupted = history
+        .events()
+        .iter()
+        .cloned()
+        .map(|event| match event {
+            Event::Return { proc, resp } => {
+                let idx = seen_returns;
+                seen_returns += 1;
+                if idx == target {
+                    if let StackResponse::Pop(PopOutcome::Popped(v)) = resp {
+                        return Event::Return {
+                            proc,
+                            resp: popped(v + 1_000),
+                        };
+                    }
+                }
+                Event::Return { proc, resp }
+            }
+            other => other,
+        })
+        .collect();
+    Some(History::from_events(corrupted))
+}
+
 /// Mutation kill: corrupting one popped value must be rejected
 /// (a sequential history admits exactly one linearization).
 #[test]
@@ -129,42 +168,11 @@ fn corrupted_pop_is_rejected() {
         if ops.is_empty() {
             ops.push(StackOp::Push(1));
         }
-        let history = sequential_history(&ops);
-        // Find a pop that returned a value; skip histories without one.
-        let records = history.operations();
-        let target = records.iter().position(|r| {
-            matches!(
-                r.returned,
-                Some((StackResponse::Pop(PopOutcome::Popped(_)), _))
-            )
-        });
-        let Some(target) = target else { continue };
+        // Skip histories without a pop that returned a value.
+        let Some(corrupted) = corrupt_first_pop(&sequential_history(&ops)) else {
+            continue;
+        };
         killed += 1;
-
-        // Rebuild the event list with the corrupted response.
-        let mut seen_returns = 0usize;
-        let corrupted: Vec<Event<Op, Resp>> = history
-            .events()
-            .iter()
-            .cloned()
-            .map(|event| match event {
-                Event::Return { proc, resp } => {
-                    let idx = seen_returns;
-                    seen_returns += 1;
-                    if idx == target {
-                        if let StackResponse::Pop(PopOutcome::Popped(v)) = resp {
-                            return Event::Return {
-                                proc,
-                                resp: popped(v + 1_000),
-                            };
-                        }
-                    }
-                    Event::Return { proc, resp }
-                }
-                other => other,
-            })
-            .collect();
-        let corrupted = History::from_events(corrupted);
         assert!(
             !check_linearizable(&SeqStack::new(CAPACITY), &corrupted).is_linearizable(),
             "a never-pushed value must not linearize"
@@ -254,5 +262,106 @@ fn memoization_handles_wide_histories() {
     assert!(
         start.elapsed() < std::time::Duration::from_secs(10),
         "memoization failed"
+    );
+}
+
+/// Runs ops sequentially through the k-relaxed stack, taking a random
+/// one of the legal outcomes at each step: a history the relaxed
+/// search must accept at `k`, and often one the strict stack rejects.
+fn relaxed_history(rng: &mut XorShift64, ops: &[Op], k: usize) -> History<Op, Resp> {
+    use cso_lincheck::spec::RelaxedSpec;
+    let spec = KStackSpec::new(CAPACITY, k);
+    let mut state = spec.initial();
+    let mut history = History::new();
+    for (i, op) in ops.iter().enumerate() {
+        let mut outcomes: Vec<_> = spec.candidates(&state, op).into_iter().collect();
+        let pick = rng.next_u64() as usize % outcomes.len();
+        let (next, resp) = outcomes.swap_remove(pick);
+        history.invoke(i % 3, *op);
+        history.ret(i % 3, resp);
+        state = next;
+    }
+    history
+}
+
+/// The generated histories of one case: sequential, fully overlapped,
+/// with a corrupted pop, and drawn from the 1-relaxed stack.
+fn generated_histories(rng: &mut XorShift64) -> Vec<History<Op, Resp>> {
+    let ops = random_ops(rng, 12);
+    let sequential = sequential_history(&ops);
+    let mut histories = vec![fully_overlapped(&sequential)];
+    histories.extend(corrupt_first_pop(&sequential));
+    histories.push(sequential);
+    histories.push(relaxed_history(rng, &ops, 1));
+    histories
+}
+
+/// At k = 0 the relaxed stack is the strict one: the same verdict on
+/// every generated history, accepted or not.
+#[test]
+fn k0_relaxed_stack_agrees_with_the_strict_stack() {
+    let mut rng = XorShift64::new(0x0E0A_57AC);
+    let (mut accepted, mut rejected) = (0usize, 0usize);
+    for _ in 0..CASES {
+        for history in generated_histories(&mut rng) {
+            let strict = check_linearizable(&SeqStack::new(CAPACITY), &history);
+            let relaxed = check_linearizable(&KStackSpec::new(CAPACITY, 0), &history);
+            assert_eq!(
+                strict.is_linearizable(),
+                relaxed.is_linearizable(),
+                "{history}"
+            );
+            if strict.is_linearizable() {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+    }
+    assert!(
+        accepted >= CASES && rejected >= CASES / 4,
+        "generator starved: {accepted} accepted, {rejected} rejected"
+    );
+}
+
+/// Relaxing further only accepts more: a history accepted at k is
+/// accepted at k + 1, and one drawn from the k-relaxed stack is
+/// accepted at k.
+#[test]
+fn acceptance_is_monotone_in_k() {
+    let mut rng = XorShift64::new(0x4D0E_07E5);
+    let mut widened = 0usize;
+    for _ in 0..CASES {
+        let mut histories = generated_histories(&mut rng);
+        let ops = random_ops(&mut rng, 12);
+        for k in 0..3 {
+            let drawn = relaxed_history(&mut rng, &ops, k);
+            assert!(
+                check_linearizable(&KStackSpec::new(CAPACITY, k), &drawn).is_linearizable(),
+                "drawn at k={k}:\n{drawn}"
+            );
+            histories.push(drawn);
+        }
+        for history in &histories {
+            let verdicts: Vec<bool> = (0..4)
+                .map(|k| {
+                    check_linearizable(&KStackSpec::new(CAPACITY, k), history).is_linearizable()
+                })
+                .collect();
+            for k in 0..3 {
+                assert!(
+                    !verdicts[k] || verdicts[k + 1],
+                    "accepted at k={k}, rejected at k={}:\n{history}",
+                    k + 1
+                );
+            }
+            if !verdicts[0] && verdicts[3] {
+                widened += 1;
+            }
+        }
+    }
+    assert!(
+        widened >= CASES / 4,
+        "only {widened} histories needed k > 0"
     );
 }

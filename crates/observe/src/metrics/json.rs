@@ -98,15 +98,6 @@ impl Json {
         }
     }
 
-    /// The object's fields, if it is an object.
-    #[must_use]
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
     /// Renders to compact JSON text.
     #[must_use]
     pub fn render(&self) -> String {

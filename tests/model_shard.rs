@@ -33,7 +33,7 @@ mod model_support;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cso::lincheck::checker::check_relaxed_linearizable;
+use cso::lincheck::checker::check_linearizable;
 use cso::lincheck::recorder::Recorder;
 use cso::lincheck::specs::relaxed::KStackSpec;
 use cso::memory::runtime;
@@ -111,7 +111,7 @@ fn relaxed_body(stack: &Arc<ShardedCsStack<u32>>, scripts: &[Vec<StackOp<u32>>],
     }
     let history = recorder.finish();
     assert!(
-        check_relaxed_linearizable(&spec, &history).is_linearizable(),
+        check_linearizable(&spec, &history).is_linearizable(),
         "history exceeded k={}:\n{history}",
         spec.k()
     );

@@ -244,7 +244,7 @@ where
 {
     for op in prefill.iter().map(|&v| R::put(v)) {
         let built = apply(0, &op).expect("solo prefill returned ⊥");
-        let (next, expected) = SeqSpec::apply(&reference, &reference, &op);
+        let (next, expected) = reference.step(&reference, &op);
         assert_eq!(built, expected, "prefill {op:?}");
         reference = next;
     }

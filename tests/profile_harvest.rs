@@ -26,10 +26,8 @@ fn stack() -> CsStack<u32> {
     s
 }
 
-/// `ops` alternating push/pop per process. `paced` sleeps 1 ms every
-/// 32 operations, bounding the burst a ring sees between harvest
-/// passes (and leaving the CPU to the harvester on a small host).
-fn run_ops(stack: &CsStack<u32>, ops: u64, paced: bool) {
+/// `ops` alternating push/pop per process, calling `pace` after each.
+fn run_ops(stack: &CsStack<u32>, ops: u64, pace: &(dyn Fn() + Sync)) {
     std::thread::scope(|s| {
         for proc in 0..THREADS {
             s.spawn(move || {
@@ -39,9 +37,7 @@ fn run_ops(stack: &CsStack<u32>, ops: u64, paced: bool) {
                     } else {
                         let _ = stack.pop(proc);
                     }
-                    if paced && i % 32 == 31 {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
+                    pace();
                 }
             });
         }
@@ -51,24 +47,35 @@ fn run_ops(stack: &CsStack<u32>, ops: u64, paced: bool) {
 /// With no consumer, an unpaced burst of about three ring capacities
 /// per thread shows on the drop gauge: the rings lose history on their
 /// own. The same rings drained by a `Harvester` on a 2 ms cadence,
-/// under a paced workload ten ring capacities long, drop nothing, and
-/// the aggregator ingests *exactly* the events emitted.
+/// under a workload ten ring capacities long, drop nothing, and the
+/// aggregator ingests *exactly* the events emitted. The workers are
+/// paced by back-pressure, not by the clock: each waits while more
+/// than half a ring's worth of events is emitted but not yet ingested,
+/// so no ring can fill between harvest passes however the host
+/// schedules the harvester.
 #[test]
 fn a_harvester_makes_overflowing_rings_lossless() {
     let s = stack();
 
     // No consumer; a fast op records at least two events.
     probe::clear();
-    run_ops(&s, 3 * RING_CAPACITY / 2, false);
+    run_ops(&s, 3 * RING_CAPACITY / 2, &|| {});
     assert!(probe::dropped() > 0, "unconsumed rings must drop");
 
     // The same volume tenfold, harvested.
     probe::clear();
     let emitted_before = probe::emitted();
-    let harvester =
-        Harvester::start_with(Arc::new(LiveAggregator::new()), Duration::from_millis(2));
-    run_ops(&s, OVERFLOW_FACTOR * RING_CAPACITY / 2, true);
-    let agg = harvester.stop();
+    let agg = Arc::new(LiveAggregator::new());
+    let harvester = Harvester::start_with(Arc::clone(&agg), Duration::from_millis(2));
+    // Saturating: other workers emit between the two reads, so the
+    // harvester may have ingested past this `emitted` snapshot.
+    let backlog = || (probe::emitted() - emitted_before).saturating_sub(agg.ingested());
+    run_ops(&s, OVERFLOW_FACTOR * RING_CAPACITY / 2, &|| {
+        while backlog() > RING_CAPACITY / 2 {
+            std::thread::yield_now();
+        }
+    });
+    harvester.stop();
     let emitted = probe::emitted() - emitted_before;
     let snap = agg.snapshot();
     let floor = THREADS as u64 * OVERFLOW_FACTOR * RING_CAPACITY;

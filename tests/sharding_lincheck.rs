@@ -10,7 +10,7 @@
 //! *configured* bound.
 
 use cso::lincheck::specs::relaxed::{KQueueSpec, KStackSpec};
-use cso::lincheck::{check_linearizable, check_relaxed_linearizable, record, History};
+use cso::lincheck::{check_linearizable, record, History};
 use cso::queue::{QueueOp, QueueResponse, SeqQueue};
 use cso::shard::{ShardConfig, ShardedCsQueue, ShardedCsStack};
 use cso::stack::{SeqStack, StackOp, StackResponse};
@@ -91,7 +91,7 @@ fn relaxed_sharded_stack_stays_within_its_relaxation_bound() {
         let spec = KStackSpec::new(stack.capacity(), stack.relaxation_bound());
         let history = run_stack_round(&stack, round);
         assert!(
-            check_relaxed_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&spec, &history).is_linearizable(),
             "round {round} exceeded k={}:\n{history}",
             stack.relaxation_bound()
         );
@@ -106,7 +106,7 @@ fn relaxed_sharded_queue_stays_within_its_relaxation_bound() {
         let spec = KQueueSpec::new(queue.capacity(), queue.relaxation_bound());
         let history = run_queue_round(&queue, round);
         assert!(
-            check_relaxed_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&spec, &history).is_linearizable(),
             "round {round} exceeded k={}:\n{history}",
             queue.relaxation_bound()
         );
@@ -128,7 +128,7 @@ fn elastic_relaxed_stack_stays_within_its_relaxation_bound() {
         let spec = KStackSpec::new(stack.capacity(), stack.relaxation_bound());
         let history = run_stack_round(&stack, round);
         assert!(
-            check_relaxed_linearizable(&spec, &history).is_linearizable(),
+            check_linearizable(&spec, &history).is_linearizable(),
             "round {round} exceeded k={}:\n{history}",
             stack.relaxation_bound()
         );
