@@ -745,8 +745,9 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// attaching adds no store to any path. It adds two `Instant`
     /// readings per operation for the latency histograms, behind the
     /// one *uncounted* atomic load (the `OnceLock` probe) every
-    /// operation pays either way: the step-budget tests still measure
-    /// Theorem 1's bound unchanged.
+    /// operation pays either way, and makes attempt 0 in the
+    /// out-of-line escalation routine instead of inline: the
+    /// step-budget tests still measure Theorem 1's bound unchanged.
     ///
     /// The first call wins; later calls (including against a different
     /// registry) are no-ops — the timers record into one registry.
@@ -859,10 +860,63 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         deadline: Deadline,
     ) -> Result<O::Response, CsError> {
         assert!(proc < self.lock.n(), "process id out of range");
-        // Lines 01–03: the lock-free shortcut awaits nobody, but its
-        // pauses are sleeps, so they stop at the deadline.
-        if let Some(res) = self.fast_path(op, deadline) {
-            return Ok(res);
+        // Attempt 0 of lines 01–02, inline behind one test: the
+        // contention-free operation is its six accesses and this. With
+        // metrics attached (a clock reading per attempt) or the fast
+        // path off, the escalation starts at attempt 0 instead.
+        if self.config.fast_path && self.metrics.get().is_none() {
+            return match self.attempt(op, None) {
+                Ok(res) => Ok(res),
+                Err(spent) => self.escalate(proc, op, deadline, spent),
+            };
+        }
+        self.escalate(proc, op, deadline, 0)
+    }
+
+    /// Everything past a contention-free attempt 0, out of line and
+    /// cold so that none of it is paid on the path Theorem 1 is about:
+    /// the rest of lines 01–03 from attempt `next` (its pauses and
+    /// deadline checks), the elimination rung, the slow path (plain or
+    /// combining) and the latency samples.
+    ///
+    /// Lines 01–03 as one bounded loop: a `CONTENTION` read plus a
+    /// weak attempt, retried up to [`FAST_RETRIES`] times a
+    /// [`retry_pause`] apart. `CONTENTION` is re-read after every
+    /// pause, and a raised register ends the attempt like an abort
+    /// does, not the loop: a holder is in its line-08 window, which
+    /// lasts about one weak operation, so the next read usually finds
+    /// it lowered. Queueing at once instead raises the register for the
+    /// holder's peer in turn — a convoy of lock trips per escalation
+    /// (DESIGN.md, "The escalation ladder"). Every weak attempt still
+    /// follows a read that returned `false`, which is all Lemma 2 asks.
+    /// An engaged adaptive gate spends the whole budget at once, which
+    /// ends the loop. So does an expired `deadline`, before the pause:
+    /// a bounded caller is not slept past its deadline (attempt 0
+    /// reads no clock).
+    #[cold]
+    #[inline(never)]
+    fn escalate(
+        &self,
+        proc: usize,
+        op: &O::Op,
+        deadline: Deadline,
+        next: u32,
+    ) -> Result<O::Response, CsError> {
+        if self.config.fast_path {
+            let metrics = self.metrics.get();
+            let mut attempt = next;
+            while attempt < FAST_ATTEMPTS {
+                if attempt > 0 {
+                    if deadline.expired() {
+                        break;
+                    }
+                    retry_pause();
+                }
+                match self.attempt(op, metrics) {
+                    Ok(res) => return Ok(res),
+                    Err(spent) => attempt += spent,
+                }
+            }
         }
         // The elimination rung (no-op unless enabled): its park is
         // bounded too, so one pass respects any reasonable deadline;
@@ -1020,59 +1074,39 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         rcv.degraded.fetch_max(rung, Ordering::Relaxed);
     }
 
-    /// Lines 01–03 as one bounded loop: a `CONTENTION` read plus a
-    /// weak attempt, retried up to [`FAST_RETRIES`] times a
-    /// [`retry_pause`] apart. Attempt 0 is the paper's fast path
-    /// exactly — contention-free it succeeds, at Theorem 1's six
-    /// accesses. `CONTENTION` is re-read after every pause, and a
-    /// raised register ends the attempt like an abort does, not the
-    /// loop: a holder is in its line-08 window, which lasts about one
-    /// weak operation, so the next read usually finds it lowered.
-    /// Queueing at once instead raises the register for the holder's
-    /// peer in turn — a convoy of lock trips per escalation (DESIGN.md,
-    /// "The escalation ladder"). Every weak attempt still follows a
-    /// read that returned `false`, which is all Lemma 2 asks. With the
-    /// adaptive gate enabled, an engaged gate (sustained abort EWMA)
-    /// ends the loop — its bookkeeping is all uncounted. So does an
-    /// expired `deadline`, before the pause: a bounded caller is not
-    /// slept past its deadline (attempt 0 reads no clock).
-    ///
-    /// `None` escalates: to the elimination rung, then line 04.
-    fn fast_path(&self, op: &O::Op, deadline: Deadline) -> Option<O::Response> {
-        if !self.config.fast_path {
-            return None;
+    /// One attempt of lines 01–02: the `CONTENTION` read, the adaptive
+    /// gate's uncounted check (under its flag), the `cs::fast` fail
+    /// point, then the weak operation — timed into `fast_ns` when
+    /// `metrics` is given (the sample covers this attempt, not the
+    /// pauses before it). `Err(n)` spends `n` of the
+    /// [`FAST_ATTEMPTS`]: one for a raised register, an abort or a
+    /// veto, all of them for a diverting gate. Inlined into both
+    /// callers: attempt 0 in [`ContentionSensitive::try_apply_until`],
+    /// the retries in [`ContentionSensitive::escalate`].
+    #[inline(always)]
+    fn attempt(&self, op: &O::Op, metrics: Option<&CsMetrics>) -> Result<O::Response, u32> {
+        if self.contention.read() {
+            return Err(1);
         }
-        for attempt in 0..FAST_ATTEMPTS {
-            if attempt > 0 {
-                if deadline.expired() {
-                    break;
-                }
-                retry_pause();
-            }
-            if self.contention.read() {
-                continue;
-            }
-            if self.config.adaptive_gate && self.stats.gate.should_divert() {
-                break;
-            }
-            fail_point!("cs::fast", continue);
-            // The sample covers this attempt, not the pauses before it.
-            let timed = self.metrics.get().map(|m| (m, Instant::now()));
-            if let Some(res) = self.weak_attempt(op) {
-                if let Some((m, t0)) = timed {
-                    m.fast_ns.record(t0.elapsed());
-                }
-                return Some(res);
-            }
+        if self.config.adaptive_gate && self.stats.gate.should_divert() {
+            return Err(FAST_ATTEMPTS);
         }
-        None
+        fail_point!("cs::fast", return Err(1));
+        let timed = metrics.map(|m| (m, Instant::now()));
+        let Some(res) = self.weak_attempt(op) else {
+            return Err(1);
+        };
+        if let Some((m, t0)) = timed {
+            m.fast_ns.record(t0.elapsed());
+        }
+        Ok(res)
     }
 
     /// One lock-free weak attempt — line 02 — with its bookkeeping:
     /// the gate's sample, the `fast` or `fast_aborts` cell, the probe
     /// pair. `#[inline]` alone leaves it out of line inside the loop —
     /// a call, and the response returned through memory, on the path
-    /// Theorem 1 is about: ≈ 1 ns of a 21 ns solo operation.
+    /// Theorem 1 is about.
     #[inline(always)]
     fn weak_attempt(&self, op: &O::Op) -> Option<O::Response> {
         probe!(Event::FastAttempt);
@@ -2218,6 +2252,69 @@ mod tests {
                 assert_eq!(counts.total(), k as u64 + 1, "{k} aborts: {counts}");
             }
         }
+    }
+
+    /// The retry budget holds on every route into lines 01–03: attempt
+    /// 0 inline with the cold routine resuming at attempt 1 (the paper
+    /// configuration), the same behind the adaptive gate, and — with
+    /// metrics attached — the cold routine making attempt 0 itself. An
+    /// object that aborts every lock-free attempt makes exactly
+    /// [`FAST_ATTEMPTS`] `CONTENTION` reads and weak attempts before
+    /// line 04; a raise seen at attempt 0 spends attempt 0.
+    #[test]
+    fn every_route_into_the_retries_spends_the_same_budget() {
+        let attempts = u64::from(FAST_ATTEMPTS);
+        let routes = [
+            ("inline", CsConfig::PAPER, false),
+            ("gate", CsConfig::PAPER.with_adaptive_gate(), false),
+            ("metrics", CsConfig::PAPER, true),
+        ];
+        for (route, config, metrics) in routes {
+            let on_route = |aborts: usize| {
+                let cs = make(aborts, config);
+                if metrics {
+                    cs.attach_metrics(&Registry::new(), route);
+                }
+                cs
+            };
+
+            // Two aborts past the lock-free budget: line 08 absorbs
+            // them. The scripted object makes no counted access, so
+            // the count is the attempts' reads and the slow path's
+            // eleven (`locked_path_stays_within_bound`).
+            let cs = on_route(TO_THE_LOCK + 2);
+            let scope = CountScope::start();
+            assert_eq!(cs.apply(2, &Bump(5)), 5, "{route}");
+            let counts = scope.take();
+            assert_eq!(cs.stats.cells.get(FAST_ABORTS), attempts, "{route}");
+            assert_eq!(cs.stats.cells.get(FAST), 0, "{route}");
+            assert_eq!(counts.total(), attempts + 11, "{route}: {counts}");
+            assert_eq!(cs.inner().aborts_left.load(Ordering::SeqCst), 0);
+            assert_eq!(cs.path_stats().locked, 1, "{route}");
+
+            // A register raised before the call is seen by every
+            // attempt, attempt 0 included: one read each, no weak
+            // attempt, then the slow path less line 07's store (already
+            // raised: `write_lazy` skips it).
+            let cs = on_route(0);
+            cs.contention.write(true);
+            let scope = CountScope::start();
+            assert_eq!(cs.apply(2, &Bump(5)), 5, "{route}");
+            let counts = scope.take();
+            assert_eq!(cs.stats.cells.get(FAST_ABORTS), 0, "{route}");
+            assert_eq!(counts.total(), attempts + 10, "{route}: {counts}");
+            assert_eq!(cs.path_stats().locked, 1, "{route}");
+        }
+
+        // An engaged gate spends the whole budget at attempt 0: one
+        // read, no pause, no weak attempt, then line 04.
+        let cs = make(0, CsConfig::PAPER.with_adaptive_gate());
+        cs.gate().force_engage();
+        let scope = CountScope::start();
+        assert_eq!(cs.apply(2, &Bump(5)), 5);
+        assert_eq!(scope.take().total(), 1 + 11);
+        assert_eq!(cs.gate().stats().diverted, 1);
+        assert_eq!(cs.path_stats().locked, 1);
     }
 
     /// A weak object whose first attempt aborts *and* leaves

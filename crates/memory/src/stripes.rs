@@ -52,7 +52,9 @@ pub const STRIPES: usize = 16;
 /// Index of the shared overflow stripe.
 const OVERFLOW: usize = STRIPES;
 
-/// "This thread has not asked for a stripe yet."
+/// "This thread has not asked for a stripe yet." Above `OVERFLOW`, so
+/// the one test on `Stripes::add`'s hot side, `id < OVERFLOW`, sends a
+/// fresh thread and an overflow thread alike to `add_cold`.
 const UNASSIGNED: usize = usize::MAX;
 
 /// The free list: bit `i` set ⇔ stripe id `i` is unleased.
@@ -103,25 +105,6 @@ impl Drop for Lease {
     }
 }
 
-/// The calling thread's stripe id, leasing one at first use.
-#[inline]
-fn stripe() -> usize {
-    let id = STRIPE.with(Cell::get);
-    if id == UNASSIGNED {
-        assign()
-    } else {
-        id
-    }
-}
-
-#[cold]
-fn assign() -> usize {
-    // `try_with` fails only while the thread is being torn down.
-    let id = LEASE.try_with(|lease| lease.0).unwrap_or(OVERFLOW);
-    STRIPE.with(|s| s.set(id));
-    id
-}
-
 /// A block of `N` statistics counters, striped per thread. See the
 /// module docs for the update, read and reset contracts.
 ///
@@ -169,22 +152,41 @@ impl<const N: usize> Stripes<N> {
     /// this thread's updates on top of the stripe's earlier
     /// leaseholders' (on the overflow stripe, of everyone sharing it).
     /// Wait-free; on a leased stripe one plain load and one plain store
-    /// of a line this thread owns.
+    /// of a line this thread owns, behind one test (`id < OVERFLOW`,
+    /// which a thread without a leased stripe fails).
     ///
     /// # Panics
     ///
     /// Panics if `field >= N`.
     #[inline]
     pub fn add(&self, field: usize, n: u64) -> u64 {
-        let id = stripe();
-        let cell = &self.cells[id][field];
-        if id == OVERFLOW {
-            cell.fetch_add(n, Ordering::Relaxed).wrapping_add(n)
-        } else {
+        let id = STRIPE.with(Cell::get);
+        if id < OVERFLOW {
+            let cell = &self.cells[id][field];
             let count = cell.load(Ordering::Relaxed).wrapping_add(n);
             cell.store(count, Ordering::Relaxed);
-            count
+            return count;
         }
+        self.add_cold(field, n)
+    }
+
+    /// [`Stripes::add`] for a thread without a leased stripe: its
+    /// first update (which leases one, then updates it) and every
+    /// update of a thread on the shared overflow stripe (`fetch_add`).
+    #[cold]
+    #[inline(never)]
+    fn add_cold(&self, field: usize, n: u64) -> u64 {
+        if STRIPE.with(Cell::get) == UNASSIGNED {
+            // `try_with` fails only while the thread is being torn down.
+            let id = LEASE.try_with(|lease| lease.0).unwrap_or(OVERFLOW);
+            STRIPE.with(|s| s.set(id));
+            if id != OVERFLOW {
+                return self.add(field, n);
+            }
+        }
+        self.cells[OVERFLOW][field]
+            .fetch_add(n, Ordering::Relaxed)
+            .wrapping_add(n)
     }
 
     /// Adds one to counter `field`; see [`Stripes::add`].
@@ -327,22 +329,32 @@ mod tests {
         // Everyone bumps once before anyone exits, so all THREADS
         // leases are outstanding at once.
         let all_leased = Barrier::new(THREADS);
-        std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                s.spawn(|| {
-                    stats.inc(0);
-                    all_leased.wait();
-                    for _ in 0..10_000 {
+        let ids: Vec<usize> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
                         stats.inc(0);
-                    }
-                });
-            }
+                        all_leased.wait();
+                        for _ in 0..10_000 {
+                            stats.inc(0);
+                        }
+                        STRIPE.with(Cell::get)
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
         });
         assert_eq!(stats.get(0), THREADS as u64 * 10_001);
-        assert!(
-            stats.overflowed(0) >= 8 * 10_001,
-            "the surplus threads share the overflow stripe"
-        );
+        // Stripe ids past the sixteenth go to the overflow stripe, and
+        // its threads' updates land there and nowhere else: exactly
+        // theirs, every leased stripe exactly its one writer's.
+        let surplus = ids.iter().filter(|&&id| id == OVERFLOW).count();
+        assert!(surplus >= THREADS - STRIPES, "{surplus} overflowed");
+        assert_eq!(stats.overflowed(0), surplus as u64 * 10_001);
+        let per_stripe = stats.per_stripe(0);
+        for id in ids.iter().filter(|&&id| id != OVERFLOW) {
+            assert_eq!(per_stripe[*id], 10_001, "stripe {id}");
+        }
     }
 
     #[test]
@@ -395,6 +407,24 @@ mod tests {
         assert!(advanced(&then) <= STRIPES + 1);
         assert!(stats.overflowed(0) >= 2 * K);
         assert_eq!(stats.get(0), (STRIPES as u64 + 2) * K);
+
+        // A fresh thread's first update leases a stripe and lands in
+        // it: the one stripe that moves, by one, is not the overflow
+        // stripe.
+        let then = stats.per_stripe(1);
+        let id = std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(STRIPE.with(Cell::get), UNASSIGNED);
+                assert_eq!(stats.inc(1), 1, "the first count of a fresh stripe");
+                STRIPE.with(Cell::get)
+            })
+            .join()
+            .unwrap()
+        });
+        assert!(id < OVERFLOW, "the first update went to stripe {id}");
+        let mut expected = then;
+        expected[id] += 1;
+        assert_eq!(stats.per_stripe(1), expected);
     }
 
     #[test]
