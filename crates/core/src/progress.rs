@@ -19,7 +19,7 @@ use std::fmt;
 /// use cso_core::ProgressCondition;
 ///
 /// assert!(ProgressCondition::StarvationFree > ProgressCondition::NonBlocking);
-/// assert!(ProgressCondition::NonBlocking.is_at_least(ProgressCondition::ObstructionFree));
+/// assert!(ProgressCondition::NonBlocking >= ProgressCondition::ObstructionFree);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProgressCondition {
@@ -43,12 +43,6 @@ impl ProgressCondition {
         ProgressCondition::NonBlocking,
         ProgressCondition::StarvationFree,
     ];
-
-    /// True when `self` is at least as strong as `other`.
-    #[must_use]
-    pub fn is_at_least(self, other: ProgressCondition) -> bool {
-        self >= other
-    }
 
     /// The human-readable name used in reports and benchmark output.
     #[must_use]
@@ -75,8 +69,6 @@ mod tests {
     fn hierarchy_is_strictly_ordered() {
         let [of, nb, sf] = ProgressCondition::ALL;
         assert!(of < nb && nb < sf);
-        assert!(sf.is_at_least(sf) && sf.is_at_least(of));
-        assert!(!of.is_at_least(nb));
     }
 
     #[test]

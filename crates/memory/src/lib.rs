@@ -16,7 +16,7 @@
 //! * [`stripes`] — single-writer per-thread statistics stripes, the
 //!   one striped-counter implementation behind every per-operation
 //!   statistic in the workspace (path stats, abort stats, router
-//!   stats, the metrics registry's counters);
+//!   stats — the cells the metrics registry's counters read);
 //! * [`layout`] — `lines_of`/`disjoint`, the two helpers every
 //!   cache-line placement test in the workspace is written with;
 //! * [`registry`] — process identities `0..n` (the paper's `p_1..p_n`),

@@ -100,17 +100,6 @@ impl Reg64 {
             .is_ok()
     }
 
-    /// Like [`Reg64::cas`], but on failure returns the value observed,
-    /// matching machines whose `Compare&Swap` "returned value is not a
-    /// boolean, but the previous value of X" (§2.2).
-    #[inline]
-    pub fn cas_observe(&self, old: u64, new: u64) -> Result<(), u64> {
-        access(AccessKind::Cas);
-        self.cell
-            .compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst)
-            .map(|_| ())
-    }
-
     /// **Uncounted** relaxed load — an engineering-level peek used only
     /// to avoid doomed counted accesses (see the module docs). Never
     /// use it where the algorithm's correctness needs a counted read.
@@ -292,9 +281,6 @@ mod tests {
         assert!(r.cas(5, 6));
         assert!(!r.cas(5, 7));
         assert_eq!(r.read(), 6);
-        assert_eq!(r.cas_observe(9, 1), Err(6));
-        assert_eq!(r.cas_observe(6, 1), Ok(()));
-        assert_eq!(r.read(), 1);
     }
 
     #[test]

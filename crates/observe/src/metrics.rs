@@ -27,6 +27,6 @@ pub mod json;
 pub mod prom;
 pub mod serve;
 
-pub use cso_trace::registry::{Counter, Gauge, Registry, Snapshot, Timer};
+pub use cso_trace::registry::{Registry, Snapshot, Timer};
 pub use json::Json;
 pub use serve::{MetricsServer, PeriodicDump, RouteHandler, Routes};

@@ -164,10 +164,10 @@ mod tests {
 
     fn sample() -> Snapshot {
         let reg = Registry::new();
-        reg.counter("cs_ops_fast_total").add(10);
-        reg.counter("cs_ops_locked_total").add(2);
+        reg.counter_fn("cs_ops_fast_total", || 10);
+        reg.counter_fn("cs_ops_locked_total", || 2);
         reg.counter_fn("cs_ops_polled_total", || 7);
-        reg.gauge("cs_gate_abort_ewma").set(0.125);
+        reg.gauge_fn("cs_gate_abort_ewma", || 0.125);
         let t = reg.timer("cs_fast_ns");
         for i in 1..=100 {
             t.record_ns(i * 10);

@@ -320,8 +320,8 @@ mod tests {
     #[test]
     fn serves_prometheus_and_json() {
         let registry = Registry::new();
-        registry.counter("smoke_total").add(5);
-        registry.gauge("smoke_gauge").set(1.5);
+        registry.counter_fn("smoke_total", || 5);
+        registry.gauge_fn("smoke_gauge", || 1.5);
         registry.timer("smoke_ns").record_ns(1000);
         let server = MetricsServer::bind(registry, "127.0.0.1:0").unwrap();
         let addr = server.addr();
@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn custom_routes_serve_alongside_builtins() {
         let registry = Registry::new();
-        registry.counter("routed_total").add(1);
+        registry.counter_fn("routed_total", || 1);
         let hits = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let hits_in_route = Arc::clone(&hits);
         let routes = Routes::new()
@@ -417,7 +417,7 @@ mod tests {
     #[test]
     fn a_stalled_partial_request_cannot_wedge_the_serve_thread() {
         let registry = Registry::new();
-        registry.counter("survived_total").add(1);
+        registry.counter_fn("survived_total", || 1);
         let server = MetricsServer::bind(registry, "127.0.0.1:0").unwrap();
         let addr = server.addr();
 
@@ -451,7 +451,7 @@ mod tests {
     #[test]
     fn silent_and_never_reading_clients_are_shed() {
         let registry = Registry::new();
-        registry.counter("shed_total").add(2);
+        registry.counter_fn("shed_total", || 2);
         let server = MetricsServer::bind(registry, "127.0.0.1:0").unwrap();
         let addr = server.addr();
 
@@ -492,7 +492,7 @@ mod tests {
     fn a_reader_polling_the_dump_never_sees_a_torn_document() {
         let registry = Registry::new();
         for i in 0..200 {
-            registry.counter(&format!("torn_{i}_total")).add(i);
+            registry.counter_fn(&format!("torn_{i}_total"), move || i);
         }
         let dir = std::env::temp_dir().join(format!("cso-dump-torn-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -521,7 +521,7 @@ mod tests {
     #[test]
     fn periodic_dump_writes_snapshots() {
         let registry = Registry::new();
-        registry.counter("dumped_total").add(7);
+        registry.counter_fn("dumped_total", || 7);
         let dir = std::env::temp_dir().join(format!("cso-metrics-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("dump.json");

@@ -10,7 +10,7 @@
 //! `cso_harvest_*` series that make harvester conservation checkable
 //! from `/metrics`.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use cso_trace::probe::Harvested;
 use cso_trace::Registry;
@@ -20,7 +20,9 @@ use crate::analyze::{Fold, Snapshot};
 struct Live {
     fold: Fold,
     batches: u64,
-    registry: Option<Registry>,
+    /// Where a newly truncated thread's gauge goes, and the aggregator
+    /// that gauge reads.
+    registry: Option<(Registry, Weak<LiveAggregator>)>,
 }
 
 /// The live aggregator. One instance per process; the harvester feeds
@@ -42,10 +44,14 @@ impl Default for LiveAggregator {
     }
 }
 
-fn truncation_gauge(registry: &Registry, thread: u32, total: u64) {
-    registry
-        .gauge(&format!("cso_harvest_truncated_events_thread_{thread}"))
-        .set(total as f64);
+/// Registers `thread`'s truncation gauge: a reader of the fold's total.
+fn truncation_gauge(registry: &Registry, agg: &Arc<LiveAggregator>, thread: u32) {
+    let agg = Arc::clone(agg);
+    let name = format!("cso_harvest_truncated_events_thread_{thread}");
+    registry.gauge_fn(&name, move || {
+        let total = agg.live().fold.truncated().find(|&(t, _)| t == thread);
+        total.map_or(0.0, |(_, n)| n as f64)
+    });
 }
 
 impl LiveAggregator {
@@ -74,9 +80,10 @@ impl LiveAggregator {
         let live = &mut *live;
         live.batches += 1;
         live.fold.ingest(&batch.events, &batch.truncated);
-        if let (Some(registry), false) = (&live.registry, batch.truncated.is_empty()) {
-            for (thread, total) in live.fold.truncated() {
-                truncation_gauge(registry, thread, total);
+        if let (Some((registry, agg)), false) = (&live.registry, batch.truncated.is_empty()) {
+            let agg = agg.upgrade().expect("registered through an Arc");
+            for &(thread, _) in &batch.truncated {
+                truncation_gauge(registry, &agg, thread);
             }
         }
     }
@@ -90,9 +97,9 @@ impl LiveAggregator {
     ///   emitted* is checkable from `/metrics` alone;
     /// * `cso_trace_ring_dropped` — the live probe drop gauge;
     /// * `cso_harvest_truncated_events_thread_<t>` — one gauge per
-    ///   thread whose ring ever truncated, registered lazily when the
-    ///   first loss is harvested (threads with lossless rings get no
-    ///   series).
+    ///   thread whose ring ever truncated, a reader of the fold's total
+    ///   registered when that thread's first loss is harvested (threads
+    ///   with lossless rings get no series).
     pub fn register_metrics(self: &Arc<Self>, registry: &Registry) {
         for (name, read) in [
             (
@@ -108,10 +115,10 @@ impl LiveAggregator {
         registry.register_probe_drop_gauge();
         let mut live = self.live();
         // Backfill truncations harvested before the registry arrived.
-        for (thread, total) in live.fold.truncated() {
-            truncation_gauge(registry, thread, total);
+        for (thread, _) in live.fold.truncated() {
+            truncation_gauge(registry, self, thread);
         }
-        live.registry = Some(registry.clone());
+        live.registry = Some((registry.clone(), Arc::downgrade(self)));
     }
 
     /// Total events ingested so far (the losslessness counter: equal
@@ -315,13 +322,25 @@ mod tests {
         assert!(snap.gauge("cso_trace_ring_dropped") >= Some(0.0));
         assert_eq!(agg.snapshot().truncated_threads, vec![(0, 5)]);
 
+        // A second truncated batch on the same thread: the gauge reads
+        // the fold's new total.
+        agg.ingest(&Harvested {
+            events: Vec::new(),
+            lost: 3,
+            truncated: vec![(0, 3)],
+        });
+        let truncated = reg
+            .snapshot()
+            .gauge("cso_harvest_truncated_events_thread_0");
+        assert_eq!(truncated, Some(8.0));
+
         // Late binding backfills truncations already harvested.
         let late = Registry::new();
         agg.register_metrics(&late);
         let backfilled = late
             .snapshot()
             .gauge("cso_harvest_truncated_events_thread_0");
-        assert_eq!(backfilled, Some(5.0));
+        assert_eq!(backfilled, Some(8.0));
     }
 
     #[test]

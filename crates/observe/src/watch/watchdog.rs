@@ -8,7 +8,8 @@
 //! - **gauges** — `cso_watch_<check>` carries the debounced severity
 //!   (0 ok / 1 degraded / 2 poisoned), `cso_watch_health` the overall
 //!   maximum, `cso_watch_slo_<name>_firing` and the two burn-rate
-//!   gauges the SLO state;
+//!   gauges the SLO state: readers, registered once at build time, of
+//!   the same state `/health` serves;
 //! - **events** — every debounced transition appends a structured
 //!   record to an in-memory ring (served by `/alerts.json`) and, when
 //!   configured, a JSONL file;
@@ -32,11 +33,11 @@ use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::metrics::{Gauge, Json, Registry};
+use crate::metrics::{Json, Registry};
 use crate::profile::LiveAggregator;
 use crate::watch::invariant::{Invariant, Verdict};
 use crate::watch::slo::{SloEngine, SloSpec, SloStatus};
@@ -101,9 +102,10 @@ impl WatchdogBuilder {
         self
     }
 
-    /// Attaches a metrics registry; severity and burn gauges are
-    /// registered eagerly so a scrape sees every check at 0 before
-    /// anything breaks.
+    /// Attaches a metrics registry; the severity and burn gauges are
+    /// registered at build time, as readers of the state `/health`
+    /// serves, so a scrape sees every check at 0 before anything
+    /// breaks.
     #[must_use]
     pub fn registry(mut self, registry: &Registry) -> WatchdogBuilder {
         self.registry = Some(registry.clone());
@@ -157,7 +159,7 @@ impl WatchdogBuilder {
             .spawn(move || {
                 while !thread_stop.load(Ordering::Relaxed) {
                     engine.tick(&thread_shared);
-                    std::thread::sleep(cadence);
+                    std::thread::park_timeout(cadence);
                 }
             })
             .expect("spawn cso-watch thread");
@@ -170,7 +172,6 @@ impl WatchdogBuilder {
     }
 
     fn assemble(self) -> (Engine, Arc<WatchShared>) {
-        let slo = SloEngine::new(self.specs);
         let checks: Vec<CheckState> = self
             .invariants
             .iter()
@@ -182,23 +183,6 @@ impl WatchdogBuilder {
                 streak: 0,
             })
             .collect();
-        let gauges = self.registry.as_ref().map(|reg| {
-            let per_check = checks
-                .iter()
-                .map(|c| {
-                    let g = reg.gauge(&format!("cso_watch_{}", c.name));
-                    g.set(0.0);
-                    g
-                })
-                .collect();
-            let health = reg.gauge("cso_watch_health");
-            health.set(0.0);
-            Gauges {
-                per_check,
-                health,
-                registry: reg.clone(),
-            }
-        });
         let shared = Arc::new(WatchShared {
             start: Instant::now(),
             inner: Mutex::new(WatchInner {
@@ -210,12 +194,14 @@ impl WatchdogBuilder {
                 recent_cap: self.config.recent_cap.max(1),
             }),
         });
+        if let Some(reg) = &self.registry {
+            shared.register_gauges(reg, &self.specs);
+        }
         let engine = Engine {
             invariants: self.invariants,
-            slo,
+            slo: SloEngine::new(self.specs),
             slo_firing: Vec::new(),
             aggregator: self.aggregator,
-            gauges,
             debounce: self.config.debounce.max(1),
             jsonl_path: self.config.jsonl_path,
         };
@@ -233,12 +219,6 @@ struct CheckState {
     candidate: u8,
     /// Consecutive ticks the candidate has held.
     streak: u32,
-}
-
-struct Gauges {
-    per_check: Vec<Gauge>,
-    health: Gauge,
-    registry: Registry,
 }
 
 struct WatchInner {
@@ -263,7 +243,6 @@ struct Engine {
     slo: SloEngine,
     slo_firing: Vec<bool>,
     aggregator: Option<Arc<LiveAggregator>>,
-    gauges: Option<Gauges>,
     debounce: u32,
     jsonl_path: Option<PathBuf>,
 }
@@ -289,10 +268,7 @@ impl Engine {
         self.slo_firing.resize(slo_status.len(), false);
 
         let mut events: Vec<Json> = Vec::new();
-        let mut inner = shared
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = shared.lock();
         inner.ticks += 1;
 
         for (i, verdict) in verdicts.iter().enumerate() {
@@ -336,9 +312,6 @@ impl Engine {
                         .field("reason", check.reason.clone()),
                 );
             }
-            if let Some(gauges) = &self.gauges {
-                gauges.per_check[i].set(f64::from(inner.checks[i].severity));
-            }
         }
 
         // SLO firing state transitions immediately: the engine's long
@@ -362,28 +335,8 @@ impl Engine {
                         ),
                 );
             }
-            if let Some(gauges) = &self.gauges {
-                let name = &status.name;
-                gauges
-                    .registry
-                    .gauge(&format!("cso_watch_slo_{name}_firing"))
-                    .set(f64::from(u8::from(status.firing)));
-                gauges
-                    .registry
-                    .gauge(&format!("cso_watch_slo_{name}_burn_short"))
-                    .set(status.short_burn);
-                gauges
-                    .registry
-                    .gauge(&format!("cso_watch_slo_{name}_burn_long"))
-                    .set(status.long_burn);
-            }
         }
         inner.slos = slo_status;
-
-        let health = overall_severity(&inner);
-        if let Some(gauges) = &self.gauges {
-            gauges.health.set(f64::from(health));
-        }
 
         inner.transitions += events.len() as u64;
         for event in &events {
@@ -422,13 +375,50 @@ fn overall_severity(inner: &WatchInner) -> u8 {
 }
 
 impl WatchShared {
+    fn lock(&self) -> MutexGuard<'_, WatchInner> {
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Registers the `cso_watch_*` gauges in `reg`, each a reader of
+    /// this state: one per check, the overall health, and three per SLO
+    /// (0 until the first tick evaluates it).
+    fn register_gauges(self: &Arc<Self>, reg: &Registry, specs: &[SloSpec]) {
+        for (i, check) in self.lock().checks.iter().enumerate() {
+            watch_gauge(
+                reg,
+                self,
+                &format!("cso_watch_{}", check.name),
+                move |inner| f64::from(inner.checks[i].severity),
+            );
+        }
+        watch_gauge(reg, self, "cso_watch_health", |inner| {
+            f64::from(overall_severity(inner))
+        });
+        for (i, SloSpec { name, .. }) in specs.iter().enumerate() {
+            for (series, read) in [
+                (
+                    "firing",
+                    (|s: &SloStatus| f64::from(u8::from(s.firing))) as fn(&SloStatus) -> f64,
+                ),
+                ("burn_short", |s| s.short_burn),
+                ("burn_long", |s| s.long_burn),
+            ] {
+                watch_gauge(
+                    reg,
+                    self,
+                    &format!("cso_watch_slo_{name}_{series}"),
+                    move |inner| inner.slos.get(i).map_or(0.0, read),
+                );
+            }
+        }
+    }
+
     /// The `/health` document: overall status plus every check and
     /// SLO in its current state.
     pub fn health_json(&self) -> Json {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = self.lock();
         let severity = overall_severity(&inner);
         let mut reasons = Vec::new();
         let mut checks = Vec::new();
@@ -467,10 +457,7 @@ impl WatchShared {
     /// The `/alerts.json` document: currently-active violations plus
     /// the recent transition-event ring.
     pub fn alerts_json(&self) -> Json {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = self.lock();
         let mut active = Vec::new();
         for check in &inner.checks {
             if check.severity > 0 {
@@ -507,6 +494,16 @@ impl WatchShared {
             .field("active", Json::Arr(active))
             .field("recent", Json::Arr(inner.events.iter().cloned().collect()))
     }
+}
+
+fn watch_gauge(
+    reg: &Registry,
+    shared: &Arc<WatchShared>,
+    name: &str,
+    read: impl Fn(&WatchInner) -> f64 + Send + Sync + 'static,
+) {
+    let shared = Arc::clone(shared);
+    reg.gauge_fn(name, move || read(&shared.lock()));
 }
 
 fn slo_json(slo: &SloStatus) -> Json {
@@ -571,22 +568,14 @@ impl Watchdog {
     /// Overall status label (`OK` / `DEGRADED` / `POISONED`).
     #[must_use]
     pub fn status(&self) -> &'static str {
-        let inner = self
-            .shared
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = self.shared.lock();
         Verdict::label_of(overall_severity(&inner))
     }
 
     /// Total debounced transitions since start.
     #[must_use]
     pub fn transitions(&self) -> u64 {
-        self.shared
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .transitions
+        self.shared.lock().transitions
     }
 
     /// Stops the background thread (no-op in manual mode).
@@ -597,6 +586,7 @@ impl Watchdog {
     fn stop_inner(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(handle) = self.thread.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
     }
@@ -685,18 +675,21 @@ mod tests {
         let mut dog = Watchdog::builder()
             .invariant(flip_invariant(&breach))
             .registry(&registry)
-            .debounce(1)
+            .debounce(2)
             .build();
+        let gauges = || {
+            let snap = registry.snapshot();
+            (snap.gauge("cso_watch_flip"), snap.gauge("cso_watch_health"))
+        };
+        assert_eq!(gauges(), (Some(0.0), Some(0.0)), "at 0 before any tick");
         dog.tick();
-        let snap = registry.snapshot();
-        assert_eq!(snap.gauge("cso_watch_flip"), Some(0.0));
-        assert_eq!(snap.gauge("cso_watch_health"), Some(0.0));
+        assert_eq!(gauges(), (Some(0.0), Some(0.0)));
 
         breach.store(1, Ordering::Relaxed);
         dog.tick();
-        let snap = registry.snapshot();
-        assert_eq!(snap.gauge("cso_watch_flip"), Some(1.0));
-        assert_eq!(snap.gauge("cso_watch_health"), Some(1.0));
+        assert_eq!(gauges(), (Some(0.0), Some(0.0)), "one tick is debounced");
+        dog.tick();
+        assert_eq!(gauges(), (Some(1.0), Some(1.0)), "the second raises");
 
         let alerts = dog.alerts_json();
         assert_eq!(
@@ -710,6 +703,14 @@ mod tests {
         assert_eq!(recent.len(), 1);
         assert_eq!(recent[0].get("to").unwrap().as_str(), Some("DEGRADED"));
         assert_eq!(recent[0].get("reason").unwrap().as_str(), Some("planted"));
+
+        breach.store(0, Ordering::Relaxed);
+        dog.tick();
+        assert_eq!(
+            gauges(),
+            (Some(0.0), Some(0.0)),
+            "the first clean tick lowers"
+        );
     }
 
     #[test]
@@ -777,5 +778,25 @@ mod tests {
         }
         assert_eq!(dog.status(), "DEGRADED", "background thread detected it");
         dog.stop();
+    }
+
+    #[test]
+    fn stopping_a_spawned_watchdog_does_not_wait_out_its_cadence() {
+        let dog = Watchdog::builder()
+            .invariant(Invariant::new("steady", || Verdict::Ok))
+            .cadence(Duration::from_secs(5))
+            .spawn();
+        // Let the thread finish its first tick and start waiting.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while dog.health_json().get("ticks").and_then(Json::as_u64) == Some(0)
+            && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
+        dog.stop();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "stop took {took:?}");
     }
 }

@@ -179,23 +179,6 @@ pub struct HistSnapshot {
     pub max_ns: u64,
 }
 
-impl HistSnapshot {
-    /// Formats nanoseconds with an adaptive unit (`ns`/`µs`/`ms`/`s`),
-    /// matching the bench harness's table style.
-    #[must_use]
-    pub fn fmt_ns(ns: u64) -> String {
-        if ns < 1_000 {
-            format!("{ns}ns")
-        } else if ns < 1_000_000 {
-            format!("{:.2}µs", ns as f64 / 1e3)
-        } else if ns < 1_000_000_000 {
-            format!("{:.2}ms", ns as f64 / 1e6)
-        } else {
-            format!("{:.2}s", ns as f64 / 1e9)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,13 +345,5 @@ mod tests {
                 max_ns: 0
             }
         );
-    }
-
-    #[test]
-    fn fmt_ns_units() {
-        assert_eq!(HistSnapshot::fmt_ns(999), "999ns");
-        assert_eq!(HistSnapshot::fmt_ns(1_500), "1.50µs");
-        assert_eq!(HistSnapshot::fmt_ns(2_500_000), "2.50ms");
-        assert_eq!(HistSnapshot::fmt_ns(3_000_000_000), "3.00s");
     }
 }

@@ -26,11 +26,12 @@
 //!   (the codec `cso-analyze` reads captures through), all driven off
 //!   a collected [`Trace`].
 //!
-//! * [`registry`] — the live metrics [`Registry`]: per-thread-striped
-//!   [`Counter`]s, [`Gauge`]s, [`LogHistogram`]-backed [`Timer`]s,
-//!   and polled readers of what an object already counts in its own
-//!   cells. The objects' `attach_metrics` register here; rendering
-//!   and serving a snapshot is `cso-observe`'s.
+//! * [`registry`] — the live metrics [`Registry`]: counters and
+//!   gauges are polled readers of what an object already counts in
+//!   its own cells, and the [`LogHistogram`]-backed [`Timer`] is the
+//!   one handle (a latency sample needs a clock reading on the
+//!   operation's path). The objects' `attach_metrics` register here;
+//!   rendering and serving a snapshot is `cso-observe`'s.
 //!
 //! * [`stamp`] — the two things a probe site keeps *between* events:
 //!   a thread-id cell one thread leaves for the next ([`TidStamp`])
@@ -81,7 +82,7 @@ pub mod stamp;
 pub use audit::{AuditReport, StepAuditor};
 pub use hist::{HistSnapshot, LogHistogram};
 pub use probe::{Event, Harvested, HelpKind, Path, Trace, TraceEvent, NO_TID};
-pub use registry::{Counter, Gauge, Registry, Timer};
+pub use registry::{Registry, Timer};
 pub use stamp::{SpanClock, TidStamp};
 
 /// Whether probes are compiled in: the `trace` cargo feature of this

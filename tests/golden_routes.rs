@@ -37,15 +37,15 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// A registry holding set values in every kind of series: handles and
-/// polled readers, and timers with recorded samples.
+/// A registry holding set values in every kind of series: polled
+/// counters and gauges, and timers with recorded samples.
 fn fixed_registry() -> Registry {
     let registry = Registry::new();
-    registry.counter("golden_ops_total").add(1234);
-    registry.counter("golden_aborts_total").add(56);
+    registry.counter_fn("golden_ops_total", || 1234);
+    registry.counter_fn("golden_aborts_total", || 56);
     registry.counter_fn("golden_polled_total", || 789);
-    registry.gauge("golden_depth").set(17.0);
-    registry.gauge("golden_ratio").set(0.375);
+    registry.gauge_fn("golden_depth", || 17.0);
+    registry.gauge_fn("golden_ratio", || 0.375);
     registry.gauge_fn("golden_polled_gauge", || -2.5);
     let fast = registry.timer("golden_fast_ns");
     for ns in [120, 180, 250, 310, 990, 4_000] {

@@ -147,7 +147,11 @@ fn scrapes_stay_consistent_while_workers_hammer_the_stack() {
     let emitted_before = probe::emitted();
 
     let registry = Registry::new();
-    let ops_counter = registry.counter("scrape_smoke_ops_total");
+    let ops_counter = Arc::new(AtomicU64::new(0));
+    let read_ops = Arc::clone(&ops_counter);
+    registry.counter_fn("scrape_smoke_ops_total", move || {
+        read_ops.load(Ordering::Relaxed)
+    });
     // Combining, so every path (fast, locked, combined) can fire.
     let config = CsConfig::COMBINING;
     let stack = CsStack::<u32>::with_config(65_000, TasLock::new(), WORKERS, config);
@@ -176,7 +180,7 @@ fn scrapes_stay_consistent_while_workers_hammer_the_stack() {
         } else {
             let _ = stack.pop(proc);
         }
-        ops_counter.inc();
+        ops_counter.fetch_add(1, Ordering::Relaxed);
     };
     // Interleave scrapes of every endpoint with the running workload.
     let ((), ops) = under_load(WORKERS, hammer, || {
