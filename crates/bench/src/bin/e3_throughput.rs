@@ -15,6 +15,7 @@ use cso_bench::report::{fmt_rate, Table};
 use cso_bench::{cell_duration, thread_counts};
 
 fn main() {
+    let capture = cso_bench::tracing::capture();
     println!("E3: stack throughput (ops/s), 50/50 push/pop, prefilled half");
     println!("({} ms per cell)\n", cell_duration().as_millis());
 
@@ -48,5 +49,7 @@ fn main() {
     println!("is the row that returns to its solo neighbourhood, while the bare retry");
     println!("loop (nb-stack), the TAS lock and the FIFO ticket lock do not. Cells that");
     println!("fit the host run one pinned thread per CPU; wider ones are unpinned.");
-    cso_bench::tracing::emit("e3_throughput");
+    if let Some(capture) = capture {
+        capture.emit("e3_throughput");
+    }
 }

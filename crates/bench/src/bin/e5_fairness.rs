@@ -17,6 +17,7 @@ use cso_bench::{cell_duration, thread_counts};
 use cso_core::CsConfig;
 
 fn main() {
+    let capture = cso_bench::tracing::capture();
     let threads = *thread_counts().last().unwrap_or(&4);
     println!("E5: per-thread fairness at {threads} threads, 50/50 mix, no think time");
     println!(
@@ -53,5 +54,7 @@ fn main() {
     println!("\nExpected shape: cs-stack and lock(ticket) (both starvation-free) hold");
     println!("the tightest max/min; nb-stack, lock(tas) and cs/unfair may starve a");
     println!("thread under pressure.");
-    cso_bench::tracing::emit("e5_fairness");
+    if let Some(capture) = capture {
+        capture.emit("e5_fairness");
+    }
 }

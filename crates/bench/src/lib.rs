@@ -15,8 +15,8 @@
 //! | `e3_throughput` | stack throughput across implementations and thread counts |
 //! | `e5_fairness` | per-thread fairness / starvation |
 //!
-//! With probes on (`--features cso-trace/trace`) both also collect the
-//! probe event stream and export it (see [`tracing`]).
+//! Run with `CSO_TRACE_OUT` or `CSO_TRACE_EVENTS` set, both also
+//! record the probe event stream and export it (see [`tracing`]).
 //!
 //! Environment knobs: `CSO_BENCH_MS` (milliseconds per measured cell,
 //! default 300), `CSO_MAX_THREADS` (default 8), `CSO_TRACE_OUT` and

@@ -45,6 +45,19 @@ pub trait Abortable: Send + Sync {
     /// interfered; the object state is unchanged in that case.
     fn try_apply(&self, op: &Self::Op) -> Result<Self::Response, Aborted>;
 
+    /// [`Abortable::try_apply`] with the object's fail points and
+    /// probes in place: what the transformations call while the
+    /// run-time mode is armed (`cso_memory::mode`). `try_apply` itself
+    /// is then the quiet instance, with no site at all. An object whose
+    /// weak operation has no site keeps this default.
+    ///
+    /// # Errors
+    ///
+    /// As [`Abortable::try_apply`].
+    fn try_apply_armed(&self, op: &Self::Op) -> Result<Self::Response, Aborted> {
+        self.try_apply(op)
+    }
+
     /// Elimination hook: attempts to complete `op` by *rendezvous*
     /// with a concurrent inverse operation (e.g. a stack's push/pop
     /// pair exchanging the value through `cso_memory::exchange`),
@@ -79,6 +92,10 @@ impl<O: Abortable + ?Sized> Abortable for &O {
         (**self).try_apply(op)
     }
 
+    fn try_apply_armed(&self, op: &Self::Op) -> Result<Self::Response, Aborted> {
+        (**self).try_apply_armed(op)
+    }
+
     fn try_eliminate(&self, op: &Self::Op, polls: u32) -> Option<Self::Response> {
         (**self).try_eliminate(op, polls)
     }
@@ -92,8 +109,28 @@ impl<O: Abortable + ?Sized> Abortable for std::sync::Arc<O> {
         (**self).try_apply(op)
     }
 
+    fn try_apply_armed(&self, op: &Self::Op) -> Result<Self::Response, Aborted> {
+        (**self).try_apply_armed(op)
+    }
+
     fn try_eliminate(&self, op: &Self::Op, polls: u32) -> Option<Self::Response> {
         (**self).try_eliminate(op, polls)
+    }
+}
+
+/// One weak attempt on `object`, as the mode word reads now: the
+/// armed instance while fail points and probes are armed, the quiet
+/// one otherwise. For the attempts off Figure 3's contention-free path
+/// (the retries under the lock, combining, Figure 2's loop), which
+/// pause or lock anyway.
+pub(crate) fn try_apply_now<O: Abortable + ?Sized>(
+    object: &O,
+    op: &O::Op,
+) -> Result<O::Response, Aborted> {
+    if cso_memory::mode::armed() {
+        object.try_apply_armed(op)
+    } else {
+        object.try_apply(op)
     }
 }
 

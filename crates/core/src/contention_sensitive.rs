@@ -39,11 +39,12 @@ use cso_memory::backoff::{retry_pause, Deadline, Spinner};
 use cso_memory::combining::{CachePadded, PubRecord, RecordState, NO_HELPER};
 use cso_memory::fail_point;
 use cso_memory::liveness::{Liveness, RecoveryPolicy};
+use cso_memory::mode::{self, Armed, Mode, Quiet};
 use cso_memory::reg::RegBool;
 use cso_memory::Stripes;
 use cso_trace::{probe, probe_if, Event, Registry, SpanClock, Timer};
 
-use crate::abortable::Abortable;
+use crate::abortable::{try_apply_now, Abortable};
 use crate::error::{CsError, TimedOut, Unrecoverable};
 use crate::gate::AdaptiveGate;
 use crate::progress::ProgressCondition;
@@ -862,10 +863,12 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         assert!(proc < self.lock.n(), "process id out of range");
         // Attempt 0 of lines 01–02, inline behind one test: the
         // contention-free operation is its six accesses and this. With
-        // metrics attached (a clock reading per attempt) or the fast
-        // path off, the escalation starts at attempt 0 instead.
-        if self.config.fast_path && self.metrics.get().is_none() {
-            return match self.attempt(op, None) {
+        // metrics attached (a clock reading per attempt), the fast path
+        // off, or fail points and probes armed (the one read of the
+        // mode word, see `cso_memory::mode`), the escalation starts at
+        // attempt 0 instead: the inline attempt is the quiet instance.
+        if self.config.fast_path && self.metrics.get().is_none() && !mode::armed() {
+            return match self.attempt::<Quiet>(op, None) {
                 Ok(res) => Ok(res),
                 Err(spent) => self.escalate(proc, op, deadline, spent),
             };
@@ -912,7 +915,12 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                     }
                     retry_pause();
                 }
-                match self.attempt(op, metrics) {
+                let res = if mode::armed() {
+                    self.attempt::<Armed>(op, metrics)
+                } else {
+                    self.attempt::<Quiet>(op, metrics)
+                };
+                match res {
                     Ok(res) => return Ok(res),
                     Err(spent) => attempt += spent,
                 }
@@ -982,7 +990,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         // effect, and the guard restores lines 09–12.
         let mut spinner = Spinner::new();
         loop {
-            if let Ok(res) = self.inner.try_apply(op) {
+            if let Ok(res) = try_apply_now(&self.inner, op) {
                 // Lines 09–13 run in the guard's drop (also on unwind).
                 guard.completed = true;
                 return Ok(res);
@@ -1081,19 +1089,24 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// pauses before it). `Err(n)` spends `n` of the
     /// [`FAST_ATTEMPTS`]: one for a raised register, an abort or a
     /// veto, all of them for a diverting gate. Inlined into both
-    /// callers: attempt 0 in [`ContentionSensitive::try_apply_until`],
-    /// the retries in [`ContentionSensitive::escalate`].
+    /// callers: attempt 0 in [`ContentionSensitive::try_apply_until`]
+    /// ([`Quiet`]), the retries in [`ContentionSensitive::escalate`]
+    /// (as the mode word reads at each).
     #[inline(always)]
-    fn attempt(&self, op: &O::Op, metrics: Option<&CsMetrics>) -> Result<O::Response, u32> {
+    fn attempt<M: Mode>(
+        &self,
+        op: &O::Op,
+        metrics: Option<&CsMetrics>,
+    ) -> Result<O::Response, u32> {
         if self.contention.read() {
             return Err(1);
         }
         if self.config.adaptive_gate && self.stats.gate.should_divert() {
             return Err(FAST_ATTEMPTS);
         }
-        fail_point!("cs::fast", return Err(1));
+        fail_point!(M => "cs::fast", return Err(1));
         let timed = metrics.map(|m| (m, Instant::now()));
-        let Some(res) = self.weak_attempt(op) else {
+        let Some(res) = self.weak_attempt::<M>(op) else {
             return Err(1);
         };
         if let Some((m, t0)) = timed {
@@ -1108,18 +1121,23 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// a call, and the response returned through memory, on the path
     /// Theorem 1 is about.
     #[inline(always)]
-    fn weak_attempt(&self, op: &O::Op) -> Option<O::Response> {
-        probe!(Event::FastAttempt);
-        let res = self.inner.try_apply(op).ok();
+    fn weak_attempt<M: Mode>(&self, op: &O::Op) -> Option<O::Response> {
+        probe!(M => Event::FastAttempt);
+        let res = if M::ON {
+            self.inner.try_apply_armed(op)
+        } else {
+            self.inner.try_apply(op)
+        };
+        let res = res.ok();
         if self.config.adaptive_gate {
             self.stats.gate.record(res.is_none());
         }
         if res.is_some() {
             self.stats.cells.inc(FAST);
-            probe!(Event::FastSuccess);
+            probe!(M => Event::FastSuccess);
         } else {
             self.stats.cells.inc(FAST_ABORTS);
-            probe!(Event::FastAbort);
+            probe!(M => Event::FastAbort);
         }
         res
     }
@@ -1167,7 +1185,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
             rcv.live.announce(proc);
         }
         let rec: &PubRecord<O::Op, O::Response> = &self.records[proc];
-        // Reads no clock unless probes record.
+        // Reads no clock unless the mode is armed.
         let posted_at = SpanClock::start();
         let post = || {
             // SAFETY: this frame does not return until the record
@@ -1301,7 +1319,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         // Line 08 for our own operation.
         let mut spinner = Spinner::new();
         let res = loop {
-            match self.inner.try_apply(op) {
+            match try_apply_now(&self.inner, op) {
                 Ok(res) => break res,
                 Err(_) => spinner.spin(),
             }
@@ -1334,7 +1352,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         let mut served = 0u64;
         // This tenure's trace-thread id, stamped into every record we
         // complete so the owner can attribute its completion to us
-        // (`NO_HELPER` in untraced builds — owners then skip the edge).
+        // (`NO_HELPER` while quiet — owners then skip the edge).
         let combiner_tid = cso_trace::probe::thread_id();
         for _ in 0..COMBINE_ROUNDS {
             // Claim phase: collect everything posted so far.
@@ -1379,7 +1397,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                 let claimed_op = unsafe { &**ptr };
                 let mut spinner = Spinner::new();
                 let res = loop {
-                    match self.inner.try_apply(claimed_op) {
+                    match try_apply_now(&self.inner, claimed_op) {
                         Ok(res) => break res,
                         Err(_) => spinner.spin(),
                     }
@@ -2257,7 +2275,8 @@ mod tests {
     /// The retry budget holds on every route into lines 01–03: attempt
     /// 0 inline with the cold routine resuming at attempt 1 (the paper
     /// configuration), the same behind the adaptive gate, and — with
-    /// metrics attached — the cold routine making attempt 0 itself. An
+    /// metrics attached, or with the run-time mode armed — the cold
+    /// routine making attempt 0 itself. An
     /// object that aborts every lock-free attempt makes exactly
     /// [`FAST_ATTEMPTS`] `CONTENTION` reads and weak attempts before
     /// line 04; a raise seen at attempt 0 spends attempt 0.
@@ -2265,11 +2284,13 @@ mod tests {
     fn every_route_into_the_retries_spends_the_same_budget() {
         let attempts = u64::from(FAST_ATTEMPTS);
         let routes = [
-            ("inline", CsConfig::PAPER, false),
-            ("gate", CsConfig::PAPER.with_adaptive_gate(), false),
-            ("metrics", CsConfig::PAPER, true),
+            ("inline", CsConfig::PAPER, false, false),
+            ("gate", CsConfig::PAPER.with_adaptive_gate(), false, false),
+            ("metrics", CsConfig::PAPER, true, false),
+            ("armed", CsConfig::PAPER, false, true),
         ];
-        for (route, config, metrics) in routes {
+        for (route, config, metrics, armed) in routes {
+            let _armed = armed.then(cso_memory::mode::Hold::new);
             let on_route = |aborts: usize| {
                 let cs = make(aborts, config);
                 if metrics {

@@ -5,6 +5,7 @@ use std::marker::PhantomData;
 use cso_core::{Abortable, Aborted};
 use cso_memory::bits::Bits32;
 use cso_memory::fail_point;
+use cso_memory::mode::{self, Armed, Mode, Quiet};
 use cso_memory::packed::{DequeState, DequeWord};
 use cso_memory::reg::Reg64;
 use cso_memory::Stripes;
@@ -164,8 +165,19 @@ impl<V: Bits32> AbortableDeque<V> {
     /// Returns [`Aborted`] (⊥, no effect) when a concurrent operation
     /// interfered. Never aborts solo.
     pub fn try_push(&self, end: End, value: V) -> Result<DequePushOutcome, Aborted> {
+        if mode::armed() {
+            self.try_push_as::<Armed>(end, value)
+        } else {
+            self.try_push_as::<Quiet>(end, value)
+        }
+    }
+
+    /// [`AbortableDeque::try_push`] in mode `M` (see
+    /// `cso_memory::mode`): the [`Quiet`] instance has no fail point or
+    /// probe.
+    fn try_push_as<M: Mode>(&self, end: End, value: V) -> Result<DequePushOutcome, Aborted> {
         self.stats.inc(ATTEMPTS);
-        fail_point!("deque::push", {
+        fail_point!(M => "deque::push", {
             self.stats.inc(ABORTS);
             return Err(Aborted);
         });
@@ -175,7 +187,7 @@ impl<V: Bits32> AbortableDeque<V> {
         };
         if result.is_err() {
             self.stats.inc(ABORTS);
-            probe!(Event::CasFail(match end {
+            probe!(M => Event::CasFail(match end {
                 End::Right => "deque::right",
                 End::Left => "deque::left",
             }));
@@ -190,8 +202,17 @@ impl<V: Bits32> AbortableDeque<V> {
     /// Returns [`Aborted`] (⊥, no effect) when a concurrent operation
     /// interfered. Never aborts solo.
     pub fn try_pop(&self, end: End) -> Result<DequePopOutcome<V>, Aborted> {
+        if mode::armed() {
+            self.try_pop_as::<Armed>(end)
+        } else {
+            self.try_pop_as::<Quiet>(end)
+        }
+    }
+
+    /// [`AbortableDeque::try_pop`] in mode `M`.
+    fn try_pop_as<M: Mode>(&self, end: End) -> Result<DequePopOutcome<V>, Aborted> {
         self.stats.inc(ATTEMPTS);
-        fail_point!("deque::pop", {
+        fail_point!(M => "deque::pop", {
             self.stats.inc(ABORTS);
             return Err(Aborted);
         });
@@ -201,7 +222,7 @@ impl<V: Bits32> AbortableDeque<V> {
         };
         if result.is_err() {
             self.stats.inc(ABORTS);
-            probe!(Event::CasFail(match end {
+            probe!(M => Event::CasFail(match end {
                 End::Right => "deque::right",
                 End::Left => "deque::left",
             }));
@@ -307,6 +328,16 @@ impl<V: Bits32> AbortableDeque<V> {
         }
     }
 
+    /// One weak operation in mode `M`: [`Abortable::try_apply`] and
+    /// [`Abortable::try_apply_armed`].
+    #[inline(always)]
+    fn apply_as<M: Mode>(&self, op: &DequeOp<V>) -> Result<DequeResponse<V>, Aborted> {
+        match op {
+            DequeOp::Push(end, v) => self.try_push_as::<M>(*end, *v).map(DequeResponse::Push),
+            DequeOp::Pop(end) => self.try_pop_as::<M>(*end).map(DequeResponse::Pop),
+        }
+    }
+
     /// Attempt/abort counters.
     #[must_use]
     pub fn abort_counts(&self) -> (u64, u64) {
@@ -320,10 +351,11 @@ impl<V: Bits32> Abortable for AbortableDeque<V> {
     type Response = DequeResponse<V>;
 
     fn try_apply(&self, op: &DequeOp<V>) -> Result<DequeResponse<V>, Aborted> {
-        match op {
-            DequeOp::Push(end, v) => self.try_push(*end, *v).map(DequeResponse::Push),
-            DequeOp::Pop(end) => self.try_pop(*end).map(DequeResponse::Pop),
-        }
+        self.apply_as::<Quiet>(op)
+    }
+
+    fn try_apply_armed(&self, op: &DequeOp<V>) -> Result<DequeResponse<V>, Aborted> {
+        self.apply_as::<Armed>(op)
     }
 }
 

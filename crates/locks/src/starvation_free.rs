@@ -180,9 +180,9 @@ pub struct StarvationFree<L> {
     recovery: OnceLock<RecoveryState>,
     /// Trace-thread id of the last releaser, left before every inner
     /// unlock and taken by the next acquirer to emit
-    /// [`Event::HandoffFrom`]. Zero-sized unless probes record (see
-    /// [`TidStamp`]): without probes there is no thread id to leave
-    /// and nobody to read it.
+    /// [`Event::HandoffFrom`]. Written only while the mode is armed
+    /// (see [`TidStamp`]): quiet, there is no thread id to leave and
+    /// nobody to read it.
     prev_tid: TidStamp,
     /// Trace-thread id of the current holder's OS thread. Read by a
     /// successor after winning the custody CAS to emit
@@ -353,7 +353,7 @@ impl<L: RawLock> StarvationFree<L> {
     }
 
     /// Records `proc` as the inner-lock holder (recovery custody, when
-    /// enabled) and, when probes record, stamps the causal handoff
+    /// enabled) and, while the mode is armed, stamps the causal handoff
     /// cells. The boosted entry points do this themselves; call it
     /// only when taking the inner lock *directly* via
     /// [`StarvationFree::inner`] (the combining path), and pair with
@@ -762,11 +762,7 @@ mod tests {
         let lock = StarvationFree::new(inner, 3);
         let mut written = vec![lines_of(&lock.inner), lines_of(&lock.turn)];
         written.extend(lock.flag.iter().map(lines_of));
-        // The stamp cells are words only when probes record; untraced
-        // they are zero-sized and sit on nobody's line.
-        if cso_trace::TRACE {
-            written.extend([lines_of(&lock.prev_tid), lines_of(&lock.holder_tid)]);
-        }
+        written.extend([lines_of(&lock.prev_tid), lines_of(&lock.holder_tid)]);
         let read_mostly = [
             lines_of(&lock.flag),
             lines_of(&lock.counts),
@@ -813,34 +809,33 @@ mod tests {
         assert_eq!(other.counter("other_lock_successions_total"), Some(0));
     }
 
-    /// Zero cost, as a size: in an untraced build the two stamp cells
-    /// add nothing to the lock — three padded words (inner lock, TURN,
-    /// and the line the unpadded tail shares) and no more.
+    /// The price of one build, as a size: three padded words (inner
+    /// lock, TURN, and the line the unpadded tail shares) plus the two
+    /// stamp cells, one padded line each.
     #[test]
-    fn untraced_stamp_cells_take_no_room_in_the_lock() {
+    fn the_stamp_cells_take_one_line_each_in_the_lock() {
         use std::mem::size_of;
         let stamps = 2 * size_of::<cso_trace::TidStamp>();
-        assert_eq!(stamps == 0, !cso_trace::TRACE);
+        assert_eq!(stamps, 2 * 128);
         assert_eq!(size_of::<StarvationFree<TasLock>>(), 3 * 128 + stamps);
     }
 
-    /// Causal-edge stamps — cells, writes and edges — exist only when
-    /// probes record (thread ids come from the probe rings): each test
-    /// type-checks in every build and returns early in an untraced one.
+    /// Causal-edge stamps are written, and edges recorded, only while
+    /// the mode is armed (thread ids come from the probe rings): each
+    /// test holds a recording.
     mod causal {
         use super::*;
 
-        /// The probe rings are process-global; live tests serialize.
-        fn serial() -> std::sync::MutexGuard<'static, ()> {
+        /// The probe rings are process-global; live tests serialize,
+        /// and record while they run.
+        fn serial() -> (std::sync::MutexGuard<'static, ()>, probe::Recording) {
             static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
-            M.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+            let guard = M.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            (guard, probe::Recording::start())
         }
 
         #[test]
         fn unlock_then_lock_emits_a_handoff_edge() {
-            if !cso_trace::TRACE {
-                return;
-            }
             let _serial = serial();
             probe::clear();
             let lock = Arc::new(StarvationFree::new(TasLock::new(), 2));
@@ -873,9 +868,6 @@ mod tests {
         #[test]
         fn succession_emits_a_custody_edge_from_the_corpse_thread() {
             use cso_memory::liveness::Liveness;
-            if !cso_trace::TRACE {
-                return;
-            }
             let _serial = serial();
             probe::clear();
             let lock = Arc::new(StarvationFree::new(TasLock::new(), 3));
@@ -911,9 +903,6 @@ mod tests {
         #[test]
         fn a_successor_never_sees_the_pre_corpse_handoff_stamp() {
             use cso_memory::liveness::Liveness;
-            if !cso_trace::TRACE {
-                return;
-            }
             let _serial = serial();
             probe::clear();
             let lock = Arc::new(StarvationFree::new(TasLock::new(), 3));

@@ -17,12 +17,13 @@
 //! * [`Fault::StallForever`] — block until [`reset`], simulating the
 //!   §5 nightmare: a process that stops while holding the lock.
 //!
-//! # Cost when disabled
+//! # Cost while nothing is armed
 //!
-//! The module only exists under the `chaos` cargo feature; without it
-//! the [`fail_point!`](crate::fail_point) macro expands to nothing and
-//! release builds carry zero overhead. With the feature compiled in
-//! but no site armed, a fail point is one relaxed atomic load.
+//! Every build carries the registry. Arming a site arms the run-time
+//! mode ([`crate::mode`]), which is what lets an operation reach its
+//! fail points at all: on Figure 3's contention-free path the sites
+//! exist only in the [`Armed`](crate::mode::Armed) instance, and
+//! elsewhere each site is one relaxed load of the mode word.
 //!
 //! # Concurrency semantics
 //!
@@ -38,6 +39,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::backoff::XorShift64;
+use crate::mode;
 use crate::runtime::{Active, Runtime};
 
 /// What an armed fail point injects when it fires.
@@ -148,8 +150,21 @@ struct RegistryState {
     tracing: bool,
 }
 
-/// Number of armed sites + tracing flag; the fail-point fast path.
+/// Number of armed sites + tracing flag: what [`hit`] tests before it
+/// takes the registry lock (the mode word also counts ring readers).
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts `n` more armed sites, here and in the mode word.
+fn activate(n: usize) {
+    ACTIVE.fetch_add(n, Ordering::SeqCst);
+    mode::raise(n);
+}
+
+/// Counts `n` fewer armed sites, here and in the mode word.
+fn deactivate(n: usize) {
+    ACTIVE.fetch_sub(n, Ordering::SeqCst);
+    mode::lower(n);
+}
 
 /// Bumped by [`reset`]/[`disarm`]; stalled threads watch it.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
@@ -199,7 +214,7 @@ pub fn arm_plan(site: &'static str, plan: Plan) {
             )
             .is_none()
         {
-            ACTIVE.fetch_add(1, Ordering::SeqCst);
+            activate(1);
         }
     });
 }
@@ -208,7 +223,7 @@ pub fn arm_plan(site: &'static str, plan: Plan) {
 pub fn disarm(site: &'static str) {
     with_registry(|reg| {
         if reg.sites.remove(site).is_some() {
-            ACTIVE.fetch_sub(1, Ordering::SeqCst);
+            deactivate(1);
         }
     });
     GENERATION.fetch_add(1, Ordering::SeqCst);
@@ -224,9 +239,9 @@ pub fn reset() {
         reg.fires.clear();
         if reg.tracing {
             reg.tracing = false;
-            ACTIVE.fetch_sub(1, Ordering::SeqCst);
+            deactivate(1);
         }
-        ACTIVE.fetch_sub(armed, Ordering::SeqCst);
+        deactivate(armed);
     });
     GENERATION.fetch_add(1, Ordering::SeqCst);
 }
@@ -238,9 +253,9 @@ pub fn set_tracing(on: bool) {
         if reg.tracing != on {
             reg.tracing = on;
             if on {
-                ACTIVE.fetch_add(1, Ordering::SeqCst);
+                activate(1);
             } else {
-                ACTIVE.fetch_sub(1, Ordering::SeqCst);
+                deactivate(1);
             }
         }
     });
@@ -302,7 +317,7 @@ pub fn hit(site: &'static str) -> Action {
         let fault = s.plan.fault;
         if s.fires >= s.plan.max_fires {
             reg.sites.remove(site);
-            ACTIVE.fetch_sub(1, Ordering::SeqCst);
+            deactivate(1);
         }
         Some(fault)
     });

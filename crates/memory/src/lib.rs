@@ -30,9 +30,11 @@
 //! * [`liveness`] — a lease-based failure detector (announce / beat /
 //!   exit, plus `suspect`) and the [`liveness::RecoveryPolicy`] that
 //!   governs crash recovery of the locked slow path;
-//! * [`chaos`] (behind the `chaos` cargo feature) — the fail-point
-//!   registry behind [`fail_point!`], for fault-injection testing of
-//!   the §5 crash caveat.
+//! * [`chaos`] — the fail-point registry behind [`fail_point!`], for
+//!   fault-injection testing of the §5 crash caveat;
+//! * [`mode`] — the run-time mode word that arms fail points and
+//!   probes, read once per operation on Figure 3's contention-free
+//!   path.
 //!
 //! # Example
 //!
@@ -54,13 +56,13 @@
 
 pub mod backoff;
 pub mod bits;
-#[cfg(feature = "chaos")]
 pub mod chaos;
 pub mod combining;
 pub mod counting;
 pub mod exchange;
 pub mod layout;
 pub mod liveness;
+pub mod mode;
 pub mod packed;
 pub mod reg;
 pub mod registry;
@@ -69,63 +71,42 @@ pub mod stripes;
 
 /// Declares a named fault-injection site (see [`chaos`]).
 ///
-/// With the `chaos` cargo feature **disabled** (the default) the macro
-/// expands to nothing — zero code, zero cost. With it enabled, the
-/// site consults the [`chaos`] registry: one relaxed atomic load when
-/// nothing is armed, the armed [`chaos::Fault`] otherwise.
-///
-/// Two forms:
+/// Three forms:
 ///
 /// * `fail_point!("site")` — injects delays, yields, panics or stalls
 ///   in place; a [`chaos::Fault::SpuriousAbort`] is ignored.
 /// * `fail_point!("site", expr)` — additionally evaluates `expr`
 ///   (typically `return Err(Aborted)`) when the armed fault asks the
 ///   operation to abort.
-#[cfg(feature = "chaos")]
+/// * `fail_point!(M => …)`, either of the above behind a [`mode::Mode`]
+///   parameter `M`: the form for code on Figure 3's contention-free
+///   path, whose [`mode::Quiet`] instance then carries no site at all.
+///
+/// A site reads the [`mode`] word (one relaxed load) and consults the
+/// [`chaos`] registry only while the mode is armed.
 #[macro_export]
 macro_rules! fail_point {
+    ($mode:ident => $($site:tt)+) => {
+        if <$mode as $crate::mode::Mode>::ON {
+            $crate::fail_point!($($site)+);
+        }
+    };
     ($site:expr) => {{
-        let _ = $crate::chaos::hit($site);
+        if $crate::mode::armed() {
+            let _ = $crate::chaos::hit($site);
+        }
     }};
     ($site:expr, $on_abort:expr) => {{
-        if $crate::chaos::hit($site) == $crate::chaos::Action::Abort {
+        if $crate::mode::armed() && $crate::chaos::hit($site) == $crate::chaos::Action::Abort {
             $on_abort
         }
     }};
 }
 
-/// Declares a named fault-injection site (disabled: expands to
-/// nothing; enable the `chaos` cargo feature to activate).
-#[cfg(not(feature = "chaos"))]
-#[macro_export]
-macro_rules! fail_point {
-    ($site:expr) => {};
-    ($site:expr, $on_abort:expr) => {};
-}
-
-/// Whether this build carries the `chaos` fail-point registry. The
-/// `chaos` cargo feature of **this crate** is the one switch for the
-/// mode (Cargo unifies features over the graph, so it is on for every
-/// crate or for none); code that branches on the mode reads this
-/// constant, and no other library crate declares a `chaos` feature.
-pub const CHAOS: bool = cfg!(feature = "chaos");
-
 /// Whether counted accesses run on the `cso-sched` model runtime (see
 /// [`runtime`]): the `model` cargo feature of this crate, the one
 /// switch for that mode.
 pub const MODEL: bool = cfg!(feature = "model");
-
-/// Installs (or, with `None`, removes) the observer called each time
-/// a fail point **fires** (`chaos::set_fire_hook`). Present in every
-/// build, so a tracing layer needs no `chaos` feature of its own to
-/// offer the hook; without [`CHAOS`] no fail point exists to fire and
-/// the call does nothing.
-pub fn set_fire_hook(hook: Option<fn(&'static str)>) {
-    #[cfg(feature = "chaos")]
-    chaos::set_fire_hook(hook);
-    #[cfg(not(feature = "chaos"))]
-    let _ = hook;
-}
 
 pub use backoff::Deadline;
 pub use bits::Bits32;

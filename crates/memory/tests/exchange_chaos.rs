@@ -2,8 +2,6 @@
 //! crashed eliminator must never leak an item, never double-surface
 //! one, and never wedge a slot.
 
-#![cfg(feature = "chaos")]
-
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 

@@ -22,9 +22,9 @@
 //!   `/causal.json` handlers for [`crate::metrics::MetricsServer`],
 //!   serving the live aggregate over the same port as `/metrics`.
 //!
-//! Everything is std-only and compiles without the `trace` feature —
-//! the harvester then drains empty rings, so embedding the profiler
-//! costs nothing in untraced builds.
+//! Everything is std-only. A running harvester arms the probes (the
+//! run-time mode of `cso_memory::mode`) for as long as it lives, so
+//! embedding the profiler costs nothing until it is started.
 
 pub mod aggregate;
 pub mod harvest;

@@ -45,12 +45,16 @@ impl Default for LiveAggregator {
 }
 
 /// Registers `thread`'s truncation gauge: a reader of the fold's total.
-fn truncation_gauge(registry: &Registry, agg: &Arc<LiveAggregator>, thread: u32) {
-    let agg = Arc::clone(agg);
+/// Like every reader the aggregator registers, it holds the aggregator
+/// weakly — the aggregator keeps the registry, so a strong reader would
+/// keep both alive for good — and reads 0 once it is gone.
+fn truncation_gauge(registry: &Registry, agg: Weak<LiveAggregator>, thread: u32) {
     let name = format!("cso_harvest_truncated_events_thread_{thread}");
     registry.gauge_fn(&name, move || {
-        let total = agg.live().fold.truncated().find(|&(t, _)| t == thread);
-        total.map_or(0.0, |(_, n)| n as f64)
+        agg.upgrade().map_or(0.0, |agg| {
+            let total = agg.live().fold.truncated().find(|&(t, _)| t == thread);
+            total.map_or(0.0, |(_, n)| n as f64)
+        })
     });
 }
 
@@ -80,10 +84,9 @@ impl LiveAggregator {
         let live = &mut *live;
         live.batches += 1;
         live.fold.ingest(&batch.events, &batch.truncated);
-        if let (Some((registry, agg)), false) = (&live.registry, batch.truncated.is_empty()) {
-            let agg = agg.upgrade().expect("registered through an Arc");
+        if let Some((registry, agg)) = &live.registry {
             for &(thread, _) in &batch.truncated {
-                truncation_gauge(registry, &agg, thread);
+                truncation_gauge(registry, Weak::clone(agg), thread);
             }
         }
     }
@@ -109,14 +112,16 @@ impl LiveAggregator {
             ("cso_harvest_batches_total", |l: &Live| l.batches),
             ("cso_harvest_lost_total", |l: &Live| l.fold.lost()),
         ] {
-            let agg = Arc::clone(self);
-            registry.counter_fn(name, move || read(&agg.live()));
+            let agg = Arc::downgrade(self);
+            registry.counter_fn(name, move || {
+                agg.upgrade().map_or(0, |agg| read(&agg.live()))
+            });
         }
         registry.register_probe_drop_gauge();
         let mut live = self.live();
         // Backfill truncations harvested before the registry arrived.
         for (thread, _) in live.fold.truncated() {
-            truncation_gauge(registry, self, thread);
+            truncation_gauge(registry, Arc::downgrade(self), thread);
         }
         live.registry = Some((registry.clone(), Arc::downgrade(self)));
     }
@@ -296,6 +301,33 @@ mod tests {
         let snap = agg.snapshot();
         assert_eq!(snap.stalls, 1, "{snap:?}");
         assert_eq!(snap.convoys, 0);
+    }
+
+    /// The readers a registry keeps do not keep the aggregator: once
+    /// both are dropped, nothing of either is left.
+    #[test]
+    fn a_registered_aggregator_is_freed_with_its_registry() {
+        let agg = std::sync::Arc::new(LiveAggregator::new());
+        let reg = Registry::new();
+        agg.register_metrics(&reg);
+        agg.ingest(&Harvested {
+            events: Vec::new(),
+            lost: 2,
+            truncated: vec![(4, 2)],
+        });
+        let weak = std::sync::Arc::downgrade(&agg);
+        drop(agg);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("cso_harvest_lost_total"), Some(0));
+        assert_eq!(
+            snap.gauge("cso_harvest_truncated_events_thread_4"),
+            Some(0.0)
+        );
+        drop(reg);
+        assert!(
+            weak.upgrade().is_none(),
+            "the aggregator outlived both handles"
+        );
     }
 
     #[test]

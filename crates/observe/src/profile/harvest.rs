@@ -18,14 +18,16 @@
 //! itself is a read of at most one ring's worth per thread, so overhead
 //! scales with the event rate, not with run length.
 //!
-//! Stopping the harvester performs one final drain, so the tail of the
-//! stream reaches the aggregator too.
+//! A running harvester is a reader of the rings, so it arms the probes
+//! (a [`probe::Recording`]) for as long as it lives. Stopping it
+//! performs one final drain, so the tail of the stream reaches the
+//! aggregator too.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cso_trace::probe;
+use cso_trace::probe::{self, Recording};
 
 use crate::profile::aggregate::LiveAggregator;
 
@@ -41,6 +43,8 @@ pub struct Harvester {
     aggregator: Arc<LiveAggregator>,
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
+    /// Keeps the probes recording while the harvester lives.
+    _recording: Recording,
 }
 
 impl Harvester {
@@ -88,6 +92,7 @@ impl Harvester {
             aggregator,
             stop,
             handle: Some(handle),
+            _recording: Recording::start(),
         }
     }
 
@@ -141,17 +146,13 @@ mod tests {
         let _serial = serial();
         let harvester = Harvester::start();
         let agg = harvester.stop();
-        // Without the trace feature the rings are empty; with it, other
-        // tests may have recorded — either way the harvester must not
-        // hang or panic, and the aggregator must serve a snapshot.
+        // Other tests may have recorded — either way the harvester must
+        // not hang or panic, and the aggregator must serve a snapshot.
         let _ = agg.snapshot();
     }
 
     #[test]
     fn harvester_makes_overflowing_rings_lossless() {
-        if !cso_trace::TRACE {
-            return;
-        }
         // The global rings are process-wide: serialize against the
         // causal test via the shared lock.
         let _serial = serial();

@@ -37,6 +37,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use cso_trace::probe::Recording;
+
 use crate::metrics::{Json, Registry};
 use crate::profile::LiveAggregator;
 use crate::watch::invariant::{Invariant, Verdict};
@@ -143,10 +145,13 @@ impl WatchdogBuilder {
             engine: Some(engine),
             thread: None,
             stop: Arc::new(AtomicBool::new(false)),
+            recording: None,
         }
     }
 
-    /// Builds and spawns the background evaluation thread.
+    /// Builds and spawns the background evaluation thread. A spawned
+    /// watchdog reads what the probes record, so it arms them (a
+    /// [`Recording`]) until it stops.
     #[must_use]
     pub fn spawn(self) -> Watchdog {
         let cadence = self.config.cadence;
@@ -168,6 +173,7 @@ impl WatchdogBuilder {
             engine: None,
             thread: Some(handle),
             stop,
+            recording: Some(Recording::start()),
         }
     }
 
@@ -525,6 +531,8 @@ pub struct Watchdog {
     engine: Option<Engine>,
     thread: Option<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
+    /// Arms the probes while a spawned watchdog runs.
+    recording: Option<Recording>,
 }
 
 impl Watchdog {
@@ -589,6 +597,7 @@ impl Watchdog {
             handle.thread().unpark();
             let _ = handle.join();
         }
+        self.recording = None;
     }
 }
 

@@ -1,17 +1,14 @@
-//! Switching probes on switches them on for the whole graph.
+//! Arming the probes arms them for the whole graph.
 //!
-//! `trace` is one decision, made in `cso-trace`: whichever package a
-//! test run starts from, and however the switch is spelled
-//! (`-p cso-observe --features cso-trace/trace`, `--workspace --features
-//! cso/trace`), every instrumented crate below records — including the
-//! sites that keep state *between* events. When each crate forwarded a
-//! `trace` feature of its own, this package's spelling reached
-//! `cso-trace` but not `cso-locks` or `cso-core`: probes recorded while
-//! the lock's handoff stamps and the combiner's `record-handoff` were
-//! compiled out, and the aggregator behind the watchdog's invariants
-//! folded a stream with those edges silently missing.
-//!
-//! Both tests return early in an untraced build (nothing records).
+//! The run-time mode is one word, in `cso-memory`: whichever package
+//! opens the recording, every instrumented crate below records —
+//! including the sites that keep state *between* events. When each
+//! crate forwarded a `trace` feature of its own, one package's spelling
+//! reached `cso-trace` but not `cso-locks` or `cso-core`: probes
+//! recorded while the lock's handoff stamps and the combiner's
+//! `record-handoff` were compiled out, and the aggregator behind the
+//! watchdog's invariants folded a stream with those edges silently
+//! missing. One build keeps that from coming back.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
@@ -21,17 +18,16 @@ use cso_locks::{ProcLock, StarvationFree, TasLock};
 use cso_stack::{CsStack, PushOutcome};
 use cso_trace::{probe, Event};
 
-/// The probe rings are process-global; the two tests serialize.
-fn serial() -> MutexGuard<'static, ()> {
+/// The probe rings are process-global; the two tests serialize, and
+/// record while they run.
+fn serial() -> (MutexGuard<'static, ()>, probe::Recording) {
     static M: Mutex<()> = Mutex::new(());
-    M.lock().unwrap_or_else(PoisonError::into_inner)
+    let guard = M.lock().unwrap_or_else(PoisonError::into_inner);
+    (guard, probe::Recording::start())
 }
 
 #[test]
 fn an_unlock_then_lock_across_threads_records_one_handoff_edge() {
-    if !cso_trace::TRACE {
-        return;
-    }
     let _serial = serial();
     probe::clear();
     let lock = Arc::new(StarvationFree::new(TasLock::new(), 2));
@@ -62,9 +58,6 @@ fn a_combined_completion_records_its_handoff_latency() {
     const THREADS: u32 = 3;
     // Small enough that no per-thread ring (4096 slots) evicts events.
     const PER_THREAD: u32 = 60;
-    if !cso_trace::TRACE {
-        return;
-    }
     let _serial = serial();
     // Whether a waiter is served by another thread's tenure is up to
     // the scheduler; a round in which every poster won the lock itself

@@ -33,6 +33,7 @@ use std::marker::PhantomData;
 use cso_core::{Abortable, Aborted};
 use cso_memory::bits::Bits32;
 use cso_memory::fail_point;
+use cso_memory::mode::{self, Armed, Mode, Quiet};
 use cso_memory::packed::{HeadWord, SlotWord, TailWord};
 use cso_memory::reg::Reg64;
 use cso_memory::Stripes;
@@ -203,7 +204,7 @@ impl<V: Bits32> AbortableQueue<V> {
     /// `help`, cf. Figure 1 lines 15–16): write `⟨tail.value,
     /// tail.seq⟩` into the slot of element `tail.count` unless some
     /// helper already did.
-    fn help(&self, tail: TailWord) {
+    fn help<M: Mode>(&self, tail: TailWord) {
         let slot = self.slot_of(tail.count);
         let current = SlotWord::unpack(slot.read());
         let old = SlotWord {
@@ -215,7 +216,7 @@ impl<V: Bits32> AbortableQueue<V> {
             seq: tail.seq,
         };
         probe_if!(
-            slot.cas(old.pack(), new.pack()),
+            M => slot.cas(old.pack(), new.pack()),
             Event::HelpingWrite("queue::ring")
         );
     }
@@ -228,15 +229,26 @@ impl<V: Bits32> AbortableQueue<V> {
     /// (dequeues never abort an enqueue); the queue is unchanged in
     /// that case. Never aborts solo.
     pub fn weak_enqueue(&self, value: V) -> Result<EnqueueOutcome, Aborted> {
+        if mode::armed() {
+            self.weak_enqueue_as::<Armed>(value)
+        } else {
+            self.weak_enqueue_as::<Quiet>(value)
+        }
+    }
+
+    /// [`AbortableQueue::weak_enqueue`] in mode `M` (see
+    /// `cso_memory::mode`): the [`Quiet`] instance has no fail point or
+    /// probe.
+    fn weak_enqueue_as<M: Mode>(&self, value: V) -> Result<EnqueueOutcome, Aborted> {
         self.stats.inc(ENQ_ATTEMPTS);
-        fail_point!("queue::enqueue", {
+        fail_point!(M => "queue::enqueue", {
             self.stats.inc(ENQ_ABORTS);
             return Err(Aborted);
         });
         // 1. Read the enqueue authority.
         let tail = TailWord::unpack(self.tail.read());
         // 2-3. Help the previous enqueue's pending slot write.
-        self.help(tail);
+        self.help::<M>(tail);
         // 4. Read the dequeue count for the full check.
         let head = HeadWord::unpack(self.head.read());
         if tail.count.wrapping_sub(head.count) == self.ring.len() as u16 {
@@ -266,7 +278,7 @@ impl<V: Bits32> AbortableQueue<V> {
             Ok(EnqueueOutcome::Enqueued)
         } else {
             self.stats.inc(ENQ_ABORTS);
-            probe!(Event::CasFail("queue::tail"));
+            probe!(M => Event::CasFail("queue::tail"));
             Err(Aborted)
         }
     }
@@ -279,8 +291,17 @@ impl<V: Bits32> AbortableQueue<V> {
     /// (enqueues never abort a dequeue); the queue is unchanged in
     /// that case. Never aborts solo.
     pub fn weak_dequeue(&self) -> Result<DequeueOutcome<V>, Aborted> {
+        if mode::armed() {
+            self.weak_dequeue_as::<Armed>()
+        } else {
+            self.weak_dequeue_as::<Quiet>()
+        }
+    }
+
+    /// [`AbortableQueue::weak_dequeue`] in mode `M`.
+    fn weak_dequeue_as<M: Mode>(&self) -> Result<DequeueOutcome<V>, Aborted> {
         self.stats.inc(DEQ_ATTEMPTS);
-        fail_point!("queue::dequeue", {
+        fail_point!(M => "queue::dequeue", {
             self.stats.inc(DEQ_ABORTS);
             return Err(Aborted);
         });
@@ -289,7 +310,7 @@ impl<V: Bits32> AbortableQueue<V> {
         // 2. Read the enqueue authority (for emptiness and helping).
         let tail = TailWord::unpack(self.tail.read());
         // 3-4. Help: after this, every slot in (head, tail] is final.
-        self.help(tail);
+        self.help::<M>(tail);
         if head.count == tail.count {
             // Apparently empty. Validate HEAD unchanged: then at the
             // instant TAIL was read the size really was 0 — linearize
@@ -314,8 +335,18 @@ impl<V: Bits32> AbortableQueue<V> {
             Ok(DequeueOutcome::Dequeued(V::from_bits(slot.value)))
         } else {
             self.stats.inc(DEQ_ABORTS);
-            probe!(Event::CasFail("queue::head"));
+            probe!(M => Event::CasFail("queue::head"));
             Err(Aborted)
+        }
+    }
+
+    /// One weak operation in mode `M`: [`Abortable::try_apply`] and
+    /// [`Abortable::try_apply_armed`].
+    #[inline(always)]
+    fn apply_as<M: Mode>(&self, op: &QueueOp<V>) -> Result<QueueResponse<V>, Aborted> {
+        match op {
+            QueueOp::Enqueue(v) => self.weak_enqueue_as::<M>(*v).map(QueueResponse::Enqueue),
+            QueueOp::Dequeue => self.weak_dequeue_as::<M>().map(QueueResponse::Dequeue),
         }
     }
 
@@ -346,10 +377,11 @@ impl<V: Bits32> Abortable for AbortableQueue<V> {
     type Response = QueueResponse<V>;
 
     fn try_apply(&self, op: &QueueOp<V>) -> Result<QueueResponse<V>, Aborted> {
-        match op {
-            QueueOp::Enqueue(v) => self.weak_enqueue(*v).map(QueueResponse::Enqueue),
-            QueueOp::Dequeue => self.weak_dequeue().map(QueueResponse::Dequeue),
-        }
+        self.apply_as::<Quiet>(op)
+    }
+
+    fn try_apply_armed(&self, op: &QueueOp<V>) -> Result<QueueResponse<V>, Aborted> {
+        self.apply_as::<Armed>(op)
     }
 }
 

@@ -10,6 +10,7 @@ use cso_core::{Abortable, Aborted};
 use cso_memory::combining::{CachePadded, NO_HELPER};
 use cso_memory::exchange::Exchanger;
 use cso_memory::fail_point;
+use cso_memory::mode::{self, Armed, Mode, Quiet};
 use cso_memory::packed::{SlotWord, TopWord};
 use cso_memory::reg::Reg64;
 use cso_memory::Stripes;
@@ -194,7 +195,7 @@ impl<V: StackValue> AbortableStack<V> {
     /// once (if some other helper already did it, the slot's sequence
     /// number has moved past `seqnb − 1` and our `C&S` fails,
     /// harmlessly).
-    fn help(&self, top: TopWord) {
+    fn help<M: Mode>(&self, top: TopWord) {
         let slot = &self.slots[usize::from(top.index)];
         // Line 15: stacktop ← STACK[index].val.
         let current = SlotWord::unpack(slot.read());
@@ -208,7 +209,7 @@ impl<V: StackValue> AbortableStack<V> {
             seq: top.seq,
         };
         probe_if!(
-            slot.cas(old.pack(), new.pack()),
+            M => slot.cas(old.pack(), new.pack()),
             Event::HelpingWrite("stack::slot")
         );
     }
@@ -221,15 +222,26 @@ impl<V: StackValue> AbortableStack<V> {
     /// between lines 01 and 06; the stack is unchanged in that case.
     /// Never aborts in a contention-free execution.
     pub fn weak_push(&self, value: V) -> Result<PushOutcome, Aborted> {
+        if mode::armed() {
+            self.weak_push_as::<Armed>(value)
+        } else {
+            self.weak_push_as::<Quiet>(value)
+        }
+    }
+
+    /// [`AbortableStack::weak_push`] in mode `M` (see
+    /// `cso_memory::mode`): the [`Quiet`] instance has no fail point or
+    /// probe.
+    fn weak_push_as<M: Mode>(&self, value: V) -> Result<PushOutcome, Aborted> {
         self.stats.inc(PUSH_ATTEMPTS);
-        fail_point!("stack::push", {
+        fail_point!(M => "stack::push", {
             self.stats.inc(PUSH_ABORTS);
             return Err(Aborted);
         });
         // Line 01: (index, value, seqnb) ← TOP.
         let observed = TopWord::unpack(self.top.read());
         // Line 02: help the previous operation's pending write.
-        self.help(observed);
+        self.help::<M>(observed);
         // Line 03: full?
         if usize::from(observed.index) == self.capacity() {
             return Ok(PushOutcome::Full);
@@ -251,7 +263,7 @@ impl<V: StackValue> AbortableStack<V> {
             Ok(PushOutcome::Pushed)
         } else {
             self.stats.inc(PUSH_ABORTS);
-            probe!(Event::CasFail("stack::top"));
+            probe!(M => Event::CasFail("stack::top"));
             Err(Aborted)
         }
     }
@@ -264,15 +276,24 @@ impl<V: StackValue> AbortableStack<V> {
     /// between lines 08 and 13; the stack is unchanged in that case.
     /// Never aborts in a contention-free execution.
     pub fn weak_pop(&self) -> Result<PopOutcome<V>, Aborted> {
+        if mode::armed() {
+            self.weak_pop_as::<Armed>()
+        } else {
+            self.weak_pop_as::<Quiet>()
+        }
+    }
+
+    /// [`AbortableStack::weak_pop`] in mode `M`.
+    fn weak_pop_as<M: Mode>(&self) -> Result<PopOutcome<V>, Aborted> {
         self.stats.inc(POP_ATTEMPTS);
-        fail_point!("stack::pop", {
+        fail_point!(M => "stack::pop", {
             self.stats.inc(POP_ABORTS);
             return Err(Aborted);
         });
         // Line 08: (index, value, seqnb) ← TOP.
         let observed = TopWord::unpack(self.top.read());
         // Line 09: help the previous operation's pending write.
-        self.help(observed);
+        self.help::<M>(observed);
         // Line 10: empty?
         if observed.index == 0 {
             return Ok(PopOutcome::Empty);
@@ -293,7 +314,7 @@ impl<V: StackValue> AbortableStack<V> {
             Ok(PopOutcome::Popped(V::from_bits(observed.value)))
         } else {
             self.stats.inc(POP_ABORTS);
-            probe!(Event::CasFail("stack::top"));
+            probe!(M => Event::CasFail("stack::top"));
             Err(Aborted)
         }
     }
@@ -319,6 +340,16 @@ impl<V: StackValue> AbortableStack<V> {
         self.stats.reset();
     }
 
+    /// One weak operation in mode `M`: [`Abortable::try_apply`] and
+    /// [`Abortable::try_apply_armed`].
+    #[inline(always)]
+    fn apply_as<M: Mode>(&self, op: &StackOp<V>) -> Result<StackResponse<V>, Aborted> {
+        match op {
+            StackOp::Push(v) => self.weak_push_as::<M>(*v).map(StackResponse::Push),
+            StackOp::Pop => self.weak_pop_as::<M>().map(StackResponse::Pop),
+        }
+    }
+
     /// Push/pop *pairs* completed by elimination rendezvous through
     /// [`Abortable::try_eliminate`] (zero unless an escalation ladder
     /// with `elimination` drives this stack).
@@ -335,10 +366,11 @@ impl<V: StackValue> Abortable for AbortableStack<V> {
     type Response = StackResponse<V>;
 
     fn try_apply(&self, op: &StackOp<V>) -> Result<StackResponse<V>, Aborted> {
-        match op {
-            StackOp::Push(v) => self.weak_push(*v).map(StackResponse::Push),
-            StackOp::Pop => self.weak_pop().map(StackResponse::Pop),
-        }
+        self.apply_as::<Quiet>(op)
+    }
+
+    fn try_apply_armed(&self, op: &StackOp<V>) -> Result<StackResponse<V>, Aborted> {
+        self.apply_as::<Armed>(op)
     }
 
     /// Elimination: an aborted push parks its value in the exchanger;
@@ -556,16 +588,14 @@ mod tests {
         assert_eq!(stack.abort_stats(), AbortStats::default());
     }
 
-    /// The causal stamps ride the rendezvous only when the probe rings
-    /// are live (thread ids come from registration order).
+    /// The causal stamps ride the rendezvous only while the probe
+    /// rings are armed (thread ids come from registration order).
     #[test]
     fn eliminated_pair_records_both_partner_edges() {
         use cso_trace::probe;
         use std::sync::Arc;
 
-        if !cso_trace::TRACE {
-            return;
-        }
+        let _recording = probe::Recording::start();
         let stack: Arc<AbortableStack<u32>> = Arc::new(AbortableStack::new(8));
         let taker_tid = probe::thread_id();
         let offeror = {

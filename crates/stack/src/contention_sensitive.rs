@@ -176,16 +176,16 @@ mod tests {
         assert_eq!(stack.pop(0), PopOutcome::Empty);
     }
 
-    /// What a traced build keeps for its probes — the lock's two
-    /// handoff stamps — is all it adds to the object: untraced, the
-    /// stack is byte for byte the size it was before the stamps moved
-    /// behind `cso-trace` (a 64-bit layout; 3,200 = 25 padded lines).
+    /// What the probes keep in the object — the lock's two handoff
+    /// stamps, one padded line each — is all they add to it: the rest
+    /// is the 3,200 bytes (25 padded lines) the stack was before the
+    /// stamps moved behind `cso-trace` (a 64-bit layout).
     #[cfg(target_pointer_width = "64")]
     #[test]
-    fn untraced_stack_carries_nothing_for_the_probes() {
+    fn the_probes_add_two_stamp_lines_to_the_stack() {
         use std::mem::size_of;
         let stamps = 2 * size_of::<cso_trace::TidStamp>();
-        assert_eq!(stamps == 0, !cso_trace::TRACE);
+        assert_eq!(stamps, 2 * 128);
         assert_eq!(size_of::<CsStack<u32>>(), 3200 + stamps);
     }
 

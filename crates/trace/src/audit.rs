@@ -18,11 +18,9 @@
 //!   operation actually completed on the fast path, as reported by
 //!   [`crate::probe::last_path`]. Correct under concurrency, where
 //!   some operations legitimately fall through to the lock and may
-//!   spend more. Requires the `trace` feature to enforce (without it
-//!   the path is unknown, so this shape only records).
-//!
-//! This module is always compiled; only the path-conditional
-//! enforcement depends on the `trace` feature.
+//!   spend more. Enforces only while the run-time mode is armed (a
+//!   [`crate::probe::Recording`] is open): quiet, the path is unknown,
+//!   so this shape only records.
 
 use crate::probe::{self, Path};
 use cso_memory::counting::{AccessCounts, CountScope};
@@ -87,10 +85,11 @@ impl StepAuditor {
     /// Runs `op` and enforces the budget **only if** the operation
     /// completed on the fast path ([`probe::last_path`] reports
     /// [`Path::Fast`]); locked-path completions are counted in the
-    /// report's `checked` but never violate. Without the `trace`
-    /// feature the completion path is unknown and nothing is enforced
-    /// — the call still runs `op` and records the worst cost seen.
+    /// report's `checked` but never violate. While the mode is quiet
+    /// the completion path is unknown and nothing is enforced — the
+    /// call still runs `op` and records the worst cost seen.
     pub fn audit_contention_free<R>(&self, op: impl FnOnce() -> R) -> R {
+        probe::forget_last_path();
         let scope = CountScope::start();
         let out = op();
         let counts = scope.take();
@@ -219,7 +218,6 @@ mod tests {
         assert_eq!(auditor.report().violations, 1);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn contention_free_audit_skips_locked_completions() {
         use crate::probe::record as precord;
@@ -241,7 +239,6 @@ mod tests {
         assert_eq!(r.worst, 10);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     #[should_panic(expected = "step budget exceeded")]
     fn contention_free_audit_enforces_fast_completions() {
@@ -253,9 +250,8 @@ mod tests {
         });
     }
 
-    #[cfg(not(feature = "trace"))]
     #[test]
-    fn contention_free_audit_only_records_without_trace() {
+    fn contention_free_audit_only_records_an_unknown_path() {
         let auditor = StepAuditor::strict(6);
         auditor.audit_contention_free(|| spend(10, 0, 0));
         let r = auditor.report();

@@ -4,9 +4,9 @@
 //! written by a traced bench binary replays through the same typed
 //! [`Event`]s the live harvester hands out.
 //!
-//! All of them work on a collected [`Trace`]; none depends on the
-//! `trace` feature (an empty trace exports to an empty-but-valid
-//! document, and an untraced build parses logs a traced one wrote).
+//! All of them work on a collected [`Trace`] (an empty trace exports
+//! to an empty-but-valid document, and any process parses logs another
+//! one wrote).
 //! The JSON is hand-rolled — the workspace is deliberately
 //! dependency-free — against the published `trace_event` format, so
 //! the output opens directly in `chrome://tracing` or
@@ -237,9 +237,10 @@ impl std::fmt::Display for ParseError {
 /// parsed [`Event`] can carry the `&'static str` the recorded one did.
 /// The vocabulary is the few dozen register, lock-kind and fail-point
 /// names the probe sites spell, so the table stays that small. It is
-/// deliberately not the recorder's own interning table: that one is
-/// compiled only with the `trace` feature, and log files are read by
-/// untraced builds (CI runs the `cso-analyze` CLI that way).
+/// deliberately not the recorder's own interning table: that one
+/// holds the sites this process recorded, and log files are read by
+/// processes that recorded nothing (CI runs the `cso-analyze` CLI that
+/// way).
 static PARSED_SITES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 
 fn intern_site(site: &str) -> &'static str {
@@ -532,9 +533,9 @@ mod tests {
 
     /// One of every variant, payloads distinct enough that a column
     /// mix-up cannot cancel out. (A variant missing from this list is
-    /// still caught in `trace` builds, where
-    /// `every_ring_code_survives_the_event_log_codec` walks the ring's
-    /// own exhaustive enumeration through the parser.)
+    /// still caught by `every_ring_code_survives_the_event_log_codec`,
+    /// which walks the ring's own exhaustive enumeration through the
+    /// parser.)
     fn one_of_each() -> Vec<Event> {
         vec![
             Event::FastAttempt,

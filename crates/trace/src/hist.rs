@@ -11,10 +11,10 @@
 //! consistent-enough view for percentile reporting, see
 //! [`LogHistogram::snapshot`]).
 //!
-//! Unlike the [`probe`](crate::probe) machinery this module is **always
-//! compiled** — it is plain data, costs nothing unless used, and the
-//! bench harness needs it in un-traced builds to report per-path
-//! latency tables.
+//! Unlike the [`probe`](crate::probe) machinery this module needs no
+//! armed mode — it is plain data, costs nothing unless used, and the
+//! bench harness reads it from quiet runs to report per-path latency
+//! tables.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

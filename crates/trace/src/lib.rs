@@ -8,13 +8,15 @@
 //!
 //! * [`probe`] — a tracing event API ([`Event`], [`probe!`]) recorded
 //!   into lock-free per-thread ring buffers with global logical
-//!   timestamps. **Compiled to nothing unless the `trace` cargo
-//!   feature is on** — the macro discards its tokens, so release
-//!   builds carry zero code and zero cost (the same discipline as
+//!   timestamps. **Recorded only while the run-time mode is armed**
+//!   (`cso_memory::mode`): while someone reads the rings — a
+//!   [`probe::Recording`], the profiler's harvester, a watchdog — or a
+//!   fail point is armed. Quiet, a site is one relaxed load, and on
+//!   Figure 3's contention-free path no site exists at all (the
+//!   macros' `M =>` form, the same discipline as
 //!   `cso_memory::fail_point!`).
 //! * [`hist`] — log-bucketed (HDR-style) latency histograms with
-//!   p50/p90/p99/max snapshots, std-only and always compiled (they
-//!   are plain data structures; only *recording probes* is gated).
+//!   p50/p90/p99/max snapshots, std-only plain data structures.
 //! * [`audit`] — a live step-count auditor ([`StepAuditor`]) that
 //!   wraps any operation in a `cso_memory::counting::CountScope` and
 //!   asserts the paper's access budget per completed operation —
@@ -35,24 +37,17 @@
 //!
 //! * [`stamp`] — the two things a probe site keeps *between* events:
 //!   a thread-id cell one thread leaves for the next ([`TidStamp`])
-//!   and a clock for a span's length ([`SpanClock`]). Both are
-//!   zero-sized, and do nothing, unless probes record.
+//!   and a clock for a span's length ([`SpanClock`]). Both are written
+//!   and read only while the mode is armed.
 //!
-//! # The one switch
+//! # One build, two modes
 //!
-//! `trace` is a cargo feature of **this crate only**, and [`TRACE`]
-//! says whether it is on. The instrumented crates declare no feature
-//! of their own: what they keep for a traced build lives behind the
-//! types and functions here, so switching the mode on — from any
-//! package, by any spelling that reaches `cso-trace/trace` — switches
-//! it on for every probe site in the graph at once.
-//!
-//! | `cso-trace/trace` | effect |
+//! | mode | effect |
 //! |---|---|
-//! | off | [`probe!`] compiles to nothing; [`probe::collect`] returns an empty [`Trace`]; histograms and the auditor still work |
-//! | on | probes record into per-thread rings; [`probe::last_path`] reports the completion path; [`install_chaos_hook`] mirrors fail-point *fires* into the event stream (when `cso-memory/chaos` is on too) |
+//! | quiet | a [`probe!`] site is one relaxed load (none on the contention-free path); [`probe::collect`] returns what earlier armed periods left; histograms and the auditor still work |
+//! | armed | probes record into per-thread rings; [`probe::last_path`] reports the completion path; [`install_chaos_hook`] mirrors fail-point *fires* into the event stream |
 //!
-//! # Example (feature-independent surface)
+//! # Example
 //!
 //! ```
 //! use cso_trace::hist::LogHistogram;
@@ -63,10 +58,13 @@
 //! h.record_ns(900);
 //! assert_eq!(h.snapshot().count, 2);
 //!
-//! // With the `trace` feature off this is free and collect() is empty.
+//! // Quiet: the site reads the mode word and records nothing.
 //! cso_trace::probe!(cso_trace::Event::FastSuccess);
-//! let trace = probe::collect();
-//! # let _ = trace;
+//! // Armed while the recording lives.
+//! let recording = probe::Recording::start();
+//! cso_trace::probe!(cso_trace::Event::FastSuccess);
+//! assert_eq!(probe::last_path(), Some(probe::Path::Fast));
+//! drop(recording);
 //! ```
 
 #![forbid(unsafe_op_in_unsafe_fn)]
@@ -85,80 +83,73 @@ pub use probe::{Event, Harvested, HelpKind, Path, Trace, TraceEvent, NO_TID};
 pub use registry::{Registry, Timer};
 pub use stamp::{SpanClock, TidStamp};
 
-/// Whether probes are compiled in: the `trace` cargo feature of this
-/// crate, the one switch for the mode. Code that must branch on it —
-/// a build-info gauge, a test that reads the rings — reads this
-/// constant; no other library crate declares a `trace` feature.
-pub const TRACE: bool = cfg!(feature = "trace");
+pub use cso_memory::mode;
 
-/// Records a probe [`Event`] on the calling thread.
+/// Records a probe [`Event`] on the calling thread while the run-time
+/// mode is armed ([`mode::armed`], one relaxed load); quiet, the event
+/// expression is not evaluated.
 ///
-/// With the `trace` cargo feature **disabled** (the default) the event
-/// expression is wrapped in a closure that is never called: it stays
-/// type-checked (imports at the probe site remain used) but is never
-/// evaluated and generates no code, so an un-traced build carries zero
-/// cost at every probe site. With the feature enabled the macro
-/// appends the event to this thread's ring buffer (see [`probe`]).
-#[cfg(feature = "trace")]
+/// `probe!(M => event)` is the form for code on Figure 3's
+/// contention-free path, generic over a [`mode::Mode`] `M`: its
+/// [`mode::Quiet`] instance carries no site at all.
 #[macro_export]
 macro_rules! probe {
-    ($event:expr) => {
-        $crate::probe::record($event)
+    ($mode:ident => $event:expr) => {
+        if <$mode as $crate::mode::Mode>::ON {
+            $crate::probe!($event);
+        }
     };
-}
-
-/// Records a probe [`Event`] (disabled: compiles to nothing; enable
-/// the `trace` cargo feature to activate).
-#[cfg(not(feature = "trace"))]
-#[macro_export]
-macro_rules! probe {
-    ($event:expr) => {{
-        let _ = || $event;
-    }};
-}
-
-/// Evaluates `$cond` and records `$event` when it is true.
-///
-/// The condition is evaluated **in both builds** (it may carry side
-/// effects — the canonical use is a helping `C&S` whose success is the
-/// event); only the recording disappears when the `trace` feature is
-/// off. This shape exists so probe sites don't leave behind an empty
-/// `if` body that `clippy::needless_if` would reject.
-#[cfg(feature = "trace")]
-#[macro_export]
-macro_rules! probe_if {
-    ($cond:expr, $event:expr) => {
-        if $cond {
+    ($event:expr) => {
+        if $crate::mode::armed() {
             $crate::probe::record($event);
         }
     };
 }
 
-/// Evaluates `$cond` for its side effects and leaves `$event`
-/// type-checked but unevaluated (disabled form; enable the `trace`
-/// cargo feature to record).
-#[cfg(not(feature = "trace"))]
+/// Evaluates `$cond` and records `$event` when it is true and the mode
+/// is armed.
+///
+/// The condition is evaluated **in both modes** (it may carry side
+/// effects — the canonical use is a helping `C&S` whose success is the
+/// event); only the recording depends on the mode. This shape exists
+/// so probe sites don't leave behind an empty `if` body that
+/// `clippy::needless_if` would reject. `probe_if!(M => cond, event)`
+/// is the mode-generic form, as for [`probe!`].
 #[macro_export]
 macro_rules! probe_if {
-    ($cond:expr, $event:expr) => {{
-        let _ = $cond;
-        let _ = || $event;
-    }};
+    ($mode:ident => $cond:expr, $event:expr) => {
+        if $cond {
+            $crate::probe!($mode => $event);
+        }
+    };
+    ($cond:expr, $event:expr) => {
+        if $cond {
+            $crate::probe!($event);
+        }
+    };
 }
 
 /// Mirrors chaos fail-point **fires** into the probe event stream as
 /// [`Event::FailPoint`] records, so a trace can show *which* fail
-/// point caused each poisoning or abort storm.
-///
-/// A no-op unless probes record ([`TRACE`]) and fail points exist
-/// (`cso_memory::CHAOS`); callers need not gate the call. Idempotent.
+/// point caused each poisoning or abort storm. A fire needs an armed
+/// fail point, so the mode is armed whenever the hook runs.
+/// Idempotent.
 pub fn install_chaos_hook() {
-    #[cfg(feature = "trace")]
-    cso_memory::set_fire_hook(Some(|site| probe::record(Event::FailPoint(site))));
+    cso_memory::chaos::set_fire_hook(Some(|site| probe::record(Event::FailPoint(site))));
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    /// The probe rings and the mode word are process-global: the tests
+    /// of this crate that record, or that assert the quiet mode, take
+    /// turns.
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn install_chaos_hook_is_callable_in_any_build() {
         super::install_chaos_hook();

@@ -1,12 +1,13 @@
 //! The probe event API: what happened, on which thread, in what order.
 //!
 //! Probe sites in the object/lock crates call [`crate::probe!`] with an
-//! [`Event`]. With the `trace` cargo feature enabled, each event is
-//! appended to a **lock-free per-thread ring buffer** together with a
-//! global logical timestamp (one relaxed `fetch_add`) and a wall-clock
-//! offset; [`collect`] merges every thread's ring into one ordered
-//! [`Trace`]. With the feature disabled the macro discards its tokens
-//! and none of the machinery below is compiled.
+//! [`Event`]. While the run-time mode is armed (a [`Recording`], a
+//! harvester or a watchdog is alive, or a fail point is armed), each
+//! event is appended to a **lock-free per-thread ring buffer** together
+//! with a global logical timestamp (one relaxed `fetch_add`) and a
+//! wall-clock offset; [`collect`] merges every thread's ring into one
+//! ordered [`Trace`]. While it is quiet a site records nothing, and a
+//! thread that never recorded owns no ring.
 //!
 //! # Concurrency contract
 //!
@@ -19,7 +20,11 @@
 //! mid-overwrite for events *older than the ring capacity*; collect in
 //! a quiescent moment (end of a benchmark cell) for exact results.
 
+use std::cell::{Cell, OnceCell, RefCell};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// Which path a completed strong operation took (Figure 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -405,403 +410,194 @@ impl Trace {
     }
 }
 
-#[cfg(feature = "trace")]
-mod imp {
-    use super::{Event, Harvested, Path, Trace, TraceEvent};
-    use std::cell::{Cell, OnceCell, RefCell};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock};
-    use std::time::Instant;
+/// Events kept per thread before the ring wraps (power of two).
+pub(crate) const RING_CAPACITY: usize = 1 << 12;
 
-    /// Events kept per thread before the ring wraps (power of two).
-    pub(super) const RING_CAPACITY: usize = 1 << 12;
+/// The global logical clock: one relaxed `fetch_add` per event.
+static SEQ: AtomicU64 = AtomicU64::new(0);
 
-    /// Runtime master switch (the compile-time switch is the feature).
-    static ENABLED: AtomicBool = AtomicBool::new(true);
+/// Wall-clock origin, fixed at the first recorded event.
+static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-    /// The global logical clock: one relaxed `fetch_add` per event.
-    static SEQ: AtomicU64 = AtomicU64::new(0);
+/// Every thread's ring, in registration order.
+static RINGS: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
 
-    /// Wall-clock origin, fixed at the first recorded event.
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
+/// Interned site names (`&'static str` payloads), id = index.
+static SITES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 
-    /// Every thread's ring, in registration order.
-    static RINGS: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
+struct Slot {
+    seq: AtomicU64,
+    wall_ns: AtomicU64,
+    /// `code << 32 | arg`.
+    word: AtomicU64,
+}
 
-    /// Interned site names (`&'static str` payloads), id = index.
-    static SITES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+struct Ring {
+    thread: u32,
+    /// Events ever written (monotonic; slot = head % capacity).
+    head: AtomicU64,
+    /// Events logically discarded by [`clear`].
+    floor: AtomicU64,
+    slots: Box<[Slot]>,
+}
 
-    struct Slot {
-        seq: AtomicU64,
-        wall_ns: AtomicU64,
-        /// `code << 32 | arg`.
-        word: AtomicU64,
-    }
-
-    pub(super) struct Ring {
-        thread: u32,
-        /// Events ever written (monotonic; slot = head % capacity).
-        head: AtomicU64,
-        /// Events logically discarded by [`super::clear`].
-        floor: AtomicU64,
-        slots: Box<[Slot]>,
-    }
-
-    impl Ring {
-        fn push(&self, code: u8, arg: u32) {
-            let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-            let wall_ns = EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64;
-            let head = self.head.load(Ordering::Relaxed);
-            let slot = &self.slots[(head as usize) & (RING_CAPACITY - 1)];
-            slot.seq.store(seq, Ordering::Relaxed);
-            slot.wall_ns.store(wall_ns, Ordering::Relaxed);
-            slot.word
-                .store(u64::from(code) << 32 | u64::from(arg), Ordering::Relaxed);
-            // Publish: collectors acquire-read the head, so the slot
-            // stores above are visible for every index below it.
-            self.head.store(head + 1, Ordering::Release);
-        }
-    }
-
-    thread_local! {
-        static MY_RING: OnceCell<Arc<Ring>> = const { OnceCell::new() };
-        /// `(site pointer, interned id)` pairs already resolved by
-        /// this thread — the global table is locked at most once per
-        /// distinct site per thread.
-        static SITE_CACHE: RefCell<Vec<(usize, u32)>> = const { RefCell::new(Vec::new()) };
-        static LAST_PATH: Cell<Option<Path>> = const { Cell::new(None) };
-    }
-
-    fn register_ring() -> Arc<Ring> {
-        let mut rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
-        let ring = Arc::new(Ring {
-            thread: rings.len() as u32,
-            head: AtomicU64::new(0),
-            floor: AtomicU64::new(0),
-            slots: (0..RING_CAPACITY)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    wall_ns: AtomicU64::new(0),
-                    word: AtomicU64::new(0),
-                })
-                .collect(),
-        });
-        rings.push(Arc::clone(&ring));
-        ring
-    }
-
-    fn site_id(site: &'static str) -> u32 {
-        SITE_CACHE.with(|cache| {
-            let key = site.as_ptr() as usize;
-            let mut cache = cache.borrow_mut();
-            if let Some(&(_, id)) = cache.iter().find(|(k, _)| *k == key) {
-                return id;
-            }
-            let mut sites = SITES.lock().unwrap_or_else(|e| e.into_inner());
-            let id = match sites.iter().position(|s| *s == site) {
-                Some(i) => i as u32,
-                None => {
-                    sites.push(site);
-                    (sites.len() - 1) as u32
-                }
-            };
-            drop(sites);
-            cache.push((key, id));
-            id
-        })
-    }
-
-    fn site_name(id: u32) -> &'static str {
-        SITES
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(id as usize)
-            .copied()
-            .unwrap_or("?")
-    }
-
-    fn encode(event: Event) -> (u8, u32) {
-        match event {
-            Event::FastAttempt => (0, 0),
-            Event::FastAbort => (1, 0),
-            Event::FastSuccess => (2, 0),
-            Event::CasFail(s) => (3, site_id(s)),
-            Event::ContentionRaise => (4, 0),
-            Event::ContentionClear => (5, 0),
-            Event::LockAcquire(p) => (6, p),
-            Event::LockRelease(p) => (7, p),
-            Event::TurnAdvance(p) => (9, p),
-            Event::HelpingWrite(s) => (10, site_id(s)),
-            Event::FailPoint(s) => (11, site_id(s)),
-            Event::LockedComplete => (12, 0),
-            Event::SlowTimeout => (13, 0),
-            Event::SlowPoisoned => (14, 0),
-            Event::RecordPost => (15, 0),
-            Event::RecordHandoff(v) => (16, v),
-            Event::CombineBatch(v) => (17, v),
-            Event::CombinedComplete => (18, 0),
-            Event::RecordPoisoned => (19, 0),
-            Event::FlagRaise(p) => (20, p),
-            Event::ElimAttempt => (21, 0),
-            Event::EliminatedComplete => (22, 0),
-            Event::SuspectRaised(p) => (23, p),
-            Event::RecordReclaimed(p) => (24, p),
-            Event::LockSucceeded(p) => (25, p),
-            Event::HelpedByCombiner(t) => (26, t),
-            Event::HelpedByPartner(t) => (27, t),
-            Event::HandoffFrom(t) => (28, t),
-            Event::CustodyFrom(t) => (29, t),
-        }
-    }
-
-    pub(super) fn decode(code: u8, arg: u32) -> Option<Event> {
-        Some(match code {
-            0 => Event::FastAttempt,
-            1 => Event::FastAbort,
-            2 => Event::FastSuccess,
-            3 => Event::CasFail(site_name(arg)),
-            4 => Event::ContentionRaise,
-            5 => Event::ContentionClear,
-            6 => Event::LockAcquire(arg),
-            7 => Event::LockRelease(arg),
-            9 => Event::TurnAdvance(arg),
-            10 => Event::HelpingWrite(site_name(arg)),
-            11 => Event::FailPoint(site_name(arg)),
-            12 => Event::LockedComplete,
-            13 => Event::SlowTimeout,
-            14 => Event::SlowPoisoned,
-            15 => Event::RecordPost,
-            16 => Event::RecordHandoff(arg),
-            17 => Event::CombineBatch(arg),
-            18 => Event::CombinedComplete,
-            19 => Event::RecordPoisoned,
-            20 => Event::FlagRaise(arg),
-            21 => Event::ElimAttempt,
-            22 => Event::EliminatedComplete,
-            23 => Event::SuspectRaised(arg),
-            24 => Event::RecordReclaimed(arg),
-            25 => Event::LockSucceeded(arg),
-            26 => Event::HelpedByCombiner(arg),
-            27 => Event::HelpedByPartner(arg),
-            28 => Event::HandoffFrom(arg),
-            29 => Event::CustodyFrom(arg),
-            _ => return None,
-        })
-    }
-
-    pub(super) fn record(event: Event) {
-        match event {
-            Event::FastSuccess => LAST_PATH.with(|p| p.set(Some(Path::Fast))),
-            Event::EliminatedComplete => LAST_PATH.with(|p| p.set(Some(Path::Eliminated))),
-            Event::LockedComplete | Event::CombinedComplete => {
-                LAST_PATH.with(|p| p.set(Some(Path::Locked)));
-            }
-            Event::SlowTimeout | Event::SlowPoisoned => LAST_PATH.with(|p| p.set(None)),
-            _ => {}
-        }
-        if !ENABLED.load(Ordering::Relaxed) {
-            return;
-        }
-        let (code, arg) = encode(event);
-        MY_RING.with(|cell| cell.get_or_init(register_ring).push(code, arg));
-    }
-
-    pub(super) fn last_path() -> Option<Path> {
-        LAST_PATH.with(Cell::get)
-    }
-
-    pub(super) fn thread_id() -> u32 {
-        MY_RING.with(|cell| cell.get_or_init(register_ring).thread)
-    }
-
-    pub(super) fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::SeqCst);
-    }
-
-    pub(super) fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// One ring's readable window: `(head, oldest)` where `oldest` is
-    /// the first index still in the ring and above the floor. Indices
-    /// in `floor..oldest` were overwritten unread — that gap *is* the
-    /// ring's drop count, so every consumer below derives loss from
-    /// this one helper and the global and per-thread counts agree by
-    /// construction.
-    fn ring_window(ring: &Ring) -> (u64, u64, u64) {
-        let head = ring.head.load(Ordering::Acquire);
-        let floor = ring.floor.load(Ordering::Acquire);
-        let oldest = head.saturating_sub(RING_CAPACITY as u64).max(floor);
-        (head, oldest, oldest - floor)
-    }
-
-    fn read_range(ring: &Ring, from: u64, to: u64, events: &mut Vec<TraceEvent>) {
-        for i in from..to {
-            let slot = &ring.slots[(i as usize) & (RING_CAPACITY - 1)];
-            let word = slot.word.load(Ordering::Relaxed);
-            let code = (word >> 32) as u8;
-            let arg = word as u32;
-            if let Some(event) = decode(code, arg) {
-                events.push(TraceEvent {
-                    thread: ring.thread,
-                    seq: slot.seq.load(Ordering::Relaxed),
-                    wall_ns: slot.wall_ns.load(Ordering::Relaxed),
-                    event,
-                });
-            }
-        }
-    }
-
-    pub(super) fn collect() -> Trace {
-        let rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
-        let mut events = Vec::new();
-        let mut truncated = Vec::new();
-        for ring in rings.iter() {
-            let (head, oldest, lost) = ring_window(ring);
-            if lost > 0 {
-                truncated.push((ring.thread, lost));
-            }
-            read_range(ring, oldest, head, &mut events);
-        }
-        events.sort_by_key(|e| e.seq);
-        // The global count is the per-thread markers' sum *by
-        // construction* — there is no second accounting path to drift.
-        let dropped = truncated.iter().map(|(_, d)| d).sum();
-        Trace {
-            events,
-            dropped,
-            truncated,
-        }
-    }
-
-    /// Events overwritten by ring wrap-around so far, summed over every
-    /// ring (relative to the last [`super::clear`] / [`super::harvest`]).
-    pub(super) fn dropped() -> u64 {
-        let rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
-        rings.iter().map(|ring| ring_window(ring).2).sum()
-    }
-
-    /// Events ever pushed into any ring (monotonic; unaffected by
-    /// [`super::clear`]).
-    pub(super) fn emitted() -> u64 {
-        let rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
-        rings
-            .iter()
-            .map(|ring| ring.head.load(Ordering::Acquire))
-            .sum()
-    }
-
-    pub(super) fn harvest() -> Harvested {
-        harvest_with(|_| {})
-    }
-
-    /// [`harvest`], calling `after_ring` with each ring's thread id once
-    /// that ring has been read — the seam that lets a test record
-    /// events *during* a scan, on rings of its choosing, without racing
-    /// a real one.
-    pub(super) fn harvest_with(mut after_ring: impl FnMut(u32)) -> Harvested {
-        // The RINGS mutex serializes harvest against collect/clear and
-        // against concurrent harvesters: each ring has exactly one
-        // consumer at a time, so advancing the floor below is safe.
-        let rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
-        // The rings are read one after another while writers keep
-        // recording, so without a common horizon the ring read last
-        // would hand over events younger than ones the ring read first
-        // recorded during the scan — and those would arrive a whole
-        // pass later, behind their successors. Cut every ring at the
-        // clock value read here: this pass takes timestamps below it,
-        // the rest wait for the next. What can still arrive late is an
-        // event whose writer drew its timestamp before the cut but had
-        // not published it when its ring was read — at most one per
-        // writer per pass (see [`super::harvest`]). Relaxed: the clock
-        // is a ticket dispenser, nothing is published through it.
-        let cut = SEQ.load(Ordering::Relaxed);
-        let mut events = Vec::new();
-        let mut lost = 0u64;
-        let mut truncated = Vec::new();
-        for ring in rings.iter() {
-            let (head, oldest, gap) = ring_window(ring);
-            let mut ring_lost = gap;
-            let mut batch: Vec<(u64, TraceEvent)> = Vec::with_capacity((head - oldest) as usize);
-            for i in oldest..head {
-                let slot = &ring.slots[(i as usize) & (RING_CAPACITY - 1)];
-                let word = slot.word.load(Ordering::Relaxed);
-                if let Some(event) = decode((word >> 32) as u8, word as u32) {
-                    batch.push((
-                        i,
-                        TraceEvent {
-                            thread: ring.thread,
-                            seq: slot.seq.load(Ordering::Relaxed),
-                            wall_ns: slot.wall_ns.load(Ordering::Relaxed),
-                            event,
-                        },
-                    ));
-                }
-            }
-            // Writers kept pushing while we read. Any index the head
-            // has since come within one capacity of was potentially
-            // mid-overwrite during the read above — discard those reads
-            // and count them lost rather than hand back torn slots.
-            // The +1: a write publishes its head increment *after* the
-            // slot stores, so when `head_now` reads `j` the writer may
-            // still be scribbling index `j`'s slot — which index
-            // `j - capacity` shares. Keeping that boundary index can
-            // ingest the new lap's word under the old index and then
-            // read the same word again next pass (a duplicate that
-            // breaks `ingested + lost == emitted`).
-            let head_now = ring.head.load(Ordering::Acquire);
-            let safe_from = (head_now + 1).saturating_sub(RING_CAPACITY as u64);
-            if safe_from > oldest {
-                ring_lost += safe_from.min(head) - oldest;
-                batch.retain(|(i, _)| *i >= safe_from);
-            }
-            // A ring's timestamps ascend with its indices, so the cut
-            // is a prefix: everything from the first young event on
-            // stays in the ring, unconsumed, for the next pass.
-            let consumed = match batch.iter().position(|(_, e)| e.seq >= cut) {
-                Some(young) => {
-                    let index = batch[young].0;
-                    batch.truncate(young);
-                    index
-                }
-                None => head,
-            };
-            events.extend(batch.into_iter().map(|(_, e)| e));
-            if ring_lost > 0 {
-                truncated.push((ring.thread, ring_lost));
-            }
-            lost += ring_lost;
-            // Everything below `consumed` is now the harvester's:
-            // overwriting it no longer counts as a drop. fetch_max
-            // keeps a concurrent clear()'s higher floor intact.
-            ring.floor.fetch_max(consumed, Ordering::AcqRel);
-            after_ring(ring.thread);
-        }
-        events.sort_by_key(|e| e.seq);
-        Harvested {
-            events,
-            lost,
-            truncated,
-        }
-    }
-
-    pub(super) fn clear() {
-        let rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
-        for ring in rings.iter() {
-            let head = ring.head.load(Ordering::Acquire);
-            ring.floor.store(head, Ordering::Release);
-        }
+impl Ring {
+    fn push(&self, code: u8, arg: u32) {
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let wall_ns = EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64;
+        let head = self.head.load(Ordering::Relaxed);
+        let slot = &self.slots[(head as usize) & (RING_CAPACITY - 1)];
+        slot.seq.store(seq, Ordering::Relaxed);
+        slot.wall_ns.store(wall_ns, Ordering::Relaxed);
+        slot.word
+            .store(u64::from(code) << 32 | u64::from(arg), Ordering::Relaxed);
+        // Publish: collectors acquire-read the head, so the slot
+        // stores above are visible for every index below it.
+        self.head.store(head + 1, Ordering::Release);
     }
 }
 
-/// Appends `event` to the calling thread's ring buffer.
-///
-/// Prefer the [`crate::probe!`] macro at instrumentation sites: the
-/// macro disappears entirely in un-traced builds, while calling this
-/// function directly only exists when the `trace` feature is on.
-#[cfg(feature = "trace")]
+thread_local! {
+    static MY_RING: OnceCell<Arc<Ring>> = const { OnceCell::new() };
+    /// `(site pointer, interned id)` pairs already resolved by
+    /// this thread — the global table is locked at most once per
+    /// distinct site per thread.
+    static SITE_CACHE: RefCell<Vec<(usize, u32)>> = const { RefCell::new(Vec::new()) };
+    static LAST_PATH: Cell<Option<Path>> = const { Cell::new(None) };
+}
+
+fn register_ring() -> Arc<Ring> {
+    let mut rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
+    let ring = Arc::new(Ring {
+        thread: rings.len() as u32,
+        head: AtomicU64::new(0),
+        floor: AtomicU64::new(0),
+        slots: (0..RING_CAPACITY)
+            .map(|_| Slot {
+                seq: AtomicU64::new(0),
+                wall_ns: AtomicU64::new(0),
+                word: AtomicU64::new(0),
+            })
+            .collect(),
+    });
+    rings.push(Arc::clone(&ring));
+    ring
+}
+
+fn site_id(site: &'static str) -> u32 {
+    SITE_CACHE.with(|cache| {
+        let key = site.as_ptr() as usize;
+        let mut cache = cache.borrow_mut();
+        if let Some(&(_, id)) = cache.iter().find(|(k, _)| *k == key) {
+            return id;
+        }
+        let mut sites = SITES.lock().unwrap_or_else(|e| e.into_inner());
+        let id = match sites.iter().position(|s| *s == site) {
+            Some(i) => i as u32,
+            None => {
+                sites.push(site);
+                (sites.len() - 1) as u32
+            }
+        };
+        drop(sites);
+        cache.push((key, id));
+        id
+    })
+}
+
+fn site_name(id: u32) -> &'static str {
+    SITES
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .get(id as usize)
+        .copied()
+        .unwrap_or("?")
+}
+
+fn encode(event: Event) -> (u8, u32) {
+    match event {
+        Event::FastAttempt => (0, 0),
+        Event::FastAbort => (1, 0),
+        Event::FastSuccess => (2, 0),
+        Event::CasFail(s) => (3, site_id(s)),
+        Event::ContentionRaise => (4, 0),
+        Event::ContentionClear => (5, 0),
+        Event::LockAcquire(p) => (6, p),
+        Event::LockRelease(p) => (7, p),
+        Event::TurnAdvance(p) => (9, p),
+        Event::HelpingWrite(s) => (10, site_id(s)),
+        Event::FailPoint(s) => (11, site_id(s)),
+        Event::LockedComplete => (12, 0),
+        Event::SlowTimeout => (13, 0),
+        Event::SlowPoisoned => (14, 0),
+        Event::RecordPost => (15, 0),
+        Event::RecordHandoff(v) => (16, v),
+        Event::CombineBatch(v) => (17, v),
+        Event::CombinedComplete => (18, 0),
+        Event::RecordPoisoned => (19, 0),
+        Event::FlagRaise(p) => (20, p),
+        Event::ElimAttempt => (21, 0),
+        Event::EliminatedComplete => (22, 0),
+        Event::SuspectRaised(p) => (23, p),
+        Event::RecordReclaimed(p) => (24, p),
+        Event::LockSucceeded(p) => (25, p),
+        Event::HelpedByCombiner(t) => (26, t),
+        Event::HelpedByPartner(t) => (27, t),
+        Event::HandoffFrom(t) => (28, t),
+        Event::CustodyFrom(t) => (29, t),
+    }
+}
+
+pub(crate) fn decode(code: u8, arg: u32) -> Option<Event> {
+    Some(match code {
+        0 => Event::FastAttempt,
+        1 => Event::FastAbort,
+        2 => Event::FastSuccess,
+        3 => Event::CasFail(site_name(arg)),
+        4 => Event::ContentionRaise,
+        5 => Event::ContentionClear,
+        6 => Event::LockAcquire(arg),
+        7 => Event::LockRelease(arg),
+        9 => Event::TurnAdvance(arg),
+        10 => Event::HelpingWrite(site_name(arg)),
+        11 => Event::FailPoint(site_name(arg)),
+        12 => Event::LockedComplete,
+        13 => Event::SlowTimeout,
+        14 => Event::SlowPoisoned,
+        15 => Event::RecordPost,
+        16 => Event::RecordHandoff(arg),
+        17 => Event::CombineBatch(arg),
+        18 => Event::CombinedComplete,
+        19 => Event::RecordPoisoned,
+        20 => Event::FlagRaise(arg),
+        21 => Event::ElimAttempt,
+        22 => Event::EliminatedComplete,
+        23 => Event::SuspectRaised(arg),
+        24 => Event::RecordReclaimed(arg),
+        25 => Event::LockSucceeded(arg),
+        26 => Event::HelpedByCombiner(arg),
+        27 => Event::HelpedByPartner(arg),
+        28 => Event::HandoffFrom(arg),
+        29 => Event::CustodyFrom(arg),
+        _ => return None,
+    })
+}
+
+/// Appends `event` to the calling thread's ring buffer, whatever the
+/// mode. Instrumentation sites call the [`crate::probe!`] macro
+/// instead, which records only while the mode is armed.
 pub fn record(event: Event) {
-    imp::record(event);
+    match event {
+        Event::FastSuccess => LAST_PATH.with(|p| p.set(Some(Path::Fast))),
+        Event::EliminatedComplete => LAST_PATH.with(|p| p.set(Some(Path::Eliminated))),
+        Event::LockedComplete | Event::CombinedComplete => {
+            LAST_PATH.with(|p| p.set(Some(Path::Locked)));
+        }
+        Event::SlowTimeout | Event::SlowPoisoned => LAST_PATH.with(|p| p.set(None)),
+        _ => {}
+    }
+    let (code, arg) = encode(event);
+    MY_RING.with(|cell| cell.get_or_init(register_ring).push(code, arg));
 }
 
 /// The path taken by the calling thread's most recently **completed**
@@ -810,103 +606,126 @@ pub fn record(event: Event) {
 /// `Some(Locked)` after an under-lock completion, `None` initially and
 /// after a timeout or survived panic (no completion took place).
 ///
-/// Returns `None` always when the `trace` feature is off.
+/// Only operations that ran while the mode was armed report a path.
 #[must_use]
 pub fn last_path() -> Option<Path> {
-    #[cfg(feature = "trace")]
-    {
-        imp::last_path()
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        None
-    }
+    LAST_PATH.with(Cell::get)
+}
+
+/// Forgets the calling thread's last completion path, so that
+/// [`last_path`] after an operation reports that operation's path or
+/// `None` (a quiet operation records none).
+pub(crate) fn forget_last_path() {
+    LAST_PATH.with(|p| p.set(None));
 }
 
 /// The calling thread's dense trace thread id — the same id every
 /// [`TraceEvent`] recorded by this thread carries. Registering a ring
 /// on first use makes the id stable for the thread's lifetime, so the
 /// causal stamp sites can write it into shared (uncounted) cells for a
-/// helped thread to read back. Returns [`NO_TID`] without the `trace`
-/// feature (stamps then mark the edge unattributable, and readers skip
-/// the probe).
+/// helped thread to read back. Returns [`NO_TID`] while the mode is
+/// quiet (no ring is registered for a thread that records nothing;
+/// stamps then mark the edge unattributable, and readers skip the
+/// probe).
 #[must_use]
 pub fn thread_id() -> u32 {
-    #[cfg(feature = "trace")]
-    {
-        imp::thread_id()
+    if !cso_memory::mode::armed() {
+        return NO_TID;
     }
-    #[cfg(not(feature = "trace"))]
-    {
-        NO_TID
+    MY_RING.with(|cell| cell.get_or_init(register_ring).thread)
+}
+
+/// Keeps probes recording while it lives: a reader of the rings — a
+/// test that collects, a capture — arms the run-time mode
+/// (`cso_memory::mode`) with one of these. The profiler's harvester
+/// and a spawned watchdog hold the mode the same way.
+#[derive(Debug)]
+#[must_use = "probes record only while the recording lives"]
+pub struct Recording(cso_memory::mode::Hold);
+
+impl Recording {
+    /// Arms the mode until the returned guard drops.
+    pub fn start() -> Recording {
+        Recording(cso_memory::mode::Hold::new())
     }
 }
 
-/// Runtime master switch for recording (default on). Turning it off
-/// leaves probe sites at one relaxed atomic load each — useful for
-/// measuring instrumentation overhead within a single traced build.
-/// No-op without the `trace` feature.
-pub fn set_enabled(on: bool) {
-    #[cfg(feature = "trace")]
-    imp::set_enabled(on);
-    #[cfg(not(feature = "trace"))]
-    let _ = on;
+/// One ring's readable window: `(head, oldest)` where `oldest` is
+/// the first index still in the ring and above the floor. Indices
+/// in `floor..oldest` were overwritten unread — that gap *is* the
+/// ring's drop count, so every consumer below derives loss from
+/// this one helper and the global and per-thread counts agree by
+/// construction.
+fn ring_window(ring: &Ring) -> (u64, u64, u64) {
+    let head = ring.head.load(Ordering::Acquire);
+    let floor = ring.floor.load(Ordering::Acquire);
+    let oldest = head.saturating_sub(RING_CAPACITY as u64).max(floor);
+    (head, oldest, oldest - floor)
 }
 
-/// Whether probes currently record: the `trace` feature is compiled in
-/// *and* the runtime switch is on. Bench binaries use this to decide
-/// whether trace artifacts are worth emitting.
-#[must_use]
-pub fn enabled() -> bool {
-    #[cfg(feature = "trace")]
-    {
-        imp::enabled()
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        false
+fn read_range(ring: &Ring, from: u64, to: u64, events: &mut Vec<TraceEvent>) {
+    for i in from..to {
+        let slot = &ring.slots[(i as usize) & (RING_CAPACITY - 1)];
+        let word = slot.word.load(Ordering::Relaxed);
+        let code = (word >> 32) as u8;
+        let arg = word as u32;
+        if let Some(event) = decode(code, arg) {
+            events.push(TraceEvent {
+                thread: ring.thread,
+                seq: slot.seq.load(Ordering::Relaxed),
+                wall_ns: slot.wall_ns.load(Ordering::Relaxed),
+                event,
+            });
+        }
     }
 }
 
 /// Merges every thread's ring into one [`Trace`] ordered by logical
 /// timestamp. Cheap relative to tracing itself; collect at quiescent
-/// points for exact results (see the module docs). Empty without the
-/// `trace` feature.
+/// points for exact results (see the module docs).
 #[must_use]
 pub fn collect() -> Trace {
-    #[cfg(feature = "trace")]
-    {
-        imp::collect()
+    let rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
+    let mut events = Vec::new();
+    let mut truncated = Vec::new();
+    for ring in rings.iter() {
+        let (head, oldest, lost) = ring_window(ring);
+        if lost > 0 {
+            truncated.push((ring.thread, lost));
+        }
+        read_range(ring, oldest, head, &mut events);
     }
-    #[cfg(not(feature = "trace"))]
-    {
-        Trace::default()
+    events.sort_by_key(|e| e.seq);
+    // The global count is the per-thread markers' sum *by
+    // construction* — there is no second accounting path to drift.
+    let dropped = truncated.iter().map(|(_, d)| d).sum();
+    Trace {
+        events,
+        dropped,
+        truncated,
     }
 }
 
 /// Events overwritten by ring wrap-around so far, summed over every
-/// thread's ring (relative to the last [`clear`]). This is the live
-/// counterpart of [`Trace::dropped`]: a metrics registry can poll it as
-/// a gauge to surface trace loss without collecting. Zero without the
-/// `trace` feature.
+/// thread's ring (relative to the last [`clear`] / [`harvest`]). This
+/// is the live counterpart of [`Trace::dropped`]: a metrics registry
+/// can poll it as a gauge to surface trace loss without collecting.
 #[must_use]
 pub fn dropped() -> u64 {
-    #[cfg(feature = "trace")]
-    {
-        imp::dropped()
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        0
-    }
+    let rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
+    rings.iter().map(|ring| ring_window(ring).2).sum()
 }
 
-/// Logically discards everything recorded so far (subsequent
-/// [`collect`] calls return only newer events, and the dropped counter
-/// restarts). No-op without the `trace` feature.
-pub fn clear() {
-    #[cfg(feature = "trace")]
-    imp::clear();
+/// Events ever recorded into any thread's ring: a monotonic counter
+/// unaffected by [`clear`] or [`harvest`]. The losslessness check is
+/// `aggregated == emitted() delta` over a harvested window.
+#[must_use]
+pub fn emitted() -> u64 {
+    let rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
+    rings
+        .iter()
+        .map(|ring| ring.head.load(Ordering::Acquire))
+        .sum()
 }
 
 /// Drains every ring since the previous harvest (or [`clear`]) and
@@ -919,8 +738,7 @@ pub fn clear() {
 /// Harvest passes are serialized against each other and against
 /// [`collect`] / [`clear`] (single consumer per ring). A [`collect`]
 /// *after* a harvest returns only the not-yet-harvested tail — the
-/// harvester owns everything before its watermark. Empty without the
-/// `trace` feature.
+/// harvester owns everything before its watermark.
 ///
 /// # Order across passes
 ///
@@ -935,32 +753,109 @@ pub fn clear() {
 /// most one event per writing thread per pass.
 #[must_use]
 pub fn harvest() -> Harvested {
-    #[cfg(feature = "trace")]
-    {
-        imp::harvest()
+    harvest_with(|_| {})
+}
+
+/// [`harvest`], calling `after_ring` with each ring's thread id once
+/// that ring has been read — the seam that lets a test record
+/// events *during* a scan, on rings of its choosing, without racing
+/// a real one.
+fn harvest_with(mut after_ring: impl FnMut(u32)) -> Harvested {
+    // The RINGS mutex serializes harvest against collect/clear and
+    // against concurrent harvesters: each ring has exactly one
+    // consumer at a time, so advancing the floor below is safe.
+    let rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
+    // The rings are read one after another while writers keep
+    // recording, so without a common horizon the ring read last
+    // would hand over events younger than ones the ring read first
+    // recorded during the scan — and those would arrive a whole
+    // pass later, behind their successors. Cut every ring at the
+    // clock value read here: this pass takes timestamps below it,
+    // the rest wait for the next. What can still arrive late is an
+    // event whose writer drew its timestamp before the cut but had
+    // not published it when its ring was read — at most one per
+    // writer per pass (see [`harvest`]). Relaxed: the clock
+    // is a ticket dispenser, nothing is published through it.
+    let cut = SEQ.load(Ordering::Relaxed);
+    let mut events = Vec::new();
+    let mut lost = 0u64;
+    let mut truncated = Vec::new();
+    for ring in rings.iter() {
+        let (head, oldest, gap) = ring_window(ring);
+        let mut ring_lost = gap;
+        let mut batch: Vec<(u64, TraceEvent)> = Vec::with_capacity((head - oldest) as usize);
+        for i in oldest..head {
+            let slot = &ring.slots[(i as usize) & (RING_CAPACITY - 1)];
+            let word = slot.word.load(Ordering::Relaxed);
+            if let Some(event) = decode((word >> 32) as u8, word as u32) {
+                batch.push((
+                    i,
+                    TraceEvent {
+                        thread: ring.thread,
+                        seq: slot.seq.load(Ordering::Relaxed),
+                        wall_ns: slot.wall_ns.load(Ordering::Relaxed),
+                        event,
+                    },
+                ));
+            }
+        }
+        // Writers kept pushing while we read. Any index the head
+        // has since come within one capacity of was potentially
+        // mid-overwrite during the read above — discard those reads
+        // and count them lost rather than hand back torn slots.
+        // The +1: a write publishes its head increment *after* the
+        // slot stores, so when `head_now` reads `j` the writer may
+        // still be scribbling index `j`'s slot — which index
+        // `j - capacity` shares. Keeping that boundary index can
+        // ingest the new lap's word under the old index and then
+        // read the same word again next pass (a duplicate that
+        // breaks `ingested + lost == emitted`).
+        let head_now = ring.head.load(Ordering::Acquire);
+        let safe_from = (head_now + 1).saturating_sub(RING_CAPACITY as u64);
+        if safe_from > oldest {
+            ring_lost += safe_from.min(head) - oldest;
+            batch.retain(|(i, _)| *i >= safe_from);
+        }
+        // A ring's timestamps ascend with its indices, so the cut
+        // is a prefix: everything from the first young event on
+        // stays in the ring, unconsumed, for the next pass.
+        let consumed = match batch.iter().position(|(_, e)| e.seq >= cut) {
+            Some(young) => {
+                let index = batch[young].0;
+                batch.truncate(young);
+                index
+            }
+            None => head,
+        };
+        events.extend(batch.into_iter().map(|(_, e)| e));
+        if ring_lost > 0 {
+            truncated.push((ring.thread, ring_lost));
+        }
+        lost += ring_lost;
+        // Everything below `consumed` is now the harvester's:
+        // overwriting it no longer counts as a drop. fetch_max
+        // keeps a concurrent clear()'s higher floor intact.
+        ring.floor.fetch_max(consumed, Ordering::AcqRel);
+        after_ring(ring.thread);
     }
-    #[cfg(not(feature = "trace"))]
-    {
-        Harvested::default()
+    events.sort_by_key(|e| e.seq);
+    Harvested {
+        events,
+        lost,
+        truncated,
     }
 }
 
-/// Events ever recorded into any thread's ring: a monotonic counter
-/// unaffected by [`clear`] or [`harvest`]. The losslessness check is
-/// `aggregated == emitted() delta` over a harvested window. Zero
-/// without the `trace` feature.
-#[must_use]
-pub fn emitted() -> u64 {
-    #[cfg(feature = "trace")]
-    {
-        imp::emitted()
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        0
+/// Logically discards everything recorded so far (subsequent
+/// [`collect`] calls return only newer events, and the dropped counter
+/// restarts).
+pub fn clear() {
+    let rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
+    for ring in rings.iter() {
+        let head = ring.head.load(Ordering::Acquire);
+        ring.floor.store(head, Ordering::Release);
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1048,28 +943,31 @@ mod tests {
         assert!(!trace.is_empty());
     }
 
-    #[cfg(not(feature = "trace"))]
     #[test]
-    fn disabled_build_records_nothing() {
+    fn a_quiet_site_records_nothing_until_a_recording_arms_it() {
+        let _serial = crate::tests::serial();
+        let before = emitted();
         crate::probe!(Event::FastSuccess);
-        assert!(collect().is_empty());
-        assert_eq!(last_path(), None);
-        assert!(!enabled());
-        assert_eq!(thread_id(), NO_TID, "untraced builds have no thread id");
-        assert!(harvest().events.is_empty());
-        assert_eq!(emitted(), 0);
+        assert_eq!(emitted(), before, "quiet: the site records nothing");
+        assert_eq!(thread_id(), NO_TID, "a quiet thread has no trace id");
+        let recording = Recording::start();
+        crate::probe!(Event::FastSuccess);
+        assert_eq!(emitted(), before + 1);
+        assert_eq!(last_path(), Some(Path::Fast));
+        assert_ne!(thread_id(), NO_TID);
+        drop(recording);
+        crate::probe!(Event::FastSuccess);
+        assert_eq!(emitted(), before + 1, "quiet again once it drops");
+        clear();
     }
 
-    #[cfg(feature = "trace")]
     mod live {
         use super::super::*;
-        use std::sync::Mutex;
 
-        /// The rings are process-global; live tests serialize.
-        static SERIAL: Mutex<()> = Mutex::new(());
-
-        fn serial() -> std::sync::MutexGuard<'static, ()> {
-            SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+        /// The rings are process-global; live tests serialize, and
+        /// record while the mode is armed (thread ids exist only then).
+        fn serial() -> (std::sync::MutexGuard<'static, ()>, Recording) {
+            (crate::tests::serial(), Recording::start())
         }
 
         #[test]
@@ -1136,7 +1034,7 @@ mod tests {
         fn wraparound_reports_dropped() {
             let _serial = serial();
             clear();
-            let n = super::super::imp::RING_CAPACITY as u64 + 100;
+            let n = super::super::RING_CAPACITY as u64 + 100;
             for _ in 0..n {
                 record(Event::FastAttempt);
             }
@@ -1158,7 +1056,7 @@ mod tests {
             clear();
             // Overflow this thread's ring so its oldest events are
             // overwritten; a second thread stays under capacity.
-            let n = super::super::imp::RING_CAPACITY as u64 + 64;
+            let n = super::super::RING_CAPACITY as u64 + 64;
             for _ in 0..n {
                 record(Event::FastAttempt);
             }
@@ -1200,7 +1098,7 @@ mod tests {
             let _serial = serial();
             clear();
             let emitted_before = emitted();
-            let chunk = super::super::imp::RING_CAPACITY as u64 / 2;
+            let chunk = super::super::RING_CAPACITY as u64 / 2;
             let rounds = 24; // 12x the ring capacity in total
             let mut harvested = 0u64;
             let mut lost = 0u64;
@@ -1225,7 +1123,7 @@ mod tests {
         fn unharvested_overflow_still_counts_as_lost() {
             let _serial = serial();
             clear();
-            let n = super::super::imp::RING_CAPACITY as u64 + 200;
+            let n = super::super::RING_CAPACITY as u64 + 200;
             for _ in 0..n {
                 record(Event::FastAttempt);
             }
@@ -1269,7 +1167,7 @@ mod tests {
             clear();
             // Wrap this thread's ring, then add a second non-wrapped
             // ring: the global gauge must equal the marker sum.
-            let n = super::super::imp::RING_CAPACITY as u64 + 500;
+            let n = super::super::RING_CAPACITY as u64 + 500;
             for _ in 0..n {
                 record(Event::FastAttempt);
             }
@@ -1314,7 +1212,7 @@ mod tests {
             gone.1.recv().unwrap();
             // Mid-scan, after this thread's ring has been read: an event
             // here, then a younger one on the ring still to be read.
-            let first = super::super::imp::harvest_with(|ring| {
+            let first = super::super::harvest_with(|ring| {
                 if ring == me {
                     record(Event::FlagRaise(0));
                     go.0.send(()).unwrap();
@@ -1349,7 +1247,7 @@ mod tests {
             // retired variant) stays unassigned, so every tag is tried.
             let mut walked = 0;
             for code in 0..=u8::MAX {
-                let Some(event) = super::super::imp::decode(code, 7) else {
+                let Some(event) = super::super::decode(code, 7) else {
                     continue;
                 };
                 let back = crate::export::parse_event(
@@ -1361,25 +1259,8 @@ mod tests {
                 assert_eq!(back, Some(event), "code {code}");
                 walked += 1;
             }
-            assert_eq!(super::super::imp::decode(8, 7), None);
+            assert_eq!(super::super::decode(8, 7), None);
             assert!(walked >= 29, "walked {walked} codes");
-        }
-
-        #[test]
-        fn runtime_switch_pauses_recording() {
-            let _serial = serial();
-            clear();
-            set_enabled(false);
-            assert!(!enabled());
-            record(Event::ContentionRaise);
-            set_enabled(true);
-            let raised = collect()
-                .events
-                .iter()
-                .filter(|e| e.event == Event::ContentionRaise)
-                .count();
-            assert_eq!(raised, 0, "disabled recording must drop events");
-            clear();
         }
 
         #[test]

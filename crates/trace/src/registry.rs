@@ -196,11 +196,10 @@ impl Registry {
     /// * `cso_build_version_major` / `_minor` / `_patch` — the crate
     ///   version, spread over three series because the registry is
     ///   label-free by design;
-    /// * `cso_feature_trace` / `cso_feature_chaos` /
-    ///   `cso_feature_model` — `1` when the corresponding build mode
-    ///   is on, else `0`: the constants of the crates that own the
-    ///   switches (`cso_trace::TRACE`, `cso_memory::{CHAOS, MODEL}`),
-    ///   so a gauge cannot disagree with what was compiled;
+    /// * `cso_feature_model` — `1` in a `model` build (the one build
+    ///   switch, `cso_memory::MODEL`), else `0`;
+    /// * `cso_mode_armed` — `1` while fail points and probes are armed
+    ///   (`cso_memory::mode::armed`), read when scraped;
     /// * `cso_process_uptime_seconds` — seconds since this method ran
     ///   (call it once at startup so the gauge tracks process
     ///   lifetime).
@@ -217,13 +216,12 @@ impl Registry {
             let part = parts.next().unwrap_or(0) as f64;
             self.gauge_fn(name, move || part);
         }
-        for (name, enabled) in [
-            ("cso_feature_trace", crate::TRACE),
-            ("cso_feature_chaos", cso_memory::CHAOS),
-            ("cso_feature_model", cso_memory::MODEL),
-        ] {
-            self.gauge_fn(name, move || f64::from(u8::from(enabled)));
-        }
+        self.gauge_fn("cso_feature_model", || {
+            f64::from(u8::from(cso_memory::MODEL))
+        });
+        self.gauge_fn("cso_mode_armed", || {
+            f64::from(u8::from(cso_memory::mode::armed()))
+        });
         let start = Instant::now();
         self.gauge_fn("cso_process_uptime_seconds", move || {
             start.elapsed().as_secs_f64()
@@ -232,7 +230,7 @@ impl Registry {
 
     /// Registers the `cso_trace_ring_dropped` polled gauge: probe
     /// events lost to ring wrap-around since the last `probe::clear()`
-    /// (always `0` unless probes record). Surfacing the drop
+    /// (always `0` unless probes have recorded). Surfacing the drop
     /// count means a truncated trace is visible on the dashboard, not
     /// just in the collected artifact.
     pub fn register_probe_drop_gauge(&self) {
@@ -342,8 +340,7 @@ mod tests {
         let snap = reg.snapshot();
         let (name, v) = &snap.gauges[0];
         assert_eq!(name, "cso_trace_ring_dropped");
-        // 0 in un-traced builds; >= 0 in traced builds (other tests in
-        // this process may have wrapped rings).
+        // >= 0: other tests in this process may have wrapped rings.
         assert!(*v >= 0.0);
     }
 
@@ -367,16 +364,22 @@ mod tests {
             get("cso_build_version_patch")
         );
         assert_eq!(version, "0.1.0");
-        // Each gauge is its owner's switch — in particular `model`,
-        // which no feature of this crate could ever have reported.
-        for (feature, on) in [
-            ("trace", crate::TRACE),
-            ("chaos", cso_memory::CHAOS),
-            ("model", cso_memory::MODEL),
-        ] {
-            let v = get(&format!("cso_feature_{feature}"));
-            assert_eq!(v, f64::from(u8::from(on)), "{feature}");
-        }
+        // `model` is the owner's switch, which no feature of this
+        // crate could ever have reported.
+        assert_eq!(
+            get("cso_feature_model"),
+            f64::from(u8::from(cso_memory::MODEL))
+        );
+        let _serial = crate::tests::serial();
+        let _recording = crate::probe::Recording::start();
+        assert_eq!(
+            reg.snapshot()
+                .gauges
+                .iter()
+                .find(|(n, _)| n == "cso_mode_armed")
+                .map(|g| g.1),
+            Some(1.0)
+        );
         assert!(get("cso_process_uptime_seconds") >= 0.0);
     }
 

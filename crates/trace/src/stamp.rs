@@ -4,24 +4,19 @@
 //! released the lock this thread just acquired, and *how long ago* a
 //! publication record was posted. Each needs a little state at the
 //! instrumented site — a shared cell, a clock reading — and that state
-//! must vanish with the probes: a field that exists only to feed an
-//! event nobody records is a cache line and a store on the slow path.
+//! must go quiet with the probes: a store that feeds an event nobody
+//! records is a cache-line transfer on the slow path for nothing.
 //!
-//! So the state lives here, behind the same switch as [`crate::probe!`]
-//! itself. With the `trace` feature off both types are **zero-sized**
-//! (a struct with no fields — not `CachePadded<()>`, which would still
-//! cost a 128-byte line), every method is an empty inline returning a
-//! constant, and the instrumented crates carry no `cfg` of their own;
-//! with it on, [`TidStamp`] is one padded `AtomicU32` and
-//! [`SpanClock`] one `Instant`.
+//! So the state lives here, behind the same run-time mode as
+//! [`crate::probe!`] itself: [`TidStamp`] is one padded `AtomicU32`
+//! that only an armed thread writes (quiet, leaving is one load of the
+//! mode word and taking is one load of the cell), and [`SpanClock`]
+//! reads the wall clock only while armed.
 
-#[cfg(feature = "trace")]
 use std::sync::atomic::{AtomicU32, Ordering};
-#[cfg(feature = "trace")]
 use std::time::Instant;
 
-#[cfg(feature = "trace")]
-use cso_memory::CachePadded;
+use cso_memory::{mode, CachePadded};
 
 use crate::NO_TID;
 
@@ -36,12 +31,11 @@ use crate::NO_TID;
 /// used under a lock, whose release/acquire pair orders a stamp left
 /// before the unlock ahead of the read after the next lock.
 ///
-/// Untraced, the cell is zero-sized, [`TidStamp::leave`] does nothing
-/// and the readers return [`NO_TID`] — which the `probe_if!(tid !=
-/// NO_TID, …)` at the reading site folds away.
+/// Written only while the mode is armed: quiet, [`TidStamp::leave`]
+/// stores nothing and the readers find [`NO_TID`] — which the
+/// `probe_if!(tid != NO_TID, …)` at the reading site skips.
 #[derive(Debug)]
 pub struct TidStamp {
-    #[cfg(feature = "trace")]
     tid: CachePadded<AtomicU32>,
 }
 
@@ -50,47 +44,37 @@ impl TidStamp {
     #[must_use]
     pub const fn new() -> TidStamp {
         TidStamp {
-            #[cfg(feature = "trace")]
             tid: CachePadded::new(AtomicU32::new(NO_TID)),
         }
     }
 
-    /// Leaves the calling thread's trace id in the cell.
+    /// Leaves the calling thread's trace id in the cell, while armed.
     #[inline]
     pub fn leave(&self) {
-        #[cfg(feature = "trace")]
-        self.tid.store(crate::probe::thread_id(), Ordering::Relaxed);
+        if mode::armed() {
+            self.tid.store(crate::probe::thread_id(), Ordering::Relaxed);
+        }
     }
 
     /// The id last left, or [`NO_TID`].
     #[inline]
     #[must_use]
     pub fn read(&self) -> u32 {
-        #[cfg(feature = "trace")]
-        {
-            self.tid.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            NO_TID
-        }
+        self.tid.load(Ordering::Relaxed)
     }
 
     /// Takes the id last left, emptying the cell: a stamp consumed
     /// this way is seen by exactly one reader, so the edge it feeds is
     /// recorded once per handoff and a later reader never finds a
-    /// stale one.
+    /// stale one. An empty cell (every cell, while quiet) is read and
+    /// not swapped, so a quiet handoff pays no read-modify-write.
     #[inline]
     #[must_use]
     pub fn take(&self) -> u32 {
-        #[cfg(feature = "trace")]
-        {
-            self.tid.swap(NO_TID, Ordering::Relaxed)
+        if self.tid.load(Ordering::Relaxed) == NO_TID {
+            return NO_TID;
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            NO_TID
-        }
+        self.tid.swap(NO_TID, Ordering::Relaxed)
     }
 }
 
@@ -101,72 +85,65 @@ impl Default for TidStamp {
 }
 
 /// The length of a span for an event payload (`record-handoff`'s
-/// post-to-done latency): reads the wall clock only when probes
-/// record. Untraced it is zero-sized, [`SpanClock::start`] reads no
-/// `Instant`, and [`SpanClock::elapsed_ns`] — only ever called inside
-/// a [`crate::probe!`], which is then never evaluated — returns 0.
+/// post-to-done latency): reads the wall clock only while the mode is
+/// armed. Quiet, [`SpanClock::start`] reads no `Instant` and
+/// [`SpanClock::elapsed_ns`] — only ever called inside a
+/// [`crate::probe!`], which is then not evaluated — returns 0.
 #[derive(Debug)]
 pub struct SpanClock {
-    #[cfg(feature = "trace")]
-    start: Instant,
+    start: Option<Instant>,
 }
 
 impl SpanClock {
-    /// Starts the span now.
+    /// Starts the span now (while armed).
     #[inline]
     #[must_use]
     pub fn start() -> SpanClock {
         SpanClock {
-            #[cfg(feature = "trace")]
-            start: Instant::now(),
+            start: mode::armed().then(Instant::now),
         }
     }
 
     /// Nanoseconds since [`SpanClock::start`], saturated at
-    /// `u32::MAX` (≈ 4.3 s).
+    /// `u32::MAX` (≈ 4.3 s); 0 for a span started quiet.
     #[inline]
     #[must_use]
     pub fn elapsed_ns(&self) -> u32 {
-        #[cfg(feature = "trace")]
-        {
-            u32::try_from(self.start.elapsed().as_nanos()).unwrap_or(u32::MAX)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        self.start.map_or(0, |start| {
+            u32::try_from(start.elapsed().as_nanos()).unwrap_or(u32::MAX)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TRACE;
+    use crate::probe::Recording;
     use std::mem::size_of;
 
-    /// Zero cost, as a size: an untraced build keeps neither a cell nor
-    /// a clock reading; a traced one pays a line and an `Instant`.
+    /// The price of one build, as a size: a stamp is a line, a clock an
+    /// optional `Instant`, in every build.
     #[test]
-    fn both_are_zero_sized_unless_probes_record() {
-        if TRACE {
-            type Line = cso_memory::CachePadded<std::sync::atomic::AtomicU32>;
-            assert_eq!(size_of::<TidStamp>(), size_of::<Line>());
-            assert_eq!(size_of::<SpanClock>(), size_of::<std::time::Instant>());
-        } else {
-            assert_eq!(size_of::<TidStamp>(), 0);
-            assert_eq!(size_of::<SpanClock>(), 0);
-        }
+    fn a_stamp_is_one_line_and_a_clock_one_optional_instant() {
+        type Line = cso_memory::CachePadded<std::sync::atomic::AtomicU32>;
+        assert_eq!(size_of::<TidStamp>(), size_of::<Line>());
+        assert_eq!(
+            size_of::<SpanClock>(),
+            size_of::<Option<std::time::Instant>>()
+        );
     }
 
     #[test]
     fn a_stamp_is_left_read_and_taken_once() {
+        let _serial = crate::tests::serial();
         let cell = TidStamp::new();
-        assert_eq!(cell.read(), NO_TID);
-        assert_eq!(cell.take(), NO_TID);
         cell.leave();
-        // Untraced there is no thread id to leave: still NO_TID.
+        assert_eq!(cell.read(), NO_TID, "quiet: nothing is left");
+        assert_eq!(cell.take(), NO_TID);
+        let _recording = Recording::start();
+        cell.leave();
         let me = crate::probe::thread_id();
-        assert_eq!(me == NO_TID, !TRACE);
+        assert_ne!(me, NO_TID);
         assert_eq!(cell.read(), me);
         let other = std::thread::scope(|s| s.spawn(|| cell.take()).join().unwrap());
         assert_eq!(other, me, "the next thread reads the id left for it");
@@ -174,14 +151,15 @@ mod tests {
     }
 
     #[test]
-    fn the_span_clock_runs_only_when_probes_record() {
-        let clock = SpanClock::start();
+    fn the_span_clock_runs_only_while_armed() {
+        let _serial = crate::tests::serial();
+        let quiet = SpanClock::start();
+        let recording = Recording::start();
+        let armed = SpanClock::start();
+        drop(recording);
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let ns = clock.elapsed_ns();
-        if TRACE {
-            assert!(ns >= 2_000_000, "{ns}");
-        } else {
-            assert_eq!(ns, 0);
-        }
+        assert_eq!(quiet.elapsed_ns(), 0);
+        let ns = armed.elapsed_ns();
+        assert!(ns >= 2_000_000, "{ns}");
     }
 }

@@ -1,14 +1,12 @@
-//! Cross-thread causal edges through the combining slow path
-//! (`--features trace`): an operation executed by another thread's
+//! Cross-thread causal edges through the combining slow path,
+//! recorded under a probe recording: an operation executed by another thread's
 //! combiner tenure must carry a `helped-by-combiner` annotation naming
 //! that thread, and a thread that combines for itself must not
 //! fabricate one — on the bare transformation, and on the queue and
 //! the deque that reuse it (the live-coverage contract `/causal.json`
 //! builds on).
 //!
-//! Lives with the umbrella's other mode-gated tests: the instrumented
-//! crates have no `trace` feature to gate a test target on (the switch
-//! is `cso-trace`'s). The scripted object is `cso-core`'s own.
+//! The scripted object is `cso-core`'s own.
 
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
@@ -24,10 +22,12 @@ use cso::locks::TasLock;
 use cso::queue::{CsQueue, DequeueOutcome, EnqueueOutcome};
 use cso::trace::{probe, Event};
 
-/// The probe rings are process-global; live tests serialize.
-fn serial() -> MutexGuard<'static, ()> {
+/// The probe rings are process-global; live tests serialize, and
+/// record while they run.
+fn serial() -> (MutexGuard<'static, ()>, probe::Recording) {
     static M: Mutex<()> = Mutex::new(());
-    M.lock().unwrap_or_else(PoisonError::into_inner)
+    let guard = M.lock().unwrap_or_else(PoisonError::into_inner);
+    (guard, probe::Recording::start())
 }
 
 /// Every slow-path operation goes through combining (no fast path to

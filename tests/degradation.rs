@@ -1,5 +1,4 @@
-//! Graceful degradation of a live `CsStack` under injected faults
-//! (`--features chaos`).
+//! Graceful degradation of a live `CsStack` under injected faults.
 //!
 //! §5 of the paper concedes that the Figure 3 transformation survives
 //! crashes only outside the critical section. These tests arm the
@@ -9,10 +8,10 @@
 //! conserved; and a holder stalled forever turns deadline-bounded
 //! callers into clean timeouts until the stall clears.
 //!
-//! With `trace` on as well, each storm's capture is folded in process
-//! and must reconstruct at least 99 % of its operations into spans
-//! with no §4.4 bypass-bound violation (`n − 1` = 3), and render as a
-//! Chrome trace that parses.
+//! Each storm runs under a probe recording, and its capture is folded
+//! in process: it must reconstruct at least 99 % of its operations
+//! into spans with no §4.4 bypass-bound violation (`n − 1` = 3), and
+//! render as a Chrome trace that parses.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
@@ -29,11 +28,13 @@ use cso::trace::probe;
 const THREADS: usize = 4;
 const OPS_PER_THREAD: u64 = 4_000;
 
-// The chaos registry and the probe rings are process-global.
+// The chaos registry and the probe rings are process-global. Each test
+// records while it runs.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+fn serial() -> (MutexGuard<'static, ()>, probe::Recording) {
+    let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    (guard, probe::Recording::start())
 }
 
 /// `THREADS` processes alternate push and pop under whatever is armed,
@@ -65,14 +66,11 @@ fn storm(stack: &CsStack<u32>) -> (u64, u64) {
     })
 }
 
-/// With probes on, the capture since the last `probe::clear`, judged
+/// The capture since the last `probe::clear`, judged
 /// as `cso-analyze check` judges a file by default: span coverage at
 /// least 0.99 and no interval over the bypass bound `n − 1`. Its
 /// Chrome `trace_event` rendering must parse as JSON.
 fn check_capture() {
-    if !cso::trace::TRACE {
-        return;
-    }
     let trace = probe::collect();
     Json::parse(&chrome_trace_json(&trace)).expect("the Chrome trace is JSON");
     let mut fold = Fold::with_bypass_bound(THREADS as u64 - 1);

@@ -80,23 +80,23 @@ fn elimination_heavy_histories_linearize_and_rendezvous() {
 /// the attached metrics registry all describe the same run —
 /// under the elimination-only ablation, where rendezvous is certain,
 /// and under the `LADDER` preset, the shipped order of the same rungs.
-/// With `trace` on, the probe stream of those live runs (and of the
-/// tests beside this one) is the fourth surface: every operation in
-/// it replays into a well-formed span, eliminated ones included.
+/// Recorded while they run, the probe stream of those live runs (and
+/// of the tests beside this one) is the fourth surface: every operation
+/// in it replays into a well-formed span, eliminated ones included.
 #[test]
 fn eliminated_path_surfaces_agree() {
+    let recording = cso::trace::probe::Recording::start();
     let elimination_only = CsConfig::PAPER.without_fast_path().with_elimination();
     for config in [elimination_only, CsConfig::LADDER] {
         surfaces_agree(config);
     }
-    if cso::trace::TRACE {
-        let spans = cso::profile::LiveAggregator::new();
-        spans.ingest(&cso::trace::probe::harvest());
-        let snap = spans.snapshot();
-        assert_eq!(snap.malformed, 0, "span coverage below 1.0: {snap:?}");
-        let mut paths = snap.per_path.iter();
-        assert!(paths.any(|(path, hist)| *path == "eliminated" && hist.count > 0));
-    }
+    drop(recording);
+    let spans = cso::profile::LiveAggregator::new();
+    spans.ingest(&cso::trace::probe::harvest());
+    let snap = spans.snapshot();
+    assert_eq!(snap.malformed, 0, "span coverage below 1.0: {snap:?}");
+    let mut paths = snap.per_path.iter();
+    assert!(paths.any(|(path, hist)| *path == "eliminated" && hist.count > 0));
 }
 
 fn surfaces_agree(config: CsConfig) {

@@ -33,7 +33,6 @@ use cso::stack::{CsStack, PopOutcome, SeqStack, StackOp, StackResponse};
 
 /// Bodies that arm fail points share one process-global registry;
 /// every test of such a file holds this for its whole run.
-#[cfg(feature = "chaos")]
 pub fn serial() -> std::sync::MutexGuard<'static, ()> {
     static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());

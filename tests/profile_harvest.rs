@@ -1,6 +1,6 @@
-//! Continuous profiling on a real workload (`--features trace`): four
-//! `CsStack` processes, each recording into its own probe ring. The
-//! harvester makes overflowing rings lossless.
+//! Continuous profiling on a real workload: four `CsStack` processes,
+//! each recording into its own probe ring. The harvester, which arms
+//! the probes while it runs, makes overflowing rings lossless.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,9 +57,12 @@ fn run_ops(stack: &CsStack<u32>, ops: u64, pace: &(dyn Fn() + Sync)) {
 fn a_harvester_makes_overflowing_rings_lossless() {
     let s = stack();
 
-    // No consumer; a fast op records at least two events.
+    // Recording with no consumer; a fast op records at least two
+    // events.
+    let recording = probe::Recording::start();
     probe::clear();
     run_ops(&s, 3 * RING_CAPACITY / 2, &|| {});
+    drop(recording);
     assert!(probe::dropped() > 0, "unconsumed rings must drop");
 
     // The same volume tenfold, harvested.

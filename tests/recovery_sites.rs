@@ -221,6 +221,7 @@ fn kill_a_combiner_mid_batch() {
 /// nothing revives the victims (a `chaos::reset` would).
 #[test]
 fn every_kill_site_is_recovered_exactly_once() {
+    let _recording = probe::Recording::start();
     cso::trace::install_chaos_hook();
     probe::clear();
     let (paper, combining) = (CsConfig::PAPER, CsConfig::COMBINING);
@@ -231,14 +232,12 @@ fn every_kill_site_is_recovered_exactly_once() {
     kill_at("cs::post", combining, (0, 1), false);
     kill_a_combiner_mid_batch();
 
-    if cso::trace::TRACE {
-        let trace = probe::collect();
-        let mut fold = Fold::with_bypass_bound(THREADS as u64 - 1);
-        fold.ingest(&trace.events, &trace.truncated);
-        let snap = fold.snapshot();
-        assert!(snap.coverage() >= 1.0, "{}", snap.render_text());
-        assert_eq!(snap.bypass_violations, 0, "{}", snap.render_text());
-        let attribution = snap.causal.attribution();
-        assert!(attribution >= 0.99, "attribution {attribution}");
-    }
+    let trace = probe::collect();
+    let mut fold = Fold::with_bypass_bound(THREADS as u64 - 1);
+    fold.ingest(&trace.events, &trace.truncated);
+    let snap = fold.snapshot();
+    assert!(snap.coverage() >= 1.0, "{}", snap.render_text());
+    assert_eq!(snap.bypass_violations, 0, "{}", snap.render_text());
+    let attribution = snap.causal.attribution();
+    assert!(attribution >= 0.99, "attribution {attribution}");
 }

@@ -11,8 +11,10 @@
 //!   FAST_RETRIES`) completes lock-free within `j + (k + 1) × 6`
 //!   accesses, and one sent to the lock never exceeds
 //!   [`cso::core::LOCKED_SOLO_ACCESS_BOUND`] plus the weak operation's
-//!   own 5 accesses (chaos-gated — the fail point is the only
-//!   deterministic way to veto the fast path of a real stack).
+//!   own 5 accesses (an armed fail point is the only deterministic way
+//!   to veto the fast path of a real stack).
+//! * One build, two modes: quiet or armed, a strong operation counts
+//!   the same six (seven on the queue), and only an armed one records.
 //!
 //! A budget violation panics inside [`StepAuditor::audit`], failing
 //! the build — Theorem 1 is a regression test now.
@@ -71,6 +73,80 @@ fn contention_free_strong_ops_stay_within_six_accesses() {
         0,
         "Theorem 1: contention-free operations take no lock"
     );
+}
+
+/// The run-time mode moves no counted access: quiet (nothing armed),
+/// attempt 0 runs inline and records nothing; armed (a `Recording`
+/// open), the escalation routine makes attempt 0 and it records its
+/// fast-path pair. Either way the stack's operation is Theorem 1's six
+/// and the queue's seven.
+#[test]
+fn both_modes_count_six_on_the_stack_and_seven_on_the_queue() {
+    use cso::queue::CsQueue;
+    use cso::trace::{probe, Event};
+    let _serial = serial();
+    let stack: CsStack<u32> = CsStack::new(64, 1);
+    let queue: CsQueue<u32> = CsQueue::new(64, 1);
+    let ops = |v: u32| {
+        let scope = CountScope::start();
+        assert_eq!(stack.push(0, v), PushOutcome::Pushed);
+        let push = scope.take().total();
+        drop(scope);
+        let scope = CountScope::start();
+        assert!(queue.enqueue(0, v).is_enqueued());
+        (push, scope.take().total())
+    };
+    ops(0);
+
+    // Every test of this file that arms holds `serial`.
+    assert!(!cso::memory::mode::armed());
+    let before = probe::emitted();
+    assert_eq!(ops(1), (STRONG_BUDGET, STRONG_BUDGET + 1));
+    assert_eq!(
+        probe::emitted(),
+        before,
+        "a quiet operation records nothing"
+    );
+
+    let recording = probe::Recording::start();
+    let me = probe::thread_id();
+    probe::clear();
+    assert_eq!(ops(2), (STRONG_BUDGET, STRONG_BUDGET + 1));
+    let fast: Vec<Event> = probe::collect()
+        .events
+        .iter()
+        .filter(|e| e.thread == me && matches!(e.event, Event::FastAttempt | Event::FastSuccess))
+        .map(|e| e.event)
+        .collect();
+    drop(recording);
+    assert_eq!(
+        fast,
+        [Event::FastAttempt, Event::FastSuccess].repeat(2),
+        "an armed operation records its fast-path pair"
+    );
+    assert_eq!(stack.path_stats().locked + queue.path_stats().locked, 0);
+}
+
+/// An armed fail point reaches the weak operation's own site: a
+/// spurious abort of `stack::push` sends the operation down the
+/// escalation routine, and it completes — on a retry when attempt 0
+/// alone is vetoed, under the lock when every lock-free attempt is.
+#[test]
+fn an_armed_weak_op_abort_escalates_and_completes() {
+    use cso::memory::chaos::{self, Fault, Plan};
+    let _serial = serial();
+    let cs: CsStack<u32> = CsStack::new(64, 1);
+    for (vetoes, locked) in [(1, 0), (u64::from(cso::core::FAST_ATTEMPTS), 1)] {
+        chaos::reset();
+        cs.reset_path_stats();
+        chaos::arm_plan("stack::push", Plan::times(Fault::SpuriousAbort, vetoes));
+        assert_eq!(cs.push(0, 7), PushOutcome::Pushed);
+        assert_eq!(chaos::fires("stack::push"), vetoes);
+        assert_eq!(cs.path_stats().locked, locked, "{vetoes} vetoes");
+        assert_eq!(cs.pop(0), PopOutcome::Popped(7));
+    }
+    chaos::reset();
+    assert!(!cso::memory::mode::armed(), "a spent plan disarms the mode");
 }
 
 #[test]
@@ -157,7 +233,6 @@ fn ladder_config_keeps_theorem_one_exact() {
 /// (the veto sits between line 01 and the weak operation, so these are
 /// the cheapest aborts there are), then attempt `k` is a full six —
 /// `k + 6`, inside the closed form's `(k + 1) × 6` for real aborts.
-#[cfg(feature = "chaos")]
 #[test]
 fn retried_ops_complete_lock_free_within_the_closed_form() {
     use cso::memory::chaos::{self, Fault, Plan};
@@ -255,10 +330,9 @@ fn engaged_gate_diverts_then_recovery_restores_the_six_access_fast_path() {
 fn concurrent_fast_path_completions_stay_within_the_closed_form() {
     use cso::core::{FAST_ATTEMPTS, FAST_RETRIES};
     use std::sync::Arc;
-    if !cso::trace::TRACE {
-        return;
-    }
     let _serial = serial();
+    // The probe layer reports each completion's path while armed.
+    let _recording = cso::trace::probe::Recording::start();
 
     let fast_cost = |j: u64, k: u64| j + (k + 1) * STRONG_BUDGET;
     let retries = u64::from(FAST_RETRIES);
@@ -301,7 +375,6 @@ fn concurrent_fast_path_completions_stay_within_the_closed_form() {
 /// footprint ([`cso::core::LOCKED_SOLO_ACCESS_BOUND`]) plus one weak
 /// operation. A solo invocation vetoed off the fast path — first
 /// attempt and every retry — must land within it.
-#[cfg(feature = "chaos")]
 #[test]
 fn locked_path_stays_within_documented_bound() {
     use cso::memory::chaos::{self, Fault, Plan};

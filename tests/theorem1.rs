@@ -48,7 +48,6 @@ fn theorem1_six_accesses_lock_free() {
 /// weak operation) is the cheapest refusal there is — one read — so
 /// the cost is exactly `k + (1 + w)`, inside the closed form's `(k +
 /// 1) × (1 + w)` for real aborts: `w` = 5 on the stack, 6 on the queue.
-#[cfg(feature = "chaos")]
 #[test]
 fn theorem1_holds_for_every_retry_count() {
     use cso::core::FAST_RETRIES;
