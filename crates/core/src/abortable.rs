@@ -46,10 +46,9 @@ pub trait Abortable: Send + Sync {
     fn try_apply(&self, op: &Self::Op) -> Result<Self::Response, Aborted>;
 
     /// [`Abortable::try_apply`] with the object's fail points and
-    /// probes in place: what the transformations call while the
-    /// run-time mode is armed (`cso_memory::mode`). `try_apply` itself
-    /// is then the quiet instance, with no site at all. An object whose
-    /// weak operation has no site keeps this default.
+    /// probes in place (`cso_memory::mode`'s `Armed` instance): what
+    /// the transformations call off Figure 3's quiet attempt 0. An
+    /// object whose weak operation has no site keeps this default.
     ///
     /// # Errors
     ///
@@ -115,22 +114,6 @@ impl<O: Abortable + ?Sized> Abortable for std::sync::Arc<O> {
 
     fn try_eliminate(&self, op: &Self::Op, polls: u32) -> Option<Self::Response> {
         (**self).try_eliminate(op, polls)
-    }
-}
-
-/// One weak attempt on `object`, as the mode word reads now: the
-/// armed instance while fail points and probes are armed, the quiet
-/// one otherwise. For the attempts off Figure 3's contention-free path
-/// (the retries under the lock, combining, Figure 2's loop), which
-/// pause or lock anyway.
-pub(crate) fn try_apply_now<O: Abortable + ?Sized>(
-    object: &O,
-    op: &O::Op,
-) -> Result<O::Response, Aborted> {
-    if cso_memory::mode::armed() {
-        object.try_apply_armed(op)
-    } else {
-        object.try_apply(op)
     }
 }
 

@@ -44,7 +44,7 @@ use cso_memory::reg::RegBool;
 use cso_memory::Stripes;
 use cso_trace::{probe, probe_if, Event, Registry, SpanClock, Timer};
 
-use crate::abortable::{try_apply_now, Abortable};
+use crate::abortable::Abortable;
 use crate::error::{CsError, TimedOut, Unrecoverable};
 use crate::gate::AdaptiveGate;
 use crate::progress::ProgressCondition;
@@ -864,9 +864,8 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         // Attempt 0 of lines 01–02, inline behind one test: the
         // contention-free operation is its six accesses and this. With
         // metrics attached (a clock reading per attempt), the fast path
-        // off, or fail points and probes armed (the one read of the
-        // mode word, see `cso_memory::mode`), the escalation starts at
-        // attempt 0 instead: the inline attempt is the quiet instance.
+        // off, or the mode armed (its one read), the escalation starts
+        // at attempt 0 instead.
         if self.config.fast_path && self.metrics.get().is_none() && !mode::armed() {
             return match self.attempt::<Quiet>(op, None) {
                 Ok(res) => Ok(res),
@@ -915,12 +914,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                     }
                     retry_pause();
                 }
-                let res = if mode::armed() {
-                    self.attempt::<Armed>(op, metrics)
-                } else {
-                    self.attempt::<Quiet>(op, metrics)
-                };
-                match res {
+                match self.attempt::<Armed>(op, metrics) {
                     Ok(res) => return Ok(res),
                     Err(spent) => attempt += spent,
                 }
@@ -990,7 +984,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         // effect, and the guard restores lines 09–12.
         let mut spinner = Spinner::new();
         loop {
-            if let Ok(res) = try_apply_now(&self.inner, op) {
+            if let Ok(res) = self.inner.try_apply_armed(op) {
                 // Lines 09–13 run in the guard's drop (also on unwind).
                 guard.completed = true;
                 return Ok(res);
@@ -1091,7 +1085,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     /// veto, all of them for a diverting gate. Inlined into both
     /// callers: attempt 0 in [`ContentionSensitive::try_apply_until`]
     /// ([`Quiet`]), the retries in [`ContentionSensitive::escalate`]
-    /// (as the mode word reads at each).
+    /// ([`Armed`]: each site checks the mode word).
     #[inline(always)]
     fn attempt<M: Mode>(
         &self,
@@ -1319,7 +1313,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         // Line 08 for our own operation.
         let mut spinner = Spinner::new();
         let res = loop {
-            match try_apply_now(&self.inner, op) {
+            match self.inner.try_apply_armed(op) {
                 Ok(res) => break res,
                 Err(_) => spinner.spin(),
             }
@@ -1397,7 +1391,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                 let claimed_op = unsafe { &**ptr };
                 let mut spinner = Spinner::new();
                 let res = loop {
-                    match try_apply_now(&self.inner, claimed_op) {
+                    match self.inner.try_apply_armed(claimed_op) {
                         Ok(res) => break res,
                         Err(_) => spinner.spin(),
                     }
@@ -2290,7 +2284,7 @@ mod tests {
             ("armed", CsConfig::PAPER, false, true),
         ];
         for (route, config, metrics, armed) in routes {
-            let _armed = armed.then(cso_memory::mode::Hold::new);
+            let _armed = armed.then(cso_memory::mode::Hold::start);
             let on_route = |aborts: usize| {
                 let cs = make(aborts, config);
                 if metrics {

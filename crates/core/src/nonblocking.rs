@@ -52,11 +52,11 @@ impl<O: Abortable> NonBlocking<O> {
     pub const PROGRESS: ProgressCondition = ProgressCondition::NonBlocking;
 
     /// Applies `op`, retrying aborts until it takes effect. Never
-    /// returns ⊥. Each attempt reads the run-time mode, so armed fail
+    /// returns ⊥. Attempts run with their sites in place, so armed fail
     /// points and probes fire here too.
     pub fn apply(&self, op: &O::Op) -> O::Response {
         loop {
-            if let Ok(res) = crate::abortable::try_apply_now(&self.inner, op) {
+            if let Ok(res) = self.inner.try_apply_armed(op) {
                 return res;
             }
         }

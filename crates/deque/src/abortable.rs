@@ -172,9 +172,7 @@ impl<V: Bits32> AbortableDeque<V> {
         }
     }
 
-    /// [`AbortableDeque::try_push`] in mode `M` (see
-    /// `cso_memory::mode`): the [`Quiet`] instance has no fail point or
-    /// probe.
+    /// [`AbortableDeque::try_push`] in mode `M` (`Quiet`: no site).
     fn try_push_as<M: Mode>(&self, end: End, value: V) -> Result<DequePushOutcome, Aborted> {
         self.stats.inc(ATTEMPTS);
         fail_point!(M => "deque::push", {
@@ -209,7 +207,7 @@ impl<V: Bits32> AbortableDeque<V> {
         }
     }
 
-    /// [`AbortableDeque::try_pop`] in mode `M`.
+    /// [`AbortableDeque::try_pop`] in mode `M` (`Quiet`: no site).
     fn try_pop_as<M: Mode>(&self, end: End) -> Result<DequePopOutcome<V>, Aborted> {
         self.stats.inc(ATTEMPTS);
         fail_point!(M => "deque::pop", {
@@ -328,8 +326,7 @@ impl<V: Bits32> AbortableDeque<V> {
         }
     }
 
-    /// One weak operation in mode `M`: [`Abortable::try_apply`] and
-    /// [`Abortable::try_apply_armed`].
+    /// One weak operation in mode `M`, for both `Abortable` entries.
     #[inline(always)]
     fn apply_as<M: Mode>(&self, op: &DequeOp<V>) -> Result<DequeResponse<V>, Aborted> {
         match op {

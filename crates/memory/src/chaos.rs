@@ -154,13 +154,13 @@ struct RegistryState {
 /// takes the registry lock (the mode word also counts ring readers).
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
-/// Counts `n` more armed sites, here and in the mode word.
+/// Counts `n` more (`activate`) or fewer (`deactivate`) armed sites,
+/// here and in the mode word.
 fn activate(n: usize) {
     ACTIVE.fetch_add(n, Ordering::SeqCst);
     mode::raise(n);
 }
 
-/// Counts `n` fewer armed sites, here and in the mode word.
 fn deactivate(n: usize) {
     ACTIVE.fetch_sub(n, Ordering::SeqCst);
     mode::lower(n);

@@ -1,50 +1,24 @@
-//! The run-time mode: *quiet* or *armed*, derived, checked once per
-//! operation.
+//! The run-time mode: *quiet* or *armed*, derived, read once per
+//! operation on Figure 3's contention-free path.
 //!
-//! Every fail point ([`crate::fail_point!`]) and every probe
-//! (`cso_trace::probe!`) is compiled into every build. What turns them
-//! on is one process-wide word, and nobody sets it directly: it reads
-//! *armed* while something holds it —
-//!
-//! * an armed fail point ([`crate::chaos::arm`] and friends, or chaos
-//!   coverage tracing), held by the chaos registry until the site is
-//!   disarmed;
-//! * a live reader of the probe rings (`cso_trace::probe::Recording`,
-//!   the profiler's harvester, a spawned watchdog), each holding a
-//!   [`Hold`] for as long as it lives.
-//!
-//! # Where the word is read
-//!
-//! Figure 3's contention-free operation is six accesses and no lock,
-//! so its path cannot pay a check per site. It reads the word once per
-//! operation instead: `ContentionSensitive::try_apply_until` reads it
-//! before attempt 0 and sends an armed operation down the out-of-line
-//! escalation routine, and the public weak entry points
-//! (`weak_push`, `weak_enqueue`, …) read it once per call. The code
-//! they run after that read is generic over a [`Mode`]: its [`Quiet`]
-//! instance has every site `const`-false, so it compiles to exactly
-//! what a build without the sites would, and its [`Armed`] instance
-//! records. Everything off that path — the escalation's retries, the
-//! slow path, the locks, the exchanger, combining — pauses or locks
-//! anyway, and checks [`armed`] at each site.
-//!
-//! # Why one process-wide word
-//!
-//! Both things that arm it are process-wide: a fail point fires on
-//! whichever thread reaches its site, and a harvester drains every
-//! thread's ring. A thread-local word would have to be raised on every
-//! worker by whoever arms, which no caller can do for threads it did
-//! not spawn. The word sits alone on its cache line and is written
-//! only when something arms or disarms, so in the quiet steady state
-//! the read is one relaxed load of a line every core holds shared.
+//! Every fail point ([`crate::fail_point!`]) and probe
+//! (`cso_trace::probe!`) is in every build. One process-wide word turns
+//! them on, and nobody sets it: it reads armed while something holds
+//! it — an armed fail point (the [`crate::chaos`] registry holds it per
+//! armed site) or a live reader of the probe rings (a [`Hold`]:
+//! `cso_trace::probe::Recording`, the profiler's harvester, a spawned
+//! watchdog). Code on the contention-free path is generic over a
+//! [`Mode`] and chosen by one read of the word per operation; its
+//! [`Quiet`] instance has no site at all. Every other site reads the
+//! word itself. DESIGN.md, "One build, two run-time modes", has why
+//! the word is process-wide rather than thread-local.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::combining::CachePadded;
 
-/// How many holders keep the mode armed (armed fail points, tracing
-/// chaos coverage, live ring readers). Alone on its line: it is read
-/// by every operation and written only when something arms.
+/// How many holders keep the mode armed. Alone on its line: read by
+/// every operation, written only when something arms or disarms.
 static HOLDERS: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
 
 /// Whether fail points and probes are armed right now: one relaxed
@@ -56,12 +30,11 @@ pub fn armed() -> bool {
     HOLDERS.load(Ordering::Relaxed) != 0
 }
 
-/// Adds `n` holders (the chaos registry's armed sites).
+/// Adds `n` holders; [`lower`] removes them.
 pub(crate) fn raise(n: usize) {
     HOLDERS.fetch_add(n, Ordering::SeqCst);
 }
 
-/// Removes `n` holders added by [`raise`].
 pub(crate) fn lower(n: usize) {
     HOLDERS.fetch_sub(n, Ordering::SeqCst);
 }
@@ -74,15 +47,9 @@ pub struct Hold(());
 
 impl Hold {
     /// Arms the mode until the returned hold drops.
-    pub fn new() -> Hold {
+    pub fn start() -> Hold {
         raise(1);
         Hold(())
-    }
-}
-
-impl Default for Hold {
-    fn default() -> Hold {
-        Hold::new()
     }
 }
 
@@ -104,8 +71,9 @@ pub trait Mode {
 #[derive(Debug, Clone, Copy)]
 pub enum Quiet {}
 
-/// The instance that runs while the mode is armed: every site checks
-/// [`armed`] and fires.
+/// The instance with every site in place, each checking [`armed`]:
+/// what runs once the word read armed, and off the contention-free
+/// path.
 #[derive(Debug, Clone, Copy)]
 pub enum Armed {}
 
@@ -123,9 +91,9 @@ mod tests {
 
     #[test]
     fn a_hold_arms_the_mode_while_it_lives() {
-        let hold = Hold::new();
+        let hold = Hold::start();
         assert!(armed());
-        let nested = Hold::new();
+        let nested = Hold::start();
         drop(hold);
         assert!(armed(), "another holder keeps it armed");
         drop(nested);

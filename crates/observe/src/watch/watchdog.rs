@@ -145,7 +145,7 @@ impl WatchdogBuilder {
             engine: Some(engine),
             thread: None,
             stop: Arc::new(AtomicBool::new(false)),
-            recording: None,
+            _recording: None,
         }
     }
 
@@ -173,7 +173,7 @@ impl WatchdogBuilder {
             engine: None,
             thread: Some(handle),
             stop,
-            recording: Some(Recording::start()),
+            _recording: Some(Recording::start()),
         }
     }
 
@@ -532,7 +532,7 @@ pub struct Watchdog {
     thread: Option<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
     /// Arms the probes while a spawned watchdog runs.
-    recording: Option<Recording>,
+    _recording: Option<Recording>,
 }
 
 impl Watchdog {
@@ -597,7 +597,6 @@ impl Watchdog {
             handle.thread().unpark();
             let _ = handle.join();
         }
-        self.recording = None;
     }
 }
 

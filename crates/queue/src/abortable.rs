@@ -236,9 +236,7 @@ impl<V: Bits32> AbortableQueue<V> {
         }
     }
 
-    /// [`AbortableQueue::weak_enqueue`] in mode `M` (see
-    /// `cso_memory::mode`): the [`Quiet`] instance has no fail point or
-    /// probe.
+    /// [`AbortableQueue::weak_enqueue`] in mode `M` (`Quiet`: no site).
     fn weak_enqueue_as<M: Mode>(&self, value: V) -> Result<EnqueueOutcome, Aborted> {
         self.stats.inc(ENQ_ATTEMPTS);
         fail_point!(M => "queue::enqueue", {
@@ -298,7 +296,7 @@ impl<V: Bits32> AbortableQueue<V> {
         }
     }
 
-    /// [`AbortableQueue::weak_dequeue`] in mode `M`.
+    /// [`AbortableQueue::weak_dequeue`] in mode `M` (`Quiet`: no site).
     fn weak_dequeue_as<M: Mode>(&self) -> Result<DequeueOutcome<V>, Aborted> {
         self.stats.inc(DEQ_ATTEMPTS);
         fail_point!(M => "queue::dequeue", {
@@ -340,8 +338,7 @@ impl<V: Bits32> AbortableQueue<V> {
         }
     }
 
-    /// One weak operation in mode `M`: [`Abortable::try_apply`] and
-    /// [`Abortable::try_apply_armed`].
+    /// One weak operation in mode `M`, for both `Abortable` entries.
     #[inline(always)]
     fn apply_as<M: Mode>(&self, op: &QueueOp<V>) -> Result<QueueResponse<V>, Aborted> {
         match op {

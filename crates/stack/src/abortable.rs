@@ -229,9 +229,7 @@ impl<V: StackValue> AbortableStack<V> {
         }
     }
 
-    /// [`AbortableStack::weak_push`] in mode `M` (see
-    /// `cso_memory::mode`): the [`Quiet`] instance has no fail point or
-    /// probe.
+    /// [`AbortableStack::weak_push`] in mode `M` (`Quiet`: no site).
     fn weak_push_as<M: Mode>(&self, value: V) -> Result<PushOutcome, Aborted> {
         self.stats.inc(PUSH_ATTEMPTS);
         fail_point!(M => "stack::push", {
@@ -283,7 +281,7 @@ impl<V: StackValue> AbortableStack<V> {
         }
     }
 
-    /// [`AbortableStack::weak_pop`] in mode `M`.
+    /// [`AbortableStack::weak_pop`] in mode `M` (`Quiet`: no site).
     fn weak_pop_as<M: Mode>(&self) -> Result<PopOutcome<V>, Aborted> {
         self.stats.inc(POP_ATTEMPTS);
         fail_point!(M => "stack::pop", {
@@ -340,8 +338,7 @@ impl<V: StackValue> AbortableStack<V> {
         self.stats.reset();
     }
 
-    /// One weak operation in mode `M`: [`Abortable::try_apply`] and
-    /// [`Abortable::try_apply_armed`].
+    /// One weak operation in mode `M`, for both `Abortable` entries.
     #[inline(always)]
     fn apply_as<M: Mode>(&self, op: &StackOp<V>) -> Result<StackResponse<V>, Aborted> {
         match op {

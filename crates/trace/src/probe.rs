@@ -635,20 +635,11 @@ pub fn thread_id() -> u32 {
     MY_RING.with(|cell| cell.get_or_init(register_ring).thread)
 }
 
-/// Keeps probes recording while it lives: a reader of the rings — a
-/// test that collects, a capture — arms the run-time mode
-/// (`cso_memory::mode`) with one of these. The profiler's harvester
-/// and a spawned watchdog hold the mode the same way.
-#[derive(Debug)]
-#[must_use = "probes record only while the recording lives"]
-pub struct Recording(cso_memory::mode::Hold);
-
-impl Recording {
-    /// Arms the mode until the returned guard drops.
-    pub fn start() -> Recording {
-        Recording(cso_memory::mode::Hold::new())
-    }
-}
+/// Keeps probes recording while it lives (`Recording::start()`): a
+/// reader of the rings — a test that collects, a capture — arms the
+/// run-time mode with one of these, as the profiler's harvester and a
+/// spawned watchdog do.
+pub use cso_memory::mode::Hold as Recording;
 
 /// One ring's readable window: `(head, oldest)` where `oldest` is
 /// the first index still in the ring and above the floor. Indices

@@ -43,7 +43,7 @@
 //! | [`shard`] | N Figure-3 cells behind one router: `Sharded<T>`, aliased as `ShardedCsStack` and `ShardedCsQueue` |
 //! | [`lincheck`] | history recording + Wing–Gong linearizability checker, against the objects' own `Seq*` specifications |
 //! | `sched` (feature `model`) | the model checker: a controlled scheduler that drives these very types through exhaustive, seeded-random, fair and crash-prefixed schedules (`tests/model_*.rs`) |
-//! | [`trace`] | what the objects record into: feature-gated probe rings, latency histograms, the live metrics registry every `attach_metrics` registers in, step auditor, Chrome trace export |
+//! | [`trace`] | what the objects record into: probe rings armed at run time, latency histograms, the live metrics registry every `attach_metrics` registers in, step auditor, Chrome trace export |
 //! | [`metrics`] | the registry (from [`trace`]) with its Prometheus/JSON exporters and scrape endpoint |
 //! | [`analyze`] | the one trace analyser: a bounded-memory fold into spans, the §4.4 bypass count, convoys, the helped-by graph and flamegraph stacks (the `cso-analyze` CLI runs it on a capture) |
 //! | [`profile`] | continuous profiling: background ring harvester, online span aggregator, live `/profile` + `/spans.json` + `/flamegraph` + `/causal.json` routes |
