@@ -198,8 +198,6 @@ impl Registry {
     ///   label-free by design;
     /// * `cso_feature_model` — `1` in a `model` build (the one build
     ///   switch, `cso_memory::MODEL`), else `0`;
-    /// * `cso_mode_armed` — `1` while fail points and probes are armed
-    ///   (`cso_memory::mode::armed`), read when scraped;
     /// * `cso_process_uptime_seconds` — seconds since this method ran
     ///   (call it once at startup so the gauge tracks process
     ///   lifetime).
@@ -218,9 +216,6 @@ impl Registry {
         }
         self.gauge_fn("cso_feature_model", || {
             f64::from(u8::from(cso_memory::MODEL))
-        });
-        self.gauge_fn("cso_mode_armed", || {
-            f64::from(u8::from(cso_memory::mode::armed()))
         });
         let start = Instant::now();
         self.gauge_fn("cso_process_uptime_seconds", move || {
@@ -369,16 +364,6 @@ mod tests {
         assert_eq!(
             get("cso_feature_model"),
             f64::from(u8::from(cso_memory::MODEL))
-        );
-        let _serial = crate::tests::serial();
-        let _recording = crate::probe::Recording::start();
-        assert_eq!(
-            reg.snapshot()
-                .gauges
-                .iter()
-                .find(|(n, _)| n == "cso_mode_armed")
-                .map(|g| g.1),
-            Some(1.0)
         );
         assert!(get("cso_process_uptime_seconds") >= 0.0);
     }
