@@ -49,7 +49,8 @@ fn main() {
     println!("is the row that returns to its solo neighbourhood, while the bare retry");
     println!("loop (nb-stack), the TAS lock and the FIFO ticket lock do not. Cells that");
     println!("fit the host run one pinned thread per CPU; wider ones are unpinned.");
-    if let Some(recording) = capture {
-        cso_bench::tracing::emit("e3_throughput", recording);
+    if capture.is_some() {
+        drop(capture);
+        cso_bench::tracing::emit("e3_throughput");
     }
 }

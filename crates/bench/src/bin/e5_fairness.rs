@@ -54,7 +54,8 @@ fn main() {
     println!("\nExpected shape: cs-stack and lock(ticket) (both starvation-free) hold");
     println!("the tightest max/min; nb-stack, lock(tas) and cs/unfair may starve a");
     println!("thread under pressure.");
-    if let Some(recording) = capture {
-        cso_bench::tracing::emit("e5_fairness", recording);
+    if capture.is_some() {
+        drop(capture);
+        cso_bench::tracing::emit("e5_fairness");
     }
 }

@@ -1,11 +1,11 @@
 //! Trace capture for the experiment binaries.
 //!
 //! Both `e*` binaries start with [`capture`], which records the run
-//! when an output is named, and end a recorded run with [`emit`]: it
-//! prints the event summary table and writes a Chrome `trace_event`
-//! JSON next to the target directory (open it in `chrome://tracing` or
-//! <https://ui.perfetto.dev>) plus the `cso-trace-events v1` log that
-//! `cso-analyze` reads. Per-path latency is not measured here: a run
+//! when an output is named, and end a recorded run by dropping the
+//! capture and calling [`emit`]: it prints the event summary table and
+//! writes a Chrome `trace_event` JSON next to the target directory
+//! (open it in `chrome://tracing` or <https://ui.perfetto.dev>) plus
+//! the `cso-trace-events v1` log that `cso-analyze` reads. Per-path latency is not measured here: a run
 //! that times is the yardstick's, and the per-path table of a traced
 //! capture is `cso-analyze spans <events.tsv>`.
 //!
@@ -29,11 +29,10 @@ pub fn capture() -> Option<Recording> {
         .then(Recording::start)
 }
 
-/// Ends a recorded experiment: prints the event summary and writes the
-/// Chrome `trace_event` JSON for `bin` (to `CSO_TRACE_OUT`, or
-/// `target/trace/<bin>.json`) and the event log.
-pub fn emit(bin: &str, recording: Recording) {
-    drop(recording);
+/// Ends a recorded experiment, once its [`capture`] has dropped: prints
+/// the event summary and writes the Chrome `trace_event` JSON for `bin`
+/// (to `CSO_TRACE_OUT`, or `target/trace/<bin>.json`) and the event log.
+pub fn emit(bin: &str) {
     let trace = probe::collect();
     println!();
     print!("{}", export::summary(&trace));

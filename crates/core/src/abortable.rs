@@ -1,5 +1,7 @@
 //! The abortable-object abstraction.
 
+use cso_memory::mode::Mode;
+
 use crate::error::Aborted;
 
 /// An *abortable* concurrent object (paper §1.2).
@@ -37,7 +39,9 @@ pub trait Abortable: Send + Sync {
     /// The non-⊥ result of an operation (e.g. the popped value).
     type Response;
 
-    /// Attempts the operation once.
+    /// Attempts the operation once. An object with fail points or
+    /// probes reads the run-time mode (`cso_memory::mode::armed`) here
+    /// and runs the matching [`Abortable::try_apply_as`].
     ///
     /// # Errors
     ///
@@ -45,15 +49,16 @@ pub trait Abortable: Send + Sync {
     /// interfered; the object state is unchanged in that case.
     fn try_apply(&self, op: &Self::Op) -> Result<Self::Response, Aborted>;
 
-    /// [`Abortable::try_apply`] with the object's fail points and
-    /// probes in place (`cso_memory::mode`'s `Armed` instance): what
-    /// the transformations call off Figure 3's quiet attempt 0. An
-    /// object whose weak operation has no site keeps this default.
+    /// [`Abortable::try_apply`] in the mode `M` the caller has already
+    /// read: the `Quiet` instance has no fail point or probe, the
+    /// `Armed` one has every site in place. The transformations call
+    /// this, so Figure 3's attempt 0 reads the word once. An object
+    /// whose weak operation has no site keeps this default.
     ///
     /// # Errors
     ///
     /// As [`Abortable::try_apply`].
-    fn try_apply_armed(&self, op: &Self::Op) -> Result<Self::Response, Aborted> {
+    fn try_apply_as<M: Mode>(&self, op: &Self::Op) -> Result<Self::Response, Aborted> {
         self.try_apply(op)
     }
 
@@ -91,8 +96,8 @@ impl<O: Abortable + ?Sized> Abortable for &O {
         (**self).try_apply(op)
     }
 
-    fn try_apply_armed(&self, op: &Self::Op) -> Result<Self::Response, Aborted> {
-        (**self).try_apply_armed(op)
+    fn try_apply_as<M: Mode>(&self, op: &Self::Op) -> Result<Self::Response, Aborted> {
+        (**self).try_apply_as::<M>(op)
     }
 
     fn try_eliminate(&self, op: &Self::Op, polls: u32) -> Option<Self::Response> {
@@ -108,8 +113,8 @@ impl<O: Abortable + ?Sized> Abortable for std::sync::Arc<O> {
         (**self).try_apply(op)
     }
 
-    fn try_apply_armed(&self, op: &Self::Op) -> Result<Self::Response, Aborted> {
-        (**self).try_apply_armed(op)
+    fn try_apply_as<M: Mode>(&self, op: &Self::Op) -> Result<Self::Response, Aborted> {
+        (**self).try_apply_as::<M>(op)
     }
 
     fn try_eliminate(&self, op: &Self::Op, polls: u32) -> Option<Self::Response> {

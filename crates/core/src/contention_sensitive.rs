@@ -984,7 +984,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         // effect, and the guard restores lines 09–12.
         let mut spinner = Spinner::new();
         loop {
-            if let Ok(res) = self.inner.try_apply_armed(op) {
+            if let Ok(res) = self.inner.try_apply_as::<Armed>(op) {
                 // Lines 09–13 run in the guard's drop (also on unwind).
                 guard.completed = true;
                 return Ok(res);
@@ -1117,12 +1117,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
     #[inline(always)]
     fn weak_attempt<M: Mode>(&self, op: &O::Op) -> Option<O::Response> {
         probe!(M => Event::FastAttempt);
-        let res = if M::ON {
-            self.inner.try_apply_armed(op)
-        } else {
-            self.inner.try_apply(op)
-        };
-        let res = res.ok();
+        let res = self.inner.try_apply_as::<M>(op).ok();
         if self.config.adaptive_gate {
             self.stats.gate.record(res.is_none());
         }
@@ -1313,7 +1308,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
         // Line 08 for our own operation.
         let mut spinner = Spinner::new();
         let res = loop {
-            match self.inner.try_apply_armed(op) {
+            match self.inner.try_apply_as::<Armed>(op) {
                 Ok(res) => break res,
                 Err(_) => spinner.spin(),
             }
@@ -1391,7 +1386,7 @@ impl<O: Abortable, L: RawLock> ContentionSensitive<O, L> {
                 let claimed_op = unsafe { &**ptr };
                 let mut spinner = Spinner::new();
                 let res = loop {
-                    match self.inner.try_apply_armed(claimed_op) {
+                    match self.inner.try_apply_as::<Armed>(claimed_op) {
                         Ok(res) => break res,
                         Err(_) => spinner.spin(),
                     }
@@ -2284,7 +2279,7 @@ mod tests {
             ("armed", CsConfig::PAPER, false, true),
         ];
         for (route, config, metrics, armed) in routes {
-            let _armed = armed.then(cso_memory::mode::Hold::start);
+            let _armed = armed.then(cso_trace::probe::Recording::start);
             let on_route = |aborts: usize| {
                 let cs = make(aborts, config);
                 if metrics {

@@ -52,11 +52,10 @@ impl<O: Abortable> NonBlocking<O> {
     pub const PROGRESS: ProgressCondition = ProgressCondition::NonBlocking;
 
     /// Applies `op`, retrying aborts until it takes effect. Never
-    /// returns ⊥. Attempts run with their sites in place, so armed fail
-    /// points and probes fire here too.
+    /// returns ⊥.
     pub fn apply(&self, op: &O::Op) -> O::Response {
         loop {
-            if let Ok(res) = self.inner.try_apply_armed(op) {
+            if let Ok(res) = self.inner.try_apply(op) {
                 return res;
             }
         }

@@ -326,15 +326,6 @@ impl<V: Bits32> AbortableDeque<V> {
         }
     }
 
-    /// One weak operation in mode `M`, for both `Abortable` entries.
-    #[inline(always)]
-    fn apply_as<M: Mode>(&self, op: &DequeOp<V>) -> Result<DequeResponse<V>, Aborted> {
-        match op {
-            DequeOp::Push(end, v) => self.try_push_as::<M>(*end, *v).map(DequeResponse::Push),
-            DequeOp::Pop(end) => self.try_pop_as::<M>(*end).map(DequeResponse::Pop),
-        }
-    }
-
     /// Attempt/abort counters.
     #[must_use]
     pub fn abort_counts(&self) -> (u64, u64) {
@@ -348,11 +339,19 @@ impl<V: Bits32> Abortable for AbortableDeque<V> {
     type Response = DequeResponse<V>;
 
     fn try_apply(&self, op: &DequeOp<V>) -> Result<DequeResponse<V>, Aborted> {
-        self.apply_as::<Quiet>(op)
+        if mode::armed() {
+            self.try_apply_as::<Armed>(op)
+        } else {
+            self.try_apply_as::<Quiet>(op)
+        }
     }
 
-    fn try_apply_armed(&self, op: &DequeOp<V>) -> Result<DequeResponse<V>, Aborted> {
-        self.apply_as::<Armed>(op)
+    #[inline(always)]
+    fn try_apply_as<M: Mode>(&self, op: &DequeOp<V>) -> Result<DequeResponse<V>, Aborted> {
+        match op {
+            DequeOp::Push(end, v) => self.try_push_as::<M>(*end, *v).map(DequeResponse::Push),
+            DequeOp::Pop(end) => self.try_pop_as::<M>(*end).map(DequeResponse::Pop),
+        }
     }
 }
 

@@ -29,9 +29,9 @@
 //!
 //! Arming, disarming and firing are globally serialized behind a
 //! mutex (fail points are a test facility; the fast path above keeps
-//! the common case cheap). [`StallForever`] parks *outside* the mutex
-//! and re-checks a generation counter, so [`reset`] reliably releases
-//! stalled threads.
+//! the common case cheap). [`Fault::StallForever`] parks *outside* the
+//! mutex and re-checks a generation counter, so [`reset`] reliably
+//! releases stalled threads.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -5,12 +5,11 @@
 //! (`cso_trace::probe!`) is in every build. One process-wide word turns
 //! them on, and nobody sets it: it reads armed while something holds
 //! it — an armed fail point (the [`crate::chaos`] registry holds it per
-//! armed site) or a live reader of the probe rings (a [`Hold`]:
-//! `cso_trace::probe::Recording`, the profiler's harvester, a spawned
-//! watchdog). Code on the contention-free path is generic over a
-//! [`Mode`] and chosen by one read of the word per operation; its
-//! [`Quiet`] instance has no site at all. Every other site reads the
-//! word itself. DESIGN.md, "One build, two run-time modes", has why
+//! armed site) or a live reader of the probe rings (a [`Recording`]:
+//! one a test or a capture opens, or the profiler's harvester's). Code
+//! on the contention-free path is generic over a [`Mode`] and chosen by
+//! one read of the word per operation; its [`Quiet`] instance has no
+//! site at all. Every other site reads the word itself. DESIGN.md, "One build, two run-time modes", has why
 //! the word is process-wide rather than thread-local.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,20 +39,21 @@ pub(crate) fn lower(n: usize) {
 }
 
 /// Keeps the mode armed while it lives: what a reader of the probe
-/// rings holds, so that operations record while someone reads.
+/// rings holds, so that operations record while someone reads
+/// (re-exported as `cso_trace::probe::Recording`).
 #[derive(Debug)]
-#[must_use = "the mode is armed only while the hold lives"]
-pub struct Hold(());
+#[must_use = "the mode is armed only while the recording lives"]
+pub struct Recording(());
 
-impl Hold {
-    /// Arms the mode until the returned hold drops.
-    pub fn start() -> Hold {
+impl Recording {
+    /// Arms the mode until the returned recording drops.
+    pub fn start() -> Recording {
         raise(1);
-        Hold(())
+        Recording(())
     }
 }
 
-impl Drop for Hold {
+impl Drop for Recording {
     fn drop(&mut self) {
         lower(1);
     }
@@ -90,11 +90,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_hold_arms_the_mode_while_it_lives() {
-        let hold = Hold::start();
+    fn a_recording_arms_the_mode_while_it_lives() {
+        let recording = Recording::start();
         assert!(armed());
-        let nested = Hold::start();
-        drop(hold);
+        let nested = Recording::start();
+        drop(recording);
         assert!(armed(), "another holder keeps it armed");
         drop(nested);
         // Other tests of this binary may hold the word too, so the

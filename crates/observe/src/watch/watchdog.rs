@@ -37,8 +37,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cso_trace::probe::Recording;
-
 use crate::metrics::{Json, Registry};
 use crate::profile::LiveAggregator;
 use crate::watch::invariant::{Invariant, Verdict};
@@ -145,13 +143,10 @@ impl WatchdogBuilder {
             engine: Some(engine),
             thread: None,
             stop: Arc::new(AtomicBool::new(false)),
-            _recording: None,
         }
     }
 
-    /// Builds and spawns the background evaluation thread. A spawned
-    /// watchdog reads what the probes record, so it arms them (a
-    /// [`Recording`]) until it stops.
+    /// Builds and spawns the background evaluation thread.
     #[must_use]
     pub fn spawn(self) -> Watchdog {
         let cadence = self.config.cadence;
@@ -173,7 +168,6 @@ impl WatchdogBuilder {
             engine: None,
             thread: Some(handle),
             stop,
-            _recording: Some(Recording::start()),
         }
     }
 
@@ -531,8 +525,6 @@ pub struct Watchdog {
     engine: Option<Engine>,
     thread: Option<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
-    /// Arms the probes while a spawned watchdog runs.
-    _recording: Option<Recording>,
 }
 
 impl Watchdog {

@@ -338,15 +338,6 @@ impl<V: Bits32> AbortableQueue<V> {
         }
     }
 
-    /// One weak operation in mode `M`, for both `Abortable` entries.
-    #[inline(always)]
-    fn apply_as<M: Mode>(&self, op: &QueueOp<V>) -> Result<QueueResponse<V>, Aborted> {
-        match op {
-            QueueOp::Enqueue(v) => self.weak_enqueue_as::<M>(*v).map(QueueResponse::Enqueue),
-            QueueOp::Dequeue => self.weak_dequeue_as::<M>().map(QueueResponse::Dequeue),
-        }
-    }
-
     /// Snapshot of the attempt/abort counters.
     pub fn abort_stats(&self) -> QueueAbortStats {
         let [enq_attempts, enq_aborts, deq_attempts, deq_aborts] = self.stats.snapshot();
@@ -374,11 +365,19 @@ impl<V: Bits32> Abortable for AbortableQueue<V> {
     type Response = QueueResponse<V>;
 
     fn try_apply(&self, op: &QueueOp<V>) -> Result<QueueResponse<V>, Aborted> {
-        self.apply_as::<Quiet>(op)
+        if mode::armed() {
+            self.try_apply_as::<Armed>(op)
+        } else {
+            self.try_apply_as::<Quiet>(op)
+        }
     }
 
-    fn try_apply_armed(&self, op: &QueueOp<V>) -> Result<QueueResponse<V>, Aborted> {
-        self.apply_as::<Armed>(op)
+    #[inline(always)]
+    fn try_apply_as<M: Mode>(&self, op: &QueueOp<V>) -> Result<QueueResponse<V>, Aborted> {
+        match op {
+            QueueOp::Enqueue(v) => self.weak_enqueue_as::<M>(*v).map(QueueResponse::Enqueue),
+            QueueOp::Dequeue => self.weak_dequeue_as::<M>().map(QueueResponse::Dequeue),
+        }
     }
 }
 

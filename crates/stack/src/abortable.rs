@@ -338,15 +338,6 @@ impl<V: StackValue> AbortableStack<V> {
         self.stats.reset();
     }
 
-    /// One weak operation in mode `M`, for both `Abortable` entries.
-    #[inline(always)]
-    fn apply_as<M: Mode>(&self, op: &StackOp<V>) -> Result<StackResponse<V>, Aborted> {
-        match op {
-            StackOp::Push(v) => self.weak_push_as::<M>(*v).map(StackResponse::Push),
-            StackOp::Pop => self.weak_pop_as::<M>().map(StackResponse::Pop),
-        }
-    }
-
     /// Push/pop *pairs* completed by elimination rendezvous through
     /// [`Abortable::try_eliminate`] (zero unless an escalation ladder
     /// with `elimination` drives this stack).
@@ -363,11 +354,19 @@ impl<V: StackValue> Abortable for AbortableStack<V> {
     type Response = StackResponse<V>;
 
     fn try_apply(&self, op: &StackOp<V>) -> Result<StackResponse<V>, Aborted> {
-        self.apply_as::<Quiet>(op)
+        if mode::armed() {
+            self.try_apply_as::<Armed>(op)
+        } else {
+            self.try_apply_as::<Quiet>(op)
+        }
     }
 
-    fn try_apply_armed(&self, op: &StackOp<V>) -> Result<StackResponse<V>, Aborted> {
-        self.apply_as::<Armed>(op)
+    #[inline(always)]
+    fn try_apply_as<M: Mode>(&self, op: &StackOp<V>) -> Result<StackResponse<V>, Aborted> {
+        match op {
+            StackOp::Push(v) => self.weak_push_as::<M>(*v).map(StackResponse::Push),
+            StackOp::Pop => self.weak_pop_as::<M>().map(StackResponse::Pop),
+        }
     }
 
     /// Elimination: an aborted push parks its value in the exchanger;

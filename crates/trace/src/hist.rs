@@ -11,7 +11,7 @@
 //! consistent-enough view for percentile reporting, see
 //! [`LogHistogram::snapshot`]).
 //!
-//! Unlike the [`probe`](crate::probe) machinery this module needs no
+//! Unlike the [`probe`](mod@crate::probe) machinery this module needs no
 //! armed mode — it is plain data, costs nothing unless used, and the
 //! bench harness reads it from quiet runs to report per-path latency
 //! tables.

@@ -6,12 +6,12 @@
 //! say *why* an individual operation aborted, raised `CONTENTION`, or
 //! queued behind `TURN`. This crate closes that gap:
 //!
-//! * [`probe`] — a tracing event API ([`Event`], [`probe!`]) recorded
-//!   into lock-free per-thread ring buffers with global logical
-//!   timestamps. **Recorded only while the run-time mode is armed**
-//!   (`cso_memory::mode`): while someone reads the rings — a
-//!   [`probe::Recording`], the profiler's harvester, a watchdog — or a
-//!   fail point is armed. Quiet, a site is one relaxed load, and on
+//! * [`probe`](mod@probe) — a tracing event API ([`Event`],
+//!   [`probe!`]) recorded into lock-free per-thread ring buffers with
+//!   global logical timestamps. **Recorded only while the run-time mode
+//!   is armed** (`cso_memory::mode`): while someone reads the rings — a
+//!   [`probe::Recording`] or the profiler's harvester — or a fail point
+//!   is armed. Quiet, a site is one relaxed load, and on
 //!   Figure 3's contention-free path no site exists at all (the
 //!   macros' `M =>` form, the same discipline as
 //!   `cso_memory::fail_point!`).

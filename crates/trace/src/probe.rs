@@ -1,8 +1,8 @@
 //! The probe event API: what happened, on which thread, in what order.
 //!
 //! Probe sites in the object/lock crates call [`crate::probe!`] with an
-//! [`Event`]. While the run-time mode is armed (a [`Recording`], a
-//! harvester or a watchdog is alive, or a fail point is armed), each
+//! [`Event`]. While the run-time mode is armed (a [`Recording`] or a
+//! harvester is alive, or a fail point is armed), each
 //! event is appended to a **lock-free per-thread ring buffer** together
 //! with a global logical timestamp (one relaxed `fetch_add`) and a
 //! wall-clock offset; [`collect`] merges every thread's ring into one
@@ -637,9 +637,8 @@ pub fn thread_id() -> u32 {
 
 /// Keeps probes recording while it lives (`Recording::start()`): a
 /// reader of the rings — a test that collects, a capture — arms the
-/// run-time mode with one of these, as the profiler's harvester and a
-/// spawned watchdog do.
-pub use cso_memory::mode::Hold as Recording;
+/// run-time mode with one of these, as the profiler's harvester does.
+pub use cso_memory::mode::Recording;
 
 /// One ring's readable window: `(head, oldest)` where `oldest` is
 /// the first index still in the ring and above the floor. Indices

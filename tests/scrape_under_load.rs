@@ -4,9 +4,9 @@
 //! tests can't cover — the HTTP server, the live aggregator, the
 //! watchdog and the workload all running at once.
 //!
-//! The harvester and the spawned watchdog arm the probes while they
-//! run, so the profile endpoints serve the live aggregate. Every
-//! response must be 200 with a body that parses.
+//! The harvester arms the probes while it runs, so the profile
+//! endpoints serve the live aggregate. Every response must be 200 with
+//! a body that parses.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -31,11 +31,12 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One live surface: a harvester feeding an aggregator, the watchdog
-/// `arm` builds over it, and one server with every route, all
+/// One live surface: an aggregator, the harvester feeding it, the
+/// watchdog `arm` builds over it, and one server with every route, all
 /// registered on one registry.
 struct Surface {
-    harvester: Harvester,
+    agg: Arc<LiveAggregator>,
+    harvester: Option<Harvester>,
     dog: Watchdog,
     server: MetricsServer,
 }
@@ -45,23 +46,39 @@ impl Surface {
         registry: &Registry,
         arm: impl FnOnce(WatchdogBuilder, &Arc<LiveAggregator>) -> WatchdogBuilder,
     ) -> Surface {
+        let mut surface = Surface::unharvested(registry, arm);
+        surface.harvest();
+        surface
+    }
+
+    /// The surface before its harvester starts: nothing reads the probe
+    /// rings, so the run-time mode stays quiet and the aggregator empty.
+    fn unharvested(
+        registry: &Registry,
+        arm: impl FnOnce(WatchdogBuilder, &Arc<LiveAggregator>) -> WatchdogBuilder,
+    ) -> Surface {
         registry.register_build_info();
-        let harvester =
-            Harvester::start_with(Arc::new(LiveAggregator::new()), Duration::from_millis(2));
-        let agg = harvester.aggregator();
+        let agg = Arc::new(LiveAggregator::new());
         agg.register_metrics(registry);
         let builder = Watchdog::builder()
             .aggregator(Arc::clone(&agg))
             .registry(registry);
         let dog = arm(builder, &agg).spawn();
-        let routes = profile_routes(agg).merge(watch_routes(&dog));
+        let routes = profile_routes(Arc::clone(&agg)).merge(watch_routes(&dog));
         let server = MetricsServer::bind_with_routes(registry.clone(), "127.0.0.1:0", routes)
             .expect("bind scrape server");
         Surface {
-            harvester,
+            agg,
+            harvester: None,
             dog,
             server,
         }
+    }
+
+    /// Starts the harvester, which arms the probes while it runs.
+    fn harvest(&mut self) {
+        let agg = Arc::clone(&self.agg);
+        self.harvester = Some(Harvester::start_with(agg, Duration::from_millis(2)));
     }
 
     /// `GET path`: the response head and body.
@@ -99,7 +116,10 @@ impl Surface {
     fn stop(self) -> Arc<LiveAggregator> {
         self.dog.stop();
         self.server.shutdown();
-        self.harvester.stop()
+        if let Some(harvester) = self.harvester {
+            harvester.stop();
+        }
+        self.agg
     }
 }
 
@@ -294,11 +314,11 @@ struct Books {
 }
 
 /// The full watchdog — five invariants, an SLO, its gauges and routes —
-/// armed beside a running workload: it keeps at least half the
-/// throughput (a watchdog that serialized the workload or snapshotted
-/// per operation would not), raises nothing on a clean run, and flags
-/// a planted conservation leak within `DETECT_WITHIN`, over HTTP,
-/// until the books balance again.
+/// armed beside a flat-out workload keeps at least half the throughput
+/// (a watchdog that serialized the workload or snapshotted per
+/// operation would not). Once a harvester feeds it, a clean run raises
+/// nothing, and a planted conservation leak is flagged within
+/// `DETECT_WITHIN`, over HTTP, until the books balance again.
 #[test]
 fn an_armed_watchdog_is_cheap_silent_and_flags_a_planted_leak() {
     const THREADS: usize = 4;
@@ -312,12 +332,11 @@ fn an_armed_watchdog_is_cheap_silent_and_flags_a_planted_leak() {
 
     let stack = CsStack::<u32>::new(65_000, THREADS);
     let books = Arc::new(Books::default());
-    // The workload breathes 1 ms per 32 ops, so the 2 ms harvester
-    // keeps every ring ahead of the probe stream once the watchdog arms
-    // the probes (an unpaced burst outruns any consumer, and that loss
-    // would be a true alert). Both windows breathe alike, so the ratio
-    // prices the watchdog and the recording it arms.
-    let window = || {
+    // `paced` breathes 1 ms per 32 ops, so the 2 ms harvester keeps
+    // every ring ahead of the probe stream once it arms the probes (an
+    // unpaced armed burst outruns any consumer, and that loss would be
+    // a true alert). The cost windows run flat out.
+    let window = |paced: bool| {
         let op = |proc: usize, i: u64| {
             if i % 2 == 0 {
                 if stack.push(proc, proc as u32).is_pushed() {
@@ -328,19 +347,16 @@ fn an_armed_watchdog_is_cheap_silent_and_flags_a_planted_leak() {
                 books.pops.fetch_add(1, Ordering::Relaxed);
                 books.size.fetch_sub(1, Ordering::Relaxed);
             }
-            if i % 32 == 31 {
+            if paced && i % 32 == 31 {
                 std::thread::sleep(Duration::from_millis(1));
             }
         };
         under_load(THREADS, op, || std::thread::sleep(WINDOW)).1
     };
 
-    let disarmed = window();
-    // Rings from earlier armed runs may have wrapped; clear them so the
-    // first harvest books no loss.
-    probe::clear();
+    let disarmed = window(false);
     let registry = Registry::new();
-    let surface = Surface::start(&registry, |dog, agg| {
+    let mut surface = Surface::unharvested(&registry, |dog, agg| {
         let (p, o, s) = (Arc::clone(&books), Arc::clone(&books), Arc::clone(&books));
         let conservation = Invariant::conservation(
             "conservation",
@@ -358,9 +374,16 @@ fn an_armed_watchdog_is_cheap_silent_and_flags_a_planted_leak() {
             .invariant(Invariant::path_ceiling(agg, "fast", 1_000_000_000))
             .slos(SloSpec::parse(&slo).expect("spec parses"))
     });
-    let armed = window();
+    assert!(!cso::memory::mode::armed(), "no reader of the rings yet");
+    let armed = window(false);
     let ratio = armed as f64 / disarmed as f64;
     assert!(ratio >= NOISE_FLOOR, "armed/disarmed throughput {ratio:.3}");
+
+    // Rings from earlier recorded runs may have wrapped; clear them so
+    // the first harvest books no loss. Then feed the aggregator.
+    probe::clear();
+    surface.harvest();
+    window(true);
 
     // The clean run raised nothing.
     std::thread::sleep(Duration::from_millis(100)); // a few quiesced ticks

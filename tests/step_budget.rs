@@ -30,11 +30,13 @@ const STRONG_BUDGET: u64 = 6;
 /// Figure 1's cost for a solo weak operation.
 const WEAK_COST: u64 = 5;
 
-/// Chaos plans are process-global and an armed `cs::fast` plan is
-/// consumed by whichever thread passes that site next, so every test
-/// that sends a strong operation through it holds this guard: the
-/// arming tests must not lose their veto to a neighbour, and the
-/// exact-six tests must not be handed one.
+/// Chaos plans are process-global and an armed plan is consumed by
+/// whichever thread passes that site next, so every test that reaches
+/// an armed site holds this guard: a strong operation through
+/// `cs::fast`, and a direct `weak_*` call through `stack::push`/
+/// `stack::pop` (the public weak entry points read the mode word too).
+/// The arming tests must not lose their veto to a neighbour, and the
+/// exact-count tests must not be handed one.
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
     M.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -131,9 +133,13 @@ fn both_modes_count_six_on_the_stack_and_seven_on_the_queue() {
 /// spurious abort of `stack::push` sends the operation down the
 /// escalation routine, and it completes — on a retry when attempt 0
 /// alone is vetoed, under the lock when every lock-free attempt is.
+/// Both direct entries to the weak operation, `weak_push` and the
+/// `Abortable` trait's `try_apply`, read the mode and take a veto too.
 #[test]
 fn an_armed_weak_op_abort_escalates_and_completes() {
+    use cso::core::{Abortable, Aborted};
     use cso::memory::chaos::{self, Fault, Plan};
+    use cso::stack::StackOp;
     let _serial = serial();
     let cs: CsStack<u32> = CsStack::new(64, 1);
     for (vetoes, locked) in [(1, 0), (u64::from(cso::core::FAST_ATTEMPTS), 1)] {
@@ -146,11 +152,18 @@ fn an_armed_weak_op_abort_escalates_and_completes() {
         assert_eq!(cs.pop(0), PopOutcome::Popped(7));
     }
     chaos::reset();
+    let weak: AbortableStack<u32> = AbortableStack::new(64);
+    chaos::arm_plan("stack::push", Plan::times(Fault::SpuriousAbort, 2));
+    assert_eq!(weak.weak_push(7), Err(Aborted));
+    assert_eq!(weak.try_apply(&StackOp::Push(7)), Err(Aborted));
+    assert_eq!(chaos::fires("stack::push"), 2);
+    chaos::reset();
     assert!(!cso::memory::mode::armed(), "a spent plan disarms the mode");
 }
 
 #[test]
 fn weak_ops_cost_exactly_five_accesses() {
+    let _serial = serial();
     let stack: AbortableStack<u32> = AbortableStack::new(1024);
     stack.weak_push(0).expect("solo never aborts");
     stack.weak_pop().expect("solo never aborts");
