@@ -7,7 +7,7 @@ use std::hint;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::runtime::{Active, Runtime};
+use crate::runtime;
 
 /// A point in time a wait loop must not spin past.
 ///
@@ -109,12 +109,11 @@ impl XorShift64 {
     }
 
     /// Creates a generator seeded from the current thread and time —
-    /// or, inside a model-runtime session, from the session's
-    /// deterministic entropy (so replayed schedules reseed
-    /// identically).
+    /// or, on a model thread, from the session's deterministic entropy
+    /// (so replayed schedules reseed identically).
     #[must_use]
     pub fn from_entropy() -> XorShift64 {
-        if let Some(seed) = Active::entropy_seed() {
+        if let Some(seed) = runtime::entropy_seed() {
             return XorShift64::new(seed);
         }
         use std::collections::hash_map::RandomState;
@@ -181,7 +180,7 @@ impl Spinner {
     /// Waits one step: a pause instruction for the first
     /// [`Spinner::SPIN_LIMIT`] calls, a `thread::yield_now` after.
     pub fn spin(&mut self) {
-        if Active::spin_hint() {
+        if runtime::spin_hint() {
             return;
         }
         if self.count < Self::SPIN_LIMIT {
@@ -265,7 +264,7 @@ pub const RETRY_PAUSE: Duration = Duration::from_micros(1);
 /// ```
 #[inline]
 pub fn retry_pause() {
-    if Active::before_pause() {
+    if runtime::before_pause() {
         return;
     }
     thread::sleep(RETRY_PAUSE);

@@ -40,7 +40,7 @@ use std::time::Duration;
 
 use crate::backoff::XorShift64;
 use crate::mode;
-use crate::runtime::{Active, Runtime};
+use crate::runtime;
 
 /// What an armed fail point injects when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,10 +301,10 @@ pub fn hit(site: &'static str) -> Action {
             return None;
         }
         if s.plan.one_in > 1 {
-            // Under the model runtime the fire/skip draw is a recorded
+            // On a model thread the fire/skip draw is a recorded
             // schedule decision (deterministic, replayable); otherwise
             // it falls back to the site's thread-agnostic RNG.
-            let fired = match Active::chaos_one_in(s.plan.one_in) {
+            let fired = match runtime::chaos_one_in(s.plan.one_in) {
                 Some(fired) => fired,
                 None => s.rng.next_below(s.plan.one_in) == 0,
             };
@@ -333,13 +333,13 @@ pub fn hit(site: &'static str) -> Action {
             // (and harmful: it stalls the serialized schedule); one
             // spin-hint yields the same "someone else runs first"
             // effect deterministically.
-            if !Active::spin_hint() {
+            if !runtime::spin_hint() {
                 std::thread::sleep(d);
             }
             Action::Continue
         }
         Fault::Yield => {
-            if !Active::spin_hint() {
+            if !runtime::spin_hint() {
                 std::thread::yield_now();
             }
             Action::Continue
@@ -349,7 +349,7 @@ pub fn hit(site: &'static str) -> Action {
         Fault::StallForever => {
             let generation = GENERATION.load(Ordering::SeqCst);
             while GENERATION.load(Ordering::SeqCst) == generation {
-                if !Active::spin_hint() {
+                if !runtime::spin_hint() {
                     std::thread::park_timeout(Duration::from_micros(200));
                 }
             }

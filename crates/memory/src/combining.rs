@@ -65,15 +65,15 @@
 //! footprint, so it must not perturb the step-count experiments the
 //! [`crate::reg`] registers feed. Uncounted is not unscheduled: every
 //! access to a record's `status` or `helper` word goes through an
-//! accessor that first calls the runtime's peek hook, so under the
-//! `model` feature the handoff races (claim vs retract, poison vs
-//! poll) are interleaved by the explorer like any register access.
-//! Under the default runtime the hook is an empty inline function.
+//! accessor that first calls the runtime's peek hook, so on a model
+//! thread the handoff races (claim vs retract, poison vs poll) are
+//! interleaved by the explorer like any register access. Elsewhere
+//! the hook is one thread-local test.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use crate::runtime::{Active, Runtime};
+use crate::runtime;
 
 const EMPTY: u32 = 0;
 const POSTED: u32 = 1;
@@ -174,14 +174,14 @@ impl<Op, Resp> PubRecord<Op, Resp> {
     /// The status word, behind the runtime's schedule point.
     #[inline(always)]
     fn status(&self) -> &AtomicU32 {
-        Active::before_peek();
+        runtime::peek();
         &self.status
     }
 
     /// The helper stamp, behind the runtime's schedule point.
     #[inline(always)]
     fn helper_word(&self) -> &AtomicU32 {
-        Active::before_peek();
+        runtime::peek();
         &self.helper
     }
 

@@ -8,8 +8,10 @@
 //! accesses) and for the Lamport fast-mutex "seven accesses" claim
 //! (reference \[16\] of the paper).
 //!
-//! The scope that reads the counters is the switch that maintains them.
-//! With no scope open an access pays a thread-local load and a
+//! The scope that reads the counters is the switch that maintains them:
+//! the open-scope count lives in the thread's hooks word, beside the
+//! model checker's session bit, and a register access reads that word
+//! once. With neither on, an access pays a thread-local load and a
 //! predicted branch; an increment would be a load-store ahead of the
 //! operation's own atomics on every operation of every thread, for a
 //! statistic only a scope ever reads.
@@ -18,6 +20,8 @@ use std::cell::Cell;
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::{Add, Sub};
+
+use crate::runtime;
 
 /// The kind of shared-memory access performed on an atomic register.
 ///
@@ -34,9 +38,6 @@ pub enum AccessKind {
 }
 
 thread_local! {
-    /// Open [`CountScope`]s on this thread; [`record`] counts only
-    /// while it is non-zero.
-    static SCOPES: Cell<u32> = const { Cell::new(0) };
     static READS: Cell<u64> = const { Cell::new(0) };
     static WRITES: Cell<u64> = const { Cell::new(0) };
     static CASES: Cell<u64> = const { Cell::new(0) };
@@ -50,7 +51,7 @@ thread_local! {
 /// through those types.
 #[inline]
 pub fn record(kind: AccessKind) {
-    if SCOPES.with(Cell::get) == 0 {
+    if !runtime::counting() {
         return;
     }
     match kind {
@@ -185,7 +186,7 @@ impl CountScope {
     /// Starts a new measurement scope on the calling thread.
     #[must_use]
     pub fn start() -> CountScope {
-        SCOPES.with(|open| open.set(open.get() + 1));
+        runtime::count_scope(true);
         CountScope {
             base: snapshot(),
             _thread: PhantomData,
@@ -214,7 +215,7 @@ impl CountScope {
 
 impl Drop for CountScope {
     fn drop(&mut self) {
-        SCOPES.with(|open| open.set(open.get() - 1));
+        runtime::count_scope(false);
     }
 }
 

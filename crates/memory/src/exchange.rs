@@ -47,9 +47,9 @@
 //! part of the paper's counted-register algorithms. They are still
 //! schedule points: every access to a slot's state word or stamps goes
 //! through an accessor that first calls the runtime's peek hook, so
-//! under the `model` feature the explorer interleaves the claim race,
-//! the retract-vs-take race and the stamp handoff. Under the default
-//! runtime the hook is an empty inline function.
+//! on a model thread the explorer interleaves the claim race, the
+//! retract-vs-take race and the stamp handoff. Elsewhere the hook is
+//! one thread-local test.
 
 use std::cell::{RefCell, UnsafeCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::backoff::XorShift64;
 use crate::combining::{CachePadded, NO_HELPER};
 use crate::fail_point;
-use crate::runtime::{Active, Runtime};
+use crate::runtime;
 
 // Slot states (low 32 bits of the packed word; high 32 bits = tag).
 const EMPTY: u32 = 0;
@@ -125,21 +125,21 @@ impl<T> ExchangeSlot<T> {
     /// The state word, behind the runtime's schedule point.
     #[inline(always)]
     fn state(&self) -> &AtomicU64 {
-        Active::before_peek();
+        runtime::peek();
         &self.state
     }
 
     /// The offeror's stamp, behind the runtime's schedule point.
     #[inline(always)]
     fn offeror_stamp(&self) -> &AtomicU64 {
-        Active::before_peek();
+        runtime::peek();
         &self.offeror_stamp
     }
 
     /// The taker's stamp, behind the runtime's schedule point.
     #[inline(always)]
     fn taker_stamp(&self) -> &AtomicU64 {
-        Active::before_peek();
+        runtime::peek();
         &self.taker_stamp
     }
 }
@@ -148,14 +148,13 @@ thread_local! {
     static RNG: RefCell<XorShift64> = RefCell::new(XorShift64::from_entropy());
 }
 
-/// A pseudo-random value in `[0, bound)` for slot selection. Inside a
-/// model-runtime session it is drawn from the session's deterministic
-/// entropy instead of the persistent thread-local generator — the
+/// A pseudo-random value in `[0, bound)` for slot selection. On a
+/// model thread it is drawn from the session's deterministic entropy instead of the persistent thread-local generator — the
 /// thread-local survives across explored schedules (the exploration
 /// body runs many times on one OS thread), which would make replays
 /// of the same schedule prefix diverge.
 fn random_below(bound: u64) -> u64 {
-    if let Some(seed) = Active::entropy_seed() {
+    if let Some(seed) = runtime::entropy_seed() {
         return XorShift64::new(seed).next_below(bound);
     }
     RNG.with(|rng| rng.borrow_mut().next_below(bound))
@@ -293,7 +292,7 @@ impl<T: Send> Exchanger<T> {
                 guard.armed = false;
                 return Ok(taker_stamp_of(slot, tag));
             }
-            if Active::spin_hint() {
+            if runtime::spin_hint() {
                 // A model session absorbed the wait and will run the
                 // prospective taker before us.
             } else if i % 64 == 63 {
@@ -418,7 +417,7 @@ fn taker_stamp_of<T>(slot: &ExchangeSlot<T>, tag: u32) -> u32 {
         if stamp_tag == tag {
             return tid;
         }
-        if !Active::spin_hint() {
+        if !runtime::spin_hint() {
             std::hint::spin_loop();
         }
     }

@@ -34,7 +34,11 @@
 //!   fault-injection testing of the §5 crash caveat;
 //! * [`mode`] — the run-time mode word that arms fail points and
 //!   probes, read once per operation on Figure 3's contention-free
-//!   path.
+//!   path;
+//! * [`sched`] — the model checker: on the threads it registers, every
+//!   register access is a step of a controlled schedule (one
+//!   thread-local word per thread, beside its open-scope count, says
+//!   so; other threads pay one load and a branch not taken).
 //!
 //! # Example
 //!
@@ -66,7 +70,8 @@ pub mod mode;
 pub mod packed;
 pub mod reg;
 pub mod registry;
-pub mod runtime;
+mod runtime;
+pub mod sched;
 pub mod stripes;
 
 /// Declares a named fault-injection site (see [`chaos`]).
@@ -102,11 +107,6 @@ macro_rules! fail_point {
         }
     }};
 }
-
-/// Whether counted accesses run on the `cso-sched` model runtime (see
-/// [`runtime`]): the `model` cargo feature of this crate, the one
-/// switch for that mode.
-pub const MODEL: bool = cfg!(feature = "model");
 
 pub use backoff::Deadline;
 pub use bits::Bits32;

@@ -17,10 +17,10 @@
 //! A 16-bit tag wraps after 65 536 same-slot operations. An ABA
 //! violation requires a thread to stall across *exactly* a multiple of
 //! 2¹⁶ operations on one slot and then have its stale CAS win — the
-//! classical bounded-tag caveat. The model checker (`cso-sched`, the
-//! `model` feature) explores these packed words as shipped, so what it
-//! validates is the logic *at* this tag width; the wrap arithmetic has
-//! its own stress tests (`tests/wraparound.rs`).
+//! classical bounded-tag caveat. The model checker ([`crate::sched`])
+//! explores these packed words as shipped, so what it validates is the
+//! logic *at* this tag width; the wrap arithmetic has its own stress
+//! tests (`tests/wraparound.rs`).
 //!
 //! # Layout
 //!

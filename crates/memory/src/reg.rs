@@ -29,24 +29,8 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-use crate::counting::{record, AccessKind};
-use crate::runtime::{Active, Runtime};
-
-/// One counted access: first a runtime scheduling hook (a yield point
-/// under the `model` feature, nothing under the default [`Active`] =
-/// `StdRuntime`), then the thread-local accounting.
-#[inline(always)]
-fn access(kind: AccessKind) {
-    Active::before_access(kind);
-    record(kind);
-}
-
-/// One uncounted peek: scheduled by the model runtime (racy peek-based
-/// code must still be visible to the explorer), free otherwise.
-#[inline(always)]
-fn peek_point() {
-    Active::before_peek();
-}
+use crate::counting::AccessKind;
+use crate::runtime::{self, access};
 
 /// A counted 64-bit atomic register.
 ///
@@ -106,7 +90,7 @@ impl Reg64 {
     #[inline]
     #[must_use]
     pub fn peek(&self) -> u64 {
-        peek_point();
+        runtime::peek();
         self.cell.load(Ordering::Relaxed)
     }
 
@@ -115,14 +99,25 @@ impl Reg64 {
     /// **without issuing the CAS** (zero counted accesses); otherwise
     /// performs the ordinary counted [`Reg64::cas`]. On uncontended
     /// paths the validation passes and the cost is exactly one counted
-    /// CAS, so solo step budgets are unchanged.
+    /// CAS, so solo step budgets are unchanged. One read of the hooks
+    /// word serves the peek and the CAS; with a hook on, the whole
+    /// operation is the cold `cas_validated_hooked`.
     #[inline]
     pub fn cas_validated(&self, old: u64, new: u64) -> bool {
-        peek_point();
-        if self.cell.load(Ordering::Relaxed) != old {
-            return false;
+        if runtime::hooked() {
+            return self.cas_validated_hooked(old, new);
         }
-        self.cas(old, new)
+        self.cell.load(Ordering::Relaxed) == old
+            && self
+                .cell
+                .compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn cas_validated_hooked(&self, old: u64, new: u64) -> bool {
+        self.peek() == old && self.cas(old, new)
     }
 }
 
@@ -185,7 +180,7 @@ impl RegBool {
     #[inline]
     #[must_use]
     pub fn peek(&self) -> bool {
-        peek_point();
+        runtime::peek();
         self.cell.load(Ordering::Relaxed)
     }
 
@@ -194,15 +189,29 @@ impl RegBool {
     /// no cache-line invalidation) and returns `false`; otherwise
     /// performs the ordinary counted [`RegBool::write`] and returns
     /// `true`. On paths where the write is a real toggle the store
-    /// always happens, so solo step budgets are unchanged.
+    /// always happens, so solo step budgets are unchanged. One read of
+    /// the hooks word serves the peek and the store, as in
+    /// [`Reg64::cas_validated`].
     #[inline]
     pub fn write_lazy(&self, value: bool) -> bool {
-        peek_point();
-        if self.cell.load(Ordering::Relaxed) == value {
-            return false;
+        if runtime::hooked() {
+            return self.write_lazy_hooked(value);
         }
-        self.write(value);
-        true
+        let differs = self.cell.load(Ordering::Relaxed) != value;
+        if differs {
+            self.cell.store(value, Ordering::SeqCst);
+        }
+        differs
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn write_lazy_hooked(&self, value: bool) -> bool {
+        let differs = self.peek() != value;
+        if differs {
+            self.write(value);
+        }
+        differs
     }
 }
 

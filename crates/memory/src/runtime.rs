@@ -1,179 +1,119 @@
-//! The runtime seam: which world do register accesses execute in?
+//! The runtime seam: one thread-local word says what a register access
+//! does besides its atomic.
 //!
-//! Every counted access in [`crate::reg`] — and every spin-wait in
-//! [`crate::backoff`], every probabilistic chaos draw in
-//! [`crate::chaos`] — funnels through the [`Runtime`] trait before
-//! touching the underlying `std::sync::atomic`. Two implementations
-//! exist:
-//!
-//! * [`StdRuntime`] — the default. Every hook is an empty inline
-//!   function, so the compiled code is byte-identical to calling the
-//!   atomics directly: zero cost, counted-access totals bit-for-bit
-//!   unchanged (the `step_budget` regression tests pin this).
-//! * [`ModelRuntime`] — selected by the `model` cargo feature. Every
-//!   hook delegates to `cso-sched`'s controlled scheduler: a counted
-//!   access becomes a *yield point* where the scheduler decides which
-//!   thread performs the next shared-memory step, so exhaustive (or
-//!   seeded-random, or replayed) interleavings of the *production*
-//!   structures can be explored deterministically.
-//!
-//! The selection is a compile-time `cfg`, not dynamic dispatch: the
-//! [`Active`] alias names whichever runtime the build uses, and the
-//! hot paths in `reg` call `Active::before_access(..)` directly. With
-//! the feature off there is no branch, no atomic, no function call —
-//! nothing.
-//!
-//! Model hooks are no-ops on threads that are not inside a
-//! `cso_sched::Explorer::explore` session, so a `model`-feature build
-//! still runs ordinary (non-model) tests correctly — just slower.
+//! Every counted access and peek of [`crate::reg`] (and every protocol
+//! word of [`crate::exchange`] and [`crate::combining`]), every wait of
+//! [`crate::backoff`], every entropy seed and every probabilistic draw
+//! of [`crate::chaos`] first reads the calling thread's *hooks word*:
+//! the number of [`crate::CountScope`]s open on the thread in the low
+//! bits — a counted access then records itself — and the *session* bit
+//! on top, set while the thread is a model thread of a
+//! [`crate::sched::Explorer`] session. On a model thread an access or a
+//! peek is a yield point of the controlled scheduler, a spin-wait parks
+//! there, a pacing delay is skipped, and seeds and chaos draws come
+//! from the schedule. A thread with neither — every thread of a
+//! production run — pays one thread-local load and a branch not taken.
+//! The model checker is picked per thread at run time, not per build.
 
-use crate::counting::AccessKind;
+use std::cell::Cell;
 
-/// The seam between the registers and the world they execute in.
-///
-/// Implementations must be zero-sized; the trait exists to give the
-/// two worlds one signature, not to be stored or dispatched
-/// dynamically.
-pub trait Runtime {
-    /// Called before every *counted* register access ([`AccessKind`]
-    /// says which). Under the model runtime this is the yield point.
-    fn before_access(kind: AccessKind);
+use crate::counting::{self, AccessKind};
+use crate::sched;
 
-    /// Called before every *uncounted* peek (`peek`, `write_lazy`).
-    /// Uncounted accesses are free in the paper's cost model but still
-    /// touch shared memory, so the model runtime schedules them too —
-    /// otherwise racy peek-based code would be invisible to the
-    /// explorer.
-    fn before_peek();
-
-    /// Called by a pacing delay that awaits nothing
-    /// ([`crate::backoff::retry_pause`]) before it sleeps. Under the
-    /// model runtime "others may run now" is a plain schedule point,
-    /// the same one as [`Runtime::before_peek`], not a spin hint.
-    /// Returns `true` if the runtime absorbed the delay (the caller
-    /// should skip its sleep): a model session's schedules do not
-    /// depend on time.
-    fn before_pause() -> bool;
-
-    /// Called by spin loops ([`crate::backoff::Spinner`] and friends)
-    /// once per wait iteration. Returns `true` if the runtime absorbed
-    /// the wait (the caller should skip its real pause/yield/sleep);
-    /// the model runtime marks the thread *yielded* so the scheduler
-    /// runs someone else.
-    fn spin_hint() -> bool;
-
-    /// Resolves a probabilistic `one_in` chaos draw. `None` means the
-    /// runtime has no opinion (std runtime, or a thread outside a
-    /// model session) and the caller should use its own RNG; `Some`
-    /// is a schedule-deterministic decision recorded in the replay
-    /// trace.
-    fn chaos_one_in(one_in: u64) -> Option<bool>;
-
-    /// Replaces OS entropy for seeding thread-local RNGs
-    /// ([`crate::backoff::XorShift64::from_entropy`]). `None` means
-    /// use real entropy; `Some` is a deterministic seed derived from
-    /// the model execution's seed and thread id, so replays reseed
-    /// identically.
-    fn entropy_seed() -> Option<u64>;
-
-    /// A short name for assertions ("std" / "model").
-    fn name() -> &'static str;
+thread_local! {
+    static HOOKS: Cell<u32> = const { Cell::new(0) };
 }
 
-/// The production runtime: straight to `std::sync::atomic`, all hooks
-/// compiled away.
-pub struct StdRuntime;
+/// The session bit of the hooks word; the bits below count scopes.
+const SESSION: u32 = 1 << 31;
 
-impl Runtime for StdRuntime {
-    #[inline(always)]
-    fn before_access(_kind: AccessKind) {}
+/// Whether any hook is on for the calling thread.
+#[inline(always)]
+pub(crate) fn hooked() -> bool {
+    HOOKS.with(Cell::get) != 0
+}
 
-    #[inline(always)]
-    fn before_peek() {}
+/// Whether the calling thread is a model thread of a session.
+#[inline(always)]
+pub(crate) fn in_session() -> bool {
+    HOOKS.with(Cell::get) & SESSION != 0
+}
 
-    #[inline(always)]
-    fn before_pause() -> bool {
-        false
-    }
+/// Whether a [`crate::CountScope`] is open on the calling thread.
+#[inline(always)]
+pub(crate) fn counting() -> bool {
+    HOOKS.with(Cell::get) & !SESSION != 0
+}
 
-    #[inline(always)]
-    fn spin_hint() -> bool {
-        false
-    }
+/// Counts a scope opened (`true`) or closed on the calling thread.
+pub(crate) fn count_scope(open: bool) {
+    HOOKS.with(|w| w.set(if open { w.get() + 1 } else { w.get() - 1 }));
+}
 
-    #[inline(always)]
-    fn chaos_one_in(_one_in: u64) -> Option<bool> {
-        None
-    }
+/// Sets or clears the session bit (a model thread registered or
+/// released).
+pub(crate) fn set_session(on: bool) {
+    HOOKS.with(|w| w.set(w.get() & !SESSION | if on { SESSION } else { 0 }));
+}
 
-    #[inline(always)]
-    fn entropy_seed() -> Option<u64> {
-        None
-    }
-
-    fn name() -> &'static str {
-        "std"
+/// One counted access of `kind`.
+#[inline(always)]
+pub(crate) fn access(kind: AccessKind) {
+    if hooked() {
+        hooked_access(kind);
     }
 }
 
-/// The model-checking runtime: every hook is a `cso-sched` scheduling
-/// decision. Only compiled under the `model` feature.
-#[cfg(feature = "model")]
-pub struct ModelRuntime;
-
-#[cfg(feature = "model")]
-impl Runtime for ModelRuntime {
-    #[inline]
-    fn before_access(_kind: AccessKind) {
-        cso_sched::yield_access();
+/// A counted access with a hook on: the yield point, then the count.
+#[cold]
+#[inline(never)]
+fn hooked_access(kind: AccessKind) {
+    if in_session() {
+        sched::yield_access();
     }
+    counting::record(kind);
+}
 
-    #[inline]
-    fn before_peek() {
-        cso_sched::yield_access();
-    }
-
-    #[inline]
-    fn before_pause() -> bool {
-        cso_sched::yield_access();
-        cso_sched::active()
-    }
-
-    #[inline]
-    fn spin_hint() -> bool {
-        cso_sched::yield_spin()
-    }
-
-    #[inline]
-    fn chaos_one_in(one_in: u64) -> Option<bool> {
-        cso_sched::chaos_draw(one_in)
-    }
-
-    #[inline]
-    fn entropy_seed() -> Option<u64> {
-        cso_sched::entropy_seed()
-    }
-
-    fn name() -> &'static str {
-        "model"
+/// One uncounted peek: a yield point on a model thread (racy peek-based
+/// code must still be visible to the explorer), free otherwise.
+#[inline(always)]
+pub(crate) fn peek() {
+    if in_session() {
+        sched::yield_access();
     }
 }
 
-/// The runtime this build uses: [`ModelRuntime`] when the `model`
-/// feature is on, [`StdRuntime`] otherwise.
-#[cfg(feature = "model")]
-pub type Active = ModelRuntime;
+/// Once per spin-wait iteration. `true`: a session absorbed the wait
+/// (the thread is marked *yielded*) and the caller skips its real
+/// pause, yield or sleep.
+#[inline]
+pub(crate) fn spin_hint() -> bool {
+    in_session() && sched::yield_spin()
+}
 
-/// The runtime this build uses: [`ModelRuntime`] when the `model`
-/// feature is on, [`StdRuntime`] otherwise.
-#[cfg(not(feature = "model"))]
-pub type Active = StdRuntime;
+/// Before a pacing delay that awaits nothing
+/// ([`crate::backoff::retry_pause`]) sleeps. On a model thread it is a
+/// plain yield point and returns `true`: the caller skips its sleep,
+/// since a session's schedules do not depend on time.
+#[inline]
+pub(crate) fn before_pause() -> bool {
+    in_session() && {
+        sched::yield_access();
+        true
+    }
+}
 
-/// The active runtime's name — lets tests assert which world they run
-/// in (the `step_budget` suite pins `"std"` for default builds).
-#[must_use]
-pub fn active_name() -> &'static str {
-    Active::name()
+/// A `one_in` chaos draw: a recorded schedule decision on a model
+/// thread, `None` (the caller draws from its own generator) elsewhere.
+pub(crate) fn chaos_one_in(one_in: u64) -> Option<bool> {
+    in_session().then(|| sched::chaos_draw(one_in)).flatten()
+}
+
+/// A seed for a thread-local generator: derived from the execution's
+/// seed and the model thread on a model thread (replays reseed
+/// identically), `None` (use real entropy) elsewhere.
+pub(crate) fn entropy_seed() -> Option<u64> {
+    in_session().then(sched::entropy_seed).flatten()
 }
 
 #[cfg(test)]
@@ -181,29 +121,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn std_runtime_hooks_are_inert() {
-        StdRuntime::before_access(AccessKind::Read);
-        StdRuntime::before_peek();
-        assert!(!StdRuntime::before_pause());
-        assert!(!StdRuntime::spin_hint());
-        assert_eq!(StdRuntime::chaos_one_in(7), None);
-        assert_eq!(StdRuntime::entropy_seed(), None);
-        assert_eq!(StdRuntime::name(), "std");
+    fn a_thread_outside_every_scope_and_session_is_unhooked() {
+        std::thread::spawn(|| {
+            assert!(!hooked());
+            peek();
+            assert!(!before_pause());
+            assert!(!spin_hint());
+            assert_eq!(chaos_one_in(7), None);
+            assert_eq!(entropy_seed(), None);
+        })
+        .join()
+        .unwrap();
     }
 
-    #[cfg(not(feature = "model"))]
     #[test]
-    fn default_build_selects_std() {
-        assert_eq!(active_name(), "std");
-    }
-
-    #[cfg(feature = "model")]
-    #[test]
-    fn model_build_selects_model() {
-        assert_eq!(active_name(), "model");
-        // Outside a session the model hooks fall back to inert.
-        assert!(!ModelRuntime::before_pause());
-        assert!(!ModelRuntime::spin_hint());
-        assert_eq!(ModelRuntime::chaos_one_in(7), None);
+    fn scopes_and_the_session_bit_share_the_word_without_clobbering() {
+        std::thread::spawn(|| {
+            count_scope(true);
+            set_session(true);
+            count_scope(true);
+            assert!(in_session() && counting());
+            count_scope(false);
+            count_scope(false);
+            assert!(in_session() && !counting());
+            count_scope(true);
+            set_session(false);
+            assert!(!in_session() && counting());
+            count_scope(false);
+            assert!(!hooked());
+        })
+        .join()
+        .unwrap();
     }
 }

@@ -3,7 +3,7 @@
 //! trace.
 //!
 //! ```no_run
-//! use cso_sched::{Explorer, spawn};
+//! use cso_memory::sched::{Explorer, spawn};
 //! use std::sync::Arc;
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //!
@@ -21,14 +21,14 @@
 //! ```
 //!
 //! (The example uses raw atomics for brevity; real model tests go
-//! through `cso_memory::reg` registers, whose accesses are the yield
+//! through [`crate::reg`] registers, whose accesses are the yield
 //! points.)
 
 use std::fmt;
 
-use crate::path::{self, Decision, Path};
-use crate::rng::{self, SplitMix64};
-use crate::session::{self, Chooser, Limits, Stop};
+use super::path::{self, Decision, Path};
+use super::rng::{self, SplitMix64};
+use super::session::{self, Chooser, Limits, Stop};
 
 /// How the explorer walks the schedule space.
 #[derive(Debug, Clone)]
@@ -41,10 +41,18 @@ pub enum Mode {
     /// scheduling. Incomplete but scales to any thread count; every
     /// execution's seed is derived from `base_seed` and printed on
     /// failure.
-    Random { base_seed: u64, schedules: usize },
+    Random {
+        /// The seed every execution's seed is derived from.
+        base_seed: u64,
+        /// How many executions to run.
+        schedules: usize,
+    },
     /// A single execution forced through a previously printed failure
     /// trace (see [`Violation::trace`]).
-    Replay { trace: String },
+    Replay {
+        /// The dot-separated decision trace to force.
+        trace: String,
+    },
     /// A single execution under the fair scheduler: strict rotation,
     /// every runnable thread takes one step per round. Deterministic
     /// (rerun it to reproduce a failure); the mode for bounded
@@ -148,7 +156,7 @@ impl Explorer {
     ///
     /// The body runs once per schedule, each time from the top with
     /// fresh state (construct everything under test *inside* the
-    /// closure); model threads are started with [`crate::spawn`].
+    /// closure); model threads are started with [`super::spawn`].
     /// Returns after the first violation or when the schedule budget
     /// is exhausted.
     ///
@@ -163,7 +171,7 @@ impl Explorer {
     {
         assert!(
             !session::active(),
-            "cso-sched: Explorer::explore inside a model session (sessions do not nest)"
+            "sched: Explorer::explore inside a model session (sessions do not nest)"
         );
         let limits = Limits {
             max_steps: self.max_steps,
@@ -214,7 +222,7 @@ impl Explorer {
             }
             Mode::Replay { trace } => {
                 let decisions: Vec<Decision> = path::parse_trace(trace)
-                    .unwrap_or_else(|e| panic!("cso-sched: bad replay trace: {e}"));
+                    .unwrap_or_else(|e| panic!("sched: bad replay trace: {e}"));
                 report.run(
                     limits,
                     Chooser::Replay { decisions, pos: 0 },

@@ -1,15 +1,18 @@
-//! # cso-sched — deterministic-interleaving runtime
+//! The deterministic-interleaving runtime: the workspace's one model
+//! checker.
 //!
 //! A loom-style controlled scheduler that drives *real* threads
 //! running *production* code through exhaustively enumerated (or
-//! seeded-random, replayed, or fair round-robin) interleavings. It is
-//! the workspace's one model checker: the paper's proofs (§4.3, §4.4,
-//! §5) are checked by `tests/model_*.rs` bodies over the shipped
-//! types, not over transcriptions of them. It is the engine behind
-//! the `model` feature of `cso-memory`: when that feature is on, every
-//! counted register access in `cso_memory::reg` calls [`yield_access`]
-//! and every spin-wait calls [`yield_spin`], turning each shared-memory
-//! step into a scheduling decision this crate controls.
+//! seeded-random, replayed, or fair round-robin) interleavings. The
+//! paper's proofs (§4.3, §4.4, §5) are checked by `tests/model_*.rs`
+//! bodies over the shipped types, not over transcriptions of them.
+//! It is picked per thread at run time: registering a model thread
+//! sets the session bit of that thread's hooks word (`runtime.rs`), and
+//! from then on every counted register access and peek of
+//! [`crate::reg`] calls [`yield_access`] and every spin-wait calls
+//! [`yield_spin`], turning each shared-memory step into a scheduling
+//! decision this module controls. Every other thread, in the same
+//! process and the same build, runs free.
 //!
 //! ## How it works
 //!
@@ -62,9 +65,9 @@
 //! ## Determinism contract
 //!
 //! Bodies must be schedule-deterministic: no wall-clock branching, no
-//! OS randomness. Under the `model` feature `cso-memory` routes its
-//! entropy (`XorShift64::from_entropy`) and chaos fail-point draws
-//! through [`entropy_seed`] / [`chaos_draw`], so the production
+//! OS randomness. On a model thread the crate routes its entropy
+//! ([`crate::backoff::XorShift64::from_entropy`]) and chaos fail-point
+//! draws through [`entropy_seed`] / [`chaos_draw`], so the production
 //! structures satisfy the contract unchanged. A diverging replay
 //! panics with a "not schedule-deterministic" message rather than
 //! exploring garbage.

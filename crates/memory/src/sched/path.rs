@@ -4,7 +4,7 @@
 //! of **decisions**: at every scheduling point with more than one
 //! runnable candidate, one thread is chosen; at every armed chaos fail
 //! point with a probabilistic plan, a fire/skip draw is taken; and at
-//! every [`crate::spawn_crashing`], the number of yield points the
+//! every [`super::spawn_crashing`], the number of yield points the
 //! new thread passes before it is frozen for good. A
 //! [`Path`] records those decisions as [`Branch`]es (in the style of
 //! loom's `rt::path` — see SNIPPETS.md Snippet 3): re-running the body
@@ -18,7 +18,7 @@
 //! they are deterministic consequences of the branch decisions, so
 //! omitting them keeps paths — and printed replay traces — short.
 
-use crate::rng;
+use super::rng;
 
 /// One replayable decision, as printed in a failure trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

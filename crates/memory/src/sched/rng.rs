@@ -1,9 +1,8 @@
 //! A tiny deterministic PRNG (SplitMix64).
 //!
-//! The scheduler cannot depend on `cso-memory`'s `XorShift64` (the
-//! dependency points the other way: `cso-memory`'s registers call into
-//! this crate under the `model` feature), so it carries its own
-//! generator. SplitMix64 is chosen for its one-line state transition
+//! The scheduler keeps its own generator rather than
+//! [`crate::backoff::XorShift64`], whose seeding it overrides inside a
+//! session. SplitMix64 is chosen for its one-line state transition
 //! and its ability to turn *any* seed — including 0 — into a
 //! well-mixed stream, which matters because seeds here are built by
 //! XOR-ing schedule indices into user-provided base seeds.

@@ -2,8 +2,7 @@
 //!
 //! A session serializes a set of *model threads* (real OS threads) so
 //! that exactly one runs at any moment. Every shared-memory access of
-//! the counted registers (`cso_memory::reg` under the `model` feature)
-//! is a **yield point**: the running thread pauses, the scheduler
+//! the counted registers ([`crate::reg`]) is a **yield point**: the running thread pauses, the scheduler
 //! picks who performs the next access (consulting the DFS [`Path`],
 //! the seeded RNG, or a replayed trace), and the chosen thread runs
 //! until *its* next yield point. Interleavings of counted accesses are
@@ -49,8 +48,9 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 
-use crate::path::{Decision, Path};
-use crate::rng::{self, SplitMix64};
+use super::path::{Decision, Path};
+use super::rng::{self, SplitMix64};
+use crate::runtime;
 
 /// `State::active` value meaning "nobody holds the grant" (all model
 /// threads finished).
@@ -193,7 +193,12 @@ pub(crate) fn current() -> Option<(Arc<Session>, usize)> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
+/// Registers (or clears) the calling thread as a model thread, and
+/// sets (or clears) the session bit of its hooks word to
+/// match: the bit is what turns its register accesses into yield
+/// points.
 fn set_current(v: Option<(Arc<Session>, usize)>) {
+    runtime::set_session(v.is_some());
     CURRENT.with(|c| *c.borrow_mut() = v);
 }
 
@@ -472,7 +477,7 @@ impl Session {
     }
 
     /// Schedule-deterministic fire/skip draw for a `one_in` chaos
-    /// plan (the `model` replacement for the fail-point registry's
+    /// plan (on a model thread, the replacement for the fail-point registry's
     /// wall-clock-ordered RNG).
     pub(crate) fn chaos_draw(&self, one_in: u64) -> bool {
         let mut st = self.lock();
@@ -627,7 +632,7 @@ impl<T> JoinHandle<T> {
 /// # Panics
 ///
 /// Panics if the calling thread is not inside a model session (use
-/// [`crate::Explorer::explore`] to start one).
+/// [`super::Explorer::explore`] to start one).
 pub fn spawn<T, F>(f: F) -> JoinHandle<T>
 where
     F: FnOnce() -> T + Send + 'static,
@@ -642,7 +647,7 @@ where
 /// schedule. An exhaustive exploration freezes the thread at every
 /// prefix in turn, a random sweep draws one per execution, and a
 /// failure trace records it (`k<n>`) so the crash replays; a fair run
-/// ([`crate::Explorer::round_robin`]) makes no decisions and freezes it
+/// ([`super::Explorer::round_robin`]) makes no decisions and freezes it
 /// after exactly `max_prefix`. A thread that returns before its `k`-th
 /// yield point simply finishes; tell the two apart with
 /// [`JoinHandle::try_join`].
@@ -663,7 +668,7 @@ where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
 {
-    let (sess, _parent) = current().expect("cso-sched: spawn outside a model session");
+    let (sess, _parent) = current().expect("sched: spawn outside a model session");
     let tid = sess.register(max_prefix);
     let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
     let os = {
@@ -709,9 +714,10 @@ where
     }
 }
 
-/// Yield point hook: called before every counted register access (and
-/// uncounted peek) by `cso_memory::reg` under the `model` feature.
-/// No-op when the calling thread is not in a session.
+/// Yield point hook: what every counted register access (and uncounted
+/// peek) of [`crate::reg`] calls on a model thread. No-op when the
+/// calling thread is not in a session.
+#[cold]
 pub fn yield_access() {
     if let Some((sess, me)) = current() {
         sess.yield_point(me, false);
@@ -749,5 +755,5 @@ pub fn entropy_seed() -> Option<u64> {
 /// Whether the calling thread runs under a model session.
 #[must_use]
 pub fn active() -> bool {
-    current().is_some()
+    runtime::in_session()
 }

@@ -266,9 +266,13 @@ impl PeriodicDump {
         let handle = std::thread::Builder::new()
             .name("cso-metrics-dump".to_owned())
             .spawn(move || loop {
+                // Read the flag before the snapshot: a stop that lands
+                // while a write is under way gets one more write, of a
+                // snapshot taken after it.
+                let last = stop_flag.load(Ordering::Acquire);
                 let json = render_json(&registry.snapshot()).render_pretty();
                 let _ = std::fs::write(&tmp, json).and_then(|()| std::fs::rename(&tmp, &path));
-                if stop_flag.load(Ordering::Acquire) {
+                if last {
                     break;
                 }
                 std::thread::park_timeout(interval);
@@ -516,6 +520,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         assert!(reads > 0, "the dump never appeared");
         assert_eq!(torn, 0, "{torn} of {reads} reads saw a torn document");
+    }
+
+    /// A stop that lands while a write is under way is followed by one
+    /// more write, so the file ends on a snapshot taken after the stop.
+    #[test]
+    fn a_stop_during_a_write_still_ends_on_a_later_snapshot() {
+        use std::sync::atomic::{AtomicBool, AtomicU64};
+        // Spin, not park: a park would eat the stop's unpark.
+        let wait = |flag: &AtomicBool| {
+            while !flag.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        };
+        let (entered, released) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let value = Arc::new(AtomicU64::new(1));
+        let registry = Registry::new();
+        let (read, inside, go, first) = (
+            Arc::clone(&value),
+            Arc::clone(&entered),
+            Arc::clone(&released),
+            AtomicBool::new(true),
+        );
+        registry.counter_fn("late_total", move || {
+            let seen = read.load(Ordering::SeqCst);
+            // The first snapshot holds until the stop has landed.
+            if first.swap(false, Ordering::SeqCst) {
+                inside.store(true, Ordering::SeqCst);
+                wait(&go);
+            }
+            seen
+        });
+        let dir = std::env::temp_dir().join(format!("cso-metrics-late-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("dump.json");
+        let dump = PeriodicDump::spawn(registry, path.clone(), Duration::from_secs(3600));
+        wait(&entered);
+        value.store(2, Ordering::SeqCst);
+        // The stop lands while the first write is under way.
+        dump.stop.store(true, Ordering::Release);
+        released.store(true, Ordering::SeqCst);
+        dump.stop();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let late = Json::parse(&text).unwrap();
+        let late = late.get("counters").and_then(|c| c.get("late_total"));
+        assert_eq!(late.and_then(Json::as_u64), Some(2));
     }
 
     #[test]

@@ -196,8 +196,6 @@ impl Registry {
     /// * `cso_build_version_major` / `_minor` / `_patch` — the crate
     ///   version, spread over three series because the registry is
     ///   label-free by design;
-    /// * `cso_feature_model` — `1` in a `model` build (the one build
-    ///   switch, `cso_memory::MODEL`), else `0`;
     /// * `cso_process_uptime_seconds` — seconds since this method ran
     ///   (call it once at startup so the gauge tracks process
     ///   lifetime).
@@ -214,9 +212,6 @@ impl Registry {
             let part = parts.next().unwrap_or(0) as f64;
             self.gauge_fn(name, move || part);
         }
-        self.gauge_fn("cso_feature_model", || {
-            f64::from(u8::from(cso_memory::MODEL))
-        });
         let start = Instant::now();
         self.gauge_fn("cso_process_uptime_seconds", move || {
             start.elapsed().as_secs_f64()
@@ -340,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn build_info_reports_identity_features_and_uptime() {
+    fn build_info_reports_identity_and_uptime() {
         let reg = Registry::new();
         reg.register_build_info();
         let snap = reg.snapshot();
@@ -359,12 +354,6 @@ mod tests {
             get("cso_build_version_patch")
         );
         assert_eq!(version, "0.1.0");
-        // `model` is the owner's switch, which no feature of this
-        // crate could ever have reported.
-        assert_eq!(
-            get("cso_feature_model"),
-            f64::from(u8::from(cso_memory::MODEL))
-        );
         assert!(get("cso_process_uptime_seconds") >= 0.0);
     }
 

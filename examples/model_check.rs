@@ -1,8 +1,8 @@
 //! Driving the model checker by hand.
 //!
-//! `cso-sched` runs the *shipped* types under a controlled scheduler:
-//! with the `model` feature every counted register access is a yield
-//! point, and the explorer decides which thread takes the next one.
+//! `cso::sched` runs the *shipped* types under a controlled scheduler:
+//! on a model thread every counted register access is a yield point,
+//! and the explorer decides which thread takes the next one.
 //! This example explores every bounded-preemption interleaving of
 //! three threads racing on the Figure 1 stack, sweeps random schedules
 //! of the Figure 3 stack, runs it once under the fair scheduler, and
@@ -13,7 +13,7 @@
 //! Wing–Gong check — is the test suites' own harness,
 //! `tests/model_support`, used here as they use it.
 //!
-//! Run with: `cargo run --release --features model --example model_check`
+//! Run with: `cargo run --release --example model_check`
 
 #[path = "../tests/model_support/mod.rs"]
 mod model_support;

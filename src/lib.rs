@@ -42,7 +42,7 @@
 //! | [`deque`] | the HLM obstruction-free deque (paper ref \[8\]) and its boosts — one object per rung of the hierarchy |
 //! | [`shard`] | N Figure-3 cells behind one router: `Sharded<T>`, aliased as `ShardedCsStack` and `ShardedCsQueue` |
 //! | [`lincheck`] | history recording + Wing–Gong linearizability checker, against the objects' own `Seq*` specifications |
-//! | `sched` (feature `model`) | the model checker: a controlled scheduler that drives these very types through exhaustive, seeded-random, fair and crash-prefixed schedules (`tests/model_*.rs`) |
+//! | [`sched`] | the model checker: a controlled scheduler that drives these very types through exhaustive, seeded-random, fair and crash-prefixed schedules (`tests/model_*.rs`) |
 //! | [`trace`] | what the objects record into: probe rings armed at run time, latency histograms, the live metrics registry every `attach_metrics` registers in, step auditor, Chrome trace export |
 //! | [`metrics`] | the registry (from [`trace`]) with its Prometheus/JSON exporters and scrape endpoint |
 //! | [`analyze`] | the one trace analyser: a bounded-memory fold into spans, the §4.4 bypass count, convoys, the helped-by graph and flamegraph stacks (the `cso-analyze` CLI runs it on a capture) |
@@ -62,15 +62,14 @@ pub use cso_deque as deque;
 pub use cso_lincheck as lincheck;
 pub use cso_locks as locks;
 pub use cso_memory as memory;
+/// The deterministic-interleaving runtime — the workspace's one model
+/// checker: drives the production structures through exhaustive,
+/// seeded-random, replayed, fair (round-robin) and crash-prefixed
+/// schedules, on the threads it registers. See `tests/model_*.rs` and
+/// the CONTRIBUTING.md model-test guide.
+pub use cso_memory::sched;
 pub use cso_observe::{analyze, metrics, profile, watch};
 pub use cso_queue as queue;
-/// The deterministic-interleaving runtime (only with the `model`
-/// feature) — the workspace's one model checker: drives the
-/// production structures through exhaustive, seeded-random, replayed,
-/// fair (round-robin) and crash-prefixed schedules. See
-/// `tests/model_*.rs` and the CONTRIBUTING.md model-test guide.
-#[cfg(feature = "model")]
-pub use cso_sched as sched;
 pub use cso_shard as shard;
 pub use cso_stack as stack;
 pub use cso_trace as trace;

@@ -36,13 +36,13 @@
 //! | ⊥ | [`cso_core::Aborted`] |
 //! | abortable-object notion (§1.2) | the [`cso_core::Abortable`] trait and its contract |
 //! | `done`/`full`, value/`empty` | [`cso_stack::PushOutcome`], [`cso_stack::PopOutcome`] |
-//! | linearization points (§3) | documented on [`cso_stack::AbortableStack`]; *checked* by [`cso_lincheck::checker::check_linearizable`] over live histories and, under the `model` feature, over **all** schedules of bounded instances of this very type (`tests/model_weak.rs`) |
+//! | linearization points (§3) | documented on [`cso_stack::AbortableStack`]; *checked* by [`cso_lincheck::checker::check_linearizable`] over live histories and, under the model checker, over **all** schedules of bounded instances of this very type (`tests/model_weak.rs`) |
 //! | Figure 2 (`repeat … until ≠ ⊥`) | [`cso_core::NonBlocking`] (generic) and [`cso_stack::NonBlockingStack`] |
 //! | progress conditions hierarchy (§1.2) | [`cso_core::progress::ProgressCondition`] |
 //!
-//! Figure 1 has no model-checker twin: under the `model` feature every
-//! counted access of `AbortableStack` itself is a scheduling decision
-//! of `cso-sched`, so the lines above are explored as shipped — packed
+//! Figure 1 has no model-checker twin: on a model thread every counted
+//! access of `AbortableStack` itself is a scheduling decision of
+//! [`crate::sched`], so the lines above are explored as shipped — packed
 //! words, 16-bit tags and all. The one hand-written copy left,
 //! `tests/model_mutation.rs`, exists to be *broken*: it moves the
 //! line-02 help after the C&S and must be caught.
@@ -74,7 +74,7 @@
 //! | the deadlock-free lock it assumes | any [`cso_locks::RawLock`]; default [`cso_locks::TasLock`] |
 //! | §4.4 starred lines as a standalone booster | [`cso_locks::StarvationFree`] |
 //! | Theorem 1 (non-⊥, linearizable, 6 accesses, lock-free solo) | asserted in `tests/theorem1.rs` and `tests/step_budget.rs`; model-checked on `CsStack`/`CsQueue`/`CsDeque` in `tests/model_explore.rs` |
-//! | Lemmas 2–3 (termination, eventual lock acquisition) | bounded mechanical form: `cso_sched::Explorer::round_robin` fair runs of `CsStack` (`tests/model_explore.rs`) and of the starvation-free locks (`tests/model_locks.rs`); hostile-workload stress in `cso-locks` |
+//! | Lemmas 2–3 (termination, eventual lock acquisition) | bounded mechanical form: `cso::sched::Explorer::round_robin` fair runs of `CsStack` (`tests/model_explore.rs`) and of the starvation-free locks (`tests/model_locks.rs`); hostile-workload stress in `cso-locks` |
 //! | the remark that a starvation-free lock makes FLAG/TURN unnecessary | [`cso_core::CsConfig::UNFAIR`] uses the bare lock; pair [`cso_stack::CsStack::with_lock`] with [`cso_locks::TicketLock`] for the remark's configuration |
 //!
 //! ## §5 — Concluding remarks
@@ -122,6 +122,6 @@
 //!   anywhere *except while holding the lock*. Both halves — the
 //!   tolerance and the caveat — are demonstrated mechanically in
 //!   `tests/model_crash.rs` by freezing a process at every prefix of
-//!   its operation (`cso_sched::spawn_crashing`).
+//!   its operation (`cso::sched::spawn_crashing`).
 
 // This module intentionally declares no items.

@@ -1,16 +1,15 @@
 //! Chaos fail points under the model runtime: fires are schedule
 //! decisions, not wall-clock RNG draws.
 //!
-//! With the default runtime, a probabilistic fail-point plan
-//! (`one_in > 1`) draws from the site's RNG in whatever order threads
-//! happen to hit it — two runs of the same test can fire on different
-//! operations. Under the model runtime the draw is recorded in the
-//! execution's decision trace: same schedule, same fires, replayable
-//! from the printed trace. These tests pin that contract.
+//! Off a model thread, a probabilistic fail-point plan (`one_in > 1`)
+//! draws from the site's RNG in whatever order threads happen to hit
+//! it — two runs of the same test can fire on different operations.
+//! On a model thread the draw is recorded in the execution's decision
+//! trace: same schedule, same fires, replayable from the printed
+//! trace. These tests pin that contract.
 //!
-//! Requires `--features model,chaos`. The chaos registry is process-
-//! global, so this file serializes its tests behind
-//! `model_support::serial`.
+//! The chaos registry is process-global, so this file serializes its
+//! tests behind `model_support::serial`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

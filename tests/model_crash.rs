@@ -3,11 +3,11 @@
 //! crashes while holding the lock**."
 //!
 //! ```text
-//! cargo test --features model,chaos --test model_crash -- --nocapture
+//! cargo test --test model_crash -- --nocapture
 //! ```
 //!
 //! A crash in the asynchronous model is a process the scheduler never
-//! picks again. `cso_sched::spawn_crashing(max, f)` is that: the victim
+//! picks again. `cso::sched::spawn_crashing(max, f)` is that: the victim
 //! is frozen for good after `k` yield points, holding whatever it
 //! held, and the exhaustive explorer runs the body once for every
 //! prefix `k` in `0..=max` (prefixes past the operation's length let

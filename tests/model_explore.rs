@@ -4,7 +4,7 @@
 //! escalation ladder and the combining slow path.
 //!
 //! ```text
-//! cargo test --features model,chaos --test model_explore -- --nocapture
+//! cargo test --test model_explore -- --nocapture
 //! ```
 //!
 //! Each body runs once per explored schedule, from the top, with fresh
@@ -24,7 +24,7 @@
 //! and `Report`. A failure is deterministic: the panic message carries
 //! a replay trace (CONTRIBUTING.md, "Writing a model test").
 //!
-//! The `chaos` feature rides along: an armed fail point is the only
+//! Chaos fail points ride along: an armed fail point is the only
 //! deterministic way to veto the fast path of a real object, which the
 //! ladder body and the quiescence check use. The fail-point registry
 //! is process-global, so every test in this file serializes behind one
@@ -39,7 +39,6 @@ use cso::core::{CsConfig, FAST_ATTEMPTS, FAST_RETRIES};
 use cso::deque::{CsDeque, DequeOp, DequePushOutcome, DequeResponse, End, SeqDeque};
 use cso::locks::TasLock;
 use cso::memory::chaos::{self, Fault, Plan};
-use cso::memory::runtime;
 use cso::queue::{CsQueue, DequeueOutcome, EnqueueOutcome, QueueOp, QueueResponse, SeqQueue};
 use cso::sched::{spawn, Explorer};
 use cso::stack::{CsStack, PopOutcome, SeqStack, StackOp, StackResponse};
@@ -213,11 +212,6 @@ fn deque_body(capacity: usize, scripts: &[Vec<DequeOp<u32>>]) -> Vec<Note<DequeR
         assert_eq!(deque.push(proc, Left, 0), DequePushOutcome::Full);
     });
     notes
-}
-
-#[test]
-fn model_runtime_is_active() {
-    assert_eq!(runtime::active_name(), "model");
 }
 
 /// Theorem 1 through the model runtime: with no second thread every

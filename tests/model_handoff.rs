@@ -4,11 +4,11 @@
 //! `cso_memory::combining::PubRecord`.
 //!
 //! ```text
-//! cargo test --features model,chaos --test model_handoff -- --nocapture
+//! cargo test --test model_handoff -- --nocapture
 //! ```
 //!
 //! Neither protocol keeps its words in counted registers; their
-//! accessors call the runtime's peek hook first, so under `model`
+//! accessors call the runtime's peek hook first, so on a model thread
 //! every access to a slot's state word or stamps, and to a record's
 //! status or helper word, is a scheduling decision.
 //!

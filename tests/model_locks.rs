@@ -3,7 +3,7 @@
 //! starvation-free ones under the fair scheduler.
 //!
 //! ```text
-//! cargo test --features model --test model_locks -- --nocapture
+//! cargo test --test model_locks -- --nocapture
 //! ```
 //!
 //! Every lock of `cso-locks` keeps its words in counted registers, so

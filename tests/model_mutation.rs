@@ -19,8 +19,6 @@
 //! attempts without reading it again. The control there is the
 //! *shipped* `ContentionSensitive`; the oracle is Lemma 2's premise,
 //! checked in every schedule.
-//!
-//! Requires `--features model`.
 
 use std::cell::Cell;
 use std::collections::BTreeSet;

@@ -2,14 +2,15 @@
 //! router.
 //!
 //! ```text
-//! cargo test --features model,chaos --test model_shard
+//! cargo test --test model_shard
 //! ```
 //!
 //! Each body runs once per explored schedule, from the top, with fresh
 //! state (CONTRIBUTING.md, "Writing a model test"). Every counted
 //! access of a *lane* operation is a scheduling decision, and so is
 //! every hint the router reads: it steers by uncounted peeks of the
-//! lanes' own registers, and a peek is a schedule point under `model`.
+//! lanes' own registers, and a peek is a schedule point on a model
+//! thread.
 //! So the explorer interleaves other threads between a peek and the
 //! probe it chose — a stale "nonempty", a stale "full" — as well as
 //! through stealing, spilling, and split/merge. `ShardConfig::strict`
@@ -36,7 +37,6 @@ use std::sync::Arc;
 use cso::lincheck::checker::check_linearizable;
 use cso::lincheck::recorder::Recorder;
 use cso::lincheck::specs::relaxed::KStackSpec;
-use cso::memory::runtime;
 use cso::queue::{QueueOp, QueueResponse, SeqQueue};
 use cso::sched::{Explorer, Report};
 use cso::shard::{ShardConfig, ShardedCsQueue, ShardedCsStack};
@@ -115,11 +115,6 @@ fn relaxed_body(stack: &Arc<ShardedCsStack<u32>>, scripts: &[Vec<StackOp<u32>>],
         "history exceeded k={}:\n{history}",
         spec.k()
     );
-}
-
-#[test]
-fn model_runtime_is_active() {
-    assert_eq!(runtime::active_name(), "model");
 }
 
 /// The router adds **zero** counted accesses: solo sharded operations

@@ -3,7 +3,7 @@
 //! queue and the abortable HLM deque.
 //!
 //! ```text
-//! cargo test --features model,chaos --test model_weak -- --nocapture
+//! cargo test --test model_weak -- --nocapture
 //! ```
 //!
 //! What each execution is held to (the oracles live in

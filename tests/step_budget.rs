@@ -15,6 +15,8 @@
 //!   to veto the fast path of a real stack).
 //! * One build, two modes: quiet or armed, a strong operation counts
 //!   the same six (seven on the queue), and only an armed one records.
+//! * One word per thread: a count scope counts the same six on a model
+//!   thread as beside one.
 //!
 //! A budget violation panics inside [`StepAuditor::audit`], failing
 //! the build — Theorem 1 is a regression test now.
@@ -42,13 +44,68 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     M.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The access-counting substrate this whole file leans on must be the
-/// zero-cost passthrough in a default build — the `model` runtime is
-/// opt-in and would invalidate the bit-exact totals below.
+/// A thread's open scopes and its model-session bit share one word.
+/// A scope opened on a model thread still counts Theorem 1's six, each
+/// access a yield point (two model threads on their own stacks branch);
+/// and a thread outside the session, counting its own pushes while the
+/// session runs (every execution waits for one), also counts six each
+/// time, and a scope open across the session still counts after it:
+/// neither bit leaks across threads or clobbers the other.
 #[test]
-fn default_build_runs_the_std_runtime() {
-    let std = cso::memory::runtime::active_name() == "std";
-    assert_eq!(std, !cso::memory::MODEL);
+fn a_scope_counts_six_on_a_model_thread_and_beside_one() {
+    use cso::sched::{spawn, Explorer};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+    let _serial = serial();
+    let solo_push = || {
+        let stack: CsStack<u32> = CsStack::new(64, 1);
+        stack.push(0, 0);
+        let scope = CountScope::start();
+        assert_eq!(stack.push(0, 1), PushOutcome::Pushed);
+        scope.take().total()
+    };
+    let (stop, pushes) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicU64::new(0)),
+    );
+    let beside = {
+        let (stop, pushes) = (Arc::clone(&stop), Arc::clone(&pushes));
+        // Records instead of asserting, so the waits below cannot hang.
+        std::thread::spawn(move || {
+            let mut off = Vec::new();
+            while !stop.load(Ordering::SeqCst) {
+                let counted = solo_push();
+                if counted != STRONG_BUDGET || cso::sched::active() {
+                    off.push(counted);
+                }
+                pushes.fetch_add(1, Ordering::SeqCst);
+            }
+            off
+        })
+    };
+    let mut outer = CountScope::start();
+    let report = Explorer::exhaustive()
+        .with_preemption_bound(Some(2))
+        .explore(|| {
+            let other = spawn(solo_push);
+            assert!(cso::sched::active());
+            assert_eq!(solo_push(), STRONG_BUDGET, "on model thread 0");
+            assert_eq!(other.join(), STRONG_BUDGET, "on model thread 1");
+            let seen = pushes.load(Ordering::SeqCst);
+            while pushes.load(Ordering::SeqCst) == seen {
+                std::thread::yield_now();
+            }
+        });
+    stop.store(true, Ordering::SeqCst);
+    let off = beside.join().unwrap();
+    report.assert_ok();
+    assert!(report.exhausted && report.schedules > 1, "{report}");
+    assert!(off.is_empty(), "beside the session: {off:?}");
+    outer.lap();
+    cso::memory::reg::RegBool::new(false).read();
+    assert_eq!(outer.lap().reads, 1, "a scope open across the session");
+    drop(outer);
+    assert_eq!(solo_push(), STRONG_BUDGET, "after the session");
 }
 
 #[test]
